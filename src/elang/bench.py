@@ -31,6 +31,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
+from .corpus import load_domain
 from .grounding import GroundTheory, ground
 from .model import Atom, DomainDescription, HProp, TProp
 from .parser import parse_domain, parse_query
@@ -98,6 +99,8 @@ def parse_spec(text: str, name_hint: str = "experiment") -> ExperimentSpec:
     spec.horizon = None if horizon_raw == "none" else int(horizon_raw)
     if spec.backend not in ("engine", "sat"):
         raise SpecError("backend must be engine or sat, got %r" % spec.backend)
+    if spec.backend == "sat" and spec.slice:
+        raise SpecError("slice applies to the engine backend only")
     return spec
 
 
@@ -107,44 +110,7 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Domain references
-
-
-def resolve_domain(ref: str, base: DomainDescription | None = None) -> DomainDescription:
-    """Resolve a domain reference: corpus:NAME, gen:VARIANT:N[:feed], or a path."""
-    from . import corpus
-
-    if ref.startswith("corpus:"):
-        name = ref.split(":", 1)[1]
-        try:
-            text = corpus.corpus_path(name).read_text()
-        except FileNotFoundError as exc:
-            raise SpecError(str(exc)) from exc
-    elif ref.startswith("gen:"):
-        parts = ref.split(":")
-        if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "feed"):
-            raise SpecError("bad generator reference %r" % ref)
-        try:
-            text = corpus.generate_zoo(parts[1], int(parts[2]), include_feed=len(parts) == 4)
-        except ValueError as exc:
-            raise SpecError("bad generator reference %r: %s" % (ref, exc)) from exc
-        name = ref
-    else:
-        path = Path(ref)
-        if not path.exists():
-            raise SpecError("domain file not found: %s" % ref)
-        text = path.read_text()
-        name = path.name
-    unit = parse_domain(text, file=name, base_signature=base.signature if base else None)
-    return unit.domain
-
-
-def assemble(spec_domain: str, scenarios: list[str]) -> DomainDescription:
-    domain = resolve_domain(spec_domain)
-    for ref in scenarios:
-        extra = resolve_domain(ref, base=domain)
-        domain.propositions.extend(extra.propositions)
-    return domain
+# Domain references (parsed by corpus.load_domain)
 
 
 def domain_label(ref: str) -> str:
@@ -314,7 +280,7 @@ def _meta(spec: ExperimentSpec) -> dict:
 
 
 def _run_completeness(spec: ExperimentSpec) -> ResultTable:
-    base = assemble(spec.domains[0], spec.scenarios)
+    base = load_domain(spec.domains[0], *spec.scenarios)
     theory = ground_for(spec, base)
     enriched, added = enrich_with_conclusions(base, theory, spec.enrich, spec.budget)
     enriched_theory = ground(enriched, theory.horizon)
@@ -334,7 +300,7 @@ def _run_completeness(spec: ExperimentSpec) -> ResultTable:
 
 
 def _run_irrelevance(spec: ExperimentSpec) -> ResultTable:
-    base = assemble(spec.domains[0], spec.scenarios)
+    base = load_domain(spec.domains[0], *spec.scenarios)
     theory0 = ground_for(spec, base)
     rows = []
     baseline: dict[str, str] = {}
@@ -361,7 +327,7 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
     rows = []
     baseline: dict[str, str] = {}
     for ref in spec.domains:
-        dom = assemble(ref, spec.scenarios)
+        dom = load_domain(ref, *spec.scenarios)
         th = ground_for(spec, dom)
         fragment = check_fragment(th).accepted
         for q in spec.queries:
@@ -385,7 +351,7 @@ def _run_scaling(spec: ExperimentSpec) -> ResultTable:
     rows = []
     sizes = spec.sizes or list(range(3, 16))
     for size in sizes:
-        dom = assemble("gen:%s:%d" % (spec.variant, size), spec.scenarios)
+        dom = load_domain("gen:%s:%d" % (spec.variant, size), *spec.scenarios)
         start = time.perf_counter()
         th = ground_for(spec, dom)
         ground_ms = (time.perf_counter() - start) * 1000.0

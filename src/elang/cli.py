@@ -3,20 +3,27 @@
 Exit codes: 0 success (query answered true), 1 query answered false,
 2 inconsistent domain, 3 usage, parse or validation errors, 4 budget
 exhausted, 5 internal errors.
+
+``FILES`` are domain references, the same ones experiment specs take: a
+file path, ``corpus:NAME`` or ``gen:VARIANT:N[:feed]``.  Later files
+merge into the first one's signature.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, corpus
 from .bench import load_spec, run_experiment
+from .corpus import DomainRefError, load_domain
 from .grounding import GroundingError, ground, report_stats, dump_ground
-from .model import DomainDescription, errors_of, validate
-from .parser import ParseError, parse_domain, parse_query
+from .model import errors_of, validate
+# parse_domain is unused here but stays bound: perfbench/tracing.py patches it
+from .parser import ParseError, parse_domain, parse_query  # noqa: F401
 from .query import BudgetExceeded, answer_theory, check_consistency, required_horizon
 from .sat import FragmentError, answer_sat, check_fragment, compile_theory, to_dimacs
 from .specfiles import SpecError
@@ -28,6 +35,9 @@ EXIT_USAGE = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
+# Errors in what the user gave rather than in the program.
+INPUT_ERRORS = (DomainRefError, FragmentError, GroundingError, OSError, ParseError, SpecError)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; keep 2 for inconsistency
@@ -36,43 +46,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_files(paths: list[str]) -> DomainDescription:
-    domain: DomainDescription | None = None
-    for raw in paths:
-        path = Path(raw)
-        text = path.read_text()
-        base = domain.signature if domain is not None else None
-        unit = parse_domain(text, file=str(path), base_signature=base)
-        if domain is None:
-            domain = unit.domain
-        else:
-            domain.propositions.extend(unit.domain.propositions)
-    assert domain is not None
-    return domain
-
-
 def _fail(message: str, code: int) -> int:
     print("error: %s" % message, file=sys.stderr)
     return code
 
 
 def cmd_check(args) -> int:
-    try:
-        domain = _load_files(args.files)
-    except (ParseError, OSError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    domain = load_domain(*args.files)
     diagnostics = validate(domain)
     for diag in diagnostics:
         print("%s %s: %s" % (diag.severity, diag.code, diag.message))
     if errors_of(diagnostics):
         return EXIT_USAGE
-    try:
-        theory = ground(domain, args.horizon)
-        consistent, stats = check_consistency(theory, args.budget)
-    except GroundingError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except BudgetExceeded:
-        return _fail("consistency probe ran out of budget", EXIT_BUDGET)
+    theory = ground(domain, args.horizon)
+    consistent, stats = check_consistency(theory, args.budget)
     print(
         "%s: %d fluent atoms, horizon %d, %s"
         % (
@@ -86,33 +73,34 @@ def cmd_check(args) -> int:
 
 
 def cmd_query(args) -> int:
-    try:
-        domain = _load_files(args.files)
-        if args.query:
-            qtext = Path(args.query).read_text()
-        else:
-            if not args.goal or not args.mode:
-                return _fail("--goal requires --mode (or use --query FILE)", EXIT_USAGE)
-            qtext = "%s { %s }" % (args.mode, args.goal)
-            if args.horizon is not None:
-                qtext += " horizon %d" % args.horizon
-        query = parse_query(qtext, domain.signature)
-        if args.horizon is not None and query.horizon is None:
-            query = type(query)(query.mode, query.goals, args.horizon)
-        theory = ground(domain, required_horizon(domain, query))
-    except (ParseError, GroundingError, OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        if args.backend == "sat":
-            result = answer_sat(theory, query, budget=args.budget)
-        else:
-            result = answer_theory(
-                theory, query, budget=args.budget, use_slice=args.slice == "on"
+    if args.query and (args.goal or args.mode):
+        return _fail("--query FILE excludes --goal and --mode", EXIT_USAGE)
+    if not args.query and not (args.goal and args.mode):
+        return _fail("--goal requires --mode (or use --query FILE)", EXIT_USAGE)
+    if args.backend == "sat" and args.slice == "on":
+        return _fail("--slice applies to the engine backend only", EXIT_USAGE)
+    domain = load_domain(*args.files)
+    if args.query:
+        qtext = Path(args.query).read_text()
+    else:
+        qtext = "%s { %s }" % (args.mode, args.goal)
+    query = parse_query(qtext, domain.signature)
+    if args.horizon is not None:
+        if query.horizon not in (None, args.horizon):
+            return _fail(
+                "--horizon %d contradicts the query's horizon %d" % (args.horizon, query.horizon),
+                EXIT_USAGE,
             )
-    except FragmentError as exc:
-        return _fail("outside the clausal fragment: %s" % exc, EXIT_USAGE)
-    except BudgetExceeded as exc:
-        return _fail(str(exc), EXIT_BUDGET)
+        query = dataclasses.replace(query, horizon=args.horizon)
+    try:
+        horizon = required_horizon(domain, query)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    theory = ground(domain, horizon)
+    if args.backend == "sat":
+        result = answer_sat(theory, query, budget=args.budget)
+    else:
+        result = answer_theory(theory, query, budget=args.budget, use_slice=args.slice == "on")
     if args.json:
         print(json.dumps(result.to_record(), sort_keys=True))
     else:
@@ -131,18 +119,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    try:
-        domain = _load_files(args.files)
-        theory = ground(domain, args.horizon)
-    except (ParseError, GroundingError, OSError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    theory = ground(load_domain(*args.files), args.horizon)
     if args.dimacs:
         report = check_fragment(theory)
         if not report.accepted:
-            return _fail(
-                "outside the clausal fragment: %s" % "; ".join(v.detail for v in report.violations),
-                EXIT_USAGE,
-            )
+            raise FragmentError(report)
         inst = compile_theory(theory)
         Path(args.dimacs).write_text(to_dimacs(inst, include_names=True))
         print("wrote %s (%d vars, %d clauses)" % (args.dimacs, inst.num_vars, len(inst.clauses)))
@@ -156,23 +137,16 @@ def cmd_ground(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        spec = load_spec(args.specfile)
-        if args.repeats is not None:
-            spec.repeats = args.repeats
-        table = run_experiment(spec)
-    except (SpecError, ParseError, GroundingError, OSError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except BudgetExceeded as exc:
-        return _fail(str(exc), EXIT_BUDGET)
+    spec = load_spec(args.specfile)
+    if args.repeats is not None:
+        spec.repeats = args.repeats
+    table = run_experiment(spec)
     paths = table.write(args.out)
     print("wrote %s" % " and ".join(str(p) for p in paths))
     return EXIT_TRUE
 
 
 def cmd_corpus(args) -> int:
-    from . import corpus
-
     if args.action == "list":
         for path in sorted(corpus.DATA_DIR.iterdir()):
             print(path.name)
@@ -195,11 +169,8 @@ def cmd_corpus(args) -> int:
             return _fail(str(exc), EXIT_USAGE)
         return EXIT_TRUE
     # verify
-    try:
-        corpus.load_corpus()
-        report = corpus.run_golden(budget=args.budget)
-    except BudgetExceeded:
-        return _fail("golden run exceeded the budget", EXIT_BUDGET)
+    corpus.load_corpus()
+    report = corpus.run_golden(budget=args.budget)
     print(report.render())
     passed = sum(1 for o in report.outcomes if o.ok)
     print("%d/%d golden cases passed" % (passed, len(report.outcomes)))
@@ -258,10 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget", None) is not None and args.budget < 0:
+        parser.error("--budget must not be negative")
     try:
         return args.func(args)
     except SystemExit:
         raise
+    except INPUT_ERRORS as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    except BudgetExceeded as exc:
+        return _fail(str(exc), EXIT_BUDGET)
     except Exception as exc:  # surface anything unexpected with a stable code
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL

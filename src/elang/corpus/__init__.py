@@ -34,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .. import parser
 from ..grounding import GroundTheory, ground
 from ..model import DomainDescription
-from ..parser import parse_domain, parse_query
+from ..parser import parse_query
 from ..query import EntailmentResult, Query, answer_theory, required_horizon
 from ..specfiles import parse_stanzas
 
@@ -69,15 +70,54 @@ def corpus_path(name: str) -> Path:
     return path
 
 
-def load_domain(name: str, *scenarios: str) -> DomainDescription:
-    """Parse a corpus domain plus scenario files sharing its signature."""
-    unit = parse_domain(corpus_path(name).read_text(), file=name)
-    domain = unit.domain
-    for scen in scenarios:
-        extra = parse_domain(
-            corpus_path(scen).read_text(), file=scen, base_signature=domain.signature
+class DomainRefError(ValueError):
+    """A domain reference that names no corpus file, no generator
+    configuration or no readable file."""
+
+
+def _read_ref(ref: str) -> tuple[str, str]:
+    """The source label and text a domain reference stands for."""
+    if ref.startswith("corpus:"):
+        name = ref.split(":", 1)[1]
+        try:
+            return name, corpus_path(name).read_text()
+        except FileNotFoundError as exc:
+            raise DomainRefError(str(exc)) from exc
+    if ref.startswith("gen:"):
+        parts = ref.split(":")
+        if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "feed"):
+            raise DomainRefError("bad generator reference %r" % ref)
+        try:
+            return ref, generate_zoo(parts[1], int(parts[2]), include_feed=len(parts) == 4)
+        except ValueError as exc:
+            raise DomainRefError("bad generator reference %r: %s" % (ref, exc)) from exc
+    try:
+        return ref, Path(ref).read_text()
+    except OSError as exc:
+        raise DomainRefError("cannot read domain file %s: %s" % (ref, exc.strerror)) from exc
+
+
+def load_domain(*refs: str) -> DomainDescription:
+    """Parse domain references and merge them into one description.
+
+    A reference is ``corpus:NAME`` (a bundled data file),
+    ``gen:VARIANT:N[:feed]`` (a generated zoo) or a file path.  Later
+    references parse against the first one's signature, which is how
+    scenario files join a domain.  Raises ``DomainRefError`` for a
+    reference that names nothing and ``ParseError`` for bad text."""
+    if not refs:
+        raise DomainRefError("no domain reference given")
+    domain: DomainDescription | None = None
+    for ref in refs:
+        label, text = _read_ref(ref)
+        # looked up at call time so perfbench/tracing.py can wrap it
+        unit = parser.parse_domain(
+            text, file=label, base_signature=domain.signature if domain else None
         )
-        domain.propositions.extend(extra.domain.propositions)
+        if domain is None:
+            domain = unit.domain
+        else:
+            domain.propositions.extend(unit.domain.propositions)
     return domain
 
 
@@ -214,304 +254,6 @@ def generate_zoo(variant: str, positions: int = 6, include_feed: bool = False) -
 
 
 # ---------------------------------------------------------------------------
-# Fixed data files
-
-
-BULB = """\
-% a light bulb that can be switched and can break
-
-fluent light.
-fluent normal.
-action switch_on.
-action switch_off.
-action break_bulb.
-
-switch_on initiates light when { normal }.
-switch_off terminates light.
-break_bulb terminates normal.
-neg light whenever { neg normal }.
-switch_on needs { neg light }.
-switch_on happens-at 2.
-normal holds-at 0.
-"""
-
-BULB_NOINIT = """\
-% the bulb domain without the initial condition of the circuit
-
-fluent light.
-fluent normal.
-action switch_on.
-action switch_off.
-action break_bulb.
-
-switch_on initiates light when { normal }.
-switch_off terminates light.
-break_bulb terminates normal.
-neg light whenever { neg normal }.
-switch_on needs { neg light }.
-switch_on happens-at 2.
-"""
-
-BULB_SKEPTICAL_Q = "skeptical { light holds-at 4 } horizon 4.\n"
-BULB_CREDULOUS_Q = "credulous { light holds-at 4 } horizon 4.\n"
-
-ZOO_LANDSCAPE = """\
-% background landscape style: typing and static structure as constant
-% fluents fixed once by the closed-world assumption
-
-sort thing: john, jane, elly, dumpo.
-sort kind: human, elephant.
-sort place: p1, p2, p3.
-
-constant fluent animal(thing).
-constant fluent animal_is_adult(thing).
-constant fluent animal_is_large(thing).
-constant fluent animal_species(thing, kind).
-constant fluent species_is_large(kind).
-constant fluent neighbor_pos(place, place).
-
-animal(john) holds-at 0.
-animal(jane) holds-at 0.
-animal(elly) holds-at 0.
-animal(dumpo) holds-at 0.
-
-animal_is_adult(elly) holds-at 0.
-animal_is_adult(jane) holds-at 0.
-animal_species(john, human) holds-at 0.
-animal_species(jane, human) holds-at 0.
-animal_species(elly, elephant) holds-at 0.
-animal_species(dumpo, elephant) holds-at 0.
-species_is_large(elephant) holds-at 0.
-
-% an animal is large when it is an adult of a large species
-animal_is_large(A) whenever { animal_is_adult(A), animal_species(A, S),
-    species_is_large(S) }.
-
-% the neighbor relation is symmetric
-neighbor_pos(P1, P2) whenever { neighbor_pos(P2, P1) }.
-neighbor_pos(p1, p2) holds-at 0.
-neighbor_pos(p2, p3) holds-at 0.
-"""
-
-ZOO_SCENARIO_BASE = """\
-% narrative: elly throws john off, john finds p1 reachable, walks there,
-% and mounts dumpo
-
-throwoff(elly, john) happens-at 1.
-move_to_position(john, p1) happens-at 2.
-mount_animal(john, dumpo) happens-at 3.
-reachable(john, p1) holds-at 2.
-"""
-
-ZOO_SCENARIO_MOVE = """\
-% addition: dumpo walks away at the same moment john mounts
-
-move_to_position(dumpo, p3) happens-at 3.
-"""
-
-ZOO_SCENARIO_OBS = """\
-% addition: later, john is seen at p3
-
-animal_pos(john, p3) holds-at 5.
-"""
-
-CHAIN_SCENARIO = """\
-% fully observed start; dumpo carries john along a fixed walk
-
-animal_pos(john, p1) holds-at 0.
-animal_pos(dumpo, p1) holds-at 0.
-animal_pos(elly, p2) holds-at 0.
-rides(john, dumpo) holds-at 0.
-neg rides(john, elly) holds-at 0.
-neg rides(elly, dumpo) holds-at 0.
-neg rides(dumpo, elly) holds-at 0.
-
-move_to_position(dumpo, p2) happens-at 0.
-move_to_position(dumpo, p1) happens-at 1.
-move_to_position(dumpo, p3) happens-at 2.
-"""
-
-GOLDEN_CASES = """\
-% frozen expected answers for the bundled narratives.
-% source: stated = asserted by the domain's written description;
-%         derived = computed by the reference oracle and frozen.
-
-[case]
-name = bulb-necessary-light
-domain = bulb.e
-query = skeptical { light holds-at 4 } horizon 4.
-expect = true
-source = stated
-
-[case]
-name = bulb-noinit-light-not-necessary
-domain = bulb_noinit.e
-query = skeptical { light holds-at 4 } horizon 4.
-expect = false
-source = stated
-
-[case]
-name = bulb-noinit-light-possible
-domain = bulb_noinit.e
-query = credulous { light holds-at 4 } horizon 4.
-expect = true
-source = stated
-
-[case]
-name = dual-ride-necessary-at-1
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-query = skeptical { rides(john, elly) holds-at 1 } horizon 6.
-expect = true
-source = stated
-
-[case]
-name = dual-ride-necessary-at-0
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-query = skeptical { rides(john, elly) holds-at 0 } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = dual-landing-p2-possible
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-query = credulous { animal_pos(john, p2) holds-at 2 } horizon 6.
-expect = true
-source = stated
-
-[case]
-name = dual-landing-p2-not-necessary
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-query = skeptical { animal_pos(john, p2) holds-at 2 } horizon 6.
-expect = false
-source = stated
-
-[case]
-name = dual-landing-p3-possible
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-query = credulous { animal_pos(john, p3) holds-at 2 } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = dual-mounted-necessary-at-4
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-query = skeptical { rides(john, dumpo) holds-at 4 } horizon 6.
-expect = true
-source = stated
-
-[case]
-name = dual-concurrent-move-breaks-necessity
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-scenario = zoo_scenario_move.e
-query = skeptical { rides(john, dumpo) holds-at 4 } horizon 6.
-expect = false
-source = stated
-
-[case]
-name = dual-concurrent-move-keeps-possibility
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-scenario = zoo_scenario_move.e
-query = credulous { rides(john, dumpo) holds-at 4 } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = dual-late-observation-restores-necessity
-domain = zoo_dual.e
-scenario = zoo_scenario_base.e
-scenario = zoo_scenario_move.e
-scenario = zoo_scenario_obs.e
-query = skeptical { rides(john, dumpo) holds-at 4 } horizon 6.
-expect = true
-source = stated
-
-[case]
-name = indirect-ride-necessary-at-1
-domain = zoo_indirect.e
-scenario = zoo_scenario_base.e
-query = skeptical { rides(john, elly) holds-at 1 } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = indirect-mounted-necessary-at-4
-domain = zoo_indirect.e
-scenario = zoo_scenario_base.e
-query = skeptical { rides(john, dumpo) holds-at 4 } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = direct-base-scenario-consistent
-domain = zoo_direct.e
-scenario = zoo_scenario_base.e
-query = credulous { } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = dual-chain-carried-to-p3
-domain = zoo_dual.e
-scenario = chain_scenario.e
-query = skeptical { animal_pos(john, p3) holds-at 4 } horizon 6.
-expect = true
-source = derived
-
-[case]
-name = indirect-chain-falloff-possible
-domain = zoo_indirect.e
-scenario = chain_scenario.e
-query = skeptical { animal_pos(john, p3) holds-at 4 } horizon 6.
-expect = false
-source = derived
-
-[case]
-name = direct-chain-carried-to-p3
-domain = zoo_direct.e
-scenario = chain_scenario.e
-query = skeptical { animal_pos(john, p3) holds-at 4 } horizon 6.
-expect = true
-source = derived
-"""
-
-
-def write_data_files(data_dir: Path | None = None) -> list[Path]:
-    """Regenerate every bundled data file; returns the paths written."""
-    target = data_dir or DATA_DIR
-    target.mkdir(parents=True, exist_ok=True)
-    files = {
-        "bulb.e": BULB,
-        "bulb_noinit.e": BULB_NOINIT,
-        "bulb_skeptical.q": BULB_SKEPTICAL_Q,
-        "bulb_credulous.q": BULB_CREDULOUS_Q,
-        "zoo_landscape.e": ZOO_LANDSCAPE,
-        "zoo_direct.e": generate_zoo("direct", 6),
-        "zoo_indirect.e": generate_zoo("indirect", 6),
-        "zoo_dual.e": generate_zoo("dual", 6),
-        "zoo_dual_feed.e": generate_zoo("dual", 6, include_feed=True),
-        "zoo_scenario_base.e": ZOO_SCENARIO_BASE,
-        "zoo_scenario_move.e": ZOO_SCENARIO_MOVE,
-        "zoo_scenario_obs.e": ZOO_SCENARIO_OBS,
-        "chain_scenario.e": CHAIN_SCENARIO,
-        "golden.cases": GOLDEN_CASES,
-    }
-    written = []
-    for name, text in sorted(files.items()):
-        path = target / name
-        path.write_text(text)
-        written.append(path)
-    return written
-
-
-# ---------------------------------------------------------------------------
 # Golden cases
 
 
@@ -525,13 +267,18 @@ class GoldenCase:
     source: str  # "stated" | "derived"
 
 
+def _load_bundled(*names: str) -> DomainDescription:
+    """``load_domain`` on bare corpus file names, as golden cases give them."""
+    return load_domain(*("corpus:" + name for name in names))
+
+
 def load_golden() -> list[GoldenCase]:
     text = corpus_path("golden.cases").read_text()
     cases: list[GoldenCase] = []
     for stanza in parse_stanzas(text, section="case"):
         domain_name = stanza.one("domain")
         scenarios = tuple(stanza.many("scenario"))
-        domain = load_domain(domain_name, *scenarios)
+        domain = _load_bundled(domain_name, *scenarios)
         query = parse_query(stanza.one("query"), domain.signature)
         expect = stanza.one("expect")
         if expect not in ("true", "false", "domain-inconsistent"):
@@ -583,7 +330,7 @@ class GoldenReport:
 
 
 def evaluate_case(case: GoldenCase, budget: int | None = None) -> GoldenOutcome:
-    domain = load_domain(case.domain, *case.scenarios)
+    domain = _load_bundled(case.domain, *case.scenarios)
     theory = ground(domain, required_horizon(domain, case.query))
     result = answer_theory(theory, case.query, budget=budget)
     return GoldenOutcome(case, result.answer, result)
@@ -602,15 +349,15 @@ def load_corpus() -> list[tuple[DomainDescription, list[GoldenCase]]]:
         by_domain.setdefault(case.domain, []).append(case)
     out: list[tuple[DomainDescription, list[GoldenCase]]] = []
     for name, horizon in CORPUS_HORIZONS.items():
-        domain = load_domain(name)
+        domain = _load_bundled(name)
         ground(domain, horizon)  # any failure is a corpus build failure
         out.append((domain, by_domain.get(name, [])))
     for scen in ZOO_SCENARIOS:
-        merged = load_domain("zoo_dual.e", scen)
+        merged = _load_bundled("zoo_dual.e", scen)
         ground(merged, 6)
     return out
 
 
 def ground_corpus_domain(name: str, horizon: int | None = None) -> GroundTheory:
-    domain = load_domain(name)
+    domain = _load_bundled(name)
     return ground(domain, horizon or CORPUS_HORIZONS.get(name))

@@ -21,6 +21,7 @@ witnesses, countermodels and budget exhaustion are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .grounding import GroundingStats, GroundTheory, Lit, State, _build_indexes, ground
@@ -198,19 +199,18 @@ class Evaluator:
                 return
         yield from rec()
 
-    def models(self, extra: dict[int, frozenset[Lit]] | None = None):
+    def models(self, forced: Iterable[tuple[Lit, int]] = ()):
         """Generate every model compatible with the observations plus the
-        ``extra`` forced literals, in a fixed order."""
+        ``forced`` timed literals, in a fixed order."""
         theory = self.theory
-        forced: dict[int, set[Lit]] = {}
+        pinned: dict[int, set[Lit]] = {}
         for t, obs in theory.observations.items():
-            forced.setdefault(t, set()).update(obs)
-        if extra:
-            for t, lits in extra.items():
-                if not 0 <= t <= theory.horizon:
-                    raise ValueError("forced literal at time %d outside 0..%d" % (t, theory.horizon))
-                forced.setdefault(t, set()).update(lits)
-        frozen = {t: frozenset(lits) for t, lits in forced.items()}
+            pinned.setdefault(t, set()).update(obs)
+        for code, t in forced:
+            if not 0 <= t <= theory.horizon:
+                raise ValueError("forced literal at time %d outside 0..%d" % (t, theory.horizon))
+            pinned.setdefault(t, set()).add(code)
+        frozen = {t: frozenset(lits) for t, lits in pinned.items()}
         for lits in frozen.values():
             if any(-l in lits for l in lits):
                 return
@@ -233,8 +233,8 @@ class Evaluator:
         for s0 in self._initial_states(frozen.get(0, frozenset())):
             yield from extend((s0,), (), 0)
 
-    def first_model(self, extra: dict[int, frozenset[Lit]] | None = None) -> Trajectory | None:
-        return next(self.models(extra), None)
+    def first_model(self, forced: Iterable[tuple[Lit, int]] = ()) -> Trajectory | None:
+        return next(self.models(forced), None)
 
 
 def required_horizon(domain: DomainDescription, query: Query) -> int:
@@ -302,37 +302,49 @@ def answer_theory(
     ev = Evaluator(theory, budget)
     ev.stats.atoms_total = atoms_total
     ev.stats.atoms_sliced = atoms_sliced
+    return decide(theory, query, dynamic_goals, constants_ok, ev.first_model, "engine", ev.stats)
 
-    def result(answer: str, witness: Trajectory | None) -> EntailmentResult:
-        rendered = None if witness is None else render_trajectory(theory, witness)
+
+def decide(
+    theory: GroundTheory,
+    query: Query,
+    dynamic_goals: list[tuple[Lit, int]],
+    constants_ok: bool,
+    find_model: Callable[[Iterable[tuple[Lit, int]]], Trajectory | None],
+    backend: str,
+    stats: object,
+) -> EntailmentResult:
+    """The answer procedure both backends share; they differ only in
+    ``find_model``, which returns a model where the given timed literals
+    hold, or None.  A query on a domain without models is
+    ``domain-inconsistent``.  Credulous asks for one model with every goal
+    forced; skeptical asks, goal by goal, for a model with the goal's
+    complement forced, and the first one found is the countermodel."""
+
+    def result(answer: str, witness: Trajectory | None = None) -> EntailmentResult:
         return EntailmentResult(
             answer=answer,
             mode=query.mode,
             goals=query.goal_strings(),
             horizon=theory.horizon,
-            backend="engine",
-            witness=rendered,
-            stats=ev.stats,
+            backend=backend,
+            witness=None if witness is None else render_trajectory(theory, witness),
+            stats=stats,
         )
 
-    probe = ev.first_model()
+    probe = find_model(())
     if probe is None:
-        return result("domain-inconsistent", None)
+        return result("domain-inconsistent")
     if not constants_ok:
-        return result("false", None)
+        return result("false")
     if query.mode == "credulous":
-        extra: dict[int, set[Lit]] = {}
-        for code, t in dynamic_goals:
-            extra.setdefault(t, set()).add(code)
-        witness = ev.first_model({t: frozenset(l) for t, l in extra.items()}) if dynamic_goals else probe
-        if witness is not None:
-            return result("true", witness)
-        return result("false", None)
+        witness = find_model(dynamic_goals) if dynamic_goals else probe
+        return result("false") if witness is None else result("true", witness)
     for code, t in dynamic_goals:
-        counter = ev.first_model({t: frozenset([-code])})
+        counter = find_model([(-code, t)])
         if counter is not None:
             return result("false", counter)
-    return result("true", None)
+    return result("true")
 
 
 def answer(

@@ -35,18 +35,12 @@ decision count.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
-from .query import (
-    BudgetExceeded,
-    EntailmentResult,
-    Query,
-    Trajectory,
-    render_trajectory,
-    split_goals,
-)
+from .query import BudgetExceeded, EntailmentResult, Query, Trajectory, decide, split_goals
 
 
 @dataclass(frozen=True)
@@ -541,41 +535,14 @@ def answer_sat(
     dynamic_goals, constants_ok = split_goals(theory, query)
     inst = compile_theory(theory)
     stats = SatStats()
+    solver = Solver(inst.num_vars, inst.clauses, budget, stats)
 
-    def result(answer: str, witness_model: dict[int, bool] | None) -> EntailmentResult:
-        witness = None
-        if witness_model is not None:
-            witness = render_trajectory(theory, decode_model(inst, theory, witness_model))
-        return EntailmentResult(
-            answer=answer,
-            mode=query.mode,
-            goals=query.goal_strings(),
-            horizon=theory.horizon,
-            backend="sat",
-            witness=witness,
-            stats=stats,
-        )
+    def find_model(forced: Iterable[tuple[Lit, int]]) -> Trajectory | None:
+        assumptions = []
+        for code, t in forced:
+            v = inst.fluent_var(abs(code) - 1, t)
+            assumptions.append(v if code > 0 else -v)
+        sat, model = solver.solve(assumptions)
+        return decode_model(inst, theory, model) if sat else None
 
-    def goal_lit(code: Lit, t: int) -> int:
-        v = inst.fluent_var(abs(code) - 1, t)
-        return v if code > 0 else -v
-
-    base = Solver(inst.num_vars, inst.clauses, budget, stats)
-    sat, model = base.solve()
-    if not sat:
-        return result("domain-inconsistent", None)
-    if not constants_ok:
-        return result("false", None)
-    if query.mode == "credulous":
-        if not dynamic_goals:
-            return result("true", model)
-        sat, model = base.solve([goal_lit(c, t) for c, t in dynamic_goals])
-        return result("true", model) if sat else result("false", None)
-    if not dynamic_goals:
-        return result("true", None)
-    negation = [-goal_lit(c, t) for c, t in dynamic_goals]
-    counter = Solver(inst.num_vars, list(inst.clauses) + [tuple(negation)], budget, stats)
-    sat, model = counter.solve()
-    if sat:
-        return result("false", model)
-    return result("true", None)
+    return decide(theory, query, dynamic_goals, constants_ok, find_model, "sat", stats)

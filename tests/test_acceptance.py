@@ -10,7 +10,6 @@ import time
 
 from elang.bench import (
     REFERENCE_INSTANCES_AT_15,
-    assemble,
     inject_irrelevant,
     parse_spec,
     run_experiment,
@@ -38,7 +37,7 @@ def report(criterion, status, detail):
 
 
 def run_query(domain_name, scenarios, text):
-    domain = load_domain(domain_name, *scenarios)
+    domain = load_domain("corpus:" + domain_name, *("corpus:" + s for s in scenarios))
     return answer(domain, parse_query(text, domain.signature)).answer
 
 
@@ -159,7 +158,7 @@ def test_criterion_03_throwoff_landings_exact():
 
 def test_criterion_04_carried_rider_branch_counts():
     for variant, expected in (("dual", 1), ("indirect", 2)):
-        theory = ground(load_domain("zoo_%s.e" % variant, "zoo_scenario_base.e"), 6)
+        theory = ground(load_domain("corpus:zoo_%s.e" % variant, "corpus:zoo_scenario_base.e"), 6)
         seed = {theory.index[Atom("animal_pos", (a, p))]
                 for a, p in (("john", "p1"), ("dumpo", "p1"), ("elly", "p2"))}
         seed.add(theory.index[Atom("rides", ("john", "dumpo"))])
@@ -264,7 +263,7 @@ def median(values):
 def test_criterion_08_direct_laws_no_slower_than_indirect():
     timings = {}
     for variant in ("direct", "indirect"):
-        domain = assemble("corpus:zoo_%s.e" % variant, ["corpus:chain_scenario.e"])
+        domain = load_domain("corpus:zoo_%s.e" % variant, "corpus:chain_scenario.e")
         theory = ground(domain, 6)
         runs = []
         for q in REPRESENTATION_QUERIES:
@@ -285,7 +284,7 @@ IRRELEVANCE_QUERIES = (
 
 
 def test_criterion_09_irrelevant_occurrences_stay_cheap():
-    base = assemble("corpus:zoo_dual_feed.e", ["corpus:chain_scenario.e"])
+    base = load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e")
     results = {}
     for count in (0, 3):
         domain = inject_irrelevant(base, count, 6) if count else base

@@ -12,10 +12,10 @@ from elang.bench import (
     inject_irrelevant,
     load_spec,
     parse_spec,
-    resolve_domain,
     run_experiment,
     time_answer,
 )
+from elang.corpus import DomainRefError, load_domain
 from elang.grounding import ground
 from elang.model import HProp
 from elang.specfiles import SpecError
@@ -61,24 +61,35 @@ def test_parse_spec_rejects_bad_values():
     with pytest.raises(SpecError):
         parse_spec(spec_text(backend="z3"))
     with pytest.raises(SpecError):
+        parse_spec(spec_text(backend="sat", slice="on"))
+    with pytest.raises(SpecError):
         parse_spec(spec_text() + "\n[extra]\nname = x\n")
 
 
 def test_resolve_domain_refs(tmp_path):
-    d = resolve_domain("corpus:bulb.e")
+    d = load_domain("corpus:bulb.e")
     assert "light" in d.signature.fluents
-    gen = resolve_domain("gen:indirect:4")
+    gen = load_domain("gen:indirect:4")
     assert len(gen.signature.sorts["position"]) == 4
     assert "feed_animal" not in gen.signature.actions
-    fed = resolve_domain("gen:dual:3:feed")
+    fed = load_domain("gen:dual:3:feed")
     assert "feed_animal" in fed.signature.actions
     path = tmp_path / "tiny.e"
     path.write_text("fluent f.\nf holds-at 0.\n")
-    assert "f" in resolve_domain(str(path)).signature.fluents
-    with pytest.raises(SpecError):
-        resolve_domain("corpus:no_such_domain.e")
-    with pytest.raises(SpecError):
-        resolve_domain("gen:bogus:4")
+    assert "f" in load_domain(str(path)).signature.fluents
+    with pytest.raises(DomainRefError):
+        load_domain("corpus:no_such_domain.e")
+    with pytest.raises(DomainRefError):
+        load_domain("gen:bogus:4")
+    with pytest.raises(DomainRefError):
+        load_domain("gen:dual:3:food")
+    with pytest.raises(DomainRefError):
+        load_domain(str(tmp_path / "missing.e"))
+    with pytest.raises(DomainRefError):
+        load_domain(str(tmp_path))  # a directory
+    merged = load_domain("corpus:zoo_dual.e", "corpus:zoo_scenario_base.e")
+    alone = load_domain("corpus:zoo_dual.e")
+    assert len(merged.propositions) > len(alone.propositions)
 
 
 def test_domain_label():
@@ -88,7 +99,7 @@ def test_domain_label():
 
 
 def test_inject_irrelevant_adds_disjoint_occurrences():
-    domain = resolve_domain("gen:dual:3:feed")
+    domain = load_domain("gen:dual:3:feed")
     base_occ = sum(isinstance(p, HProp) for p in domain.propositions)
     bigger = inject_irrelevant(domain, 3, horizon=6)
     occs = [p for p in bigger.propositions if isinstance(p, HProp)]
@@ -97,13 +108,11 @@ def test_inject_irrelevant_adds_disjoint_occurrences():
     # the original description is untouched
     assert sum(isinstance(p, HProp) for p in domain.propositions) == base_occ
     with pytest.raises(SpecError):
-        inject_irrelevant(resolve_domain("gen:dual:3"), 1, horizon=6)
+        inject_irrelevant(load_domain("gen:dual:3"), 1, horizon=6)
 
 
 def test_enrich_keeps_only_necessary_conclusions():
-    from elang.bench import assemble
-
-    domain = assemble("corpus:zoo_direct.e", ["corpus:chain_scenario.e"])
+    domain = load_domain("corpus:zoo_direct.e", "corpus:chain_scenario.e")
     theory = ground(domain, 4)
     probes = [
         "animal_pos(dumpo,p3) holds-at 3.",   # forced by the move chain
@@ -115,9 +124,7 @@ def test_enrich_keeps_only_necessary_conclusions():
 
 
 def test_time_answer_median_and_determinism():
-    from elang.bench import assemble
-
-    domain = assemble("corpus:bulb.e", [])
+    domain = load_domain("corpus:bulb.e")
     theory = ground(domain, 4)
     timed = time_answer(
         theory,

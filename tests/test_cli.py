@@ -5,21 +5,17 @@ import json
 import pytest
 
 from elang.cli import main
-from elang.corpus import BULB, BULB_NOINIT, corpus_path
+from elang.corpus import corpus_path
 
 
 @pytest.fixture()
-def bulb_file(tmp_path):
-    path = tmp_path / "bulb.e"
-    path.write_text(BULB)
-    return str(path)
+def bulb_file():
+    return str(corpus_path("bulb.e"))
 
 
 @pytest.fixture()
-def noinit_file(tmp_path):
-    path = tmp_path / "bulb_noinit.e"
-    path.write_text(BULB_NOINIT)
-    return str(path)
+def noinit_file():
+    return str(corpus_path("bulb_noinit.e"))
 
 
 def test_check_consistent(bulb_file, capsys):
@@ -140,6 +136,88 @@ def test_query_multiple_files_merge(tmp_path):
     argv = ["query", str(base), str(scen), "--mode", "skeptical",
             "--goal", "f holds-at 1", "--horizon", "1"]
     assert main(argv) == 0
+
+
+def test_query_takes_corpus_and_generator_refs():
+    argv = ["query", "corpus:bulb.e", "--mode", "skeptical", "--goal", "light holds-at 4"]
+    assert main(argv) == 0
+    argv = ["query", "gen:direct:4", "corpus:chain_scenario.e", "--mode", "skeptical",
+            "--goal", "animal_pos(john, p3) holds-at 4", "--horizon", "6"]
+    assert main(argv) == 0
+
+
+def test_query_rejects_slice_on_sat(bulb_file, capsys):
+    argv = ["query", bulb_file, "--mode", "credulous", "--goal", "light holds-at 3",
+            "--backend", "sat", "--slice", "on"]
+    assert main(argv) == 3
+    assert "--slice" in capsys.readouterr().err
+
+
+def test_query_file_excludes_goal_and_mode(bulb_file, tmp_path, capsys):
+    qfile = tmp_path / "probe.q"
+    qfile.write_text("credulous { light holds-at 3 } horizon 4.\n")
+    assert main(["query", bulb_file, "--query", str(qfile), "--goal", "light holds-at 2"]) == 3
+    assert main(["query", bulb_file, "--query", str(qfile), "--mode", "skeptical"]) == 3
+    assert "--query" in capsys.readouterr().err
+
+
+def test_query_horizon_must_match_query_file(bulb_file, tmp_path, capsys):
+    qfile = tmp_path / "probe.q"
+    qfile.write_text("credulous { light holds-at 3 } horizon 4.\n")
+    assert main(["query", bulb_file, "--query", str(qfile), "--horizon", "5"]) == 3
+    assert "horizon" in capsys.readouterr().err
+    assert main(["query", bulb_file, "--query", str(qfile), "--horizon", "4"]) == 0
+    bare = tmp_path / "bare.q"
+    bare.write_text("credulous { light holds-at 3 }.\n")
+    assert main(["query", bulb_file, "--query", str(bare), "--horizon", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["horizon"] == 5
+
+
+@pytest.mark.parametrize("command", ["check", "query", "corpus"])
+def test_negative_budget_is_a_usage_error(bulb_file, command, capsys):
+    argv = {
+        "check": ["check", bulb_file],
+        "query": ["query", bulb_file, "--mode", "credulous", "--goal", "light holds-at 3"],
+        "corpus": ["corpus", "verify"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "-1"])
+    assert exc.value.code == 3
+    assert "budget" in capsys.readouterr().err
+
+
+BAD_REFS = ["corpus:no_such_domain.e", "no/such/file.e", "gen:dual", "gen:bogus:4"]
+
+
+@pytest.mark.parametrize("ref", BAD_REFS)
+def test_check_bad_reference_exits_three(ref, capsys):
+    assert main(["check", ref]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("ref", BAD_REFS)
+def test_query_bad_reference_exits_three(ref, capsys):
+    assert main(["query", ref, "--mode", "credulous", "--goal", "light holds-at 1"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("ref", BAD_REFS)
+def test_ground_bad_reference_exits_three(ref, capsys):
+    assert main(["ground", "corpus:zoo_direct.e", ref, "--horizon", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("ref", BAD_REFS)
+def test_bench_bad_reference_exits_three(ref, tmp_path, capsys):
+    spec = tmp_path / "bad_ref.spec"
+    spec.write_text(
+        "family = representation\n"
+        "domain = %s\n"
+        "query = credulous { } horizon 2\n"
+        "repeats = 1\n" % ref
+    )
+    assert main(["bench", str(spec), "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ground_stats_default(bulb_file, capsys):

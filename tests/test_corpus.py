@@ -27,8 +27,6 @@ def test_data_files_match_generators():
     assert corpus_path("zoo_dual_feed.e").read_text() == generate_zoo(
         "dual", 6, include_feed=True
     )
-    assert corpus_path("bulb.e").read_text() == corpus.BULB
-    assert corpus_path("bulb_noinit.e").read_text() == corpus.BULB_NOINIT
 
 
 def test_every_domain_grounds_at_its_horizon():
@@ -38,14 +36,14 @@ def test_every_domain_grounds_at_its_horizon():
 
 
 def test_variants_share_signature():
-    base = load_domain("zoo_direct.e")
+    base = load_domain("corpus:zoo_direct.e")
     for variant in ("zoo_indirect.e", "zoo_dual.e"):
-        other = load_domain(variant)
+        other = load_domain("corpus:" + variant)
         assert other.signature.sorts == base.signature.sorts
         assert set(other.signature.fluents) == set(base.signature.fluents)
         dynamic = {n for n, d in other.signature.fluents.items() if not d.constant}
         assert dynamic == {"animal_pos", "rides", "reachable"}
-    fed = load_domain("zoo_dual_feed.e")
+    fed = load_domain("corpus:zoo_dual_feed.e")
     assert set(fed.signature.actions) - set(base.signature.actions) == {"feed_animal"}
 
 
@@ -71,7 +69,7 @@ def test_gates_connect_the_two_cages():
 def test_scenarios_merge_with_every_variant():
     for variant in VARIANTS:
         for scen in ZOO_SCENARIOS:
-            domain = load_domain("zoo_%s.e" % variant, scen)
+            domain = load_domain("corpus:zoo_%s.e" % variant, "corpus:" + scen)
             ground(domain, 6)
 
 
@@ -109,20 +107,13 @@ def test_query_files_parse():
 def test_bulb_files_answer_as_documented():
     from elang.query import answer
 
-    d = load_domain("bulb.e")
+    d = load_domain("corpus:bulb.e")
     q = parse_query(corpus_path("bulb_skeptical.q").read_text())
     assert answer(d, q).answer == "true"
-    noinit = load_domain("bulb_noinit.e")
+    noinit = load_domain("corpus:bulb_noinit.e")
     assert answer(noinit, q).answer == "false"
     qc = parse_query(corpus_path("bulb_credulous.q").read_text())
     assert answer(noinit, qc).answer == "true"
-
-
-def test_write_data_files_is_idempotent(tmp_path):
-    written = corpus.write_data_files(tmp_path)
-    assert {p.name for p in written} == {p.name for p in corpus.DATA_DIR.iterdir()}
-    for p in written:
-        assert p.read_text() == (corpus.DATA_DIR / p.name).read_text()
 
 
 def test_mount_without_position_constraint_dies_by_denial():

@@ -17,7 +17,7 @@ def g(text, horizon=None):
 def test_bulb_ground_counts():
     from elang.corpus import load_domain
 
-    th = ground(load_domain("bulb.e"), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     s = th.stats
     assert th.n_fluents == 2
     assert s.cprops == 3
@@ -189,7 +189,7 @@ def test_contradictory_residue_dropped():
 def test_rule_indexes_cover_all_rules():
     from elang.corpus import load_domain
 
-    th = ground(load_domain("zoo_dual.e"), 2)
+    th = ground(load_domain("corpus:zoo_dual.e"), 2)
     body_indexed = {ri for lst in th.rprops_by_body_atom.values() for ri in lst}
     head_indexed = {ri for lst in th.rprops_by_head_atom.values() for ri in lst}
     for ri, rp in enumerate(th.rprops):
@@ -218,6 +218,6 @@ def test_zoo_matches_naive_oracle():
     from elang.corpus import load_domain
 
     for name in ("zoo_direct.e", "zoo_indirect.e", "zoo_dual.e"):
-        domain = load_domain(name, "zoo_scenario_base.e")
+        domain = load_domain("corpus:" + name, "corpus:zoo_scenario_base.e")
         th = ground(domain, 6)
         assert theory_strings(th) == naive_ground_strings(domain, 6), name

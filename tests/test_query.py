@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from elang.corpus import BULB, BULB_NOINIT, load_domain
+from elang.corpus import corpus_path, load_domain
 from elang.grounding import ground
 from elang.parser import parse_domain, parse_query
 from elang.query import (
@@ -31,23 +31,23 @@ def q(text):
 
 
 def test_bulb_has_one_model():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     assert count_models(th) == 1
 
 
 def test_bulb_noinit_has_two_models():
-    th = ground(dom(BULB_NOINIT), 4)
+    th = ground(load_domain("corpus:bulb_noinit.e"), 4)
     assert count_models(th) == 2
 
 
 def test_bulb_skeptical_vs_credulous():
-    r = answer(dom(BULB), q("skeptical { light holds-at 3 } horizon 4"))
+    r = answer(load_domain("corpus:bulb.e"), q("skeptical { light holds-at 3 } horizon 4"))
     assert r.answer == "true"
     assert r.witness is None  # skeptical truth has no single witness
-    r = answer(dom(BULB_NOINIT), q("skeptical { light holds-at 3 } horizon 4"))
+    r = answer(load_domain("corpus:bulb_noinit.e"), q("skeptical { light holds-at 3 } horizon 4"))
     assert r.answer == "false"
     assert r.witness is not None  # the countermodel is reported
-    r = answer(dom(BULB_NOINIT), q("credulous { light holds-at 3 } horizon 4"))
+    r = answer(load_domain("corpus:bulb_noinit.e"), q("credulous { light holds-at 3 } horizon 4"))
     assert r.answer == "true"
     assert r.witness["states"][3] == ["light", "normal"]
 
@@ -82,7 +82,7 @@ def test_inconsistent_domain_reported():
 
 
 def test_required_horizon():
-    d = dom(BULB)  # occurrence at 2, observation at 0
+    d = load_domain("corpus:bulb.e")  # occurrence at 2, observation at 0
     assert required_horizon(d, q("credulous { light holds-at 3 }")) == 4
     assert required_horizon(d, q("credulous { light holds-at 3 } horizon 6")) == 6
     assert required_horizon(d, q("credulous { light holds-at 1 }")) == 3
@@ -91,16 +91,16 @@ def test_required_horizon():
 
 
 def test_empty_goal_queries_probe_consistency():
-    r = answer(dom(BULB), Query("credulous", frozenset(), 4))
+    r = answer(load_domain("corpus:bulb.e"), Query("credulous", frozenset(), 4))
     assert r.answer == "true"
-    r = answer(dom(BULB), Query("skeptical", frozenset(), 4))
+    r = answer(load_domain("corpus:bulb.e"), Query("skeptical", frozenset(), 4))
     assert r.answer == "true"
 
 
 def test_multi_goal_conjunction():
-    r = answer(dom(BULB), q("credulous { light holds-at 3, normal holds-at 3 } horizon 4"))
+    r = answer(load_domain("corpus:bulb.e"), q("credulous { light holds-at 3, normal holds-at 3 } horizon 4"))
     assert r.answer == "true"
-    r = answer(dom(BULB), q("credulous { light holds-at 3, neg normal holds-at 3 } horizon 4"))
+    r = answer(load_domain("corpus:bulb.e"), q("credulous { light holds-at 3, neg normal holds-at 3 } horizon 4"))
     assert r.answer == "false"
 
 
@@ -134,16 +134,16 @@ def test_occurrence_with_violated_precondition_kills_branch():
 
 
 def test_observations_prune_models():
-    d = dom(BULB_NOINIT)
+    d = load_domain("corpus:bulb_noinit.e")
     r = answer(d, q("skeptical { light holds-at 3 } horizon 4"))
     assert r.answer == "false"
-    pinned = parse_domain(BULB_NOINIT + "\nnormal holds-at 0.\n").domain
+    pinned = parse_domain(corpus_path("bulb_noinit.e").read_text() + "\nnormal holds-at 0.\n").domain
     r = answer(pinned, q("skeptical { light holds-at 3 } horizon 4"))
     assert r.answer == "true"
 
 
 def test_budget_raises_deterministically():
-    th = ground(load_domain("zoo_dual.e", "zoo_scenario_base.e"), 6)
+    th = ground(load_domain("corpus:zoo_dual.e", "corpus:zoo_scenario_base.e"), 6)
     goal = q("credulous { rides(john,dumpo) holds-at 4 } horizon 6")
     with pytest.raises(BudgetExceeded) as exc:
         answer_theory(th, goal, budget=3)
@@ -153,7 +153,7 @@ def test_budget_raises_deterministically():
 
 
 def test_evaluator_counts_are_stable():
-    th = ground(dom(BULB_NOINIT), 4)
+    th = ground(load_domain("corpus:bulb_noinit.e"), 4)
     a = Evaluator(th)
     models_a = list(a.models())
     b = Evaluator(th)
@@ -163,7 +163,7 @@ def test_evaluator_counts_are_stable():
 
 
 def test_slice_drops_disconnected_atoms():
-    th = ground(load_domain("zoo_dual_feed.e", "chain_scenario.e"), 6)
+    th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 6)
     goal_atom = next(i for i, a in enumerate(th.fluents) if str(a) == "animal_pos(john,p3)")
     sliced, remap = slice_for_goals(th, {goal_atom})
     kept = {str(th.fluents[i]) for i in remap}
@@ -173,7 +173,7 @@ def test_slice_drops_disconnected_atoms():
 
 
 def test_sliced_answers_match_unsliced_on_corpus():
-    th = ground(load_domain("zoo_dual.e", "chain_scenario.e"), 4)
+    th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
     for text in (
         "skeptical { animal_pos(john,p3) holds-at 3 } horizon 4",
         "credulous { animal_pos(john,p1) holds-at 2 } horizon 4",
@@ -204,7 +204,7 @@ def test_sliced_answers_match_on_random_theories():
 
 
 def test_result_record_shape():
-    r = answer(dom(BULB), q("credulous { light holds-at 3 } horizon 4"))
+    r = answer(load_domain("corpus:bulb.e"), q("credulous { light holds-at 3 } horizon 4"))
     rec = r.to_record()
     assert rec["answer"] == "true"
     assert rec["mode"] == "credulous"

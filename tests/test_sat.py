@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elang.corpus import BULB, load_domain
+from elang.corpus import load_domain
 from elang.grounding import ground
 from elang.parser import parse_domain, parse_query
 from elang.query import BudgetExceeded, Query, answer_theory, check_consistency
@@ -20,6 +20,7 @@ from elang.sat import (
     provenance,
     to_dimacs,
 )
+from elang.transition import brute_force_successors, legal_occurrence
 
 from oracles import cnf_satisfiable, model_satisfies, random_cnf, random_theory
 
@@ -29,16 +30,16 @@ def dom(text):
 
 
 def test_bulb_is_in_fragment():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     report = check_fragment(th)
     assert report.accepted and not report.violations
 
 
 def test_zoo_direct_in_fragment_others_not():
-    acc = check_fragment(ground(load_domain("zoo_direct.e", "chain_scenario.e"), 4))
+    acc = check_fragment(ground(load_domain("corpus:zoo_direct.e", "corpus:chain_scenario.e"), 4))
     assert acc.accepted
     for name in ("zoo_indirect.e", "zoo_dual.e"):
-        rep = check_fragment(ground(load_domain(name, "chain_scenario.e"), 4))
+        rep = check_fragment(ground(load_domain("corpus:" + name, "corpus:chain_scenario.e"), 4))
         assert not rep.accepted, name
         kinds = {v.kind for v in rep.violations}
         assert "ramification-cycle" in kinds, name
@@ -73,13 +74,13 @@ def test_nonconcurrent_opposite_effects_accepted():
 
 
 def test_answer_sat_rejects_outside_fragment():
-    th = ground(load_domain("zoo_dual.e", "chain_scenario.e"), 4)
+    th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
     with pytest.raises(FragmentError):
         answer_sat(th, parse_query("credulous { rides(john,dumpo) holds-at 1 } horizon 4"))
 
 
 def test_bulb_agreement_with_engine():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     for text in (
         "credulous { light holds-at 3 } horizon 4",
         "skeptical { light holds-at 3 } horizon 4",
@@ -91,7 +92,7 @@ def test_bulb_agreement_with_engine():
 
 
 def test_sat_witness_decodes_to_valid_trajectory():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     r = answer_sat(th, parse_query("credulous { light holds-at 3 } horizon 4"))
     assert r.answer == "true"
     assert r.backend == "sat"
@@ -100,7 +101,7 @@ def test_sat_witness_decodes_to_valid_trajectory():
 
 
 def test_compile_shape_and_dimacs():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     inst = compile_theory(th)
     assert inst.num_vars >= (th.horizon + 1) * th.n_fluents
     assert inst.fluent_var(0, 0) == 1
@@ -115,7 +116,7 @@ def test_compile_shape_and_dimacs():
 
 
 def test_provenance_covers_every_clause():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     inst = compile_theory(th)
     side = provenance(inst)
     assert len(side["clauses"]) == len(inst.clauses)
@@ -164,6 +165,7 @@ def test_solver_budget():
 
 def test_engine_agreement_on_random_fragment_theories():
     rng = random.Random(31)
+    multi = random.Random(32)  # conjunctions, drawn apart so the single goals stay as they were
     done = 0
     while done < 120:
         domain = random_theory(rng)
@@ -177,7 +179,37 @@ def test_engine_agreement_on_random_fragment_theories():
             "%s { %s%s holds-at %d }" % (mode, sign, name, rng.randint(0, th.horizon))
         )
         assert answer_sat(th, goal).answer == answer_theory(th, goal).answer
+        goals = ", ".join(
+            "%s%s holds-at %d"
+            % ("" if multi.random() < 0.5 else "neg ", multi.choice(list(domain.signature.fluents)),
+               multi.randint(0, th.horizon))
+            for _ in range(multi.randint(2, 3))
+        )
+        for mode in ("credulous", "skeptical"):
+            query = parse_query("%s { %s }" % (mode, goals))
+            result = answer_sat(th, query)
+            assert result.answer == answer_theory(th, query).answer, (mode, goals)
+            if mode == "skeptical" and result.answer == "false":
+                assert_countermodel(th, query, result.witness)
         done += 1
+
+
+def assert_countermodel(th, query, witness):
+    """The rendered witness is a trajectory of ``th`` (checked against the
+    brute-force step relation) on which some goal of ``query`` fails."""
+    by_name = {str(atom): i for i, atom in enumerate(th.fluents)}
+    states = [frozenset(by_name[name] for name in names) for names in witness["states"]]
+    assert len(states) == th.horizon + 1
+    assert th.state_consistent(states[0])
+    for t, state in enumerate(states):
+        assert all(th.holds(state, code) for code in th.observations.get(t, ()))
+    for t in range(th.horizon):
+        actions = th.occurrences.get(t, frozenset())
+        assert sorted(str(a) for a in actions) == witness["actions"][t]
+        assert legal_occurrence(th, states[t], actions)
+        targets = {tr.target for tr in brute_force_successors(th, states[t], actions)}
+        assert states[t + 1] in targets
+    assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
 
 
 def test_sat_detects_inconsistency():
@@ -192,7 +224,7 @@ def test_sat_detects_inconsistency():
 
 
 def test_decode_model_roundtrip():
-    th = ground(dom(BULB), 4)
+    th = ground(load_domain("corpus:bulb.e"), 4)
     inst = compile_theory(th)
     sat, model = Solver(inst.num_vars, inst.clauses).solve()
     assert sat

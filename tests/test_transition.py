@@ -58,7 +58,7 @@ def close_state(theory, seed):
     return frozenset(state)
 
 
-BULB = """
+BULB_LAWS = """
 fluent light.
 fluent normal.
 action switch_on.
@@ -73,7 +73,7 @@ switch_on needs { neg light }.
 
 
 def test_bulb_switch_on_from_dark_normal():
-    th = g(BULB)
+    th = g(BULB_LAWS)
     src = atoms(th, "normal")
     succs = successor_states(th, src, actions_of(th, "switch_on"))
     assert len(succs) == 1
@@ -83,7 +83,7 @@ def test_bulb_switch_on_from_dark_normal():
 
 def test_bulb_break_forces_light_off():
     # breaking the bulb terminates normal; the constraint then ends light too
-    th = g(BULB)
+    th = g(BULB_LAWS)
     src = atoms(th, "normal", "light")
     succs = successor_states(th, src, actions_of(th, "break_bulb"))
     assert len(succs) == 1
@@ -93,7 +93,7 @@ def test_bulb_break_forces_light_off():
 
 
 def test_empty_action_set_is_identity():
-    th = g(BULB)
+    th = g(BULB_LAWS)
     for src in (frozenset(), atoms(th, "normal"), atoms(th, "normal", "light")):
         succs = successor_states(th, src, frozenset())
         assert [s.target for s in succs] == [src]
@@ -101,7 +101,7 @@ def test_empty_action_set_is_identity():
 
 
 def test_inconsistent_source_has_no_successors():
-    th = g(BULB)
+    th = g(BULB_LAWS)
     src = atoms(th, "light")  # light without normal violates the constraint
     assert not th.state_consistent(src)
     assert successor_states(th, src, frozenset()) == []
@@ -109,7 +109,7 @@ def test_inconsistent_source_has_no_successors():
 
 def test_preconditions_are_a_separate_check():
     # the raw relation ignores p-propositions; callers filter via legal_occurrence
-    th = g(BULB)
+    th = g(BULB_LAWS)
     src = atoms(th, "normal", "light")
     on = actions_of(th, "switch_on")
     assert not legal_occurrence(th, src, on)
@@ -117,14 +117,14 @@ def test_preconditions_are_a_separate_check():
 
 
 def test_direct_candidates_respect_conditions():
-    th = g(BULB)
+    th = g(BULB_LAWS)
     on = actions_of(th, "switch_on")
     assert direct_candidates(th, atoms(th, "normal"), on) == frozenset({lit(th, "light")})
     assert direct_candidates(th, frozenset(), on) == frozenset()
 
 
 def test_legal_occurrence():
-    th = g(BULB)
+    th = g(BULB_LAWS)
     on = actions_of(th, "switch_on")
     assert legal_occurrence(th, atoms(th, "normal"), on)
     assert not legal_occurrence(th, atoms(th, "normal", "light"), on)
@@ -168,7 +168,7 @@ ZOO_BY_VARIANT = {}
 def zoo(variant):
     if variant not in ZOO_BY_VARIANT:
         ZOO_BY_VARIANT[variant] = ground(
-            load_domain("zoo_%s.e" % variant, "zoo_scenario_base.e"), 6
+            load_domain("corpus:zoo_%s.e" % variant, "corpus:zoo_scenario_base.e"), 6
         )
     return ZOO_BY_VARIANT[variant]
 
@@ -257,6 +257,6 @@ def test_guided_matches_brute_force_property(seed, state_bits):
 
 
 def test_brute_force_bound():
-    th = ground(load_domain("zoo_direct.e"), 1)
+    th = ground(load_domain("corpus:zoo_direct.e"), 1)
     with pytest.raises(ValueError):
         brute_force_successors(th, frozenset(), frozenset(), bound=8)
