@@ -37,7 +37,7 @@ from .model import Atom, DomainDescription, HProp, TProp
 from .parser import parse_domain, parse_query
 from .query import Query, answer_theory, required_horizon
 from .sat import answer_sat, check_fragment
-from .specfiles import SpecError, Stanza, parse_stanza_file
+from .specfiles import SpecError, Stanza, parse_stanza_file, to_int
 
 FAMILIES = ("completeness", "irrelevance", "representation", "scaling")
 
@@ -83,24 +83,26 @@ def parse_spec(text: str, name_hint: str = "experiment") -> ExperimentSpec:
         scenarios=st.many("scenario"),
         queries=st.many("query"),
         repeats=st.one_int("repeats", 5),
-        budget=None if budget_raw == "none" else int(budget_raw),
+        budget=None if budget_raw == "none" else to_int("budget", budget_raw),
         backend=st.one("backend", "engine"),
         slice=slice_raw == "on",
         enrich=st.many("enrich"),
         variant=st.one("variant", "direct"),
     )
     if st.many("inject"):
-        spec.inject = [int(v) for v in st.many("inject")]
+        spec.inject = [to_int("inject", v) for v in st.many("inject")]
     if st.many("sizes"):
         spec.sizes = []
         for chunk in st.many("sizes"):
-            spec.sizes.extend(int(v) for v in chunk.split())
+            spec.sizes.extend(to_int("sizes", v) for v in chunk.split())
     horizon_raw = st.one("horizon", "none")
-    spec.horizon = None if horizon_raw == "none" else int(horizon_raw)
+    spec.horizon = None if horizon_raw == "none" else to_int("horizon", horizon_raw)
     if spec.backend not in ("engine", "sat"):
         raise SpecError("backend must be engine or sat, got %r" % spec.backend)
     if spec.backend == "sat" and spec.slice:
         raise SpecError("slice applies to the engine backend only")
+    if family != "scaling" and not spec.domains:
+        raise SpecError("family %s needs a domain" % family)
     return spec
 
 

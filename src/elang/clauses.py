@@ -1,0 +1,144 @@
+"""The clause kernel: unit propagation with chronological backtracking.
+
+Every clause elang enforces goes through :meth:`ClauseSet.models`: the
+state constraints in the initial-state enumeration and in the single-step
+search, and the compiled theory of the propositional backend.  Variables
+are 1..n; literals are nonzero integers, negative for false.
+
+The search branches on the lowest unassigned variable and tries its
+preferred value first (true for the variables in ``prefer``, false for the
+rest), so models come out sorted with the lowest variable most significant
+and the preferred value first.  The clause index is read-only once built,
+and each ``models()`` call keeps its own assignment and trail, so
+enumerations over one ``ClauseSet`` may be interleaved.  That is why the
+index is a plain occurrence list: watched literals move during search.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
+
+
+class BudgetExceeded(Exception):
+    def __init__(self, budget: int, stats):
+        super().__init__("search budget of %d nodes exceeded" % budget)
+        self.budget = budget
+        self.stats = stats
+
+
+class ClauseSet:
+    """Clauses over variables 1..num_vars, indexed by literal occurrence.
+    Duplicate literals are merged and tautologies dropped; ``clauses`` holds
+    what is left, units included."""
+
+    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
+        self.num_vars = num_vars
+        self.empty = False
+        self.clauses: list[tuple[int, ...]] = []
+        # occurs[l] lists the clauses containing literal l; a negative l
+        # indexes the upper half of the list.
+        self.occurs: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
+        for clause in clauses:
+            lits: list[int] = []
+            for l in clause:
+                if -l in lits:
+                    break  # a tautology
+                if l not in lits:
+                    lits.append(l)
+            else:
+                if not lits:
+                    self.empty = True
+                    continue
+                for l in lits:
+                    self.occurs[l].append(len(self.clauses))
+                self.clauses.append(tuple(lits))
+        self.units = tuple(c[0] for c in self.clauses if len(c) == 1)
+
+    def models(
+        self,
+        assumptions: Iterable[int] = (),
+        prefer: frozenset[int] = frozenset(),
+        stats=None,
+        budget: int | None = None,
+    ) -> Iterator[frozenset[int]]:
+        """Yield every total assignment satisfying the clauses and the
+        ``assumptions``, each as the frozenset of its true variables, in the
+        order the module docstring gives.  ``stats``, any object with
+        integer ``decisions`` and ``propagations``, accumulates the work;
+        more than ``budget`` decisions on it raise BudgetExceeded."""
+        if self.empty:
+            return
+        n = self.num_vars
+        clauses, occurs = self.clauses, self.occurs
+        tally = SimpleNamespace(decisions=0, propagations=0) if stats is None else stats
+        # value[l] is 1 when literal l is true, -1 when false, 0 when open;
+        # negative indexes put value[-v] in the upper half of the list.
+        value = [0] * (2 * n + 1)
+        trail: list[int] = []
+        qhead = 0
+
+        def enqueue(lit: int) -> bool:
+            v = value[lit]
+            if v:
+                return v > 0
+            value[lit] = 1
+            value[-lit] = -1
+            trail.append(lit)
+            return True
+
+        def propagate() -> bool:
+            nonlocal qhead
+            start = qhead
+            try:
+                while qhead < len(trail):
+                    lit = trail[qhead]
+                    qhead += 1
+                    for ci in occurs[-lit]:
+                        unit = 0
+                        for l in clauses[ci]:
+                            v = value[l]
+                            if v > 0 or (v == 0 and unit):
+                                break  # satisfied, or two literals open
+                            if v == 0:
+                                unit = l
+                        else:
+                            if not unit:
+                                return False
+                            enqueue(unit)
+                return True
+            finally:
+                tally.propagations += qhead - start
+
+        ok = all(map(enqueue, self.units)) and all(map(enqueue, assumptions)) and propagate()
+        frames: list[list[int]] = []  # [decision literal, trail length, flipped]
+        var = 1  # every variable below it is assigned
+        while True:
+            if ok:
+                while var <= n and value[var]:
+                    var += 1
+                if var <= n:
+                    tally.decisions += 1
+                    if budget is not None and tally.decisions > budget:
+                        raise BudgetExceeded(budget, tally)
+                    lit = var if var in prefer else -var
+                    frames.append([lit, len(trail), 0])
+                    enqueue(lit)
+                    ok = propagate()
+                    continue
+                yield frozenset(l for l in trail if l > 0)
+            # Backtrack to the latest decision whose other value is untried.
+            while frames and frames[-1][2]:
+                frames.pop()
+            if not frames:
+                return
+            frame = frames[-1]
+            lit, depth = frame[0], frame[1]
+            for l in trail[depth:]:
+                value[l] = value[-l] = 0
+            del trail[depth:]
+            qhead = depth
+            frame[2] = 1
+            enqueue(-lit)
+            var = abs(lit)
+            ok = propagate()

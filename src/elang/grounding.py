@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .clauses import ClauseSet
 from .model import (
     Atom,
     Condition,
@@ -101,6 +102,7 @@ class GroundTheory:
     stats: GroundingStats
     # Derived indexes, built once in ground():
     constraint_clauses: tuple[frozenset[Lit], ...] = ()
+    constraints: ClauseSet | None = None  # constraint_clauses, indexed for search
     rprops_by_body_atom: dict[int, tuple[int, ...]] = field(default_factory=dict)
     rprops_by_head_atom: dict[int, tuple[int, ...]] = field(default_factory=dict)
     cprops_by_action: dict[Atom, tuple[int, ...]] = field(default_factory=dict)
@@ -398,6 +400,7 @@ def _build_indexes(theory: GroundTheory) -> None:
         if rp.head is not None:
             by_head.setdefault(abs(rp.head) - 1, []).append(ri)
     theory.constraint_clauses = tuple(clauses)
+    theory.constraints = ClauseSet(theory.n_fluents, theory.constraint_clauses)
     theory.rprops_by_body_atom = {k: tuple(v) for k, v in by_body.items()}
     theory.rprops_by_head_atom = {k: tuple(v) for k, v in by_head.items()}
     by_action: dict[Atom, list[int]] = {}

@@ -14,16 +14,20 @@ computed by forcing goal literals (or their complements) as virtual
 observations and searching for one model, so the enumeration never runs
 longer than it has to.
 
-Enumeration order is fixed: initial states complete unobserved fluents in
-declaration order trying false first, and successor lists are sorted, so
-witnesses, countermodels and budget exhaustion are reproducible.
+Enumeration order is fixed: the clause kernel (``clauses.py``) yields the
+initial states that satisfy the state constraints, completing unobserved
+fluents in declaration order trying false first, and successor lists are
+sorted, so witnesses, countermodels and budget exhaustion are
+reproducible.  The trajectory search keeps its own stack, so neither a
+long horizon nor a wide state runs into Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
+from .clauses import BudgetExceeded
 from .grounding import GroundingStats, GroundTheory, Lit, State, _build_indexes, ground
 from .grounding import GroundCProp, GroundPProp, GroundRProp
 from .model import Atom, DomainDescription, FluentLiteral
@@ -66,13 +70,6 @@ class SearchStats:
         if self.atoms_sliced is not None:
             out["atoms_sliced"] = self.atoms_sliced
         return out
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, budget: int, stats: SearchStats):
-        super().__init__("search budget of %d nodes exceeded" % budget)
-        self.budget = budget
-        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -136,102 +133,61 @@ class Evaluator:
         self._succ[key] = result
         return result
 
-    def _initial_states(self, forced: frozenset[Lit]):
+    def _initial_states(self, forced: frozenset[Lit]) -> Iterator[State]:
+        for model in self.theory.constraints.models(forced):
+            self._tick()
+            yield frozenset(v - 1 for v in model)
+
+    def _steps(self, state: State, t: int, want: frozenset[Lit] | None) -> tuple[State, ...]:
+        """Successors of ``state`` at step ``t`` that agree with ``want``;
+        none when the step's actions are illegal in ``state``."""
         theory = self.theory
-        n = theory.n_fluents
-        clauses = [sorted(cl, key=lambda c: (abs(c), c)) for cl in theory.constraint_clauses]
-        assign: dict[int, bool] = {}
+        actions = theory.occurrences.get(t, frozenset())
+        if actions and not legal_occurrence(theory, state, actions):
+            return ()
+        self._tick()
+        targets = self.successors(state, actions)
+        if want is None:
+            return targets
+        return tuple(s for s in targets if all(theory.holds(s, l) for l in want))
 
-        def set_value(atom: int, value: bool, trail: list[int]) -> bool:
-            if atom in assign:
-                return assign[atom] == value
-            assign[atom] = value
-            trail.append(atom)
-            return True
-
-        def propagate(trail: list[int]) -> bool:
-            progress = True
-            while progress:
-                progress = False
-                for clause in clauses:
-                    unassigned: Lit | None = None
-                    open_count = 0
-                    satisfied = False
-                    for lit in clause:
-                        val = assign.get(abs(lit) - 1)
-                        if val is None:
-                            unassigned = lit
-                            open_count += 1
-                        elif val == (lit > 0):
-                            satisfied = True
-                            break
-                    if satisfied:
-                        continue
-                    if open_count == 0:
-                        return False
-                    if open_count == 1:
-                        assert unassigned is not None
-                        if not set_value(abs(unassigned) - 1, unassigned > 0, trail):
-                            return False
-                        progress = True
-            return True
-
-        def rec():
-            trail: list[int] = []
-            if propagate(trail):
-                nxt = next((a for a in range(n) if a not in assign), None)
-                if nxt is None:
-                    self._tick()
-                    state = frozenset(a for a in range(n) if assign[a])
-                    if theory.state_consistent(state):
-                        yield state
-                else:
-                    for value in (False, True):
-                        assign[nxt] = value
-                        yield from rec()
-                        del assign[nxt]
-            for a in reversed(trail):
-                del assign[a]
-
-        seed: list[int] = []
-        for lit in sorted(forced, key=lambda c: (abs(c), c)):
-            if not set_value(abs(lit) - 1, lit > 0, seed):
-                return
-        yield from rec()
-
-    def models(self, forced: Iterable[tuple[Lit, int]] = ()):
+    def models(self, forced: Iterable[tuple[Lit, int]] = ()) -> Iterator[Trajectory]:
         """Generate every model compatible with the observations plus the
-        ``forced`` timed literals, in a fixed order."""
+        ``forced`` timed literals, in a fixed order: depth first over the
+        initial states, then over each step's sorted successors."""
         theory = self.theory
+        horizon = theory.horizon
         pinned: dict[int, set[Lit]] = {}
         for t, obs in theory.observations.items():
             pinned.setdefault(t, set()).update(obs)
         for code, t in forced:
-            if not 0 <= t <= theory.horizon:
-                raise ValueError("forced literal at time %d outside 0..%d" % (t, theory.horizon))
+            if not 0 <= t <= horizon:
+                raise ValueError("forced literal at time %d outside 0..%d" % (t, horizon))
             pinned.setdefault(t, set()).add(code)
         frozen = {t: frozenset(lits) for t, lits in pinned.items()}
         for lits in frozen.values():
             if any(-l in lits for l in lits):
                 return
-
-        def extend(states: tuple[State, ...], acts: tuple[frozenset[Atom], ...], t: int):
-            if t == theory.horizon:
-                self.stats.models += 1
-                yield Trajectory(states, acts)
-                return
-            state = states[-1]
-            actions = theory.occurrences.get(t, frozenset())
-            if actions and not legal_occurrence(theory, state, actions):
-                return
-            self._tick()
-            want = frozen.get(t + 1)
-            for target in self.successors(state, actions):
-                if want is None or all(theory.holds(target, l) for l in want):
-                    yield from extend(states + (target,), acts + (actions,), t + 1)
+        acts = tuple(theory.occurrences.get(t, frozenset()) for t in range(horizon))
 
         for s0 in self._initial_states(frozen.get(0, frozenset())):
-            yield from extend((s0,), (), 0)
+            states = [s0]
+            pending: list[Iterator[State]] = []  # untried successors, one per step
+            while states:
+                t = len(states) - 1
+                if t == horizon:
+                    self.stats.models += 1
+                    yield Trajectory(tuple(states), acts)
+                    states.pop()
+                else:
+                    pending.append(iter(self._steps(states[t], t, frozen.get(t + 1))))
+                while pending:
+                    target = next(pending[-1], None)
+                    if target is not None:
+                        states.append(target)
+                        break
+                    pending.pop()
+                    states.pop()
 
     def first_model(self, forced: Iterable[tuple[Lit, int]] = ()) -> Trajectory | None:
         return next(self.models(forced), None)

@@ -1,4 +1,4 @@
-"""Propositional backend: clausal compilation plus a small DPLL solver.
+"""Propositional backend: clausal compilation plus a small solver.
 
 The compilation is sound on a restricted fragment where every step is
 forced, so a clausal model is exactly a trajectory.  ``check_fragment``
@@ -28,9 +28,9 @@ frame clauses allowing a value to change only when caused, the rules as
 state constraints at every time, and observations and preconditions of
 scheduled actions as unit clauses.
 
-The solver is a watched-literal DPLL with chronological backtracking,
-deterministic (lowest variable first, false first) and budgeted by
-decision count.
+``Solver`` searches the clauses with the kernel in ``clauses.py``
+(unit propagation, chronological backtracking, lowest variable first,
+false first), budgeted by decision count.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .clauses import ClauseSet
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
-from .query import BudgetExceeded, EntailmentResult, Query, Trajectory, decide, split_goals
+from .query import EntailmentResult, Query, Trajectory, decide, split_goals
 
 
 @dataclass(frozen=True)
@@ -374,136 +375,24 @@ class SatStats:
 
 
 class Solver:
-    """Watched-literal DPLL, chronological backtracking, deterministic
-    branching: lowest unassigned variable, false tried first."""
+    """The clause kernel with a decision budget and SatStats.  ``solve``
+    returns the kernel's first model: lowest unassigned variable first,
+    false tried first, chronological backtracking."""
 
     def __init__(self, num_vars: int, clauses, budget: int | None = None, stats: SatStats | None = None):
-        self.n = num_vars
+        self.clauses = ClauseSet(num_vars, clauses)
         self.budget = budget
         self.stats = stats or SatStats()
         self.stats.vars = max(self.stats.vars, num_vars)
-        self.empty = False
-        self.units: list[int] = []
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        for clause in clauses:
-            seen: list[int] = []
-            taut = False
-            for l in clause:
-                if -l in seen:
-                    taut = True
-                    break
-                if l not in seen:
-                    seen.append(l)
-            if taut:
-                continue
-            if not seen:
-                self.empty = True
-            elif len(seen) == 1:
-                self.units.append(seen[0])
-            else:
-                ci = len(self.clauses)
-                self.clauses.append(seen)
-                self.watches.setdefault(seen[0], []).append(ci)
-                self.watches.setdefault(seen[1], []).append(ci)
-        self.stats.clauses += len(self.clauses) + len(self.units)
+        self.stats.clauses += len(self.clauses.clauses)
 
     def solve(self, assumptions=()) -> tuple[bool, dict[int, bool] | None]:
         self.stats.solves += 1
-        if self.empty:
+        search = self.clauses.models(assumptions, stats=self.stats, budget=self.budget)
+        model = next(search, None)
+        if model is None:
             return False, None
-        assign = [0] * (self.n + 1)
-        trail: list[int] = []
-        qhead = 0
-
-        def value(l: int) -> int:
-            v = assign[abs(l)]
-            return v if l > 0 else -v
-
-        def enqueue(l: int) -> bool:
-            v = value(l)
-            if v == 1:
-                return True
-            if v == -1:
-                return False
-            assign[abs(l)] = 1 if l > 0 else -1
-            trail.append(l)
-            return True
-
-        def propagate() -> bool:
-            nonlocal qhead
-            while qhead < len(trail):
-                lit = trail[qhead]
-                qhead += 1
-                self.stats.propagations += 1
-                falsified = -lit
-                ws = self.watches.get(falsified)
-                if not ws:
-                    continue
-                keep: list[int] = []
-                idx = 0
-                while idx < len(ws):
-                    ci = ws[idx]
-                    idx += 1
-                    clause = self.clauses[ci]
-                    if clause[0] == falsified:
-                        clause[0], clause[1] = clause[1], clause[0]
-                    if value(clause[0]) == 1:
-                        keep.append(ci)
-                        continue
-                    moved = False
-                    for k in range(2, len(clause)):
-                        if value(clause[k]) != -1:
-                            clause[1], clause[k] = clause[k], clause[1]
-                            self.watches.setdefault(clause[1], []).append(ci)
-                            moved = True
-                            break
-                    if moved:
-                        continue
-                    keep.append(ci)
-                    if not enqueue(clause[0]):
-                        keep.extend(ws[idx:])
-                        self.watches[falsified] = keep
-                        return False
-                self.watches[falsified] = keep
-            return True
-
-        for l in self.units:
-            if not enqueue(l):
-                return False, None
-        for l in assumptions:
-            if not enqueue(l):
-                return False, None
-        if not propagate():
-            return False, None
-
-        stack: list[list] = []  # [var, tried_true, trail_len]
-        while True:
-            var = next((v for v in range(1, self.n + 1) if assign[v] == 0), None)
-            if var is None:
-                return True, {v: assign[v] == 1 for v in range(1, self.n + 1)}
-            self.stats.decisions += 1
-            if self.budget is not None and self.stats.decisions > self.budget:
-                raise BudgetExceeded(self.budget, self.stats)
-            stack.append([var, False, len(trail)])
-            enqueue(-var)
-            while not propagate():
-                flipped = False
-                while stack:
-                    frame = stack[-1]
-                    dvar, tried, tlen = frame
-                    for l in trail[tlen:]:
-                        assign[abs(l)] = 0
-                    del trail[tlen:]
-                    qhead = tlen
-                    if not tried:
-                        frame[1] = True
-                        enqueue(dvar)
-                        flipped = True
-                        break
-                    stack.pop()
-                if not flipped:
-                    return False, None
+        return True, {v: v in model for v in range(1, self.clauses.num_vars + 1)}
 
 
 # ---------------------------------------------------------------------------

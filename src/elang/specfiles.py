@@ -20,6 +20,13 @@ class SpecError(ValueError):
         self.line = line
 
 
+def to_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecError("key %r expects an integer, got %r" % (key, raw)) from None
+
+
 @dataclass
 class Stanza:
     section: str
@@ -39,11 +46,7 @@ class Stanza:
         return values[0]
 
     def one_int(self, key: str, default: int | None = None) -> int:
-        raw = self.one(key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            raise SpecError("key %r expects an integer, got %r" % (key, raw)) from None
+        return to_int(key, self.one(key, None if default is None else str(default)))
 
     def keys(self) -> set[str]:
         return {k for k, _ in self.pairs}

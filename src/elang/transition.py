@@ -28,16 +28,20 @@ successors.
 
 ``successor_states`` searches targets over the atoms reachable from
 ``applied`` through ramification heads (everything else is frozen by
-persistence), with unit propagation over the state constraints and a
-change-must-be-explainable prune.  ``brute_force_successors`` checks the
-definition over all assignments and is the reference the search is tested
-against.
+persistence).  The state constraints, folded against the frozen atoms,
+go to the clause kernel (``clauses.py``) with two kinds of assumption: the
+applied literals hold, and an atom whose change no applied literal or rule
+head could explain keeps its source value.  Each model the kernel yields
+is then checked against conditions a-e.  ``brute_force_successors``
+checks the definition over all assignments and is the reference the
+search is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .clauses import ClauseSet
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 
@@ -180,98 +184,38 @@ def _search_targets(
                 reach.add(h)
                 work.append(h)
 
-    # Constraint clauses folded against the frozen atoms.
+    # Constraint clauses folded against the frozen atoms, over the reach
+    # atoms renumbered 1..k in sorted order.
+    order = sorted(reach)
+    var = {a: i + 1 for i, a in enumerate(order)}
     clauses: list[list[Lit]] = []
     for clause in theory.constraint_clauses:
         lits: list[Lit] = []
-        satisfied = False
         for lit in clause:
             a = abs(lit) - 1
             if a in reach:
-                lits.append(lit)
+                lits.append(var[a] if lit > 0 else -var[a])
             elif (a in source) == (lit > 0):
-                satisfied = True
-                break
-        if satisfied:
-            continue
-        if not lits:
-            return  # violated by frozen values alone
-        clauses.append(sorted(lits, key=lambda c: (abs(c), c)))
+                break  # satisfied by a frozen value
+        else:
+            if not lits:
+                return  # violated by frozen values alone
+            clauses.append(lits)
 
-    order = sorted(reach)
-    assign: dict[int, bool] = {}
-
-    def explainable(atom: int, value: bool) -> bool:
-        if (atom in source) == value:
-            return True
-        lit = atom + 1 if value else -(atom + 1)
-        return lit in applied or lit in heads
-
-    def set_value(atom: int, value: bool, trail: list[int]) -> bool:
-        if atom in assign:
-            return assign[atom] == value
-        if not explainable(atom, value):
-            return False
-        assign[atom] = value
-        trail.append(atom)
-        return True
-
-    def propagate(trail: list[int]) -> bool:
-        progress = True
-        while progress:
-            progress = False
-            for clause in clauses:
-                unassigned: Lit | None = None
-                open_count = 0
-                satisfied = False
-                for lit in clause:
-                    a = abs(lit) - 1
-                    val = assign.get(a)
-                    if val is None:
-                        unassigned = lit
-                        open_count += 1
-                    elif val == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if open_count == 0:
-                    return False
-                if open_count == 1:
-                    assert unassigned is not None
-                    if not set_value(abs(unassigned) - 1, unassigned > 0, trail):
-                        return False
-                    progress = True
-        return True
-
-    def leaf() -> None:
-        target = frozenset(a for a in reach if assign[a]) | (source - reach)
+    # The applied effects hold, and an atom whose change no applied literal
+    # or rule head could explain keeps its source value.
+    assumptions = [var[abs(c) - 1] if c > 0 else -var[abs(c) - 1] for c in applied]
+    for a in order:
+        change = -(a + 1) if a in source else a + 1
+        if change not in applied and change not in heads:
+            assumptions.append(var[a] if a in source else -var[a])
+    prefer = frozenset(var[a] for a in order if a in source)
+    frozen = source - reach
+    for model in ClauseSet(len(order), clauses).models(assumptions, prefer):
+        target = frozenset(order[v - 1] for v in model) | frozen
         effects = _verify_target(theory, source, applied, candidates, target)
         if effects is not None and target not in found:
             found[target] = Transition(source, actions, target, effects)
-
-    def dfs() -> None:
-        trail: list[int] = []
-        if propagate(trail):
-            nxt = next((a for a in order if a not in assign), None)
-            if nxt is None:
-                leaf()
-            else:
-                keep = nxt in source
-                for value in (keep, not keep):
-                    sub: list[int] = []
-                    if set_value(nxt, value, sub):
-                        dfs()
-                    for a in reversed(sub):
-                        del assign[a]
-        for a in reversed(trail):
-            del assign[a]
-
-    seed: list[int] = []
-    for c in sorted(applied, key=lambda x: (abs(x), x)):
-        if not set_value(abs(c) - 1, c > 0, seed):
-            return
-    dfs()
 
 
 def brute_force_successors(

@@ -194,24 +194,27 @@ def theory_strings(theory) -> dict:
 
 def _column(var_index: int, num_vars: int) -> int:
     """Truth column of a variable over all 2**num_vars assignments: bit j is
-    (j >> var_index) & 1."""
+    (j >> var_index) & 1.  One period (var_index zeros, then as many ones)
+    is doubled by shift-or until it covers every assignment."""
     half = 1 << var_index
-    period = half << 1
-    block = ((1 << half) - 1) << half
-    count = (1 << num_vars) // period
-    repeater = ((1 << (count * period)) - 1) // ((1 << period) - 1)
-    return block * repeater
+    col = ((1 << half) - 1) << half
+    width = half << 1
+    while width < 1 << num_vars:
+        col |= col << width
+        width <<= 1
+    return col
 
 
 def cnf_truth_table(num_vars: int, clauses: list[list[int]]) -> int:
     """Bitmask of satisfying assignments (bit j set when assignment j works)."""
     full = (1 << (1 << num_vars)) - 1
+    pos = [_column(i, num_vars) for i in range(num_vars)]
+    neg = [col ^ full for col in pos]
     acc = full
     for clause in clauses:
         c = 0
         for lit in clause:
-            col = _column(abs(lit) - 1, num_vars)
-            c |= col if lit > 0 else (~col & full)
+            c |= pos[lit - 1] if lit > 0 else neg[-lit - 1]
         acc &= c
     return acc
 
@@ -222,6 +225,25 @@ def cnf_satisfiable(num_vars: int, clauses: list[list[int]]) -> bool:
 
 def model_satisfies(model: dict[int, bool], clauses: list[list[int]]) -> bool:
     return all(any(model[abs(l)] == (l > 0) for l in clause) for clause in clauses)
+
+
+def cnf_models(
+    num_vars: int,
+    clauses: list[list[int]],
+    assumptions: list[int] = (),
+    prefer: frozenset[int] = frozenset(),
+) -> list[frozenset[int]]:
+    """Every assignment satisfying the clauses and the assumption literals,
+    as the set of its true variables, by trying all of them.  Listed with
+    the lowest variable most significant and, per variable, the preferred
+    value first: true for the variables in ``prefer``, false for the rest."""
+    values = [(True, False) if v in prefer else (False, True) for v in range(1, num_vars + 1)]
+    required = [list(cl) for cl in clauses] + [[lit] for lit in assumptions]
+    out = []
+    for row in itertools.product(*values):
+        if all(any(row[abs(l) - 1] == (l > 0) for l in cl) for cl in required):
+            out.append(frozenset(v for v in range(1, num_vars + 1) if row[v - 1]))
+    return out
 
 
 def random_cnf(rng: random.Random, max_vars: int = 20) -> tuple[int, list[list[int]]]:

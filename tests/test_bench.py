@@ -64,6 +64,15 @@ def test_parse_spec_rejects_bad_values():
         parse_spec(spec_text(backend="sat", slice="on"))
     with pytest.raises(SpecError):
         parse_spec(spec_text() + "\n[extra]\nname = x\n")
+    for key in ("budget", "horizon", "inject", "sizes", "repeats"):
+        with pytest.raises(SpecError, match=key):
+            parse_spec(spec_text(**{key: "lots"}))
+    with pytest.raises(SpecError, match="sizes"):
+        parse_spec(spec_text(family="scaling", sizes="3 five"))
+    for family in ("completeness", "irrelevance", "representation"):
+        with pytest.raises(SpecError, match="needs a domain"):
+            parse_spec(spec_text(family=family, domain=None))
+    assert parse_spec(spec_text(family="scaling", domain=None, sizes="3")).domains == []
 
 
 def test_resolve_domain_refs(tmp_path):

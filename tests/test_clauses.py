@@ -1,0 +1,108 @@
+"""The clause kernel against a brute-force enumeration of assignments."""
+
+import random
+
+import pytest
+
+from elang import BudgetExceeded as TopLevelBudgetExceeded
+from elang.clauses import BudgetExceeded, ClauseSet
+from elang.query import BudgetExceeded as QueryBudgetExceeded
+
+from oracles import cnf_models, random_cnf
+
+
+def random_literals(rng, num_vars, count):
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), count)]
+
+
+def test_models_match_brute_force_in_order():
+    rng = random.Random(17)
+    for _ in range(400):
+        num_vars, clauses = random_cnf(rng, max_vars=8)
+        assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
+        prefer = frozenset(v for v in range(1, num_vars + 1) if rng.random() < 0.4)
+        got = list(ClauseSet(num_vars, clauses).models(assumptions, prefer))
+        assert got == cnf_models(num_vars, clauses, assumptions, prefer)
+
+
+def test_interleaved_enumerations_do_not_interfere():
+    rng = random.Random(23)
+    for _ in range(100):
+        num_vars, clauses = random_cnf(rng, max_vars=7)
+        cs = ClauseSet(num_vars, clauses)
+        a_args = (random_literals(rng, num_vars, 1), frozenset())
+        b_args = ((), frozenset(range(1, num_vars + 1, 2)))
+        alone_a = list(cs.models(*a_args))
+        alone_b = list(cs.models(*b_args))
+        gen_a, gen_b = cs.models(*a_args), cs.models(*b_args)
+        mixed_a, mixed_b = [], []
+        done_a = done_b = False
+        while not (done_a and done_b):
+            if not done_a:
+                m = next(gen_a, None)
+                done_a = m is None
+                if m is not None:
+                    mixed_a.append(m)
+            for _ in range(rng.randint(0, 2)):
+                if not done_b:
+                    m = next(gen_b, None)
+                    done_b = m is None
+                    if m is not None:
+                        mixed_b.append(m)
+        assert mixed_a == alone_a
+        assert mixed_b == alone_b
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses, assumptions",
+    [
+        (2, [(1, -1), (2, 2, -1)], ()),  # a tautology and a duplicate literal
+        (3, [(1, 2, -2), (-3, -3)], (1,)),
+        (2, [(1, 2), ()], ()),  # the empty clause
+        (3, [(1, 2)], (2, -2)),  # contradictory assumptions
+        (3, [(1,), (-1, 2)], (-2,)),  # an assumption against a propagated unit
+        (3, [], ()),
+        (0, [], ()),
+        (0, [()], ()),
+    ],
+)
+def test_degenerate_inputs(num_vars, clauses, assumptions):
+    for prefer in (frozenset(), frozenset(range(1, num_vars + 1))):
+        got = list(ClauseSet(num_vars, clauses).models(assumptions, prefer))
+        assert got == cnf_models(num_vars, clauses, assumptions, prefer)
+
+
+def test_clause_index_drops_tautologies_and_duplicates():
+    cs = ClauseSet(3, [(1, -1, 2), (2, 2, 3), (3,), ()])
+    assert cs.clauses == [(2, 3), (3,)]
+    assert cs.units == (3,)
+    assert cs.empty
+
+
+def test_stats_count_decisions_and_propagations():
+    class Stats:
+        decisions = 0
+        propagations = 0
+
+    stats = Stats()
+    models = list(ClauseSet(3, [(1, 2)]).models(stats=stats))
+    assert len(models) == 6
+    assert stats.decisions > 0 and stats.propagations > 0
+
+
+def test_budget_bounds_decisions():
+    # pigeonhole: 5 pigeons never fit in 4 holes; seeing it takes 51 decisions
+    holes, pigeons = 4, 5
+    var = lambda p, h: p * holes + h + 1  # noqa: E731
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append([-var(p, h), -var(q, h)])
+    cs = ClauseSet(pigeons * holes, clauses)
+    with pytest.raises(BudgetExceeded) as exc:
+        next(cs.models(budget=10), None)
+    assert exc.value.budget == 10 and exc.value.stats.decisions == 11
+    assert next(cs.models(), None) is None
+    assert BudgetExceeded is QueryBudgetExceeded is TopLevelBudgetExceeded
+

@@ -128,6 +128,37 @@ def test_query_budget_exit(noinit_file):
     assert main(argv) == 4
 
 
+def test_query_long_horizon_answers(bulb_file, capsys):
+    argv = ["query", bulb_file, "--mode", "credulous", "--goal", "light holds-at 3",
+            "--horizon", "5000"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+@pytest.fixture()
+def wide_file(tmp_path):
+    """2,000 fluent atoms, none observed: every initial state is possible."""
+    path = tmp_path / "wide.e"
+    path.write_text(
+        "sort num: %s.\n" % ", ".join("c%d" % i for i in range(2000))
+        + "fluent f(num).\naction poke(num).\npoke(X) initiates f(X).\npoke(c5) happens-at 0.\n"
+    )
+    return str(path)
+
+
+def test_query_many_atoms_answers(wide_file, capsys):
+    assert main(["query", wide_file, "--mode", "credulous", "--goal", "f(c5) holds-at 1"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_query_many_atoms_hits_budget(wide_file, capsys):
+    # proving f(c5) in every model would visit all 2**2000 initial states
+    argv = ["query", wide_file, "--mode", "skeptical", "--goal", "f(c5) holds-at 1",
+            "--budget", "200"]
+    assert main(argv) == 4
+    assert "budget of 200" in capsys.readouterr().err
+
+
 def test_query_multiple_files_merge(tmp_path):
     base = tmp_path / "base.e"
     base.write_text("fluent f.\naction a.\na initiates f.\n")
@@ -269,6 +300,22 @@ def test_bench_bad_spec(tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text("family = unheard_of\n")
     assert main(["bench", str(spec), "--out", str(tmp_path / "r")]) == 3
+
+
+BAD_SPECS = [
+    "family = representation\ndomain = corpus:zoo_direct.e\nbudget = lots\n",
+    "family = representation\ndomain = corpus:zoo_direct.e\nhorizon = 4.5\n",
+    "family = irrelevance\ndomain = corpus:zoo_direct.e\ninject = some\n",
+    "family = completeness\n",  # no domain
+]
+
+
+@pytest.mark.parametrize("text", BAD_SPECS, ids=["budget", "horizon", "inject", "no-domain"])
+def test_bench_bad_spec_value_exits_three(text, tmp_path, capsys):
+    spec = tmp_path / "bad_value.spec"
+    spec.write_text(text + "query = credulous { } horizon 2\n")
+    assert main(["bench", str(spec), "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_corpus_list(capsys):

@@ -22,7 +22,7 @@ from elang.sat import (
 )
 from elang.transition import brute_force_successors, legal_occurrence
 
-from oracles import cnf_satisfiable, model_satisfies, random_cnf, random_theory
+from oracles import _column, cnf_satisfiable, model_satisfies, random_cnf, random_theory
 
 
 def dom(text):
@@ -122,6 +122,14 @@ def test_provenance_covers_every_clause():
     assert len(side["clauses"]) == len(inst.clauses)
     assert all(rec["origin"] for rec in side["clauses"])
     assert set(side["vars"]) == {str(v) for v in range(1, inst.num_vars + 1)}
+
+
+@pytest.mark.parametrize("num_vars", range(1, 11))
+def test_truth_column_matches_its_definition(num_vars):
+    for i in range(num_vars):
+        col = _column(i, num_vars)
+        assert col >> (1 << num_vars) == 0
+        assert all((col >> j) & 1 == (j >> i) & 1 for j in range(1 << num_vars))
 
 
 def test_solver_matches_truth_table():
