@@ -16,8 +16,10 @@ Experiment specs are stanza files (see specfiles).  Four families:
 
 Timing is the median of ``repeats`` runs after one discarded warmup run,
 covering the answer phase only (grounding and slicing are timed
-separately where they matter).  Results go to TSV and JSONL, the latter
-with an environment fingerprint record first.
+separately where they matter).  On the SAT backend the fragment check and
+the compilation happen once per ground theory, in the warmup run, so
+``median_ms`` covers the solves only.  Results go to TSV and JSONL, the
+latter with an environment fingerprint record first.
 """
 
 from __future__ import annotations

@@ -31,6 +31,12 @@ scheduled actions as unit clauses.
 ``Solver`` searches the clauses with the kernel in ``clauses.py``
 (unit propagation, chronological backtracking, lowest variable first,
 false first), budgeted by decision count.
+
+Answers on one ground theory share the fragment verdict and the compiled
+clauses: the first ``answer_sat`` on a theory checks and compiles it and
+keeps the verdict, or the indexed clauses, on ``theory.sat_memo``; every
+later query builds only a fresh ``Solver`` (its own budget and stats)
+over those clauses and solves under assumptions.
 """
 
 from __future__ import annotations
@@ -98,68 +104,85 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
         h = abs(rp.head) - 1
         for c in rp.condition:
             graph.setdefault(abs(c) - 1, set()).add(h)
-    color: dict[int, int] = {}  # 1 in progress, 2 done
-    stack_path: list[int] = []
+    cycle = _first_cycle(graph)
+    if cycle is not None:
+        names = " -> ".join(str(theory.fluents[i]) for i in cycle)
+        violations.append(FragmentViolation("ramification-cycle", names))
 
-    def visit(a: int) -> list[int] | None:
-        color[a] = 1
-        stack_path.append(a)
-        for b in sorted(graph.get(a, ())):
-            if color.get(b) == 1:
-                return stack_path[stack_path.index(b) :] + [b]
-            if color.get(b) != 2:
-                cycle = visit(b)
-                if cycle is not None:
-                    return cycle
-        stack_path.pop()
-        color[a] = 2
-        return None
-
-    for a in sorted(graph):
-        if color.get(a) is None:
-            cycle = visit(a)
-            if cycle is not None:
-                names = " -> ".join(str(theory.fluents[i]) for i in cycle)
-                violations.append(FragmentViolation("ramification-cycle", names))
-                break
-
-    # Clashing effects among instances that can apply together.
-    occurring: set[Atom] = set()
+    # Clashing effects among instances that can apply together: the pairs
+    # of effect instances of one action, or of two actions scheduled at
+    # the same time.
     together: set[tuple[Atom, Atom]] = set()
+    by_action: dict[Atom, list[tuple[int, Lit]]] = {}  # (cprop index, effect)
     for acts in theory.occurrences.values():
         ordered = sorted(acts)
-        occurring.update(ordered)
         for i, a in enumerate(ordered):
+            by_action.setdefault(a, [])
             for b in ordered[i:]:
                 together.add((a, b))
+    for ci, cp in enumerate(theory.cprops):
+        if cp.action in by_action:
+            by_action[cp.action].append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
     cache: dict[Lit, frozenset[Lit]] = {}
-    relevant = [
-        (ci, cp) for ci, cp in enumerate(theory.cprops) if cp.action in occurring
-    ]
+    clash_memo: dict[tuple[Lit, Lit], int | None] = {}
 
-    def clash(cp, cq) -> None:
-        li = cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
-        lj = cq.fluent + 1 if cq.initiates else -(cq.fluent + 1)
-        ri = _may_cause(theory, li, cache)
-        rj = _may_cause(theory, lj, cache)
-        for m in sorted(ri, key=lambda c: (abs(c), c)):
-            if -m in rj:
-                violations.append(
-                    FragmentViolation(
-                        "effect-conflict",
-                        "statements %d and %d can disagree on %s"
-                        % (cp.src, cq.src, theory.fluents[abs(m) - 1]),
-                    )
-                )
-                return
+    def clash(li: Lit, lj: Lit) -> int | None:
+        """The lowest atom on which the two effect literals' closures take
+        complementary values, if any; symmetric in li and lj."""
+        key = (li, lj) if li <= lj else (lj, li)
+        if key not in clash_memo:
+            rj = _may_cause(theory, lj, cache)
+            clashes = [abs(m) for m in _may_cause(theory, li, cache) if -m in rj]
+            clash_memo[key] = min(clashes) - 1 if clashes else None
+        return clash_memo[key]
 
-    for i, (ci, cp) in enumerate(relevant):
-        for cj, cq in relevant[i:]:
-            pair = (min(cp.action, cq.action), max(cp.action, cq.action))
-            if ci == cj or cp.action == cq.action or pair in together:
-                clash(cp, cq)
+    found: list[tuple[int, int, int]] = []
+    for a, b in together:
+        for ci, li in by_action[a]:
+            for cj, lj in by_action[b]:
+                if a == b and cj < ci:
+                    continue  # each unordered pair of one action's effects once
+                atom = clash(li, lj)
+                if atom is not None:
+                    found.append((min(ci, cj), max(ci, cj), atom))
+    for ci, cj, atom in sorted(found):
+        violations.append(
+            FragmentViolation(
+                "effect-conflict",
+                "statements %d and %d can disagree on %s"
+                % (theory.cprops[ci].src, theory.cprops[cj].src, theory.fluents[atom]),
+            )
+        )
 
     return FragmentReport(not violations, violations)
+
+
+def _first_cycle(graph: dict[int, set[int]]) -> list[int] | None:
+    """The first cycle a depth-first search meets, roots and successors
+    taken in ascending order, as the path from the repeated atom back to
+    it; None when the graph is acyclic."""
+    done: set[int] = set()
+    for root in sorted(graph):
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(sorted(graph[root]))]
+        while pending:
+            for b in pending[-1]:
+                if b in on_path:
+                    return path[path.index(b) :] + [b]
+                if b not in done:
+                    path.append(b)
+                    on_path.add(b)
+                    pending.append(iter(sorted(graph.get(b, ()))))
+                    break
+            else:
+                pending.pop()
+                a = path.pop()
+                on_path.discard(a)
+                done.add(a)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +332,46 @@ def _rule_order(theory: GroundTheory) -> list[int]:
     input order inside a stratum and when the graph has cycles."""
     level: dict[int, int] = {}
 
-    def atom_level(a: int, seen: frozenset[int]) -> int:
-        if a in level:
-            return level[a]
-        if a in seen:
-            return 0  # cycle: outside the fragment, any order will do
-        best = 0
+    def body_atoms(a: int):
         for ri in theory.rprops_by_head_atom.get(a, ()):
-            rp = theory.rprops[ri]
-            for c in rp.condition:
-                best = max(best, atom_level(abs(c) - 1, seen | {a}) + 1)
-        level[a] = best
-        return best
+            for c in theory.rprops[ri].condition:
+                yield abs(c) - 1
+
+    def atom_level(root: int) -> int:
+        """One more than the highest level among the body atoms of the
+        rules producing ``root``; an atom met again on the current path
+        counts as level 0 (a cycle: outside the fragment, any order will
+        do).  Depth first with an explicit stack of [atom, body atoms
+        left, best so far]."""
+        if root in level:
+            return level[root]
+        on_path = {root}
+        stack = [[root, body_atoms(root), 0]]
+        while stack:
+            frame = stack[-1]
+            for b in frame[1]:
+                if b in level:
+                    frame[2] = max(frame[2], level[b] + 1)
+                elif b in on_path:
+                    frame[2] = max(frame[2], 1)
+                else:
+                    on_path.add(b)
+                    stack.append([b, body_atoms(b), 0])
+                    break
+            else:
+                stack.pop()
+                a, best = frame[0], frame[2]
+                on_path.discard(a)
+                level[a] = best
+                if stack:
+                    stack[-1][2] = max(stack[-1][2], best + 1)
+        return level[root]
 
     keyed = []
     for ri, rp in enumerate(theory.rprops):
         if rp.head is None:
             continue
-        keyed.append((atom_level(abs(rp.head) - 1, frozenset()), ri))
+        keyed.append((atom_level(abs(rp.head) - 1), ri))
     return [ri for _, ri in sorted(keyed)]
 
 
@@ -379,12 +424,12 @@ class Solver:
     returns the kernel's first model: lowest unassigned variable first,
     false tried first, chronological backtracking."""
 
-    def __init__(self, num_vars: int, clauses, budget: int | None = None, stats: SatStats | None = None):
-        self.clauses = ClauseSet(num_vars, clauses)
+    def __init__(self, clauses: ClauseSet, budget: int | None = None, stats: SatStats | None = None):
+        self.clauses = clauses
         self.budget = budget
         self.stats = stats or SatStats()
-        self.stats.vars = max(self.stats.vars, num_vars)
-        self.stats.clauses += len(self.clauses.clauses)
+        self.stats.vars = max(self.stats.vars, clauses.num_vars)
+        self.stats.clauses += len(clauses.clauses)
 
     def solve(self, assumptions=()) -> tuple[bool, dict[int, bool] | None]:
         self.stats.solves += 1
@@ -399,8 +444,38 @@ class Solver:
 # Query bridge
 
 
+@dataclass(frozen=True)
+class CompiledTheory:
+    """What answering needs of a compiled fragment theory: the indexed
+    clauses and the fluent-variable numbering of ``CnfInstance``."""
+
+    clauses: ClauseSet
+    n_fluents: int
+
+    def fluent_var(self, atom_index: int, time: int) -> int:
+        return time * self.n_fluents + atom_index + 1
+
+
+def _compiled(theory: GroundTheory) -> CompiledTheory:
+    """The theory's clauses, checked and compiled on the first call and
+    kept on ``theory.sat_memo``.  Raises FragmentError, on every call, when
+    the theory is outside the fragment."""
+    memo = theory.sat_memo
+    if memo is None:
+        report = check_fragment(theory)
+        if report.accepted:
+            inst = compile_theory(theory)
+            memo = CompiledTheory(ClauseSet(inst.num_vars, inst.clauses), inst.n_fluents)
+        else:
+            memo = report
+        theory.sat_memo = memo
+    if isinstance(memo, FragmentReport):
+        raise FragmentError(memo)
+    return memo
+
+
 def decode_model(
-    inst: CnfInstance, theory: GroundTheory, model: dict[int, bool]
+    inst: CnfInstance | CompiledTheory, theory: GroundTheory, model: dict[int, bool]
 ) -> Trajectory:
     states: list[State] = []
     for t in range(theory.horizon + 1):
@@ -416,22 +491,20 @@ def decode_model(
 def answer_sat(
     theory: GroundTheory, query: Query, *, budget: int | None = None
 ) -> EntailmentResult:
-    """Answer a query by compiling to clauses.  Raises FragmentError when
-    the theory is outside the supported fragment."""
-    report = check_fragment(theory)
-    if not report.accepted:
-        raise FragmentError(report)
+    """Answer a query on the theory's compiled clauses (see ``_compiled``).
+    Raises FragmentError when the theory is outside the supported
+    fragment."""
+    comp = _compiled(theory)
     dynamic_goals, constants_ok = split_goals(theory, query)
-    inst = compile_theory(theory)
     stats = SatStats()
-    solver = Solver(inst.num_vars, inst.clauses, budget, stats)
+    solver = Solver(comp.clauses, budget, stats)
 
     def find_model(forced: Iterable[tuple[Lit, int]]) -> Trajectory | None:
         assumptions = []
         for code, t in forced:
-            v = inst.fluent_var(abs(code) - 1, t)
+            v = comp.fluent_var(abs(code) - 1, t)
             assumptions.append(v if code > 0 else -v)
         sat, model = solver.solve(assumptions)
-        return decode_model(inst, theory, model) if sat else None
+        return decode_model(comp, theory, model) if sat else None
 
     return decide(theory, query, dynamic_goals, constants_ok, find_model, "sat", stats)

@@ -258,6 +258,92 @@ def random_cnf(rng: random.Random, max_vars: int = 20) -> tuple[int, list[list[i
 
 
 # ---------------------------------------------------------------------------
+# Clausal-fragment reference
+
+
+def fragment_report(theory) -> tuple[bool, list[str]]:
+    """The clausal fragment's verdict on a ground theory, as (accepted,
+    rendered violations), straight from the definition: first the cycle a
+    depth-first search over the ramification graph (body atom to head
+    atom, lowest atom first, successors ascending) meets first; then, for
+    every pair i <= j of effect instances whose actions both occur and are
+    the same or scheduled at one time, the lowest atom on which the two
+    effects' ramification closures hold complementary literals."""
+    out = []
+    edges: dict[int, set[int]] = {}
+    for rp in theory.rprops:
+        if rp.head is not None:
+            for c in rp.condition:
+                edges.setdefault(abs(c) - 1, set()).add(abs(rp.head) - 1)
+    cycle = _dfs_cycle(edges)
+    if cycle is not None:
+        out.append("ramification-cycle: " + " -> ".join(str(theory.fluents[a]) for a in cycle))
+
+    closures: dict[int, set[int]] = {}
+
+    def closure(lit: int) -> set[int]:
+        # least set holding lit and every rule head whose body meets the set
+        if lit not in closures:
+            got = {lit}
+            grew = True
+            while grew:
+                grew = False
+                for rp in theory.rprops:
+                    if rp.head is not None and rp.head not in got and any(c in got for c in rp.condition):
+                        got.add(rp.head)
+                        grew = True
+            closures[lit] = got
+        return closures[lit]
+
+    occurring = set()
+    for acts in theory.occurrences.values():
+        occurring |= acts
+    effects = [
+        (cp.action, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), cp.src)
+        for cp in theory.cprops
+        if cp.action in occurring
+    ]
+    for i, (a, li, si) in enumerate(effects):
+        for b, lj, sj in effects[i:]:
+            if a != b and not any(a in acts and b in acts for acts in theory.occurrences.values()):
+                continue
+            other = closure(lj)
+            common = sorted(abs(m) for m in closure(li) if -m in other)
+            if common:
+                out.append(
+                    "effect-conflict: statements %d and %d can disagree on %s"
+                    % (si, sj, theory.fluents[common[0] - 1])
+                )
+    return not out, out
+
+
+def _dfs_cycle(edges: dict[int, set[int]]) -> list[int] | None:
+    status: dict[int, str] = {}
+    path: list[int] = []
+
+    def visit(a: int) -> list[int] | None:
+        status[a] = "open"
+        path.append(a)
+        for b in sorted(edges.get(a, ())):
+            if status.get(b) == "open":
+                return path[path.index(b):] + [b]
+            if b not in status:
+                found = visit(b)
+                if found is not None:
+                    return found
+        path.pop()
+        status[a] = "closed"
+        return None
+
+    for a in sorted(edges):
+        if a not in status:
+            found = visit(a)
+            if found is not None:
+                return found
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Random domain generators
 
 

@@ -15,6 +15,7 @@ from elang.bench import (
     run_experiment,
     time_answer,
 )
+from elang.clauses import ClauseSet
 from elang.corpus import load_domain
 from elang.grounding import ground
 from elang.model import Atom
@@ -216,7 +217,7 @@ def test_criterion_06_sat_backend_agreement():
     sat_checked = 0
     for _ in range(200):
         num_vars, clauses = random_cnf(rng, max_vars=20)
-        got, model = Solver(num_vars, clauses).solve()
+        got, model = Solver(ClauseSet(num_vars, clauses)).solve()
         assert got == cnf_satisfiable(num_vars, clauses)
         if got:
             assert model_satisfies(model, clauses)

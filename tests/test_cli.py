@@ -159,6 +159,26 @@ def test_query_many_atoms_hits_budget(wide_file, capsys):
     assert "budget of 200" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def chain_file(tmp_path):
+    """1,100 fluents, each ramifying the next: f(i+1) whenever { f(i) }."""
+    n = 1100
+    lines = ["fluent f%d." % i for i in range(n)] + ["action go.", "go initiates f0."]
+    lines += ["f%d whenever { f%d }." % (i + 1, i) for i in range(n - 1)]
+    lines += ["neg f%d holds-at 0." % (n - 1), "go happens-at 0."]
+    path = tmp_path / "chain.e"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("backend", ["engine", "sat"])
+def test_query_long_ramification_chain_answers(chain_file, backend, capsys):
+    argv = ["query", chain_file, "--mode", "skeptical", "--goal", "f1099 holds-at 1",
+            "--backend", backend]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_query_multiple_files_merge(tmp_path):
     base = tmp_path / "base.e"
     base.write_text("fluent f.\naction a.\na initiates f.\n")

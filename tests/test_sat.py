@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elang.corpus import load_domain
+import elang.sat
+from elang.clauses import ClauseSet
+from elang.corpus import ZOO_SCENARIOS, load_domain
 from elang.grounding import ground
 from elang.parser import parse_domain, parse_query
-from elang.query import BudgetExceeded, Query, answer_theory, check_consistency
+from elang.query import BudgetExceeded, Query, answer_theory, check_consistency, slice_for_goals
 from elang.sat import (
     FragmentError,
     Solver,
@@ -22,7 +24,14 @@ from elang.sat import (
 )
 from elang.transition import brute_force_successors, legal_occurrence
 
-from oracles import _column, cnf_satisfiable, model_satisfies, random_cnf, random_theory
+from oracles import (
+    _column,
+    cnf_satisfiable,
+    fragment_report,
+    model_satisfies,
+    random_cnf,
+    random_theory,
+)
 
 
 def dom(text):
@@ -73,10 +82,130 @@ def test_nonconcurrent_opposite_effects_accepted():
     assert check_fragment(ground(dom(text), 2)).accepted
 
 
+def assert_report_matches_oracle(th):
+    report = check_fragment(th)
+    assert (report.accepted, [str(v) for v in report.violations]) == fragment_report(th)
+    return report
+
+
+@pytest.mark.parametrize("variant", ["direct", "indirect", "dual"])
+@pytest.mark.parametrize("positions", [3, 4, 6])
+@pytest.mark.parametrize("feed", ["", ":feed"])
+def test_fragment_matches_oracle_on_generated_zoos(variant, positions, feed):
+    ref = "gen:%s:%d%s" % (variant, positions, feed)
+    report = assert_report_matches_oracle(ground(load_domain(ref, "corpus:zoo_scenario_move.e")))
+    assert report.accepted == (variant == "direct")
+
+
+def test_fragment_matches_oracle_on_corpus():
+    for name in ("bulb.e", "bulb_noinit.e", "zoo_landscape.e"):
+        assert_report_matches_oracle(ground(load_domain("corpus:" + name), 4))
+    for name in ("zoo_direct.e", "zoo_indirect.e", "zoo_dual.e", "zoo_dual_feed.e"):
+        for scenario in ("chain_scenario.e",) + ZOO_SCENARIOS:
+            assert_report_matches_oracle(ground(load_domain("corpus:" + name, "corpus:" + scenario)))
+
+
+def test_fragment_matches_oracle_on_random_theories():
+    rng = random.Random(41)
+    conflicts = cycles = accepted = 0
+    for _ in range(300):
+        report = assert_report_matches_oracle(
+            ground(random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4))
+        )
+        kinds = [v.kind for v in report.violations]
+        conflicts += "effect-conflict" in kinds
+        cycles += "ramification-cycle" in kinds
+        accepted += report.accepted
+    # the draws reach every branch of the check
+    assert conflicts > 30 and cycles > 30 and accepted > 30
+
+
 def test_answer_sat_rejects_outside_fragment():
     th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
     with pytest.raises(FragmentError):
         answer_sat(th, parse_query("credulous { rides(john,dumpo) holds-at 1 } horizon 4"))
+
+
+MEMO_QUERIES = (
+    ("corpus:bulb.e", (
+        "credulous { light holds-at 3 } horizon 4",
+        "skeptical { light holds-at 3 } horizon 4",
+        "skeptical { neg light holds-at 1, normal holds-at 4 } horizon 4",
+        "credulous { neg normal holds-at 4 } horizon 4",
+        "skeptical { light holds-at 1 } horizon 4",
+    )),
+    ("corpus:bulb_noinit.e", (
+        "skeptical { light holds-at 3 } horizon 4",
+        "credulous { light holds-at 3, normal holds-at 0 } horizon 4",
+        "skeptical { neg light holds-at 0 } horizon 4",
+    )),
+)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(elang.sat, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(elang.sat, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ref, texts", MEMO_QUERIES)
+def test_held_theory_answers_as_fresh_theories(ref, texts, monkeypatch):
+    checks = count_calls(monkeypatch, "check_fragment")
+    compiles = count_calls(monkeypatch, "compile_theory")
+    held = ground(load_domain(ref), 4)
+    answers = set()
+    for _ in range(2):
+        for text in texts:
+            query = parse_query(text)
+            got = answer_sat(held, query).to_record()
+            assert got == answer_sat(ground(load_domain(ref), 4), query).to_record(), text
+            answers.add(got["answer"])
+    assert answers == {"true", "false"}
+    # the held theory once, each fresh theory once
+    assert len(checks) == len(compiles) == 1 + 2 * len(texts)
+    assert sum(args[0] is held for args in checks) == 1
+
+
+def test_outside_fragment_raises_on_every_query(monkeypatch):
+    checks = count_calls(monkeypatch, "check_fragment")
+    compiles = count_calls(monkeypatch, "compile_theory")
+    th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
+    messages = []
+    for mode in ("credulous", "skeptical", "credulous"):
+        with pytest.raises(FragmentError) as info:
+            answer_sat(th, parse_query("%s { rides(john,dumpo) holds-at 1 } horizon 4" % mode))
+        assert not info.value.report.accepted
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "ramification-cycle" in messages[0]
+    assert len(checks) == 1 and not compiles
+
+
+def test_budget_holds_after_an_unbudgeted_query():
+    th = ground(load_domain("corpus:bulb_noinit.e"), 4)
+    query = parse_query("skeptical { light holds-at 3 } horizon 4")
+    first = answer_sat(th, query)
+    assert first.stats.decisions > 0
+    with pytest.raises(BudgetExceeded):
+        answer_sat(th, query, budget=0)
+    assert answer_sat(th, query).to_record() == first.to_record()
+
+
+def test_sliced_copy_does_not_share_the_memo(monkeypatch):
+    checks = count_calls(monkeypatch, "check_fragment")
+    th = ground(load_domain("corpus:bulb.e"), 4)
+    query = parse_query("skeptical { light holds-at 3 } horizon 4")
+    answer_sat(th, query)
+    assert th.sat_memo is not None
+    sliced, _ = slice_for_goals(th, {th.index[lit.atom] for lit, _ in query.goals})
+    assert sliced.sat_memo is None
+    assert answer_sat(sliced, query).answer == answer_sat(th, query).answer
+    assert len(checks) == 2 and checks[0][0] is th and checks[1][0] is sliced
 
 
 def test_bulb_agreement_with_engine():
@@ -136,7 +265,7 @@ def test_solver_matches_truth_table():
     rng = random.Random(5)
     for _ in range(300):
         num_vars, clauses = random_cnf(rng, max_vars=12)
-        sat, model = Solver(num_vars, clauses).solve()
+        sat, model = Solver(ClauseSet(num_vars, clauses)).solve()
         assert sat == cnf_satisfiable(num_vars, clauses)
         if sat:
             assert model_satisfies(model, clauses)
@@ -145,7 +274,7 @@ def test_solver_matches_truth_table():
 def test_solver_assumptions():
     # (x1 or x2) and (neg x1 or x2): x2 must hold once x1 is assumed
     clauses = [(1, 2), (-1, 2)]
-    solver = Solver(2, clauses)
+    solver = Solver(ClauseSet(2, clauses))
     sat, model = solver.solve(assumptions=(1,))
     assert sat and model[2]
     sat, model = solver.solve(assumptions=(-1,))
@@ -168,7 +297,7 @@ def test_solver_budget():
             for p2 in range(p1 + 1, pigeons):
                 clauses.append((-var(p1, h), -var(p2, h)))
     with pytest.raises(BudgetExceeded):
-        Solver(pigeons * holes, clauses, budget=100).solve()
+        Solver(ClauseSet(pigeons * holes, clauses), budget=100).solve()
 
 
 def test_engine_agreement_on_random_fragment_theories():
@@ -234,7 +363,7 @@ def test_sat_detects_inconsistency():
 def test_decode_model_roundtrip():
     th = ground(load_domain("corpus:bulb.e"), 4)
     inst = compile_theory(th)
-    sat, model = Solver(inst.num_vars, inst.clauses).solve()
+    sat, model = Solver(ClauseSet(inst.num_vars, inst.clauses)).solve()
     assert sat
     traj = decode_model(inst, th, model)
     assert len(traj.states) == 5
@@ -245,7 +374,7 @@ def test_decode_model_roundtrip():
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_truth_table_property(seed):
     num_vars, clauses = random_cnf(random.Random(seed), max_vars=10)
-    sat, model = Solver(num_vars, clauses).solve()
+    sat, model = Solver(ClauseSet(num_vars, clauses)).solve()
     assert sat == cnf_satisfiable(num_vars, clauses)
     if sat:
         assert model_satisfies(model, clauses)
