@@ -10,7 +10,8 @@ Experiment specs are stanza files (see specfiles).  Four families:
 * ``representation``: run one suite across the direct, indirect and dual
   zoo representations and compare times; an ``agree`` column marks where a
   variant's answer matches the first listed one, since the representations
-  genuinely differ on some conclusions.
+  genuinely differ on some conclusions.  On the SAT backend a domain
+  outside the fragment keeps its rows, with no answer, agreement or time.
 * ``scaling``: grow the zoo terrain, recording grounding statistics and
   one query's time per size on the chosen backend.
 
@@ -335,6 +336,12 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
         th = ground_for(spec, dom)
         fragment = check_fragment(th).accepted
         for q in spec.queries:
+            if spec.backend == "sat" and not fragment:
+                rows.append({
+                    "domain": domain_label(ref), "fragment": fragment, "query": q,
+                    "answer": None, "agree": None, "median_ms": None,
+                })
+                continue
             timed = time_answer(
                 th, q, dom, repeats=spec.repeats, budget=spec.budget,
                 backend=spec.backend, use_slice=spec.slice,
@@ -344,7 +351,7 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
             rows.append({
                 "domain": domain_label(ref), "fragment": fragment, "query": q,
                 "answer": timed.answer,
-                "agree": timed.answer == baseline.get(q, timed.answer),
+                "agree": timed.answer == baseline[q] if q in baseline else None,
                 "median_ms": timed.median_ms,
             })
     cols = ["domain", "fragment", "query", "answer", "agree", "median_ms"]

@@ -129,7 +129,7 @@ class Evaluator:
             self.stats.cache_hits += 1
             return cached
         self.stats.transitions += 1
-        result = tuple(tr.target for tr in successor_states(self.theory, state, actions))
+        result = tuple(successor_states(self.theory, state, actions))
         self._succ[key] = result
         return result
 

@@ -4,21 +4,21 @@ A step is taken from a source state by a set of simultaneous actions.  The
 actions' effect statements whose conditions hold in the source state
 produce a set of candidate direct effects (fluent literals).  A target
 state ``t`` is a successor when some conflict-free subset ``applied`` of the
-candidates admits an effect set ``e`` such that:
+candidates admits a set ``changed`` of literals such that:
 
-  a. ``e.changed`` is the least set containing ``applied`` and closed under
+  a. ``changed`` is the least set containing ``applied`` and closed under
      the ramification statements: a statement with head ``h`` and body ``B``
      adds ``h`` whenever every literal of ``B`` holds in ``t`` and at least
-     one literal of ``B`` is already in ``e.changed``.  The closure fails,
+     one literal of ``B`` is already in ``changed``.  The closure fails,
      ruling ``t`` out, if it ever contains both a literal and its
      complement.  Denials (``false`` heads) never fire.
-  b. every literal in ``e.changed`` holds in ``t``;
-  c. every fluent atom not mentioned in ``e.changed`` keeps its source
+  b. every literal in ``changed`` holds in ``t``;
+  c. every fluent atom not mentioned in ``changed`` keeps its source
      value (persistence);
   d. ``t`` satisfies every ramification statement read as a state
      constraint, denials included;
   e. every candidate left out of ``applied`` has its complement in
-     ``e.changed``: a produced direct effect may only be dropped when the
+     ``changed``: a produced direct effect may only be dropped when the
      changes propagated from the others override it.
 
 Candidate subsets strictly smaller than the full set are kept even when
@@ -26,38 +26,28 @@ the full set itself succeeds; overridden effects and their ramifications
 are a genuine source of branching, so both readings survive as distinct
 successors.
 
-``successor_states`` searches targets over the atoms reachable from
-``applied`` through ramification heads (everything else is frozen by
-persistence).  The state constraints, folded against the frozen atoms,
-go to the clause kernel (``clauses.py``) with two kinds of assumption: the
-applied literals hold, and an atom whose change no applied literal or rule
+For a given target only one subset can qualify: the candidates that hold
+in ``t``.  Rule b puts every applied candidate in ``t``, and rule e puts
+the complement of every other candidate in ``t``.  So ``successor_states``
+runs one search per step rather than one per subset.  It searches targets
+over the atoms reachable from the candidates through ramification heads
+(everything else is frozen by persistence).  The state constraints,
+folded against the frozen atoms, go to the clause kernel (``clauses.py``)
+with one kind of assumption: an atom whose change no candidate or rule
 head could explain keeps its source value.  Each model the kernel yields
-is then checked against conditions a-e.  ``brute_force_successors``
-checks the definition over all assignments and is the reference the
-search is tested against.
+is then checked against conditions a-e, with ``applied`` the candidates
+true in it.  ``brute_force_successors`` checks the definition, subset by
+subset, over all assignments and is the reference the search is tested
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .clauses import ClauseSet
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
-
-
-@dataclass(frozen=True)
-class EffectSet:
-    applied: frozenset[Lit]
-    changed: frozenset[Lit]
-
-
-@dataclass(frozen=True)
-class Transition:
-    source: State
-    actions: frozenset[Atom]
-    target: State
-    effects: EffectSet
 
 
 def direct_candidates(theory: GroundTheory, state: State, actions: frozenset[Atom]) -> frozenset[Lit]:
@@ -83,7 +73,7 @@ def legal_occurrence(theory: GroundTheory, state: State, actions: frozenset[Atom
 
 def ramification_closure(
     theory: GroundTheory, applied: frozenset[Lit], target: State
-) -> EffectSet | None:
+) -> frozenset[Lit] | None:
     """Least fixpoint of condition (a) against a fixed target, or None when
     the closure runs into a complementary pair."""
     if any(-c in applied for c in applied):
@@ -104,7 +94,7 @@ def ramification_closure(
                 return None
             changed.add(rp.head)
             work.append(rp.head)
-    return EffectSet(applied, frozenset(changed))
+    return frozenset(changed)
 
 
 def _conflict_free_subsets(candidates: frozenset[Lit]):
@@ -124,54 +114,34 @@ def _verify_target(
     applied: frozenset[Lit],
     candidates: frozenset[Lit],
     target: State,
-) -> EffectSet | None:
-    effects = ramification_closure(theory, applied, target)
-    if effects is None:
-        return None
-    if not all(theory.holds(target, l) for l in effects.changed):
-        return None
-    mentioned = {abs(l) - 1 for l in effects.changed}
+) -> bool:
+    changed = ramification_closure(theory, applied, target)
+    if changed is None:
+        return False
+    if not all(theory.holds(target, l) for l in changed):
+        return False
+    mentioned = {abs(l) - 1 for l in changed}
     if any(a not in mentioned for a in source ^ target):
-        return None
+        return False
     if not theory.state_consistent(target):
-        return None
-    for c in candidates - applied:
-        if -c not in effects.changed:
-            return None
-    return effects
+        return False
+    return all(-c in changed for c in candidates - applied)
 
 
-def successor_states(
-    theory: GroundTheory, source: State, actions: frozenset[Atom]
-) -> list[Transition]:
-    """All successors of ``source`` under the simultaneous ``actions``,
-    deduplicated by target and sorted by target contents."""
+def _sorted_states(states: Iterable[State]) -> list[State]:
+    return sorted(states, key=lambda s: tuple(sorted(s)))
+
+
+def successor_states(theory: GroundTheory, source: State, actions: frozenset[Atom]) -> list[State]:
+    """All successor states of ``source`` under the simultaneous
+    ``actions``, sorted by contents."""
     candidates = direct_candidates(theory, source, actions)
-    actions = frozenset(actions)
     if not candidates:
-        if not theory.state_consistent(source):
-            return []
-        effects = EffectSet(frozenset(), frozenset())
-        return [Transition(source, actions, source, effects)]
-    found: dict[State, Transition] = {}
-    heads = {rp.head for rp in theory.rprops if rp.head is not None}
-    for applied in _conflict_free_subsets(candidates):
-        _search_targets(theory, source, actions, applied, candidates, heads, found)
-    return [found[t] for t in sorted(found, key=lambda s: tuple(sorted(s)))]
+        return [source] if theory.state_consistent(source) else []
 
-
-def _search_targets(
-    theory: GroundTheory,
-    source: State,
-    actions: frozenset[Atom],
-    applied: frozenset[Lit],
-    candidates: frozenset[Lit],
-    heads: set[Lit],
-    found: dict[State, Transition],
-) -> None:
-    # Atoms reachable from the applied effects through ramification heads;
+    # Atoms reachable from the candidates through ramification heads;
     # persistence freezes everything else at its source value.
-    reach: set[int] = {abs(c) - 1 for c in applied}
+    reach: set[int] = {abs(c) - 1 for c in candidates}
     work = list(reach)
     while work:
         a = work.pop()
@@ -199,40 +169,44 @@ def _search_targets(
                 break  # satisfied by a frozen value
         else:
             if not lits:
-                return  # violated by frozen values alone
+                return []  # violated by frozen values alone
             clauses.append(lits)
 
-    # The applied effects hold, and an atom whose change no applied literal
-    # or rule head could explain keeps its source value.
-    assumptions = [var[abs(c) - 1] if c > 0 else -var[abs(c) - 1] for c in applied]
+    # An atom whose change no candidate or rule head could explain keeps
+    # its source value.
+    assumptions: list[Lit] = []
     for a in order:
         change = -(a + 1) if a in source else a + 1
-        if change not in applied and change not in heads:
-            assumptions.append(var[a] if a in source else -var[a])
+        if change in candidates:
+            continue
+        if any(theory.rprops[ri].head == change for ri in theory.rprops_by_head_atom.get(a, ())):
+            continue
+        assumptions.append(var[a] if a in source else -var[a])
     prefer = frozenset(var[a] for a in order if a in source)
     frozen = source - reach
+    found: list[State] = []
     for model in ClauseSet(len(order), clauses).models(assumptions, prefer):
         target = frozenset(order[v - 1] for v in model) | frozen
-        effects = _verify_target(theory, source, applied, candidates, target)
-        if effects is not None and target not in found:
-            found[target] = Transition(source, actions, target, effects)
+        applied = frozenset(c for c in candidates if theory.holds(target, c))
+        if _verify_target(theory, source, applied, candidates, target):
+            found.append(target)
+    return _sorted_states(found)
 
 
 def brute_force_successors(
     theory: GroundTheory, source: State, actions: frozenset[Atom], bound: int = 16
-) -> list[Transition]:
+) -> list[State]:
     """Reference implementation: test every assignment against the
-    successor conditions.  Exponential; refuses theories over ``bound``."""
+    successor conditions for every conflict-free subset of the candidates.
+    Exponential; refuses theories over ``bound``."""
     n = theory.n_fluents
     if n > bound:
         raise ValueError("brute force limited to %d fluent atoms, theory has %d" % (bound, n))
     candidates = direct_candidates(theory, source, actions)
-    actions = frozenset(actions)
-    found: dict[State, Transition] = {}
+    found: set[State] = set()
     for applied in _conflict_free_subsets(candidates):
         for bits in range(1 << n):
             target = frozenset(i for i in range(n) if bits >> i & 1)
-            effects = _verify_target(theory, source, applied, candidates, target)
-            if effects is not None and target not in found:
-                found[target] = Transition(source, actions, target, effects)
-    return [found[t] for t in sorted(found, key=lambda s: tuple(sorted(s)))]
+            if target not in found and _verify_target(theory, source, applied, candidates, target):
+                found.add(target)
+    return _sorted_states(found)

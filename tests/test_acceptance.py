@@ -127,7 +127,7 @@ def test_criterion_03_throwoff_landings_exact():
         acts = frozenset({Atom("throw", ())})
         guided = successor_states(theory, src, acts)
         brute = brute_force_successors(theory, src, acts)
-        assert {t.target for t in guided} == {t.target for t in brute}
+        assert set(guided) == set(brute)
         assert len(guided) == k
         for i in range(1, k + 1):
             mode = "skeptical" if k == 1 else "credulous"
@@ -171,7 +171,7 @@ def test_criterion_04_carried_rider_branch_counts():
         assert len(succs) == expected, variant
         carried = sum(
             1 for s in succs
-            if theory.index[Atom("animal_pos", ("john", "p3"))] in s.target
+            if theory.index[Atom("animal_pos", ("john", "p3"))] in s
         )
         assert carried == 1, variant
     report(4, "PASS", "moving a ridden animal: one successor under the direct law, "
@@ -189,11 +189,8 @@ def test_criterion_05_guided_search_equals_exhaustive():
         )
         guided = successor_states(theory, src, acts)
         brute = brute_force_successors(theory, src, acts)
-        assert {t.target for t in guided} == {t.target for t in brute}, trial
-        by_target = {t.target: t for t in brute}
-        for t in guided:
-            assert t.effects == by_target[t.target].effects, trial
-    report(5, "PASS", "successor sets and effect records agree on 500 random theories")
+        assert set(guided) == set(brute), trial
+    report(5, "PASS", "successor sets agree on 500 random theories")
 
 
 def test_criterion_06_sat_backend_agreement():

@@ -176,6 +176,31 @@ def test_representation_family_end_to_end(tmp_path):
     assert {p.name for p in paths} == {"t.tsv", "t.jsonl"}
 
 
+def test_representation_family_marks_domains_outside_the_fragment(tmp_path):
+    spec = parse_spec(spec_text(
+        domain=["corpus:zoo_direct.e", "corpus:zoo_indirect.e"], backend="sat", repeats="1",
+    ))
+    table = run_experiment(spec)
+    direct, indirect = table.rows
+    assert direct["fragment"] is True and direct["answer"] == "true"
+    assert direct["agree"] is True and direct["median_ms"] >= 0
+    assert indirect["fragment"] is False
+    assert indirect["answer"] is None and indirect["agree"] is None
+    assert indirect["median_ms"] is None
+    table.write(tmp_path)
+    tsv = (tmp_path / "t.tsv").read_text().splitlines()
+    cells = dict(zip(tsv[1].split("\t"), tsv[3].split("\t")))
+    assert cells["fragment"] == "no"
+    assert [cells[c] for c in ("answer", "agree", "median_ms")] == ["-", "-", "-"]
+    record = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[2])
+    assert record["domain"] == "zoo_indirect"
+    assert [record[c] for c in ("answer", "agree", "median_ms")] == [None, None, None]
+    # with the first listed domain outside, no row has an answer to agree with
+    spec.domains.reverse()
+    indirect, direct = run_experiment(spec).rows
+    assert direct["answer"] == "true" and direct["agree"] is None
+
+
 def test_scaling_family_small_sizes():
     text = spec_text(
         family="scaling",

@@ -344,7 +344,7 @@ def assert_countermodel(th, query, witness):
         actions = th.occurrences.get(t, frozenset())
         assert sorted(str(a) for a in actions) == witness["actions"][t]
         assert legal_occurrence(th, states[t], actions)
-        targets = {tr.target for tr in brute_force_successors(th, states[t], actions)}
+        targets = set(brute_force_successors(th, states[t], actions))
         assert states[t + 1] in targets
     assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elang.clauses import ClauseSet
 from elang.corpus import load_domain
 from elang.grounding import ground
 from elang.model import Atom
@@ -14,10 +15,12 @@ from elang.transition import (
     brute_force_successors,
     direct_candidates,
     legal_occurrence,
+    ramification_closure,
     successor_states,
 )
 
 from oracles import random_state, random_theory
+from test_acceptance import mini_throw_domain
 
 
 def g(text, horizon=2):
@@ -75,29 +78,26 @@ switch_on needs { neg light }.
 def test_bulb_switch_on_from_dark_normal():
     th = g(BULB_LAWS)
     src = atoms(th, "normal")
-    succs = successor_states(th, src, actions_of(th, "switch_on"))
-    assert len(succs) == 1
-    assert succs[0].target == atoms(th, "normal", "light")
-    assert succs[0].effects.applied == frozenset({lit(th, "light")})
+    target = atoms(th, "normal", "light")
+    assert successor_states(th, src, actions_of(th, "switch_on")) == [target]
+    on = frozenset({lit(th, "light")})
+    assert ramification_closure(th, on, target) == on
 
 
 def test_bulb_break_forces_light_off():
     # breaking the bulb terminates normal; the constraint then ends light too
     th = g(BULB_LAWS)
     src = atoms(th, "normal", "light")
-    succs = successor_states(th, src, actions_of(th, "break_bulb"))
-    assert len(succs) == 1
-    assert succs[0].target == frozenset()
-    changed = {th.lit_str(l) for l in succs[0].effects.changed}
-    assert changed == {"neg normal", "neg light"}
+    assert successor_states(th, src, actions_of(th, "break_bulb")) == [frozenset()]
+    changed = ramification_closure(th, frozenset({lit(th, "normal", False)}), frozenset())
+    assert {th.lit_str(l) for l in changed} == {"neg normal", "neg light"}
 
 
 def test_empty_action_set_is_identity():
     th = g(BULB_LAWS)
     for src in (frozenset(), atoms(th, "normal"), atoms(th, "normal", "light")):
-        succs = successor_states(th, src, frozenset())
-        assert [s.target for s in succs] == [src]
-        assert succs[0].effects.changed == frozenset()
+        assert successor_states(th, src, frozenset()) == [src]
+        assert ramification_closure(th, frozenset(), src) == frozenset()
 
 
 def test_inconsistent_source_has_no_successors():
@@ -140,8 +140,7 @@ def test_conflicting_effects_yield_both_branches():
     """
     th = g(text)
     succs = successor_states(th, frozenset(), actions_of(th, "a", "b"))
-    targets = {s.target for s in succs}
-    assert targets == {frozenset(), frozenset({0})}
+    assert set(succs) == {frozenset(), frozenset({0})}
 
 
 def test_nondeterminism_from_mutually_exclusive_rules():
@@ -158,7 +157,7 @@ def test_nondeterminism_from_mutually_exclusive_rules():
     """
     th = g(text)
     succs = successor_states(th, frozenset(), actions_of(th, "a"))
-    shown = {th.state_str(s.target) for s in succs}
+    shown = {th.state_str(s) for s in succs}
     assert shown == {"{f, g}", "{f, h}"}
 
 
@@ -191,7 +190,7 @@ def test_mover_with_rider_dual_vs_indirect():
         assert th.state_consistent(src), variant
         succs = successor_states(th, src, actions_of(th, "move_to_position(dumpo,p3)"))
         assert len(succs) == expected, variant
-        carried = [s for s in succs if "animal_pos(john,p3)" in named(th, s.target)]
+        carried = [s for s in succs if "animal_pos(john,p3)" in named(th, s)]
         assert len(carried) == 1, variant
 
 
@@ -206,7 +205,7 @@ def test_getoff_while_moving():
         succs = successor_states(th, src, acts)
         ends = set()
         for s in succs:
-            names = named(th, s.target)
+            names = named(th, s)
             assert "rides(john,dumpo)" not in names, variant
             ends |= {n[-3:-1] for n in names if n.startswith("animal_pos(john,")}
         assert len(succs) == len(expected), variant
@@ -219,12 +218,32 @@ def test_throwoff_lands_on_some_neighbour():
     succs = successor_states(th, src, actions_of(th, "throwoff(elly,john)"))
     landings = set()
     for s in succs:
-        names = named(th, s.target)
+        names = named(th, s)
         assert "rides(john,elly)" not in names
         landings |= {n for n in names if n.startswith("animal_pos(john,")}
     # p1 neighbours exactly p2 and p3 in the six-position terrain
     assert landings == {"animal_pos(john,p2)", "animal_pos(john,p3)"}
     assert len(succs) == 2
+
+
+def test_one_kernel_enumeration_per_step(monkeypatch):
+    # three landing candidates form eight conflict-free subsets; the step
+    # still needs one search, since only the candidates true in a target
+    # can explain it
+    th = ground(mini_throw_domain(3), 1)
+    calls = []
+    models = ClauseSet.models
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return models(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClauseSet, "models", counted)
+    succs = successor_states(th, atoms(th, "at(home)"), actions_of(th, "throw"))
+    assert len(calls) == 1
+    assert isinstance(succs, list)
+    assert succs == sorted(succs, key=lambda s: tuple(sorted(s)))
+    assert [named(th, s) for s in succs] == [{"at(l1)"}, {"at(l2)"}, {"at(l3)"}]
 
 
 def test_guided_matches_brute_force_on_seeded_theories():
@@ -237,10 +256,7 @@ def test_guided_matches_brute_force_on_seeded_theories():
         src = random_state(rng, th.n_fluents)
         guided = successor_states(th, src, acts)
         brute = brute_force_successors(th, src, acts)
-        assert {t.target for t in guided} == {t.target for t in brute}
-        by_target = {t.target: t for t in brute}
-        for t in guided:
-            assert t.effects == by_target[t.target].effects
+        assert set(guided) == set(brute)
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,8 +267,8 @@ def test_guided_matches_brute_force_property(seed, state_bits):
     th = ground(domain)
     src = frozenset(i for i in range(th.n_fluents) if state_bits >> i & 1)
     acts = frozenset(Atom(a, ()) for a in domain.signature.actions)
-    guided = {t.target for t in successor_states(th, src, acts)}
-    brute = {t.target for t in brute_force_successors(th, src, acts)}
+    guided = set(successor_states(th, src, acts))
+    brute = set(brute_force_successors(th, src, acts))
     assert guided == brute
 
 
