@@ -2,18 +2,77 @@
 """Run every experiment spec and write result tables.
 
 Usage: python scripts/run_experiments.py [--out DIR] [--repeats N] [--only NAME]
+       python scripts/run_experiments.py --bench FILE [--repeats N] [--only NAME]
+
+With ``--bench FILE`` no tables are written.  Instead FILE receives one
+JSON record: the wall time of each golden case on the engine backend
+(load, ground and answer), the elapsed time of each spec at ``--repeats``
+(1 unless given), and the environment the run was made in.  Compare two
+such records only when their environments match.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 from elang.bench import load_spec, run_experiment
+from elang.corpus import evaluate_case, load_golden
 
-SPEC_DIR = Path(__file__).resolve().parent.parent / "experiments"
+ROOT = Path(__file__).resolve().parent.parent
+SPEC_DIR = ROOT / "experiments"
+
+
+def _git(*argv: str) -> str | None:
+    try:
+        done = subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def environment() -> dict:
+    """Python version, platform, usable CPUs and the checked-out commit;
+    ``dirty`` says whether tracked files differ from that commit."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "nproc": cpus,
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+    }
+
+
+def bench(cases, specs: list[Path], repeats: int) -> dict:
+    """Time each golden case and each spec once, in the given order."""
+    golden = []
+    for case in cases:
+        start = time.perf_counter()
+        outcome = evaluate_case(case)
+        elapsed = time.perf_counter() - start
+        golden.append({"name": case.name, "answer": outcome.got, "ok": outcome.ok, "seconds": round(elapsed, 4)})
+    timed_specs = []
+    for path in specs:
+        spec = load_spec(path)
+        spec.repeats = repeats
+        start = time.perf_counter()
+        run_experiment(spec)
+        elapsed = time.perf_counter() - start
+        timed_specs.append({"name": spec.name, "repeats": repeats, "seconds": round(elapsed, 4)})
+    return {
+        "environment": environment(),
+        "golden": golden,
+        "golden_seconds": round(sum(g["seconds"] for g in golden), 4),
+        "specs": timed_specs,
+    }
 
 
 def main() -> int:
@@ -21,6 +80,7 @@ def main() -> int:
     ap.add_argument("--out", default="results")
     ap.add_argument("--repeats", type=int, help="override each spec's repeat count")
     ap.add_argument("--only", help="run a single spec by name")
+    ap.add_argument("--bench", metavar="FILE", help="write timings to FILE instead of tables")
     args = ap.parse_args()
 
     specs = sorted(SPEC_DIR.glob("*.spec"))
@@ -29,6 +89,11 @@ def main() -> int:
         if not specs:
             print("no spec named %s under %s" % (args.only, SPEC_DIR), file=sys.stderr)
             return 2
+    if args.bench:
+        record = bench(load_golden(), specs, 1 if args.repeats is None else args.repeats)
+        Path(args.bench).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print("golden %5.1fs  %s" % (record["golden_seconds"], args.bench))
+        return 0
     for path in specs:
         spec = load_spec(path)
         if args.repeats is not None:

@@ -134,11 +134,9 @@ class GroundTheory:
     def satisfies(self, state: State, condition: frozenset[Lit]) -> bool:
         return all(self.holds(state, c) for c in condition)
 
-    def clause_satisfied(self, state: State, clause: frozenset[Lit]) -> bool:
-        return any(self.holds(state, c) for c in clause)
-
     def state_consistent(self, state: State) -> bool:
-        return all(self.clause_satisfied(state, cl) for cl in self.constraint_clauses)
+        """Whether ``state`` satisfies every state constraint."""
+        return all(any(self.holds(state, c) for c in cl) for cl in self.constraint_clauses)
 
     def state_str(self, state: State) -> str:
         return "{%s}" % ", ".join(str(self.fluents[i]) for i in sorted(state))

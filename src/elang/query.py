@@ -129,7 +129,9 @@ class Evaluator:
             self.stats.cache_hits += 1
             return cached
         self.stats.transitions += 1
-        result = tuple(successor_states(self.theory, state, actions))
+        # Every source here is an initial-state model or an earlier
+        # successor, so it satisfies the state constraints.
+        result = tuple(successor_states(self.theory, state, actions, consistent_source=True))
         self._succ[key] = result
         return result
 

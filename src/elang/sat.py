@@ -202,24 +202,32 @@ class CnfInstance:
         return time * self.n_fluents + atom_index + 1
 
 
-def compile_theory(theory: GroundTheory) -> CnfInstance:
+def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     """Clausal form of a fragment theory; see the module docstring for the
-    variable roles.  Variable numbering is deterministic."""
+    variable roles.  Variable numbering is deterministic.  ``names`` and
+    ``origins`` are filled only with ``labels``: export reads them,
+    answering does not."""
     n = theory.n_fluents
     horizon = theory.horizon
     inst = CnfInstance(num_vars=(horizon + 1) * n, clauses=[], n_fluents=n, horizon=horizon)
-    for t in range(horizon + 1):
-        for i in range(n):
-            inst.names[t * n + i + 1] = "%s@%d" % (theory.fluents[i], t)
+    if labels:
+        for t in range(horizon + 1):
+            for i in range(n):
+                inst.names[t * n + i + 1] = "%s@%d" % (theory.fluents[i], t)
 
-    def new_var(name: str) -> int:
+    def new_var(fmt: str, *args) -> int:
         inst.num_vars += 1
-        inst.names[inst.num_vars] = name
+        if labels:
+            inst.names[inst.num_vars] = fmt % args
         return inst.num_vars
 
-    def add(clause, origin: str) -> None:
+    def add(clause, fmt: str, *args) -> None:
         inst.clauses.append(tuple(clause))
-        inst.origins.append(origin)
+        if labels:
+            inst.origins.append(fmt % args)
+
+    def lit_str(code: Lit) -> str | None:
+        return theory.lit_str(code) if labels else None
 
     def at(code: Lit, t: int) -> int:
         v = t * n + abs(code)
@@ -231,12 +239,12 @@ def compile_theory(theory: GroundTheory) -> CnfInstance:
             clause = [at(-c, t) for c in sorted(rp.condition, key=lambda x: (abs(x), x))]
             if rp.head is not None:
                 clause.append(at(rp.head, t))
-            add(clause, "constraint src=%d t=%d" % (rp.src, t))
+            add(clause, "constraint src=%d t=%d", rp.src, t)
 
     # Observation units.
     for t in sorted(theory.observations):
         for code in sorted(theory.observations[t], key=lambda c: (abs(c), c)):
-            add([at(code, t)], "observation t=%d" % t)
+            add([at(code, t)], "observation t=%d", t)
 
     # Precondition units for scheduled actions.
     for t in sorted(theory.occurrences):
@@ -244,10 +252,10 @@ def compile_theory(theory: GroundTheory) -> CnfInstance:
             for pi in theory.pprops_by_action.get(action, ()):
                 pp = theory.pprops[pi]
                 if pp.impossible:
-                    add([], "impossible precondition src=%d t=%d" % (pp.src, t))
+                    add([], "impossible precondition src=%d t=%d", pp.src, t)
                     continue
                 for code in sorted(pp.condition, key=lambda c: (abs(c), c)):
-                    add([at(code, t)], "precondition src=%d t=%d" % (pp.src, t))
+                    add([at(code, t)], "precondition src=%d t=%d", pp.src, t)
 
     # Ramification rules in dependency order, so each cause variable is
     # fully defined before any rule consuming it.  The graph is acyclic in
@@ -263,14 +271,14 @@ def compile_theory(theory: GroundTheory) -> CnfInstance:
         for action in sorted(actions):
             for ci in theory.cprops_by_action.get(action, ()):
                 cp = theory.cprops[ci]
-                v = new_var("fire[%d]@%d" % (ci, t))
+                v = new_var("fire[%d]@%d", ci, t)
                 fire_vars[ci] = v
                 cond = sorted(cp.condition, key=lambda x: (abs(x), x))
                 for code in cond:
-                    add([-v, at(code, t)], "fire-def src=%d t=%d" % (cp.src, t))
-                add([v] + [at(-code, t) for code in cond], "fire-def src=%d t=%d" % (cp.src, t))
+                    add([-v, at(code, t)], "fire-def src=%d t=%d", cp.src, t)
+                add([v] + [at(-code, t) for code in cond], "fire-def src=%d t=%d", cp.src, t)
                 effect = cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
-                add([-v, at(effect, t + 1)], "effect src=%d t=%d" % (cp.src, t))
+                add([-v, at(effect, t + 1)], "effect src=%d t=%d", cp.src, t)
                 producers.setdefault(effect, []).append(v)
 
         cause_vars: dict[Lit, int] = {}
@@ -281,11 +289,12 @@ def compile_theory(theory: GroundTheory) -> CnfInstance:
             prods = producers.get(code)
             if not prods:
                 return None
-            v = new_var("cause[%s]@%d" % (theory.lit_str(code), t))
+            name = lit_str(code)
+            v = new_var("cause[%s]@%d", name, t)
             cause_vars[code] = v
-            add([-v] + prods, "cause-def %s t=%d" % (theory.lit_str(code), t))
+            add([-v] + prods, "cause-def %s t=%d", name, t)
             for p in prods:
-                add([-p, v], "cause-def %s t=%d" % (theory.lit_str(code), t))
+                add([-p, v], "cause-def %s t=%d", name, t)
             return v
 
         for ri in order:
@@ -297,19 +306,16 @@ def compile_theory(theory: GroundTheory) -> CnfInstance:
             triggers = [v for v in triggers if v is not None]
             if not triggers:
                 continue  # body untouched by any producible change: never fires
-            trig = new_var("trig[%d]@%d" % (ri, t))
-            add([-trig] + triggers, "trig-def src=%d t=%d" % (rp.src, t))
+            trig = new_var("trig[%d]@%d", ri, t)
+            add([-trig] + triggers, "trig-def src=%d t=%d", rp.src, t)
             for v in triggers:
-                add([-v, trig], "trig-def src=%d t=%d" % (rp.src, t))
-            ram = new_var("ramify[%d]@%d" % (ri, t))
+                add([-v, trig], "trig-def src=%d t=%d", rp.src, t)
+            ram = new_var("ramify[%d]@%d", ri, t)
             for code in body:
-                add([-ram, at(code, t + 1)], "ramify-def src=%d t=%d" % (rp.src, t))
-            add([-ram, trig], "ramify-def src=%d t=%d" % (rp.src, t))
-            add(
-                [ram, -trig] + [at(-code, t + 1) for code in body],
-                "ramify-def src=%d t=%d" % (rp.src, t),
-            )
-            add([-ram, at(rp.head, t + 1)], "ramify-effect src=%d t=%d" % (rp.src, t))
+                add([-ram, at(code, t + 1)], "ramify-def src=%d t=%d", rp.src, t)
+            add([-ram, trig], "ramify-def src=%d t=%d", rp.src, t)
+            add([ram, -trig] + [at(-code, t + 1) for code in body], "ramify-def src=%d t=%d", rp.src, t)
+            add([-ram, at(rp.head, t + 1)], "ramify-effect src=%d t=%d", rp.src, t)
             producers.setdefault(rp.head, []).append(ram)
 
         # Explanation frame: a changed value needs a cause; clashing causes
@@ -319,10 +325,11 @@ def compile_theory(theory: GroundTheory) -> CnfInstance:
             pos = cause_var(i + 1)
             neg = cause_var(-(i + 1))
             src_t, src_t1 = i + 1 + t * n, i + 1 + (t + 1) * n
-            add([-src_t1, src_t] + ([pos] if pos else []), "frame %s t=%d" % (theory.fluents[i], t))
-            add([src_t1, -src_t] + ([neg] if neg else []), "frame %s t=%d" % (theory.fluents[i], t))
+            atom = theory.fluents[i]
+            add([-src_t1, src_t] + ([pos] if pos else []), "frame %s t=%d", atom, t)
+            add([src_t1, -src_t] + ([neg] if neg else []), "frame %s t=%d", atom, t)
             if pos and neg:
-                add([-pos, -neg], "cause-mutex %s t=%d" % (theory.fluents[i], t))
+                add([-pos, -neg], "cause-mutex %s t=%d", atom, t)
 
     return inst
 
@@ -457,14 +464,15 @@ class CompiledTheory:
 
 
 def _compiled(theory: GroundTheory) -> CompiledTheory:
-    """The theory's clauses, checked and compiled on the first call and
-    kept on ``theory.sat_memo``.  Raises FragmentError, on every call, when
-    the theory is outside the fragment."""
+    """The theory's clauses, checked and compiled (without the export
+    labels) on the first call and kept on ``theory.sat_memo``.  Raises
+    FragmentError, on every call, when the theory is outside the
+    fragment."""
     memo = theory.sat_memo
     if memo is None:
         report = check_fragment(theory)
         if report.accepted:
-            inst = compile_theory(theory)
+            inst = compile_theory(theory, labels=False)
             memo = CompiledTheory(ClauseSet(inst.num_vars, inst.clauses), inst.n_fluents)
         else:
             memo = report

@@ -29,16 +29,38 @@ successors.
 For a given target only one subset can qualify: the candidates that hold
 in ``t``.  Rule b puts every applied candidate in ``t``, and rule e puts
 the complement of every other candidate in ``t``.  So ``successor_states``
-runs one search per step rather than one per subset.  It searches targets
-over the atoms reachable from the candidates through ramification heads
-(everything else is frozen by persistence).  The state constraints,
-folded against the frozen atoms, go to the clause kernel (``clauses.py``)
-with one kind of assumption: an atom whose change no candidate or rule
-head could explain keeps its source value.  Each model the kernel yields
-is then checked against conditions a-e, with ``applied`` the candidates
-true in it.  ``brute_force_successors`` checks the definition, subset by
-subset, over all assignments and is the reference the search is tested
-against.
+runs one search per step rather than one per subset, and hands rules c, d
+and e to the clause kernel (``clauses.py``) as clauses:
+
+* Only producible literals can enter ``changed``: the candidates, closed
+  under the statements with a body literal already producible.  The
+  search runs over their atoms, the reach; persistence freezes every
+  other atom at its source value.
+* Rule d: the state constraints, folded against the frozen atoms.  Every
+  kernel model satisfies them, so the targets are not checked again.
+* Rules c and e as support clauses.  A reach atom whose value in ``t`` is
+  no candidate needs a statement with that head whose body holds in
+  ``t`` and has a producible literal: its change literal by rule c, its
+  source literal by rule e when the change is a candidate left out.  Each
+  such body gets an auxiliary variable, numbered after the reach atoms so
+  that every target has exactly one model; the auxiliaries are projected
+  out.  With no such statement the atom keeps its value (rule c) or must
+  change (rule e).  One more clause asks that some candidate hold in
+  ``t``: with none applied, ``changed`` is empty and rule e fails.
+
+These clauses are necessary, not sufficient: a body may hold in ``t``
+with none of its literals in ``changed``, and cyclic statements may
+support each other.  So every model is still checked against conditions
+a, b, c and e, with ``applied`` the candidates true in it.
+
+``successor_states`` is exact for any source state; a step can repair a
+constraint its source violates.  A caller whose sources satisfy the
+constraints (``query.Evaluator``: its sources are initial-state models or
+earlier successors) passes ``consistent_source``.  The clauses over frozen
+atoms alone then hold already and are not folded, and a step without
+candidates returns its source unchecked.  ``brute_force_successors``
+checks the definition, rule d included, subset by subset over all
+assignments, and is the reference the search is tested against.
 """
 
 from __future__ import annotations
@@ -123,8 +145,6 @@ def _verify_target(
     mentioned = {abs(l) - 1 for l in changed}
     if any(a not in mentioned for a in source ^ target):
         return False
-    if not theory.state_consistent(target):
-        return False
     return all(-c in changed for c in candidates - applied)
 
 
@@ -132,61 +152,103 @@ def _sorted_states(states: Iterable[State]) -> list[State]:
     return sorted(states, key=lambda s: tuple(sorted(s)))
 
 
-def successor_states(theory: GroundTheory, source: State, actions: frozenset[Atom]) -> list[State]:
+def successor_states(
+    theory: GroundTheory,
+    source: State,
+    actions: frozenset[Atom],
+    *,
+    consistent_source: bool = False,
+) -> list[State]:
     """All successor states of ``source`` under the simultaneous
-    ``actions``, sorted by contents."""
+    ``actions``, sorted by contents; exact for any source.  A caller that
+    knows ``source`` satisfies the state constraints passes
+    ``consistent_source``, and the constraints on atoms the step cannot
+    change are then not checked again."""
     candidates = direct_candidates(theory, source, actions)
     if not candidates:
-        return [source] if theory.state_consistent(source) else []
+        return [source] if consistent_source or theory.state_consistent(source) else []
 
-    # Atoms reachable from the candidates through ramification heads;
-    # persistence freezes everything else at its source value.
-    reach: set[int] = {abs(c) - 1 for c in candidates}
-    work = list(reach)
+    # The literals the step can put in ``changed``: the candidates, closed
+    # under the rules with a body literal already among them.  Persistence
+    # freezes every atom none of them mentions at its source value.
+    producible: set[Lit] = set(candidates)
+    work = list(candidates)
     while work:
-        a = work.pop()
-        for ri in theory.rprops_by_body_atom.get(a, ()):
+        lit = work.pop()
+        for ri in theory.rprops_by_body_atom.get(abs(lit) - 1, ()):
             rp = theory.rprops[ri]
-            if rp.head is None:
-                continue
-            h = abs(rp.head) - 1
-            if h not in reach:
-                reach.add(h)
-                work.append(h)
+            if rp.head is not None and rp.head not in producible and lit in rp.condition:
+                producible.add(rp.head)
+                work.append(rp.head)
+    reach = {abs(l) - 1 for l in producible}
 
-    # Constraint clauses folded against the frozen atoms, over the reach
-    # atoms renumbered 1..k in sorted order.
     order = sorted(reach)
+    k = len(order)
     var = {a: i + 1 for i, a in enumerate(order)}
-    clauses: list[list[Lit]] = []
-    for clause in theory.constraint_clauses:
-        lits: list[Lit] = []
-        for lit in clause:
+
+    def fold(lits: Iterable[Lit]) -> list[Lit] | None:
+        """A clause over the reach atoms renumbered 1..k in sorted order,
+        or None when a frozen value satisfies it."""
+        out: list[Lit] = []
+        for lit in lits:
             a = abs(lit) - 1
             if a in reach:
-                lits.append(var[a] if lit > 0 else -var[a])
+                out.append(var[a] if lit > 0 else -var[a])
             elif (a in source) == (lit > 0):
-                break  # satisfied by a frozen value
-        else:
-            if not lits:
-                return []  # violated by frozen values alone
-            clauses.append(lits)
+                return None
+        return out
 
-    # An atom whose change no candidate or rule head could explain keeps
-    # its source value.
-    assumptions: list[Lit] = []
+    # Rule d: the constraint clauses folded against the frozen atoms.  A
+    # consistent source satisfies every clause over frozen atoms alone.
+    if consistent_source:
+        cs = theory.constraints
+        touching = {ci for a in order for ci in cs.occurs[a + 1] + cs.occurs[-(a + 1)]}
+        constraints: Iterable[Iterable[Lit]] = [cs.clauses[ci] for ci in sorted(touching)]
+    else:
+        constraints = theory.constraint_clauses
+    clauses: list[list[Lit]] = []
+    for clause in constraints:
+        lits = fold(clause)
+        if lits is None:
+            continue
+        if not lits:
+            return []  # violated by frozen values alone
+        clauses.append(lits)
+
+    # Rules c and e as support clauses (see the module docstring).  Each
+    # supporting body is an auxiliary variable s <-> body, numbered after
+    # the reach atoms so that the atoms fix it.
+    n_vars = k
     for a in order:
-        change = -(a + 1) if a in source else a + 1
-        if change in candidates:
-            continue
-        if any(theory.rprops[ri].head == change for ri in theory.rprops_by_head_atom.get(a, ())):
-            continue
-        assumptions.append(var[a] if a in source else -var[a])
+        keep = a + 1 if a in source else -(a + 1)
+        if -keep not in candidates:
+            need = -keep
+        elif keep not in candidates:
+            need = keep
+        else:
+            continue  # both values are candidates
+        support = fold([-need])
+        for ri in theory.rprops_by_head_atom.get(a, ()):
+            rp = theory.rprops[ri]
+            if rp.head != need or producible.isdisjoint(rp.condition):
+                continue
+            negated = fold(-l for l in rp.condition)
+            if negated is None:
+                continue  # a frozen body literal is false
+            n_vars += 1
+            clauses.append([n_vars] + negated)
+            clauses.extend([-n_vars, -l] for l in negated)
+            support.append(n_vars)
+        clauses.append(support)
+    # With no candidate applied nothing changes, and rule e fails for every
+    # candidate: so some candidate holds in the target.
+    clauses.append(fold(candidates))
+
     prefer = frozenset(var[a] for a in order if a in source)
     frozen = source - reach
     found: list[State] = []
-    for model in ClauseSet(len(order), clauses).models(assumptions, prefer):
-        target = frozenset(order[v - 1] for v in model) | frozen
+    for model in ClauseSet(n_vars, clauses).models((), prefer):
+        target = frozenset(order[v - 1] for v in model if v <= k) | frozen
         applied = frozenset(c for c in candidates if theory.holds(target, c))
         if _verify_target(theory, source, applied, candidates, target):
             found.append(target)
@@ -207,6 +269,8 @@ def brute_force_successors(
     for applied in _conflict_free_subsets(candidates):
         for bits in range(1 << n):
             target = frozenset(i for i in range(n) if bits >> i & 1)
-            if target not in found and _verify_target(theory, source, applied, candidates, target):
+            if target in found or not theory.state_consistent(target):
+                continue
+            if _verify_target(theory, source, applied, candidates, target):
                 found.add(target)
     return _sorted_states(found)

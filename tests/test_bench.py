@@ -261,3 +261,25 @@ def test_load_spec_roundtrip(tmp_path):
     p.write_text(spec_text())
     spec = load_spec(p)
     assert spec.name == "t"
+
+
+def test_bench_record_times_cases_and_specs(tmp_path):
+    # scripts/run_experiments.py --bench: golden cases, specs, environment
+    import importlib.util
+    from pathlib import Path
+
+    from elang.corpus import load_golden
+
+    root = Path(__file__).resolve().parent.parent
+    loader = importlib.util.spec_from_file_location("run_experiments", root / "scripts" / "run_experiments.py")
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    spec = tmp_path / "t.spec"
+    spec.write_text(spec_text())
+    cases = [c for c in load_golden() if c.domain == "bulb.e"]
+    record = script.bench(cases, [spec], 1)
+    assert [g["name"] for g in record["golden"]] == [c.name for c in cases]
+    assert all(g["ok"] and g["seconds"] >= 0 for g in record["golden"])
+    assert [(s["name"], s["repeats"]) for s in record["specs"]] == [("t", 1)]
+    assert set(record["environment"]) == {"python", "platform", "nproc", "commit", "dirty"}
+    json.dumps(record)

@@ -253,6 +253,25 @@ def test_provenance_covers_every_clause():
     assert set(side["vars"]) == {str(v) for v in range(1, inst.num_vars + 1)}
 
 
+def test_answers_compile_without_export_labels(monkeypatch):
+    # variable names and clause origins are for --dimacs and provenance only
+    built = []
+    original = elang.sat.compile_theory
+
+    def recorded(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(elang.sat, "compile_theory", recorded)
+    th = ground(load_domain("corpus:bulb.e"), 4)
+    answer_sat(th, parse_query("skeptical { light holds-at 3 } horizon 4"))
+    [bare] = built
+    labelled = compile_theory(th)
+    assert not bare.names and not bare.origins
+    assert (bare.num_vars, bare.clauses) == (labelled.num_vars, labelled.clauses)
+    assert len(labelled.origins) == len(labelled.clauses)
+
+
 @pytest.mark.parametrize("num_vars", range(1, 11))
 def test_truth_column_matches_its_definition(num_vars):
     for i in range(num_vars):

@@ -3,14 +3,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import elang.query
+import elang.transition
 from elang.clauses import ClauseSet
-from elang.corpus import load_domain
-from elang.grounding import ground
+from elang.corpus import load_domain, load_golden
+from elang.grounding import GroundTheory, ground
 from elang.model import Atom
-from elang.parser import parse_domain
+from elang.parser import parse_domain, parse_query
+from elang.query import Evaluator, answer_theory, required_horizon
 from elang.transition import (
     brute_force_successors,
     direct_candidates,
@@ -105,6 +108,15 @@ def test_inconsistent_source_has_no_successors():
     src = atoms(th, "light")  # light without normal violates the constraint
     assert not th.state_consistent(src)
     assert successor_states(th, src, frozenset()) == []
+
+
+def test_step_can_repair_an_inconsistent_source():
+    # the violated constraint mentions light, which the step turns off
+    th = g(BULB_LAWS)
+    src = atoms(th, "light")
+    assert not th.state_consistent(src)
+    off = actions_of(th, "switch_off")
+    assert successor_states(th, src, off) == brute_force_successors(th, src, off) == [frozenset()]
 
 
 def test_preconditions_are_a_separate_check():
@@ -270,6 +282,144 @@ def test_guided_matches_brute_force_property(seed, state_bits):
     guided = set(successor_states(th, src, acts))
     brute = set(brute_force_successors(th, src, acts))
     assert guided == brute
+
+
+def consistent_states(th):
+    return [frozenset(v - 1 for v in model) for model in th.constraints.models()]
+
+
+def test_consistent_source_path_matches_brute_force_on_seeded_theories():
+    # the Evaluator's sources satisfy the constraints, and it says so
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(200):
+        domain = random_theory(rng)
+        th = ground(domain)
+        acts = frozenset(Atom(a, ()) for a in domain.signature.actions if rng.random() < 0.7)
+        sources = consistent_states(th)
+        if not sources:
+            continue
+        src = rng.choice(sources)
+        assert list(Evaluator(th).successors(src, acts)) == brute_force_successors(th, src, acts)
+        checked += 1
+    assert checked > 150
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 255))
+def test_consistent_source_path_matches_brute_force_property(seed, pick):
+    rng = random.Random(seed)
+    domain = random_theory(rng)
+    th = ground(domain)
+    sources = consistent_states(th)
+    assume(sources)
+    src = sources[pick % len(sources)]
+    acts = frozenset(Atom(a, ()) for a in domain.signature.actions)
+    assert list(Evaluator(th).successors(src, acts)) == brute_force_successors(th, src, acts)
+
+
+def failed_rule(th, source, applied, candidates, target):
+    """The first of rules a, b, c and e that ``target`` breaks, or None."""
+    changed = ramification_closure(th, applied, target)
+    if changed is None:
+        return "a"
+    if not all(th.holds(target, l) for l in changed):
+        return "b"
+    if not source ^ target <= {abs(l) - 1 for l in changed}:
+        return "c"
+    if not all(-c in changed for c in candidates - applied):
+        return "e"
+    return None
+
+
+def count_leaves(monkeypatch):
+    """Leaves the step search verifies, by the rule they fail ("ok" when
+    they pass)."""
+    counts = {}
+    verify = elang.transition._verify_target
+
+    def counted(th, source, applied, candidates, target):
+        ok = verify(th, source, applied, candidates, target)
+        rule = "ok" if ok else failed_rule(th, source, applied, candidates, target)
+        counts[rule] = counts.get(rule, 0) + 1
+        return ok
+
+    monkeypatch.setattr(elang.transition, "_verify_target", counted)
+    return counts
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_golden_leaves_break_no_support_rule(monkeypatch):
+    counts = count_leaves(monkeypatch)
+    [case] = [c for c in load_golden() if c.name == "dual-mounted-necessary-at-4"]
+    domain = load_domain("corpus:" + case.domain, *("corpus:" + s for s in case.scenarios))
+    theory = ground(domain, required_horizon(domain, case.query))
+    assert answer_theory(theory, case.query).answer == case.expect
+    assert counts.get("ok", 0) > 0
+    assert "c" not in counts and "e" not in counts, counts
+
+
+# A walk as the benchmark builds them: the direct zoo with feeding on the
+# six-position ring p2 p1 p3 p4 p5 p6, a fully observed start with john
+# riding dumpo, and one move per step.
+WALK_MOVES = (
+    ("dumpo", "p3"), ("elly", "p5"), ("dumpo", "p4"), ("elly", "p6"), ("dumpo", "p5"),
+    ("elly", "p2"), ("dumpo", "p6"), ("elly", "p1"), ("dumpo", "p2"), ("elly", "p3"),
+    ("dumpo", "p1"),
+)
+
+
+def walk_narrative():
+    lines = ["animal_pos(john, p1) holds-at 0.", "animal_pos(dumpo, p1) holds-at 0."]
+    lines.append("animal_pos(elly, p6) holds-at 0.")
+    for a in ("john", "elly", "dumpo"):
+        for b in ("john", "elly", "dumpo"):
+            sign = "" if (a, b) == ("john", "dumpo") else "neg "
+            lines.append("%srides(%s, %s) holds-at 0." % (sign, a, b))
+    lines += ["hungry(john) holds-at 0.", "neg hungry(elly) holds-at 0.", "hungry(dumpo) holds-at 0."]
+    for t, (mover, place) in enumerate(WALK_MOVES):
+        lines.append("move_to_position(%s, %s) happens-at %d." % (mover, place, t))
+    lines += ["feed_animal(elly) happens-at 2.", "feed_animal(john) happens-at 7."]
+    return "\n".join(lines) + "\n"
+
+
+def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
+    scenario = tmp_path / "walk.e"
+    scenario.write_text(walk_narrative())
+    horizon = len(WALK_MOVES)
+    th = ground(load_domain("gen:direct:6:feed", str(scenario)), horizon)
+    query = parse_query(
+        "skeptical { animal_pos(john, p1) holds-at %d, neg hungry(john) holds-at %d } horizon %d"
+        % (horizon, horizon, horizon)
+    )
+    counts = count_leaves(monkeypatch)
+    checks = count_calls(monkeypatch, GroundTheory, "state_consistent")
+    steps = count_calls(monkeypatch, elang.query, "successor_states")
+    initial = []
+    first_states = Evaluator._initial_states
+
+    def counted_initial(self, forced):
+        for state in first_states(self, forced):
+            initial.append(state)
+            yield state
+
+    monkeypatch.setattr(Evaluator, "_initial_states", counted_initial)
+    for use_slice in (False, True):
+        assert answer_theory(th, query, use_slice=use_slice).answer == "true"
+    assert counts.get("ok", 0) > 0
+    assert "c" not in counts and "e" not in counts, counts
+    assert len(checks) <= len(initial) < len(steps)
 
 
 def test_brute_force_bound():
