@@ -39,7 +39,7 @@ from .grounding import GroundTheory, ground
 from .model import Atom, DomainDescription, HProp, TProp
 from .parser import parse_domain, parse_query
 from .query import Query, answer_theory, required_horizon
-from .sat import answer_sat, check_fragment
+from .sat import check_fragment
 from .specfiles import SpecError, Stanza, parse_stanza_file, to_int
 
 FAMILIES = ("completeness", "irrelevance", "representation", "scaling")
@@ -151,15 +151,14 @@ def time_answer(
     backend: str,
     use_slice: bool,
 ) -> TimedAnswer:
+    from .cli import answer_on  # deferred: the CLI imports this module
+
     query = parse_query(query_text, domain.signature)
     answers = []
     runs = []
     for i in range(repeats + 1):  # first run is warmup
         start = time.perf_counter()
-        if backend == "sat":
-            result = answer_sat(theory, query, budget=budget)
-        else:
-            result = answer_theory(theory, query, budget=budget, use_slice=use_slice)
+        result = answer_on(theory, query, backend, budget=budget, use_slice=use_slice)
         elapsed = time.perf_counter() - start
         answers.append(result.answer)
         if i > 0:

@@ -20,11 +20,18 @@ from pathlib import Path
 from . import __version__, corpus
 from .bench import load_spec, run_experiment
 from .corpus import DomainRefError, load_domain
-from .grounding import GroundingError, ground, report_stats, dump_ground
+from .grounding import GroundingError, GroundTheory, ground, report_stats, dump_ground
 from .model import errors_of, validate
 # parse_domain is unused here but stays bound: perfbench/tracing.py patches it
 from .parser import ParseError, parse_domain, parse_query  # noqa: F401
-from .query import BudgetExceeded, answer_theory, check_consistency, required_horizon
+from .query import (
+    BudgetExceeded,
+    EntailmentResult,
+    Query,
+    answer_theory,
+    check_consistency,
+    required_horizon,
+)
 from .sat import FragmentError, answer_sat, check_fragment, compile_theory, to_dimacs
 from .specfiles import SpecError
 
@@ -72,6 +79,23 @@ def cmd_check(args) -> int:
     return EXIT_TRUE if consistent else EXIT_INCONSISTENT
 
 
+def answer_on(
+    theory: GroundTheory,
+    query: Query,
+    backend: str,
+    *,
+    budget: int | None = None,
+    use_slice: bool = False,
+) -> EntailmentResult:
+    """Answer ``query`` on the ``engine`` or ``sat`` backend: the one
+    dispatch ``elang query`` and the bench families share.  It calls the
+    answer functions through this module's names, which
+    ``perfbench/tracing.py`` wraps."""
+    if backend == "sat":
+        return answer_sat(theory, query, budget=budget)
+    return answer_theory(theory, query, budget=budget, use_slice=use_slice)
+
+
 def cmd_query(args) -> int:
     if args.query and (args.goal or args.mode):
         return _fail("--query FILE excludes --goal and --mode", EXIT_USAGE)
@@ -97,10 +121,7 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     theory = ground(domain, horizon)
-    if args.backend == "sat":
-        result = answer_sat(theory, query, budget=args.budget)
-    else:
-        result = answer_theory(theory, query, budget=args.budget, use_slice=args.slice == "on")
+    result = answer_on(theory, query, args.backend, budget=args.budget, use_slice=args.slice == "on")
     if args.json:
         print(json.dumps(result.to_record(), sort_keys=True))
     else:

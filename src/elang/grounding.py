@@ -13,6 +13,21 @@ over constant fluents with a negative premise is not a derivation step but
 an integrity check against the fixed values (this keeps the fixpoint a
 plain monotone closure).
 
+Each effect, whenever and needs statement is compiled once into a
+template (``_Template``): its bindings with the disequalities applied,
+and for each atom a table from the binding to the atom's literal code,
+constant value or action.  Instances are read off the tables; no
+substituted copy of a statement is built.  The statements over constant
+fluents only (constant heads, denials over constants, constant
+observations) are expanded first, for the fixpoint; the others after it,
+with their constant literals looked up in the fixed values.  Instances
+come out in statement order and, within a statement, in binding order:
+variables in sorted-name order, each ranging over its sort's constants in
+declaration order.  Errors keep a fixed precedence: an invalid domain,
+then the first statement (in source order) that makes a constant fluent
+change or depend on the state, then a denied or violated constant value,
+then an observation or occurrence outside the horizon.
+
 The result is a :class:`GroundTheory` over integer literal codes: fluent
 atom number ``i`` (0-based, declaration order, argument tuples in each
 sort's declaration order) is ``+(i+1)`` when true and ``-(i+1)`` when
@@ -22,7 +37,10 @@ false.  States are frozensets of true atom numbers.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .clauses import ClauseSet
 from .model import (
@@ -34,6 +52,7 @@ from .model import (
     HProp,
     PProp,
     RProp,
+    Signature,
     TProp,
     errors_of,
     infer_variable_sorts,
@@ -142,49 +161,63 @@ class GroundTheory:
         return "{%s}" % ", ".join(str(self.fluents[i]) for i in sorted(state))
 
 
-def _ground_instances(domain: DomainDescription, prop, src: int):
-    """Yield ground copies of one proposition, in deterministic order."""
-    sig = domain.signature
-    var_sorts, problems = infer_variable_sorts(sig, prop)
-    if problems:
-        raise GroundingError("cannot ground statement %d: %s" % (src, problems[0]))
-    names = sorted(var_sorts)
-    pools = []
-    for v in names:
-        constants = sig.sorts.get(var_sorts[v])
-        if constants is None:
-            raise GroundingError(
-                "cannot ground statement %d: sort %s is not declared" % (src, var_sorts[v])
-            )
-        pools.append(constants)
-    for combo in itertools.product(*pools):
-        binding = dict(zip(names, combo))
-        yield _substitute_prop(prop, binding)
+class _Template:
+    """One effect, whenever or needs statement compiled for grounding.
+
+    Its variables are slots in sorted-name order, so ``bindings`` lists the
+    sort-respecting bindings in the order ``itertools.product`` visits
+    them, less the ones a disequality rules out (``dropped`` counts
+    those).  ``lookup`` compiles an atom of the statement into a getter and
+    a table over the slots the atom uses: ``table[getter(binding)]`` is
+    the atom's value, computed once per ground argument tuple."""
+
+    def __init__(self, sig: Signature, prop: CProp | RProp | PProp, src: int):
+        var_sorts, problems = infer_variable_sorts(sig, prop)
+        if problems:
+            raise GroundingError("cannot ground statement %d: %s" % (src, problems[0]))
+        names = sorted(var_sorts)
+        self.pools = []
+        for v in names:
+            constants = sig.sorts.get(var_sorts[v])
+            if constants is None:
+                raise GroundingError(
+                    "cannot ground statement %d: sort %s is not declared" % (src, var_sorts[v])
+                )
+            self.pools.append(constants)
+        self.names = names
+        self.slot = {v: i for i, v in enumerate(names)}
+        bindings = list(itertools.product(*self.pools))
+        kept = bindings
+        for a, b in prop.condition.diseqs:
+            i, j = self.slot.get(a), self.slot.get(b)
+            if i is None:
+                i, j, a, b = j, i, b, a
+            if i is None:
+                kept = kept if a != b else []
+            elif j is None:
+                kept = [combo for combo in kept if combo[i] != b]
+            else:
+                kept = [combo for combo in kept if combo[i] != combo[j]]
+        self.bindings = kept
+        self.dropped = len(bindings) - len(kept)
+
+    def lookup(self, atom: Atom, value: Callable[[tuple[str, ...]], object]):
+        slots = sorted({self.slot[t] for t in atom.args if t in self.slot})
+        getter = operator.itemgetter(*slots) if slots else _no_slots
+        where = [slots.index(self.slot[t]) if t in self.slot else None for t in atom.args]
+        table = {}
+        for combo in itertools.product(*(self.pools[i] for i in slots)):
+            args = tuple(t if k is None else combo[k] for k, t in zip(where, atom.args))
+            table[combo[0] if len(slots) == 1 else combo] = value(args)
+        return getter, table
+
+    def instance(self, atom: Atom, combo: tuple[str, ...]) -> Atom:
+        """``atom`` under one binding, for error messages."""
+        return atom.substitute(dict(zip(self.names, combo)))
 
 
-def _substitute_prop(prop, binding):
-    if isinstance(prop, TProp):
-        return TProp(prop.literal.substitute(binding), prop.time)
-    if isinstance(prop, HProp):
-        return HProp(prop.action.substitute(binding), prop.time)
-    if isinstance(prop, CProp):
-        return CProp(
-            prop.action.substitute(binding),
-            prop.initiates,
-            prop.fluent.substitute(binding),
-            prop.condition.substitute(binding),
-            (),
-        )
-    if isinstance(prop, RProp):
-        head = None if prop.head is None else prop.head.substitute(binding)
-        return RProp(head, prop.condition.substitute(binding), ())
-    if isinstance(prop, PProp):
-        return PProp(prop.action.substitute(binding), prop.condition.substitute(binding), ())
-    raise TypeError("not a proposition: %r" % (prop,))
-
-
-def _diseq_ok(condition: Condition) -> bool:
-    return all(a != b for a, b in condition.diseqs)
+def _no_slots(combo: tuple[str, ...]) -> tuple[()]:
+    return ()
 
 
 def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheory:
@@ -202,162 +235,209 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
 
     stats = GroundingStats(horizon=horizon)
 
+    # Dynamic and constant atoms are numbered apart; numbers[name][args]
+    # is an atom's number among its kind, and its code is that plus one.
     constant_atoms: list[Atom] = []
     dynamic_atoms: list[Atom] = []
+    numbers: dict[str, dict[tuple[str, ...], int]] = {}
     for decl in sig.fluents.values():
-        pools = [sig.sorts[s] for s in decl.arg_sorts]
-        atoms = [Atom(decl.name, args) for args in itertools.product(*pools)]
-        (constant_atoms if decl.constant else dynamic_atoms).extend(atoms)
+        atoms = constant_atoms if decl.constant else dynamic_atoms
+        table = numbers[decl.name] = {}
+        for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts)):
+            table[args] = len(atoms)
+            atoms.append(Atom(decl.name, args))
     fluents = tuple(dynamic_atoms)
     index = {atom: i for i, atom in enumerate(fluents)}
     stats.fluent_atoms = len(fluents)
     stats.constant_atoms = len(constant_atoms)
+    values = [False] * len(constant_atoms)  # closed world until derived
 
     def is_constant(atom: Atom) -> bool:
         return sig.fluents[atom.name].constant
 
-    # Pass 1: expand every proposition to ground instances.
-    ground_props: list[tuple[object, int]] = []
-    for src, prop in enumerate(domain.propositions):
-        if isinstance(prop, (TProp, HProp)):
-            ground_props.append((prop, src))
-            continue
-        for inst in _ground_instances(domain, prop, src):
-            cond = inst.condition
-            if not _diseq_ok(cond):
-                stats.dropped_instances += 1
-                continue
-            ground_props.append((inst, src))
+    def coder(lit: FluentLiteral) -> Callable[[tuple[str, ...]], Lit]:
+        nums, sign = numbers[lit.atom.name], 1 if lit.positive else -1
+        return lambda args: sign * (nums[args] + 1)
 
-    # Pass 2: fix constant fluent values by closed-world least fixpoint.
-    constant_values = {atom: False for atom in constant_atoms}
-    facts: list[tuple[Atom, int]] = []
-    neg_obs: list[tuple[Atom, int]] = []
-    rules: list[tuple[Atom, frozenset[FluentLiteral], int]] = []
-    checks: list[tuple[RProp, int]] = []
-    for inst, src in ground_props:
-        if isinstance(inst, TProp) and is_constant(inst.literal.atom):
-            if inst.literal.positive:
-                facts.append((inst.literal.atom, src))
+    def holds(code: Lit) -> bool:
+        return values[abs(code) - 1] == (code > 0)
+
+    props = domain.propositions
+    templates = {
+        src: _Template(sig, prop, src)
+        for src, prop in enumerate(props)
+        if not isinstance(prop, (TProp, HProp))
+    }
+    stats.dropped_instances = sum(t.dropped for t in templates.values())
+
+    # Before the fixpoint: expand the statements over constant fluents
+    # only, and reject the first that lets a constant fluent change or
+    # depend on the state.
+    facts: list[Lit] = []
+    denied: list[tuple[Lit, int]] = []
+    rules: list[tuple[tuple[Lit, ...], Lit]] = []
+    checks: list[tuple[tuple[Lit, ...], Lit | None, int]] = []
+    for src, prop in enumerate(props):
+        if isinstance(prop, TProp) and is_constant(prop.literal.atom):
+            code = coder(prop.literal)(prop.literal.atom.args)
+            if code > 0:
+                facts.append(code)
             else:
-                neg_obs.append((inst.literal.atom, src))
-        elif isinstance(inst, RProp):
-            head_constant = inst.head is not None and is_constant(inst.head.atom)
-            body_all_constant = all(is_constant(l.atom) for l in inst.condition.literals)
-            if head_constant and not body_all_constant:
+                denied.append((code, src))
+        if not isinstance(prop, (CProp, RProp)):
+            continue
+        tpl = templates[src]
+        if isinstance(prop, CProp):
+            if is_constant(prop.fluent) and tpl.bindings:
+                first = tpl.bindings[0]
+                raise GroundingError(
+                    "statement %d lets action %s change constant fluent %s"
+                    % (src, tpl.instance(prop.action, first), tpl.instance(prop.fluent, first)),
+                    kind="constant-effect",
+                )
+            continue
+        body_constant = all(is_constant(l.atom) for l in prop.condition.literals)
+        head_constant = prop.head is not None and is_constant(prop.head.atom)
+        if head_constant and not body_constant:
+            if tpl.bindings:
                 raise GroundingError(
                     "statement %d makes constant fluent %s depend on state-varying fluents"
-                    % (src, inst.head.atom),
+                    % (src, tpl.instance(prop.head.atom, tpl.bindings[0])),
                     kind="constant-dynamic",
                 )
-            if head_constant and inst.head.positive:
-                body = inst.condition.literals
-                if any(not l.positive for l in body):
-                    # Negative constant premises are closed-world tests, not
-                    # derivation steps; treat the rule as a post-fixpoint check.
-                    checks.append((inst, src))
-                else:
-                    rules.append((inst.head.atom, body, src))
-            elif body_all_constant and (inst.head is None or head_constant):
-                checks.append((inst, src))
-        elif isinstance(inst, CProp) and is_constant(inst.fluent):
-            raise GroundingError(
-                "statement %d lets action %s change constant fluent %s"
-                % (src, inst.action, inst.fluent),
-                kind="constant-effect",
-            )
-    for atom, src in facts:
-        constant_values[atom] = True
+            continue
+        if not body_constant or not (head_constant or prop.head is None):
+            continue
+        # A rule with a negative premise is a closed-world test, not a
+        # derivation step: checking it after the fixpoint keeps the
+        # fixpoint a plain monotone closure.
+        derives = head_constant and prop.head.positive
+        derives = derives and all(l.positive for l in prop.condition.literals)
+        body = [tpl.lookup(l.atom, coder(l)) for l in prop.condition.literals]
+        head = None if prop.head is None else tpl.lookup(prop.head.atom, coder(prop.head))
+        for combo in tpl.bindings:
+            codes = tuple(table[getter(combo)] for getter, table in body)
+            head_code = None if head is None else head[1][head[0](combo)]
+            if derives:
+                rules.append((codes, head_code))
+            else:
+                checks.append((codes, head_code, src))
+        if prop.head is None:
+            # a denial over constants never holds (checked below), so every
+            # instance of it is dropped
+            stats.dropped_instances += len(tpl.bindings)
+    for code in facts:
+        values[code - 1] = True
     changed = True
     while changed:
         changed = False
-        for head, body, src in rules:
-            if constant_values[head]:
-                continue
-            if all(constant_values[l.atom] == l.positive for l in body):
-                constant_values[head] = True
+        for body_codes, head_code in rules:
+            if not values[head_code - 1] and all(values[c - 1] for c in body_codes):
+                values[head_code - 1] = True
                 changed = True
-    for atom, src in neg_obs:
-        if constant_values[atom]:
+    for code, src in denied:
+        if values[-code - 1]:
             raise GroundingError(
-                "statement %d denies constant fluent %s, which is derived true" % (src, atom),
+                "statement %d denies constant fluent %s, which is derived true"
+                % (src, constant_atoms[-code - 1]),
                 kind="constant-conflict",
             )
-    for inst, src in checks:
-        if all(constant_values[l.atom] == l.positive for l in inst.condition.literals):
-            if inst.head is None or constant_values[inst.head.atom] != inst.head.positive:
-                raise GroundingError(
-                    "statement %d is violated by the fixed constant fluent values" % src,
-                    kind="constant-contradiction",
-                )
+    for body_codes, head_code, src in checks:
+        if all(holds(c) for c in body_codes) and (head_code is None or not holds(head_code)):
+            raise GroundingError(
+                "statement %d is violated by the fixed constant fluent values" % src,
+                kind="constant-contradiction",
+            )
 
-    def residue(cond: Condition) -> frozenset[Lit] | None:
-        """Evaluate constant literals; None when the condition can never hold."""
-        out: set[Lit] = set()
-        for lit in cond.literals:
+    def residues(tpl: _Template, condition: Condition):
+        """Each binding with the codes of its condition's dynamic literals
+        and whether its constant literals hold and the codes never clash."""
+        fixed, dynamic, signs = [], [], set()
+        for lit in condition.literals:
             if is_constant(lit.atom):
-                if constant_values[lit.atom] != lit.positive:
-                    return None
+                code = coder(lit)
+                fixed.append(tpl.lookup(lit.atom, lambda args, code=code: holds(code(args))))
             else:
-                code = index[lit.atom] + 1
-                out.add(code if lit.positive else -code)
-        if any(-c in out for c in out):
-            return None
-        return frozenset(out)
+                dynamic.append(tpl.lookup(lit.atom, coder(lit)))
+                signs.add((lit.atom.name, lit.positive))
+        may_clash = any((name, False) in signs for name, positive in signs if positive)
+        for combo in tpl.bindings:
+            codes = frozenset([table[getter(combo)] for getter, table in dynamic])
+            ok = True
+            for getter, table in fixed:
+                if not table[getter(combo)]:
+                    ok = False
+                    break
+            if ok and may_clash:
+                ok = not any(-c in codes for c in codes)
+            yield combo, codes, ok
 
-    # Pass 3: build the dynamic ground theory.
+    # After the fixpoint: expand the statements over dynamic fluents, in
+    # statement order and binding order, with constants resolved.
     cprops: list[GroundCProp] = []
     rprops: list[GroundRProp] = []
     pprops: list[GroundPProp] = []
     occurrences: dict[int, set[Atom]] = {}
     observations: dict[int, set[Lit]] = {}
-    for inst, src in ground_props:
-        if isinstance(inst, TProp):
-            if is_constant(inst.literal.atom):
+    for src, prop in enumerate(props):
+        if isinstance(prop, TProp):
+            if is_constant(prop.literal.atom):
                 continue
-            if not (0 <= inst.time <= horizon):
+            if not (0 <= prop.time <= horizon):
                 raise GroundingError(
-                    "observation at time %d is outside 0..%d" % (inst.time, horizon),
+                    "observation at time %d is outside 0..%d" % (prop.time, horizon),
                     kind="horizon",
                 )
-            observations.setdefault(inst.time, set()).add(_code(index, inst.literal))
-        elif isinstance(inst, HProp):
-            if not (0 <= inst.time < horizon):
+            code = coder(prop.literal)(prop.literal.atom.args)
+            observations.setdefault(prop.time, set()).add(code)
+        elif isinstance(prop, HProp):
+            if not (0 <= prop.time < horizon):
                 raise GroundingError(
                     "occurrence at time %d has no following state within horizon %d"
-                    % (inst.time, horizon),
+                    % (prop.time, horizon),
                     kind="horizon",
                 )
-            occurrences.setdefault(inst.time, set()).add(inst.action)
-        elif isinstance(inst, CProp):
-            if is_constant(inst.fluent):
+            occurrences.setdefault(prop.time, set()).add(prop.action)
+        elif isinstance(prop, CProp):
+            if is_constant(prop.fluent):
                 continue
-            cond = residue(inst.condition)
-            if cond is None:
-                stats.dropped_instances += 1
-                continue
-            cprops.append(GroundCProp(inst.action, inst.initiates, index[inst.fluent], cond, src))
-        elif isinstance(inst, RProp):
-            if inst.head is not None and is_constant(inst.head.atom):
-                continue  # folded into the constant fixpoint above
-            cond = residue(inst.condition)
-            if cond is None:
-                stats.dropped_instances += 1
-                continue
-            head = None if inst.head is None else _code(index, inst.head)
-            rprops.append(GroundRProp(head, cond, src))
-        elif isinstance(inst, PProp):
-            cond_set: set[Lit] = set()
-            impossible = False
-            for lit in inst.condition.literals:
-                if is_constant(lit.atom):
-                    if constant_values[lit.atom] != lit.positive:
-                        impossible = True  # the action can then never occur legally
+            tpl = templates[src]
+            get_action, actions = tpl.lookup(prop.action, partial(Atom, prop.action.name))
+            get_fluent, fluent_nums = tpl.lookup(prop.fluent, numbers[prop.fluent.name].get)
+            for combo, codes, ok in residues(tpl, prop.condition):
+                if ok:
+                    cprops.append(
+                        GroundCProp(
+                            actions[get_action(combo)],
+                            prop.initiates,
+                            fluent_nums[get_fluent(combo)],
+                            codes,
+                            src,
+                        )
+                    )
                 else:
-                    cond_set.add(_code(index, lit))
-            if any(-c in cond_set for c in cond_set):
-                impossible = True
-            pprops.append(GroundPProp(inst.action, frozenset(cond_set), src, impossible))
+                    stats.dropped_instances += 1
+        elif isinstance(prop, RProp):
+            if prop.head is None:
+                if all(is_constant(l.atom) for l in prop.condition.literals):
+                    continue  # dropped above
+                get_head, heads = _no_slots, {(): None}
+            elif is_constant(prop.head.atom):
+                continue  # folded into the constant fixpoint above
+            else:
+                get_head, heads = templates[src].lookup(prop.head.atom, coder(prop.head))
+            for combo, codes, ok in residues(templates[src], prop.condition):
+                if ok:
+                    rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
+                else:
+                    stats.dropped_instances += 1
+        else:
+            tpl = templates[src]
+            get_action, actions = tpl.lookup(prop.action, partial(Atom, prop.action.name))
+            for combo, codes, ok in residues(tpl, prop.condition):
+                # a precondition that can never hold keeps its action from
+                # ever occurring legally
+                pprops.append(GroundPProp(actions[get_action(combo)], codes, src, not ok))
 
     stats.cprops = len(cprops)
     stats.rprops = sum(1 for r in rprops if r.head is not None)
@@ -369,7 +449,7 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     theory = GroundTheory(
         fluents=fluents,
         index=index,
-        constant_values=constant_values,
+        constant_values=dict(zip(constant_atoms, values)),
         cprops=cprops,
         rprops=rprops,
         pprops=pprops,
@@ -380,11 +460,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     )
     _build_indexes(theory)
     return theory
-
-
-def _code(index: dict[Atom, int], literal: FluentLiteral) -> Lit:
-    num = index[literal.atom] + 1
-    return num if literal.positive else -num
 
 
 def _build_indexes(theory: GroundTheory) -> None:

@@ -24,6 +24,7 @@ long horizon nor a wide state runs into Python's recursion limit.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -334,51 +335,63 @@ def slice_for_goals(
     theory whenever the full theory is consistent; an inconsistency caused
     purely by dropped atoms is invisible to the slice.
     """
-    edges: list[set[int]] = []
+    edges: list[list[int]] = []  # the atoms of each effect and ramification statement
     for cp in theory.cprops:
-        edges.append({cp.fluent} | {abs(c) - 1 for c in cp.condition})
+        edges.append([cp.fluent, *(abs(c) - 1 for c in cp.condition)])
     for rp in theory.rprops:
-        atoms = {abs(c) - 1 for c in rp.condition}
+        edges.append([abs(c) - 1 for c in rp.condition])
         if rp.head is not None:
-            atoms.add(abs(rp.head) - 1)
-        edges.append(atoms)
+            edges[-1].append(abs(rp.head) - 1)
+    by_atom: list[list[int]] = [[] for _ in range(theory.n_fluents)]
+    for e, atoms in enumerate(edges):
+        for a in atoms:
+            by_atom[a].append(e)
+    # One breadth-first pass: every statement touching a kept atom is
+    # visited once, and all its atoms are kept.
     keep = set(goal_atoms)
-    grew = True
-    while grew:
-        grew = False
-        for edge in edges:
-            if edge & keep and not edge <= keep:
-                keep |= edge
-                grew = True
+    visited = [False] * len(edges)
+    queue = deque(keep)
+    while queue:
+        for e in by_atom[queue.popleft()]:
+            if not visited[e]:
+                visited[e] = True
+                for a in edges[e]:
+                    if a not in keep:
+                        keep.add(a)
+                        queue.append(a)
     kept = sorted(keep)
     remap = {old: new for new, old in enumerate(kept)}
+    # recode[c] is the sliced code of literal code c, 0 for a dropped atom;
+    # negative codes index from the end of the list.
+    recode = [0] * (2 * theory.n_fluents + 1)
+    for old, new in remap.items():
+        recode[old + 1] = new + 1
+        recode[-old - 1] = -new - 1
 
-    def rlit(code: Lit) -> Lit:
-        return (remap[abs(code) - 1] + 1) * (1 if code > 0 else -1)
+    def recoded(codes) -> frozenset[Lit]:
+        return frozenset([recode[c] for c in codes])
 
+    n_cprops = len(theory.cprops)
     cprops = [
-        GroundCProp(cp.action, cp.initiates, remap[cp.fluent], frozenset(map(rlit, cp.condition)), cp.src)
-        for cp in theory.cprops
-        if cp.fluent in keep
+        GroundCProp(cp.action, cp.initiates, remap[cp.fluent], recoded(cp.condition), cp.src)
+        for cp, seen in zip(theory.cprops, visited)
+        if seen
     ]
     rprops = []
-    for rp in theory.rprops:
-        atoms = {abs(c) - 1 for c in rp.condition}
-        if rp.head is not None:
-            atoms.add(abs(rp.head) - 1)
-        if not atoms and rp.head is None:
+    for rp, seen in zip(theory.rprops, visited[n_cprops:]):
+        if seen:
+            head = None if rp.head is None else recode[rp.head]
+            rprops.append(GroundRProp(head, recoded(rp.condition), rp.src))
+        elif rp.head is None and not rp.condition:
             rprops.append(rp)  # groundless denial: the theory is never consistent
-        elif atoms and atoms <= keep:
-            head = None if rp.head is None else rlit(rp.head)
-            rprops.append(GroundRProp(head, frozenset(map(rlit, rp.condition)), rp.src))
     pprops = []
     for pp in theory.pprops:
-        filtered = frozenset(rlit(c) for c in pp.condition if abs(c) - 1 in keep)
+        filtered = recoded(pp.condition) - {0}
         if filtered or pp.impossible:
             pprops.append(GroundPProp(pp.action, filtered, pp.src, pp.impossible))
     observations = {}
     for t, obs in theory.observations.items():
-        inside = frozenset(rlit(c) for c in obs if abs(c) - 1 in keep)
+        inside = recoded(obs) - {0}
         if inside:
             observations[t] = inside
     stats = GroundingStats(

@@ -44,8 +44,12 @@ def _diseq_ok(cond: Condition) -> bool:
 
 
 def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
-    """Ground a description by full enumeration; returns comparable sets
-    of rendered statements."""
+    """Ground a description by full enumeration.  Returns the rendered
+    effect, ramification and precondition instances as lists in statement
+    order, then binding order (variables in sorted-name order, each over
+    its sort's constants in declaration order); the constants, occurrences
+    and observations as sets; and under ``dropped`` the number of
+    instances a disequality or a residue that can never hold removed."""
     sig = domain.signature
     constant_names = {n for n, d in sig.fluents.items() if d.constant}
 
@@ -54,6 +58,7 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
 
     # expand every statement over all sort-respecting bindings
     instances = []
+    dropped = 0
     for prop in domain.propositions:
         if isinstance(prop, (TProp, HProp)):
             instances.append(prop)
@@ -74,6 +79,8 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
                 inst = PProp(prop.action.substitute(binding), prop.condition.substitute(binding), ())
             if _diseq_ok(inst.condition):
                 instances.append(inst)
+            else:
+                dropped += 1
 
     # closed-world fixpoint for constant fluents: positive facts plus rules
     # whose body holds entirely of already-derived positive constants
@@ -114,7 +121,7 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
         strs = {str(l) for l in lits}
         return any(str(FluentLiteral(l.atom, not l.positive)) in strs for l in lits)
 
-    out = {"cprops": set(), "rprops": set(), "pprops": set(), "constants": set(),
+    out = {"cprops": [], "rprops": [], "pprops": [], "constants": set(),
            "occurrences": set(), "observations": set()}
     out["constants"] = {str(a) for a in derived}
     for inst in instances:
@@ -131,8 +138,9 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
                 continue
             body = residue(inst.condition)
             if body is None or contradictory(body):
+                dropped += 1
                 continue
-            out["cprops"].add(
+            out["cprops"].append(
                 "%s|%s|%s|%s"
                 % (inst.action, "+" if inst.initiates else "-", inst.fluent,
                    ",".join(sorted(str(l) for l in body)))
@@ -142,43 +150,46 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
                 continue
             body = residue(inst.condition)
             if body is None or contradictory(body):
+                dropped += 1
                 continue
             head = str(inst.head) if inst.head is not None else "false"
-            out["rprops"].add("%s|%s" % (head, ",".join(sorted(str(l) for l in body))))
+            out["rprops"].append("%s|%s" % (head, ",".join(sorted(str(l) for l in body))))
         elif isinstance(inst, PProp):
             body = residue(inst.condition)
             if body is None or contradictory(body):
-                out["pprops"].add("%s|impossible" % inst.action)
+                out["pprops"].append("%s|impossible" % inst.action)
             else:
-                out["pprops"].add(
+                out["pprops"].append(
                     "%s|%s" % (inst.action, ",".join(sorted(str(l) for l in body)))
                 )
+    out["dropped"] = dropped
     return out
 
 
 def theory_strings(theory) -> dict:
     """Render a GroundTheory into the same shape as naive_ground_strings."""
-    out = {"cprops": set(), "rprops": set(), "pprops": set(), "constants": set(),
+    out = {"cprops": [], "rprops": [], "pprops": [], "constants": set(),
            "occurrences": set(), "observations": set()}
     out["constants"] = {str(a) for a, v in theory.constant_values.items() if v}
     for cp in theory.cprops:
-        out["cprops"].add(
+        out["cprops"].append(
             "%s|%s|%s|%s"
             % (cp.action, "+" if cp.initiates else "-", theory.fluents[cp.fluent],
                ",".join(sorted(theory.lit_str(l) for l in cp.condition)))
         )
     for rp in theory.rprops:
         head = theory.lit_str(rp.head) if rp.head is not None else "false"
-        out["rprops"].add(
+        out["rprops"].append(
             "%s|%s" % (head, ",".join(sorted(theory.lit_str(l) for l in rp.condition)))
         )
     for pp in theory.pprops:
         if pp.impossible:
-            out["pprops"].add("%s|impossible" % pp.action)
+            out["pprops"].append("%s|impossible" % pp.action)
         else:
-            out["pprops"].add(
+            out["pprops"].append(
                 "%s|%s" % (pp.action, ",".join(sorted(theory.lit_str(l) for l in pp.condition)))
             )
+    out["dropped"] = theory.stats.dropped_instances
     for t, actions in theory.occurrences.items():
         for a in actions:
             out["occurrences"].add("%d:%s" % (t, a))

@@ -214,6 +214,36 @@ def test_matches_naive_oracle_on_random_domains():
         checked += 1
 
 
+def _walk_domain(positions: int, steps: int, seed: int):
+    """The generated direct zoo with feeding, plus a seeded narrative: a
+    fully observed start, then one move per step and a feeding now and
+    then, the shape of a long walk."""
+    from elang.corpus import generate_zoo
+
+    text = generate_zoo("direct", positions, include_feed=True)
+    sorts = parse_domain(text).domain.signature.sorts
+    animals, places = sorts["animal"], sorts["position"]
+    rng = random.Random(seed)
+    lines = []
+    for a in animals:
+        lines.append("animal_pos(%s, %s) holds-at 0." % (a, rng.choice(places)))
+        lines.append("%shungry(%s) holds-at 0." % (rng.choice(["", "neg "]), a))
+        for b in animals:
+            lines.append("neg rides(%s, %s) holds-at 0." % (a, b))
+    for t in range(steps):
+        lines.append("move_to_position(%s, %s) happens-at %d." % (rng.choice(animals), rng.choice(places), t))
+        if rng.random() < 0.3:
+            lines.append("feed_animal(%s) happens-at %d." % (rng.choice(animals), t))
+    return parse_domain(text + "\n".join(lines) + "\n").domain
+
+
+def test_walk_shaped_theory_matches_naive_oracle():
+    domain = _walk_domain(15, 80, seed=5)
+    th = ground(domain, 80)
+    assert th.stats.cprops > 4000 and th.stats.dropped_instances > 1000
+    assert theory_strings(th) == naive_ground_strings(domain, 80)
+
+
 def test_zoo_matches_naive_oracle():
     from elang.corpus import load_domain
 
@@ -221,3 +251,69 @@ def test_zoo_matches_naive_oracle():
         domain = load_domain("corpus:" + name, "corpus:zoo_scenario_base.e")
         th = ground(domain, 6)
         assert theory_strings(th) == naive_ground_strings(domain, 6), name
+
+
+def _grounding_error(text, horizon=3):
+    with pytest.raises(GroundingError) as exc:
+        g(text, horizon)
+    return exc.value.kind, str(exc.value)
+
+
+def test_sort_error_in_later_statement_beats_earlier_constant_effect():
+    text = """
+    sort s: a.
+    sort r: b.
+    constant fluent tame(s).
+    fluent f(r).
+    action pet(s).
+    pet(X) initiates tame(X).
+    f(X) whenever { tame(X) }.
+    """
+    assert _grounding_error(text) == (
+        "invalid-domain",
+        "invalid domain: error [sort-conflict]: statement 2: "
+        "variable X used with conflicting sorts r and s",
+    )
+
+
+def test_first_constant_statement_error_wins_in_statement_order():
+    decls = """
+    sort s: a, b.
+    constant fluent tame(s).
+    fluent happy(s).
+    action pet(s).
+    """
+    effect = "pet(X) initiates tame(Y) when { X != Y }."
+    dynamic = "tame(X) whenever { happy(X) }."
+    # the message names the first binding the disequality leaves
+    assert _grounding_error(decls + effect + dynamic) == (
+        "constant-effect",
+        "statement 0 lets action pet(a) change constant fluent tame(b)",
+    )
+    assert _grounding_error(decls + dynamic + effect) == (
+        "constant-dynamic",
+        "statement 0 makes constant fluent tame(a) depend on state-varying fluents",
+    )
+
+
+def test_constant_contradiction_beats_horizon_error():
+    decls = """
+    sort s: a.
+    constant fluent tame(s).
+    fluent dyn(s).
+    action pet(s).
+    """
+    late = "pet(a) happens-at 5. dyn(a) holds-at 7."
+    contradiction = "tame(a) holds-at 0. false whenever { tame(X) }."
+    assert _grounding_error(decls + late + contradiction) == (
+        "constant-contradiction",
+        "statement 3 is violated by the fixed constant fluent values",
+    )
+    assert _grounding_error(decls + contradiction + late) == (
+        "constant-contradiction",
+        "statement 1 is violated by the fixed constant fluent values",
+    )
+    assert _grounding_error(decls + late) == (
+        "horizon",
+        "occurrence at time 5 has no following state within horizon 3",
+    )
