@@ -5,10 +5,10 @@ Usage: python scripts/run_experiments.py [--out DIR] [--repeats N] [--only NAME]
        python scripts/run_experiments.py --bench FILE [--repeats N] [--only NAME]
 
 With ``--bench FILE`` no tables are written.  Instead FILE receives one
-JSON record: the wall time of each golden case on the engine backend
-(load, ground and answer), the elapsed time of each spec at ``--repeats``
-(1 unless given), and the environment the run was made in.  Compare two
-such records only when their environments match.
+JSON record: the wall time of each golden case (load, ground and answer)
+on the engine backend and on the SAT backend, the elapsed time of each
+spec at ``--repeats`` (1 unless given), and the environment the run was
+made in.  Compare two such records only when their environments match.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ import time
 from pathlib import Path
 
 from elang.bench import load_spec, run_experiment
-from elang.corpus import evaluate_case, load_golden
+from elang.corpus import evaluate_case, load_domain, load_golden
+from elang.grounding import ground
+from elang.query import required_horizon
+from elang.sat import answer_sat
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "experiments"
@@ -51,14 +54,27 @@ def environment() -> dict:
     }
 
 
+def answer_case_on_sat(case) -> None:
+    """Load and ground a golden case, and answer it with ``answer_sat``."""
+    domain = load_domain(*("corpus:" + name for name in (case.domain,) + case.scenarios))
+    answer_sat(ground(domain, required_horizon(domain, case.query)), case.query)
+
+
 def bench(cases, specs: list[Path], repeats: int) -> dict:
-    """Time each golden case and each spec once, in the given order."""
+    """Time each golden case on both backends and each spec once, in the
+    given order."""
     golden = []
     for case in cases:
         start = time.perf_counter()
         outcome = evaluate_case(case)
         elapsed = time.perf_counter() - start
-        golden.append({"name": case.name, "answer": outcome.got, "ok": outcome.ok, "seconds": round(elapsed, 4)})
+        start = time.perf_counter()
+        answer_case_on_sat(case)
+        sat_elapsed = time.perf_counter() - start
+        golden.append({
+            "name": case.name, "answer": outcome.got, "ok": outcome.ok,
+            "seconds": round(elapsed, 4), "sat_seconds": round(sat_elapsed, 4),
+        })
     timed_specs = []
     for path in specs:
         spec = load_spec(path)
@@ -71,6 +87,7 @@ def bench(cases, specs: list[Path], repeats: int) -> dict:
         "environment": environment(),
         "golden": golden,
         "golden_seconds": round(sum(g["seconds"] for g in golden), 4),
+        "golden_sat_seconds": round(sum(g["sat_seconds"] for g in golden), 4),
         "specs": timed_specs,
     }
 
@@ -92,7 +109,8 @@ def main() -> int:
     if args.bench:
         record = bench(load_golden(), specs, 1 if args.repeats is None else args.repeats)
         Path(args.bench).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print("golden %5.1fs  %s" % (record["golden_seconds"], args.bench))
+        print("golden %5.1fs, on sat %5.1fs  %s"
+              % (record["golden_seconds"], record["golden_sat_seconds"], args.bench))
         return 0
     for path in specs:
         spec = load_spec(path)

@@ -5,7 +5,7 @@ preconditions) with ramification statements, observations and action
 occurrences over integer time.  The toolkit grounds a description,
 enumerates its models under persistence-with-consistency semantics, and
 answers credulous and skeptical queries, either by explicit search or by
-compilation to clauses on a restricted fragment.
+compilation to clauses.
 """
 
 __version__ = "0.1.0"

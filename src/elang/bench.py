@@ -10,17 +10,18 @@ Experiment specs are stanza files (see specfiles).  Four families:
 * ``representation``: run one suite across the direct, indirect and dual
   zoo representations and compare times; an ``agree`` column marks where a
   variant's answer matches the first listed one, since the representations
-  genuinely differ on some conclusions.  On the SAT backend a domain
-  outside the fragment keeps its rows, with no answer, agreement or time.
+  genuinely differ on some conclusions.  A ``fragment`` column says
+  whether ``sat.check_fragment`` accepts the domain; both backends answer
+  every domain either way.
 * ``scaling``: grow the zoo terrain, recording grounding statistics and
   one query's time per size on the chosen backend.
 
 Timing is the median of ``repeats`` runs after one discarded warmup run,
 covering the answer phase only (grounding and slicing are timed
-separately where they matter).  On the SAT backend the fragment check and
-the compilation happen once per ground theory, in the warmup run, so
-``median_ms`` covers the solves only.  Results go to TSV and JSONL, the
-latter with an environment fingerprint record first.
+separately where they matter).  On the SAT backend the compilation
+happens once per ground theory, in the warmup run, so ``median_ms``
+covers the solves (and their decoded-step checks) only.  Results go to
+TSV and JSONL, the latter with an environment fingerprint record first.
 """
 
 from __future__ import annotations
@@ -335,12 +336,6 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
         th = ground_for(spec, dom)
         fragment = check_fragment(th).accepted
         for q in spec.queries:
-            if spec.backend == "sat" and not fragment:
-                rows.append({
-                    "domain": domain_label(ref), "fragment": fragment, "query": q,
-                    "answer": None, "agree": None, "median_ms": None,
-                })
-                continue
             timed = time_answer(
                 th, q, dom, repeats=spec.repeats, budget=spec.budget,
                 backend=spec.backend, use_slice=spec.slice,
@@ -350,7 +345,7 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
             rows.append({
                 "domain": domain_label(ref), "fragment": fragment, "query": q,
                 "answer": timed.answer,
-                "agree": timed.answer == baseline[q] if q in baseline else None,
+                "agree": timed.answer == baseline[q],
                 "median_ms": timed.median_ms,
             })
     cols = ["domain", "fragment", "query", "answer", "agree", "median_ms"]

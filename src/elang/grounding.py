@@ -127,7 +127,7 @@ class GroundTheory:
     cprops_by_action: dict[Atom, tuple[int, ...]] = field(default_factory=dict)
     pprops_by_action: dict[Atom, tuple[int, ...]] = field(default_factory=dict)
     # Filled by the clausal backend on first use (sat.answer_sat): the
-    # fragment verdict and, inside the fragment, the compiled clauses.
+    # compiled clauses.
     sat_memo: object = field(default=None, repr=False, compare=False)
 
     @property

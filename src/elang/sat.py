@@ -1,8 +1,46 @@
 """Propositional backend: clausal compilation plus a small solver.
 
-The compilation is sound on a restricted fragment where every step is
-forced, so a clausal model is exactly a trajectory.  ``check_fragment``
-tests the two conditions that guarantee this:
+``compile_theory`` unrolls the step relation of ``transition.py`` (rules
+a-e of ``docs/semantics.md``) to the horizon as the completion of its
+closure, the way CCALC compiles causal theories (McCain and Turner,
+AAAI 1997).  The fluent variables come first, time point by time point;
+then, per step t:
+
+  fire(c,t)    <-> the effect instance's condition holds at t
+  changed(l,t)     one per literal the step's effects can produce
+                   (``transition.producible``)
+  ramify(r,t)  <-> the rule's body holds at t+1 and some body literal
+                   is changed at t
+
+with the clauses
+
+  changed(l,t) -> l@t+1                                  rule b
+  fire(c,t) and l@t+1 -> changed(l,t)   (l the effect)   applied
+  ramify(r,t) -> changed(head,t)
+  changed(l,t) -> some fire or ramify producing l        completion
+  l@t+1 and not l@t -> changed(l,t)                      rule c, the frame
+  fire(c,t) and not l@t+1 -> changed(not l,t)            rule e
+  the rules as state constraints at every time point     rule d
+
+and the observations and the preconditions of scheduled actions as unit
+clauses.  Every trajectory is the fluent part of a model: take changed
+as the least closure.  The converse holds when the ramification graph is
+acyclic, since the completion then has the least closure as its only
+solution.  Around a cycle, changes may support each other.  So on a
+theory with a cycle, ``answer_sat`` checks each model's decoded steps
+with ``transition._verify_target``, and ``Solver.solve`` enumerates past
+any model that fails the check; ASSAT checks each model of a completion
+in the same lazy way (Lin and Zhao, AAAI 2002).  The check depends only
+on the fluent variables and every trajectory passes it, so the answers
+are exact for every theory, and the first model accepted is the least
+trajectory in the kernel's order.
+
+``Solver`` searches the clauses with the kernel in ``clauses.py``
+(unit propagation, chronological backtracking, lowest variable first,
+false first), budgeted by decision count; rejected models count against
+the same budget.
+
+``check_fragment`` reports the fragment the backend was once limited to:
 
   1. No two effect instances that can apply together (same action, or
      actions scheduled at the same time) may produce changes that clash,
@@ -11,43 +49,29 @@ tests the two conditions that guarantee this:
      reachable from it through rule bodies, ignoring the rest of the body.
      A clash is a complementary pair across (or within) these closures.
   2. The ramification dependency graph on fluent atoms (body atom to head
-     atom) is acyclic, so derived change has a well-founded definition and
-     the triggering conditions below pin every auxiliary variable down.
+     atom) is acyclic.
 
-Within the fragment, candidate effects never conflict, so the engine
-applies all of them and the override branching never arises; the encoding
-can then define, per step:
+Condition 2 alone already makes every model of the clauses a trajectory.
+Answering does not use the report.  The ``fragment`` result column shows
+it, and ``elang ground --dimacs`` exports only theories inside the
+fragment, since an outside solver cannot run the decoded-step check.
 
-  fire(c,t)   <-> the effect instance's condition holds at t
-  trig(r,t)   <-> some body literal of the rule was caused at t
-  ramify(r,t) <-> the rule's body holds at t+1 and trig(r,t)
-  cause(l,t)  <-> some fire or ramify producing l holds
-
-with effect clauses making produced literals hold at t+1, explanation
-frame clauses allowing a value to change only when caused, the rules as
-state constraints at every time, and observations and preconditions of
-scheduled actions as unit clauses.
-
-``Solver`` searches the clauses with the kernel in ``clauses.py``
-(unit propagation, chronological backtracking, lowest variable first,
-false first), budgeted by decision count.
-
-Answers on one ground theory share the fragment verdict and the compiled
-clauses: the first ``answer_sat`` on a theory checks and compiles it and
-keeps the verdict, or the indexed clauses, on ``theory.sat_memo``; every
-later query builds only a fresh ``Solver`` (its own budget and stats)
-over those clauses and solves under assumptions.
+Answers on one ground theory share the compiled clauses: the first
+``answer_sat`` on a theory compiles it and keeps the indexed clauses on
+``theory.sat_memo``; every later query builds only a fresh ``Solver``
+(its own budget and stats) over them and solves under assumptions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .clauses import ClauseSet
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
+from .transition import _verify_target, direct_candidates, producible
 
 
 @dataclass(frozen=True)
@@ -72,39 +96,13 @@ class FragmentError(Exception):
         self.report = report
 
 
-def _may_cause(theory: GroundTheory, lit: Lit, cache: dict[Lit, frozenset[Lit]]) -> frozenset[Lit]:
-    hit = cache.get(lit)
-    if hit is not None:
-        return hit
-    out: set[Lit] = {lit}
-    work = [lit]
-    while work:
-        l = work.pop()
-        for ri in theory.rprops_by_body_atom.get(abs(l) - 1, ()):
-            rp = theory.rprops[ri]
-            if rp.head is None or l not in rp.condition:
-                continue
-            if rp.head not in out:
-                out.add(rp.head)
-                work.append(rp.head)
-    result = frozenset(out)
-    cache[lit] = result
-    return result
-
-
 def check_fragment(theory: GroundTheory) -> FragmentReport:
-    """Decide whether the clausal compilation is sound for this theory."""
+    """Decide whether the theory lies in the fragment (see the module
+    docstring)."""
     violations: list[FragmentViolation] = []
 
     # Cycles in the ramification dependency graph.
-    graph: dict[int, set[int]] = {}
-    for rp in theory.rprops:
-        if rp.head is None:
-            continue
-        h = abs(rp.head) - 1
-        for c in rp.condition:
-            graph.setdefault(abs(c) - 1, set()).add(h)
-    cycle = _first_cycle(graph)
+    cycle = _first_cycle(_ramification_graph(theory))
     if cycle is not None:
         names = " -> ".join(str(theory.fluents[i]) for i in cycle)
         violations.append(FragmentViolation("ramification-cycle", names))
@@ -123,16 +121,21 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
     for ci, cp in enumerate(theory.cprops):
         if cp.action in by_action:
             by_action[cp.action].append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
-    cache: dict[Lit, frozenset[Lit]] = {}
+    cache: dict[Lit, set[Lit]] = {}
     clash_memo: dict[tuple[Lit, Lit], int | None] = {}
+
+    def may_cause(lit: Lit) -> set[Lit]:
+        if lit not in cache:
+            cache[lit] = producible(theory, (lit,))
+        return cache[lit]
 
     def clash(li: Lit, lj: Lit) -> int | None:
         """The lowest atom on which the two effect literals' closures take
         complementary values, if any; symmetric in li and lj."""
         key = (li, lj) if li <= lj else (lj, li)
         if key not in clash_memo:
-            rj = _may_cause(theory, lj, cache)
-            clashes = [abs(m) for m in _may_cause(theory, li, cache) if -m in rj]
+            rj = may_cause(lj)
+            clashes = [abs(m) for m in may_cause(li) if -m in rj]
             clash_memo[key] = min(clashes) - 1 if clashes else None
         return clash_memo[key]
 
@@ -155,6 +158,18 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
         )
 
     return FragmentReport(not violations, violations)
+
+
+def _ramification_graph(theory: GroundTheory) -> dict[int, set[int]]:
+    """Body atom to head atoms, over the statements with a head."""
+    graph: dict[int, set[int]] = {}
+    for rp in theory.rprops:
+        if rp.head is None:
+            continue
+        h = abs(rp.head) - 1
+        for c in rp.condition:
+            graph.setdefault(abs(c) - 1, set()).add(h)
+    return graph
 
 
 def _first_cycle(graph: dict[int, set[int]]) -> list[int] | None:
@@ -203,8 +218,8 @@ class CnfInstance:
 
 
 def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
-    """Clausal form of a fragment theory; see the module docstring for the
-    variable roles.  Variable numbering is deterministic.  ``names`` and
+    """Clausal form of a theory; see the module docstring for the variable
+    roles and for when a model needs the decoded-step check.  Variable numbering is deterministic.  ``names`` and
     ``origins`` are filled only with ``labels``: export reads them,
     answering does not."""
     n = theory.n_fluents
@@ -257,129 +272,66 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
                 for code in sorted(pp.condition, key=lambda c: (abs(c), c)):
                     add([at(code, t)], "precondition src=%d t=%d", pp.src, t)
 
-    # Ramification rules in dependency order, so each cause variable is
-    # fully defined before any rule consuming it.  The graph is acyclic in
-    # the fragment; outside it the order degrades but the compilation is
-    # then only used for export, never for answers.
-    order = _rule_order(theory)
-
-    # Per-step causal structure.
+    # Per-step completion of the closure (see the module docstring).
     for t in range(horizon):
-        actions = theory.occurrences.get(t, frozenset())
-        fire_vars: dict[int, int] = {}  # cprop index -> var
-        producers: dict[Lit, list[int]] = {}
-        for action in sorted(actions):
+        fires: dict[Lit, list[int]] = {}  # effect -> fire variables producing it
+        for action in sorted(theory.occurrences.get(t, ())):
             for ci in theory.cprops_by_action.get(action, ()):
                 cp = theory.cprops[ci]
                 v = new_var("fire[%d]@%d", ci, t)
-                fire_vars[ci] = v
                 cond = sorted(cp.condition, key=lambda x: (abs(x), x))
                 for code in cond:
                     add([-v, at(code, t)], "fire-def src=%d t=%d", cp.src, t)
                 add([v] + [at(-code, t) for code in cond], "fire-def src=%d t=%d", cp.src, t)
                 effect = cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
-                add([-v, at(effect, t + 1)], "effect src=%d t=%d", cp.src, t)
-                producers.setdefault(effect, []).append(v)
+                fires.setdefault(effect, []).append(v)
 
-        cause_vars: dict[Lit, int] = {}
-
-        def cause_var(code: Lit) -> int | None:
-            if code in cause_vars:
-                return cause_vars[code]
-            prods = producers.get(code)
-            if not prods:
-                return None
-            name = lit_str(code)
-            v = new_var("cause[%s]@%d", name, t)
-            cause_vars[code] = v
-            add([-v] + prods, "cause-def %s t=%d", name, t)
-            for p in prods:
-                add([-p, v], "cause-def %s t=%d", name, t)
-            return v
-
-        for ri in order:
+        changed = {
+            code: new_var("changed[%s]@%d", lit_str(code), t)
+            for code in sorted(producible(theory, fires), key=lambda x: (abs(x), x))
+        }
+        supports = {code: list(fires.get(code, ())) for code in changed}
+        rules = {
+            ri
+            for code in changed
+            for ri in theory.rprops_by_body_atom.get(abs(code) - 1, ())
+            if theory.rprops[ri].head is not None and code in theory.rprops[ri].condition
+        }
+        for ri in sorted(rules):
             rp = theory.rprops[ri]
-            if rp.head is None or not rp.condition:
-                continue
             body = sorted(rp.condition, key=lambda x: (abs(x), x))
-            triggers = [cause_var(code) for code in body]
-            triggers = [v for v in triggers if v is not None]
-            if not triggers:
-                continue  # body untouched by any producible change: never fires
-            trig = new_var("trig[%d]@%d", ri, t)
-            add([-trig] + triggers, "trig-def src=%d t=%d", rp.src, t)
-            for v in triggers:
-                add([-v, trig], "trig-def src=%d t=%d", rp.src, t)
+            false_body = [at(-code, t + 1) for code in body]
+            triggers = [changed[code] for code in body if code in changed]
             ram = new_var("ramify[%d]@%d", ri, t)
             for code in body:
                 add([-ram, at(code, t + 1)], "ramify-def src=%d t=%d", rp.src, t)
-            add([-ram, trig], "ramify-def src=%d t=%d", rp.src, t)
-            add([ram, -trig] + [at(-code, t + 1) for code in body], "ramify-def src=%d t=%d", rp.src, t)
-            add([-ram, at(rp.head, t + 1)], "ramify-effect src=%d t=%d", rp.src, t)
-            producers.setdefault(rp.head, []).append(ram)
+            add([-ram] + triggers, "ramify-def src=%d t=%d", rp.src, t)
+            for v in triggers:
+                add([ram, -v] + false_body, "ramify-def src=%d t=%d", rp.src, t)
+            add([-ram, changed[rp.head]], "ramify-effect src=%d t=%d", rp.src, t)
+            supports[rp.head].append(ram)
 
-        # Explanation frame: a changed value needs a cause; clashing causes
-        # are ruled out outright (vacuous inside the fragment, kept as a
-        # guard rail).
+        for code, v in changed.items():
+            name = lit_str(code)
+            add([-v, at(code, t + 1)], "rule-b %s t=%d", name, t)
+            add([-v] + supports[code], "completion %s t=%d", name, t)
+        for code, fired in fires.items():
+            name = lit_str(code)
+            override = [changed[-code]] if -code in changed else []
+            for v in fired:
+                add([-v, -at(code, t + 1), changed[code]], "applied %s t=%d", name, t)
+                add([-v, at(code, t + 1)] + override, "rule-e %s t=%d", name, t)
+
+        # Rule c, the explanation frame: a value that changes is in changed.
         for i in range(n):
-            pos = cause_var(i + 1)
-            neg = cause_var(-(i + 1))
+            pos = changed.get(i + 1)
+            neg = changed.get(-(i + 1))
             src_t, src_t1 = i + 1 + t * n, i + 1 + (t + 1) * n
             atom = theory.fluents[i]
             add([-src_t1, src_t] + ([pos] if pos else []), "frame %s t=%d", atom, t)
             add([src_t1, -src_t] + ([neg] if neg else []), "frame %s t=%d", atom, t)
-            if pos and neg:
-                add([-pos, -neg], "cause-mutex %s t=%d", atom, t)
 
     return inst
-
-
-def _rule_order(theory: GroundTheory) -> list[int]:
-    """Rule indexes sorted so body atoms' producing rules come first;
-    input order inside a stratum and when the graph has cycles."""
-    level: dict[int, int] = {}
-
-    def body_atoms(a: int):
-        for ri in theory.rprops_by_head_atom.get(a, ()):
-            for c in theory.rprops[ri].condition:
-                yield abs(c) - 1
-
-    def atom_level(root: int) -> int:
-        """One more than the highest level among the body atoms of the
-        rules producing ``root``; an atom met again on the current path
-        counts as level 0 (a cycle: outside the fragment, any order will
-        do).  Depth first with an explicit stack of [atom, body atoms
-        left, best so far]."""
-        if root in level:
-            return level[root]
-        on_path = {root}
-        stack = [[root, body_atoms(root), 0]]
-        while stack:
-            frame = stack[-1]
-            for b in frame[1]:
-                if b in level:
-                    frame[2] = max(frame[2], level[b] + 1)
-                elif b in on_path:
-                    frame[2] = max(frame[2], 1)
-                else:
-                    on_path.add(b)
-                    stack.append([b, body_atoms(b), 0])
-                    break
-            else:
-                stack.pop()
-                a, best = frame[0], frame[2]
-                on_path.discard(a)
-                level[a] = best
-                if stack:
-                    stack[-1][2] = max(stack[-1][2], best + 1)
-        return level[root]
-
-    keyed = []
-    for ri, rp in enumerate(theory.rprops):
-        if rp.head is None:
-            continue
-        keyed.append((atom_level(abs(rp.head) - 1), ri))
-    return [ri for _, ri in sorted(keyed)]
 
 
 def to_dimacs(inst: CnfInstance, include_names: bool = False) -> str:
@@ -428,23 +380,32 @@ class SatStats:
 
 class Solver:
     """The clause kernel with a decision budget and SatStats.  ``solve``
-    returns the kernel's first model: lowest unassigned variable first,
-    false tried first, chronological backtracking."""
+    returns the kernel's first model that ``accept`` (when given) takes:
+    lowest unassigned variable first, false tried first, chronological
+    backtracking."""
 
-    def __init__(self, clauses: ClauseSet, budget: int | None = None, stats: SatStats | None = None):
+    def __init__(
+        self,
+        clauses: ClauseSet,
+        budget: int | None = None,
+        stats: SatStats | None = None,
+        accept: Callable[[dict[int, bool]], bool] | None = None,
+    ):
         self.clauses = clauses
         self.budget = budget
         self.stats = stats or SatStats()
         self.stats.vars = max(self.stats.vars, clauses.num_vars)
         self.stats.clauses += len(clauses.clauses)
+        self.accept = accept
 
     def solve(self, assumptions=()) -> tuple[bool, dict[int, bool] | None]:
         self.stats.solves += 1
-        search = self.clauses.models(assumptions, stats=self.stats, budget=self.budget)
-        model = next(search, None)
-        if model is None:
-            return False, None
-        return True, {v: v in model for v in range(1, self.clauses.num_vars + 1)}
+        variables = range(1, self.clauses.num_vars + 1)
+        for model in self.clauses.models(assumptions, stats=self.stats, budget=self.budget):
+            assignment = {v: v in model for v in variables}
+            if self.accept is None or self.accept(assignment):
+                return True, assignment
+        return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +414,26 @@ class Solver:
 
 @dataclass(frozen=True)
 class CompiledTheory:
-    """What answering needs of a compiled fragment theory: the indexed
-    clauses and the fluent-variable numbering of ``CnfInstance``."""
+    """What answering needs of a compiled theory: the indexed clauses, the
+    fluent-variable numbering of ``CnfInstance``, and whether a cycle in
+    the ramification graph calls for the decoded-step check."""
 
     clauses: ClauseSet
     n_fluents: int
+    cyclic: bool
 
     def fluent_var(self, atom_index: int, time: int) -> int:
         return time * self.n_fluents + atom_index + 1
 
 
 def _compiled(theory: GroundTheory) -> CompiledTheory:
-    """The theory's clauses, checked and compiled (without the export
-    labels) on the first call and kept on ``theory.sat_memo``.  Raises
-    FragmentError, on every call, when the theory is outside the
-    fragment."""
-    memo = theory.sat_memo
-    if memo is None:
-        report = check_fragment(theory)
-        if report.accepted:
-            inst = compile_theory(theory, labels=False)
-            memo = CompiledTheory(ClauseSet(inst.num_vars, inst.clauses), inst.n_fluents)
-        else:
-            memo = report
-        theory.sat_memo = memo
-    if isinstance(memo, FragmentReport):
-        raise FragmentError(memo)
-    return memo
+    """The theory's clauses, compiled (without the export labels) on the
+    first call and kept on ``theory.sat_memo``."""
+    if theory.sat_memo is None:
+        inst = compile_theory(theory, labels=False)
+        cyclic = _first_cycle(_ramification_graph(theory)) is not None
+        theory.sat_memo = CompiledTheory(ClauseSet(inst.num_vars, inst.clauses), inst.n_fluents, cyclic)
+    return theory.sat_memo
 
 
 def decode_model(
@@ -496,16 +450,34 @@ def decode_model(
     return Trajectory(tuple(states), actions)
 
 
+def steps_hold(theory: GroundTheory, traj: Trajectory) -> bool:
+    """Whether every step of a decoded model meets rules a, b, c and e,
+    with applied the candidates true in the target.  The clauses already
+    enforce rule d, and the other rules except where a cycle lets changes
+    support each other."""
+    for t, actions in enumerate(traj.actions):
+        source, target = traj.states[t], traj.states[t + 1]
+        candidates = direct_candidates(theory, source, actions)
+        applied = frozenset(c for c in candidates if theory.holds(target, c))
+        if not _verify_target(theory, source, applied, candidates, target):
+            return False
+    return True
+
+
 def answer_sat(
     theory: GroundTheory, query: Query, *, budget: int | None = None
 ) -> EntailmentResult:
     """Answer a query on the theory's compiled clauses (see ``_compiled``).
-    Raises FragmentError when the theory is outside the supported
-    fragment."""
+    Around a ramification cycle only the models whose decoded steps hold
+    are accepted; without one every model is a trajectory."""
     comp = _compiled(theory)
     dynamic_goals, constants_ok = split_goals(theory, query)
     stats = SatStats()
-    solver = Solver(comp.clauses, budget, stats)
+
+    def is_trajectory(model: dict[int, bool]) -> bool:
+        return steps_hold(theory, decode_model(comp, theory, model))
+
+    solver = Solver(comp.clauses, budget, stats, accept=is_trajectory if comp.cyclic else None)
 
     def find_model(forced: Iterable[tuple[Lit, int]]) -> Trajectory | None:
         assumptions = []

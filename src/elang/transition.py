@@ -33,9 +33,9 @@ runs one search per step rather than one per subset, and hands rules c, d
 and e to the clause kernel (``clauses.py``) as clauses:
 
 * Only producible literals can enter ``changed``: the candidates, closed
-  under the statements with a body literal already producible.  The
-  search runs over their atoms, the reach; persistence freezes every
-  other atom at its source value.
+  under the statements with a body literal already producible
+  (``producible``).  The search runs over their atoms, the reach;
+  persistence freezes every other atom at its source value.
 * Rule d: the state constraints, folded against the frozen atoms.  Every
   kernel model satisfies them, so the targets are not checked again.
 * Rules c and e as support clauses.  A reach atom whose value in ``t`` is
@@ -119,6 +119,22 @@ def ramification_closure(
     return frozenset(changed)
 
 
+def producible(theory: GroundTheory, lits: Iterable[Lit]) -> set[Lit]:
+    """The literals a step with candidates ``lits`` can put in ``changed``:
+    ``lits`` closed under the ramification statements with a body literal
+    already among them.  Denials never fire."""
+    out: set[Lit] = set(lits)
+    work = list(out)
+    while work:
+        lit = work.pop()
+        for ri in theory.rprops_by_body_atom.get(abs(lit) - 1, ()):
+            rp = theory.rprops[ri]
+            if rp.head is not None and rp.head not in out and lit in rp.condition:
+                out.add(rp.head)
+                work.append(rp.head)
+    return out
+
+
 def _conflict_free_subsets(candidates: frozenset[Lit]):
     """All subsets without complementary pairs, in a fixed order."""
     ordered = sorted(candidates, key=lambda c: (abs(c), c))
@@ -168,19 +184,10 @@ def successor_states(
     if not candidates:
         return [source] if consistent_source or theory.state_consistent(source) else []
 
-    # The literals the step can put in ``changed``: the candidates, closed
-    # under the rules with a body literal already among them.  Persistence
-    # freezes every atom none of them mentions at its source value.
-    producible: set[Lit] = set(candidates)
-    work = list(candidates)
-    while work:
-        lit = work.pop()
-        for ri in theory.rprops_by_body_atom.get(abs(lit) - 1, ()):
-            rp = theory.rprops[ri]
-            if rp.head is not None and rp.head not in producible and lit in rp.condition:
-                producible.add(rp.head)
-                work.append(rp.head)
-    reach = {abs(l) - 1 for l in producible}
+    # Persistence freezes every atom no producible literal mentions at its
+    # source value.
+    may_change = producible(theory, candidates)
+    reach = {abs(l) - 1 for l in may_change}
 
     order = sorted(reach)
     k = len(order)
@@ -230,7 +237,7 @@ def successor_states(
         support = fold([-need])
         for ri in theory.rprops_by_head_atom.get(a, ()):
             rp = theory.rprops[ri]
-            if rp.head != need or producible.isdisjoint(rp.condition):
+            if rp.head != need or may_change.isdisjoint(rp.condition):
                 continue
             negated = fold(-l for l in rp.condition)
             if negated is None:

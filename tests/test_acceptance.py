@@ -8,6 +8,7 @@ without judging them.
 import random
 import time
 
+import elang.sat
 from elang.bench import (
     REFERENCE_INSTANCES_AT_15,
     inject_irrelevant,
@@ -193,16 +194,25 @@ def test_criterion_05_guided_search_equals_exhaustive():
     report(5, "PASS", "successor sets agree on 500 random theories")
 
 
-def test_criterion_06_sat_backend_agreement():
+def test_criterion_06_sat_backend_agreement(monkeypatch):
     rng = random.Random(606)
-    theories = 0
-    queries = 0
-    while theories < 100:
-        domain = random_theory(rng)
+    rejected = []
+    original = elang.sat.steps_hold
+
+    def counted(theory, traj):
+        ok = original(theory, traj)
+        if not ok:
+            rejected.append(traj)
+        return ok
+
+    monkeypatch.setattr(elang.sat, "steps_hold", counted)
+    queries = conflicts = cycles = 0
+    for _ in range(100):
+        domain = random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4)
         theory = ground(domain)
-        if not check_fragment(theory).accepted:
-            continue
-        theories += 1
+        kinds = {v.kind for v in check_fragment(theory).violations}
+        conflicts += "effect-conflict" in kinds
+        cycles += "ramification-cycle" in kinds
         for _ in range(5):
             name = rng.choice(list(domain.signature.fluents))
             sign = "" if rng.random() < 0.5 else "neg "
@@ -211,6 +221,9 @@ def test_criterion_06_sat_backend_agreement():
                             % (mode, sign, name, rng.randint(0, theory.horizon)))
             assert answer_sat(theory, q).answer == answer_theory(theory, q).answer
             queries += 1
+    # both ways out of the fragment are drawn, and around cycles the
+    # decoded-step check turns models of the clauses down
+    assert conflicts >= 30 and cycles >= 30 and rejected
     sat_checked = 0
     for _ in range(200):
         num_vars, clauses = random_cnf(rng, max_vars=20)
@@ -219,8 +232,10 @@ def test_criterion_06_sat_backend_agreement():
         if got:
             assert model_satisfies(model, clauses)
         sat_checked += 1
-    report(6, "PASS", "engine and clausal backend agree on %d queries; solver matches "
-                      "the truth table on %d formulas" % (queries, sat_checked))
+    report(6, "PASS", "engine and clausal backend agree on %d queries (%d theories with "
+                      "effect conflicts, %d with ramification cycles, %d models rejected); "
+                      "solver matches the truth table on %d formulas"
+                      % (queries, conflicts, cycles, len(rejected), sat_checked))
 
 
 def test_criterion_07_slicing_preserves_answers():

@@ -177,28 +177,30 @@ def test_representation_family_end_to_end(tmp_path):
 
 
 def test_representation_family_marks_domains_outside_the_fragment(tmp_path):
-    spec = parse_spec(spec_text(
-        domain=["corpus:zoo_direct.e", "corpus:zoo_indirect.e"], backend="sat", repeats="1",
-    ))
+    domains = ["corpus:zoo_direct.e", "corpus:zoo_indirect.e"]
+    spec = parse_spec(spec_text(domain=domains, backend="sat", repeats="1"))
     table = run_experiment(spec)
     direct, indirect = table.rows
     assert direct["fragment"] is True and direct["answer"] == "true"
     assert direct["agree"] is True and direct["median_ms"] >= 0
+    # outside the fragment the row is marked, and answered as on the engine
+    engine = run_experiment(parse_spec(spec_text(domain=domains, backend="engine", repeats="1")))
     assert indirect["fragment"] is False
-    assert indirect["answer"] is None and indirect["agree"] is None
-    assert indirect["median_ms"] is None
+    assert indirect["answer"] == engine.rows[1]["answer"] == "true"
+    assert indirect["agree"] is True and indirect["median_ms"] >= 0
     table.write(tmp_path)
     tsv = (tmp_path / "t.tsv").read_text().splitlines()
     cells = dict(zip(tsv[1].split("\t"), tsv[3].split("\t")))
     assert cells["fragment"] == "no"
-    assert [cells[c] for c in ("answer", "agree", "median_ms")] == ["-", "-", "-"]
+    assert [cells[c] for c in ("answer", "agree")] == ["true", "yes"]
     record = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[2])
     assert record["domain"] == "zoo_indirect"
-    assert [record[c] for c in ("answer", "agree", "median_ms")] == [None, None, None]
-    # with the first listed domain outside, no row has an answer to agree with
+    assert (record["fragment"], record["answer"], record["agree"]) == (False, "true", True)
+    # with the first listed domain outside, the others agree against it
     spec.domains.reverse()
     indirect, direct = run_experiment(spec).rows
-    assert direct["answer"] == "true" and direct["agree"] is None
+    assert indirect["agree"] is True
+    assert direct["answer"] == "true" and direct["agree"] is True
 
 
 def test_scaling_family_small_sizes():
@@ -279,7 +281,8 @@ def test_bench_record_times_cases_and_specs(tmp_path):
     cases = [c for c in load_golden() if c.domain == "bulb.e"]
     record = script.bench(cases, [spec], 1)
     assert [g["name"] for g in record["golden"]] == [c.name for c in cases]
-    assert all(g["ok"] and g["seconds"] >= 0 for g in record["golden"])
+    assert all(g["ok"] and g["seconds"] >= 0 and g["sat_seconds"] >= 0 for g in record["golden"])
+    assert record["golden_sat_seconds"] == round(sum(g["sat_seconds"] for g in record["golden"]), 4)
     assert [(s["name"], s["repeats"]) for s in record["specs"]] == [("t", 1)]
     assert set(record["environment"]) == {"python", "platform", "nproc", "commit", "dirty"}
     json.dumps(record)

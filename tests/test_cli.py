@@ -107,15 +107,16 @@ def test_query_sat_backend_agrees(bulb_file, capsys):
     assert json.loads(out)["backend"] == "sat"
 
 
-def test_query_sat_rejects_nonfragment(tmp_path):
+def test_query_sat_exits_as_engine_outside_fragment(tmp_path):
     path = tmp_path / "loop.e"
     path.write_text(
         "fluent f.\nfluent g.\naction a.\na initiates f.\n"
         "g whenever { f }.\nf whenever { g }.\na happens-at 0.\n"
     )
-    argv = ["query", str(path), "--mode", "credulous", "--goal", "g holds-at 1",
-            "--horizon", "1", "--backend", "sat"]
-    assert main(argv) == 3
+    for mode, goal in (("credulous", "g holds-at 1"), ("skeptical", "neg g holds-at 1"),
+                       ("credulous", "neg f holds-at 1")):
+        argv = ["query", str(path), "--mode", mode, "--goal", goal, "--horizon", "1"]
+        assert main(argv + ["--backend", "sat"]) == main(argv), (mode, goal)
 
 
 def test_query_needs_mode_or_file(bulb_file):

@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 
 import elang.sat
 from elang.clauses import ClauseSet
-from elang.corpus import ZOO_SCENARIOS, load_domain
+from elang.corpus import ZOO_SCENARIOS, load_domain, load_golden
 from elang.grounding import ground
 from elang.parser import parse_domain, parse_query
-from elang.query import BudgetExceeded, Query, answer_theory, check_consistency, slice_for_goals
+from elang.query import (
+    BudgetExceeded,
+    Query,
+    answer_theory,
+    check_consistency,
+    required_horizon,
+    slice_for_goals,
+)
 from elang.sat import (
-    FragmentError,
     Solver,
     answer_sat,
     check_fragment,
@@ -22,7 +28,7 @@ from elang.sat import (
     provenance,
     to_dimacs,
 )
-from elang.transition import brute_force_successors, legal_occurrence
+from elang.transition import brute_force_successors, legal_occurrence, successor_states
 
 from oracles import (
     _column,
@@ -120,10 +126,23 @@ def test_fragment_matches_oracle_on_random_theories():
     assert conflicts > 30 and cycles > 30 and accepted > 30
 
 
-def test_answer_sat_rejects_outside_fragment():
+DUAL_QUERIES = (
+    "credulous { rides(john,dumpo) holds-at 1 } horizon 4",
+    "skeptical { rides(john,dumpo) holds-at 1 } horizon 4",
+    "skeptical { animal_pos(john,p3) holds-at 4 } horizon 4",
+    "credulous { neg rides(john,dumpo) holds-at 4 } horizon 4",
+)
+
+
+def test_answer_sat_agrees_with_engine_outside_fragment():
     th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
-    with pytest.raises(FragmentError):
-        answer_sat(th, parse_query("credulous { rides(john,dumpo) holds-at 1 } horizon 4"))
+    assert not check_fragment(th).accepted
+    for text in DUAL_QUERIES:
+        query = parse_query(text)
+        result = answer_sat(th, query)
+        assert result.answer == answer_theory(th, query).answer, text
+        if result.witness is not None:
+            assert_trajectory(th, result.witness, successors=successor_states)
 
 
 MEMO_QUERIES = (
@@ -156,7 +175,6 @@ def count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("ref, texts", MEMO_QUERIES)
 def test_held_theory_answers_as_fresh_theories(ref, texts, monkeypatch):
-    checks = count_calls(monkeypatch, "check_fragment")
     compiles = count_calls(monkeypatch, "compile_theory")
     held = ground(load_domain(ref), 4)
     answers = set()
@@ -168,22 +186,17 @@ def test_held_theory_answers_as_fresh_theories(ref, texts, monkeypatch):
             answers.add(got["answer"])
     assert answers == {"true", "false"}
     # the held theory once, each fresh theory once
-    assert len(checks) == len(compiles) == 1 + 2 * len(texts)
-    assert sum(args[0] is held for args in checks) == 1
+    assert len(compiles) == 1 + 2 * len(texts)
+    assert sum(args[0] is held for args in compiles) == 1
 
 
-def test_outside_fragment_raises_on_every_query(monkeypatch):
-    checks = count_calls(monkeypatch, "check_fragment")
+def test_outside_fragment_compiles_once_and_agrees_on_every_query(monkeypatch):
     compiles = count_calls(monkeypatch, "compile_theory")
     th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
-    messages = []
-    for mode in ("credulous", "skeptical", "credulous"):
-        with pytest.raises(FragmentError) as info:
-            answer_sat(th, parse_query("%s { rides(john,dumpo) holds-at 1 } horizon 4" % mode))
-        assert not info.value.report.accepted
-        messages.append(str(info.value))
-    assert len(set(messages)) == 1 and "ramification-cycle" in messages[0]
-    assert len(checks) == 1 and not compiles
+    for text in DUAL_QUERIES + DUAL_QUERIES[:1]:
+        query = parse_query(text)
+        assert answer_sat(th, query).answer == answer_theory(th, query).answer, text
+    assert len(compiles) == 1 and compiles[0][0] is th
 
 
 def test_budget_holds_after_an_unbudgeted_query():
@@ -197,7 +210,7 @@ def test_budget_holds_after_an_unbudgeted_query():
 
 
 def test_sliced_copy_does_not_share_the_memo(monkeypatch):
-    checks = count_calls(monkeypatch, "check_fragment")
+    compiles = count_calls(monkeypatch, "compile_theory")
     th = ground(load_domain("corpus:bulb.e"), 4)
     query = parse_query("skeptical { light holds-at 3 } horizon 4")
     answer_sat(th, query)
@@ -205,7 +218,7 @@ def test_sliced_copy_does_not_share_the_memo(monkeypatch):
     sliced, _ = slice_for_goals(th, {th.index[lit.atom] for lit, _ in query.goals})
     assert sliced.sat_memo is None
     assert answer_sat(sliced, query).answer == answer_sat(th, query).answer
-    assert len(checks) == 2 and checks[0][0] is th and checks[1][0] is sliced
+    assert len(compiles) == 2 and compiles[0][0] is th and compiles[1][0] is sliced
 
 
 def test_bulb_agreement_with_engine():
@@ -319,42 +332,97 @@ def test_solver_budget():
         Solver(ClauseSet(pigeons * holes, clauses), budget=100).solve()
 
 
-def test_engine_agreement_on_random_fragment_theories():
+def test_engine_agreement_on_random_theories():
+    # drawn as in test_fragment_matches_oracle_on_random_theories, so that
+    # most theories fall outside the fragment
     rng = random.Random(31)
     multi = random.Random(32)  # conjunctions, drawn apart so the single goals stay as they were
-    done = 0
-    while done < 120:
-        domain = random_theory(rng)
+    conflicts = cycles = 0
+    for _ in range(120):
+        domain = random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4)
         th = ground(domain)
-        if not check_fragment(th).accepted:
-            continue
+        kinds = {v.kind for v in check_fragment(th).violations}
+        conflicts += "effect-conflict" in kinds
+        cycles += "ramification-cycle" in kinds
         name = rng.choice(list(domain.signature.fluents))
         sign = "" if rng.random() < 0.5 else "neg "
         mode = rng.choice(["credulous", "skeptical"])
-        goal = parse_query(
-            "%s { %s%s holds-at %d }" % (mode, sign, name, rng.randint(0, th.horizon))
-        )
-        assert answer_sat(th, goal).answer == answer_theory(th, goal).answer
+        single = "%s { %s%s holds-at %d }" % (mode, sign, name, rng.randint(0, th.horizon))
         goals = ", ".join(
             "%s%s holds-at %d"
             % ("" if multi.random() < 0.5 else "neg ", multi.choice(list(domain.signature.fluents)),
                multi.randint(0, th.horizon))
             for _ in range(multi.randint(2, 3))
         )
-        for mode in ("credulous", "skeptical"):
-            query = parse_query("%s { %s }" % (mode, goals))
+        for text in [single] + ["%s { %s }" % (m, goals) for m in ("credulous", "skeptical")]:
+            query = parse_query(text)
             result = answer_sat(th, query)
-            assert result.answer == answer_theory(th, query).answer, (mode, goals)
-            if mode == "skeptical" and result.answer == "false":
-                assert_countermodel(th, query, result.witness)
-        done += 1
+            assert result.answer == answer_theory(th, query).answer, text
+            if result.witness is not None:
+                assert_trajectory(th, result.witness)
+            if query.mode == "skeptical" and result.answer == "false":  # a countermodel
+                states = decode_witness(th, result.witness)
+                assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
+    # the draws reach both ways out of the fragment
+    assert conflicts >= 30 and cycles >= 30
 
 
-def assert_countermodel(th, query, witness):
-    """The rendered witness is a trajectory of ``th`` (checked against the
-    brute-force step relation) on which some goal of ``query`` fails."""
+SELF_SUPPORT = """
+fluent f.
+fluent g.
+fluent h.
+action a.
+a initiates f when { h }.
+g whenever { f }.
+f whenever { g }.
+neg f holds-at 0.
+neg h holds-at 0.
+a happens-at 0.
+"""
+
+
+def test_decoded_step_check_rejects_self_supported_change(monkeypatch):
+    # a's effect does not fire, yet f and g could each be changed because
+    # the other is: a model of the completion, but no step of the engine.
+    th = ground(dom(SELF_SUPPORT), 1)
+    query = parse_query("credulous { f holds-at 1 }")
+    rejected = []
+    original = elang.sat.steps_hold
+
+    def counted(theory, traj):
+        ok = original(theory, traj)
+        if not ok:
+            rejected.append(traj)
+        return ok
+
+    monkeypatch.setattr(elang.sat, "steps_hold", counted)
+    assert answer_sat(th, query).answer == answer_theory(th, query).answer == "false"
+    [traj] = rejected
+    assert traj.states[1] not in brute_force_successors(th, traj.states[0], traj.actions[0])
+    # without the check the self-supported change is a witness
+    monkeypatch.setattr(elang.sat, "steps_hold", lambda theory, traj: True)
+    assert answer_sat(th, query).answer == "true"
+
+
+def test_golden_cases_answer_on_sat():
+    for case in load_golden():
+        domain = load_domain(*("corpus:" + name for name in (case.domain,) + case.scenarios))
+        th = ground(domain, required_horizon(domain, case.query))
+        result = answer_sat(th, case.query)
+        assert result.answer == case.expect, case.name
+        if result.witness is not None:
+            assert_trajectory(th, result.witness, successors=successor_states)
+
+
+def decode_witness(th, witness):
     by_name = {str(atom): i for i, atom in enumerate(th.fluents)}
-    states = [frozenset(by_name[name] for name in names) for names in witness["states"]]
+    return [frozenset(by_name[name] for name in names) for names in witness["states"]]
+
+
+def assert_trajectory(th, witness, successors=brute_force_successors):
+    """The rendered witness is a trajectory of ``th``: observed values
+    hold, and each step is legal and reaches a successor of ``successors``."""
+    states = decode_witness(th, witness)
     assert len(states) == th.horizon + 1
     assert th.state_consistent(states[0])
     for t, state in enumerate(states):
@@ -363,9 +431,7 @@ def assert_countermodel(th, query, witness):
         actions = th.occurrences.get(t, frozenset())
         assert sorted(str(a) for a in actions) == witness["actions"][t]
         assert legal_occurrence(th, states[t], actions)
-        targets = set(brute_force_successors(th, states[t], actions))
-        assert states[t + 1] in targets
-    assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
+        assert states[t + 1] in successors(th, states[t], actions)
 
 
 def test_sat_detects_inconsistency():
