@@ -12,6 +12,17 @@ and the preferred value first.  The clause index is read-only once built,
 and each ``models()`` call keeps its own assignment and trail, so
 enumerations over one ``ClauseSet`` may be interleaved.  That is why the
 index is a plain occurrence list: watched literals move during search.
+
+The unit clauses are propagated once per ``ClauseSet``, not once per
+call, as incremental solvers keep their root level across calls under
+assumptions (Een and Sorensson, SAT 2003).  The first ``models()`` call
+stores the assignment and trail it reaches from the units alone, with
+the number of propagations that took; every call starts from a copy of
+that root, charges its propagations to its tally, and only then
+enqueues its assumptions.  Unit propagation reaches the same fixpoint in
+any order, so the models, their order, the decisions and where a budget
+runs out are those of propagating units and assumptions together.  A
+conflict at the root makes every call yield nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +65,9 @@ class ClauseSet:
                     self.occurs[l].append(len(self.clauses))
                 self.clauses.append(tuple(lits))
         self.units = tuple(c[0] for c in self.clauses if len(c) == 1)
+        # (ok, value, trail, propagations) after propagating the units,
+        # stored by the first models() call and read-only after it.
+        self._root: tuple[bool, list[int], list[int], int] | None = None
 
     def models(
         self,
@@ -65,8 +79,9 @@ class ClauseSet:
         """Yield every total assignment satisfying the clauses and the
         ``assumptions``, each as the frozenset of its true variables, in the
         order the module docstring gives.  ``stats``, any object with
-        integer ``decisions`` and ``propagations``, accumulates the work;
-        more than ``budget`` decisions on it raise BudgetExceeded."""
+        integer ``decisions`` and ``propagations``, accumulates the work,
+        the root's propagations included on every call; more than
+        ``budget`` decisions on it raise BudgetExceeded."""
         if self.empty:
             return
         n = self.num_vars
@@ -110,7 +125,14 @@ class ClauseSet:
             finally:
                 tally.propagations += qhead - start
 
-        ok = all(map(enqueue, self.units)) and all(map(enqueue, assumptions)) and propagate()
+        if self._root is None:
+            ok = all(map(enqueue, self.units)) and propagate()
+            self._root = (ok, value[:], trail[:], qhead)
+        else:
+            ok, value, trail, qhead = self._root
+            value, trail = value[:], trail[:]
+            tally.propagations += qhead
+        ok = ok and all(map(enqueue, assumptions)) and propagate()
         frames: list[list[int]] = []  # [decision literal, trail length, flipped]
         var = 1  # every variable below it is assigned
         while True:

@@ -52,14 +52,19 @@ the same budget.
      atom) is acyclic.
 
 Condition 2 alone already makes every model of the clauses a trajectory.
-Answering does not use the report.  The ``fragment`` result column shows
-it, and ``elang ground --dimacs`` exports only theories inside the
-fragment, since an outside solver cannot run the decoded-step check.
+Answering does not use the report; the ``fragment`` result column shows
+it.  ``elang ground --dimacs`` exports every theory without a cycle
+(``ramification_cycle``), since an outside solver cannot run the
+decoded-step check.
 
 Answers on one ground theory share the compiled clauses: the first
 ``answer_sat`` on a theory compiles it and keeps the indexed clauses on
 ``theory.sat_memo``; every later query builds only a fresh ``Solver``
-(its own budget and stats) over them and solves under assumptions.
+(its own budget and stats) over them and solves under assumptions.  The
+``ClauseSet`` propagates the observation and precondition units once, on
+the first solve, and every solve starts from that root (see
+``clauses.py``); its ``propagations`` count the root's on every solve,
+so the stats are those of a fresh theory.
 """
 
 from __future__ import annotations
@@ -99,13 +104,8 @@ class FragmentError(Exception):
 def check_fragment(theory: GroundTheory) -> FragmentReport:
     """Decide whether the theory lies in the fragment (see the module
     docstring)."""
-    violations: list[FragmentViolation] = []
-
-    # Cycles in the ramification dependency graph.
-    cycle = _first_cycle(_ramification_graph(theory))
-    if cycle is not None:
-        names = " -> ".join(str(theory.fluents[i]) for i in cycle)
-        violations.append(FragmentViolation("ramification-cycle", names))
+    cycle = ramification_cycle(theory)
+    violations: list[FragmentViolation] = [] if cycle is None else [cycle]
 
     # Clashing effects among instances that can apply together: the pairs
     # of effect instances of one action, or of two actions scheduled at
@@ -158,6 +158,16 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
         )
 
     return FragmentReport(not violations, violations)
+
+
+def ramification_cycle(theory: GroundTheory) -> FragmentViolation | None:
+    """The first cycle in the ramification dependency graph, if any (see
+    ``_first_cycle``).  Without one every model of the clauses is a
+    trajectory."""
+    cycle = _first_cycle(_ramification_graph(theory))
+    if cycle is None:
+        return None
+    return FragmentViolation("ramification-cycle", " -> ".join(str(theory.fluents[i]) for i in cycle))
 
 
 def _ramification_graph(theory: GroundTheory) -> dict[int, set[int]]:
@@ -249,12 +259,12 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
         return v if code > 0 else -v
 
     # State constraints at every time point.
-    for ri, rp in enumerate(theory.rprops):
+    for rp in theory.rprops:
+        clause = [-c for c in sorted(rp.condition, key=lambda x: (abs(x), x))]
+        if rp.head is not None:
+            clause.append(rp.head)
         for t in range(horizon + 1):
-            clause = [at(-c, t) for c in sorted(rp.condition, key=lambda x: (abs(x), x))]
-            if rp.head is not None:
-                clause.append(at(rp.head, t))
-            add(clause, "constraint src=%d t=%d", rp.src, t)
+            add([at(code, t) for code in clause], "constraint src=%d t=%d", rp.src, t)
 
     # Observation units.
     for t in sorted(theory.observations):
@@ -431,7 +441,7 @@ def _compiled(theory: GroundTheory) -> CompiledTheory:
     first call and kept on ``theory.sat_memo``."""
     if theory.sat_memo is None:
         inst = compile_theory(theory, labels=False)
-        cyclic = _first_cycle(_ramification_graph(theory)) is not None
+        cyclic = ramification_cycle(theory) is not None
         theory.sat_memo = CompiledTheory(ClauseSet(inst.num_vars, inst.clauses), inst.n_fluents, cyclic)
     return theory.sat_memo
 
@@ -439,15 +449,21 @@ def _compiled(theory: GroundTheory) -> CompiledTheory:
 def decode_model(
     inst: CnfInstance | CompiledTheory, theory: GroundTheory, model: dict[int, bool]
 ) -> Trajectory:
-    states: list[State] = []
-    for t in range(theory.horizon + 1):
-        states.append(
-            frozenset(i for i in range(theory.n_fluents) if model.get(inst.fluent_var(i, t)))
-        )
+    """The trajectory a model encodes: the state at t holds atom i when the
+    model sets ``inst.fluent_var(i, t)`` true.  One pass over the model's
+    true variables, since the fluent variables are numbered t-major."""
+    n, horizon = inst.n_fluents, theory.horizon
+    last = (horizon + 1) * n
+    rows: list[list[int]] = [[] for _ in range(horizon + 1)]
+    for v, val in model.items():
+        if val and 0 < v <= last:
+            t, i = divmod(v - 1, n)
+            rows[t].append(i)
+    states: tuple[State, ...] = tuple(map(frozenset, rows))
     actions = tuple(
-        theory.occurrences.get(t, frozenset()) for t in range(theory.horizon)
+        theory.occurrences.get(t, frozenset()) for t in range(horizon)
     )
-    return Trajectory(tuple(states), actions)
+    return Trajectory(states, actions)
 
 
 def steps_hold(theory: GroundTheory, traj: Trajectory) -> bool:

@@ -106,3 +106,97 @@ def test_budget_bounds_decisions():
     assert next(cs.models(), None) is None
     assert BudgetExceeded is QueryBudgetExceeded is TopLevelBudgetExceeded
 
+
+
+class Tally:
+    def __init__(self):
+        self.decisions = 0
+        self.propagations = 0
+
+    def counts(self):
+        return self.decisions, self.propagations
+
+
+def enumerate_with_stats(cs, assumptions, prefer):
+    tally = Tally()
+    return list(cs.models(assumptions, prefer, stats=tally)), tally.counts()
+
+
+def test_held_clause_set_answers_as_fresh_clause_sets():
+    # the first call propagates the units once; later calls start from that
+    # root and must give the models and the counts a fresh ClauseSet gives
+    rng = random.Random(41)
+    for _ in range(200):
+        num_vars, clauses = random_cnf(rng, max_vars=8)
+        held = ClauseSet(num_vars, clauses)
+        calls = []
+        for _ in range(4):
+            assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
+            prefer = frozenset(v for v in range(1, num_vars + 1) if rng.random() < 0.4)
+            calls.append((assumptions, prefer))
+        for assumptions, prefer in calls + calls[::-1]:
+            got = enumerate_with_stats(held, assumptions, prefer)
+            assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
+            assert got[0] == cnf_models(num_vars, clauses, assumptions, prefer)
+
+
+def test_interleaved_calls_on_a_held_root_match_fresh_clause_sets():
+    rng = random.Random(43)
+    for _ in range(100):
+        num_vars, clauses = random_cnf(rng, max_vars=7)
+        held = ClauseSet(num_vars, clauses)
+        calls = [(random_literals(rng, num_vars, rng.randint(0, min(2, num_vars))), frozenset()) for _ in range(3)]
+        tallies = [Tally() for _ in calls]
+        gens = [held.models(a, p, stats=s) for (a, p), s in zip(calls, tallies)]
+        got = [[] for _ in calls]
+        live = list(range(len(calls)))
+        while live:
+            k = rng.choice(live)
+            m = next(gens[k], None)
+            if m is None:
+                live.remove(k)
+            else:
+                got[k].append(m)
+        for (assumptions, prefer), models, tally in zip(calls, got, tallies):
+            assert (models, tally.counts()) == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
+            assert models == cnf_models(num_vars, clauses, assumptions, prefer)
+
+
+@pytest.mark.parametrize(
+    "clauses",
+    [
+        [(1,), (-1,)],  # contradictory units
+        [(1,), (-1, 2), (-2, 3), (-3, -1)],  # a conflict reached by propagation
+    ],
+)
+def test_root_conflict_yields_nothing_on_every_call(clauses):
+    cs = ClauseSet(3, clauses)
+    first = enumerate_with_stats(cs, (), frozenset())
+    assert first == ([], (0, first[1][1]))
+    for assumptions in ((), (2,), (-3,), (1, -1)):
+        assert enumerate_with_stats(cs, assumptions, frozenset()) == first
+
+
+def test_calls_stopped_early_leave_later_calls_exact():
+    rng = random.Random(47)
+    stopped = 0
+    for _ in range(100):
+        num_vars, clauses = random_cnf(rng, max_vars=8)
+        held = ClauseSet(num_vars, clauses)
+        # the first call, which stores the root, runs out of budget or is abandoned
+        if rng.random() < 0.5:
+            try:
+                list(held.models(budget=rng.randint(0, 2)))
+            except BudgetExceeded:
+                stopped += 1
+        else:
+            gen = held.models(random_literals(rng, num_vars, 1))
+            next(gen, None)
+            gen.close()
+        for _ in range(3):
+            assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
+            prefer = frozenset(v for v in range(1, num_vars + 1) if rng.random() < 0.4)
+            got = enumerate_with_stats(held, assumptions, prefer)
+            assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
+            assert got[0] == cnf_models(num_vars, clauses, assumptions, prefer)
+    assert stopped > 20

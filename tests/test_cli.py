@@ -5,7 +5,9 @@ import json
 import pytest
 
 from elang.cli import main
-from elang.corpus import corpus_path
+from elang.corpus import corpus_path, load_domain
+from elang.grounding import ground
+from elang.sat import check_fragment
 
 
 @pytest.fixture()
@@ -298,6 +300,21 @@ def test_ground_dimacs_rejects_nonfragment(tmp_path):
     target = tmp_path / "loop.cnf"
     assert main(["ground", str(path), "--horizon", "1", "--dimacs", str(target)]) == 3
     assert not target.exists()
+
+
+def test_ground_dimacs_exports_effect_conflicts(tmp_path):
+    # acyclic, so every model of the clauses is a trajectory: the export
+    # takes it though check_fragment reports the clash
+    path = tmp_path / "clash.e"
+    path.write_text(
+        "fluent f.\naction a.\naction b.\na initiates f.\nb terminates f.\n"
+        "a happens-at 0.\nb happens-at 0.\n"
+    )
+    report = check_fragment(ground(load_domain(str(path)), 1))
+    assert [v.kind for v in report.violations] == ["effect-conflict"]
+    target = tmp_path / "clash.cnf"
+    assert main(["ground", str(path), "--horizon", "1", "--dimacs", str(target)]) == 0
+    assert "p cnf 6 12" in target.read_text().splitlines()
 
 
 def test_bench_subcommand(tmp_path, capsys):

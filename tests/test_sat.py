@@ -455,6 +455,21 @@ def test_decode_model_roundtrip():
     assert all(th.state_consistent(s) for s in traj.states)
 
 
+@pytest.mark.parametrize("refs", [("corpus:bulb.e",), ("corpus:zoo_direct.e", "corpus:chain_scenario.e")])
+def test_decode_model_matches_its_per_atom_definition(refs):
+    th = ground(load_domain(*refs), 4)
+    inst = compile_theory(th, labels=False)
+    rng = random.Random(53)
+    for _ in range(20):
+        # about one variable in ten left out, as in a partial model
+        model = {v: rng.random() < 0.5 for v in range(1, inst.num_vars + 1) if rng.random() < 0.9}
+        states = tuple(
+            frozenset(i for i in range(th.n_fluents) if model.get(inst.fluent_var(i, t)))
+            for t in range(th.horizon + 1)
+        )
+        assert decode_model(inst, th, model).states == states
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_truth_table_property(seed):
