@@ -7,8 +7,10 @@ Usage: python scripts/run_experiments.py [--out DIR] [--repeats N] [--only NAME]
 With ``--bench FILE`` no tables are written.  Instead FILE receives one
 JSON record: the wall time of each golden case (load, ground and answer)
 on the engine backend and on the SAT backend, the elapsed time of each
-spec at ``--repeats`` (1 unless given), and the environment the run was
-made in.  Compare two such records only when their environments match.
+spec at ``--repeats`` (1 unless given), the size of the package source
+(``src_lines``: the ``wc -l`` total over ``src/elang/**/*.py``), and the
+environment the run was made in.  Compare two such records only when
+their environments match.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from elang.sat import answer_sat
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "experiments"
+SRC_DIR = ROOT / "src" / "elang"
 
 
 def _git(*argv: str) -> str | None:
@@ -52,6 +55,12 @@ def environment() -> dict:
         "commit": _git("rev-parse", "HEAD"),
         "dirty": None if status is None else bool(status),
     }
+
+
+def source_lines() -> int:
+    """Newlines in every ``.py`` file under the package, as ``wc -l``
+    totals them."""
+    return sum(path.read_bytes().count(b"\n") for path in SRC_DIR.rglob("*.py"))
 
 
 def answer_case_on_sat(case) -> None:
@@ -89,6 +98,7 @@ def bench(cases, specs: list[Path], repeats: int) -> dict:
         "golden_seconds": round(sum(g["seconds"] for g in golden), 4),
         "golden_sat_seconds": round(sum(g["sat_seconds"] for g in golden), 4),
         "specs": timed_specs,
+        "src_lines": source_lines(),
     }
 
 

@@ -31,7 +31,11 @@ then an observation or occurrence outside the horizon.
 The result is a :class:`GroundTheory` over integer literal codes: fluent
 atom number ``i`` (0-based, declaration order, argument tuples in each
 sort's declaration order) is ``+(i+1)`` when true and ``-(i+1)`` when
-false.  States are frozensets of true atom numbers.
+false.  States are frozensets of true atom numbers.  Grounding builds
+only the statement lists; the indexes over them (the constraint clauses
+and the statements by atom and by action) are derived the first time
+they are read, so a caller that needs few of them, such as a relevance
+slice, pays for no others.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import itertools
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .clauses import ClauseSet
 from .model import (
@@ -119,16 +123,54 @@ class GroundTheory:
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
     horizon: int
     stats: GroundingStats
-    # Derived indexes, built once in ground():
-    constraint_clauses: tuple[frozenset[Lit], ...] = ()
-    constraints: ClauseSet | None = None  # constraint_clauses, indexed for search
-    rprops_by_body_atom: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    rprops_by_head_atom: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    cprops_by_action: dict[Atom, tuple[int, ...]] = field(default_factory=dict)
-    pprops_by_action: dict[Atom, tuple[int, ...]] = field(default_factory=dict)
     # Filled by the clausal backend on first use (sat.answer_sat): the
     # compiled clauses.
     sat_memo: object = field(default=None, repr=False, compare=False)
+
+    # Derived indexes over the statement lists, each built the first time
+    # it is read: a sliced query indexes only the slice, and the clausal
+    # backend never builds ``constraints``.  The lists are not changed
+    # after grounding, so an index once built stays valid.
+
+    @cached_property
+    def constraint_clauses(self) -> tuple[frozenset[Lit], ...]:
+        """Each ramification statement and denial as a clause."""
+        clauses = []
+        for rp in self.rprops:
+            clause = {-c for c in rp.condition}
+            if rp.head is not None:
+                clause.add(rp.head)
+            clauses.append(frozenset(clause))
+        return tuple(clauses)
+
+    @cached_property
+    def constraints(self) -> ClauseSet:
+        """``constraint_clauses``, indexed for search."""
+        return ClauseSet(self.n_fluents, self.constraint_clauses)
+
+    @cached_property
+    def rprops_by_body_atom(self) -> dict[int, tuple[int, ...]]:
+        by_body: dict[int, list[int]] = {}
+        for ri, rp in enumerate(self.rprops):
+            for c in rp.condition:
+                by_body.setdefault(abs(c) - 1, []).append(ri)
+        return {k: tuple(v) for k, v in by_body.items()}
+
+    @cached_property
+    def rprops_by_head_atom(self) -> dict[int, tuple[int, ...]]:
+        by_head: dict[int, list[int]] = {}
+        for ri, rp in enumerate(self.rprops):
+            if rp.head is not None:
+                by_head.setdefault(abs(rp.head) - 1, []).append(ri)
+        return {k: tuple(v) for k, v in by_head.items()}
+
+    @cached_property
+    def cprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
+        return _by_action(self.cprops)
+
+    @cached_property
+    def pprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
+        return _by_action(self.pprops)
 
     @property
     def n_fluents(self) -> int:
@@ -458,35 +500,15 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         horizon=horizon,
         stats=stats,
     )
-    _build_indexes(theory)
     return theory
 
 
-def _build_indexes(theory: GroundTheory) -> None:
-    clauses: list[frozenset[Lit]] = []
-    by_body: dict[int, list[int]] = {}
-    by_head: dict[int, list[int]] = {}
-    for ri, rp in enumerate(theory.rprops):
-        clause = {-c for c in rp.condition}
-        if rp.head is not None:
-            clause.add(rp.head)
-        clauses.append(frozenset(clause))
-        for c in rp.condition:
-            by_body.setdefault(abs(c) - 1, []).append(ri)
-        if rp.head is not None:
-            by_head.setdefault(abs(rp.head) - 1, []).append(ri)
-    theory.constraint_clauses = tuple(clauses)
-    theory.constraints = ClauseSet(theory.n_fluents, theory.constraint_clauses)
-    theory.rprops_by_body_atom = {k: tuple(v) for k, v in by_body.items()}
-    theory.rprops_by_head_atom = {k: tuple(v) for k, v in by_head.items()}
+def _by_action(props: list[GroundCProp] | list[GroundPProp]) -> dict[Atom, tuple[int, ...]]:
+    """The positions of the instances of each action, in list order."""
     by_action: dict[Atom, list[int]] = {}
-    for ci, cp in enumerate(theory.cprops):
-        by_action.setdefault(cp.action, []).append(ci)
-    theory.cprops_by_action = {k: tuple(v) for k, v in by_action.items()}
-    p_by_action: dict[Atom, list[int]] = {}
-    for pi, pp in enumerate(theory.pprops):
-        p_by_action.setdefault(pp.action, []).append(pi)
-    theory.pprops_by_action = {k: tuple(v) for k, v in p_by_action.items()}
+    for i, prop in enumerate(props):
+        by_action.setdefault(prop.action, []).append(i)
+    return {k: tuple(v) for k, v in by_action.items()}
 
 
 def report_stats(theory: GroundTheory) -> str:

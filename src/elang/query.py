@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .clauses import BudgetExceeded
-from .grounding import GroundingStats, GroundTheory, Lit, State, _build_indexes, ground
+from .grounding import GroundingStats, GroundTheory, Lit, State, ground
 from .grounding import GroundCProp, GroundPProp, GroundRProp
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
@@ -327,16 +327,21 @@ def slice_for_goals(
 ) -> tuple[GroundTheory, dict[int, int]]:
     """Restrict a theory to the fluent atoms connected to the goals.
 
-    Two atoms are connected when some effect or ramification statement
-    mentions both (head and body included), so the kept atoms never share a
-    statement with a dropped one and the transition relation factorizes.
-    Preconditions are filtered to the kept atoms, and observations on
-    dropped atoms are removed.  Answers over the slice match the full
-    theory whenever the full theory is consistent; an inconsistency caused
-    purely by dropped atoms is invisible to the slice.
+    Two atoms are connected when some ramification statement, or some
+    effect instance of an action the theory schedules, mentions both (head
+    and body included).  An effect of an action that never occurs never
+    applies, so it links nothing and is not copied.  The kept atoms then
+    never share a live statement with a dropped one, and the transition
+    relation factorizes.  Preconditions are filtered to the kept atoms, and
+    observations on dropped atoms are removed.  Answers over the slice
+    match the full theory whenever the full theory is consistent; an
+    inconsistency caused purely by dropped atoms is invisible to the slice.
+    The slice is a new theory whose indexes are built when first read.
     """
-    edges: list[list[int]] = []  # the atoms of each effect and ramification statement
-    for cp in theory.cprops:
+    scheduled = set().union(*theory.occurrences.values())
+    live = [cp for cp in theory.cprops if cp.action in scheduled]
+    edges: list[list[int]] = []  # the atoms of each linking statement
+    for cp in live:
         edges.append([cp.fluent, *(abs(c) - 1 for c in cp.condition)])
     for rp in theory.rprops:
         edges.append([abs(c) - 1 for c in rp.condition])
@@ -371,10 +376,10 @@ def slice_for_goals(
     def recoded(codes) -> frozenset[Lit]:
         return frozenset([recode[c] for c in codes])
 
-    n_cprops = len(theory.cprops)
+    n_cprops = len(live)
     cprops = [
         GroundCProp(cp.action, cp.initiates, remap[cp.fluent], recoded(cp.condition), cp.src)
-        for cp, seen in zip(theory.cprops, visited)
+        for cp, seen in zip(live, visited)
         if seen
     ]
     rprops = []
@@ -417,5 +422,4 @@ def slice_for_goals(
         horizon=theory.horizon,
         stats=stats,
     )
-    _build_indexes(sliced)
     return sliced, remap

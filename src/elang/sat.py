@@ -390,16 +390,16 @@ class SatStats:
 
 class Solver:
     """The clause kernel with a decision budget and SatStats.  ``solve``
-    returns the kernel's first model that ``accept`` (when given) takes:
-    lowest unassigned variable first, false tried first, chronological
-    backtracking."""
+    returns the kernel's first model that ``accept`` (when given) takes,
+    as the frozenset of its true variables: lowest unassigned variable
+    first, false tried first, chronological backtracking."""
 
     def __init__(
         self,
         clauses: ClauseSet,
         budget: int | None = None,
         stats: SatStats | None = None,
-        accept: Callable[[dict[int, bool]], bool] | None = None,
+        accept: Callable[[frozenset[int]], bool] | None = None,
     ):
         self.clauses = clauses
         self.budget = budget
@@ -408,13 +408,11 @@ class Solver:
         self.stats.clauses += len(clauses.clauses)
         self.accept = accept
 
-    def solve(self, assumptions=()) -> tuple[bool, dict[int, bool] | None]:
+    def solve(self, assumptions=()) -> tuple[bool, frozenset[int] | None]:
         self.stats.solves += 1
-        variables = range(1, self.clauses.num_vars + 1)
         for model in self.clauses.models(assumptions, stats=self.stats, budget=self.budget):
-            assignment = {v: v in model for v in variables}
-            if self.accept is None or self.accept(assignment):
-                return True, assignment
+            if self.accept is None or self.accept(model):
+                return True, model
         return False, None
 
 
@@ -447,16 +445,17 @@ def _compiled(theory: GroundTheory) -> CompiledTheory:
 
 
 def decode_model(
-    inst: CnfInstance | CompiledTheory, theory: GroundTheory, model: dict[int, bool]
+    inst: CnfInstance | CompiledTheory, theory: GroundTheory, model: frozenset[int]
 ) -> Trajectory:
-    """The trajectory a model encodes: the state at t holds atom i when the
-    model sets ``inst.fluent_var(i, t)`` true.  One pass over the model's
-    true variables, since the fluent variables are numbered t-major."""
+    """The trajectory a model, given as its true variables, encodes: the
+    state at t holds atom i when ``inst.fluent_var(i, t)`` is in the model.
+    One pass over the true variables, since the fluent variables are
+    numbered t-major and come before every auxiliary one."""
     n, horizon = inst.n_fluents, theory.horizon
     last = (horizon + 1) * n
     rows: list[list[int]] = [[] for _ in range(horizon + 1)]
-    for v, val in model.items():
-        if val and 0 < v <= last:
+    for v in model:
+        if v <= last:
             t, i = divmod(v - 1, n)
             rows[t].append(i)
     states: tuple[State, ...] = tuple(map(frozenset, rows))
@@ -490,7 +489,7 @@ def answer_sat(
     dynamic_goals, constants_ok = split_goals(theory, query)
     stats = SatStats()
 
-    def is_trajectory(model: dict[int, bool]) -> bool:
+    def is_trajectory(model: frozenset[int]) -> bool:
         return steps_hold(theory, decode_model(comp, theory, model))
 
     solver = Solver(comp.clauses, budget, stats, accept=is_trajectory if comp.cyclic else None)

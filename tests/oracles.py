@@ -355,6 +355,39 @@ def _dfs_cycle(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
+# Relevance-slice reference
+
+
+def slice_atoms(theory, goal_atoms) -> set[int]:
+    """The atoms a relevance slice keeps, straight from the definition:
+    the least set holding the goal atoms and every atom of a statement
+    that mentions one of them, where the statements are the ramification
+    rules and denials and the effect instances of the actions that occur
+    at some time."""
+    occurring = set()
+    for acts in theory.occurrences.values():
+        occurring |= acts
+    statements = [
+        {cp.fluent} | {abs(c) - 1 for c in cp.condition}
+        for cp in theory.cprops
+        if cp.action in occurring
+    ]
+    statements += [
+        {abs(c) - 1 for c in rp.condition} | ({abs(rp.head) - 1} if rp.head is not None else set())
+        for rp in theory.rprops
+    ]
+    kept = set(goal_atoms)
+    grew = True
+    while grew:
+        grew = False
+        for atoms in statements:
+            if atoms & kept and not atoms <= kept:
+                kept |= atoms
+                grew = True
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # Random domain generators
 
 

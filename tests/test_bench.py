@@ -285,4 +285,6 @@ def test_bench_record_times_cases_and_specs(tmp_path):
     assert record["golden_sat_seconds"] == round(sum(g["sat_seconds"] for g in record["golden"]), 4)
     assert [(s["name"], s["repeats"]) for s in record["specs"]] == [("t", 1)]
     assert set(record["environment"]) == {"python", "platform", "nproc", "commit", "dirty"}
+    sources = sorted((root / "src" / "elang").glob("**/*.py"))
+    assert record["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources)
     json.dumps(record)

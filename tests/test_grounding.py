@@ -198,6 +198,66 @@ def test_rule_indexes_cover_all_rules():
     assert head_indexed == {ri for ri, rp in enumerate(th.rprops) if rp.head is not None}
 
 
+INDEXES = (
+    "constraint_clauses",
+    "constraints",
+    "rprops_by_body_atom",
+    "rprops_by_head_atom",
+    "cprops_by_action",
+    "pprops_by_action",
+)
+
+
+def test_indexes_are_built_on_first_read():
+    from elang.corpus import load_domain
+    from elang.parser import parse_query
+    from elang.query import answer_theory
+    from elang.sat import answer_sat
+
+    domain = load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e")
+    query = parse_query("skeptical { animal_pos(john,p3) holds-at 3 } horizon 4")
+    th = ground(domain, 4)
+    assert not set(INDEXES) & set(vars(th))
+    # a sliced answer indexes only the slice
+    answer_theory(th, query, use_slice=True)
+    assert not set(INDEXES) & set(vars(th))
+    # the clausal backend never builds the engine's clause set
+    answer_sat(th, query)
+    assert "constraints" not in vars(th)
+    answer_theory(th, query)
+    assert set(INDEXES) <= set(vars(th))
+
+
+def test_indexes_match_their_definitions():
+    from elang.corpus import load_domain
+
+    th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 3)
+    clauses = tuple(
+        frozenset({-c for c in rp.condition} | ({rp.head} if rp.head is not None else set()))
+        for rp in th.rprops
+    )
+    assert th.constraint_clauses == clauses
+    assert th.constraints.num_vars == th.n_fluents
+    assert sorted(map(sorted, th.constraints.clauses)) == sorted(
+        sorted(c) for c in clauses if c and not any(-l in c for l in c)
+    )
+    atoms = range(th.n_fluents)
+    assert th.rprops_by_body_atom == {
+        a: tuple(ri for ri, rp in enumerate(th.rprops) if a in {abs(c) - 1 for c in rp.condition})
+        for a in atoms
+        if any(a in {abs(c) - 1 for c in rp.condition} for rp in th.rprops)
+    }
+    assert th.rprops_by_head_atom == {
+        a: tuple(ri for ri, rp in enumerate(th.rprops) if rp.head is not None and abs(rp.head) - 1 == a)
+        for a in atoms
+        if any(rp.head is not None and abs(rp.head) - 1 == a for rp in th.rprops)
+    }
+    for props, index in ((th.cprops, th.cprops_by_action), (th.pprops, th.pprops_by_action)):
+        actions = {p.action for p in props}
+        assert index == {a: tuple(i for i, p in enumerate(props) if p.action == a) for a in actions}
+    assert th.rprops and th.cprops and th.pprops
+
+
 def test_matches_naive_oracle_on_random_domains():
     rng = random.Random(42)
     checked = 0

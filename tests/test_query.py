@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from elang.corpus import corpus_path, load_domain
+from elang.corpus import corpus_path, load_domain, load_golden
 from elang.grounding import ground
+from elang.model import Atom
 from elang.parser import parse_domain, parse_query
 from elang.query import (
     BudgetExceeded,
@@ -19,7 +20,7 @@ from elang.query import (
     slice_for_goals,
 )
 
-from oracles import random_theory
+from oracles import random_theory, slice_atoms
 
 
 def dom(text):
@@ -201,6 +202,71 @@ def test_sliced_answers_match_on_random_theories():
         sliced = answer_theory(th, goal, use_slice=True)
         assert plain.answer == sliced.answer
         done += 1
+
+
+def test_slice_keeps_the_oracle_atoms_on_corpus():
+    # each distinct theory once: the goals of its cases and a few atoms alone
+    rng = random.Random(17)
+    goal_sets: dict[tuple, list[set[int]]] = {}
+    theories = {}
+    for case in load_golden():
+        domain = load_domain(*("corpus:" + name for name in (case.domain,) + case.scenarios))
+        key = (case.domain, case.scenarios, required_horizon(domain, case.query))
+        if key not in theories:
+            theories[key] = th = ground(domain, key[2])
+            goal_sets[key] = [{i} for i in rng.sample(range(th.n_fluents), min(8, th.n_fluents))]
+        th = theories[key]
+        goal_sets[key].append({th.index[lit.atom] for lit, _ in case.query.goals if lit.atom in th.index})
+    for key, th in theories.items():
+        for goals in goal_sets[key]:
+            _, remap = slice_for_goals(th, goals)
+            assert set(remap) == slice_atoms(th, goals), (key, goals)
+
+
+def test_slice_keeps_the_oracle_atoms_on_random_theories():
+    rng = random.Random(41)
+    partly_scheduled = 0
+    for _ in range(200):
+        domain = random_theory(rng)
+        th = ground(domain)
+        scheduled = set().union(*th.occurrences.values())
+        partly_scheduled += len(scheduled) < len(domain.signature.actions)
+        goals = set(rng.sample(range(th.n_fluents), rng.randint(1, min(2, th.n_fluents))))
+        _, remap = slice_for_goals(th, goals)
+        assert set(remap) == slice_atoms(th, goals)
+    assert partly_scheduled >= 30
+
+
+UNSCHEDULED_LINK = """
+fluent f.
+fluent g.
+action a.
+action b.
+a initiates f.
+b initiates g when { f }.
+neg g holds-at 0.
+a happens-at 0.
+"""
+
+
+def test_slice_drops_atoms_linked_only_by_unscheduled_effects():
+    # b never occurs, so its effect is the only statement linking f and g
+    # and the slice for f leaves g out
+    th = ground(dom(UNSCHEDULED_LINK), 2)
+    sliced, remap = slice_for_goals(th, {th.index[Atom("f")]})
+    assert [str(a) for a in sliced.fluents] == ["f"]
+    assert [str(cp.action) for cp in sliced.cprops] == ["a"]
+    for text in (
+        "skeptical { f holds-at 1 }",
+        "credulous { neg f holds-at 1 }",
+        "skeptical { neg g holds-at 2 }",
+        "credulous { f holds-at 2, g holds-at 2 }",
+    ):
+        goal = q(text)
+        plain = answer_theory(th, goal)
+        sliced = answer_theory(th, goal, use_slice=True)
+        assert plain.answer == sliced.answer, text
+        assert (plain.witness is None) == (sliced.witness is None), text
 
 
 def test_result_record_shape():

@@ -300,7 +300,7 @@ def test_solver_matches_truth_table():
         sat, model = Solver(ClauseSet(num_vars, clauses)).solve()
         assert sat == cnf_satisfiable(num_vars, clauses)
         if sat:
-            assert model_satisfies(model, clauses)
+            assert model_satisfies({v: v in model for v in range(1, num_vars + 1)}, clauses)
 
 
 def test_solver_assumptions():
@@ -308,9 +308,9 @@ def test_solver_assumptions():
     clauses = [(1, 2), (-1, 2)]
     solver = Solver(ClauseSet(2, clauses))
     sat, model = solver.solve(assumptions=(1,))
-    assert sat and model[2]
+    assert sat and 2 in model
     sat, model = solver.solve(assumptions=(-1,))
-    assert sat and model[2] and not model[1]
+    assert sat and model == {2}
     sat, _ = solver.solve(assumptions=(-2,))  # forces both x1 and neg x1
     assert not sat
 
@@ -461,10 +461,10 @@ def test_decode_model_matches_its_per_atom_definition(refs):
     inst = compile_theory(th, labels=False)
     rng = random.Random(53)
     for _ in range(20):
-        # about one variable in ten left out, as in a partial model
-        model = {v: rng.random() < 0.5 for v in range(1, inst.num_vars + 1) if rng.random() < 0.9}
+        # the true variables, auxiliary ones included
+        model = frozenset(v for v in range(1, inst.num_vars + 1) if rng.random() < 0.5)
         states = tuple(
-            frozenset(i for i in range(th.n_fluents) if model.get(inst.fluent_var(i, t)))
+            frozenset(i for i in range(th.n_fluents) if inst.fluent_var(i, t) in model)
             for t in range(th.horizon + 1)
         )
         assert decode_model(inst, th, model).states == states
@@ -477,4 +477,4 @@ def test_solver_matches_truth_table_property(seed):
     sat, model = Solver(ClauseSet(num_vars, clauses)).solve()
     assert sat == cnf_satisfiable(num_vars, clauses)
     if sat:
-        assert model_satisfies(model, clauses)
+        assert model_satisfies({v: v in model for v in range(1, num_vars + 1)}, clauses)
