@@ -31,11 +31,24 @@ then an observation or occurrence outside the horizon.
 The result is a :class:`GroundTheory` over integer literal codes: fluent
 atom number ``i`` (0-based, declaration order, argument tuples in each
 sort's declaration order) is ``+(i+1)`` when true and ``-(i+1)`` when
-false.  States are frozensets of true atom numbers.  Grounding builds
-only the statement lists; the indexes over them (the constraint clauses
-and the statements by atom and by action) are derived the first time
-they are read, so a caller that needs few of them, such as a relevance
-slice, pays for no others.
+false.  States are frozensets of true atom numbers.
+
+Grounding builds the ramification and precondition instances, but no
+effect instance: an effect statement only counts the bindings it keeps,
+so ``stats`` is exact.  ``GroundTheory.effects_of(action)`` grounds one
+action's effect instances the first time it is asked for: each effect
+statement groups its kept bindings by the arguments they give its action
+atom, once, so an action reads only its own.  Each instance comes with
+its position in ``cprops``, the full list in statement order and binding
+order, which is built, statement by statement over the kept bindings,
+only when something reads it (``elang ground --dump``).  The step
+search, the clausal compiler and the relevance slice read effects per
+action, so a query grounds only the effects of the actions its narrative
+schedules, much as gringo instantiates only what is relevant (Gebser et
+al., LPNMR 2007).  The indexes over the statement lists (the constraint
+clauses and the statements by atom and by action) are likewise derived
+the first time they are read, so a caller that needs few of them, such
+as a relevance slice, pays for no others.
 """
 
 from __future__ import annotations
@@ -111,12 +124,17 @@ class GroundingStats:
     horizon: int = 0
 
 
+# An action's effect instances, each with its position in the full list.
+Instances = tuple[tuple[int, GroundCProp], ...]
+
+
 @dataclass
 class GroundTheory:
     fluents: tuple[Atom, ...]
     index: dict[Atom, int]
     constant_values: dict[Atom, bool]
-    cprops: list[GroundCProp]
+    ground_effects: Callable[[Atom], Instances]  # one action's, on first read
+    ground_all_effects: Callable[[], list[GroundCProp]]  # in position order
     rprops: list[GroundRProp]
     pprops: list[GroundPProp]
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
@@ -126,6 +144,8 @@ class GroundTheory:
     # Filled by the clausal backend on first use (sat.answer_sat): the
     # compiled clauses.
     sat_memo: object = field(default=None, repr=False, compare=False)
+    # The effect instances ground so far, by action.
+    effects: dict[Atom, Instances] = field(default_factory=dict, repr=False, compare=False)
 
     # Derived indexes over the statement lists, each built the first time
     # it is read: a sliced query indexes only the slice, and the clausal
@@ -165,12 +185,25 @@ class GroundTheory:
         return {k: tuple(v) for k, v in by_head.items()}
 
     @cached_property
-    def cprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
-        return _by_action(self.cprops)
+    def pprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
+        """The positions of each action's preconditions, in list order."""
+        by_action: dict[Atom, list[int]] = {}
+        for i, pp in enumerate(self.pprops):
+            by_action.setdefault(pp.action, []).append(i)
+        return {k: tuple(v) for k, v in by_action.items()}
 
     @cached_property
-    def pprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
-        return _by_action(self.pprops)
+    def cprops(self) -> list[GroundCProp]:
+        """Every effect instance, in statement order and binding order."""
+        return self.ground_all_effects()
+
+    def effects_of(self, action: Atom) -> Instances:
+        """The effect instances of ``action`` with their positions in
+        ``cprops``, ground the first time they are asked for."""
+        found = self.effects.get(action)
+        if found is None:
+            found = self.effects[action] = self.ground_effects(action)
+        return found
 
     @property
     def n_fluents(self) -> int:
@@ -260,6 +293,61 @@ class _Template:
 
 def _no_slots(combo: tuple[str, ...]) -> tuple[()]:
     return ()
+
+
+class _Effect:
+    """An effect statement over a dynamic fluent, ground one action at a
+    time.  Grounding keeps its ``kept`` bindings, those whose constant
+    literals hold and whose literals never clash, and the tables of its
+    dynamic condition literals.  Its instances take the positions from
+    ``offset`` on in the theory's full effect list, one per kept binding
+    in binding order.  The first time an action is asked for, the kept
+    bindings are grouped by the values they give the statement's action
+    atom, so each action finds its own directly."""
+
+    def __init__(
+        self, tpl: _Template, prop: CProp, src: int, offset: int, kept, dynamic, fluent_numbers
+    ):
+        self.tpl = tpl
+        self.prop = prop
+        self.src = src
+        self.offset = offset
+        self.kept = kept
+        self.dynamic = dynamic
+        self.fluent_numbers = fluent_numbers
+        self._by_key: dict[object, list[tuple[int, tuple[str, ...]]]] | None = None
+        self._fluent = None
+
+    def _instance(self, action: Atom, combo: tuple[str, ...]) -> GroundCProp:
+        if self._fluent is None:
+            self._fluent = self.tpl.lookup(self.prop.fluent, self.fluent_numbers.get)
+        get_fluent, fluents = self._fluent
+        codes = frozenset([table[getter(combo)] for getter, table in self.dynamic])
+        return GroundCProp(action, self.prop.initiates, fluents[get_fluent(combo)], codes, self.src)
+
+    def of(self, action: Atom) -> Instances:
+        """The instances of ``action``, in binding order."""
+        args, slot = self.prop.action.args, self.tpl.slot
+        # an action names a kept binding by its arguments in the places of
+        # the statement's variables; its other arguments must be the
+        # statement's constants
+        if any(t not in slot and t != value for t, value in zip(args, action.args)):
+            return ()
+        places = [k for k, t in enumerate(args) if t in slot]
+        key_of = operator.itemgetter(*places) if places else _no_slots
+        if self._by_key is None:
+            of_combo = operator.itemgetter(*(slot[args[k]] for k in places)) if places else _no_slots
+            self._by_key = {}
+            for position, combo in enumerate(self.kept, self.offset):
+                self._by_key.setdefault(of_combo(combo), []).append((position, combo))
+        found = self._by_key.get(key_of(action.args), ())
+        return tuple((position, self._instance(action, combo)) for position, combo in found)
+
+    def all(self) -> list[GroundCProp]:
+        """Every instance, in binding order."""
+        action = self.prop.action
+        get_action, actions = self.tpl.lookup(action, partial(Atom, action.name))
+        return [self._instance(actions[get_action(combo)], combo) for combo in self.kept]
 
 
 def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheory:
@@ -392,8 +480,9 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             )
 
     def residues(tpl: _Template, condition: Condition):
-        """Each binding with the codes of its condition's dynamic literals
-        and whether its constant literals hold and the codes never clash."""
+        """The getters and tables of the condition's dynamic literals, and a
+        test that a binding's constant literals hold and its codes never
+        clash; the test is None when every binding passes it."""
         fixed, dynamic, signs = [], [], set()
         for lit in condition.literals:
             if is_constant(lit.atom):
@@ -403,20 +492,27 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                 dynamic.append(tpl.lookup(lit.atom, coder(lit)))
                 signs.add((lit.atom.name, lit.positive))
         may_clash = any((name, False) in signs for name, positive in signs if positive)
-        for combo in tpl.bindings:
-            codes = frozenset([table[getter(combo)] for getter, table in dynamic])
-            ok = True
+        if not fixed and not may_clash:
+            return dynamic, None
+
+        def passes(combo: tuple[str, ...]) -> bool:
             for getter, table in fixed:
                 if not table[getter(combo)]:
-                    ok = False
-                    break
-            if ok and may_clash:
-                ok = not any(-c in codes for c in codes)
-            yield combo, codes, ok
+                    return False
+            if may_clash:
+                codes = {table[getter(combo)] for getter, table in dynamic}
+                return not any(-c in codes for c in codes)
+            return True
+
+        return dynamic, passes
 
     # After the fixpoint: expand the statements over dynamic fluents, in
-    # statement order and binding order, with constants resolved.
-    cprops: list[GroundCProp] = []
+    # statement order and binding order, with constants resolved.  An
+    # effect statement only counts the bindings it keeps; its instances
+    # are ground per action when first asked for (``_Effect``).
+    effects: list[_Effect] = []
+    effects_by_action: dict[str, list[_Effect]] = {}
+    n_effects = 0
     rprops: list[GroundRProp] = []
     pprops: list[GroundPProp] = []
     occurrences: dict[int, set[Atom]] = {}
@@ -444,21 +540,13 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             if is_constant(prop.fluent):
                 continue
             tpl = templates[src]
-            get_action, actions = tpl.lookup(prop.action, partial(Atom, prop.action.name))
-            get_fluent, fluent_nums = tpl.lookup(prop.fluent, numbers[prop.fluent.name].get)
-            for combo, codes, ok in residues(tpl, prop.condition):
-                if ok:
-                    cprops.append(
-                        GroundCProp(
-                            actions[get_action(combo)],
-                            prop.initiates,
-                            fluent_nums[get_fluent(combo)],
-                            codes,
-                            src,
-                        )
-                    )
-                else:
-                    stats.dropped_instances += 1
+            dynamic, passes = residues(tpl, prop.condition)
+            kept = tpl.bindings if passes is None else list(filter(passes, tpl.bindings))
+            stats.dropped_instances += len(tpl.bindings) - len(kept)
+            effect = _Effect(tpl, prop, src, n_effects, kept, dynamic, numbers[prop.fluent.name])
+            effects.append(effect)
+            effects_by_action.setdefault(prop.action.name, []).append(effect)
+            n_effects += len(kept)
         elif isinstance(prop, RProp):
             if prop.head is None:
                 if all(is_constant(l.atom) for l in prop.condition.literals):
@@ -468,20 +556,33 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                 continue  # folded into the constant fixpoint above
             else:
                 get_head, heads = templates[src].lookup(prop.head.atom, coder(prop.head))
-            for combo, codes, ok in residues(templates[src], prop.condition):
-                if ok:
+            dynamic, passes = residues(templates[src], prop.condition)
+            for combo in templates[src].bindings:
+                if passes is None or passes(combo):
+                    codes = frozenset([table[getter(combo)] for getter, table in dynamic])
                     rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
                 else:
                     stats.dropped_instances += 1
         else:
             tpl = templates[src]
             get_action, actions = tpl.lookup(prop.action, partial(Atom, prop.action.name))
-            for combo, codes, ok in residues(tpl, prop.condition):
+            dynamic, passes = residues(tpl, prop.condition)
+            for combo in tpl.bindings:
+                codes = frozenset([table[getter(combo)] for getter, table in dynamic])
                 # a precondition that can never hold keeps its action from
                 # ever occurring legally
-                pprops.append(GroundPProp(actions[get_action(combo)], codes, src, not ok))
+                impossible = passes is not None and not passes(combo)
+                pprops.append(GroundPProp(actions[get_action(combo)], codes, src, impossible))
 
-    stats.cprops = len(cprops)
+    def ground_effects(action: Atom) -> Instances:
+        return tuple(
+            pair for effect in effects_by_action.get(action.name, ()) for pair in effect.of(action)
+        )
+
+    def ground_all_effects() -> list[GroundCProp]:
+        return [cp for effect in effects for cp in effect.all()]
+
+    stats.cprops = n_effects
     stats.rprops = sum(1 for r in rprops if r.head is not None)
     stats.denials = sum(1 for r in rprops if r.head is None)
     stats.pprops = len(pprops)
@@ -492,7 +593,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         fluents=fluents,
         index=index,
         constant_values=dict(zip(constant_atoms, values)),
-        cprops=cprops,
+        ground_effects=ground_effects,
+        ground_all_effects=ground_all_effects,
         rprops=rprops,
         pprops=pprops,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
@@ -501,14 +603,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         stats=stats,
     )
     return theory
-
-
-def _by_action(props: list[GroundCProp] | list[GroundPProp]) -> dict[Atom, tuple[int, ...]]:
-    """The positions of the instances of each action, in list order."""
-    by_action: dict[Atom, list[int]] = {}
-    for i, prop in enumerate(props):
-        by_action.setdefault(prop.action, []).append(i)
-    return {k: tuple(v) for k, v in by_action.items()}
 
 
 def report_stats(theory: GroundTheory) -> str:

@@ -24,11 +24,21 @@ Query files hold a single query:
     credulous { neg rides(john,elly) holds-at 2 } horizon 6.
 
 The full grammar lives in docs/grammar.ebnf.
+
+``tokenize`` scans with one compiled regex (``_SCAN``), matched from
+each token's end (``finditer`` raised peak memory).  A token is a named
+tuple of its kind, its text and its start and end offsets; its ``span``
+(file, line, column) is built only when asked for, by bisecting the
+text's line starts, found on first use.  A file that parses cleanly thus
+builds one ``SourceSpan`` per statement (``ParsedUnit.spans``), none per token.
 """
 
 from __future__ import annotations
 
+import bisect
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     ActionDecl,
@@ -68,11 +78,13 @@ KEYWORDS = {
     "horizon",
 }
 
-_PUNCT = {"(", ")", "{", "}", ",", ":", ".", "!="}
-
 
 @dataclass(frozen=True)
 class SourceSpan:
+    """A stretch of source text, built only when something asks for it:
+    tokens and statements keep character offsets, and ``_Source.span``
+    derives the line and column from them."""
+
     file: str
     start: int  # character offsets into the source text
     end: int
@@ -91,72 +103,86 @@ class ParseError(Exception):
         self.kind = kind  # "lexical" | "syntax" | "unknown-identifier" | "arity-mismatch"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "var" | "int" | "kw" | punctuation
+class _Source:
+    """One scanned text: its file name and, on first use, where each of
+    its lines starts.  Only a newline starts a line."""
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._starts: list[int] | None = None
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        if self._starts is None:
+            starts, i, find = [0], 0, self.text.find
+            while i := find("\n", i) + 1:
+                starts.append(i)
+            self._starts = starts
+        line = bisect.bisect_right(self._starts, start)
+        return SourceSpan(self.file, start, end, line, start - self._starts[line - 1] + 1)
+
+
+class Token(NamedTuple):
+    kind: str  # "name" | "var" | "int" | "kw" | "eof" | punctuation
     value: str
-    span: SourceSpan
+    start: int  # character offsets into the source text
+    end: int
+    source: _Source
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.start, self.end)
+
+
+# One scan step: skip blanks and comments, then read a word, a
+# punctuation mark, a character no token starts with, or the end.  ``\s``
+# is exactly ``str.isspace`` and ``\w`` exactly ``str.isalnum`` or ``_``,
+# so a word is a run an identifier could continue over; ``tokenize``
+# splits off a leading number and checks the first character with
+# ``str.isdigit`` and ``str.isalpha``, which no regex class matches.
+_SCAN = re.compile(
+    r"(?:\s+|%[^\n]*)*(?:(?P<word>\w[\w-]*)|(?P<punct>!=|[(){},:.])|(?P<other>.)|\Z)", re.S
+)
 
 
 def tokenize(text: str, file: str = "<string>") -> list[Token]:
+    source = _Source(file, text)
     tokens: list[Token] = []
-    i, line, bol = 0, 1, 0
-    n = len(text)
-
-    def span(start: int, end: int, sline: int, scol: int) -> SourceSpan:
-        return SourceSpan(file, start, end, sline, scol)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            bol = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        col = i - bol + 1
-        if ch == "!":
-            if text[i : i + 2] == "!=":
-                tokens.append(Token("!=", "!=", span(i, i + 2, line, col)))
-                i += 2
-                continue
-            raise ParseError("stray '!'", span(i, i + 1, line, col), kind="lexical")
-        if ch in "(){},:.":
-            tokens.append(Token(ch, ch, span(i, i + 1, line, col)))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], span(i, j, line, col)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            # '-' may occur inside identifiers; it carries the two time
-            # keywords (holds-at, happens-at).
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            word = text[i:j]
-            sp = span(i, j, line, col)
-            if word in KEYWORDS:
-                tokens.append(Token("kw", word, sp))
-            elif is_variable(word):
-                tokens.append(Token("var", word, sp))
-            else:
-                tokens.append(Token("name", word, sp))
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, span(i, i + 1, line, col), kind="lexical")
-    eof = SourceSpan(file, n, n, line, (n - bol) + 1)
-    tokens.append(Token("eof", "", eof))
+    append = tokens.append
+    match = _SCAN.match
+    pos = 0
+    while True:
+        m = match(text, pos)  # never None: "other" or the end matches
+        pos = m.end()
+        group = m.lastgroup
+        if group == "word":
+            word, start = m.group(group), m.start(group)
+            if word[0].isdigit():
+                # a number runs over digits only; '-' may occur inside
+                # identifiers (it carries holds-at and happens-at)
+                j = 1
+                while j < len(word) and word[j].isdigit():
+                    j += 1
+                append(Token("int", word[:j], start, start + j, source))
+                if j == len(word):
+                    continue
+                word, start = word[j:], start + j
+            ch = word[0]
+            if not (ch.isalpha() or ch == "_"):
+                raise ParseError(
+                    "unexpected character %r" % ch, source.span(start, start + 1), kind="lexical"
+                )
+            kind = "kw" if word in KEYWORDS else "var" if is_variable(word) else "name"
+            append(Token(kind, word, start, pos, source))
+        elif group == "punct":
+            append(Token(m.group(group), m.group(group), m.start(group), pos, source))
+        elif group == "other":
+            ch, start = m.group(group), m.start(group)
+            message = "stray '!'" if ch == "!" else "unexpected character %r" % ch
+            raise ParseError(message, source.span(start, start + 1), kind="lexical")
+        else:
+            append(Token("eof", "", len(text), len(text), source))
+            break
     return tokens
 
 
@@ -216,9 +242,13 @@ def _split_statements(tokens: list[Token]) -> list[list[Token]]:
     return statements
 
 
+def _eof_at(tok: Token) -> Token:
+    """An end-of-input token over ``tok``'s span."""
+    return tok._replace(kind="eof", value="")
+
+
 def _statement_span(stmt: list[Token]) -> SourceSpan:
-    first, last = stmt[0].span, stmt[-1].span
-    return SourceSpan(first.file, first.start, last.end, first.line, first.column)
+    return stmt[0].source.span(stmt[0].start, stmt[-1].end)
 
 
 def _is_declaration(stmt: list[Token]) -> bool:
@@ -235,7 +265,7 @@ def _parse_name_list(cur: _Cursor) -> list[Token]:
 
 
 def _parse_declaration(stmt: list[Token], sig: Signature) -> None:
-    cur = _Cursor(stmt + [Token("eof", "", stmt[-1].span)])
+    cur = _Cursor(stmt + [_eof_at(stmt[-1])])
     head = cur.next()
 
     def declared(name: Token) -> None:
@@ -277,7 +307,7 @@ class _PropParser:
     """Parses one proposition statement against a complete signature."""
 
     def __init__(self, stmt: list[Token], sig: Signature):
-        self.cur = _Cursor(stmt + [Token("eof", "", stmt[-1].span)])
+        self.cur = _Cursor(stmt + [_eof_at(stmt[-1])])
         self.sig = sig
 
     def _term(self) -> str:
@@ -302,10 +332,11 @@ class _PropParser:
                 args.append(self._term())
             self.cur.expect(")", "')'")
         atom = Atom(name.value, tuple(args))
-        self._resolve(atom, kind, name.span)
+        self._resolve(atom, kind, name)
         return atom
 
-    def _resolve(self, atom: Atom, kind: str, span: SourceSpan) -> None:
+    def _resolve(self, atom: Atom, kind: str, tok: Token) -> None:
+        """Check ``atom``, named by ``tok``, against the signature."""
         table = self.sig.fluents if kind == "fluent" else self.sig.actions
         decl = table.get(atom.name)
         if decl is None:
@@ -314,13 +345,15 @@ class _PropParser:
                 self.sig.actions if kind == "fluent" else self.sig.fluents
             ) else ""
             raise ParseError(
-                "%s %s is not declared%s" % (kind, atom.name, hint), span, kind="unknown-identifier"
+                "%s %s is not declared%s" % (kind, atom.name, hint),
+                tok.span,
+                kind="unknown-identifier",
             )
         if len(decl.arg_sorts) != len(atom.args):
             raise ParseError(
                 "%s %s takes %d arguments, got %d"
                 % (kind, atom.name, len(decl.arg_sorts), len(atom.args)),
-                span,
+                tok.span,
                 kind="arity-mismatch",
             )
 
@@ -415,19 +448,19 @@ class _PropParser:
                 kw.span,
             )
         if kw.value == "holds-at":
-            self._resolve(atom, "fluent", name_tok.span)
+            self._resolve(atom, "fluent", name_tok)
             self.cur.next()
             t = self._time()
             self._finish()
             return TProp(FluentLiteral(atom, True), t)
         if kw.value == "happens-at":
-            self._resolve(atom, "action", name_tok.span)
+            self._resolve(atom, "action", name_tok)
             self.cur.next()
             t = self._time()
             self._finish()
             return HProp(atom, t)
         if kw.value in ("initiates", "terminates"):
-            self._resolve(atom, "action", name_tok.span)
+            self._resolve(atom, "action", name_tok)
             self.cur.next()
             fluent = self._atom("fluent")
             cond, typings = Condition(), ()
@@ -437,13 +470,13 @@ class _PropParser:
             self._finish()
             return CProp(atom, kw.value == "initiates", fluent, cond, typings)
         if kw.value == "whenever":
-            self._resolve(atom, "fluent", name_tok.span)
+            self._resolve(atom, "fluent", name_tok)
             self.cur.next()
             cond, typings = self._condition()
             self._finish()
             return RProp(FluentLiteral(atom, True), cond, typings)
         if kw.value == "needs":
-            self._resolve(atom, "action", name_tok.span)
+            self._resolve(atom, "action", name_tok)
             self.cur.next()
             cond, typings = self._condition()
             self._finish()
@@ -506,7 +539,7 @@ def parse_query(text: str, signature: Signature | None = None, file: str = "<que
     cur.next()
     cur.expect("{", "'{'")
     goals: list[tuple[FluentLiteral, int]] = []
-    resolver = _PropParser([Token("eof", "", mode_tok.span)], signature or Signature())
+    resolver = _PropParser([_eof_at(mode_tok)], signature or Signature())
     while cur.peek().kind != "}":
         positive = True
         if cur.peek().kind == "kw" and cur.peek().value == "neg":
@@ -531,7 +564,7 @@ def parse_query(text: str, signature: Signature | None = None, file: str = "<que
             cur.expect(")", "')'")
         atom = Atom(name_tok.value, tuple(args))
         if signature is not None:
-            resolver._resolve(atom, "fluent", name_tok.span)
+            resolver._resolve(atom, "fluent", name_tok)
         literal = FluentLiteral(atom, positive)
         if not literal.is_ground:
             raise ParseError("query literal must be ground", name_tok.span)

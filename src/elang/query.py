@@ -24,7 +24,6 @@ long horizon nor a wide state runs into Python's recursion limit.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -329,68 +328,85 @@ def slice_for_goals(
 
     Two atoms are connected when some ramification statement, or some
     effect instance of an action the theory schedules, mentions both (head
-    and body included).  An effect of an action that never occurs never
-    applies, so it links nothing and is not copied.  The kept atoms then
-    never share a live statement with a dropped one, and the transition
-    relation factorizes.  Preconditions are filtered to the kept atoms, and
-    observations on dropped atoms are removed.  Answers over the slice
-    match the full theory whenever the full theory is consistent; an
-    inconsistency caused purely by dropped atoms is invisible to the slice.
-    The slice is a new theory whose indexes are built when first read.
+    and body included).  An effect or precondition of an action that never
+    occurs never applies, so it links or restricts nothing and is not
+    copied; only the scheduled actions' effects are read, and so ground.
+    The kept atoms then never share a live statement with a dropped one,
+    and the transition relation factorizes.  Preconditions are filtered to
+    the kept atoms, and observations on dropped atoms are removed.  Answers
+    over the slice match the full theory whenever the full theory is
+    consistent; an inconsistency caused purely by dropped atoms is
+    invisible to the slice.  The slice is a new theory whose indexes are
+    built when first read.
     """
-    scheduled = set().union(*theory.occurrences.values())
-    live = [cp for cp in theory.cprops if cp.action in scheduled]
-    edges: list[list[int]] = []  # the atoms of each linking statement
-    for cp in live:
-        edges.append([cp.fluent, *(abs(c) - 1 for c in cp.condition)])
+    occurring = set().union(*theory.occurrences.values())
+    scheduled = sorted(occurring)
+    # the scheduled actions' effects in the theory's order, each with its
+    # action's place in ``scheduled``
+    live = sorted(
+        (pos, k, cp) for k, action in enumerate(scheduled) for pos, cp in theory.effects_of(action)
+    )
+    # Union the atoms of every linking statement: the goals' components
+    # are the kept atoms, and a statement is kept with its atoms.
+    root = list(range(theory.n_fluents))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    def link(head: Lit | None, body: frozenset[Lit]) -> None:
+        if head is None:
+            if not body:
+                return
+            head = next(iter(body))
+        first = find(abs(head) - 1)
+        for c in body:
+            r = abs(c) - 1
+            if root[r] != r:
+                r = find(r)
+            if r != first:
+                root[r] = first
+
+    for _, _, cp in live:
+        link(cp.fluent + 1, cp.condition)
     for rp in theory.rprops:
-        edges.append([abs(c) - 1 for c in rp.condition])
-        if rp.head is not None:
-            edges[-1].append(abs(rp.head) - 1)
-    by_atom: list[list[int]] = [[] for _ in range(theory.n_fluents)]
-    for e, atoms in enumerate(edges):
-        for a in atoms:
-            by_atom[a].append(e)
-    # One breadth-first pass: every statement touching a kept atom is
-    # visited once, and all its atoms are kept.
-    keep = set(goal_atoms)
-    visited = [False] * len(edges)
-    queue = deque(keep)
-    while queue:
-        for e in by_atom[queue.popleft()]:
-            if not visited[e]:
-                visited[e] = True
-                for a in edges[e]:
-                    if a not in keep:
-                        keep.add(a)
-                        queue.append(a)
-    kept = sorted(keep)
+        link(rp.head, rp.condition)
+    roots = {find(a) for a in goal_atoms}
+    kept = [a for a in range(theory.n_fluents) if find(a) in roots]
     remap = {old: new for new, old in enumerate(kept)}
-    # recode[c] is the sliced code of literal code c, 0 for a dropped atom;
-    # negative codes index from the end of the list.
+    # recode[c] is the sliced code of literal code c, 0 for a dropped atom
+    # (and for 0); negative codes index from the end of the list.
     recode = [0] * (2 * theory.n_fluents + 1)
     for old, new in remap.items():
         recode[old + 1] = new + 1
         recode[-old - 1] = -new - 1
+    recode_one = recode.__getitem__
 
     def recoded(codes) -> frozenset[Lit]:
-        return frozenset([recode[c] for c in codes])
+        return frozenset(map(recode_one, codes))
 
-    n_cprops = len(live)
-    cprops = [
-        GroundCProp(cp.action, cp.initiates, remap[cp.fluent], recoded(cp.condition), cp.src)
-        for cp, seen in zip(live, visited)
-        if seen
-    ]
+    effects: list[list[tuple[int, GroundCProp]]] = [[] for _ in scheduled]
+    cprops = []
+    for _, k, cp in live:
+        if recode[cp.fluent + 1]:
+            condition = recoded(cp.condition)
+            cp = GroundCProp(cp.action, cp.initiates, remap[cp.fluent], condition, cp.src)
+            effects[k].append((len(cprops), cp))
+            cprops.append(cp)
+    kept_effects = {action: tuple(pairs) for action, pairs in zip(scheduled, effects) if pairs}
     rprops = []
-    for rp, seen in zip(theory.rprops, visited[n_cprops:]):
-        if seen:
+    for rp in theory.rprops:
+        probe = rp.head if rp.head is not None else next(iter(rp.condition), 0)
+        if recode[probe]:
             head = None if rp.head is None else recode[rp.head]
             rprops.append(GroundRProp(head, recoded(rp.condition), rp.src))
-        elif rp.head is None and not rp.condition:
+        elif not probe:
             rprops.append(rp)  # groundless denial: the theory is never consistent
     pprops = []
     for pp in theory.pprops:
+        if pp.action not in occurring:
+            continue
         filtered = recoded(pp.condition) - {0}
         if filtered or pp.impossible:
             pprops.append(GroundPProp(pp.action, filtered, pp.src, pp.impossible))
@@ -414,7 +430,10 @@ def slice_for_goals(
         fluents=tuple(theory.fluents[i] for i in kept),
         index={theory.fluents[i]: remap[i] for i in kept},
         constant_values=dict(theory.constant_values),
-        cprops=cprops,
+        # every scheduled action's kept effects are known already
+        effects=kept_effects,
+        ground_effects=lambda action: (),
+        ground_all_effects=lambda: cprops,
         rprops=rprops,
         pprops=pprops,
         occurrences=dict(theory.occurrences),

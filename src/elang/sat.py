@@ -118,9 +118,11 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
             by_action.setdefault(a, [])
             for b in ordered[i:]:
                 together.add((a, b))
-    for ci, cp in enumerate(theory.cprops):
-        if cp.action in by_action:
-            by_action[cp.action].append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
+    src_of: dict[int, int] = {}  # cprop index -> originating statement
+    for action, effects in by_action.items():
+        for ci, cp in theory.effects_of(action):
+            effects.append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
+            src_of[ci] = cp.src
     cache: dict[Lit, set[Lit]] = {}
     clash_memo: dict[tuple[Lit, Lit], int | None] = {}
 
@@ -153,7 +155,7 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
             FragmentViolation(
                 "effect-conflict",
                 "statements %d and %d can disagree on %s"
-                % (theory.cprops[ci].src, theory.cprops[cj].src, theory.fluents[atom]),
+                % (src_of[ci], src_of[cj], theory.fluents[atom]),
             )
         )
 
@@ -286,8 +288,7 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     for t in range(horizon):
         fires: dict[Lit, list[int]] = {}  # effect -> fire variables producing it
         for action in sorted(theory.occurrences.get(t, ())):
-            for ci in theory.cprops_by_action.get(action, ()):
-                cp = theory.cprops[ci]
+            for ci, cp in theory.effects_of(action):
                 v = new_var("fire[%d]@%d", ci, t)
                 cond = sorted(cp.condition, key=lambda x: (abs(x), x))
                 for code in cond:

@@ -76,8 +76,7 @@ def direct_candidates(theory: GroundTheory, state: State, actions: frozenset[Ato
     """Direct effect literals produced by ``actions`` in ``state``."""
     out: set[Lit] = set()
     for action in actions:
-        for ci in theory.cprops_by_action.get(action, ()):
-            cp = theory.cprops[ci]
+        for _, cp in theory.effects_of(action):
             if theory.satisfies(state, cp.condition):
                 out.add(cp.fluent + 1 if cp.initiates else -(cp.fluent + 1))
     return frozenset(out)

@@ -200,6 +200,79 @@ def theory_strings(theory) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Reference lexer
+
+
+LEXER_KEYWORDS = {
+    "sort", "fluent", "constant", "action", "initiates", "terminates", "when",
+    "whenever", "needs", "neg", "false", "holds-at", "happens-at", "credulous",
+    "skeptical", "horizon",
+}
+
+
+class LexError(Exception):
+    """A lexical error of ``reference_tokenize``: message, line, column."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(message)
+        self.message, self.line, self.column = message, line, column
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, tuple[int, int, int, int]]]:
+    """Lex character by character with the ``str`` predicates: each token
+    as (kind, value, (start, end, line, column)), ending with an "eof"
+    token.  A newline starts a line; any other ``isspace`` character and
+    ``%`` comments separate tokens; ``!=`` and ``(){},:.`` are punctuation;
+    a run of ``isdigit`` characters is an "int"; an ``isalpha`` or ``_``
+    character starts an identifier that runs over ``isalnum``, ``_`` and
+    ``-``, read as a keyword, a "var" when it starts uppercase, or a
+    "name".  Anything else raises ``LexError``."""
+    tokens = []
+    i, line, bol, n = 0, 1, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            bol = i
+            continue
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        col = i - bol + 1
+        if ch == "!":
+            if text[i : i + 2] != "!=":
+                raise LexError("stray '!'", line, col)
+            tokens.append(("!=", "!=", (i, i + 2, line, col)))
+            i += 2
+        elif ch in "(){},:.":
+            tokens.append((ch, ch, (i, i + 1, line, col)))
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], (i, j, line, col)))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_-"):
+                j += 1
+            word = text[i:j]
+            kind = "kw" if word in LEXER_KEYWORDS else "var" if word[0].isupper() else "name"
+            tokens.append((kind, word, (i, j, line, col)))
+            i = j
+        else:
+            raise LexError("unexpected character %r" % ch, line, col)
+    tokens.append(("eof", "", (n, n, line, n - bol + 1)))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # Truth-table CNF oracle (bit columns over big integers)
 
 
@@ -456,9 +529,12 @@ def random_state(rng: random.Random, n_atoms: int) -> frozenset[int]:
     return frozenset(i for i in range(n_atoms) if rng.random() < 0.5)
 
 
-def random_sorted_domain(rng: random.Random) -> DomainDescription:
+def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescription:
     """A random domain with sorts, variables and constant fluents, for
-    checking the grounder against full enumeration."""
+    checking the grounder against full enumeration.  ``wide`` adds
+    two-argument actions (so an action atom may repeat a variable or mix
+    variables and constants) and disequalities in conditions; without it
+    the draws are those of earlier versions."""
     sorts = {}
     for s in range(rng.randint(1, 2)):
         name = "s%d" % (s + 1)
@@ -476,7 +552,7 @@ def random_sorted_domain(rng: random.Random) -> DomainDescription:
     actions = {}
     for i in range(rng.randint(1, 2)):
         name = "act%d" % (i + 1)
-        arity = rng.randint(0, 1)
+        arity = rng.randint(0, 2 if wide else 1)
         actions[name] = ActionDecl(name, tuple(rng.choice(sort_names) for _ in range(arity)))
     sig = Signature(sorts, fluents, actions)
 
@@ -503,6 +579,26 @@ def random_sorted_domain(rng: random.Random) -> DomainDescription:
     def vars_of(atoms: list[Atom]) -> set[str]:
         return {a for atom in atoms for a in atom.args if a in var_pool}
 
+    def diseqs(atoms: list[Atom], decls: list) -> tuple[tuple[str, str], ...]:
+        """Under ``wide``, often one disequality: between two variables of
+        a sort, a variable and a constant, or two constants (which may be
+        equal, ruling out every binding)."""
+        if not wide or rng.random() < 0.4:
+            return ()
+        typed = {}
+        for atom, decl in zip(atoms, decls):
+            for arg, s in zip(atom.args, decl.arg_sorts):
+                if arg in var_pool:
+                    typed[arg] = s
+        if not typed or rng.random() < 0.1:
+            pool = sorts[rng.choice(sort_names)]
+            return ((rng.choice(pool), rng.choice(pool)),)
+        v = rng.choice(sorted(typed))
+        twins = [w for w in sorted(typed) if w != v and typed[w] == typed[v]]
+        if twins and rng.random() < 0.5:
+            return ((v, twins[0]),)
+        return ((v, rng.choice(sorts[typed[v]])),)
+
     dyn_fluents = [d for d in fluents.values() if not d.constant]
     const_fluents = [d for d in fluents.values() if d.constant]
     props = []
@@ -524,7 +620,8 @@ def random_sorted_domain(rng: random.Random) -> DomainDescription:
             if not consistent_vars([action, fluent] + catoms, [adecl, fdecl] + cdecls):
                 continue
             cond = Condition.of(
-                *(FluentLiteral(a, rng.random() < 0.7) for a in catoms)
+                *(FluentLiteral(a, rng.random() < 0.7) for a in catoms),
+                diseqs=diseqs([action, fluent] + catoms, [adecl, fdecl] + cdecls),
             )
             props.append(CProp(action, rng.random() < 0.5, fluent, cond, ()))
         elif kind < 0.75:
@@ -540,7 +637,10 @@ def random_sorted_domain(rng: random.Random) -> DomainDescription:
             if not consistent_vars([head_atom] + catoms, [fdecl] + cdecls):
                 continue
             head = None if rng.random() < 0.2 else FluentLiteral(head_atom, rng.random() < 0.7)
-            body = Condition.of(*(FluentLiteral(a, rng.random() < 0.7) for a in catoms))
+            body = Condition.of(
+                *(FluentLiteral(a, rng.random() < 0.7) for a in catoms),
+                diseqs=diseqs([head_atom] + catoms, [fdecl] + cdecls),
+            )
             if body.is_empty:
                 continue
             if head is not None and not vars_of([head_atom]) <= vars_of(catoms):
@@ -557,7 +657,10 @@ def random_sorted_domain(rng: random.Random) -> DomainDescription:
                 cdecls.append(d)
             if not consistent_vars([action] + catoms, [adecl] + cdecls):
                 continue
-            cond = Condition.of(*(FluentLiteral(a, rng.random() < 0.7) for a in catoms))
+            cond = Condition.of(
+                *(FluentLiteral(a, rng.random() < 0.7) for a in catoms),
+                diseqs=diseqs([action] + catoms, [adecl] + cdecls),
+            )
             props.append(PProp(action, cond, ()))
 
     # constant facts and a constant derivation rule when possible

@@ -203,7 +203,6 @@ INDEXES = (
     "constraints",
     "rprops_by_body_atom",
     "rprops_by_head_atom",
-    "cprops_by_action",
     "pprops_by_action",
 )
 
@@ -217,15 +216,23 @@ def test_indexes_are_built_on_first_read():
     domain = load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e")
     query = parse_query("skeptical { animal_pos(john,p3) holds-at 3 } horizon 4")
     th = ground(domain, 4)
+    scheduled = set().union(*th.occurrences.values())
     assert not set(INDEXES) & set(vars(th))
-    # a sliced answer indexes only the slice
+    # a sliced answer indexes only the slice, and grounds only the
+    # scheduled actions' effects
     answer_theory(th, query, use_slice=True)
     assert not set(INDEXES) & set(vars(th))
-    # the clausal backend never builds the engine's clause set
+    assert "cprops" not in vars(th)
+    assert set(th.effects) == scheduled
+    # the clausal backend never builds the engine's clause set, nor the
+    # full effect list
     answer_sat(th, query)
     assert "constraints" not in vars(th)
+    assert "cprops" not in vars(th)
     answer_theory(th, query)
     assert set(INDEXES) <= set(vars(th))
+    assert "cprops" not in vars(th)
+    assert set(th.effects) == scheduled
 
 
 def test_indexes_match_their_definitions():
@@ -252,9 +259,12 @@ def test_indexes_match_their_definitions():
         for a in atoms
         if any(rp.head is not None and abs(rp.head) - 1 == a for rp in th.rprops)
     }
-    for props, index in ((th.cprops, th.cprops_by_action), (th.pprops, th.pprops_by_action)):
-        actions = {p.action for p in props}
-        assert index == {a: tuple(i for i, p in enumerate(props) if p.action == a) for a in actions}
+    actions = {p.action for p in th.pprops}
+    assert th.pprops_by_action == {
+        a: tuple(i for i, p in enumerate(th.pprops) if p.action == a) for a in actions
+    }
+    for a in {cp.action for cp in th.cprops}:
+        assert th.effects_of(a) == tuple((i, cp) for i, cp in enumerate(th.cprops) if cp.action == a)
     assert th.rprops and th.cprops and th.pprops
 
 
@@ -311,6 +321,74 @@ def test_zoo_matches_naive_oracle():
         domain = load_domain("corpus:" + name, "corpus:zoo_scenario_base.e")
         th = ground(domain, 6)
         assert theory_strings(th) == naive_ground_strings(domain, 6), name
+
+
+def _ground_actions(domain):
+    """Every ground atom of every declared action, in declaration order."""
+    import itertools
+
+    from elang.model import Atom
+
+    sig = domain.signature
+    return [
+        Atom(decl.name, args)
+        for decl in sig.actions.values()
+        for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
+    ]
+
+
+def _check_lazy_effects(domain, horizon, rng):
+    """Ground each action's effects first, in a random order, on one theory;
+    they must be the full list (from a second theory) filtered by action,
+    at the same positions.  The stats, read before any effect is ground,
+    must match the naive grounder's counts."""
+    lazy = ground(domain, horizon)
+    naive = naive_ground_strings(domain, horizon)
+    s = lazy.stats
+    assert s.cprops == len(naive["cprops"])
+    assert s.rprops + s.denials == len(naive["rprops"])
+    assert s.denials == sum(1 for r in naive["rprops"] if r.startswith("false|"))
+    assert s.pprops == len(naive["pprops"])
+    assert s.dropped_instances == naive["dropped"]
+    actions = _ground_actions(domain)
+    rng.shuffle(actions)
+    per_action = {a: lazy.effects_of(a) for a in actions}
+    assert "cprops" not in vars(lazy)
+    full = ground(domain, horizon).cprops
+    for a in actions:
+        assert per_action[a] == tuple((i, cp) for i, cp in enumerate(full) if cp.action == a), a
+    assert sum(map(len, per_action.values())) == len(full) == s.cprops
+    assert lazy.cprops == full
+
+
+def test_lazy_effects_match_full_list_on_corpus():
+    from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, load_domain
+
+    rng = random.Random(7)
+    for name, horizon in CORPUS_HORIZONS.items():
+        _check_lazy_effects(load_domain("corpus:" + name), horizon, rng)
+    for name in ("zoo_direct.e", "zoo_indirect.e", "zoo_dual.e", "zoo_dual_feed.e"):
+        for scenario in ZOO_SCENARIOS:
+            _check_lazy_effects(load_domain("corpus:" + name, "corpus:" + scenario), 6, rng)
+    _check_lazy_effects(_walk_domain(8, 20, seed=3), 20, rng)
+
+
+def test_lazy_effects_match_full_list_on_random_domains():
+    rng = random.Random(11)
+    checked = with_diseqs = 0
+    while checked < 200:
+        domain = random_sorted_domain(rng, wide=True)
+        try:
+            ground(domain, 2)
+        except GroundingError:
+            continue
+        _check_lazy_effects(domain, 2, rng)
+        checked += 1
+        with_diseqs += any(
+            getattr(p, "condition", None) is not None and p.condition.diseqs
+            for p in domain.propositions
+        )
+    assert with_diseqs > 50
 
 
 def _grounding_error(text, horizon=3):

@@ -17,7 +17,7 @@ from elang.parser import (
     tokenize,
 )
 
-from oracles import random_theory
+from oracles import LexError, random_theory, reference_tokenize
 
 BASIC = """
 % a bulb
@@ -42,6 +42,84 @@ def test_comments_and_spans():
     tokens = [t for t in tokenize("a. % comment\nb.") if t.value]
     assert [t.value for t in tokens] == ["a", ".", "b", "."]
     assert tokens[2].span.line == 2
+
+
+# Pieces of text for the scanner property: ASCII and non-ASCII letters,
+# decimal digits ("٣"), digits that are not decimal ("²"), numerals that
+# are not digits ("½", "Ⅻ"), "_" and "-", a stray "!", "!=", "%"
+# comments, tabs, "\r\n" and a no-break space.
+LEX_PIECES = [
+    "a", "z", "Q", "é", "Ж", "ß", "_", "-", "0", "7", "٣", "²", "½", "Ⅻ",
+    "!", "!=", "=", "%", " ", "\t", "\n", "\r\n", "\u00a0", "(", ")", "{", "}",
+    ",", ":", ".", "holds-at", "neg", "X1", "#",
+]
+
+
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_scanner_matches_reference_lexer(text):
+    try:
+        expected = reference_tokenize(text)
+    except LexError as exc:
+        with pytest.raises(ParseError) as raised:
+            tokenize(text, "f.e")
+        err = raised.value
+        assert (err.message, err.kind, err.span.line, err.span.column) == (
+            exc.message,
+            "lexical",
+            exc.line,
+            exc.column,
+        )
+        return
+    tokens = tokenize(text, "f.e")
+    spans = [t.span for t in tokens]
+    assert [
+        (t.kind, t.value, (sp.start, sp.end, sp.line, sp.column)) for t, sp in zip(tokens, spans)
+    ] == expected
+    assert {sp.file for sp in spans} == {"f.e"}
+
+
+def test_scanner_keeps_unicode_classes():
+    # "²" is a digit but not decimal, so it continues a number; "½" is
+    # numeric but no digit, so it starts no token but continues a name
+    assert [(t.kind, t.value) for t in tokenize("1²a x½ 12")] == [
+        ("int", "1²"),
+        ("name", "a"),
+        ("name", "x½"),
+        ("int", "12"),
+        ("eof", ""),
+    ]
+    with pytest.raises(ParseError) as raised:
+        tokenize("ok.\r\n\t½")
+    assert (raised.value.message, raised.value.span.line, raised.value.span.column) == (
+        "unexpected character '½'",
+        2,
+        2,
+    )
+
+
+def test_clean_parse_builds_spans_only_for_statements(monkeypatch):
+    from pathlib import Path
+
+    import elang.parser
+
+    built = []
+
+    class CountedSpan(elang.parser.SourceSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(elang.parser, "SourceSpan", CountedSpan)
+    data = Path(elang.parser.__file__).parent / "corpus" / "data"
+    domain = parse_domain((data / "zoo_dual.e").read_text())
+    assert domain.spans and len(built) == len(domain.spans)
+    scenario = parse_domain(
+        (data / "chain_scenario.e").read_text(), base_signature=domain.domain.signature
+    )
+    assert len(built) == len(domain.spans) + len(scenario.spans)
+    parse_query("skeptical { animal_pos(john,p3) holds-at 3 } horizon 4", domain.domain.signature)
+    assert len(built) == len(domain.spans) + len(scenario.spans)
 
 
 def test_parse_basic_domain():
