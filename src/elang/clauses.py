@@ -23,11 +23,24 @@ enqueues its assumptions.  Unit propagation reaches the same fixpoint in
 any order, so the models, their order, the decisions and where a budget
 runs out are those of propagating units and assumptions together.  A
 conflict at the root makes every call yield nothing.
+
+A call may also fix ``preset`` literals and add ``extra`` clauses, as
+the single-step search does on the state constraints.  Preset literals
+are assigned after the root and never propagated, so a call costs the
+occurrences of its open variables only; the caller guarantees that they
+agree with some model of the clauses, so a clause over root and preset
+variables alone already holds.  A clause the preset leaves unit waits
+for its open literal, which may cost decisions but no model.  The extra
+clauses, the overlay, may use auxiliaries numbered after ``num_vars``.
+They are indexed into per-call copies of the occurrence lists, so
+propagation runs one loop, and first checked once against the root and
+the preset, which were never propagated through them.  The SAT backend
+and the initial-state enumeration pass neither.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 
@@ -75,12 +88,16 @@ class ClauseSet:
         prefer: frozenset[int] = frozenset(),
         stats=None,
         budget: int | None = None,
+        preset: Iterable[int] = (),
+        extra: Sequence[Sequence[int]] = (),
     ) -> Iterator[frozenset[int]]:
-        """Yield every total assignment satisfying the clauses and the
-        ``assumptions``, each as the frozenset of its true variables, in the
-        order the module docstring gives.  ``stats``, any object with
-        integer ``decisions`` and ``propagations``, accumulates the work,
-        the root's propagations included on every call; more than
+        """Yield every total assignment satisfying the clauses, the
+        ``extra`` clauses (taken as given, not normalised), the
+        ``assumptions`` and the ``preset`` literals (over 1..num_vars; see
+        the module docstring), each as the frozenset of its true variables,
+        in the order the module docstring gives.  ``stats``, any object
+        with integer ``decisions`` and ``propagations``, accumulates the
+        work, the root's propagations included on every call; more than
         ``budget`` decisions on it raise BudgetExceeded."""
         if self.empty:
             return
@@ -132,6 +149,27 @@ class ClauseSet:
             ok, value, trail, qhead = self._root
             value, trail = value[:], trail[:]
             tally.propagations += qhead
+        if ok and preset:
+            ok = all(map(enqueue, preset))
+            qhead = len(trail)  # not propagated
+        if extra:
+            # Per-call copies of the root's arrays, with the auxiliaries'
+            # slots between the two halves.
+            top = max([n] + [abs(l) for clause in extra for l in clause])
+            aux = [0] * (2 * (top - n))
+            value = value[: n + 1] + aux + value[n + 1 :]
+            occurs = occurs[: n + 1] + [[] for _ in aux] + occurs[n + 1 :]
+            for ci, clause in enumerate(extra, len(clauses)):
+                for l in clause:
+                    occurs[l] = occurs[l] + [ci]
+                # Neither the root nor the preset was propagated through it.
+                free = [l for l in clause if value[l] >= 0]
+                if not free:
+                    ok = False
+                elif len(free) == 1:
+                    enqueue(free[0])  # a no-op when it is true
+            clauses = clauses + list(extra)
+            n = top
         ok = ok and all(map(enqueue, assumptions)) and propagate()
         frames: list[list[int]] = []  # [decision literal, trail length, flipped]
         var = 1  # every variable below it is assigned

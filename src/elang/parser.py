@@ -186,6 +186,14 @@ def tokenize(text: str, file: str = "<string>") -> list[Token]:
     return tokens
 
 
+def _number(tok: Token) -> int:
+    """An "int" token's value; ``int`` refuses some digits the scanner takes, such as '²'."""
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise ParseError("invalid number %r" % tok.value, tok.span, kind="lexical") from None
+
+
 @dataclass
 class ParsedUnit:
     domain: DomainDescription
@@ -408,8 +416,7 @@ class _PropParser:
         return cond, tuple(sorted(typings.items()))
 
     def _time(self) -> int:
-        tok = self.cur.expect("int", "a time point")
-        return int(tok.value)
+        return _number(self.cur.expect("int", "a time point"))
 
     def _finish(self) -> None:
         tok = self.cur.peek()
@@ -569,15 +576,14 @@ def parse_query(text: str, signature: Signature | None = None, file: str = "<que
         if not literal.is_ground:
             raise ParseError("query literal must be ground", name_tok.span)
         cur.expect_kw("holds-at")
-        t_tok = cur.expect("int", "a time point")
-        goals.append((literal, int(t_tok.value)))
+        goals.append((literal, _number(cur.expect("int", "a time point"))))
         if cur.peek().kind == ",":
             cur.next()
     cur.expect("}", "'}'")
     horizon: int | None = None
     if cur.peek().kind == "kw" and cur.peek().value == "horizon":
         cur.next()
-        horizon = int(cur.expect("int", "a horizon").value)
+        horizon = _number(cur.expect("int", "a horizon"))
     if cur.peek().kind == ".":
         cur.next()
     trailing = cur.peek()

@@ -36,17 +36,19 @@ and e to the clause kernel (``clauses.py``) as clauses:
   under the statements with a body literal already producible
   (``producible``).  The search runs over their atoms, the reach;
   persistence freezes every other atom at its source value.
-* Rule d: the state constraints, folded against the frozen atoms.  Every
-  kernel model satisfies them, so the targets are not checked again.
-* Rules c and e as support clauses.  A reach atom whose value in ``t`` is
-  no candidate needs a statement with that head whose body holds in
-  ``t`` and has a producible literal: its change literal by rule c, its
-  source literal by rule e when the change is a candidate left out.  Each
-  such body gets an auxiliary variable, numbered after the reach atoms so
-  that every target has exactly one model; the auxiliaries are projected
-  out.  With no such statement the atom keeps its value (rule c) or must
-  change (rule e).  One more clause asks that some candidate hold in
-  ``t``: with none applied, ``changed`` is empty and rule e fails.
+* Rule d: the theory's own ``constraints``, searched with the frozen
+  atoms fixed.  Every kernel model satisfies them, so the targets are not
+  checked again.
+* Rules c and e as support clauses, the kernel's overlay for this step.
+  A reach atom whose value in ``t`` is no candidate needs a statement
+  with that head whose body holds in ``t`` and has a producible literal:
+  its change literal by rule c, its source literal by rule e when the
+  change is a candidate left out.  Each such body gets an auxiliary
+  variable, numbered after the theory's atoms so that every target has
+  exactly one model; the auxiliaries are projected out.  With no such
+  statement the atom keeps its value (rule c) or must change (rule e).
+  One more clause asks that some candidate hold in ``t``: with none
+  applied, ``changed`` is empty and rule e fails.
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
@@ -54,20 +56,22 @@ support each other.  So every model is still checked against conditions
 a, b, c and e, with ``applied`` the candidates true in it.
 
 ``successor_states`` is exact for any source state; a step can repair a
-constraint its source violates.  A caller whose sources satisfy the
-constraints (``query.Evaluator``: its sources are initial-state models or
-earlier successors) passes ``consistent_source``.  The clauses over frozen
-atoms alone then hold already and are not folded, and a step without
-candidates returns its source unchecked.  ``brute_force_successors``
-checks the definition, rule d included, subset by subset over all
-assignments, and is the reference the search is tested against.
+constraint its source violates, and the kernel propagates the frozen
+values as assumptions, which finds the constraints they break.  A caller
+whose sources satisfy the constraints (``query.Evaluator``: its sources
+are initial-state models or earlier successors) passes
+``consistent_source``.  The frozen values are then preset, never
+propagated, so a step costs the occurrences of its reach atoms only, and
+a step without candidates returns its source unchecked.
+``brute_force_successors`` checks the definition, rule d included,
+subset by subset over all assignments, and is the reference the search
+is tested against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .clauses import ClauseSet
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 
@@ -187,45 +191,15 @@ def successor_states(
     # source value.
     may_change = producible(theory, candidates)
     reach = {abs(l) - 1 for l in may_change}
-
-    order = sorted(reach)
-    k = len(order)
-    var = {a: i + 1 for i, a in enumerate(order)}
-
-    def fold(lits: Iterable[Lit]) -> list[Lit] | None:
-        """A clause over the reach atoms renumbered 1..k in sorted order,
-        or None when a frozen value satisfies it."""
-        out: list[Lit] = []
-        for lit in lits:
-            a = abs(lit) - 1
-            if a in reach:
-                out.append(var[a] if lit > 0 else -var[a])
-            elif (a in source) == (lit > 0):
-                return None
-        return out
-
-    # Rule d: the constraint clauses folded against the frozen atoms.  A
-    # consistent source satisfies every clause over frozen atoms alone.
-    if consistent_source:
-        cs = theory.constraints
-        touching = {ci for a in order for ci in cs.occurs[a + 1] + cs.occurs[-(a + 1)]}
-        constraints: Iterable[Iterable[Lit]] = [cs.clauses[ci] for ci in sorted(touching)]
-    else:
-        constraints = theory.constraint_clauses
-    clauses: list[list[Lit]] = []
-    for clause in constraints:
-        lits = fold(clause)
-        if lits is None:
-            continue
-        if not lits:
-            return []  # violated by frozen values alone
-        clauses.append(lits)
+    n = theory.n_fluents
+    frozen = [a + 1 if a in source else -(a + 1) for a in range(n) if a not in reach]
 
     # Rules c and e as support clauses (see the module docstring).  Each
     # supporting body is an auxiliary variable s <-> body, numbered after
-    # the reach atoms so that the atoms fix it.
-    n_vars = k
-    for a in order:
+    # the atoms so that the atoms fix it.
+    overlay: list[list[Lit]] = []
+    aux = n
+    for a in sorted(reach):
         keep = a + 1 if a in source else -(a + 1)
         if -keep not in candidates:
             need = -keep
@@ -233,28 +207,27 @@ def successor_states(
             need = keep
         else:
             continue  # both values are candidates
-        support = fold([-need])
+        support = [-need]
         for ri in theory.rprops_by_head_atom.get(a, ()):
             rp = theory.rprops[ri]
             if rp.head != need or may_change.isdisjoint(rp.condition):
                 continue
-            negated = fold(-l for l in rp.condition)
-            if negated is None:
-                continue  # a frozen body literal is false
-            n_vars += 1
-            clauses.append([n_vars] + negated)
-            clauses.extend([-n_vars, -l] for l in negated)
-            support.append(n_vars)
-        clauses.append(support)
+            aux += 1
+            overlay.append([aux] + [-l for l in rp.condition])
+            overlay.extend([-aux, l] for l in rp.condition)
+            support.append(aux)
+        overlay.append(support)
     # With no candidate applied nothing changes, and rule e fails for every
     # candidate: so some candidate holds in the target.
-    clauses.append(fold(candidates))
+    overlay.append(list(candidates))
 
-    prefer = frozenset(var[a] for a in order if a in source)
-    frozen = source - reach
+    # Rule d: the theory's own constraints, the frozen values preset when
+    # they satisfy them and propagated as assumptions otherwise.
+    assumptions, preset = ((), frozen) if consistent_source else (frozen, ())
+    prefer = frozenset(a + 1 for a in source)
     found: list[State] = []
-    for model in ClauseSet(n_vars, clauses).models((), prefer):
-        target = frozenset(order[v - 1] for v in model if v <= k) | frozen
+    for model in theory.constraints.models(assumptions, prefer, preset=preset, extra=overlay):
+        target = frozenset(v - 1 for v in model if v <= n)
         applied = frozenset(c for c in candidates if theory.holds(target, c))
         if _verify_target(theory, source, applied, candidates, target):
             found.append(target)

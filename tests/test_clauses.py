@@ -200,3 +200,68 @@ def test_calls_stopped_early_leave_later_calls_exact():
             assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
             assert got[0] == cnf_models(num_vars, clauses, assumptions, prefer)
     assert stopped > 20
+
+
+def overlay_case(rng, satisfied_by_preset):
+    """A base clause set, a preset drawn from one of its models, and an
+    overlay over the base atoms and up to three auxiliaries.  With
+    ``satisfied_by_preset`` every base clause that mentions a preset atom
+    also has a true preset literal, so the preset leaves no base clause
+    unit.  Base units on atoms the overlay mentions make the root reach
+    the overlay."""
+    while True:
+        num_vars, base = random_cnf(rng, max_vars=7)
+        sources = cnf_models(num_vars, base)
+        if sources:
+            break
+    source = rng.choice(sources)
+    preset = [v if v in source else -v for v in range(1, num_vars + 1) if rng.random() < 0.4]
+    held = set(preset)
+    if satisfied_by_preset:
+        base = [c for c in base if not held.isdisjoint(c) or held.isdisjoint([-l for l in c])]
+    top = num_vars + rng.randint(0, 3)
+    extra = [random_literals(rng, top, rng.randint(1, min(3, top))) for _ in range(rng.randint(1, 5))]
+    mentioned = sorted({abs(l) for c in extra for l in c if abs(l) <= num_vars} - {abs(l) for l in preset})
+    for v in rng.sample(mentioned, min(2, len(mentioned))):
+        base.append([v if v in source else -v])
+    return num_vars, base, preset, extra
+
+
+def folded(base, preset, extra):
+    """The base clauses with the preset folded in, the overlay and the
+    preset as units: one clause set for the same models."""
+    held = set(preset)
+    kept = [[l for l in c if -l not in held] for c in base if held.isdisjoint(c)]
+    return kept + [list(c) for c in extra] + [[l] for l in preset]
+
+
+def test_preset_and_overlay_match_one_merged_clause_set():
+    rng = random.Random(53)
+    for _ in range(400):
+        num_vars, base, preset, extra = overlay_case(rng, satisfied_by_preset=True)
+        top = max([num_vars] + [abs(l) for c in extra for l in c])
+        held = ClauseSet(num_vars, base)
+        merged = ClauseSet(top, folded(base, preset, extra))
+        for _ in range(2):  # the second call starts from the stored root
+            assumptions = random_literals(rng, top, rng.randint(0, min(2, top)))
+            prefer = frozenset(v for v in range(1, top + 1) if rng.random() < 0.4)
+            tally = Tally()
+            got = list(held.models(assumptions, prefer, stats=tally, preset=preset, extra=extra))
+            want = enumerate_with_stats(merged, assumptions, prefer)
+            assert (got, tally.decisions) == (want[0], want[1][0])
+            assert got == cnf_models(top, base + extra, assumptions + preset, prefer)
+        # the overlay leaves the held clause set as it was
+        assert list(held.models()) == cnf_models(num_vars, base)
+
+
+def test_preset_from_a_model_gives_exact_models():
+    # the documented precondition alone: base clauses may have false preset
+    # literals, and only the decisions may differ from the merged set
+    rng = random.Random(59)
+    for _ in range(400):
+        num_vars, base, preset, extra = overlay_case(rng, satisfied_by_preset=False)
+        top = max([num_vars] + [abs(l) for c in extra for l in c])
+        prefer = frozenset(v for v in range(1, top + 1) if rng.random() < 0.4)
+        got = list(ClauseSet(num_vars, base).models((), prefer, preset=preset, extra=extra))
+        assert got == cnf_models(top, base + extra, preset, prefer)
+        assert got == list(ClauseSet(top, folded(base, preset, extra)).models((), prefer))

@@ -54,6 +54,13 @@ def test_check_parse_error(tmp_path):
     assert main(["check", str(path)]) == 3
 
 
+def test_check_non_decimal_digit_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "digit.e"
+    path.write_text("fluent f. action a. a happens-at \u00b2.\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert "invalid number" in capsys.readouterr().err
+
+
 def test_query_true_false_exit_codes(bulb_file):
     argv = ["query", bulb_file, "--mode", "skeptical", "--goal", "light holds-at 3",
             "--horizon", "4"]

@@ -181,6 +181,22 @@ def test_parse_errors_carry_spans():
     assert exc.value.span.line == 2
 
 
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_domain, "fluent f. action a. a happens-at \u00b2.", 34),
+        (parse_query, "credulous { f holds-at \u00b2 }", 24),
+        (parse_query, "credulous { f holds-at 0 } horizon \u00b2", 36),
+    ],
+)
+def test_non_decimal_digit_is_lexical_error(parse, text, column):
+    # '\u00b2' (superscript two) is a digit to the scanner, not to int()
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.kind == "lexical"
+    assert exc.value.span.column == column
+
+
 def test_unknown_identifier_is_parse_error():
     with pytest.raises(ParseError):
         parse_domain("fluent f.\ng holds-at 0.")

@@ -119,6 +119,16 @@ def test_step_can_repair_an_inconsistent_source():
     assert successor_states(th, src, off) == brute_force_successors(th, src, off) == [frozenset()]
 
 
+def test_constraint_broken_by_unchangeable_atoms_leaves_no_successor():
+    # light without normal breaks the constraint, and opening the door
+    # changes neither
+    th = g(BULB_LAWS + "fluent door.\naction open_door.\nopen_door initiates door.\n")
+    src = atoms(th, "light")
+    opening = actions_of(th, "open_door")
+    assert direct_candidates(th, src, opening) == {lit(th, "door")}
+    assert successor_states(th, src, opening) == brute_force_successors(th, src, opening) == []
+
+
 def test_preconditions_are_a_separate_check():
     # the raw relation ignores p-propositions; callers filter via legal_occurrence
     th = g(BULB_LAWS)
