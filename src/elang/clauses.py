@@ -13,6 +13,14 @@ and each ``models()`` call keeps its own assignment and trail, so
 enumerations over one ``ClauseSet`` may be interleaved.  That is why the
 index is a plain occurrence list: watched literals move during search.
 
+A ``ClauseSet`` is built by one index loop with two entry points.  The
+constructor normalizes each clause first (``normalize``: duplicate
+literals merged, tautologies dropped), as the engine's state constraints
+need.  ``ClauseSet.of_normal`` trusts its caller that every clause is
+already normal, as the clausal compiler emits them, and keeps the given
+list and tuples as ``clauses`` without copying them.  Either way the
+empty clause only sets ``empty`` and is not indexed.
+
 The unit clauses are propagated once per ``ClauseSet``, not once per
 call, as incremental solvers keep their root level across calls under
 assumptions (Een and Sorensson, SAT 2003).  The first ``models()`` call
@@ -51,33 +59,49 @@ class BudgetExceeded(Exception):
         self.stats = stats
 
 
+def normalize(clause: Iterable[int]) -> tuple[int, ...] | None:
+    """The clause in the index's normal form: duplicate literals merged,
+    each kept where it first occurs; None for a tautology."""
+    lits: list[int] = []
+    for l in clause:
+        if -l in lits:
+            return None
+        if l not in lits:
+            lits.append(l)
+    return tuple(lits)
+
+
 class ClauseSet:
     """Clauses over variables 1..num_vars, indexed by literal occurrence.
     Duplicate literals are merged and tautologies dropped; ``clauses`` holds
-    what is left, units included."""
+    what is left, units included, and the empty clause only as ``empty``."""
 
     def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
+        self._index(num_vars, [c for c in map(normalize, clauses) if c is not None])
+
+    @classmethod
+    def of_normal(cls, num_vars: int, clauses: list[tuple[int, ...]]) -> ClauseSet:
+        """The index of clauses the caller guarantees are in normal form
+        (see ``normalize``).  The list and its tuples become ``clauses``
+        as they are, unless an empty clause has to be left out."""
+        self = cls.__new__(cls)
+        self._index(num_vars, clauses)
+        return self
+
+    def _index(self, num_vars: int, clauses: list[tuple[int, ...]]) -> None:
         self.num_vars = num_vars
-        self.empty = False
-        self.clauses: list[tuple[int, ...]] = []
+        self.empty = not all(clauses)
+        if self.empty:
+            clauses = [c for c in clauses if c]
+        self.clauses = clauses
         # occurs[l] lists the clauses containing literal l; a negative l
         # indexes the upper half of the list.
-        self.occurs: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
-        for clause in clauses:
-            lits: list[int] = []
+        occurs: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
+        for ci, clause in enumerate(clauses):
             for l in clause:
-                if -l in lits:
-                    break  # a tautology
-                if l not in lits:
-                    lits.append(l)
-            else:
-                if not lits:
-                    self.empty = True
-                    continue
-                for l in lits:
-                    self.occurs[l].append(len(self.clauses))
-                self.clauses.append(tuple(lits))
-        self.units = tuple(c[0] for c in self.clauses if len(c) == 1)
+                occurs[l].append(ci)
+        self.occurs = occurs
+        self.units = tuple(c[0] for c in clauses if len(c) == 1)
         # (ok, value, trail, propagations) after propagating the units,
         # stored by the first models() call and read-only after it.
         self._root: tuple[bool, list[int], list[int], int] | None = None

@@ -61,6 +61,11 @@ Answers on one ground theory share the compiled clauses: the first
 ``answer_sat`` on a theory compiles it and keeps the indexed clauses on
 ``theory.sat_memo``; every later query builds only a fresh ``Solver``
 (its own budget and stats) over them and solves under assumptions.  The
+compiler emits every clause in the kernel's normal form (see
+``clauses.normalize``): a state constraint is normalized once per
+statement and then shifted to each time point, and every other clause
+is normal as built.  So ``ClauseSet.of_normal`` indexes the compiler's
+own list and tuples, with no second normalizing pass and no copy.  The
 ``ClauseSet`` propagates the observation and precondition units once, on
 the first solve, and every solve starts from that root (see
 ``clauses.py``); its ``propagations`` count the root's on every solve,
@@ -72,7 +77,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .clauses import ClauseSet
+from .clauses import ClauseSet, normalize
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
@@ -231,12 +236,17 @@ class CnfInstance:
 
 def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     """Clausal form of a theory; see the module docstring for the variable
-    roles and for when a model needs the decoded-step check.  Variable numbering is deterministic.  ``names`` and
-    ``origins`` are filled only with ``labels``: export reads them,
-    answering does not."""
+    roles and for when a model needs the decoded-step check.
+
+    Variable numbering is deterministic.  Every clause is in the normal
+    form of ``clauses.normalize``, so ``ClauseSet.of_normal`` indexes the
+    list as it is.  ``names`` and ``origins`` are filled only with
+    ``labels``: export reads them, answering does not."""
     n = theory.n_fluents
     horizon = theory.horizon
     inst = CnfInstance(num_vars=(horizon + 1) * n, clauses=[], n_fluents=n, horizon=horizon)
+    clauses, origins = inst.clauses, inst.origins
+    emit, emit_all = clauses.append, clauses.extend
     if labels:
         for t in range(horizon + 1):
             for i in range(n):
@@ -248,10 +258,9 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
             inst.names[inst.num_vars] = fmt % args
         return inst.num_vars
 
-    def add(clause, fmt: str, *args) -> None:
-        inst.clauses.append(tuple(clause))
-        if labels:
-            inst.origins.append(fmt % args)
+    def label(fmt: str, *args) -> None:
+        """Give the clauses emitted since the last label this origin."""
+        origins.extend([fmt % args] * (len(clauses) - len(origins)))
 
     def lit_str(code: Lit) -> str | None:
         return theory.lit_str(code) if labels else None
@@ -260,18 +269,33 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
         v = t * n + abs(code)
         return v if code > 0 else -v
 
-    # State constraints at every time point.
+    def ordered(codes) -> list[Lit]:
+        return sorted(codes, key=lambda c: (abs(c), c))
+
+    # State constraints at every time point.  Each statement's clause is
+    # normalized once (a head in its own body makes a tautology or a
+    # duplicate literal); literal l at time t is l shifted by t*n away
+    # from zero, so the clauses at 0..horizon zip one range per literal.
+    end = (horizon + 1) * n
     for rp in theory.rprops:
-        clause = [-c for c in sorted(rp.condition, key=lambda x: (abs(x), x))]
+        clause = [-c for c in ordered(rp.condition)]
         if rp.head is not None:
             clause.append(rp.head)
-        for t in range(horizon + 1):
-            add([at(code, t) for code in clause], "constraint src=%d t=%d", rp.src, t)
+        normal = normalize(clause)
+        if normal is None:
+            continue
+        if normal:
+            emit_all(zip(*[range(l, l + end, n) if l > 0 else range(l, l - end, -n) for l in normal]))
+        else:
+            emit_all([()] * (horizon + 1))
+        if labels:
+            origins.extend(["constraint src=%d t=%d" % (rp.src, t) for t in range(horizon + 1)])
 
     # Observation units.
     for t in sorted(theory.observations):
-        for code in sorted(theory.observations[t], key=lambda c: (abs(c), c)):
-            add([at(code, t)], "observation t=%d", t)
+        emit_all([(at(code, t),) for code in ordered(theory.observations[t])])
+        if labels:
+            label("observation t=%d", t)
 
     # Precondition units for scheduled actions.
     for t in sorted(theory.occurrences):
@@ -279,27 +303,33 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
             for pi in theory.pprops_by_action.get(action, ()):
                 pp = theory.pprops[pi]
                 if pp.impossible:
-                    add([], "impossible precondition src=%d t=%d", pp.src, t)
+                    emit(())
+                    if labels:
+                        label("impossible precondition src=%d t=%d", pp.src, t)
                     continue
-                for code in sorted(pp.condition, key=lambda c: (abs(c), c)):
-                    add([at(code, t)], "precondition src=%d t=%d", pp.src, t)
+                emit_all([(at(code, t),) for code in ordered(pp.condition)])
+                if labels:
+                    label("precondition src=%d t=%d", pp.src, t)
 
-    # Per-step completion of the closure (see the module docstring).
+    # Per-step completion of the closure (see the module docstring).  A
+    # ground condition is a clash-free set and every auxiliary variable
+    # is fresh, so these clauses are normal as built.
     for t in range(horizon):
         fires: dict[Lit, list[int]] = {}  # effect -> fire variables producing it
         for action in sorted(theory.occurrences.get(t, ())):
             for ci, cp in theory.effects_of(action):
                 v = new_var("fire[%d]@%d", ci, t)
-                cond = sorted(cp.condition, key=lambda x: (abs(x), x))
-                for code in cond:
-                    add([-v, at(code, t)], "fire-def src=%d t=%d", cp.src, t)
-                add([v] + [at(-code, t) for code in cond], "fire-def src=%d t=%d", cp.src, t)
+                cond = [at(code, t) for code in ordered(cp.condition)]
+                emit_all([(-v, c) for c in cond])
+                emit((v, *[-c for c in cond]))
+                if labels:
+                    label("fire-def src=%d t=%d", cp.src, t)
                 effect = cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
                 fires.setdefault(effect, []).append(v)
 
         changed = {
             code: new_var("changed[%s]@%d", lit_str(code), t)
-            for code in sorted(producible(theory, fires), key=lambda x: (abs(x), x))
+            for code in ordered(producible(theory, fires))
         }
         supports = {code: list(fires.get(code, ())) for code in changed}
         rules = {
@@ -310,37 +340,47 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
         }
         for ri in sorted(rules):
             rp = theory.rprops[ri]
-            body = sorted(rp.condition, key=lambda x: (abs(x), x))
-            false_body = [at(-code, t + 1) for code in body]
+            body = ordered(rp.condition)
+            true_body = [at(code, t + 1) for code in body]
+            false_body = [-b for b in true_body]
             triggers = [changed[code] for code in body if code in changed]
             ram = new_var("ramify[%d]@%d", ri, t)
-            for code in body:
-                add([-ram, at(code, t + 1)], "ramify-def src=%d t=%d", rp.src, t)
-            add([-ram] + triggers, "ramify-def src=%d t=%d", rp.src, t)
-            for v in triggers:
-                add([ram, -v] + false_body, "ramify-def src=%d t=%d", rp.src, t)
-            add([-ram, changed[rp.head]], "ramify-effect src=%d t=%d", rp.src, t)
+            emit_all([(-ram, b) for b in true_body])
+            emit((-ram, *triggers))
+            emit_all([(ram, -v, *false_body) for v in triggers])
+            if labels:
+                label("ramify-def src=%d t=%d", rp.src, t)
+            emit((-ram, changed[rp.head]))
+            if labels:
+                label("ramify-effect src=%d t=%d", rp.src, t)
             supports[rp.head].append(ram)
 
         for code, v in changed.items():
-            name = lit_str(code)
-            add([-v, at(code, t + 1)], "rule-b %s t=%d", name, t)
-            add([-v] + supports[code], "completion %s t=%d", name, t)
+            emit((-v, at(code, t + 1)))
+            if labels:
+                label("rule-b %s t=%d", lit_str(code), t)
+            emit((-v, *supports[code]))
+            if labels:
+                label("completion %s t=%d", lit_str(code), t)
         for code, fired in fires.items():
-            name = lit_str(code)
-            override = [changed[-code]] if -code in changed else []
+            override = (changed[-code],) if -code in changed else ()
             for v in fired:
-                add([-v, -at(code, t + 1), changed[code]], "applied %s t=%d", name, t)
-                add([-v, at(code, t + 1)] + override, "rule-e %s t=%d", name, t)
+                emit((-v, -at(code, t + 1), changed[code]))
+                if labels:
+                    label("applied %s t=%d", lit_str(code), t)
+                emit((-v, at(code, t + 1), *override))
+                if labels:
+                    label("rule-e %s t=%d", lit_str(code), t)
 
         # Rule c, the explanation frame: a value that changes is in changed.
         for i in range(n):
             pos = changed.get(i + 1)
             neg = changed.get(-(i + 1))
             src_t, src_t1 = i + 1 + t * n, i + 1 + (t + 1) * n
-            atom = theory.fluents[i]
-            add([-src_t1, src_t] + ([pos] if pos else []), "frame %s t=%d", atom, t)
-            add([src_t1, -src_t] + ([neg] if neg else []), "frame %s t=%d", atom, t)
+            emit((-src_t1, src_t, pos) if pos else (-src_t1, src_t))
+            emit((src_t1, -src_t, neg) if neg else (src_t1, -src_t))
+            if labels:
+                label("frame %s t=%d", theory.fluents[i], t)
 
     return inst
 
@@ -436,12 +476,13 @@ class CompiledTheory:
 
 
 def _compiled(theory: GroundTheory) -> CompiledTheory:
-    """The theory's clauses, compiled (without the export labels) on the
-    first call and kept on ``theory.sat_memo``."""
+    """The theory's clauses, compiled (without the export labels) and
+    indexed as they are on the first call, and kept on
+    ``theory.sat_memo``."""
     if theory.sat_memo is None:
         inst = compile_theory(theory, labels=False)
         cyclic = ramification_cycle(theory) is not None
-        theory.sat_memo = CompiledTheory(ClauseSet(inst.num_vars, inst.clauses), inst.n_fluents, cyclic)
+        theory.sat_memo = CompiledTheory(ClauseSet.of_normal(inst.num_vars, inst.clauses), inst.n_fluents, cyclic)
     return theory.sat_memo
 
 

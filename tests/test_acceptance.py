@@ -305,7 +305,7 @@ def test_criterion_09_irrelevant_occurrences_stay_cheap():
         answers = []
         runs = []
         for q in IRRELEVANCE_QUERIES:
-            timed = time_answer(theory, q, domain, repeats=2, budget=None,
+            timed = time_answer(theory, q, domain, repeats=5, budget=None,
                                 backend="engine", use_slice=True)
             answers.append(timed.answer)
             runs.append(timed.median_s)

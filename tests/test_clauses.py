@@ -5,7 +5,7 @@ import random
 import pytest
 
 from elang import BudgetExceeded as TopLevelBudgetExceeded
-from elang.clauses import BudgetExceeded, ClauseSet
+from elang.clauses import BudgetExceeded, ClauseSet, normalize
 from elang.query import BudgetExceeded as QueryBudgetExceeded
 
 from oracles import cnf_models, random_cnf
@@ -77,6 +77,22 @@ def test_clause_index_drops_tautologies_and_duplicates():
     assert cs.clauses == [(2, 3), (3,)]
     assert cs.units == (3,)
     assert cs.empty
+
+
+def test_normal_clauses_index_as_given():
+    rng = random.Random(19)
+    for _ in range(300):
+        num_vars, clauses = random_cnf(rng, max_vars=8)
+        # some with a repeated atom, a duplicate or a tautology, and maybe
+        # the empty clause
+        clauses = [c + random_literals(rng, num_vars, 1) * (rng.random() < 0.3) for c in clauses]
+        clauses += [()] * (rng.random() < 0.1)
+        normal = [c for c in map(normalize, clauses) if c is not None]
+        got, want = ClauseSet.of_normal(num_vars, normal), ClauseSet(num_vars, clauses)
+        assert (got.clauses, got.occurs, got.units, got.empty) == (want.clauses, want.occurs, want.units, want.empty)
+        assert list(got.models()) == list(want.models())
+        if not got.empty:
+            assert got.clauses is normal
 
 
 def test_stats_count_decisions_and_propagations():

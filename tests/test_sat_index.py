@@ -1,0 +1,231 @@
+"""The clause index the SAT backend builds from the compiler's own list.
+
+``answer_sat`` indexes ``compile_theory``'s clauses with
+``ClauseSet.of_normal``, which trusts them to be normal already.  These
+tests check that the trust holds: the index equals the normalizing
+``ClauseSet`` of the same clauses and solves alike, it keeps the
+compiler's tuples rather than copies, and normalizing at the source
+leaves the ``--dimacs`` export as it was.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+import elang.sat
+from elang.cli import main
+from elang.clauses import BudgetExceeded, ClauseSet, normalize
+from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, generate_zoo, load_domain, load_golden
+from elang.grounding import GroundRProp, ground
+from elang.parser import parse_domain, parse_query
+from elang.query import answer_theory, required_horizon
+from elang.sat import SatStats, Solver, answer_sat, compile_theory, ramification_cycle
+
+from oracles import random_theory
+
+
+def outcome(clauses: ClauseSet, assumptions) -> tuple:
+    """What a budgeted solve under the assumptions returns, with its stats."""
+    stats = SatStats()
+    try:
+        result = Solver(clauses, 300, stats).solve(assumptions)
+    except BudgetExceeded:
+        result = "budget"
+    return result, stats.as_dict()
+
+
+def assert_index_matches_normalizing(th, rng: random.Random, solves: int = 6) -> ClauseSet:
+    """The index ``answer_sat`` builds for ``th`` equals the normalizing
+    ``ClauseSet`` of the same compiled clauses, and solves alike under
+    random assumptions over the fluent variables."""
+    th.sat_memo = None
+    got = elang.sat._compiled(th).clauses
+    inst = compile_theory(th, labels=False)
+    want = ClauseSet(inst.num_vars, inst.clauses)
+    assert got.num_vars == want.num_vars
+    assert got.clauses == want.clauses
+    assert got.occurs == want.occurs
+    assert got.units == want.units
+    assert got.empty == want.empty
+    fluent_vars = (th.horizon + 1) * th.n_fluents
+    for _ in range(solves):
+        picked = rng.sample(range(1, fluent_vars + 1), min(fluent_vars, rng.randint(0, 4)))
+        assumptions = [v if rng.random() < 0.5 else -v for v in picked]
+        assert outcome(got, assumptions) == outcome(want, assumptions), assumptions
+    return got
+
+
+def test_golden_cases_index_as_normalized():
+    rng = random.Random(1)
+    for case in load_golden():
+        domain = load_domain(*("corpus:" + name for name in (case.domain,) + case.scenarios))
+        assert_index_matches_normalizing(ground(domain, required_horizon(domain, case.query)), rng)
+
+
+@pytest.mark.parametrize("name", ["zoo_direct.e", "zoo_indirect.e", "zoo_dual.e", "zoo_dual_feed.e"])
+def test_zoo_representations_index_as_normalized(name):
+    rng = random.Random(name)
+    for scenario in ZOO_SCENARIOS:
+        th = ground(load_domain("corpus:" + name, "corpus:" + scenario), 6)
+        assert_index_matches_normalizing(th, rng)
+
+
+def walk(positions: int, steps: int, seed: int):
+    """The generated direct zoo with feeding and a seeded walk: a fully
+    observed start, one move per step, a feeding now and then."""
+    text = generate_zoo("direct", positions, include_feed=True)
+    sorts = parse_domain(text).domain.signature.sorts
+    animals, places = sorts["animal"], sorts["position"]
+    rng = random.Random(seed)
+    lines = []
+    for a in animals:
+        lines.append("animal_pos(%s, %s) holds-at 0." % (a, rng.choice(places)))
+        lines.append("%shungry(%s) holds-at 0." % (rng.choice(["", "neg "]), a))
+        for b in animals:
+            lines.append("neg rides(%s, %s) holds-at 0." % (a, b))
+    for t in range(steps):
+        lines.append("move_to_position(%s, %s) happens-at %d." % (rng.choice(animals), rng.choice(places), t))
+        if rng.random() < 0.3:
+            lines.append("feed_animal(%s) happens-at %d." % (rng.choice(animals), t))
+    return ground(parse_domain(text + "\n".join(lines) + "\n").domain, steps)
+
+
+@pytest.mark.parametrize("positions, steps", [(6, 12), (9, 8), (12, 5)])
+def test_walks_index_as_normalized(positions, steps):
+    rng = random.Random(positions)
+    for seed in range(2):
+        assert_index_matches_normalizing(walk(positions, steps, seed), rng)
+
+
+def test_random_theories_index_as_normalized():
+    rng = random.Random(7)
+    for _ in range(150):
+        th = ground(random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4))
+        assert_index_matches_normalizing(th, rng, solves=3)
+
+
+# Heads in their own bodies: g's rule is a tautology (-f, -g, g), and
+# neg f whenever { f } is the duplicate (-f, -f), a unit.
+SELF_LOOPS = """
+fluent f.
+fluent g.
+fluent h.
+action a.
+a initiates g when { h }.
+g whenever { f, g }.
+h whenever { g }.
+g whenever { h }.
+neg f whenever { f }.
+neg h holds-at 0.
+a happens-at 0.
+a happens-at 1.
+"""
+
+
+def test_heads_in_their_own_bodies_index_as_normalized():
+    th = ground(parse_domain(SELF_LOOPS).domain, 3)
+    assert ramification_cycle(th) is not None
+    raw = [sorted({-c for c in rp.condition}) + [rp.head] for rp in th.rprops]
+    assert sum(normalize(clause) is None for clause in raw) == 1
+    assert sum(normalize(clause) not in (None, tuple(clause)) for clause in raw) == 1
+    index = assert_index_matches_normalizing(th, random.Random(3), solves=20)
+    # the tautology is dropped and the duplicate merged at every time point
+    assert index.units.count(-1) == 1 and -1 - 3 * 3 in index.units
+    for text in ("credulous { f holds-at 2 }", "skeptical { g holds-at 2 }", "credulous { neg h holds-at 3 }"):
+        query = parse_query(text)
+        assert answer_sat(th, query).answer == answer_theory(th, query).answer, text
+
+
+def test_impossible_precondition_indexes_as_the_empty_clause():
+    th = ground(parse_domain("fluent f. action a. a needs { f, neg f }. a happens-at 0.").domain, 1)
+    index = assert_index_matches_normalizing(th, random.Random(4))
+    assert index.empty and () not in index.clauses
+    assert () in compile_theory(th, labels=False).clauses
+
+
+def test_groundless_denial_indexes_as_the_empty_clause():
+    # a denial with no literal left; grounding never builds one, since a
+    # denial over constants alone is checked and dropped, so add it here
+    th = ground(load_domain("corpus:bulb.e"), 4)
+    th.rprops.append(GroundRProp(None, frozenset(), len(th.rprops)))
+    assert compile_theory(th, labels=False).clauses.count(()) == 5
+    index = assert_index_matches_normalizing(th, random.Random(5))
+    assert index.empty and () not in index.clauses
+
+
+def compiled_by_answer(monkeypatch, th, text):
+    """The instance ``answer_sat`` compiled for its first query on ``th``."""
+    built = []
+    original = elang.sat.compile_theory
+
+    def recorded(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(elang.sat, "compile_theory", recorded)
+    answer_sat(th, parse_query(text))
+    answer_sat(th, parse_query(text))
+    [inst] = built
+    return inst
+
+
+@pytest.mark.parametrize(
+    "refs, text",
+    [
+        (("corpus:bulb.e",), "skeptical { light holds-at 3 } horizon 4"),
+        (("corpus:zoo_dual.e", "corpus:chain_scenario.e"), "credulous { rides(john,dumpo) holds-at 1 } horizon 4"),
+    ],
+)
+def test_held_index_keeps_the_compilers_clauses(monkeypatch, refs, text):
+    th = ground(load_domain(*refs), 4)
+    inst = compiled_by_answer(monkeypatch, th, text)
+    index = th.sat_memo.clauses
+    assert index.clauses is inst.clauses
+    assert len(index.clauses) == len(inst.clauses)
+    assert all(a is b for a, b in zip(index.clauses, inst.clauses))
+
+
+# sha256 of `elang ground REF [--horizon H] --dimacs FILE`, taken before
+# the compiler emitted normal clauses
+DIMACS_SHA256 = {
+    ("corpus:bulb.e", 4): "56230eca322b7579006c4fbb55a0e49e8966af6fb5d91921cb1a8bb2242a642d",
+    ("gen:direct:6", None): "18894a6c787d7fe926fd23d0d9eba71eaf260d84a7a9fcf49c8b2f0c10a00348",
+    ("gen:direct:6", 4): "9a2010de51921a74225db860dc98b7489ede2308c34b2dc8b8bd6ce6afe86361",
+    ("gen:direct:8:feed", None): "e8d7323c6b52f318b2131f50ab8075cefc499dbbbbde1f953e9babfe32f13b3c",
+    ("gen:direct:8:feed", 4): "f2b3eca594956a4caf1ed6385633c225c34d3f8e82444f27cbefd9362dd8cf49",
+}
+
+
+@pytest.mark.parametrize("ref, horizon", sorted(DIMACS_SHA256, key=str))
+def test_dimacs_export_is_pinned(tmp_path, capsys, ref, horizon):
+    out = tmp_path / "theory.cnf"
+    argv = ["ground", ref] + ([] if horizon is None else ["--horizon", str(horizon)])
+    assert main(argv + ["--dimacs", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIMACS_SHA256[ref, horizon]
+
+
+def acyclic_theories():
+    for name, horizon in CORPUS_HORIZONS.items():
+        yield ground(load_domain("corpus:" + name), horizon)
+    for positions in (3, 6, 9):
+        for feed in ("", ":feed"):
+            yield ground(load_domain("gen:direct:%d%s" % (positions, feed), "corpus:zoo_scenario_move.e"))
+    rng = random.Random(11)
+    for _ in range(300):
+        yield ground(random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4))
+
+
+def test_acyclic_constraint_clauses_are_already_normal():
+    # Only a head in its own body repeats an atom in a constraint clause,
+    # and that is a cycle, which --dimacs refuses: so normalizing at the
+    # source cannot change an exported clause.
+    checked = 0
+    for th in acyclic_theories():
+        if ramification_cycle(th) is not None:
+            continue
+        for rp in th.rprops:
+            clause = [-c for c in rp.condition] + ([] if rp.head is None else [rp.head])
+            assert len({abs(l) for l in clause}) == len(clause), rp
+        checked += 1
+    assert checked > 100
