@@ -355,13 +355,14 @@ def validate(domain: DomainDescription) -> list[Diagnostic]:
         if cond.has_complementary_pair():
             warning("unsat-condition", "%s: condition contains a literal and its negation" % where)
 
-    seen_props: set[str] = set()
+    # Statements are frozen and compare by value (conditions as sets), so
+    # each is its own key.
+    seen_props: set[Proposition] = set()
     for i, prop in enumerate(domain.propositions):
         where = "statement %d" % (i + 1)
-        key = repr(prop)
-        if key in seen_props:
+        if prop in seen_props:
             warning("duplicate-statement", "%s repeats an earlier statement" % where)
-        seen_props.add(key)
+        seen_props.add(prop)
 
         if isinstance(prop, TProp):
             check_atom(prop.literal.atom, "fluent", where)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .clauses import BudgetExceeded
 from .grounding import GroundingStats, GroundTheory, Lit, State, ground
-from .grounding import GroundCProp, GroundPProp, GroundRProp
+from .grounding import GroundPProp, GroundRProp
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
 
@@ -244,21 +245,16 @@ def answer_theory(
     budget: int | None = None,
     use_slice: bool = False,
 ) -> EntailmentResult:
-    """Answer a query against an already ground theory."""
-    atoms_total = theory.n_fluents
+    """Answer a query against an already ground theory.  A slice keeps the
+    theory's atom numbering, so the goals and ``atoms_total`` carry over."""
     dynamic_goals, constants_ok = split_goals(theory, query)
 
     atoms_sliced = None
     if use_slice and dynamic_goals:
-        sliced, remap = slice_for_goals(theory, {abs(c) - 1 for c, _ in dynamic_goals})
-        dynamic_goals = [
-            ((remap[abs(c) - 1] + 1) * (1 if c > 0 else -1), t) for c, t in dynamic_goals
-        ]
-        theory = sliced
-        atoms_sliced = theory.n_fluents
+        theory, kept = slice_for_goals(theory, {abs(c) - 1 for c, _ in dynamic_goals})
+        atoms_sliced = len(kept)
 
     ev = Evaluator(theory, budget)
-    ev.stats.atoms_total = atoms_total
     ev.stats.atoms_sliced = atoms_sliced
     return decide(theory, query, dynamic_goals, constants_ok, ev.first_model, "engine", ev.stats)
 
@@ -323,32 +319,38 @@ def answer(
 
 def slice_for_goals(
     theory: GroundTheory, goal_atoms: set[int]
-) -> tuple[GroundTheory, dict[int, int]]:
+) -> tuple[GroundTheory, tuple[int, ...]]:
     """Restrict a theory to the fluent atoms connected to the goals.
 
     Two atoms are connected when some ramification statement, or some
     effect instance of an action the theory schedules, mentions both (head
     and body included).  An effect or precondition of an action that never
-    occurs never applies, so it links or restricts nothing and is not
-    copied; only the scheduled actions' effects are read, and so ground.
+    occurs never applies, so it links or restricts nothing and is left
+    out; only the scheduled actions' effects are read, and so ground.
     The kept atoms then never share a live statement with a dropped one,
-    and the transition relation factorizes.  Preconditions are filtered to
-    the kept atoms, and observations on dropped atoms are removed.  Answers
-    over the slice match the full theory whenever the full theory is
-    consistent; an inconsistency caused purely by dropped atoms is
-    invisible to the slice.  The slice is a new theory whose indexes are
-    built when first read.
+    and the transition relation factorizes.  Answers over the slice match
+    the full theory whenever the full theory is consistent; an
+    inconsistency caused purely by dropped atoms is invisible to the slice.
+
+    The slice is a view in the theory's own atom numbering, not a copy.
+    It shares the theory's fluents, index, constant values and
+    occurrences; every kept rule and effect pair is the theory's own
+    object (the rule list itself when every rule is kept), so an effect
+    keeps its position in the theory's ``cprops``.  Preconditions and
+    observations lose their literals on dropped atoms; only a statement
+    that has one is rebuilt.  Each dropped atom is then observed false at
+    time 0: nothing in the view can change it, so neither the initial
+    states nor the steps branch on it, and a witness, which lists true
+    atoms, reads as over the kept atoms alone.  ``stats`` count the kept
+    atoms and statements and the narrative's own kept observations.  The
+    view's indexes are its own, built when first read.  Returns the view
+    and the kept atom numbers, ascending.
     """
+    n = theory.n_fluents
     occurring = set().union(*theory.occurrences.values())
-    scheduled = sorted(occurring)
-    # the scheduled actions' effects in the theory's order, each with its
-    # action's place in ``scheduled``
-    live = sorted(
-        (pos, k, cp) for k, action in enumerate(scheduled) for pos, cp in theory.effects_of(action)
-    )
     # Union the atoms of every linking statement: the goals' components
     # are the kept atoms, and a statement is kept with its atoms.
-    root = list(range(theory.n_fluents))
+    root = list(range(n))
 
     def find(a: int) -> int:
         while root[a] != a:
@@ -368,77 +370,73 @@ def slice_for_goals(
             if r != first:
                 root[r] = first
 
-    for _, _, cp in live:
-        link(cp.fluent + 1, cp.condition)
+    for action in occurring:
+        for _, cp in theory.effects_of(action):
+            link(cp.fluent + 1, cp.condition)
     for rp in theory.rprops:
         link(rp.head, rp.condition)
     roots = {find(a) for a in goal_atoms}
-    kept = [a for a in range(theory.n_fluents) if find(a) in roots]
-    remap = {old: new for new, old in enumerate(kept)}
-    # recode[c] is the sliced code of literal code c, 0 for a dropped atom
-    # (and for 0); negative codes index from the end of the list.
-    recode = [0] * (2 * theory.n_fluents + 1)
-    for old, new in remap.items():
-        recode[old + 1] = new + 1
-        recode[-old - 1] = -new - 1
-    recode_one = recode.__getitem__
+    inside = [find(a) in roots for a in range(n)]
+    kept = tuple(compress(range(n), inside))
 
-    def recoded(codes) -> frozenset[Lit]:
-        return frozenset(map(recode_one, codes))
+    def own(codes: frozenset[Lit]) -> frozenset[Lit]:
+        # ``codes`` less the literals on dropped atoms, itself if it has none
+        if all(inside[abs(c) - 1] for c in codes):
+            return codes
+        return frozenset(c for c in codes if inside[abs(c) - 1])
 
-    effects: list[list[tuple[int, GroundCProp]]] = [[] for _ in scheduled]
-    cprops = []
-    for _, k, cp in live:
-        if recode[cp.fluent + 1]:
-            condition = recoded(cp.condition)
-            cp = GroundCProp(cp.action, cp.initiates, remap[cp.fluent], condition, cp.src)
-            effects[k].append((len(cprops), cp))
-            cprops.append(cp)
-    kept_effects = {action: tuple(pairs) for action, pairs in zip(scheduled, effects) if pairs}
-    rprops = []
-    for rp in theory.rprops:
+    effects = {}
+    for action in occurring:
+        pairs = theory.effects_of(action)
+        mine = tuple(pair for pair in pairs if inside[pair[1].fluent])
+        if mine:
+            effects[action] = pairs if len(mine) == len(pairs) else mine
+
+    def kept_rule(rp: GroundRProp) -> bool:
         probe = rp.head if rp.head is not None else next(iter(rp.condition), 0)
-        if recode[probe]:
-            head = None if rp.head is None else recode[rp.head]
-            rprops.append(GroundRProp(head, recoded(rp.condition), rp.src))
-        elif not probe:
-            rprops.append(rp)  # groundless denial: the theory is never consistent
+        return not probe or inside[abs(probe) - 1]  # groundless denials too
+
+    rprops = list(filter(kept_rule, theory.rprops))
+    if len(rprops) == len(theory.rprops):
+        rprops = theory.rprops
     pprops = []
     for pp in theory.pprops:
         if pp.action not in occurring:
             continue
-        filtered = recoded(pp.condition) - {0}
-        if filtered or pp.impossible:
-            pprops.append(GroundPProp(pp.action, filtered, pp.src, pp.impossible))
-    observations = {}
-    for t, obs in theory.observations.items():
-        inside = recoded(obs) - {0}
-        if inside:
-            observations[t] = inside
+        condition = own(pp.condition)
+        if condition is not pp.condition:
+            pp = GroundPProp(pp.action, condition, pp.src, pp.impossible)
+        if condition or pp.impossible:
+            pprops.append(pp)
+    observations = {t: mine for t, obs in theory.observations.items() if (mine := own(obs))}
+    denials = sum(1 for r in rprops if r.head is None)
     stats = GroundingStats(
         fluent_atoms=len(kept),
         constant_atoms=len(theory.constant_values),
-        cprops=len(cprops),
-        rprops=sum(1 for r in rprops if r.head is not None),
-        denials=sum(1 for r in rprops if r.head is None),
+        cprops=sum(map(len, effects.values())),
+        rprops=len(rprops) - denials,
+        denials=denials,
         pprops=len(pprops),
         occurrences=sum(len(v) for v in theory.occurrences.values()),
         observations=sum(len(v) for v in observations.values()),
         horizon=theory.horizon,
     )
-    sliced = GroundTheory(
-        fluents=tuple(theory.fluents[i] for i in kept),
-        index={theory.fluents[i]: remap[i] for i in kept},
-        constant_values=dict(theory.constant_values),
+    pins = frozenset(-(a + 1) for a in range(n) if not inside[a])
+    if pins:
+        observations[0] = observations.get(0, frozenset()) | pins
+    view = GroundTheory(
+        fluents=theory.fluents,
+        index=theory.index,
+        constant_values=theory.constant_values,
         # every scheduled action's kept effects are known already
-        effects=kept_effects,
+        effects=effects,
         ground_effects=lambda action: (),
-        ground_all_effects=lambda: cprops,
+        ground_all_effects=lambda: [cp for _, cp in sorted(chain.from_iterable(effects.values()))],
         rprops=rprops,
         pprops=pprops,
-        occurrences=dict(theory.occurrences),
+        occurrences=theory.occurrences,
         observations=observations,
         horizon=theory.horizon,
         stats=stats,
     )
-    return sliced, remap
+    return view, kept

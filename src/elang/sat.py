@@ -74,6 +74,7 @@ so the stats are those of a fresh theory.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -128,13 +129,8 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
         for ci, cp in theory.effects_of(action):
             effects.append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
             src_of[ci] = cp.src
-    cache: dict[Lit, set[Lit]] = {}
+    may_cause = functools.cache(lambda lit: producible(theory, (lit,)))
     clash_memo: dict[tuple[Lit, Lit], int | None] = {}
-
-    def may_cause(lit: Lit) -> set[Lit]:
-        if lit not in cache:
-            cache[lit] = producible(theory, (lit,))
-        return cache[lit]
 
     def clash(li: Lit, lj: Lit) -> int | None:
         """The lowest atom on which the two effect literals' closures take
@@ -313,34 +309,42 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
 
     # Per-step completion of the closure (see the module docstring).  A
     # ground condition is a clash-free set and every auxiliary variable
-    # is fresh, so these clauses are normal as built.
+    # is fresh, so these clauses are normal as built.  Each action's
+    # effects, the literals a set of effects can produce, the rules a
+    # changed literal triggers and the rule bodies are worked out once.
+    @functools.cache
+    def effects(action: Atom) -> tuple[tuple[int, int, list[Lit], Lit], ...]:
+        return tuple(
+            (ci, cp.src, ordered(cp.condition), cp.fluent + 1 if cp.initiates else -(cp.fluent + 1))
+            for ci, cp in theory.effects_of(action)
+        )
+
+    @functools.cache
+    def triggered(code: Lit) -> tuple[int, ...]:
+        rprops = theory.rprops
+        by_body = theory.rprops_by_body_atom.get(abs(code) - 1, ())
+        return tuple(ri for ri in by_body if rprops[ri].head is not None and code in rprops[ri].condition)
+
+    produced = functools.cache(lambda lits: ordered(producible(theory, lits)))
+    body_of = functools.cache(lambda ri: ordered(theory.rprops[ri].condition))
+
     for t in range(horizon):
         fires: dict[Lit, list[int]] = {}  # effect -> fire variables producing it
         for action in sorted(theory.occurrences.get(t, ())):
-            for ci, cp in theory.effects_of(action):
+            for ci, src, condition, effect in effects(action):
                 v = new_var("fire[%d]@%d", ci, t)
-                cond = [at(code, t) for code in ordered(cp.condition)]
+                cond = [at(code, t) for code in condition]
                 emit_all([(-v, c) for c in cond])
                 emit((v, *[-c for c in cond]))
                 if labels:
-                    label("fire-def src=%d t=%d", cp.src, t)
-                effect = cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
+                    label("fire-def src=%d t=%d", src, t)
                 fires.setdefault(effect, []).append(v)
 
-        changed = {
-            code: new_var("changed[%s]@%d", lit_str(code), t)
-            for code in ordered(producible(theory, fires))
-        }
+        changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced(frozenset(fires))}
         supports = {code: list(fires.get(code, ())) for code in changed}
-        rules = {
-            ri
-            for code in changed
-            for ri in theory.rprops_by_body_atom.get(abs(code) - 1, ())
-            if theory.rprops[ri].head is not None and code in theory.rprops[ri].condition
-        }
-        for ri in sorted(rules):
+        for ri in sorted(set().union(*map(triggered, changed))):
             rp = theory.rprops[ri]
-            body = ordered(rp.condition)
+            body = body_of(ri)
             true_body = [at(code, t + 1) for code in body]
             false_body = [-b for b in true_body]
             triggers = [changed[code] for code in body if code in changed]

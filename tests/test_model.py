@@ -25,6 +25,8 @@ from elang.model import (
     validate,
 )
 
+from elang.parser import parse_domain
+
 from oracles import random_theory
 
 
@@ -155,6 +157,46 @@ def test_validate_warns_unsat_condition():
     diags = validate(domain)
     assert not errors_of(diags)
     assert any(d.code == "unsat-condition" for d in diags)
+
+
+DUPLICATES = """
+fluent f. fluent g. fluent h.
+action a.
+a initiates f when { g, neg h }.
+a initiates f when { g, neg h }.
+a initiates f when { neg h, g }.
+a terminates f when { g, neg h }.
+a initiates f when { g }.
+g whenever { f, neg h }.
+g whenever { neg h, f }.
+a needs { g }.
+"""
+
+# a wide condition in two orders: equal sets that are likely to print in
+# different orders, since the order of a set with colliding hashes
+# follows insertion
+WIDE = ["w%d" % i for i in range(20)]
+
+
+def test_validate_keys_duplicates_by_value():
+    text = "".join("fluent %s. " % w for w in WIDE) + "action a. "
+    text += "a needs { %s }. a needs { %s }." % (", ".join(WIDE), ", ".join(reversed(WIDE)))
+    diags = validate(parse_domain(text).domain)
+    assert [d.code for d in diags] == ["duplicate-statement"]
+
+
+def test_validate_warns_duplicate_statements():
+    # a verbatim repeat and a reordered condition are the same statement;
+    # a different verb, condition or statement kind is not
+    domain = parse_domain(DUPLICATES).domain
+    diags = validate(domain)
+    assert not errors_of(diags)
+    flagged = [d.message for d in diags if d.code == "duplicate-statement"]
+    assert flagged == [
+        "statement 2 repeats an earlier statement",
+        "statement 3 repeats an earlier statement",
+        "statement 7 repeats an earlier statement",
+    ]
 
 
 def test_random_theories_validate():

@@ -166,11 +166,11 @@ def test_evaluator_counts_are_stable():
 def test_slice_drops_disconnected_atoms():
     th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 6)
     goal_atom = next(i for i, a in enumerate(th.fluents) if str(a) == "animal_pos(john,p3)")
-    sliced, remap = slice_for_goals(th, {goal_atom})
-    kept = {str(th.fluents[i]) for i in remap}
-    assert sliced.n_fluents < th.n_fluents
-    assert not any(n.startswith("hungry") for n in kept)
-    assert "animal_pos(john,p3)" in kept
+    sliced, kept = slice_for_goals(th, {goal_atom})
+    names = {str(th.fluents[i]) for i in kept}
+    assert sliced.stats.fluent_atoms == len(kept) < th.n_fluents
+    assert not any(n.startswith("hungry") for n in names)
+    assert "animal_pos(john,p3)" in names
 
 
 def test_sliced_answers_match_unsliced_on_corpus():
@@ -219,8 +219,8 @@ def test_slice_keeps_the_oracle_atoms_on_corpus():
         goal_sets[key].append({th.index[lit.atom] for lit, _ in case.query.goals if lit.atom in th.index})
     for key, th in theories.items():
         for goals in goal_sets[key]:
-            _, remap = slice_for_goals(th, goals)
-            assert set(remap) == slice_atoms(th, goals), (key, goals)
+            _, kept = slice_for_goals(th, goals)
+            assert set(kept) == slice_atoms(th, goals), (key, goals)
 
 
 def test_slice_keeps_the_oracle_atoms_on_random_theories():
@@ -232,8 +232,8 @@ def test_slice_keeps_the_oracle_atoms_on_random_theories():
         scheduled = set().union(*th.occurrences.values())
         partly_scheduled += len(scheduled) < len(domain.signature.actions)
         goals = set(rng.sample(range(th.n_fluents), rng.randint(1, min(2, th.n_fluents))))
-        _, remap = slice_for_goals(th, goals)
-        assert set(remap) == slice_atoms(th, goals)
+        _, kept = slice_for_goals(th, goals)
+        assert set(kept) == slice_atoms(th, goals)
     assert partly_scheduled >= 30
 
 
@@ -253,8 +253,9 @@ def test_slice_drops_atoms_linked_only_by_unscheduled_effects():
     # b never occurs, so its effect is the only statement linking f and g
     # and the slice for f leaves g out
     th = ground(dom(UNSCHEDULED_LINK), 2)
-    sliced, remap = slice_for_goals(th, {th.index[Atom("f")]})
-    assert [str(a) for a in sliced.fluents] == ["f"]
+    sliced, kept = slice_for_goals(th, {th.index[Atom("f")]})
+    assert [str(th.fluents[i]) for i in kept] == ["f"]
+    assert sliced.stats.fluent_atoms == 1
     assert [str(cp.action) for cp in sliced.cprops] == ["a"]
     for text in (
         "skeptical { f holds-at 1 }",
@@ -267,6 +268,90 @@ def test_slice_drops_atoms_linked_only_by_unscheduled_effects():
         sliced = answer_theory(th, goal, use_slice=True)
         assert plain.answer == sliced.answer, text
         assert (plain.witness is None) == (sliced.witness is None), text
+
+
+FREE_NEIGHBOUR = """
+fluent f.
+fluent g.
+action a.
+a initiates f.
+a happens-at 0.
+"""
+
+
+def test_slice_pins_dropped_atoms_false():
+    # g is unobserved and unconstrained: the full theory doubles every model
+    # of f on it, the slice for f pins it false and counts f's alone
+    th = ground(dom(FREE_NEIGHBOUR), 2)
+    alone = ground(dom(FREE_NEIGHBOUR.replace("fluent g.\n", "")), 2)
+    sliced, kept = slice_for_goals(th, {th.index[Atom("f")]})
+    assert kept == (th.index[Atom("f")],)
+    assert count_models(th) == 2 * count_models(alone) == 4
+    assert count_models(sliced) == count_models(alone)
+    g = th.index[Atom("g")]
+    assert all(g not in state for m in Evaluator(sliced).models() for state in m.states)
+
+
+SHARED = """
+fluent f.
+fluent g.
+fluent h.
+fluent k.
+fluent z.
+action a.
+action b.
+a initiates f.
+b initiates h.
+g whenever { f }.
+neg k whenever { h }.
+a needs { neg f }.
+a needs { neg f, neg h }.
+neg h holds-at 0.
+neg f holds-at 0.
+a happens-at 0.
+b happens-at 0.
+"""
+
+
+def test_slice_shares_the_theory_objects():
+    th = ground(dom(SHARED), 2)
+    f, h = th.index[Atom("f")], th.index[Atom("h")]
+    sliced, kept = slice_for_goals(th, {f})
+    assert kept == (f, th.index[Atom("g")])
+    assert sliced.fluents is th.fluents and sliced.index is th.index
+    assert sliced.occurrences is th.occurrences
+    assert sliced.constant_values is th.constant_values
+    # the kept rule and effect pairs are the theory's own objects
+    assert [id(r) for r in sliced.rprops] == [id(th.rprops[0])]
+    assert sliced.effects_of(Atom("a")) is th.effects_of(Atom("a"))
+    assert sliced.effects_of(Atom("b")) == ()
+    # only the precondition with a literal on h is rebuilt, without it
+    assert sliced.pprops[0] is th.pprops[0]
+    assert sliced.pprops[1] is not th.pprops[1]
+    assert sliced.pprops[1].condition == th.pprops[0].condition == {-(f + 1)}
+    # h, k and z are pinned false at 0; the stats count f's observation only
+    pins = {-(th.index[Atom(name)] + 1) for name in "hkz"}
+    assert sliced.observations[0] == {-(f + 1)} | pins
+    assert sliced.stats.observations == 1
+    assert sliced.stats.fluent_atoms == 2 and sliced.stats.rprops == 1
+    # every rule kept, z dropped: the view holds the theory's own list
+    sliced, kept = slice_for_goals(th, {f, h})
+    assert len(kept) == 4
+    assert sliced.rprops is th.rprops
+    assert sliced.effects_of(Atom("b")) is th.effects_of(Atom("b"))
+
+
+def test_atoms_sliced_counts_the_kept_atoms():
+    th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 6)
+    for text in (
+        "skeptical { animal_pos(john,p3) holds-at 3 } horizon 6",
+        "credulous { neg rides(john,elly) holds-at 2 } horizon 6",
+    ):
+        goal = q(text)
+        result = answer_theory(th, goal, use_slice=True)
+        _, kept = slice_for_goals(th, {th.index[lit.atom] for lit, _ in goal.goals})
+        assert result.stats.atoms_sliced == len(kept) < th.n_fluents
+        assert result.stats.atoms_total == th.n_fluents
 
 
 def test_result_record_shape():

@@ -221,6 +221,22 @@ def test_sliced_copy_does_not_share_the_memo(monkeypatch):
     assert len(compiles) == 2 and compiles[0][0] is th and compiles[1][0] is sliced
 
 
+def test_sat_on_a_slice_answers_as_on_the_theory():
+    th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 6)
+    for text in (
+        "skeptical { animal_pos(john,p3) holds-at 3 } horizon 6",
+        "credulous { animal_pos(john,p1) holds-at 2 } horizon 6",
+        "skeptical { neg rides(john,elly) holds-at 2 } horizon 6",
+        "credulous { neg hungry(dumpo) holds-at 4 } horizon 6",
+    ):
+        query = parse_query(text)
+        sliced, kept = slice_for_goals(th, {th.index[lit.atom] for lit, _ in query.goals})
+        assert len(kept) < th.n_fluents
+        on_view = answer_sat(sliced, query)
+        assert on_view.answer == answer_sat(th, query).answer, text
+        assert on_view.answer == answer_theory(th, query, use_slice=True).answer, text
+
+
 def test_bulb_agreement_with_engine():
     th = ground(load_domain("corpus:bulb.e"), 4)
     for text in (
