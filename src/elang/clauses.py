@@ -5,13 +5,13 @@ state constraints in the initial-state enumeration and in the single-step
 search, and the compiled theory of the propositional backend.  Variables
 are 1..n; literals are nonzero integers, negative for false.
 
-The search branches on the lowest unassigned variable and tries its
-preferred value first (true for the variables in ``prefer``, false for the
-rest), so models come out sorted with the lowest variable most significant
-and the preferred value first.  The clause index is read-only once built,
-and each ``models()`` call keeps its own assignment and trail, so
-enumerations over one ``ClauseSet`` may be interleaved.  That is why the
-index is a plain occurrence list: watched literals move during search.
+The search branches on the lowest unassigned variable and tries false
+first, so models come out with the lowest variable most significant and
+false before true, the one model order both backends keep.  The clause
+index is read-only once built, and each ``models()`` call keeps its own
+assignment and trail, so enumerations over one ``ClauseSet`` may be
+interleaved.  That is why the index is a plain occurrence list: watched
+literals move during search.
 
 A ``ClauseSet`` is built by one index loop with two entry points.  The
 constructor normalizes each clause first (``normalize``: duplicate
@@ -109,7 +109,6 @@ class ClauseSet:
     def models(
         self,
         assumptions: Iterable[int] = (),
-        prefer: frozenset[int] = frozenset(),
         stats=None,
         budget: int | None = None,
         preset: Iterable[int] = (),
@@ -205,7 +204,7 @@ class ClauseSet:
                     tally.decisions += 1
                     if budget is not None and tally.decisions > budget:
                         raise BudgetExceeded(budget, tally)
-                    lit = var if var in prefer else -var
+                    lit = -var
                     frames.append([lit, len(trail), 0])
                     enqueue(lit)
                     ok = propagate()

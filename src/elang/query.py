@@ -14,12 +14,12 @@ computed by forcing goal literals (or their complements) as virtual
 observations and searching for one model, so the enumeration never runs
 longer than it has to.
 
-Enumeration order is fixed: the clause kernel (``clauses.py``) yields the
-initial states that satisfy the state constraints, completing unobserved
-fluents in declaration order trying false first, and successor lists are
-sorted, so witnesses, countermodels and budget exhaustion are
-reproducible.  The trajectory search keeps its own stack, so neither a
-long horizon nor a wide state runs into Python's recursion limit.
+Enumeration order is fixed: the initial states and each step's targets
+come in the order the clause kernel (``clauses.py``) yields them, so
+witnesses, countermodels and budget exhaustion are reproducible, and the
+first model is the least trajectory that ``sat.py`` returns too.  The
+trajectory search keeps its own stack, so neither a long horizon nor a
+wide state runs into Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ class Evaluator:
 
     def models(self, forced: Iterable[tuple[Lit, int]] = ()) -> Iterator[Trajectory]:
         """Generate every model compatible with the observations plus the
-        ``forced`` timed literals, in a fixed order: depth first over the
-        initial states, then over each step's sorted successors."""
+        ``forced`` timed literals, in the kernel's order: depth first over
+        the initial states, then over each step's successors."""
         theory = self.theory
         horizon = theory.horizon
         pinned: dict[int, set[Lit]] = {}

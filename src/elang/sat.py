@@ -28,12 +28,13 @@ as the least closure.  The converse holds when the ramification graph is
 acyclic, since the completion then has the least closure as its only
 solution.  Around a cycle, changes may support each other.  So on a
 theory with a cycle, ``answer_sat`` checks each model's decoded steps
-with ``transition._verify_target``, and ``Solver.solve`` enumerates past
-any model that fails the check; ASSAT checks each model of a completion
-in the same lazy way (Lin and Zhao, AAAI 2002).  The check depends only
-on the fluent variables and every trajectory passes it, so the answers
-are exact for every theory, and the first model accepted is the least
-trajectory in the kernel's order.
+with ``transition.step_holds``, the check the engine's step search runs
+on its targets, and ``Solver.solve`` enumerates past any model that
+fails it; ASSAT checks each model of a completion in the same lazy way
+(Lin and Zhao, AAAI 2002).  The check depends only on the fluent
+variables and every trajectory passes it, so the answers are exact for
+every theory, and the first model accepted is the least trajectory in
+the kernel's order: the engine's witness or countermodel too.
 
 ``Solver`` searches the clauses with the kernel in ``clauses.py``
 (unit propagation, chronological backtracking, lowest variable first,
@@ -82,7 +83,7 @@ from .clauses import ClauseSet, normalize
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
-from .transition import _verify_target, direct_candidates, producible
+from .transition import direct_candidates, producible, step_holds
 
 
 @dataclass(frozen=True)
@@ -512,17 +513,13 @@ def decode_model(
 
 
 def steps_hold(theory: GroundTheory, traj: Trajectory) -> bool:
-    """Whether every step of a decoded model meets rules a, b, c and e,
-    with applied the candidates true in the target.  The clauses already
-    enforce rule d, and the other rules except where a cycle lets changes
-    support each other."""
-    for t, actions in enumerate(traj.actions):
-        source, target = traj.states[t], traj.states[t + 1]
-        candidates = direct_candidates(theory, source, actions)
-        applied = frozenset(c for c in candidates if theory.holds(target, c))
-        if not _verify_target(theory, source, applied, candidates, target):
-            return False
-    return True
+    """Whether every step of a decoded model meets rules a, b, c and e
+    (``transition.step_holds``).  The clauses already enforce rule d, and
+    the other rules except where a cycle lets changes support each other."""
+    return all(
+        step_holds(theory, source, direct_candidates(theory, source, actions), target)
+        for source, target, actions in zip(traj.states, traj.states[1:], traj.actions)
+    )
 
 
 def answer_sat(

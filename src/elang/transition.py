@@ -52,8 +52,9 @@ and e to the clause kernel (``clauses.py``) as clauses:
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
-support each other.  So every model is still checked against conditions
-a, b, c and e, with ``applied`` the candidates true in it.
+support each other.  So ``step_holds`` still checks every model against
+conditions a, b, c and e, with ``applied`` the candidates true in it.
+Each target has one model, so the targets come in the kernel's order.
 
 ``successor_states`` is exact for any source state; a step can repair a
 constraint its source violates, and the kernel propagates the frozen
@@ -63,9 +64,9 @@ are initial-state models or earlier successors) passes
 ``consistent_source``.  The frozen values are then preset, never
 propagated, so a step costs the occurrences of its reach atoms only, and
 a step without candidates returns its source unchecked.
-``brute_force_successors`` checks the definition, rule d included,
-subset by subset over all assignments, and is the reference the search
-is tested against.
+``brute_force_successors`` checks the definition, rule d included, over
+all assignments in the same order, each against every conflict-free
+subset, and is the reference the search is tested against.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def ramification_closure(
     if any(-c in applied for c in applied):
         return None
     changed: set[Lit] = set(applied)
-    work = sorted(applied, key=lambda c: (abs(c), c))
+    work = list(applied)
     while work:
         lit = work.pop()
         for ri in theory.rprops_by_body_atom.get(abs(lit) - 1, ()):
@@ -138,15 +139,12 @@ def producible(theory: GroundTheory, lits: Iterable[Lit]) -> set[Lit]:
     return out
 
 
-def _conflict_free_subsets(candidates: frozenset[Lit]):
-    """All subsets without complementary pairs, in a fixed order."""
-    ordered = sorted(candidates, key=lambda c: (abs(c), c))
+def _conflict_free_subsets(candidates: frozenset[Lit]) -> list[frozenset[Lit]]:
+    """All subsets without complementary pairs."""
+    ordered = list(candidates)
     n = len(ordered)
-    for mask in range(1 << n):
-        subset = frozenset(ordered[j] for j in range(n) if mask >> j & 1)
-        if any(-c in subset for c in subset):
-            continue
-        yield subset
+    subsets = [frozenset(ordered[j] for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
+    return [s for s in subsets if not any(-c in s for c in s)]
 
 
 def _verify_target(
@@ -167,8 +165,12 @@ def _verify_target(
     return all(-c in changed for c in candidates - applied)
 
 
-def _sorted_states(states: Iterable[State]) -> list[State]:
-    return sorted(states, key=lambda s: tuple(sorted(s)))
+def step_holds(theory: GroundTheory, source: State, candidates: frozenset[Lit], target: State) -> bool:
+    """Whether ``target`` meets rules a, b, c and e as a step from ``source``
+    with the direct effects ``candidates``, ``applied`` being the
+    candidates true in ``target`` (the only subset that can qualify)."""
+    applied = frozenset(c for c in candidates if theory.holds(target, c))
+    return _verify_target(theory, source, applied, candidates, target)
 
 
 def successor_states(
@@ -179,7 +181,7 @@ def successor_states(
     consistent_source: bool = False,
 ) -> list[State]:
     """All successor states of ``source`` under the simultaneous
-    ``actions``, sorted by contents; exact for any source.  A caller that
+    ``actions``, in the kernel's order; exact for any source.  A caller that
     knows ``source`` satisfies the state constraints passes
     ``consistent_source``, and the constraints on atoms the step cannot
     change are then not checked again."""
@@ -224,32 +226,30 @@ def successor_states(
     # Rule d: the theory's own constraints, the frozen values preset when
     # they satisfy them and propagated as assumptions otherwise.
     assumptions, preset = ((), frozen) if consistent_source else (frozen, ())
-    prefer = frozenset(a + 1 for a in source)
     found: list[State] = []
-    for model in theory.constraints.models(assumptions, prefer, preset=preset, extra=overlay):
+    for model in theory.constraints.models(assumptions, preset=preset, extra=overlay):
         target = frozenset(v - 1 for v in model if v <= n)
-        applied = frozenset(c for c in candidates if theory.holds(target, c))
-        if _verify_target(theory, source, applied, candidates, target):
+        if step_holds(theory, source, candidates, target):
             found.append(target)
-    return _sorted_states(found)
+    return found
 
 
 def brute_force_successors(
     theory: GroundTheory, source: State, actions: frozenset[Atom], bound: int = 16
 ) -> list[State]:
-    """Reference implementation: test every assignment against the
-    successor conditions for every conflict-free subset of the candidates.
-    Exponential; refuses theories over ``bound``."""
+    """Reference implementation: test every assignment, in the kernel's
+    order, against the successor conditions for every conflict-free subset
+    of the candidates.  Exponential; refuses theories over ``bound``."""
     n = theory.n_fluents
     if n > bound:
         raise ValueError("brute force limited to %d fluent atoms, theory has %d" % (bound, n))
     candidates = direct_candidates(theory, source, actions)
-    found: set[State] = set()
-    for applied in _conflict_free_subsets(candidates):
-        for bits in range(1 << n):
-            target = frozenset(i for i in range(n) if bits >> i & 1)
-            if target in found or not theory.state_consistent(target):
-                continue
-            if _verify_target(theory, source, applied, candidates, target):
-                found.add(target)
-    return _sorted_states(found)
+    subsets = _conflict_free_subsets(candidates)
+    found: list[State] = []
+    for bits in range(1 << n):
+        target = frozenset(i for i in range(n) if bits >> (n - 1 - i) & 1)
+        if theory.state_consistent(target) and any(
+            _verify_target(theory, source, applied, candidates, target) for applied in subsets
+        ):
+            found.append(target)
+    return found

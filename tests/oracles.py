@@ -315,16 +315,13 @@ def cnf_models(
     num_vars: int,
     clauses: list[list[int]],
     assumptions: list[int] = (),
-    prefer: frozenset[int] = frozenset(),
 ) -> list[frozenset[int]]:
     """Every assignment satisfying the clauses and the assumption literals,
     as the set of its true variables, by trying all of them.  Listed with
-    the lowest variable most significant and, per variable, the preferred
-    value first: true for the variables in ``prefer``, false for the rest."""
-    values = [(True, False) if v in prefer else (False, True) for v in range(1, num_vars + 1)]
+    the lowest variable most significant and false before true."""
     required = [list(cl) for cl in clauses] + [[lit] for lit in assumptions]
     out = []
-    for row in itertools.product(*values):
+    for row in itertools.product((False, True), repeat=num_vars):
         if all(any(row[abs(l) - 1] == (l > 0) for l in cl) for cl in required):
             out.append(frozenset(v for v in range(1, num_vars + 1) if row[v - 1]))
     return out

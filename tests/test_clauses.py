@@ -20,9 +20,8 @@ def test_models_match_brute_force_in_order():
     for _ in range(400):
         num_vars, clauses = random_cnf(rng, max_vars=8)
         assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
-        prefer = frozenset(v for v in range(1, num_vars + 1) if rng.random() < 0.4)
-        got = list(ClauseSet(num_vars, clauses).models(assumptions, prefer))
-        assert got == cnf_models(num_vars, clauses, assumptions, prefer)
+        got = list(ClauseSet(num_vars, clauses).models(assumptions))
+        assert got == cnf_models(num_vars, clauses, assumptions)
 
 
 def test_interleaved_enumerations_do_not_interfere():
@@ -30,11 +29,11 @@ def test_interleaved_enumerations_do_not_interfere():
     for _ in range(100):
         num_vars, clauses = random_cnf(rng, max_vars=7)
         cs = ClauseSet(num_vars, clauses)
-        a_args = (random_literals(rng, num_vars, 1), frozenset())
-        b_args = ((), frozenset(range(1, num_vars + 1, 2)))
-        alone_a = list(cs.models(*a_args))
-        alone_b = list(cs.models(*b_args))
-        gen_a, gen_b = cs.models(*a_args), cs.models(*b_args)
+        a_assumed = random_literals(rng, num_vars, 1)
+        b_assumed = random_literals(rng, num_vars, rng.randint(0, 1))
+        alone_a = list(cs.models(a_assumed))
+        alone_b = list(cs.models(b_assumed))
+        gen_a, gen_b = cs.models(a_assumed), cs.models(b_assumed)
         mixed_a, mixed_b = [], []
         done_a = done_b = False
         while not (done_a and done_b):
@@ -67,9 +66,8 @@ def test_interleaved_enumerations_do_not_interfere():
     ],
 )
 def test_degenerate_inputs(num_vars, clauses, assumptions):
-    for prefer in (frozenset(), frozenset(range(1, num_vars + 1))):
-        got = list(ClauseSet(num_vars, clauses).models(assumptions, prefer))
-        assert got == cnf_models(num_vars, clauses, assumptions, prefer)
+    got = list(ClauseSet(num_vars, clauses).models(assumptions))
+    assert got == cnf_models(num_vars, clauses, assumptions)
 
 
 def test_clause_index_drops_tautologies_and_duplicates():
@@ -133,9 +131,9 @@ class Tally:
         return self.decisions, self.propagations
 
 
-def enumerate_with_stats(cs, assumptions, prefer):
+def enumerate_with_stats(cs, assumptions):
     tally = Tally()
-    return list(cs.models(assumptions, prefer, stats=tally)), tally.counts()
+    return list(cs.models(assumptions, stats=tally)), tally.counts()
 
 
 def test_held_clause_set_answers_as_fresh_clause_sets():
@@ -145,15 +143,11 @@ def test_held_clause_set_answers_as_fresh_clause_sets():
     for _ in range(200):
         num_vars, clauses = random_cnf(rng, max_vars=8)
         held = ClauseSet(num_vars, clauses)
-        calls = []
-        for _ in range(4):
-            assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
-            prefer = frozenset(v for v in range(1, num_vars + 1) if rng.random() < 0.4)
-            calls.append((assumptions, prefer))
-        for assumptions, prefer in calls + calls[::-1]:
-            got = enumerate_with_stats(held, assumptions, prefer)
-            assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
-            assert got[0] == cnf_models(num_vars, clauses, assumptions, prefer)
+        calls = [random_literals(rng, num_vars, rng.randint(0, min(3, num_vars))) for _ in range(4)]
+        for assumptions in calls + calls[::-1]:
+            got = enumerate_with_stats(held, assumptions)
+            assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions)
+            assert got[0] == cnf_models(num_vars, clauses, assumptions)
 
 
 def test_interleaved_calls_on_a_held_root_match_fresh_clause_sets():
@@ -161,9 +155,9 @@ def test_interleaved_calls_on_a_held_root_match_fresh_clause_sets():
     for _ in range(100):
         num_vars, clauses = random_cnf(rng, max_vars=7)
         held = ClauseSet(num_vars, clauses)
-        calls = [(random_literals(rng, num_vars, rng.randint(0, min(2, num_vars))), frozenset()) for _ in range(3)]
+        calls = [random_literals(rng, num_vars, rng.randint(0, min(2, num_vars))) for _ in range(3)]
         tallies = [Tally() for _ in calls]
-        gens = [held.models(a, p, stats=s) for (a, p), s in zip(calls, tallies)]
+        gens = [held.models(a, stats=s) for a, s in zip(calls, tallies)]
         got = [[] for _ in calls]
         live = list(range(len(calls)))
         while live:
@@ -173,9 +167,9 @@ def test_interleaved_calls_on_a_held_root_match_fresh_clause_sets():
                 live.remove(k)
             else:
                 got[k].append(m)
-        for (assumptions, prefer), models, tally in zip(calls, got, tallies):
-            assert (models, tally.counts()) == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
-            assert models == cnf_models(num_vars, clauses, assumptions, prefer)
+        for assumptions, models, tally in zip(calls, got, tallies):
+            assert (models, tally.counts()) == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions)
+            assert models == cnf_models(num_vars, clauses, assumptions)
 
 
 @pytest.mark.parametrize(
@@ -187,10 +181,10 @@ def test_interleaved_calls_on_a_held_root_match_fresh_clause_sets():
 )
 def test_root_conflict_yields_nothing_on_every_call(clauses):
     cs = ClauseSet(3, clauses)
-    first = enumerate_with_stats(cs, (), frozenset())
+    first = enumerate_with_stats(cs, ())
     assert first == ([], (0, first[1][1]))
     for assumptions in ((), (2,), (-3,), (1, -1)):
-        assert enumerate_with_stats(cs, assumptions, frozenset()) == first
+        assert enumerate_with_stats(cs, assumptions) == first
 
 
 def test_calls_stopped_early_leave_later_calls_exact():
@@ -211,10 +205,9 @@ def test_calls_stopped_early_leave_later_calls_exact():
             gen.close()
         for _ in range(3):
             assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
-            prefer = frozenset(v for v in range(1, num_vars + 1) if rng.random() < 0.4)
-            got = enumerate_with_stats(held, assumptions, prefer)
-            assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions, prefer)
-            assert got[0] == cnf_models(num_vars, clauses, assumptions, prefer)
+            got = enumerate_with_stats(held, assumptions)
+            assert got == enumerate_with_stats(ClauseSet(num_vars, clauses), assumptions)
+            assert got[0] == cnf_models(num_vars, clauses, assumptions)
     assert stopped > 20
 
 
@@ -260,12 +253,11 @@ def test_preset_and_overlay_match_one_merged_clause_set():
         merged = ClauseSet(top, folded(base, preset, extra))
         for _ in range(2):  # the second call starts from the stored root
             assumptions = random_literals(rng, top, rng.randint(0, min(2, top)))
-            prefer = frozenset(v for v in range(1, top + 1) if rng.random() < 0.4)
             tally = Tally()
-            got = list(held.models(assumptions, prefer, stats=tally, preset=preset, extra=extra))
-            want = enumerate_with_stats(merged, assumptions, prefer)
+            got = list(held.models(assumptions, stats=tally, preset=preset, extra=extra))
+            want = enumerate_with_stats(merged, assumptions)
             assert (got, tally.decisions) == (want[0], want[1][0])
-            assert got == cnf_models(top, base + extra, assumptions + preset, prefer)
+            assert got == cnf_models(top, base + extra, assumptions + preset)
         # the overlay leaves the held clause set as it was
         assert list(held.models()) == cnf_models(num_vars, base)
 
@@ -277,7 +269,6 @@ def test_preset_from_a_model_gives_exact_models():
     for _ in range(400):
         num_vars, base, preset, extra = overlay_case(rng, satisfied_by_preset=False)
         top = max([num_vars] + [abs(l) for c in extra for l in c])
-        prefer = frozenset(v for v in range(1, top + 1) if rng.random() < 0.4)
-        got = list(ClauseSet(num_vars, base).models((), prefer, preset=preset, extra=extra))
-        assert got == cnf_models(top, base + extra, preset, prefer)
-        assert got == list(ClauseSet(top, folded(base, preset, extra)).models((), prefer))
+        got = list(ClauseSet(num_vars, base).models(preset=preset, extra=extra))
+        assert got == cnf_models(top, base + extra, preset)
+        assert got == list(ClauseSet(top, folded(base, preset, extra)).models())

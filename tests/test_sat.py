@@ -373,7 +373,9 @@ def test_engine_agreement_on_random_theories():
         for text in [single] + ["%s { %s }" % (m, goals) for m in ("credulous", "skeptical")]:
             query = parse_query(text)
             result = answer_sat(th, query)
-            assert result.answer == answer_theory(th, query).answer, text
+            engine = answer_theory(th, query)
+            # one model order: the same witness, countermodels included
+            assert (result.answer, result.witness) == (engine.answer, engine.witness), text
             if result.witness is not None:
                 assert_trajectory(th, result.witness)
             if query.mode == "skeptical" and result.answer == "false":  # a countermodel
@@ -426,8 +428,51 @@ def test_golden_cases_answer_on_sat():
         th = ground(domain, required_horizon(domain, case.query))
         result = answer_sat(th, case.query)
         assert result.answer == case.expect, case.name
+        assert result.witness == answer_theory(th, case.query).witness, case.name
         if result.witness is not None:
             assert_trajectory(th, result.witness, successors=successor_states)
+
+
+def wide_step_domain(k):
+    """One action sets ``trig``, and each of k pairs of rules then makes
+    exactly one of ``fi`` and ``gi`` true: 2^k successors from one step."""
+    lines = ["fluent trig.", "action go.", "go initiates trig.", "go happens-at 0.", "neg trig holds-at 0."]
+    for i in range(1, k + 1):
+        lines += ["fluent f%d." % i, "fluent g%d." % i]
+        lines += ["f%d whenever { trig, neg g%d }." % (i, i), "g%d whenever { trig, neg f%d }." % (i, i)]
+        lines += ["neg f%d holds-at 0." % i, "neg g%d holds-at 0." % i]
+    return dom("\n".join(lines))
+
+
+def test_wide_step_witness_is_the_least_trajectory_on_both_backends():
+    th = ground(wide_step_domain(4), 1)
+    assert len(successor_states(th, frozenset(), th.occurrences[0])) == 16
+    query = parse_query("credulous { f3 holds-at 1 } horizon 1")
+    # atoms in declaration order, false first: fi false forces gi
+    least = {"states": [[], ["f3", "g1", "g2", "g4", "trig"]], "actions": [["go"]]}
+    assert answer_theory(th, query).witness == answer_sat(th, query).witness == least
+
+
+UNCHANGED_SUPPORT = """
+fluent h. fluent a. fluent q. fluent r. action go.
+go terminates h. go initiates q.
+a whenever { q, r }. h whenever { a }.
+h holds-at 0. a holds-at 0. neg q holds-at 0. neg r holds-at 0.
+go happens-at 0.
+"""
+
+
+def test_acyclic_support_that_never_changed_is_rejected():
+    # The only target that meets the support clauses keeps h through its
+    # body { a }, which holds but was never changed, so go's terminates h
+    # is dropped without an override: no step, even though the theory is
+    # acyclic.
+    th = ground(dom(UNCHANGED_SUPPORT), 1)
+    assert elang.sat.ramification_cycle(th) is None
+    source, actions = frozenset(c - 1 for c in th.observations[0] if c > 0), th.occurrences[0]
+    assert successor_states(th, source, actions) == brute_force_successors(th, source, actions) == []
+    query = parse_query("credulous { h holds-at 1 } horizon 1")
+    assert answer_theory(th, query).answer == answer_sat(th, query).answer == "domain-inconsistent"
 
 
 def decode_witness(th, witness):
