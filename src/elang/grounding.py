@@ -46,9 +46,13 @@ search, the clausal compiler and the relevance slice read effects per
 action, so a query grounds only the effects of the actions its narrative
 schedules, much as gringo instantiates only what is relevant (Gebser et
 al., LPNMR 2007).  The indexes over the statement lists (the constraint
-clauses and the statements by atom and by action) are likewise derived
-the first time they are read, so a caller that needs few of them, such
-as a relevance slice, pays for no others.
+clauses, the rules by body atom, the preconditions by action and the
+first cycle in the ramification graph) are likewise derived the first
+time they are read, so a caller that needs few of them, such as a
+relevance slice, pays for no others.  So are the tests the step search
+reads off an action's effects (``effect_tests``: each condition split
+into the atoms it needs true and false) and its per-candidate-set plans
+(``plans``, filled by ``transition.step_plan``).
 """
 
 from __future__ import annotations
@@ -126,6 +130,9 @@ class GroundingStats:
 
 # An action's effect instances, each with its position in the full list.
 Instances = tuple[tuple[int, GroundCProp], ...]
+# An action's effects as (effect literal, atoms the condition needs true,
+# atoms it needs false).
+EffectTests = tuple[tuple[Lit, frozenset[int], frozenset[int]], ...]
 
 
 @dataclass
@@ -146,6 +153,10 @@ class GroundTheory:
     sat_memo: object = field(default=None, repr=False, compare=False)
     # The effect instances ground so far, by action.
     effects: dict[Atom, Instances] = field(default_factory=dict, repr=False, compare=False)
+    # The effect tests made so far, by action (``effect_tests``).
+    tests: dict[Atom, EffectTests] = field(default_factory=dict, repr=False, compare=False)
+    # The step plans made so far, by candidate set (``transition.step_plan``).
+    plans: dict[frozenset[Lit], object] = field(default_factory=dict, repr=False, compare=False)
 
     # Derived indexes over the statement lists, each built the first time
     # it is read: a sliced query indexes only the slice, and the clausal
@@ -177,20 +188,48 @@ class GroundTheory:
         return {k: tuple(v) for k, v in by_body.items()}
 
     @cached_property
-    def rprops_by_head_atom(self) -> dict[int, tuple[int, ...]]:
-        by_head: dict[int, list[int]] = {}
-        for ri, rp in enumerate(self.rprops):
-            if rp.head is not None:
-                by_head.setdefault(abs(rp.head) - 1, []).append(ri)
-        return {k: tuple(v) for k, v in by_head.items()}
-
-    @cached_property
     def pprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
         """The positions of each action's preconditions, in list order."""
         by_action: dict[Atom, list[int]] = {}
         for i, pp in enumerate(self.pprops):
             by_action.setdefault(pp.action, []).append(i)
         return {k: tuple(v) for k, v in by_action.items()}
+
+    @cached_property
+    def first_cycle(self) -> tuple[int, ...] | None:
+        """The first cycle in the ramification graph (body atom to head
+        atom, over the statements with a head) that a depth-first search
+        meets, roots and successors taken in ascending order, as the path
+        from the repeated atom back to it; None when the graph is acyclic."""
+        graph: dict[int, set[int]] = {}
+        for rp in self.rprops:
+            if rp.head is None:
+                continue
+            h = abs(rp.head) - 1
+            for c in rp.condition:
+                graph.setdefault(abs(c) - 1, set()).add(h)
+        done: set[int] = set()
+        for root in sorted(graph):
+            if root in done:
+                continue
+            path = [root]
+            on_path = {root}
+            pending = [iter(sorted(graph[root]))]
+            while pending:
+                for b in pending[-1]:
+                    if b in on_path:
+                        return tuple(path[path.index(b) :]) + (b,)
+                    if b not in done:
+                        path.append(b)
+                        on_path.add(b)
+                        pending.append(iter(sorted(graph.get(b, ()))))
+                        break
+                else:
+                    pending.pop()
+                    a = path.pop()
+                    on_path.discard(a)
+                    done.add(a)
+        return None
 
     @cached_property
     def cprops(self) -> list[GroundCProp]:
@@ -203,6 +242,19 @@ class GroundTheory:
         found = self.effects.get(action)
         if found is None:
             found = self.effects[action] = self.ground_effects(action)
+        return found
+
+    def effect_tests(self, action: Atom) -> EffectTests:
+        """The effects of ``action``, in ``effects_of`` order, each with its
+        condition split into the atoms it needs true and false, so that a
+        state is tested with two set operations; made the first time they
+        are asked for."""
+        found = self.tests.get(action)
+        if found is None:
+            found = self.tests[action] = tuple(
+                (cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), *split_condition(cp.condition))
+                for _, cp in self.effects_of(action)
+            )
         return found
 
     @property
@@ -234,6 +286,22 @@ class GroundTheory:
 
     def state_str(self, state: State) -> str:
         return "{%s}" % ", ".join(str(self.fluents[i]) for i in sorted(state))
+
+
+_NONE: frozenset[int] = frozenset()
+
+
+def split_condition(condition: frozenset[Lit]) -> tuple[frozenset[int], frozenset[int]]:
+    """The atoms ``condition`` needs true and the atoms it needs false: it
+    holds in a state that contains the first and meets none of the second.
+    An empty side is one shared empty set."""
+    true, false = [], []
+    for c in condition:
+        if c > 0:
+            true.append(c - 1)
+        else:
+            false.append(-c - 1)
+    return frozenset(true) if true else _NONE, frozenset(false) if false else _NONE
 
 
 class _Template:

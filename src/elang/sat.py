@@ -8,7 +8,7 @@ then, per step t:
 
   fire(c,t)    <-> the effect instance's condition holds at t
   changed(l,t)     one per literal the step's effects can produce
-                   (``transition.producible``)
+                   (``transition.step_plan``)
   ramify(r,t)  <-> the rule's body holds at t+1 and some body literal
                    is changed at t
 
@@ -27,14 +27,16 @@ clauses.  Every trajectory is the fluent part of a model: take changed
 as the least closure.  The converse holds when the ramification graph is
 acyclic, since the completion then has the least closure as its only
 solution.  Around a cycle, changes may support each other.  So on a
-theory with a cycle, ``answer_sat`` checks each model's decoded steps
-with ``transition.step_holds``, the check the engine's step search runs
-on its targets, and ``Solver.solve`` enumerates past any model that
-fails it; ASSAT checks each model of a completion in the same lazy way
-(Lin and Zhao, AAAI 2002).  The check depends only on the fluent
-variables and every trajectory passes it, so the answers are exact for
-every theory, and the first model accepted is the least trajectory in
-the kernel's order: the engine's witness or countermodel too.
+theory with a cycle (``GroundTheory.first_cycle``, the one cycle search,
+whose verdict the engine's step search reads too), ``answer_sat`` checks
+each model's decoded steps with ``transition.step_holds``, the check the
+engine's step search runs on its targets, and ``Solver.solve``
+enumerates past any model that fails it; ASSAT checks each model of a
+completion in the same lazy way (Lin and Zhao, AAAI 2002).  The check
+depends only on the fluent variables and every trajectory passes it, so
+the answers are exact for every theory, and the first model accepted is
+the least trajectory in the kernel's order: the engine's witness or
+countermodel too.
 
 ``Solver`` searches the clauses with the kernel in ``clauses.py``
 (unit propagation, chronological backtracking, lowest variable first,
@@ -70,7 +72,10 @@ own list and tuples, with no second normalizing pass and no copy.  The
 ``ClauseSet`` propagates the observation and precondition units once, on
 the first solve, and every solve starts from that root (see
 ``clauses.py``); its ``propagations`` count the root's on every solve,
-so the stats are those of a fresh theory.
+so the stats are those of a fresh theory.  The literals a set of effects
+can produce come from the theory's step plans (``transition.step_plan``,
+kept on ``theory.plans``), the memo the engine's step search fills, so
+the compiler and ``check_fragment`` keep none of their own.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from .clauses import ClauseSet, normalize
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
-from .transition import direct_candidates, producible, step_holds
+from .transition import direct_candidates, step_holds, step_plan
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,10 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
         for ci, cp in theory.effects_of(action):
             effects.append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
             src_of[ci] = cp.src
-    may_cause = functools.cache(lambda lit: producible(theory, (lit,)))
+
+    def may_cause(lit: Lit) -> frozenset[Lit]:
+        return step_plan(theory, frozenset((lit,))).produced
+
     clash_memo: dict[tuple[Lit, Lit], int | None] = {}
 
     def clash(li: Lit, lj: Lit) -> int | None:
@@ -166,52 +174,12 @@ def check_fragment(theory: GroundTheory) -> FragmentReport:
 
 def ramification_cycle(theory: GroundTheory) -> FragmentViolation | None:
     """The first cycle in the ramification dependency graph, if any (see
-    ``_first_cycle``).  Without one every model of the clauses is a
-    trajectory."""
-    cycle = _first_cycle(_ramification_graph(theory))
+    ``GroundTheory.first_cycle``).  Without one every model of the clauses
+    is a trajectory."""
+    cycle = theory.first_cycle
     if cycle is None:
         return None
     return FragmentViolation("ramification-cycle", " -> ".join(str(theory.fluents[i]) for i in cycle))
-
-
-def _ramification_graph(theory: GroundTheory) -> dict[int, set[int]]:
-    """Body atom to head atoms, over the statements with a head."""
-    graph: dict[int, set[int]] = {}
-    for rp in theory.rprops:
-        if rp.head is None:
-            continue
-        h = abs(rp.head) - 1
-        for c in rp.condition:
-            graph.setdefault(abs(c) - 1, set()).add(h)
-    return graph
-
-
-def _first_cycle(graph: dict[int, set[int]]) -> list[int] | None:
-    """The first cycle a depth-first search meets, roots and successors
-    taken in ascending order, as the path from the repeated atom back to
-    it; None when the graph is acyclic."""
-    done: set[int] = set()
-    for root in sorted(graph):
-        if root in done:
-            continue
-        path = [root]
-        on_path = {root}
-        pending = [iter(sorted(graph[root]))]
-        while pending:
-            for b in pending[-1]:
-                if b in on_path:
-                    return path[path.index(b) :] + [b]
-                if b not in done:
-                    path.append(b)
-                    on_path.add(b)
-                    pending.append(iter(sorted(graph.get(b, ()))))
-                    break
-            else:
-                pending.pop()
-                a = path.pop()
-                on_path.discard(a)
-                done.add(a)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +294,6 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
         by_body = theory.rprops_by_body_atom.get(abs(code) - 1, ())
         return tuple(ri for ri in by_body if rprops[ri].head is not None and code in rprops[ri].condition)
 
-    produced = functools.cache(lambda lits: ordered(producible(theory, lits)))
     body_of = functools.cache(lambda ri: ordered(theory.rprops[ri].condition))
 
     for t in range(horizon):
@@ -341,7 +308,8 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
                     label("fire-def src=%d t=%d", src, t)
                 fires.setdefault(effect, []).append(v)
 
-        changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced(frozenset(fires))}
+        produced = step_plan(theory, frozenset(fires)).ordered
+        changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced}
         supports = {code: list(fires.get(code, ())) for code in changed}
         for ri in sorted(set().union(*map(triggered, changed))):
             rp = theory.rprops[ri]
@@ -468,13 +436,11 @@ class Solver:
 
 @dataclass(frozen=True)
 class CompiledTheory:
-    """What answering needs of a compiled theory: the indexed clauses, the
-    fluent-variable numbering of ``CnfInstance``, and whether a cycle in
-    the ramification graph calls for the decoded-step check."""
+    """What answering needs of a compiled theory: the indexed clauses and
+    the fluent-variable numbering of ``CnfInstance``."""
 
     clauses: ClauseSet
     n_fluents: int
-    cyclic: bool
 
     def fluent_var(self, atom_index: int, time: int) -> int:
         return time * self.n_fluents + atom_index + 1
@@ -486,8 +452,7 @@ def _compiled(theory: GroundTheory) -> CompiledTheory:
     ``theory.sat_memo``."""
     if theory.sat_memo is None:
         inst = compile_theory(theory, labels=False)
-        cyclic = ramification_cycle(theory) is not None
-        theory.sat_memo = CompiledTheory(ClauseSet.of_normal(inst.num_vars, inst.clauses), inst.n_fluents, cyclic)
+        theory.sat_memo = CompiledTheory(ClauseSet.of_normal(inst.num_vars, inst.clauses), inst.n_fluents)
     return theory.sat_memo
 
 
@@ -535,7 +500,7 @@ def answer_sat(
     def is_trajectory(model: frozenset[int]) -> bool:
         return steps_hold(theory, decode_model(comp, theory, model))
 
-    solver = Solver(comp.clauses, budget, stats, accept=is_trajectory if comp.cyclic else None)
+    solver = Solver(comp.clauses, budget, stats, accept=None if theory.first_cycle is None else is_trajectory)
 
     def find_model(forced: Iterable[tuple[Lit, int]]) -> Trajectory | None:
         assumptions = []

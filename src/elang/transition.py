@@ -33,9 +33,9 @@ runs one search per step rather than one per subset, and hands rules c, d
 and e to the clause kernel (``clauses.py``) as clauses:
 
 * Only producible literals can enter ``changed``: the candidates, closed
-  under the statements with a body literal already producible
-  (``producible``).  The search runs over their atoms, the reach;
-  persistence freezes every other atom at its source value.
+  under the statements with a body literal already producible.  The
+  search runs over their atoms, the reach; persistence freezes every
+  other atom at its source value.
 * Rule d: the theory's own ``constraints``, searched with the frozen
   atoms fixed.  Every kernel model satisfies them, so the targets are not
   checked again.
@@ -46,15 +46,31 @@ and e to the clause kernel (``clauses.py``) as clauses:
   change is a candidate left out.  Each such body gets an auxiliary
   variable, numbered after the theory's atoms so that every target has
   exactly one model; the auxiliaries are projected out.  With no such
-  statement the atom keeps its value (rule c) or must change (rule e).
-  One more clause asks that some candidate hold in ``t``: with none
-  applied, ``changed`` is empty and rule e fails.
+  statement the atom keeps its value (rule c) or must change (rule e),
+  a unit passed with the assumptions.  One more clause asks that some
+  candidate hold in ``t``: with none applied, ``changed`` is empty and
+  rule e fails.
+
+What a step needs of the theory besides its source, the producible
+literals, the reach, the frozen atoms and the bodies that can support
+each reach atom, depends on the candidates only.  ``step_plan`` works it
+out once per theory and candidate set and keeps it on ``theory.plans``;
+the clausal compiler and ``sat.check_fragment`` read the producible
+literals from the same memo.  The direct candidates are read off each
+action's effects with their conditions split once into the atoms they
+need true and false (``GroundTheory.effect_tests``).
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
-support each other.  So ``step_holds`` still checks every model against
-conditions a, b, c and e, with ``applied`` the candidates true in it.
-Each target has one model, so the targets come in the kernel's order.
+support each other.  So ``step_holds`` checks a model against
+conditions a, b, c and e, with ``applied`` the candidates true in it,
+except where it cannot fail: when the source satisfies the constraints,
+the ramification graph is acyclic (``GroundTheory.first_cycle``) and
+every candidate holds in the model.  Rule e is then vacuous, and every
+change has a support chain back to an applied candidate, so the least
+closure explains it (``docs/semantics.md``, "When the re-check can be
+skipped").  Each target has one model, so the targets come in the
+kernel's order.
 
 ``successor_states`` is exact for any source state; a step can repair a
 constraint its source violates, and the kernel propagates the frozen
@@ -71,9 +87,9 @@ subset, and is the reference the search is tested against.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from typing import NamedTuple
 
-from .grounding import GroundTheory, Lit, State
+from .grounding import GroundTheory, Lit, State, split_condition
 from .model import Atom
 
 
@@ -81,9 +97,9 @@ def direct_candidates(theory: GroundTheory, state: State, actions: frozenset[Ato
     """Direct effect literals produced by ``actions`` in ``state``."""
     out: set[Lit] = set()
     for action in actions:
-        for _, cp in theory.effects_of(action):
-            if theory.satisfies(state, cp.condition):
-                out.add(cp.fluent + 1 if cp.initiates else -(cp.fluent + 1))
+        for effect, true, false in theory.effect_tests(action):
+            if state.issuperset(true) and state.isdisjoint(false):
+                out.add(effect)
     return frozenset(out)
 
 
@@ -123,20 +139,89 @@ def ramification_closure(
     return frozenset(changed)
 
 
-def producible(theory: GroundTheory, lits: Iterable[Lit]) -> set[Lit]:
-    """The literals a step with candidates ``lits`` can put in ``changed``:
-    ``lits`` closed under the ramification statements with a body literal
-    already among them.  Denials never fire."""
-    out: set[Lit] = set(lits)
-    work = list(out)
+# A target literal that needs support, and the bodies that can give it.
+Support = tuple[Lit, tuple[frozenset[Lit], ...]]
+
+
+class StepPlan(NamedTuple):
+    """What a step with a given candidate set needs of the theory, whatever
+    its source (see ``step_plan``)."""
+
+    produced: frozenset[Lit]  # the producible literals
+    ordered: tuple[Lit, ...]  # the same, lowest atom first, negative first
+    frozen: tuple[Lit, ...]  # the atoms outside the reach, as positive codes
+    # The reach atoms no body can change, as positive codes: they keep
+    # their source values.
+    kept: tuple[Lit, ...]
+    # The candidates no body can override: they hold.
+    forced: tuple[Lit, ...]
+    # The other reach atoms, ascending, but those whose two values are both
+    # candidates, each with its support for either source value (false,
+    # true).
+    supported: tuple[tuple[int, Support, Support], ...]
+    clause: list[Lit]  # some candidate holds
+    true: frozenset[int]  # the atoms the candidates need true
+    false: frozenset[int]  # and false
+
+
+def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
+    """The plan of a step with the direct effects ``candidates``, made once
+    per theory and candidate set and kept on ``theory.plans``."""
+    plan = theory.plans.get(candidates)
+    if plan is not None:
+        return plan
+    # The producible literals: the candidates closed under the statements
+    # with a body literal already among them.  Those statements, the ones
+    # a step can fire, give the supporting bodies.  Denials never fire.
+    rprops, by_body = theory.rprops, theory.rprops_by_body_atom
+    produced = set(candidates)
+    firing: set[int] = set()
+    work = list(produced)
     while work:
         lit = work.pop()
-        for ri in theory.rprops_by_body_atom.get(abs(lit) - 1, ()):
-            rp = theory.rprops[ri]
-            if rp.head is not None and rp.head not in out and lit in rp.condition:
-                out.add(rp.head)
-                work.append(rp.head)
-    return out
+        for ri in by_body.get(abs(lit) - 1, ()):
+            rp = rprops[ri]
+            if rp.head is not None and lit in rp.condition:
+                firing.add(ri)
+                if rp.head not in produced:
+                    produced.add(rp.head)
+                    work.append(rp.head)
+    bodies_for: dict[Lit, list[frozenset[Lit]]] = {}
+    for ri in sorted(firing):
+        bodies_for.setdefault(rprops[ri].head, []).append(rprops[ri].condition)
+    reach = {abs(l) - 1 for l in produced}
+    kept: list[Lit] = []
+    forced: list[Lit] = []
+    supported = []
+    for a in sorted(reach):
+        pos, neg = a + 1, -(a + 1)
+        making = bodies_for.get(pos, ())
+        breaking = bodies_for.get(neg, ())
+        if pos in candidates and neg in candidates:
+            continue
+        if pos in candidates or neg in candidates:
+            # the candidate's value, unless a body gives the other one
+            value, bodies = (pos, breaking) if pos in candidates else (neg, making)
+            if bodies:
+                entry = (-value, tuple(bodies))
+                supported.append((a, entry, entry))
+            else:
+                forced.append(value)
+        elif making or breaking:
+            supported.append((a, (pos, tuple(making)), (neg, tuple(breaking))))
+        else:
+            kept.append(pos)
+    plan = theory.plans[candidates] = StepPlan(
+        frozenset(produced),
+        tuple(sorted(sorted(produced), key=abs)),
+        tuple(a + 1 for a in range(theory.n_fluents) if a not in reach),
+        tuple(kept),
+        tuple(forced),
+        tuple(supported),
+        list(candidates),
+        *split_condition(candidates),
+    )
+    return plan
 
 
 def _conflict_free_subsets(candidates: frozenset[Lit]) -> list[frozenset[Lit]]:
@@ -188,48 +273,51 @@ def successor_states(
     candidates = direct_candidates(theory, source, actions)
     if not candidates:
         return [source] if consistent_source or theory.state_consistent(source) else []
+    plan = step_plan(theory, candidates)
 
     # Persistence freezes every atom no producible literal mentions at its
     # source value.
-    may_change = producible(theory, candidates)
-    reach = {abs(l) - 1 for l in may_change}
-    n = theory.n_fluents
-    frozen = [a + 1 if a in source else -(a + 1) for a in range(n) if a not in reach]
+    frozen = [v if v - 1 in source else -v for v in plan.frozen]
 
     # Rules c and e as support clauses (see the module docstring).  Each
     # supporting body is an auxiliary variable s <-> body, numbered after
-    # the atoms so that the atoms fix it.
+    # the atoms so that the atoms fix it.  A support clause without bodies
+    # is a unit, which goes with the assumptions.
+    n = theory.n_fluents
     overlay: list[list[Lit]] = []
+    units = [v if v - 1 in source else -v for v in plan.kept]
+    units += plan.forced
     aux = n
-    for a in sorted(reach):
-        keep = a + 1 if a in source else -(a + 1)
-        if -keep not in candidates:
-            need = -keep
-        elif keep not in candidates:
-            need = keep
-        else:
-            continue  # both values are candidates
+    for a, if_false, if_true in plan.supported:
+        need, bodies = if_true if a in source else if_false
+        if not bodies:
+            units.append(-need)
+            continue
         support = [-need]
-        for ri in theory.rprops_by_head_atom.get(a, ()):
-            rp = theory.rprops[ri]
-            if rp.head != need or may_change.isdisjoint(rp.condition):
-                continue
+        for body in bodies:
             aux += 1
-            overlay.append([aux] + [-l for l in rp.condition])
-            overlay.extend([-aux, l] for l in rp.condition)
+            overlay.append([aux] + [-l for l in body])
+            overlay.extend([-aux, l] for l in body)
             support.append(aux)
         overlay.append(support)
     # With no candidate applied nothing changes, and rule e fails for every
     # candidate: so some candidate holds in the target.
-    overlay.append(list(candidates))
+    overlay.append(plan.clause)
 
     # Rule d: the theory's own constraints, the frozen values preset when
-    # they satisfy them and propagated as assumptions otherwise.
-    assumptions, preset = ((), frozen) if consistent_source else (frozen, ())
+    # they satisfy them and propagated as assumptions otherwise.  A model
+    # in which every candidate holds passes ``step_holds`` unchecked when
+    # the source is consistent and the ramification graph acyclic (see the
+    # module docstring).
+    assumptions, preset = (units, frozen) if consistent_source else (frozen + units, ())
+    trusted = consistent_source and theory.first_cycle is None
+    true, false = plan.true, plan.false
     found: list[State] = []
     for model in theory.constraints.models(assumptions, preset=preset, extra=overlay):
         target = frozenset(v - 1 for v in model if v <= n)
-        if step_holds(theory, source, candidates, target):
+        if (trusted and target.issuperset(true) and target.isdisjoint(false)) or step_holds(
+            theory, source, candidates, target
+        ):
             found.append(target)
     return found
 

@@ -351,12 +351,7 @@ def fragment_report(theory) -> tuple[bool, list[str]]:
     the same or scheduled at one time, the lowest atom on which the two
     effects' ramification closures hold complementary literals."""
     out = []
-    edges: dict[int, set[int]] = {}
-    for rp in theory.rprops:
-        if rp.head is not None:
-            for c in rp.condition:
-                edges.setdefault(abs(c) - 1, set()).add(abs(rp.head) - 1)
-    cycle = _dfs_cycle(edges)
+    cycle = ramification_cycle(theory)
     if cycle is not None:
         out.append("ramification-cycle: " + " -> ".join(str(theory.fluents[a]) for a in cycle))
 
@@ -396,6 +391,18 @@ def fragment_report(theory) -> tuple[bool, list[str]]:
                     % (si, sj, theory.fluents[common[0] - 1])
                 )
     return not out, out
+
+
+def ramification_cycle(theory) -> list[int] | None:
+    """The first cycle a depth-first search over the ramification graph
+    (body atom to head atom, lowest atom first, successors ascending)
+    meets, as atom numbers; None when the graph is acyclic."""
+    edges: dict[int, set[int]] = {}
+    for rp in theory.rprops:
+        if rp.head is not None:
+            for c in rp.condition:
+                edges.setdefault(abs(c) - 1, set()).add(abs(rp.head) - 1)
+    return _dfs_cycle(edges)
 
 
 def _dfs_cycle(edges: dict[int, set[int]]) -> list[int] | None:
@@ -520,6 +527,115 @@ def random_theory(
     for _ in range(rng.randint(0, 3)):
         props.append(TProp(literal(), rng.randint(0, horizon)))
     return DomainDescription(sig, props)
+
+
+def random_step(rng: random.Random, max_fluents: int = 6) -> DomainDescription:
+    """A random propositional domain whose narrative is one fully observed
+    step: every fluent observed at 0 and some actions occurring at 0.  The
+    effects and rules are drawn as in ``random_theory``, and one of two
+    step shapes is planted on top:
+
+    * ``override``: an occurring action has an effect on h, and a rule
+      gives h the other value from a body { b } that holds at the source.
+      b is producible, through a rule { q, r } and another effect on q,
+      but r's source value keeps that rule from firing, so b stays as it
+      was: a support that holds but never changed.
+    * ``split``: two occurring effects give one atom x opposite values,
+      and a rule carries x on to another atom, so that the step has a
+      target for each value of x.
+
+    The source satisfies every rule (evaluated here, from the
+    definition); completions are redrawn until one does, and the whole
+    domain is redrawn when 20 of them do not.  Planted statements add no
+    cycle, but the drawn ones may."""
+    while True:
+        n_fluents = rng.randint(4, max_fluents)
+        fluents = ["f%d" % i for i in range(1, n_fluents + 1)]
+        actions = ["a1", "a2"]
+
+        def lit(name: str, positive: bool) -> FluentLiteral:
+            return FluentLiteral(Atom(name, ()), positive)
+
+        def condition(max_width: int) -> Condition:
+            names = rng.sample(fluents, rng.randint(0, max_width))
+            return Condition.of(*(lit(a, rng.random() < 0.5) for a in names))
+
+        def effect(action: str, positive: bool, name: str, cond: Condition = Condition.of()) -> CProp:
+            return CProp(Atom(action, ()), positive, Atom(name, ()), cond, ())
+
+        props = []
+        for _ in range(rng.randint(0, 3)):
+            props.append(effect(rng.choice(actions), rng.random() < 0.5, rng.choice(fluents), condition(2)))
+        for _ in range(rng.randint(0, 3)):
+            body = condition(2)
+            while body.is_empty:
+                body = condition(2)
+            head = None if rng.random() < 0.2 else lit(rng.choice(fluents), rng.random() < 0.5)
+            props.append(RProp(head, body, ()))
+        occurring = {"a1"}
+        if rng.random() < 0.5:  # an override
+            h, b, q, r = rng.sample(fluents, 4)
+            vh, vb, vq, vr = (rng.random() < 0.5 for _ in range(4))
+            props += [
+                effect("a1", vh, h),
+                effect("a1", vq, q),
+                RProp(lit(h, not vh), Condition.of(lit(b, vb)), ()),
+                RProp(lit(b, vb), Condition.of(lit(q, vq), lit(r, vr)), ()),
+            ]
+            planted = {h: not vh, b: vb, q: not vq, r: not vr}
+        else:  # a split
+            x, y = rng.sample(fluents, 2)
+            other = rng.choice(actions)
+            occurring.add(other)
+            props += [
+                effect("a1", True, x),
+                effect(other, False, x),
+                RProp(lit(y, rng.random() < 0.5), Condition.of(lit(x, rng.random() < 0.5)), ()),
+            ]
+            planted = {}
+        if rng.random() < 0.5:
+            occurring.add("a2")
+        rules = [p for p in props if isinstance(p, RProp)]
+        for _ in range(20):
+            source = {f: planted.get(f, rng.random() < 0.5) for f in fluents}
+            if all(_rule_holds(rp, source) for rp in rules):
+                break
+        else:
+            continue
+        props += [TProp(lit(f, v), 0) for f, v in source.items()]
+        props += [HProp(Atom(a, ()), 0) for a in sorted(occurring)]
+        sig = Signature(
+            sorts={},
+            fluents={f: FluentDecl(f, ()) for f in fluents},
+            actions={a: ActionDecl(a, ()) for a in actions},
+        )
+        return DomainDescription(sig, props)
+
+
+def _rule_holds(rp: RProp, values: dict[str, bool]) -> bool:
+    """Whether a propositional rule or denial holds in the state ``values``."""
+    if not all(values[l.atom.name] == l.positive for l in rp.condition.literals):
+        return True
+    return rp.head is not None and values[rp.head.atom.name] == rp.head.positive
+
+
+def override_at_source(theory, source: frozenset[int], actions) -> bool:
+    """Whether some effect of ``actions`` that fires at ``source`` meets a
+    rule with the opposite head whose body holds at ``source``: the
+    support for keeping the effect's atom is already there."""
+
+    def holds(code: int) -> bool:
+        return (abs(code) - 1 in source) == (code > 0)
+
+    fired = {
+        cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
+        for cp in theory.cprops
+        if cp.action in actions and all(holds(c) for c in cp.condition)
+    }
+    return any(
+        rp.head is not None and -rp.head in fired and all(holds(c) for c in rp.condition)
+        for rp in theory.rprops
+    )
 
 
 def random_state(rng: random.Random, n_atoms: int) -> frozenset[int]:

@@ -191,18 +191,15 @@ def test_rule_indexes_cover_all_rules():
 
     th = ground(load_domain("corpus:zoo_dual.e"), 2)
     body_indexed = {ri for lst in th.rprops_by_body_atom.values() for ri in lst}
-    head_indexed = {ri for lst in th.rprops_by_head_atom.values() for ri in lst}
     for ri, rp in enumerate(th.rprops):
         if rp.condition:
             assert ri in body_indexed
-    assert head_indexed == {ri for ri, rp in enumerate(th.rprops) if rp.head is not None}
 
 
 INDEXES = (
     "constraint_clauses",
     "constraints",
     "rprops_by_body_atom",
-    "rprops_by_head_atom",
     "pprops_by_action",
 )
 
@@ -253,11 +250,6 @@ def test_indexes_match_their_definitions():
         a: tuple(ri for ri, rp in enumerate(th.rprops) if a in {abs(c) - 1 for c in rp.condition})
         for a in atoms
         if any(a in {abs(c) - 1 for c in rp.condition} for rp in th.rprops)
-    }
-    assert th.rprops_by_head_atom == {
-        a: tuple(ri for ri, rp in enumerate(th.rprops) if rp.head is not None and abs(rp.head) - 1 == a)
-        for a in atoms
-        if any(rp.head is not None and abs(rp.head) - 1 == a for rp in th.rprops)
     }
     actions = {p.action for p in th.pprops}
     assert th.pprops_by_action == {

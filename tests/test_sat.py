@@ -36,6 +36,7 @@ from oracles import (
     fragment_report,
     model_satisfies,
     random_cnf,
+    random_step,
     random_theory,
 )
 
@@ -383,6 +384,30 @@ def test_engine_agreement_on_random_theories():
                 assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
     # the draws reach both ways out of the fragment
     assert conflicts >= 30 and cycles >= 30
+
+    # Fully observed single steps with several targets (``random_step``):
+    # where the kernel's first target differs from the least one in the
+    # earlier sorted-tuple order, only one order can give both backends'
+    # witness.
+    rng = random.Random(33)
+    splits = 0
+    for _ in range(60):
+        domain = random_step(rng)
+        th = ground(domain, 1)
+        source = frozenset(c - 1 for c in th.observations[0] if c > 0)
+        targets = brute_force_successors(th, source, th.occurrences[0])
+        for name in domain.signature.fluents:
+            for sign in ("", "neg "):
+                query = parse_query("credulous { %s%s holds-at 1 }" % (sign, name))
+                result = answer_sat(th, query)
+                engine = answer_theory(th, query)
+                assert (result.answer, result.witness) == (engine.answer, engine.witness)
+                code = th.code(next(iter(query.goals))[0])
+                matching = [t for t in targets if th.holds(t, code)]
+                if result.witness is not None:
+                    assert decode_witness(th, result.witness)[1] == matching[0]
+                    splits += matching[0] != min(matching, key=lambda t: tuple(sorted(t)))
+    assert splits >= 30, splits
 
 
 SELF_SUPPORT = """

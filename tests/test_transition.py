@@ -22,7 +22,7 @@ from elang.transition import (
     successor_states,
 )
 
-from oracles import random_state, random_theory
+from oracles import override_at_source, ramification_cycle, random_state, random_step, random_theory
 from test_acceptance import mini_throw_domain
 
 
@@ -117,6 +117,18 @@ def test_step_can_repair_an_inconsistent_source():
     assert not th.state_consistent(src)
     off = actions_of(th, "switch_off")
     assert successor_states(th, src, off) == brute_force_successors(th, src, off) == [frozenset()]
+
+
+def test_repair_needs_a_support_that_changed():
+    # h whenever { a } is broken at the source.  go makes a producible,
+    # through { q, r }, but r keeps that rule from firing, so a never
+    # changes and nothing explains the change of h the constraint forces.
+    th = g("fluent h. fluent a. fluent q. fluent r. action go.\n"
+           "go initiates q. a whenever { q, r }. h whenever { a }.\n", 1)
+    src = atoms(th, "a")
+    assert not th.state_consistent(src) and th.first_cycle is None
+    go = actions_of(th, "go")
+    assert successor_states(th, src, go) == brute_force_successors(th, src, go) == []
 
 
 def test_constraint_broken_by_unchangeable_atoms_leaves_no_successor():
@@ -403,18 +415,45 @@ def walk_narrative():
     return "\n".join(lines) + "\n"
 
 
+def count_step_leaves(monkeypatch):
+    """Every kernel model a step search yields (the step searches are the
+    kernel calls with an overlay), whether re-checked or not."""
+    leaves = []
+    models = ClauseSet.models
+
+    def counted(self, *args, **kwargs):
+        for model in models(self, *args, **kwargs):
+            if kwargs.get("extra"):
+                leaves.append(model)
+            yield model
+
+    monkeypatch.setattr(ClauseSet, "models", counted)
+    return leaves
+
+
 def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     scenario = tmp_path / "walk.e"
     scenario.write_text(walk_narrative())
     horizon = len(WALK_MOVES)
     th = ground(load_domain("gen:direct:6:feed", str(scenario)), horizon)
+    assert th.first_cycle is None
     query = parse_query(
         "skeptical { animal_pos(john, p1) holds-at %d, neg hungry(john) holds-at %d } horizon %d"
         % (horizon, horizon, horizon)
     )
     counts = count_leaves(monkeypatch)
+    leaves = count_step_leaves(monkeypatch)
     checks = count_calls(monkeypatch, GroundTheory, "state_consistent")
     steps = count_calls(monkeypatch, elang.query, "successor_states")
+    targets = []
+    search = elang.query.successor_states
+
+    def counted_targets(*args, **kwargs):
+        found = search(*args, **kwargs)
+        targets.extend(found)
+        return found
+
+    monkeypatch.setattr(elang.query, "successor_states", counted_targets)
     initial = []
     first_states = Evaluator._initial_states
 
@@ -426,9 +465,57 @@ def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     monkeypatch.setattr(Evaluator, "_initial_states", counted_initial)
     for use_slice in (False, True):
         assert answer_theory(th, query, use_slice=use_slice).answer == "true"
-    assert counts.get("ok", 0) > 0
-    assert "c" not in counts and "e" not in counts, counts
+    # The walk is acyclic and every source consistent, so every leaf holds
+    # all its candidates and passes without the re-check.
+    assert counts == {}
+    assert len(leaves) == len(targets) > 0
     assert len(checks) <= len(initial) < len(steps)
+
+
+# A ramification cycle next to an effect that fires: a's effect sets k,
+# and f and g could each be changed because the other is, since the rule
+# { k, h } makes them producible but cannot fire (h stays false).
+SUPPORT_CYCLE = """
+fluent k. fluent f. fluent g. fluent h. action a.
+a initiates k.
+g whenever { f }. f whenever { g }. f whenever { k, h }.
+neg k holds-at 0. neg f holds-at 0. neg g holds-at 0. neg h holds-at 0.
+a happens-at 0.
+"""
+
+
+def test_self_supported_change_beside_applied_candidates_is_rejected():
+    # The target { k, f, g } holds every candidate and meets the support
+    # clauses, but f and g support only each other: only the re-check,
+    # which runs on a cyclic theory, rules it out.
+    th = g(SUPPORT_CYCLE, 1)
+    assert th.first_cycle is not None
+    source, actions = frozenset(), th.occurrences[0]
+    only = [atoms(th, "k")]
+    assert list(Evaluator(th).successors(source, actions)) == brute_force_successors(th, source, actions) == only
+    query = parse_query("credulous { f holds-at 1 } horizon 1")
+    assert answer_theory(th, query).answer == "false"
+
+
+def test_successors_match_brute_force_on_planted_steps():
+    # random_step plants the step shapes the support clauses get wrong or
+    # branch on: an override whose rule support holds at the source, and
+    # a split into several targets.
+    rng = random.Random(20261)
+    draws = overrides = splits = 0
+    while draws < 1000:
+        domain = random_step(rng)
+        th = ground(domain, 1)
+        if ramification_cycle(th) is not None:
+            continue
+        source = frozenset(c - 1 for c in th.observations[0] if c > 0)
+        actions = th.occurrences[0]
+        brute = brute_force_successors(th, source, actions)
+        assert list(Evaluator(th).successors(source, actions)) == brute
+        draws += 1
+        overrides += override_at_source(th, source, actions)
+        splits += len(brute) > 1
+    assert overrides >= 400 and splits >= 400, (overrides, splits)
 
 
 def test_brute_force_bound():
