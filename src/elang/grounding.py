@@ -11,48 +11,57 @@ removed, leaving a residue over state-dependent fluents only.
 Constant derivation uses rules with all-positive constant bodies; a rule
 over constant fluents with a negative premise is not a derivation step but
 an integrity check against the fixed values (this keeps the fixpoint a
-plain monotone closure).
+plain monotone closure).  The fixpoint is reached by counting (Dowling and
+Gallier, J. Logic Programming 1984), the way ASP grounders evaluate Horn
+rules (Gebser et al., LPNMR 2011): each rule waits on the body atoms not
+yet true, and an atom made true wakes only the rules it occurs in, so no
+rule is scanned again once it has fired.
 
 Each effect, whenever and needs statement is compiled once into a
 template (``_Template``): its bindings with the disequalities applied,
 and for each atom a table from the binding to the atom's literal code,
-constant value or action.  Instances are read off the tables; no
-substituted copy of a statement is built.  The statements over constant
-fluents only (constant heads, denials over constants, constant
-observations) are expanded first, for the fixpoint; the others after it,
-with their constant literals looked up in the fixed values.  Instances
-come out in statement order and, within a statement, in binding order:
-variables in sorted-name order, each ranging over its sort's constants in
-declaration order.  Errors keep a fixed precedence: an invalid domain,
-then the first statement (in source order) that makes a constant fluent
-change or depend on the state, then a denied or violated constant value,
-then an observation or occurrence outside the horizon.
+constant value or action, built in one comprehension over the product of
+the slots the atom uses (the binding itself is the argument tuple when
+the atom's arguments are exactly its slots in order).  Instances are read
+off the tables; no substituted copy of a statement is built.  The
+statements over constant fluents only (constant heads, denials over
+constants, constant observations) are expanded first, for the fixpoint;
+the others after it, with their constant literals looked up in the fixed
+values.  Instances come out in statement order and, within a statement,
+in binding order: variables in sorted-name order, each ranging over its
+sort's constants in declaration order.  Errors keep a fixed precedence:
+an invalid domain, then the first statement (in source order) that makes
+a constant fluent change or depend on the state, then a denied or
+violated constant value, then an observation or occurrence outside the
+horizon.
 
 The result is a :class:`GroundTheory` over integer literal codes: fluent
 atom number ``i`` (0-based, declaration order, argument tuples in each
 sort's declaration order) is ``+(i+1)`` when true and ``-(i+1)`` when
 false.  States are frozensets of true atom numbers.
 
-Grounding builds the ramification and precondition instances, but no
-effect instance: an effect statement only counts the bindings it keeps,
-so ``stats`` is exact.  ``GroundTheory.effects_of(action)`` grounds one
-action's effect instances the first time it is asked for: each effect
-statement groups its kept bindings by the arguments they give its action
-atom, once, so an action reads only its own.  Each instance comes with
-its position in ``cprops``, the full list in statement order and binding
-order, which is built, statement by statement over the kept bindings,
-only when something reads it (``elang ground --dump``).  The step
-search, the clausal compiler and the relevance slice read effects per
-action, so a query grounds only the effects of the actions its narrative
-schedules, much as gringo instantiates only what is relevant (Gebser et
-al., LPNMR 2007).  The indexes over the statement lists (the constraint
-clauses, the rules by body atom, the preconditions by action and the
-first cycle in the ramification graph) are likewise derived the first
-time they are read, so a caller that needs few of them, such as a
-relevance slice, pays for no others.  So are the tests the step search
-reads off an action's effects (``effect_tests``: each condition split
-into the atoms it needs true and false) and its per-candidate-set plans
-(``plans``, filled by ``transition.step_plan``).
+Grounding builds the ramification instances, but no effect or
+precondition instance: an effect statement only counts the bindings it
+keeps, and a precondition statement keeps all of its bindings, so
+``stats`` is exact.  ``GroundTheory.effects_of(action)`` and
+``GroundTheory.preconditions_of(action)`` ground one action's instances
+the first time they are asked for: each statement groups its kept
+bindings by the arguments they give its action atom, once, so an action
+reads only its own.  Each instance comes with its position in ``cprops``
+or ``pprops``, the full lists in statement order and binding order,
+which are built, statement by statement over the kept bindings, only
+when something reads them (``elang ground --dump``).  The step search,
+the clausal compiler and the relevance slice read effects and
+preconditions per action, so a query grounds only those of the actions
+its narrative schedules, much as gringo instantiates only what is
+relevant (Gebser et al., LPNMR 2007).  The indexes over the statement
+lists (the constraint clauses, the rules by body atom and the first cycle
+in the ramification graph) are likewise derived the first time they are
+read, so a caller that needs few of them, such as a relevance slice, pays
+for no others.  So are the tests the step search reads off an action's
+effects and preconditions (``effect_tests`` and ``precondition_test``:
+conditions split into the atoms they need true and false) and its
+per-candidate-set plans (``plans``, filled by ``transition.step_plan``).
 """
 
 from __future__ import annotations
@@ -130,9 +139,14 @@ class GroundingStats:
 
 # An action's effect instances, each with its position in the full list.
 Instances = tuple[tuple[int, GroundCProp], ...]
+# An action's preconditions, each with its position in the full list.
+Preconditions = tuple[tuple[int, GroundPProp], ...]
 # An action's effects as (effect literal, atoms the condition needs true,
 # atoms it needs false).
 EffectTests = tuple[tuple[Lit, frozenset[int], frozenset[int]], ...]
+# An action's preconditions together as (whether one can never hold, atoms
+# they need true, atoms they need false).
+PreconditionTest = tuple[bool, frozenset[int], frozenset[int]]
 
 
 @dataclass
@@ -142,8 +156,9 @@ class GroundTheory:
     constant_values: dict[Atom, bool]
     ground_effects: Callable[[Atom], Instances]  # one action's, on first read
     ground_all_effects: Callable[[], list[GroundCProp]]  # in position order
+    ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
+    ground_all_preconditions: Callable[[], list[GroundPProp]]  # in position order
     rprops: list[GroundRProp]
-    pprops: list[GroundPProp]
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
     horizon: int
@@ -155,6 +170,10 @@ class GroundTheory:
     effects: dict[Atom, Instances] = field(default_factory=dict, repr=False, compare=False)
     # The effect tests made so far, by action (``effect_tests``).
     tests: dict[Atom, EffectTests] = field(default_factory=dict, repr=False, compare=False)
+    # The preconditions ground so far, by action.
+    preconditions: dict[Atom, Preconditions] = field(default_factory=dict, repr=False, compare=False)
+    # The precondition tests made so far, by action (``precondition_test``).
+    needs: dict[Atom, PreconditionTest] = field(default_factory=dict, repr=False, compare=False)
     # The step plans made so far, by candidate set (``transition.step_plan``).
     plans: dict[frozenset[Lit], object] = field(default_factory=dict, repr=False, compare=False)
 
@@ -186,14 +205,6 @@ class GroundTheory:
             for c in rp.condition:
                 by_body.setdefault(abs(c) - 1, []).append(ri)
         return {k: tuple(v) for k, v in by_body.items()}
-
-    @cached_property
-    def pprops_by_action(self) -> dict[Atom, tuple[int, ...]]:
-        """The positions of each action's preconditions, in list order."""
-        by_action: dict[Atom, list[int]] = {}
-        for i, pp in enumerate(self.pprops):
-            by_action.setdefault(pp.action, []).append(i)
-        return {k: tuple(v) for k, v in by_action.items()}
 
     @cached_property
     def first_cycle(self) -> tuple[int, ...] | None:
@@ -255,6 +266,32 @@ class GroundTheory:
                 (cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), *split_condition(cp.condition))
                 for _, cp in self.effects_of(action)
             )
+        return found
+
+    @cached_property
+    def pprops(self) -> list[GroundPProp]:
+        """Every precondition instance, in statement order and binding order."""
+        return self.ground_all_preconditions()
+
+    def preconditions_of(self, action: Atom) -> Preconditions:
+        """The precondition instances of ``action`` with their positions in
+        ``pprops``, ground the first time they are asked for."""
+        found = self.preconditions.get(action)
+        if found is None:
+            found = self.preconditions[action] = self.ground_preconditions(action)
+        return found
+
+    def precondition_test(self, action: Atom) -> PreconditionTest:
+        """The preconditions of ``action`` as one test: whether one of them
+        can never hold, and the atoms they need true and false, so that a
+        state is tested with two set operations; made the first time it is
+        asked for."""
+        found = self.needs.get(action)
+        if found is None:
+            pairs = self.preconditions_of(action)
+            impossible = any(pp.impossible for _, pp in pairs)
+            condition = _NONE.union(*(pp.condition for _, pp in pairs))
+            found = self.needs[action] = (impossible, *split_condition(condition))
         return found
 
     @property
@@ -345,14 +382,29 @@ class _Template:
         self.dropped = len(bindings) - len(kept)
 
     def lookup(self, atom: Atom, value: Callable[[tuple[str, ...]], object]):
-        slots = sorted({self.slot[t] for t in atom.args if t in self.slot})
+        slot = self.slot
+        slots = sorted({slot[t] for t in atom.args if t in slot})
         getter = operator.itemgetter(*slots) if slots else _no_slots
-        where = [slots.index(self.slot[t]) if t in self.slot else None for t in atom.args]
-        table = {}
-        for combo in itertools.product(*(self.pools[i] for i in slots)):
-            args = tuple(t if k is None else combo[k] for k, t in zip(where, atom.args))
-            table[combo[0] if len(slots) == 1 else combo] = value(args)
-        return getter, table
+        where = [slots.index(slot[t]) if t in slot else None for t in atom.args]
+        constants = tuple(t for t, k in zip(atom.args, where) if k is None)
+        if where == list(range(len(slots))):
+            pick = None  # the arguments are the slots in order: the binding is the tuple
+        elif not slots:
+            return getter, {(): value(constants)}
+        else:
+            # the arguments are picked from the binding followed by the constants
+            places = iter(range(len(slots), len(slots) + len(constants)))
+            pick = operator.itemgetter(*[next(places) if k is None else k for k in where])
+        if len(slots) == 1:
+            # the getter of one slot gives its bare value, which keys the table
+            pool = self.pools[slots[0]]
+            if pick is None:
+                return getter, {c: value((c,)) for c in pool}
+            return getter, {c: value(pick((c,) + constants)) for c in pool}
+        combos = itertools.product(*(self.pools[i] for i in slots))
+        if pick is None:
+            return getter, {combo: value(combo) for combo in combos}
+        return getter, {combo: value(pick(combo + constants)) for combo in combos}
 
     def instance(self, atom: Atom, combo: tuple[str, ...]) -> Atom:
         """``atom`` under one binding, for error messages."""
@@ -363,39 +415,31 @@ def _no_slots(combo: tuple[str, ...]) -> tuple[()]:
     return ()
 
 
-class _Effect:
-    """An effect statement over a dynamic fluent, ground one action at a
-    time.  Grounding keeps its ``kept`` bindings, those whose constant
-    literals hold and whose literals never clash, and the tables of its
-    dynamic condition literals.  Its instances take the positions from
-    ``offset`` on in the theory's full effect list, one per kept binding
-    in binding order.  The first time an action is asked for, the kept
-    bindings are grouped by the values they give the statement's action
-    atom, so each action finds its own directly."""
+def _clash_free(codes: set[Lit]) -> bool:
+    return not any(-c in codes for c in codes)
 
-    def __init__(
-        self, tpl: _Template, prop: CProp, src: int, offset: int, kept, dynamic, fluent_numbers
-    ):
+
+class _PerAction:
+    """An effect or needs statement, ground one action at a time.  Its
+    instances take the positions from ``offset`` on in the theory's full
+    list of its kind, one per ``kept`` binding in binding order.  The
+    first time an action is asked for, the kept bindings are grouped by
+    the values they give the statement's action atom, so each action
+    finds its own directly."""
+
+    def __init__(self, tpl: _Template, action: Atom, offset: int, kept: list[tuple[str, ...]]):
         self.tpl = tpl
-        self.prop = prop
-        self.src = src
+        self.action = action
         self.offset = offset
         self.kept = kept
-        self.dynamic = dynamic
-        self.fluent_numbers = fluent_numbers
         self._by_key: dict[object, list[tuple[int, tuple[str, ...]]]] | None = None
-        self._fluent = None
 
-    def _instance(self, action: Atom, combo: tuple[str, ...]) -> GroundCProp:
-        if self._fluent is None:
-            self._fluent = self.tpl.lookup(self.prop.fluent, self.fluent_numbers.get)
-        get_fluent, fluents = self._fluent
-        codes = frozenset([table[getter(combo)] for getter, table in self.dynamic])
-        return GroundCProp(action, self.prop.initiates, fluents[get_fluent(combo)], codes, self.src)
+    def _instance(self, action: Atom, combo: tuple[str, ...]):
+        raise NotImplementedError
 
-    def of(self, action: Atom) -> Instances:
+    def of(self, action: Atom) -> tuple[tuple[int, object], ...]:
         """The instances of ``action``, in binding order."""
-        args, slot = self.prop.action.args, self.tpl.slot
+        args, slot = self.action.args, self.tpl.slot
         # an action names a kept binding by its arguments in the places of
         # the statement's variables; its other arguments must be the
         # statement's constants
@@ -411,11 +455,57 @@ class _Effect:
         found = self._by_key.get(key_of(action.args), ())
         return tuple((position, self._instance(action, combo)) for position, combo in found)
 
-    def all(self) -> list[GroundCProp]:
+    def all(self) -> list:
         """Every instance, in binding order."""
-        action = self.prop.action
-        get_action, actions = self.tpl.lookup(action, partial(Atom, action.name))
+        get_action, actions = self.tpl.lookup(self.action, partial(Atom, self.action.name))
         return [self._instance(actions[get_action(combo)], combo) for combo in self.kept]
+
+
+class _Effect(_PerAction):
+    """An effect statement over a dynamic fluent.  Grounding keeps its
+    ``kept`` bindings, those whose constant literals hold and whose
+    literals never clash, and the tables of its dynamic condition
+    literals."""
+
+    def __init__(
+        self, tpl: _Template, prop: CProp, src: int, offset: int, kept, dynamic, fluent_numbers
+    ):
+        super().__init__(tpl, prop.action, offset, kept)
+        self.prop = prop
+        self.src = src
+        self.dynamic = dynamic
+        self.fluent_numbers = fluent_numbers
+        self._fluent = None
+
+    def _instance(self, action: Atom, combo: tuple[str, ...]) -> GroundCProp:
+        if self._fluent is None:
+            self._fluent = self.tpl.lookup(self.prop.fluent, self.fluent_numbers.__getitem__)
+        get_fluent, fluents = self._fluent
+        codes = frozenset([table[getter(combo)] for getter, table in self.dynamic])
+        return GroundCProp(action, self.prop.initiates, fluents[get_fluent(combo)], codes, self.src)
+
+
+class _Need(_PerAction):
+    """A needs statement.  Every binding is kept: one whose constant
+    literals fail or whose literals clash makes an impossible instance,
+    which keeps its action from ever occurring legally.  The tables of its
+    condition are built by ``residues`` when its first instance is."""
+
+    def __init__(self, tpl: _Template, prop: PProp, src: int, offset: int, residues):
+        super().__init__(tpl, prop.action, offset, tpl.bindings)
+        self.prop = prop
+        self.src = src
+        self.residues = residues
+        self._tables = None
+
+    def _instance(self, action: Atom, combo: tuple[str, ...]) -> GroundPProp:
+        if self._tables is None:
+            dynamic, possible = self.residues(self.tpl, self.prop.condition)
+            self._tables = dynamic, None if possible is self.kept else set(possible)
+        dynamic, possible = self._tables
+        codes = frozenset([table[getter(combo)] for getter, table in dynamic])
+        impossible = possible is not None and combo not in possible
+        return GroundPProp(action, codes, self.src, impossible)
 
 
 def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheory:
@@ -453,9 +543,29 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     def is_constant(atom: Atom) -> bool:
         return sig.fluents[atom.name].constant
 
+    # A literal's code, and after the fixpoint a constant literal's truth,
+    # by its atom's arguments: one table per fluent and sign, made once.
+    code_tables: dict[tuple[str, bool], dict[tuple[str, ...], Lit]] = {}
+    truth_tables: dict[tuple[str, bool], dict[tuple[str, ...], bool]] = {}
+
     def coder(lit: FluentLiteral) -> Callable[[tuple[str, ...]], Lit]:
-        nums, sign = numbers[lit.atom.name], 1 if lit.positive else -1
-        return lambda args: sign * (nums[args] + 1)
+        key = (lit.atom.name, lit.positive)
+        table = code_tables.get(key)
+        if table is None:
+            nums = numbers[lit.atom.name]
+            if lit.positive:
+                table = code_tables[key] = {args: n + 1 for args, n in nums.items()}
+            else:
+                table = code_tables[key] = {args: -n - 1 for args, n in nums.items()}
+        return table.__getitem__
+
+    def truth(lit: FluentLiteral) -> Callable[[tuple[str, ...]], bool]:
+        key = (lit.atom.name, lit.positive)
+        table = truth_tables.get(key)
+        if table is None:
+            nums = numbers[lit.atom.name]
+            table = truth_tables[key] = {args: values[n] == lit.positive for args, n in nums.items()}
+        return table.__getitem__
 
     def holds(code: Lit) -> bool:
         return values[abs(code) - 1] == (code > 0)
@@ -473,8 +583,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     # depend on the state.
     facts: list[Lit] = []
     denied: list[tuple[Lit, int]] = []
-    rules: list[tuple[tuple[Lit, ...], Lit]] = []
-    checks: list[tuple[tuple[Lit, ...], Lit | None, int]] = []
+    rules: list[tuple[list[Lit], Lit]] = []
+    checks: list[tuple[list[Lit], Lit | None, int]] = []
     for src, prop in enumerate(props):
         if isinstance(prop, TProp) and is_constant(prop.literal.atom):
             code = coder(prop.literal)(prop.literal.atom.args)
@@ -512,10 +622,12 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         derives = head_constant and prop.head.positive
         derives = derives and all(l.positive for l in prop.condition.literals)
         body = [tpl.lookup(l.atom, coder(l)) for l in prop.condition.literals]
-        head = None if prop.head is None else tpl.lookup(prop.head.atom, coder(prop.head))
+        get_head, heads = _no_slots, {(): None}
+        if prop.head is not None:
+            get_head, heads = tpl.lookup(prop.head.atom, coder(prop.head))
         for combo in tpl.bindings:
-            codes = tuple(table[getter(combo)] for getter, table in body)
-            head_code = None if head is None else head[1][head[0](combo)]
+            codes = [table[getter(combo)] for getter, table in body]
+            head_code = heads[get_head(combo)]
             if derives:
                 rules.append((codes, head_code))
             else:
@@ -524,15 +636,27 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             # a denial over constants never holds (checked below), so every
             # instance of it is dropped
             stats.dropped_instances += len(tpl.bindings)
-    for code in facts:
-        values[code - 1] = True
-    changed = True
-    while changed:
-        changed = False
-        for body_codes, head_code in rules:
-            if not values[head_code - 1] and all(values[c - 1] for c in body_codes):
-                values[head_code - 1] = True
-                changed = True
+    # The least fixpoint by counting: each rule waits on its body atoms
+    # not yet true, and an atom made true wakes only the rules it occurs in.
+    waiting: list[int] = []
+    wakes: dict[int, list[int]] = {}
+    made_true = [code - 1 for code in facts]
+    for ri, (body_codes, head_code) in enumerate(rules):
+        atoms = {c - 1 for c in body_codes}
+        waiting.append(len(atoms))
+        for a in atoms:
+            wakes.setdefault(a, []).append(ri)
+        if not atoms:
+            made_true.append(head_code - 1)
+    while made_true:
+        a = made_true.pop()
+        if values[a]:
+            continue
+        values[a] = True
+        for ri in wakes.get(a, ()):
+            waiting[ri] -= 1
+            if not waiting[ri]:
+                made_true.append(rules[ri][1] - 1)
     for code, src in denied:
         if values[-code - 1]:
             raise GroundingError(
@@ -548,41 +672,38 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             )
 
     def residues(tpl: _Template, condition: Condition):
-        """The getters and tables of the condition's dynamic literals, and a
-        test that a binding's constant literals hold and its codes never
-        clash; the test is None when every binding passes it."""
-        fixed, dynamic, signs = [], [], set()
+        """The getters and tables of the condition's dynamic literals, and
+        the template's bindings whose constant literals hold and whose
+        codes never clash, in binding order (the list itself when that is
+        all of them).  Each constant literal narrows the list in turn."""
+        kept, dynamic, signs = tpl.bindings, [], set()
         for lit in condition.literals:
             if is_constant(lit.atom):
-                code = coder(lit)
-                fixed.append(tpl.lookup(lit.atom, lambda args, code=code: holds(code(args))))
+                getter, table = tpl.lookup(lit.atom, truth(lit))
+                kept = [combo for combo in kept if table[getter(combo)]]
             else:
                 dynamic.append(tpl.lookup(lit.atom, coder(lit)))
                 signs.add((lit.atom.name, lit.positive))
-        may_clash = any((name, False) in signs for name, positive in signs if positive)
-        if not fixed and not may_clash:
-            return dynamic, None
-
-        def passes(combo: tuple[str, ...]) -> bool:
-            for getter, table in fixed:
-                if not table[getter(combo)]:
-                    return False
-            if may_clash:
-                codes = {table[getter(combo)] for getter, table in dynamic}
-                return not any(-c in codes for c in codes)
-            return True
-
-        return dynamic, passes
+        if any((name, False) in signs for name, positive in signs if positive):
+            kept = [
+                combo
+                for combo in kept
+                if _clash_free({table[getter(combo)] for getter, table in dynamic})
+            ]
+        return dynamic, kept if len(kept) < len(tpl.bindings) else tpl.bindings
 
     # After the fixpoint: expand the statements over dynamic fluents, in
     # statement order and binding order, with constants resolved.  An
-    # effect statement only counts the bindings it keeps; its instances
-    # are ground per action when first asked for (``_Effect``).
+    # effect statement only counts the bindings it keeps, and a needs
+    # statement keeps them all; their instances are ground per action
+    # when first asked for (``_PerAction``).
     effects: list[_Effect] = []
     effects_by_action: dict[str, list[_Effect]] = {}
     n_effects = 0
+    needs: list[_Need] = []
+    needs_by_action: dict[str, list[_Need]] = {}
+    n_needs = 0
     rprops: list[GroundRProp] = []
-    pprops: list[GroundPProp] = []
     occurrences: dict[int, set[Atom]] = {}
     observations: dict[int, set[Lit]] = {}
     for src, prop in enumerate(props):
@@ -608,8 +729,7 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             if is_constant(prop.fluent):
                 continue
             tpl = templates[src]
-            dynamic, passes = residues(tpl, prop.condition)
-            kept = tpl.bindings if passes is None else list(filter(passes, tpl.bindings))
+            dynamic, kept = residues(tpl, prop.condition)
             stats.dropped_instances += len(tpl.bindings) - len(kept)
             effect = _Effect(tpl, prop, src, n_effects, kept, dynamic, numbers[prop.fluent.name])
             effects.append(effect)
@@ -624,23 +744,16 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                 continue  # folded into the constant fixpoint above
             else:
                 get_head, heads = templates[src].lookup(prop.head.atom, coder(prop.head))
-            dynamic, passes = residues(templates[src], prop.condition)
-            for combo in templates[src].bindings:
-                if passes is None or passes(combo):
-                    codes = frozenset([table[getter(combo)] for getter, table in dynamic])
-                    rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
-                else:
-                    stats.dropped_instances += 1
-        else:
-            tpl = templates[src]
-            get_action, actions = tpl.lookup(prop.action, partial(Atom, prop.action.name))
-            dynamic, passes = residues(tpl, prop.condition)
-            for combo in tpl.bindings:
+            dynamic, kept = residues(templates[src], prop.condition)
+            stats.dropped_instances += len(templates[src].bindings) - len(kept)
+            for combo in kept:
                 codes = frozenset([table[getter(combo)] for getter, table in dynamic])
-                # a precondition that can never hold keeps its action from
-                # ever occurring legally
-                impossible = passes is not None and not passes(combo)
-                pprops.append(GroundPProp(actions[get_action(combo)], codes, src, impossible))
+                rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
+        else:
+            need = _Need(templates[src], prop, src, n_needs, residues)
+            needs.append(need)
+            needs_by_action.setdefault(prop.action.name, []).append(need)
+            n_needs += len(need.kept)
 
     def ground_effects(action: Atom) -> Instances:
         return tuple(
@@ -650,10 +763,16 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     def ground_all_effects() -> list[GroundCProp]:
         return [cp for effect in effects for cp in effect.all()]
 
+    def ground_preconditions(action: Atom) -> Preconditions:
+        return tuple(pair for need in needs_by_action.get(action.name, ()) for pair in need.of(action))
+
+    def ground_all_preconditions() -> list[GroundPProp]:
+        return [pp for need in needs for pp in need.all()]
+
     stats.cprops = n_effects
     stats.rprops = sum(1 for r in rprops if r.head is not None)
     stats.denials = sum(1 for r in rprops if r.head is None)
-    stats.pprops = len(pprops)
+    stats.pprops = n_needs
     stats.occurrences = sum(len(v) for v in occurrences.values())
     stats.observations = sum(len(v) for v in observations.values())
 
@@ -663,8 +782,9 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         constant_values=dict(zip(constant_atoms, values)),
         ground_effects=ground_effects,
         ground_all_effects=ground_all_effects,
+        ground_preconditions=ground_preconditions,
+        ground_all_preconditions=ground_all_preconditions,
         rprops=rprops,
-        pprops=pprops,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
         observations={t: frozenset(v) for t, v in sorted(observations.items())},
         horizon=horizon,

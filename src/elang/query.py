@@ -326,7 +326,8 @@ def slice_for_goals(
     effect instance of an action the theory schedules, mentions both (head
     and body included).  An effect or precondition of an action that never
     occurs never applies, so it links or restricts nothing and is left
-    out; only the scheduled actions' effects are read, and so ground.
+    out; only the scheduled actions' effects and preconditions are read,
+    and so ground.
     The kept atoms then never share a live statement with a dropped one,
     and the transition relation factorizes.  Answers over the slice match
     the full theory whenever the full theory is consistent; an
@@ -336,7 +337,8 @@ def slice_for_goals(
     It shares the theory's fluents, index, constant values and
     occurrences; every kept rule and effect pair is the theory's own
     object (the rule list itself when every rule is kept), so an effect
-    keeps its position in the theory's ``cprops``.  Preconditions and
+    keeps its position in the theory's ``cprops``, as a precondition does
+    in its ``pprops``.  Preconditions and
     observations lose their literals on dropped atoms; only a statement
     that has one is rebuilt.  Each dropped atom is then observed false at
     time 0: nothing in the view can change it, so neither the initial
@@ -399,15 +401,17 @@ def slice_for_goals(
     rprops = list(filter(kept_rule, theory.rprops))
     if len(rprops) == len(theory.rprops):
         rprops = theory.rprops
-    pprops = []
-    for pp in theory.pprops:
-        if pp.action not in occurring:
-            continue
-        condition = own(pp.condition)
-        if condition is not pp.condition:
-            pp = GroundPProp(pp.action, condition, pp.src, pp.impossible)
-        if condition or pp.impossible:
-            pprops.append(pp)
+    preconditions = {}
+    for action in occurring:
+        mine = []
+        for position, pp in theory.preconditions_of(action):
+            condition = own(pp.condition)
+            if condition is not pp.condition:
+                pp = GroundPProp(pp.action, condition, pp.src, pp.impossible)
+            if condition or pp.impossible:
+                mine.append((position, pp))
+        if mine:
+            preconditions[action] = tuple(mine)
     observations = {t: mine for t, obs in theory.observations.items() if (mine := own(obs))}
     denials = sum(1 for r in rprops if r.head is None)
     stats = GroundingStats(
@@ -416,7 +420,7 @@ def slice_for_goals(
         cprops=sum(map(len, effects.values())),
         rprops=len(rprops) - denials,
         denials=denials,
-        pprops=len(pprops),
+        pprops=sum(map(len, preconditions.values())),
         occurrences=sum(len(v) for v in theory.occurrences.values()),
         observations=sum(len(v) for v in observations.values()),
         horizon=theory.horizon,
@@ -432,8 +436,13 @@ def slice_for_goals(
         effects=effects,
         ground_effects=lambda action: (),
         ground_all_effects=lambda: [cp for _, cp in sorted(chain.from_iterable(effects.values()))],
+        # and their kept preconditions
+        preconditions=preconditions,
+        ground_preconditions=lambda action: (),
+        ground_all_preconditions=lambda: [
+            pp for _, pp in sorted(chain.from_iterable(preconditions.values()))
+        ],
         rprops=rprops,
-        pprops=pprops,
         occurrences=theory.occurrences,
         observations=observations,
         horizon=theory.horizon,

@@ -265,8 +265,7 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     # Precondition units for scheduled actions.
     for t in sorted(theory.occurrences):
         for action in sorted(theory.occurrences[t]):
-            for pi in theory.pprops_by_action.get(action, ()):
-                pp = theory.pprops[pi]
+            for _, pp in theory.preconditions_of(action):
                 if pp.impossible:
                     emit(())
                     if labels:

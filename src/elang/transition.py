@@ -58,7 +58,9 @@ out once per theory and candidate set and keeps it on ``theory.plans``;
 the clausal compiler and ``sat.check_fragment`` read the producible
 literals from the same memo.  The direct candidates are read off each
 action's effects with their conditions split once into the atoms they
-need true and false (``GroundTheory.effect_tests``).
+need true and false (``GroundTheory.effect_tests``), and an occurrence
+is tested against each action's preconditions split the same way
+(``GroundTheory.precondition_test``).
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
@@ -106,10 +108,9 @@ def direct_candidates(theory: GroundTheory, state: State, actions: frozenset[Ato
 def legal_occurrence(theory: GroundTheory, state: State, actions: frozenset[Atom]) -> bool:
     """True when every precondition of every occurring action holds."""
     for action in actions:
-        for pi in theory.pprops_by_action.get(action, ()):
-            pp = theory.pprops[pi]
-            if pp.impossible or not theory.satisfies(state, pp.condition):
-                return False
+        impossible, true, false = theory.precondition_test(action)
+        if impossible or not (state.issuperset(true) and state.isdisjoint(false)):
+            return False
     return True
 
 

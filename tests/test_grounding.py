@@ -1,5 +1,6 @@
 """Grounder: sort expansion, constant fixpoint, residuation, indexes."""
 
+import hashlib
 import random
 
 import pytest
@@ -69,6 +70,65 @@ def test_constant_cwa_fixpoint():
     assert len(th.rprops) == 1
     assert th.lit_str(th.rprops[0].head) == "dyn(a)"
     assert not th.rprops[0].condition
+
+
+# A chain of seven nodes and its transitive closure, which takes six
+# rounds of derivation; path(X, X) waits on itself and is never derived.
+# out(X) is derived only where Y = Z, so its body names one atom twice.
+CHAIN = """
+sort node: c1, c2, c3, c4, c5, c6, c7.
+constant fluent link(node, node).
+constant fluent path(node, node).
+constant fluent out(node).
+fluent at(node).
+action go(node).
+link(c1, c2) holds-at 0.
+link(c2, c3) holds-at 0.
+link(c3, c4) holds-at 0.
+link(c4, c5) holds-at 0.
+link(c5, c6) holds-at 0.
+link(c6, c7) holds-at 0.
+path(X, Y) whenever { link(X, Y) }.
+path(X, Z) whenever { path(X, Y), link(Y, Z) }.
+path(X, X) whenever { path(X, X) }.
+false whenever { neg path(c1, c7) }.
+out(X) whenever { link(X, Y), link(X, Z) }.
+at(Y) whenever { at(X), link(X, Y) }.
+go(Y) initiates at(Y) when { at(X), path(X, Y), X != Y }.
+go(X) needs { neg at(X), path(c1, X) }.
+go(c4) happens-at 0.
+"""
+
+
+def test_counting_fixpoint_closes_a_chain():
+    th = g(CHAIN, 2)
+    values = {str(atom): v for atom, v in th.constant_values.items() if atom.name == "path"}
+    nodes = ["c%d" % i for i in range(1, 8)]
+    assert values == {
+        "path(%s,%s)" % (x, y): i < j for i, x in enumerate(nodes) for j, y in enumerate(nodes)
+    }
+    assert sum(values.values()) == 21
+    outs = {str(atom): v for atom, v in th.constant_values.items() if atom.name == "out"}
+    assert outs == {"out(%s)" % x: x != "c7" for x in nodes}
+    assert theory_strings(th) == naive_ground_strings(parse_domain(CHAIN).domain, 2)
+    # go(c1) needs path(c1, c1), which is never derived
+    assert [pp.impossible for pp in th.pprops] == [True] + [False] * 6
+    assert th.stats.cprops == 21 and th.stats.pprops == 7
+
+
+def test_negative_premise_check_rejects_after_the_fixpoint():
+    # path(c1, c7) is derived in the last round; the check holds only then,
+    # and its negative premise makes it a check, so it derives nothing
+    check = "path(c7, c1) whenever { neg path(c7, c1), path(c1, c7) }."
+    assert _grounding_error(CHAIN + check) == (
+        "constant-contradiction",
+        "statement 15 is violated by the fixed constant fluent values",
+    )
+    # and the denial on neg path(c1, c7) rejects a chain that stops short
+    assert _grounding_error(CHAIN.replace("link(c6, c7)", "link(c6, c6)")) == (
+        "constant-contradiction",
+        "statement 9 is violated by the fixed constant fluent values",
+    )
 
 
 def test_condition_residuation_drops_false_instances():
@@ -200,7 +260,6 @@ INDEXES = (
     "constraint_clauses",
     "constraints",
     "rprops_by_body_atom",
-    "pprops_by_action",
 )
 
 
@@ -215,21 +274,28 @@ def test_indexes_are_built_on_first_read():
     th = ground(domain, 4)
     scheduled = set().union(*th.occurrences.values())
     assert not set(INDEXES) & set(vars(th))
+    assert not th.preconditions
     # a sliced answer indexes only the slice, and grounds only the
-    # scheduled actions' effects
+    # scheduled actions' effects and preconditions
     answer_theory(th, query, use_slice=True)
     assert not set(INDEXES) & set(vars(th))
-    assert "cprops" not in vars(th)
+    assert "cprops" not in vars(th) and "pprops" not in vars(th)
     assert set(th.effects) == scheduled
+    assert set(th.preconditions) == scheduled
+    assert not th.needs
     # the clausal backend never builds the engine's clause set, nor the
-    # full effect list
+    # full effect or precondition list
     answer_sat(th, query)
     assert "constraints" not in vars(th)
-    assert "cprops" not in vars(th)
+    assert "cprops" not in vars(th) and "pprops" not in vars(th)
     answer_theory(th, query)
     assert set(INDEXES) <= set(vars(th))
-    assert "cprops" not in vars(th)
+    assert "cprops" not in vars(th) and "pprops" not in vars(th)
     assert set(th.effects) == scheduled
+    assert set(th.preconditions) == scheduled
+    assert set(th.needs) <= scheduled
+    # the theory has preconditions of actions it never schedules
+    assert {pp.action for pp in th.pprops} - scheduled
 
 
 def test_indexes_match_their_definitions():
@@ -251,13 +317,19 @@ def test_indexes_match_their_definitions():
         for a in atoms
         if any(a in {abs(c) - 1 for c in rp.condition} for rp in th.rprops)
     }
-    actions = {p.action for p in th.pprops}
-    assert th.pprops_by_action == {
-        a: tuple(i for i, p in enumerate(th.pprops) if p.action == a) for a in actions
-    }
+    actions = {p.action for p in th.pprops} | {cp.action for cp in th.cprops}
+    for a in actions:
+        assert th.preconditions_of(a) == tuple((i, p) for i, p in enumerate(th.pprops) if p.action == a)
+        conditions = [p.condition for p in th.pprops if p.action == a]
+        assert th.precondition_test(a) == (
+            any(p.impossible for p in th.pprops if p.action == a),
+            frozenset(c - 1 for cond in conditions for c in cond if c > 0),
+            frozenset(-c - 1 for cond in conditions for c in cond if c < 0),
+        )
     for a in {cp.action for cp in th.cprops}:
         assert th.effects_of(a) == tuple((i, cp) for i, cp in enumerate(th.cprops) if cp.action == a)
     assert th.rprops and th.cprops and th.pprops
+    assert any(not th.preconditions_of(a) for a in actions)
 
 
 def test_matches_naive_oracle_on_random_domains():
@@ -383,6 +455,60 @@ def test_lazy_effects_match_full_list_on_random_domains():
     assert with_diseqs > 50
 
 
+def _check_lazy_preconditions(domain, horizon, rng):
+    """Ground each action's preconditions first, in a random order, on one
+    theory; they must be the full list (from a second theory) filtered by
+    action, at the same positions, and each action's test must hold in
+    exactly the states where all of them do.  The stats, read before any
+    precondition is ground, must match the naive grounder's count."""
+    lazy = ground(domain, horizon)
+    assert lazy.stats.pprops == len(naive_ground_strings(domain, horizon)["pprops"])
+    assert not lazy.preconditions
+    actions = _ground_actions(domain)
+    rng.shuffle(actions)
+    per_action = {a: lazy.preconditions_of(a) for a in actions}
+    assert "pprops" not in vars(lazy)
+    full = ground(domain, horizon).pprops
+    states = [frozenset(i for i in range(lazy.n_fluents) if rng.random() < 0.5) for _ in range(4)]
+    for a in actions:
+        assert per_action[a] == tuple((i, pp) for i, pp in enumerate(full) if pp.action == a), a
+        impossible, true, false = lazy.precondition_test(a)
+        for state in states:
+            legal = all(not pp.impossible and lazy.satisfies(state, pp.condition) for _, pp in per_action[a])
+            assert legal == (not impossible and state >= true and not state & false), (a, state)
+    assert sum(map(len, per_action.values())) == len(full) == lazy.stats.pprops
+    assert lazy.pprops == full
+
+
+def test_lazy_preconditions_match_full_list_on_corpus():
+    from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, load_domain
+
+    rng = random.Random(8)
+    for name, horizon in CORPUS_HORIZONS.items():
+        _check_lazy_preconditions(load_domain("corpus:" + name), horizon, rng)
+    for name in ("zoo_direct.e", "zoo_indirect.e", "zoo_dual.e", "zoo_dual_feed.e"):
+        for scenario in ZOO_SCENARIOS:
+            _check_lazy_preconditions(load_domain("corpus:" + name, "corpus:" + scenario), 6, rng)
+    _check_lazy_preconditions(_walk_domain(8, 20, seed=3), 20, rng)
+    _check_lazy_preconditions(parse_domain(CHAIN).domain, 2, rng)
+
+
+def test_lazy_preconditions_match_full_list_on_random_domains():
+    rng = random.Random(12)
+    checked = with_needs = impossible = 0
+    while checked < 200:
+        domain = random_sorted_domain(rng, wide=True)
+        try:
+            th = ground(domain, 2)
+        except GroundingError:
+            continue
+        _check_lazy_preconditions(domain, 2, rng)
+        checked += 1
+        with_needs += bool(th.pprops)
+        impossible += any(pp.impossible for pp in th.pprops)
+    assert with_needs > 50 and impossible > 10
+
+
 def _grounding_error(text, horizon=3):
     with pytest.raises(GroundingError) as exc:
         g(text, horizon)
@@ -447,3 +573,22 @@ def test_constant_contradiction_beats_horizon_error():
         "horizon",
         "occurrence at time 5 has no following state within horizon 3",
     )
+
+
+# sha256 of `elang ground REF... --stats --dump`, taken before
+# preconditions were ground per action: the listing keeps its statement
+# and binding order
+GROUND_LISTING_SHA256 = {
+    ("corpus:bulb.e", "--horizon", "4"): "8ba6fdcf08c9ad1a551fe3218553feae76e9cd0d347307f4bfcc16e67a1149e6",
+    ("gen:direct:8:feed", "corpus:zoo_scenario_move.e"): "deb84c147bf6911da39f3918b1411c71ad996e4cac6238b7723525e2b415ee9e",
+    ("corpus:zoo_dual.e", "corpus:chain_scenario.e"): "b94af02ffb12db67115d3583e15868314bbdea7080471575dc0ef8b404a380cc",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GROUND_LISTING_SHA256))
+def test_ground_listing_is_pinned(capsys, argv):
+    from elang.cli import main
+
+    assert main(["ground", *argv, "--stats", "--dump"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUND_LISTING_SHA256[argv]

@@ -325,10 +325,16 @@ def test_slice_shares_the_theory_objects():
     assert [id(r) for r in sliced.rprops] == [id(th.rprops[0])]
     assert sliced.effects_of(Atom("a")) is th.effects_of(Atom("a"))
     assert sliced.effects_of(Atom("b")) == ()
-    # only the precondition with a literal on h is rebuilt, without it
-    assert sliced.pprops[0] is th.pprops[0]
-    assert sliced.pprops[1] is not th.pprops[1]
-    assert sliced.pprops[1].condition == th.pprops[0].condition == {-(f + 1)}
+    # only the precondition with a literal on h is rebuilt, without it;
+    # both keep their positions in the theory's list
+    (i, first), (j, second) = th.preconditions_of(Atom("a"))
+    [(i1, first1), (j1, second1)] = sliced.preconditions_of(Atom("a"))
+    assert (i1, j1) == (i, j) == (0, 1)
+    assert first1 is first
+    assert second1 is not second
+    assert second1.condition == first.condition == {-(f + 1)}
+    assert sliced.pprops == [first1, second1]
+    assert th.pprops == [first, second]
     # h, k and z are pinned false at 0; the stats count f's observation only
     pins = {-(th.index[Atom(name)] + 1) for name in "hkz"}
     assert sliced.observations[0] == {-(f + 1)} | pins
