@@ -84,8 +84,6 @@ from .model import (
     RProp,
     Signature,
     TProp,
-    errors_of,
-    infer_variable_sorts,
     validate,
 )
 
@@ -351,19 +349,11 @@ class _Template:
     a table over the slots the atom uses: ``table[getter(binding)]`` is
     the atom's value, computed once per ground argument tuple."""
 
-    def __init__(self, sig: Signature, prop: CProp | RProp | PProp, src: int):
-        var_sorts, problems = infer_variable_sorts(sig, prop)
-        if problems:
-            raise GroundingError("cannot ground statement %d: %s" % (src, problems[0]))
+    def __init__(self, sig: Signature, prop: CProp | RProp | PProp, var_sorts: dict[str, str]):
+        # ``var_sorts`` come from ``validate``, which has checked that they
+        # agree and that every sort is declared
         names = sorted(var_sorts)
-        self.pools = []
-        for v in names:
-            constants = sig.sorts.get(var_sorts[v])
-            if constants is None:
-                raise GroundingError(
-                    "cannot ground statement %d: sort %s is not declared" % (src, var_sorts[v])
-                )
-            self.pools.append(constants)
+        self.pools = [sig.sorts[var_sorts[v]] for v in names]
         self.names = names
         self.slot = {v: i for i, v in enumerate(names)}
         bindings = list(itertools.product(*self.pools))
@@ -512,7 +502,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     """Ground a validated domain.  ``horizon`` defaults to the largest time
     point mentioned plus one (at least 1); action occurrences must fall
     strictly below it so every occurrence has a following state."""
-    diagnostics = errors_of(validate(domain))
+    rule_sorts: dict[int, dict[str, str]] = {}
+    diagnostics = validate(domain, warnings=False, rule_sorts=rule_sorts)
     if diagnostics:
         raise GroundingError("invalid domain: %s" % diagnostics[0], kind="invalid-domain")
     sig = domain.signature
@@ -572,7 +563,7 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
 
     props = domain.propositions
     templates = {
-        src: _Template(sig, prop, src)
+        src: _Template(sig, prop, rule_sorts[src])
         for src, prop in enumerate(props)
         if not isinstance(prop, (TProp, HProp))
     }

@@ -286,11 +286,20 @@ def infer_variable_sorts(
     return sorts, problems
 
 
-def validate(domain: DomainDescription) -> list[Diagnostic]:
+def validate(
+    domain: DomainDescription,
+    *,
+    warnings: bool = True,
+    rule_sorts: dict[int, dict[str, str]] | None = None,
+) -> list[Diagnostic]:
     """Structural checks over a domain description.
 
     Errors make the domain unusable for grounding; warnings flag suspicious
     but harmless statements (an unsatisfiable condition, an exact duplicate).
+    With ``warnings=False`` the checks that can only warn are skipped, and
+    the errors come out as before.  ``rule_sorts``, when given, receives
+    each effect, whenever and needs statement's inferred variable sorts by
+    statement index (``grounding.ground`` reads both).
     """
     sig = domain.signature
     diags: list[Diagnostic] = []
@@ -352,7 +361,7 @@ def validate(domain: DomainDescription) -> list[Diagnostic]:
     def check_condition(cond: Condition, where: str) -> None:
         for lit in sorted(cond.literals):
             check_atom(lit.atom, "fluent", where)
-        if cond.has_complementary_pair():
+        if warnings and cond.has_complementary_pair():
             warning("unsat-condition", "%s: condition contains a literal and its negation" % where)
 
     # Statements are frozen and compare by value (conditions as sets), so
@@ -360,9 +369,10 @@ def validate(domain: DomainDescription) -> list[Diagnostic]:
     seen_props: set[Proposition] = set()
     for i, prop in enumerate(domain.propositions):
         where = "statement %d" % (i + 1)
-        if prop in seen_props:
-            warning("duplicate-statement", "%s repeats an earlier statement" % where)
-        seen_props.add(prop)
+        if warnings:
+            if prop in seen_props:
+                warning("duplicate-statement", "%s repeats an earlier statement" % where)
+            seen_props.add(prop)
 
         if isinstance(prop, TProp):
             check_atom(prop.literal.atom, "fluent", where)
@@ -396,7 +406,9 @@ def validate(domain: DomainDescription) -> list[Diagnostic]:
                     error("undeclared-sort", "%s: typing atom uses undeclared sort %s" % (where, s))
                 if not is_variable(v):
                     error("bad-typing", "%s: typing atom must apply to a variable" % where)
-            _, problems = infer_variable_sorts(sig, prop)
+            sorts, problems = infer_variable_sorts(sig, prop)
+            if rule_sorts is not None:
+                rule_sorts[i] = sorts
             for msg in problems:
                 error("sort-conflict", "%s: %s" % (where, msg))
 

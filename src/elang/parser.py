@@ -25,19 +25,27 @@ Query files hold a single query:
 
 The full grammar lives in docs/grammar.ebnf.
 
-``tokenize`` scans with one compiled regex (``_SCAN``), matched from
-each token's end (``finditer`` raised peak memory).  A token is a named
-tuple of its kind, its text and its start and end offsets; its ``span``
-(file, line, column) is built only when asked for, by bisecting the
-text's line starts, found on first use.  A file that parses cleanly thus
-builds one ``SourceSpan`` per statement (``ParsedUnit.spans``), none per token.
+A text is scanned once: ``_SCAN.findall`` cuts it into (skip, token)
+pairs, the skip being the blanks and comments before the token, and
+``_Scan`` keeps the token texts and their kinds as two parallel lists,
+the kinds looked up in a table made per text over its distinct tokens.
+Statements are then parsed by index over those lists, so a clean parse
+builds no token object.  Character offsets are ``itertools.accumulate``
+over the lengths of the pieces, and a ``SourceSpan`` (file, line,
+column) bisects the text's line starts; both are made only when an error
+or a reader of ``ParsedUnit.spans`` asks, so a file that parses cleanly
+builds no span at all.  ``tokenize`` returns the same scan as ``Token``
+tuples.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .model import (
@@ -82,8 +90,8 @@ KEYWORDS = {
 @dataclass(frozen=True)
 class SourceSpan:
     """A stretch of source text, built only when something asks for it:
-    tokens and statements keep character offsets, and ``_Source.span``
-    derives the line and column from them."""
+    the scan keeps character offsets, and ``_Scan.span`` derives the line
+    and column from them."""
 
     file: str
     start: int  # character offsets into the source text
@@ -103,23 +111,94 @@ class ParseError(Exception):
         self.kind = kind  # "lexical" | "syntax" | "unknown-identifier" | "arity-mismatch"
 
 
-class _Source:
-    """One scanned text: its file name and, on first use, where each of
-    its lines starts.  Only a newline starts a line."""
+# One scan step: blanks and comments, then a word, a punctuation mark, a
+# character no token starts with, or the empty end of input.  ``\s`` is
+# exactly ``str.isspace`` and ``\w`` exactly ``str.isalnum`` or ``_``, so
+# a word is a run an identifier could continue over; ``_kind`` checks its
+# first character with ``str.isdigit`` and ``str.isalpha``, which no
+# regex class matches, and a number running into a word is split off it.
+_SCAN = re.compile(r"(\s*(?:%[^\n]*\s*)*)([(){},:.]|\w[\w-]*|!=|.|)", re.S)
+_PUNCTUATION = frozenset(("!=", "(", ")", "{", "}", ",", ":", "."))
+_DECLARATIONS = frozenset(("sort", "fluent", "constant", "action"))
+_TERMS = ("name", "var")
 
-    def __init__(self, file: str, text: str):
-        self.file = file
-        self.text = text
-        self._starts: list[int] | None = None
+
+def _kind(tok: str) -> str:
+    """A token's kind: "name" | "var" | "int" | "kw" | "eof" | its
+    punctuation mark; "split" for a number running into a word and "bad"
+    for a token no kind fits."""
+    if tok in _PUNCTUATION:
+        return tok
+    if not tok:
+        return "eof"
+    if tok[0].isdigit():
+        return "int" if tok.isdigit() else "split"
+    if tok[0].isalpha() or tok[0] == "_":
+        return "kw" if tok in KEYWORDS else "var" if is_variable(tok) else "name"
+    return "bad"
+
+
+class _Scan:
+    """One text scanned: ``toks`` and ``kinds``, parallel lists that end
+    with the end of input ("", "eof").  Offsets and line starts are made
+    on first use.  Raises ``ParseError`` at the first bad character."""
+
+    def __init__(self, text: str, file: str):
+        self.text, self.file = text, file
+        pairs = _SCAN.findall(text)
+        if len(pairs) > 1 and not pairs[-2][1]:
+            pairs.pop()  # the end matched after trailing blanks and again at the end
+        toks = list(map(operator.itemgetter(1), pairs))
+        kinds = {tok: _kind(tok) for tok in set(toks)}
+        if "split" in kinds.values() or "bad" in kinds.values():
+            pairs = self._split_numbers(pairs, kinds)
+            toks = list(map(operator.itemgetter(1), pairs))
+        self.pairs, self.toks = pairs, toks
+        self.kinds = list(map(kinds.__getitem__, toks))
+
+    def _split_numbers(self, pairs: list[tuple[str, str]], kinds: dict[str, str]):
+        """``pairs`` with each number that runs into a word split off it
+        (a number runs over digits only; '-' may occur inside identifiers,
+        where it carries holds-at and happens-at).  Raises at the first
+        token no kind fits."""
+        out, pos = [], 0
+        for skip, tok in pairs:
+            pos += len(skip)
+            if kinds[tok] == "split":
+                j = next(j for j, ch in enumerate(tok) if not ch.isdigit())
+                out.append((skip, tok[:j]))
+                kinds[tok[:j]] = "int"
+                skip, tok, pos = "", tok[j:], pos + j
+                kinds.setdefault(tok, _kind(tok))
+            if kinds[tok] == "bad":
+                message = "stray '!'" if tok == "!" else "unexpected character %r" % tok[0]
+                raise ParseError(message, self.span(pos, pos + 1), kind="lexical")
+            out.append((skip, tok))
+            pos += len(tok)
+        return out
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        """Token ``i`` runs from ``offsets[2 * i]`` to ``offsets[2 * i + 1]``."""
+        return list(itertools.accumulate(map(len, itertools.chain.from_iterable(self.pairs))))
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """Where each line starts.  Only a newline starts a line."""
+        starts, i, find = [0], 0, self.text.find
+        while i := find("\n", i) + 1:
+            starts.append(i)
+        return starts
 
     def span(self, start: int, end: int) -> SourceSpan:
-        if self._starts is None:
-            starts, i, find = [0], 0, self.text.find
-            while i := find("\n", i) + 1:
-                starts.append(i)
-            self._starts = starts
-        line = bisect.bisect_right(self._starts, start)
-        return SourceSpan(self.file, start, end, line, start - self._starts[line - 1] + 1)
+        starts = self.line_starts
+        line = bisect.bisect_right(starts, start)
+        return SourceSpan(self.file, start, end, line, start - starts[line - 1] + 1)
+
+    def token_span(self, first: int, last: int | None = None) -> SourceSpan:
+        """From token ``first``'s start to token ``last``'s end (default ``first``'s)."""
+        offsets = self.offsets
+        return self.span(offsets[2 * first], offsets[2 * (first if last is None else last) + 1])
 
 
 class Token(NamedTuple):
@@ -127,385 +206,285 @@ class Token(NamedTuple):
     value: str
     start: int  # character offsets into the source text
     end: int
-    source: _Source
+    source: _Scan
 
     @property
     def span(self) -> SourceSpan:
         return self.source.span(self.start, self.end)
 
 
-# One scan step: skip blanks and comments, then read a word, a
-# punctuation mark, a character no token starts with, or the end.  ``\s``
-# is exactly ``str.isspace`` and ``\w`` exactly ``str.isalnum`` or ``_``,
-# so a word is a run an identifier could continue over; ``tokenize``
-# splits off a leading number and checks the first character with
-# ``str.isdigit`` and ``str.isalpha``, which no regex class matches.
-_SCAN = re.compile(
-    r"(?:\s+|%[^\n]*)*(?:(?P<word>\w[\w-]*)|(?P<punct>!=|[(){},:.])|(?P<other>.)|\Z)", re.S
-)
-
-
 def tokenize(text: str, file: str = "<string>") -> list[Token]:
-    source = _Source(file, text)
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _SCAN.match
-    pos = 0
-    while True:
-        m = match(text, pos)  # never None: "other" or the end matches
-        pos = m.end()
-        group = m.lastgroup
-        if group == "word":
-            word, start = m.group(group), m.start(group)
-            if word[0].isdigit():
-                # a number runs over digits only; '-' may occur inside
-                # identifiers (it carries holds-at and happens-at)
-                j = 1
-                while j < len(word) and word[j].isdigit():
-                    j += 1
-                append(Token("int", word[:j], start, start + j, source))
-                if j == len(word):
-                    continue
-                word, start = word[j:], start + j
-            ch = word[0]
-            if not (ch.isalpha() or ch == "_"):
-                raise ParseError(
-                    "unexpected character %r" % ch, source.span(start, start + 1), kind="lexical"
-                )
-            kind = "kw" if word in KEYWORDS else "var" if is_variable(word) else "name"
-            append(Token(kind, word, start, pos, source))
-        elif group == "punct":
-            append(Token(m.group(group), m.group(group), m.start(group), pos, source))
-        elif group == "other":
-            ch, start = m.group(group), m.start(group)
-            message = "stray '!'" if ch == "!" else "unexpected character %r" % ch
-            raise ParseError(message, source.span(start, start + 1), kind="lexical")
-        else:
-            append(Token("eof", "", len(text), len(text), source))
-            break
-    return tokens
+    """The scan of ``text`` as tokens, ending with the end of input."""
+    scan = _Scan(text, file)
+    offsets = scan.offsets
+    return [
+        Token(kind, tok, offsets[2 * i], offsets[2 * i + 1], scan)
+        for i, (tok, kind) in enumerate(zip(scan.toks, scan.kinds))
+    ]
 
 
-def _number(tok: Token) -> int:
-    """An "int" token's value; ``int`` refuses some digits the scanner takes, such as '²'."""
-    try:
-        return int(tok.value)
-    except ValueError:
-        raise ParseError("invalid number %r" % tok.value, tok.span, kind="lexical") from None
-
-
-@dataclass
 class ParsedUnit:
-    domain: DomainDescription
-    spans: dict[int, SourceSpan] = field(default_factory=dict)  # proposition index -> span
+    """A parsed domain file: its description and, built on first read,
+    ``spans``, each proposition's statement span by proposition index."""
+
+    def __init__(self, domain: DomainDescription, scan: _Scan, statements: list[tuple[int, int]]):
+        self.domain = domain
+        self._scan, self._statements = scan, statements
+
+    @cached_property
+    def spans(self) -> dict[int, SourceSpan]:
+        span = self._scan.token_span
+        return {k: span(first, stop - 1) for k, (first, stop) in enumerate(self._statements)}
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _Parser:
+    """Parses statements by index over one scan.  A method that reads a
+    phrase takes the index where it starts and returns what it read with
+    the index after it.  ``stop`` is the index of the current statement's
+    '.', which reads as its end of input with the span of the token
+    before it; a query has no such stop and reads to the end of input."""
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def __init__(self, scan: _Scan, sig: Signature | None):
+        self.scan, self.sig = scan, sig
+        self.toks, self.kinds = scan.toks, scan.kinds
+        self.stop = -1
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def statements(self) -> list[tuple[int, int]]:
+        """Each statement's first token and its '.', by index."""
+        toks, found, first = self.toks, [], 0
+        last = len(toks) - 1  # the end of input
+        while True:
+            try:
+                stop = toks.index(".", first, last)
+            except ValueError:
+                break
+            if stop == first:
+                raise ParseError("empty statement", self.scan.token_span(stop))
+            found.append((first, stop))
+            first = stop + 1
+        if first < last:
+            raise ParseError("statement does not end with '.'", self.scan.token_span(last - 1))
+        return found
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind and not (kind == "kw" and tok.kind == "kw"):
-            raise ParseError(
-                "expected %s, found %r" % (what or kind, tok.value or "end of input"), tok.span
-            )
-        return self.next()
+    def _error(self, i: int, message: str, kind: str = "syntax") -> ParseError:
+        return ParseError(message, self.scan.token_span(i - 1 if i == self.stop else i), kind)
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.value != word:
-            raise ParseError(
-                "expected '%s', found %r" % (word, tok.value or "end of input"), tok.span
-            )
-        return self.next()
+    def _expected(self, i: int, what: str) -> ParseError:
+        found = "end of input" if i == self.stop else self.toks[i] or "end of input"
+        return self._error(i, "expected %s, found %r" % (what, found))
 
+    def _finish(self, i: int) -> None:
+        if i != self.stop:
+            raise self._error(i, "unexpected %r" % self.toks[i])
 
-def _split_statements(tokens: list[Token]) -> list[list[Token]]:
-    """Chop the token stream at statement periods."""
-    statements: list[list[Token]] = []
-    current: list[Token] = []
-    for tok in tokens:
-        if tok.kind == "eof":
-            break
-        if tok.kind == ".":
-            if not current:
-                raise ParseError("empty statement", tok.span)
-            statements.append(current)
-            current = []
+    def _number(self, i: int, what: str = "a time point") -> int:
+        """An "int" token's value; ``int`` refuses some digits the scanner takes, such as '²'."""
+        if self.kinds[i] != "int":
+            raise self._expected(i, what)
+        try:
+            return int(self.toks[i])
+        except ValueError:
+            raise self._error(i, "invalid number %r" % self.toks[i], "lexical") from None
+
+    def _names(self, i: int) -> tuple[tuple[str, ...], int]:
+        toks, kinds, names = self.toks, self.kinds, []
+        while True:
+            if kinds[i] != "name":
+                raise self._expected(i, "an identifier")
+            names.append(toks[i])
+            if toks[i + 1] != ",":
+                return tuple(names), i + 1
+            i += 2
+
+    def declaration(self, i: int, stop: int) -> None:
+        """Add the declaration from ``i`` to its '.' at ``stop`` to the signature."""
+        self.stop = stop
+        toks, sig = self.toks, self.sig
+        head = toks[i]
+        kind = head if head in ("sort", "action") else "fluent"
+        i += 1
+        if head == "constant":
+            if toks[i] != "fluent":
+                raise self._expected(i, "'fluent'")
+            i += 1
+        name = toks[i]
+        if self.kinds[i] != "name":
+            raise self._expected(i, "a %s name" % kind)
+        if name in sig.sorts or name in sig.fluents or name in sig.actions:
+            raise self._error(i, "identifier %s is already declared" % name)
+        if kind == "sort":
+            if toks[i + 1] != ":":
+                raise self._expected(i + 1, "':'")
+            sig.sorts[name], i = self._names(i + 2)
         else:
-            current.append(tok)
-    if current:
-        raise ParseError("statement does not end with '.'", current[-1].span)
-    return statements
+            arg_sorts: tuple[str, ...] = ()
+            i += 1
+            if toks[i] == "(":
+                arg_sorts, i = self._names(i + 1)
+                if toks[i] != ")":
+                    raise self._expected(i, "')'")
+                i += 1
+            if kind == "fluent":
+                sig.fluents[name] = FluentDecl(name, arg_sorts, head == "constant")
+            else:
+                sig.actions[name] = ActionDecl(name, arg_sorts)
+        if i != stop:
+            raise self._error(i, "unexpected %r after declaration" % toks[i])
 
+    def _args(self, i: int) -> tuple[tuple[str, ...], int]:
+        """The argument list at ``i``, if there is one."""
+        toks, kinds = self.toks, self.kinds
+        if toks[i] != "(":
+            return (), i
+        args = []
+        while True:
+            i += 1
+            if kinds[i] != "name" and kinds[i] != "var":
+                raise self._expected(i, "a term")
+            args.append(toks[i])
+            i += 1
+            if toks[i] != ",":
+                break
+        if toks[i] != ")":
+            raise self._expected(i, "')'")
+        return tuple(args), i + 1
 
-def _eof_at(tok: Token) -> Token:
-    """An end-of-input token over ``tok``'s span."""
-    return tok._replace(kind="eof", value="")
-
-
-def _statement_span(stmt: list[Token]) -> SourceSpan:
-    return stmt[0].source.span(stmt[0].start, stmt[-1].end)
-
-
-def _is_declaration(stmt: list[Token]) -> bool:
-    head = stmt[0]
-    return head.kind == "kw" and head.value in ("sort", "fluent", "constant", "action")
-
-
-def _parse_name_list(cur: _Cursor) -> list[Token]:
-    names = [cur.expect("name", "an identifier")]
-    while cur.peek().kind == ",":
-        cur.next()
-        names.append(cur.expect("name", "an identifier"))
-    return names
-
-
-def _parse_declaration(stmt: list[Token], sig: Signature) -> None:
-    cur = _Cursor(stmt + [_eof_at(stmt[-1])])
-    head = cur.next()
-
-    def declared(name: Token) -> None:
-        if name.value in sig.sorts or name.value in sig.fluents or name.value in sig.actions:
-            raise ParseError("identifier %s is already declared" % name.value, name.span)
-
-    if head.value == "sort":
-        name = cur.expect("name", "a sort name")
-        declared(name)
-        cur.expect(":", "':'")
-        constants = _parse_name_list(cur)
-        sig.sorts[name.value] = tuple(t.value for t in constants)
-    else:
-        constant = False
-        if head.value == "constant":
-            cur.expect_kw("fluent")
-            constant = True
-            kind = "fluent"
-        else:
-            kind = head.value  # "fluent" | "action"
-        name = cur.expect("name", "a %s name" % kind)
-        declared(name)
-        arg_sorts: tuple[str, ...] = ()
-        if cur.peek().kind == "(":
-            cur.next()
-            sorts = _parse_name_list(cur)
-            cur.expect(")", "')'")
-            arg_sorts = tuple(t.value for t in sorts)
-        if kind == "fluent":
-            sig.fluents[name.value] = FluentDecl(name.value, arg_sorts, constant)
-        else:
-            sig.actions[name.value] = ActionDecl(name.value, arg_sorts)
-    trailing = cur.peek()
-    if trailing.kind != "eof":
-        raise ParseError("unexpected %r after declaration" % trailing.value, trailing.span)
-
-
-class _PropParser:
-    """Parses one proposition statement against a complete signature."""
-
-    def __init__(self, stmt: list[Token], sig: Signature):
-        self.cur = _Cursor(stmt + [_eof_at(stmt[-1])])
-        self.sig = sig
-
-    def _term(self) -> str:
-        tok = self.cur.peek()
-        if tok.kind in ("name", "var"):
-            return self.cur.next().value
-        raise ParseError("expected a term, found %r" % (tok.value or "end of input"), tok.span)
-
-    def _atom(self, kind: str) -> Atom:
-        name = self.cur.peek()
-        if name.kind != "name" and not (name.kind == "var"):
-            raise ParseError(
-                "expected a %s name, found %r" % (kind, name.value or "end of input"), name.span
-            )
-        self.cur.next()
-        args: list[str] = []
-        if self.cur.peek().kind == "(":
-            self.cur.next()
-            args.append(self._term())
-            while self.cur.peek().kind == ",":
-                self.cur.next()
-                args.append(self._term())
-            self.cur.expect(")", "')'")
-        atom = Atom(name.value, tuple(args))
-        self._resolve(atom, kind, name)
-        return atom
-
-    def _resolve(self, atom: Atom, kind: str, tok: Token) -> None:
-        """Check ``atom``, named by ``tok``, against the signature."""
-        table = self.sig.fluents if kind == "fluent" else self.sig.actions
+    def _resolve(self, atom: Atom, kind: str, i: int) -> None:
+        """Check ``atom``, named by token ``i``, against the signature."""
+        sig = self.sig
+        table, other = (sig.fluents, sig.actions) if kind == "fluent" else (sig.actions, sig.fluents)
         decl = table.get(atom.name)
         if decl is None:
-            other = "action" if kind == "fluent" else "fluent"
-            hint = " (declared as a %s)" % other if atom.name in (
-                self.sig.actions if kind == "fluent" else self.sig.fluents
-            ) else ""
-            raise ParseError(
-                "%s %s is not declared%s" % (kind, atom.name, hint),
-                tok.span,
-                kind="unknown-identifier",
+            hint = ""
+            if atom.name in other:
+                hint = " (declared as a %s)" % ("action" if kind == "fluent" else "fluent")
+            raise self._error(
+                i, "%s %s is not declared%s" % (kind, atom.name, hint), "unknown-identifier"
             )
         if len(decl.arg_sorts) != len(atom.args):
-            raise ParseError(
+            raise self._error(
+                i,
                 "%s %s takes %d arguments, got %d"
                 % (kind, atom.name, len(decl.arg_sorts), len(atom.args)),
-                tok.span,
-                kind="arity-mismatch",
+                "arity-mismatch",
             )
 
-    def _literal(self) -> FluentLiteral:
-        positive = True
-        tok = self.cur.peek()
-        if tok.kind == "kw" and tok.value == "neg":
-            self.cur.next()
-            positive = False
-        return FluentLiteral(self._atom("fluent"), positive)
+    def _atom(self, i: int, kind: str) -> tuple[Atom, int]:
+        """A ``kind`` atom, checked against the signature if there is one."""
+        if self.kinds[i] not in _TERMS:
+            raise self._expected(i, "a %s name" % kind)
+        args, j = self._args(i + 1)
+        atom = Atom(self.toks[i], args)
+        if self.sig is not None:
+            self._resolve(atom, kind, i)
+        return atom, j
 
-    def _condition(self) -> tuple[Condition, tuple[tuple[str, str], ...]]:
-        """Parse ``{ ... }``; returns the condition and inline typings."""
-        self.cur.expect("{", "'{'")
+    def _literal(self, i: int) -> tuple[FluentLiteral, int]:
+        if self.toks[i] == "neg":
+            atom, i = self._atom(i + 1, "fluent")
+            return FluentLiteral(atom, False), i
+        atom, i = self._atom(i, "fluent")
+        return FluentLiteral(atom, True), i
+
+    def _condition(self, i: int) -> tuple[Condition, tuple[tuple[str, str], ...], int]:
+        """``{ ... }`` at ``i``: the condition and its inline typings."""
+        toks, kinds = self.toks, self.kinds
+        if toks[i] != "{":
+            raise self._expected(i, "'{'")
+        i += 1
         literals: list[FluentLiteral] = []
         diseqs: list[tuple[str, str]] = []
         typings: dict[str, str] = {}
-        if self.cur.peek().kind != "}":
+        if toks[i] != "}":
             while True:
-                tok = self.cur.peek()
-                if tok.kind in ("name", "var") and self.cur.peek(1).kind == "!=":
-                    a = self.cur.next().value
-                    self.cur.next()
-                    b_tok = self.cur.peek()
-                    b = self._term()
-                    if a == b:
-                        raise ParseError("disequality %s != %s is never true" % (a, b), b_tok.span)
-                    diseqs.append(_norm_diseq(a, b))
-                elif tok.kind == "name" and tok.value in self.sig.sorts:
+                tok = toks[i]
+                if kinds[i] in _TERMS and toks[i + 1] == "!=":
+                    if kinds[i + 2] not in _TERMS:
+                        raise self._expected(i + 2, "a term")
+                    if tok == toks[i + 2]:
+                        raise self._error(i + 2, "disequality %s != %s is never true" % (tok, tok))
+                    diseqs.append(_norm_diseq(tok, toks[i + 2]))
+                    i += 3
+                elif kinds[i] == "name" and tok in self.sig.sorts:
                     # Inline typing atom: sortname(Variable).
-                    self.cur.next()
-                    self.cur.expect("(", "'('")
-                    arg = self.cur.peek()
-                    term = self._term()
-                    self.cur.expect(")", "')'")
+                    if toks[i + 1] != "(":
+                        raise self._expected(i + 1, "'('")
+                    if kinds[i + 2] not in _TERMS:
+                        raise self._expected(i + 2, "a term")
+                    term = toks[i + 2]
+                    if toks[i + 3] != ")":
+                        raise self._expected(i + 3, "')'")
                     if not is_variable(term):
-                        raise ParseError("typing atom %s(..) needs a variable" % tok.value, arg.span)
-                    if typings.get(term, tok.value) != tok.value:
-                        raise ParseError(
-                            "variable %s typed as both %s and %s"
-                            % (term, typings[term], tok.value),
-                            arg.span,
+                        raise self._error(i + 2, "typing atom %s(..) needs a variable" % tok)
+                    if typings.get(term, tok) != tok:
+                        raise self._error(
+                            i + 2, "variable %s typed as both %s and %s" % (term, typings[term], tok)
                         )
-                    typings[term] = tok.value
+                    typings[term] = tok
+                    i += 4
                 else:
-                    literals.append(self._literal())
-                if self.cur.peek().kind != ",":
+                    literal, i = self._literal(i)
+                    literals.append(literal)
+                if toks[i] != ",":
                     break
-                self.cur.next()
-        self.cur.expect("}", "'}'")
-        cond = Condition(frozenset(literals), frozenset(diseqs))
-        return cond, tuple(sorted(typings.items()))
+                i += 1
+        if toks[i] != "}":
+            raise self._expected(i, "'}'")
+        return Condition(frozenset(literals), frozenset(diseqs)), tuple(sorted(typings.items())), i + 1
 
-    def _time(self) -> int:
-        return _number(self.cur.expect("int", "a time point"))
-
-    def _finish(self) -> None:
-        tok = self.cur.peek()
-        if tok.kind != "eof":
-            raise ParseError("unexpected %r" % tok.value, tok.span)
-
-    def parse(self) -> Proposition:
-        tok = self.cur.peek()
-        if tok.kind == "kw" and tok.value == "false":
-            self.cur.next()
-            self.cur.expect_kw("whenever")
-            cond, typings = self._condition()
-            self._finish()
+    def proposition(self, i: int, stop: int) -> Proposition:
+        """The proposition from ``i`` to its '.' at ``stop``."""
+        self.stop = stop
+        toks = self.toks
+        tok = toks[i]
+        if tok == "false":
+            if toks[i + 1] != "whenever":
+                raise self._expected(i + 1, "'whenever'")
+            cond, typings, i = self._condition(i + 2)
+            self._finish(i)
             return RProp(None, cond, typings)
-        if tok.kind == "kw" and tok.value == "neg":
-            literal = self._literal()
-            kw = self.cur.peek()
-            if kw.kind == "kw" and kw.value == "holds-at":
-                self.cur.next()
-                t = self._time()
-                self._finish()
+        if tok == "neg":
+            literal, i = self._literal(i)
+            if toks[i] == "holds-at":
+                t = self._number(i + 1)
+                self._finish(i + 2)
                 return TProp(literal, t)
-            self.cur.expect_kw("whenever")
-            cond, typings = self._condition()
-            self._finish()
+            if toks[i] != "whenever":
+                raise self._expected(i, "'whenever'")
+            cond, typings, i = self._condition(i + 1)
+            self._finish(i)
             return RProp(literal, cond, typings)
 
         # A bare atom: the following keyword decides the statement form.
-        name_tok = self.cur.peek()
-        atom = self._atom_unresolved()
-        kw = self.cur.peek()
-        if kw.kind != "kw":
-            raise ParseError(
-                "expected a statement keyword after %s, found %r"
-                % (atom.name, kw.value or "end of input"),
-                kw.span,
-            )
-        if kw.value == "holds-at":
-            self._resolve(atom, "fluent", name_tok)
-            self.cur.next()
-            t = self._time()
-            self._finish()
-            return TProp(FluentLiteral(atom, True), t)
-        if kw.value == "happens-at":
-            self._resolve(atom, "action", name_tok)
-            self.cur.next()
-            t = self._time()
-            self._finish()
-            return HProp(atom, t)
-        if kw.value in ("initiates", "terminates"):
-            self._resolve(atom, "action", name_tok)
-            self.cur.next()
-            fluent = self._atom("fluent")
+        name = i
+        if self.kinds[i] not in _TERMS:
+            raise self._expected(i, "a statement")
+        args, i = self._args(i + 1)
+        atom = Atom(tok, args)
+        kw = toks[i]
+        if self.kinds[i] != "kw":
+            raise self._expected(i, "a statement keyword after %s" % tok)
+        if kw == "holds-at" or kw == "happens-at":
+            self._resolve(atom, "fluent" if kw == "holds-at" else "action", name)
+            t = self._number(i + 1)
+            self._finish(i + 2)
+            return TProp(FluentLiteral(atom, True), t) if kw == "holds-at" else HProp(atom, t)
+        if kw == "initiates" or kw == "terminates":
+            self._resolve(atom, "action", name)
+            fluent, i = self._atom(i + 1, "fluent")
             cond, typings = Condition(), ()
-            if self.cur.peek().kind == "kw" and self.cur.peek().value == "when":
-                self.cur.next()
-                cond, typings = self._condition()
-            self._finish()
-            return CProp(atom, kw.value == "initiates", fluent, cond, typings)
-        if kw.value == "whenever":
-            self._resolve(atom, "fluent", name_tok)
-            self.cur.next()
-            cond, typings = self._condition()
-            self._finish()
-            return RProp(FluentLiteral(atom, True), cond, typings)
-        if kw.value == "needs":
-            self._resolve(atom, "action", name_tok)
-            self.cur.next()
-            cond, typings = self._condition()
-            self._finish()
+            if toks[i] == "when":
+                cond, typings, i = self._condition(i + 1)
+            self._finish(i)
+            return CProp(atom, kw == "initiates", fluent, cond, typings)
+        if kw == "whenever" or kw == "needs":
+            self._resolve(atom, "fluent" if kw == "whenever" else "action", name)
+            cond, typings, i = self._condition(i + 1)
+            self._finish(i)
+            if kw == "whenever":
+                return RProp(FluentLiteral(atom, True), cond, typings)
             return PProp(atom, cond, typings)
-        raise ParseError("unexpected keyword %r" % kw.value, kw.span)
-
-    def _atom_unresolved(self) -> Atom:
-        name = self.cur.peek()
-        if name.kind not in ("name", "var"):
-            raise ParseError(
-                "expected a statement, found %r" % (name.value or "end of input"), name.span
-            )
-        self.cur.next()
-        args: list[str] = []
-        if self.cur.peek().kind == "(":
-            self.cur.next()
-            args.append(self._term())
-            while self.cur.peek().kind == ",":
-                self.cur.next()
-                args.append(self._term())
-            self.cur.expect(")", "')'")
-        return Atom(name.value, tuple(args))
+        raise self._error(i, "unexpected keyword %r" % kw)
 
 
 def parse_domain(
@@ -515,22 +494,16 @@ def parse_domain(
     are resolved, so statement order is irrelevant.  ``base_signature``
     supplies declarations from an already-parsed file (used to read scenario
     files against a domain's vocabulary)."""
-    tokens = tokenize(text, file)
-    statements = _split_statements(tokens)
     sig = base_signature.copy() if base_signature is not None else Signature()
-    prop_stmts: list[list[Token]] = []
-    for stmt in statements:
-        if _is_declaration(stmt):
-            _parse_declaration(stmt, sig)
+    parser = _Parser(_Scan(text, file), sig)
+    props: list[tuple[int, int]] = []
+    for first, stop in parser.statements():
+        if parser.toks[first] in _DECLARATIONS:
+            parser.declaration(first, stop)
         else:
-            prop_stmts.append(stmt)
-    domain = DomainDescription(sig, [])
-    spans: dict[int, SourceSpan] = {}
-    for stmt in prop_stmts:
-        prop = _PropParser(stmt, sig).parse()
-        spans[len(domain.propositions)] = _statement_span(stmt)
-        domain.propositions.append(prop)
-    return ParsedUnit(domain, spans)
+            props.append((first, stop))
+    domain = DomainDescription(sig, [parser.proposition(first, stop) for first, stop in props])
+    return ParsedUnit(domain, parser.scan, props)
 
 
 def parse_query(text: str, signature: Signature | None = None, file: str = "<query>") -> Query:
@@ -538,58 +511,39 @@ def parse_query(text: str, signature: Signature | None = None, file: str = "<que
 
     With a signature, fluent names are resolved and checked; goals must be
     ground either way."""
-    tokens = tokenize(text, file)
-    cur = _Cursor(tokens)
-    mode_tok = cur.peek()
-    if mode_tok.kind != "kw" or mode_tok.value not in ("credulous", "skeptical"):
-        raise ParseError("expected 'credulous' or 'skeptical'", mode_tok.span)
-    cur.next()
-    cur.expect("{", "'{'")
-    goals: list[tuple[FluentLiteral, int]] = []
-    resolver = _PropParser([_eof_at(mode_tok)], signature or Signature())
-    while cur.peek().kind != "}":
-        positive = True
-        if cur.peek().kind == "kw" and cur.peek().value == "neg":
-            cur.next()
-            positive = False
-        name_tok = cur.peek()
-        if name_tok.kind not in ("name", "var"):
-            raise ParseError("expected a fluent literal", name_tok.span)
-        cur.next()
-        args: list[str] = []
-        if cur.peek().kind == "(":
-            cur.next()
-            while True:
-                t = cur.peek()
-                if t.kind not in ("name", "var"):
-                    raise ParseError("expected a term", t.span)
-                cur.next()
-                args.append(t.value)
-                if cur.peek().kind != ",":
-                    break
-                cur.next()
-            cur.expect(")", "')'")
-        atom = Atom(name_tok.value, tuple(args))
-        if signature is not None:
-            resolver._resolve(atom, "fluent", name_tok)
-        literal = FluentLiteral(atom, positive)
-        if not literal.is_ground:
-            raise ParseError("query literal must be ground", name_tok.span)
-        cur.expect_kw("holds-at")
-        goals.append((literal, _number(cur.expect("int", "a time point"))))
-        if cur.peek().kind == ",":
-            cur.next()
-    cur.expect("}", "'}'")
+    parser = _Parser(_Scan(text, file), signature)
+    toks = parser.toks
+    mode = toks[0]
+    if mode != "credulous" and mode != "skeptical":
+        raise parser._error(0, "expected 'credulous' or 'skeptical'")
+    if toks[1] != "{":
+        raise parser._expected(1, "'{'")
+    i, goals = 2, []
+    if toks[i] != "}":
+        while True:
+            name = i + 1 if toks[i] == "neg" else i
+            literal, i = parser._literal(i)
+            if not literal.is_ground:
+                raise parser._error(name, "query literal must be ground")
+            if toks[i] != "holds-at":
+                raise parser._expected(i, "'holds-at'")
+            goals.append((literal, parser._number(i + 1)))
+            i += 2
+            if toks[i] != ",":
+                break
+            i += 1
+    if toks[i] != "}":
+        raise parser._expected(i, "'}'")
+    i += 1
     horizon: int | None = None
-    if cur.peek().kind == "kw" and cur.peek().value == "horizon":
-        cur.next()
-        horizon = _number(cur.expect("int", "a horizon"))
-    if cur.peek().kind == ".":
-        cur.next()
-    trailing = cur.peek()
-    if trailing.kind != "eof":
-        raise ParseError("unexpected %r after query" % trailing.value, trailing.span)
-    return Query(mode_tok.value, frozenset(goals), horizon)
+    if toks[i] == "horizon":
+        horizon = parser._number(i + 1, "a horizon")
+        i += 2
+    if toks[i] == ".":
+        i += 1
+    if toks[i]:
+        raise parser._error(i, "unexpected %r after query" % toks[i])
+    return Query(mode, frozenset(goals), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -790,3 +790,23 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
         adecl = rng.choice(list(actions.values()))
         props.append(HProp(atom_of(adecl, False), rng.randint(0, horizon - 1)))
     return DomainDescription(sig, props)
+
+
+def walk_scenario(positions: int, steps: int, seed: int) -> str:
+    """A seeded narrative for the generated direct zoo with feeding: every
+    animal placed and its riding and hunger observed at 0, then one move
+    per step and a feeding now and then."""
+    animals = ("john", "elly", "dumpo")
+    places = ["p%d" % i for i in range(1, positions + 1)]
+    rng = random.Random(seed)
+    lines = []
+    for a in animals:
+        lines.append("animal_pos(%s, %s) holds-at 0." % (a, rng.choice(places)))
+        lines.append("%shungry(%s) holds-at 0." % (rng.choice(["", "neg "]), a))
+        for b in animals:
+            lines.append("neg rides(%s, %s) holds-at 0." % (a, b))
+    for t in range(steps):
+        lines.append("move_to_position(%s, %s) happens-at %d." % (rng.choice(animals), rng.choice(places), t))
+        if rng.random() < 0.3:
+            lines.append("feed_animal(%s) happens-at %d." % (rng.choice(animals), t))
+    return "\n".join(lines) + "\n"

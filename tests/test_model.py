@@ -27,7 +27,7 @@ from elang.model import (
 
 from elang.parser import parse_domain
 
-from oracles import random_theory
+from oracles import random_sorted_domain, random_theory
 
 
 def lit(name, positive=True, *args):
@@ -197,6 +197,37 @@ def test_validate_warns_duplicate_statements():
         "statement 3 repeats an earlier statement",
         "statement 7 repeats an earlier statement",
     ]
+
+
+SORT_ERRORS = """
+sort s: a. sort t: b.
+fluent f(s). fluent g(t).
+action go(s).
+go(X) initiates f(X) when { g(X) }.
+g(Y) whenever { f(Y), s(Y) }.
+go(X) needs { f(X), neg f(X) }.
+"""
+
+
+def test_error_half_is_the_errors_of_validate():
+    # what grounding runs: the same errors in the same order, no
+    # warnings, and each rule's variable sorts as infer_variable_sorts
+    # gives them
+    rng = random.Random(19)
+    domains = [parse_domain(DUPLICATES).domain, parse_domain(SORT_ERRORS).domain]
+    domains += [random_theory(rng) for _ in range(30)]
+    domains += [random_sorted_domain(rng, wide=True) for _ in range(30)]
+    unknown = DomainDescription(simple_signature(), [TProp(lit("flies", True, "john"), 0)])
+    for domain in domains + [unknown]:
+        rule_sorts = {}
+        assert validate(domain, warnings=False, rule_sorts=rule_sorts) == errors_of(validate(domain))
+        assert rule_sorts == {
+            i: infer_variable_sorts(domain.signature, prop)[0]
+            for i, prop in enumerate(domain.propositions)
+            if isinstance(prop, (CProp, RProp, PProp))
+        }
+    assert [d.code for d in validate(domains[1])] == ["sort-conflict", "sort-conflict", "unsat-condition"]
+    assert [d.code for d in validate(domains[1], warnings=False)] == ["sort-conflict", "sort-conflict"]
 
 
 def test_random_theories_validate():

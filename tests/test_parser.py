@@ -1,5 +1,6 @@
 """Surface syntax: tokenizer, statements, queries, pretty printing."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from elang.parser import (
     tokenize,
 )
 
-from oracles import LexError, random_theory, reference_tokenize
+from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, corpus_path, generate_zoo
+
+from oracles import LexError, random_theory, reference_tokenize, walk_scenario
 
 BASIC = """
 % a bulb
@@ -98,6 +101,20 @@ def test_scanner_keeps_unicode_classes():
     )
 
 
+def reference_statement_spans(text: str) -> list[tuple[int, int, int, int]]:
+    """(start, end, line, column) of every statement, from its first token
+    to the one before its '.', read off ``reference_tokenize``."""
+    spans, first = [], None
+    for kind, _, (start, end, line, column) in reference_tokenize(text):
+        if kind == ".":
+            spans.append((first[0], last_end, first[1], first[2]))
+            first = None
+        elif kind != "eof":
+            first = first or (start, line, column)
+            last_end = end
+    return spans
+
+
 def test_clean_parse_builds_spans_only_for_statements(monkeypatch):
     from pathlib import Path
 
@@ -112,14 +129,22 @@ def test_clean_parse_builds_spans_only_for_statements(monkeypatch):
 
     monkeypatch.setattr(elang.parser, "SourceSpan", CountedSpan)
     data = Path(elang.parser.__file__).parent / "corpus" / "data"
-    domain = parse_domain((data / "zoo_dual.e").read_text())
-    assert domain.spans and len(built) == len(domain.spans)
-    scenario = parse_domain(
-        (data / "chain_scenario.e").read_text(), base_signature=domain.domain.signature
-    )
-    assert len(built) == len(domain.spans) + len(scenario.spans)
+    domain_text = (data / "zoo_dual.e").read_text()
+    scenario_text = (data / "chain_scenario.e").read_text()
+    domain = parse_domain(domain_text, "zoo_dual.e")
+    scenario = parse_domain(scenario_text, base_signature=domain.domain.signature)
     parse_query("skeptical { animal_pos(john,p3) holds-at 3 } horizon 4", domain.domain.signature)
-    assert len(built) == len(domain.spans) + len(scenario.spans)
+    assert built == []
+    # Each proposition's span, built on first read, covers its statement
+    # less the '.'; the declarations come first in these files.
+    for unit, text, file in ((domain, domain_text, "zoo_dual.e"), (scenario, scenario_text, "<string>")):
+        props = len(unit.domain.propositions)
+        want = reference_statement_spans(text)[-props:]
+        got = [(sp.start, sp.end, sp.line, sp.column) for sp in unit.spans.values()]
+        assert list(unit.spans) == list(range(props))
+        assert got == want and {sp.file for sp in unit.spans.values()} == {file}
+    assert len(built) == len(domain.domain.propositions) + len(scenario.domain.propositions)
+    assert unit.spans is unit.spans
 
 
 def test_parse_basic_domain():
@@ -285,3 +310,159 @@ def test_pretty_print_roundtrip_property(seed):
     text = pretty_print(d)
     again = parse_domain(text).domain
     assert pretty_print(again) == text
+
+
+# ---------------------------------------------------------------------------
+# Every raise of ParseError in elang/parser.py, reached by one malformed
+# input each: (text, message, kind, line, column).
+
+DOMAIN_ERRORS = {
+    "lex-split-number": ("fluent f.\nf holds-at 3\u00bd.", "unexpected character '\u00bd'", "lexical", 2, 13),
+    "lex-word-start": ("fluent \u00bd.", "unexpected character '\u00bd'", "lexical", 1, 8),
+    "lex-other": ("fluent f # g.", "unexpected character '#'", "lexical", 1, 10),
+    "lex-stray-bang": ("fluent f.\n  f ! g.", "stray '!'", "lexical", 2, 5),
+    "number": ("fluent f.\nf holds-at \u00b2.", "invalid number '\u00b2'", "lexical", 2, 12),
+    "empty-statement": ("fluent f.\n.", "empty statement", "syntax", 2, 1),
+    "no-period": ("fluent f.\nfluent g", "statement does not end with '.'", "syntax", 2, 8),
+    "no-period-prop": ("fluent f.\nf", "statement does not end with '.'", "syntax", 2, 1),
+    "sort-name": ("sort : a.", "expected a sort name, found ':'", "syntax", 1, 6),
+    "sort-colon": ("sort s a.", "expected ':', found 'a'", "syntax", 1, 8),
+    "sort-empty": ("sort s:.", "expected an identifier, found 'end of input'", "syntax", 1, 7),
+    "sort-constant": ("sort s: a, B.", "expected an identifier, found 'B'", "syntax", 1, 12),
+    "redeclared": ("fluent f.\naction f.", "identifier f is already declared", "syntax", 2, 8),
+    "constant-fluent": ("constant action a.", "expected 'fluent', found 'action'", "syntax", 1, 10),
+    "fluent-name": ("fluent F.", "expected a fluent name, found 'F'", "syntax", 1, 8),
+    "action-name": ("action 3.", "expected a action name, found '3'", "syntax", 1, 8),
+    "decl-close": ("sort s: a.\nfluent f(s.", "expected ')', found 'end of input'", "syntax", 2, 10),
+    "decl-trailing": ("fluent f g.", "unexpected 'g' after declaration", "syntax", 1, 10),
+    "term": ("sort s: a. fluent f(s).\nf(3) holds-at 0.", "expected a term, found '3'", "syntax", 2, 3),
+    "atom-name": ("fluent f. action a.\na initiates 3.", "expected a fluent name, found '3'", "syntax", 2, 13),
+    "unknown": ("fluent f.\ng holds-at 0.", "fluent g is not declared", "unknown-identifier", 2, 1),
+    "unknown-hint-fluent": (
+        "fluent f. action a.\na holds-at 0.",
+        "fluent a is not declared (declared as a action)",
+        "unknown-identifier", 2, 1,
+    ),
+    "unknown-hint-action": (
+        "fluent f.\nf happens-at 0.",
+        "action f is not declared (declared as a fluent)",
+        "unknown-identifier", 2, 1,
+    ),
+    "arity": ("sort s: a. fluent f(s).\nf holds-at 0.", "fluent f takes 1 arguments, got 0", "arity-mismatch", 2, 1),
+    "condition-open": ("fluent f. action a.\na needs f.", "expected '{', found 'f'", "syntax", 2, 9),
+    "disequality": ("fluent f.\nf whenever { X != X }.", "disequality X != X is never true", "syntax", 2, 19),
+    "disequality-term": ("fluent f.\nf whenever { X != 3 }.", "expected a term, found '3'", "syntax", 2, 19),
+    "typing-term": ("sort s: a. fluent f.\nf whenever { s(3) }.", "expected a term, found '3'", "syntax", 2, 16),
+    "typing-close": ("sort s: a. fluent f.\nf whenever { s(X }.", "expected ')', found '}'", "syntax", 2, 18),
+    "typing-open": ("sort s: a. fluent f.\nf whenever { s }.", "expected '(', found '}'", "syntax", 2, 16),
+    "typing-constant": ("sort s: a. fluent f.\nf whenever { s(a) }.", "typing atom s(..) needs a variable", "syntax", 2, 16),
+    "typing-conflict": (
+        "sort s: a. sort t: b. fluent f.\nf whenever { s(X), t(X) }.",
+        "variable X typed as both s and t",
+        "syntax", 2, 22,
+    ),
+    "condition-comma": ("fluent f. fluent g.\nf whenever { g g }.", "expected '}', found 'g'", "syntax", 2, 16),
+    "condition-trailing-comma": ("fluent f. fluent g.\nf whenever { g, }.", "expected a fluent name, found '}'", "syntax", 2, 17),
+    "time": ("fluent f.\nf holds-at x.", "expected a time point, found 'x'", "syntax", 2, 12),
+    "finish": ("fluent f.\nf holds-at 0 1.", "unexpected '1'", "syntax", 2, 14),
+    "denial-keyword": ("fluent f.\nfalse when { }.", "expected 'whenever', found 'when'", "syntax", 2, 7),
+    "negated-keyword": ("fluent f.\nneg f needs { }.", "expected 'whenever', found 'needs'", "syntax", 2, 7),
+    "statement-keyword": ("fluent f.\nf g.", "expected a statement keyword after f, found 'g'", "syntax", 2, 3),
+    "unexpected-keyword": ("fluent f.\nf when { }.", "unexpected keyword 'when'", "syntax", 2, 3),
+    "statement-start": ("fluent f.\n( holds-at 0.", "expected a statement, found '('", "syntax", 2, 1),
+    "statement-number": ("fluent f.\n3 holds-at 0.", "expected a statement, found '3'", "syntax", 2, 1),
+}
+
+# Parsed against QUERY_SIGNATURE_TEXT's signature.  Goals are read with
+# the condition parser, whose messages "literal", "term", "unclosed" and
+# the two separator cases share.
+QUERY_SIGNATURE_TEXT = "sort s: a. fluent f(s). fluent h."
+QUERY_ERRORS = {
+    "mode": ("maybe { }", "expected 'credulous' or 'skeptical'", "syntax", 1, 1),
+    "open": ("credulous f", "expected '{', found 'f'", "syntax", 1, 11),
+    "literal": ("credulous { 3 holds-at 0 }", "expected a fluent name, found '3'", "syntax", 1, 13),
+    "negated-literal": ("credulous { neg }", "expected a fluent name, found '}'", "syntax", 1, 17),
+    "term": ("credulous {\n f(3) holds-at 0 }", "expected a term, found '3'", "syntax", 2, 4),
+    "close-args": ("credulous { f(a holds-at 0 }", "expected ')', found 'holds-at'", "syntax", 1, 17),
+    "unknown": ("credulous { g holds-at 0 }", "fluent g is not declared", "unknown-identifier", 1, 13),
+    "ground": ("skeptical { f(X) holds-at 0 }", "query literal must be ground", "syntax", 1, 13),
+    "holds-at": ("credulous { h at 0 }", "expected 'holds-at', found 'at'", "syntax", 1, 15),
+    "time": ("credulous { h holds-at x }", "expected a time point, found 'x'", "syntax", 1, 24),
+    "unclosed": ("credulous { h holds-at 0 ", "expected '}', found 'end of input'", "syntax", 1, 26),
+    "missing-comma": ("skeptical { h holds-at 1 h holds-at 2 }", "expected '}', found 'h'", "syntax", 1, 26),
+    "trailing-comma": ("credulous { h holds-at 1, }", "expected a fluent name, found '}'", "syntax", 1, 27),
+    "horizon": ("credulous { } horizon x", "expected a horizon, found 'x'", "syntax", 1, 23),
+    "horizon-number": ("credulous { } horizon \u00b2", "invalid number '\u00b2'", "lexical", 1, 23),
+    "trailing": ("credulous { } x", "unexpected 'x' after query", "syntax", 1, 15),
+    "lexical": ("credulous { f # }", "unexpected character '#'", "lexical", 1, 15),
+}
+
+
+def _error_of(parse, text: str) -> tuple:
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    err = raised.value
+    return (text, err.message, err.kind, err.span.line, err.span.column)
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_ERRORS))
+def test_domain_error_table(case):
+    assert _error_of(lambda t: parse_domain(t, "d.e"), DOMAIN_ERRORS[case][0]) == DOMAIN_ERRORS[case]
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_ERRORS))
+def test_query_error_table(case):
+    sig = parse_domain(QUERY_SIGNATURE_TEXT).domain.signature
+    assert _error_of(lambda t: parse_query(t, sig), QUERY_ERRORS[case][0]) == QUERY_ERRORS[case]
+
+
+# ---------------------------------------------------------------------------
+# The parser's output, pinned: sha256 of pretty_print(parse_domain(text))
+# and the proposition count, taken before statements were parsed by index.
+# A scenario file parses against zoo_dual.e's signature.
+
+
+def _pinned_texts():
+    for name in CORPUS_HORIZONS:
+        yield name, corpus_path(name).read_text(), None
+    for name in ZOO_SCENARIOS:
+        yield name, corpus_path(name).read_text(), "zoo_dual.e"
+    for variant in ("direct", "indirect", "dual"):
+        for positions, feed in ((6, False), (15, True)):
+            ref = "gen:%s:%d%s" % (variant, positions, ":feed" if feed else "")
+            yield ref, generate_zoo(variant, positions, include_feed=feed), None
+    yield "walk:15:40:5", walk_scenario(15, 40, 5), "gen:direct:15:feed"
+
+
+PARSE_PINS = {
+    'bulb.e': ('d35811f39647b019d7b02dc71b47822aaf0622cb59916385e588fbc94a3a3e57', 7),
+    'bulb_noinit.e': ('656e8bb9f81feb3d927a8438ec01d194cdebea8011f020f4d4aa7693d0faa045', 6),
+    'zoo_landscape.e': ('5dcd5333ca2df63e19acd83ace147599a7d70274f52df91cab980a39ac1760be', 15),
+    'zoo_direct.e': ('c78685ba11a879e668ae9515e21845089c02e2aa6ca434e41ddd9aa0e57b73bd', 30),
+    'zoo_indirect.e': ('6b10a2fad60dc02d1fde516c7431f6a197f7a94f6fdd796a02bc88b32c7828b0', 29),
+    'zoo_dual.e': ('0c0625691367655e8432d4b3e0b6b8e2b8877ad287d39a017f435a31820fabf0', 31),
+    'zoo_dual_feed.e': ('c33efe957c8ac1d8d8825052431485acf88ccf963ff4734b4c85cb83d51df5e6', 32),
+    'zoo_scenario_base.e': ('19e4de7590639a6d8acf85900ddd3e82997c5e595713c5edd1ea058378ee5be6', 4),
+    'zoo_scenario_move.e': ('8fcfcb9a58b07a7eb7c641e15b5f2329ca38b7dd662dd65ce3a712aa8e7cb842', 1),
+    'zoo_scenario_obs.e': ('c2c0a2d1bbab2bdfb4d70fec9e9f0ed9d0746f950a4e7622a6071b999eec61b4', 1),
+    'chain_scenario.e': ('94d73a6c99d4759b71e54c6c72970c5c3db3922d7dd524e0d15cd2b061ab8ccd', 10),
+    'gen:direct:6': ('c78685ba11a879e668ae9515e21845089c02e2aa6ca434e41ddd9aa0e57b73bd', 30),
+    'gen:direct:15:feed': ('66574b053723a7d433fd3c95847524b0a453757e1c4d566db17d9dfafafd948e', 40),
+    'gen:indirect:6': ('6b10a2fad60dc02d1fde516c7431f6a197f7a94f6fdd796a02bc88b32c7828b0', 29),
+    'gen:indirect:15:feed': ('b8e9c6a29a5cb137d4a0470344661d3b6712fea154e0006d3d79b32fd058788c', 39),
+    'gen:dual:6': ('0c0625691367655e8432d4b3e0b6b8e2b8877ad287d39a017f435a31820fabf0', 31),
+    'gen:dual:15:feed': ('8c8bb294a8f833ef5c02e6fb34149ad5160f4604628a8202409456956943cecd', 41),
+    'walk:15:40:5': ('844b10a8fe53097c7faff83b7b1fcf78906dbf72b3a9935c41f8e4b058a9d371', 71),
+}
+
+
+def test_parser_output_is_pinned():
+    texts = {name: (text, base) for name, text, base in _pinned_texts()}
+    got = {}
+    for name, (text, base) in texts.items():
+        sig = None
+        if base is not None:
+            sig = parse_domain(texts[base][0]).domain.signature
+        domain = parse_domain(text, name, base_signature=sig).domain
+        got[name] = (hashlib.sha256(pretty_print(domain).encode()).hexdigest(), len(domain.propositions))
+    assert got == PARSE_PINS

@@ -22,7 +22,7 @@ from elang.parser import parse_domain, parse_query
 from elang.query import answer_theory, required_horizon
 from elang.sat import SatStats, Solver, answer_sat, compile_theory, ramification_cycle
 
-from oracles import random_theory
+from oracles import random_theory, walk_scenario
 
 
 def outcome(clauses: ClauseSet, assumptions) -> tuple:
@@ -75,20 +75,7 @@ def walk(positions: int, steps: int, seed: int):
     """The generated direct zoo with feeding and a seeded walk: a fully
     observed start, one move per step, a feeding now and then."""
     text = generate_zoo("direct", positions, include_feed=True)
-    sorts = parse_domain(text).domain.signature.sorts
-    animals, places = sorts["animal"], sorts["position"]
-    rng = random.Random(seed)
-    lines = []
-    for a in animals:
-        lines.append("animal_pos(%s, %s) holds-at 0." % (a, rng.choice(places)))
-        lines.append("%shungry(%s) holds-at 0." % (rng.choice(["", "neg "]), a))
-        for b in animals:
-            lines.append("neg rides(%s, %s) holds-at 0." % (a, b))
-    for t in range(steps):
-        lines.append("move_to_position(%s, %s) happens-at %d." % (rng.choice(animals), rng.choice(places), t))
-        if rng.random() < 0.3:
-            lines.append("feed_animal(%s) happens-at %d." % (rng.choice(animals), t))
-    return ground(parse_domain(text + "\n".join(lines) + "\n").domain, steps)
+    return ground(parse_domain(text + walk_scenario(positions, steps, seed)).domain, steps)
 
 
 @pytest.mark.parametrize("positions, steps", [(6, 12), (9, 8), (12, 5)])
