@@ -13,13 +13,13 @@ assignment and trail, so enumerations over one ``ClauseSet`` may be
 interleaved.  That is why the index is a plain occurrence list: watched
 literals move during search.
 
-A ``ClauseSet`` is built by one index loop with two entry points.  The
-constructor normalizes each clause first (``normalize``: duplicate
-literals merged, tautologies dropped), as the engine's state constraints
-need.  ``ClauseSet.of_normal`` trusts its caller that every clause is
-already normal, as the clausal compiler emits them, and keeps the given
-list and tuples as ``clauses`` without copying them.  Either way the
-empty clause only sets ``empty`` and is not indexed.
+A ``ClauseSet`` indexes clauses in normal form, no literal repeated and
+no tautology, and keeps the given list and tuples as ``clauses`` without
+copying them; the empty clause only sets ``empty`` and is not indexed.
+Both callers hand it normal clauses: the engine the theory's
+``GroundTheory.constraint_clauses``, built in that form by grounding, and
+the SAT backend the compiler's list, those clauses shifted to every time
+point and the rest normal as built.
 
 The unit clauses are propagated once per ``ClauseSet``, not once per
 call, as incremental solvers keep their root level across calls under
@@ -59,36 +59,16 @@ class BudgetExceeded(Exception):
         self.stats = stats
 
 
-def normalize(clause: Iterable[int]) -> tuple[int, ...] | None:
-    """The clause in the index's normal form: duplicate literals merged,
-    each kept where it first occurs; None for a tautology."""
-    lits: list[int] = []
-    for l in clause:
-        if -l in lits:
-            return None
-        if l not in lits:
-            lits.append(l)
-    return tuple(lits)
-
-
 class ClauseSet:
     """Clauses over variables 1..num_vars, indexed by literal occurrence.
-    Duplicate literals are merged and tautologies dropped; ``clauses`` holds
-    what is left, units included, and the empty clause only as ``empty``."""
+    ``clauses`` holds them, units included, and the empty clause only as
+    ``empty``."""
 
-    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
-        self._index(num_vars, [c for c in map(normalize, clauses) if c is not None])
-
-    @classmethod
-    def of_normal(cls, num_vars: int, clauses: list[tuple[int, ...]]) -> ClauseSet:
-        """The index of clauses the caller guarantees are in normal form
-        (see ``normalize``).  The list and its tuples become ``clauses``
-        as they are, unless an empty clause has to be left out."""
-        self = cls.__new__(cls)
-        self._index(num_vars, clauses)
-        return self
-
-    def _index(self, num_vars: int, clauses: list[tuple[int, ...]]) -> None:
+    def __init__(self, num_vars: int, clauses: list[Sequence[int]]):
+        """The index of ``clauses``, which the caller guarantees are normal:
+        no literal twice and no literal with its complement.  The list and
+        its clauses become ``clauses`` as they are, unless an empty clause
+        has to be left out."""
         self.num_vars = num_vars
         self.empty = not all(clauses)
         if self.empty:
@@ -115,13 +95,13 @@ class ClauseSet:
         extra: Sequence[Sequence[int]] = (),
     ) -> Iterator[frozenset[int]]:
         """Yield every total assignment satisfying the clauses, the
-        ``extra`` clauses (taken as given, not normalised), the
-        ``assumptions`` and the ``preset`` literals (over 1..num_vars; see
-        the module docstring), each as the frozenset of its true variables,
-        in the order the module docstring gives.  ``stats``, any object
-        with integer ``decisions`` and ``propagations``, accumulates the
-        work, the root's propagations included on every call; more than
-        ``budget`` decisions on it raise BudgetExceeded."""
+        ``extra`` clauses, the ``assumptions`` and the ``preset`` literals
+        (over 1..num_vars; see the module docstring), each as the frozenset
+        of its true variables, in the order the module docstring gives.
+        ``stats``, any object with integer ``decisions`` and
+        ``propagations``, accumulates the work, the root's propagations
+        included on every call; more than ``budget`` decisions on it raise
+        BudgetExceeded."""
         if self.empty:
             return
         n = self.num_vars

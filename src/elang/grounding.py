@@ -49,16 +49,21 @@ the first time they are asked for: each statement groups its kept
 bindings by the arguments they give its action atom, once, so an action
 reads only its own.  Each instance comes with its position in ``cprops``
 or ``pprops``, the full lists in statement order and binding order,
-which are built, statement by statement over the kept bindings, only
-when something reads them (``elang ground --dump``).  The step search,
-the clausal compiler and the relevance slice read effects and
-preconditions per action, so a query grounds only those of the actions
-its narrative schedules, much as gringo instantiates only what is
-relevant (Gebser et al., LPNMR 2007).  The indexes over the statement
-lists (the constraint clauses, the rules by body atom and the first cycle
-in the ramification graph) are likewise derived the first time they are
-read, so a caller that needs few of them, such as a relevance slice, pays
-for no others.  So are the tests the step search reads off an action's
+which are the instances of every ground action of the signature
+(``actions``) put in position order, built only when something reads
+them (``elang ground --dump``).  The step search, the clausal compiler
+and the relevance slice read effects and preconditions per action, so a
+query grounds only those of the actions its narrative schedules, much as
+gringo instantiates only what is relevant (Gebser et al., LPNMR 2007).
+
+Grounding is also the one reader of the ramification statements.  Each
+is a state constraint, whose clause ``constraint_clauses`` builds in the
+kernel's normal form (``clauses.py``), and, when it has a head, a
+trigger from each body literal to its head (``triggers``), which the
+step search, the clausal compiler and the cycle search (``first_cycle``)
+follow.  These indexes are derived the first time they are read, so a
+caller that needs few of them, such as a relevance slice, pays for no
+others.  So are the tests the step search reads off an action's
 effects and preconditions (``effect_tests`` and ``precondition_test``:
 conditions split into the atoms they need true and false) and its
 per-candidate-set plans (``plans``, filled by ``transition.step_plan``).
@@ -70,7 +75,7 @@ import itertools
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 from .clauses import ClauseSet
 from .model import (
@@ -152,17 +157,16 @@ class GroundTheory:
     fluents: tuple[Atom, ...]
     index: dict[Atom, int]
     constant_values: dict[Atom, bool]
+    signature: Signature
     ground_effects: Callable[[Atom], Instances]  # one action's, on first read
-    ground_all_effects: Callable[[], list[GroundCProp]]  # in position order
     ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
-    ground_all_preconditions: Callable[[], list[GroundPProp]]  # in position order
     rprops: list[GroundRProp]
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
     horizon: int
     stats: GroundingStats
     # Filled by the clausal backend on first use (sat.answer_sat): the
-    # compiled clauses.
+    # compiled clauses, indexed.
     sat_memo: object = field(default=None, repr=False, compare=False)
     # The effect instances ground so far, by action.
     effects: dict[Atom, Instances] = field(default_factory=dict, repr=False, compare=False)
@@ -181,15 +185,22 @@ class GroundTheory:
     # after grounding, so an index once built stays valid.
 
     @cached_property
-    def constraint_clauses(self) -> tuple[frozenset[Lit], ...]:
-        """Each ramification statement and denial as a clause."""
+    def constraint_clauses(self) -> list[tuple[Lit, ...]]:
+        """Each ramification statement and denial as a clause in the
+        kernel's normal form: the negated body literals, lowest atom
+        first, then the head.  A head in its own body makes a tautology,
+        which is left out; a head whose complement is in the body is
+        already in the clause.  A ground condition never clashes, so only
+        the head can repeat an atom."""
         clauses = []
         for rp in self.rprops:
-            clause = {-c for c in rp.condition}
-            if rp.head is not None:
-                clause.add(rp.head)
-            clauses.append(frozenset(clause))
-        return tuple(clauses)
+            clause = tuple([-c for c in sorted(rp.condition, key=abs)])
+            head = rp.head
+            if head is None or -head in rp.condition:
+                clauses.append(clause)
+            elif head not in rp.condition:
+                clauses.append(clause + (head,))
+        return clauses
 
     @cached_property
     def constraints(self) -> ClauseSet:
@@ -197,12 +208,16 @@ class GroundTheory:
         return ClauseSet(self.n_fluents, self.constraint_clauses)
 
     @cached_property
-    def rprops_by_body_atom(self) -> dict[int, tuple[int, ...]]:
-        by_body: dict[int, list[int]] = {}
+    def triggers(self) -> dict[Lit, list[int]]:
+        """The statements with a head, ascending, by body literal: a change
+        to literal ``l`` can fire the statements ``triggers[l]``.  Denials
+        never fire."""
+        triggers: dict[Lit, list[int]] = {}
         for ri, rp in enumerate(self.rprops):
-            for c in rp.condition:
-                by_body.setdefault(abs(c) - 1, []).append(ri)
-        return {k: tuple(v) for k, v in by_body.items()}
+            if rp.head is not None:
+                for c in rp.condition:
+                    triggers.setdefault(c, []).append(ri)
+        return triggers
 
     @cached_property
     def first_cycle(self) -> tuple[int, ...] | None:
@@ -211,12 +226,8 @@ class GroundTheory:
         meets, roots and successors taken in ascending order, as the path
         from the repeated atom back to it; None when the graph is acyclic."""
         graph: dict[int, set[int]] = {}
-        for rp in self.rprops:
-            if rp.head is None:
-                continue
-            h = abs(rp.head) - 1
-            for c in rp.condition:
-                graph.setdefault(abs(c) - 1, set()).add(h)
+        for c, rules in self.triggers.items():
+            graph.setdefault(abs(c) - 1, set()).update(abs(self.rprops[ri].head) - 1 for ri in rules)
         done: set[int] = set()
         for root in sorted(graph):
             if root in done:
@@ -241,9 +252,20 @@ class GroundTheory:
         return None
 
     @cached_property
+    def actions(self) -> tuple[Atom, ...]:
+        """Every ground action of the signature."""
+        sig = self.signature
+        return tuple(
+            Atom(decl.name, args)
+            for decl in sig.actions.values()
+            for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
+        )
+
+    @cached_property
     def cprops(self) -> list[GroundCProp]:
-        """Every effect instance, in statement order and binding order."""
-        return self.ground_all_effects()
+        """Every effect instance, in statement order and binding order: the
+        instances of every ground action, by position."""
+        return _by_position(map(self.effects_of, self.actions))
 
     def effects_of(self, action: Atom) -> Instances:
         """The effect instances of ``action`` with their positions in
@@ -268,8 +290,9 @@ class GroundTheory:
 
     @cached_property
     def pprops(self) -> list[GroundPProp]:
-        """Every precondition instance, in statement order and binding order."""
-        return self.ground_all_preconditions()
+        """Every precondition instance, in statement order and binding order:
+        the instances of every ground action, by position."""
+        return _by_position(map(self.preconditions_of, self.actions))
 
     def preconditions_of(self, action: Atom) -> Preconditions:
         """The precondition instances of ``action`` with their positions in
@@ -324,6 +347,12 @@ class GroundTheory:
 
 
 _NONE: frozenset[int] = frozenset()
+
+
+def _by_position(per_action) -> list:
+    """The instances of the actions' (position, instance) pairs, by position."""
+    pairs = sorted(itertools.chain.from_iterable(per_action), key=operator.itemgetter(0))
+    return [instance for _, instance in pairs]
 
 
 def split_condition(condition: frozenset[Lit]) -> tuple[frozenset[int], frozenset[int]]:
@@ -444,11 +473,6 @@ class _PerAction:
                 self._by_key.setdefault(of_combo(combo), []).append((position, combo))
         found = self._by_key.get(key_of(action.args), ())
         return tuple((position, self._instance(action, combo)) for position, combo in found)
-
-    def all(self) -> list:
-        """Every instance, in binding order."""
-        get_action, actions = self.tpl.lookup(self.action, partial(Atom, self.action.name))
-        return [self._instance(actions[get_action(combo)], combo) for combo in self.kept]
 
 
 class _Effect(_PerAction):
@@ -688,10 +712,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     # effect statement only counts the bindings it keeps, and a needs
     # statement keeps them all; their instances are ground per action
     # when first asked for (``_PerAction``).
-    effects: list[_Effect] = []
     effects_by_action: dict[str, list[_Effect]] = {}
     n_effects = 0
-    needs: list[_Need] = []
     needs_by_action: dict[str, list[_Need]] = {}
     n_needs = 0
     rprops: list[GroundRProp] = []
@@ -723,7 +745,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             dynamic, kept = residues(tpl, prop.condition)
             stats.dropped_instances += len(tpl.bindings) - len(kept)
             effect = _Effect(tpl, prop, src, n_effects, kept, dynamic, numbers[prop.fluent.name])
-            effects.append(effect)
             effects_by_action.setdefault(prop.action.name, []).append(effect)
             n_effects += len(kept)
         elif isinstance(prop, RProp):
@@ -742,7 +763,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                 rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
         else:
             need = _Need(templates[src], prop, src, n_needs, residues)
-            needs.append(need)
             needs_by_action.setdefault(prop.action.name, []).append(need)
             n_needs += len(need.kept)
 
@@ -751,14 +771,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             pair for effect in effects_by_action.get(action.name, ()) for pair in effect.of(action)
         )
 
-    def ground_all_effects() -> list[GroundCProp]:
-        return [cp for effect in effects for cp in effect.all()]
-
     def ground_preconditions(action: Atom) -> Preconditions:
         return tuple(pair for need in needs_by_action.get(action.name, ()) for pair in need.of(action))
-
-    def ground_all_preconditions() -> list[GroundPProp]:
-        return [pp for need in needs for pp in need.all()]
 
     stats.cprops = n_effects
     stats.rprops = sum(1 for r in rprops if r.head is not None)
@@ -771,10 +785,9 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         fluents=fluents,
         index=index,
         constant_values=dict(zip(constant_atoms, values)),
+        signature=sig,
         ground_effects=ground_effects,
-        ground_all_effects=ground_all_effects,
         ground_preconditions=ground_preconditions,
-        ground_all_preconditions=ground_all_preconditions,
         rprops=rprops,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
         observations={t: frozenset(v) for t, v in sorted(observations.items())},

@@ -328,14 +328,6 @@ def validate(
             if is_variable(c):
                 error("bad-constant", "object constant %s of sort %s must start lowercase" % (c, sort))
 
-    constant_pool: dict[str, str] = {}
-    for sort, constants in sig.sorts.items():
-        for c in constants:
-            if c in constant_pool and constant_pool[c] != sort:
-                # Shared constants across sorts are allowed (overlapping sorts).
-                pass
-            constant_pool.setdefault(c, sort)
-
     for decl in list(sig.fluents.values()) + list(sig.actions.values()):
         for s in decl.arg_sorts:
             if s not in sig.sorts:

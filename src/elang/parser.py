@@ -309,7 +309,7 @@ class _Parser:
             i += 1
         name = toks[i]
         if self.kinds[i] != "name":
-            raise self._expected(i, "a %s name" % kind)
+            raise self._expected(i, "an action name" if kind == "action" else "a %s name" % kind)
         if name in sig.sorts or name in sig.fluents or name in sig.actions:
             raise self._error(i, "identifier %s is already declared" % name)
         if kind == "sort":
@@ -357,7 +357,7 @@ class _Parser:
         if decl is None:
             hint = ""
             if atom.name in other:
-                hint = " (declared as a %s)" % ("action" if kind == "fluent" else "fluent")
+                hint = " (declared as an action)" if kind == "fluent" else " (declared as a fluent)"
             raise self._error(
                 i, "%s %s is not declared%s" % (kind, atom.name, hint), "unknown-identifier"
             )

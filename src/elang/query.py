@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 from .clauses import BudgetExceeded
 from .grounding import GroundingStats, GroundTheory, Lit, State, ground
@@ -334,7 +334,7 @@ def slice_for_goals(
     inconsistency caused purely by dropped atoms is invisible to the slice.
 
     The slice is a view in the theory's own atom numbering, not a copy.
-    It shares the theory's fluents, index, constant values and
+    It shares the theory's signature, fluents, index, constant values and
     occurrences; every kept rule and effect pair is the theory's own
     object (the rule list itself when every rule is kept), so an effect
     keeps its position in the theory's ``cprops``, as a precondition does
@@ -432,16 +432,13 @@ def slice_for_goals(
         fluents=theory.fluents,
         index=theory.index,
         constant_values=theory.constant_values,
+        signature=theory.signature,
         # every scheduled action's kept effects are known already
         effects=effects,
         ground_effects=lambda action: (),
-        ground_all_effects=lambda: [cp for _, cp in sorted(chain.from_iterable(effects.values()))],
         # and their kept preconditions
         preconditions=preconditions,
         ground_preconditions=lambda action: (),
-        ground_all_preconditions=lambda: [
-            pp for _, pp in sorted(chain.from_iterable(preconditions.values()))
-        ],
         rprops=rprops,
         occurrences=theory.occurrences,
         observations=observations,

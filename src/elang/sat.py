@@ -10,7 +10,7 @@ then, per step t:
   changed(l,t)     one per literal the step's effects can produce
                    (``transition.step_plan``)
   ramify(r,t)  <-> the rule's body holds at t+1 and some body literal
-                   is changed at t
+                   is changed at t (``GroundTheory.triggers``)
 
 with the clauses
 
@@ -21,6 +21,7 @@ with the clauses
   l@t+1 and not l@t -> changed(l,t)                      rule c, the frame
   fire(c,t) and not l@t+1 -> changed(not l,t)            rule e
   the rules as state constraints at every time point     rule d
+                   (``GroundTheory.constraint_clauses``, shifted)
 
 and the observations and the preconditions of scheduled actions as unit
 clauses.  Every trajectory is the fluent part of a model: take changed
@@ -61,14 +62,14 @@ it.  ``elang ground --dimacs`` exports every theory without a cycle
 decoded-step check.
 
 Answers on one ground theory share the compiled clauses: the first
-``answer_sat`` on a theory compiles it and keeps the indexed clauses on
-``theory.sat_memo``; every later query builds only a fresh ``Solver``
-(its own budget and stats) over them and solves under assumptions.  The
-compiler emits every clause in the kernel's normal form (see
-``clauses.normalize``): a state constraint is normalized once per
-statement and then shifted to each time point, and every other clause
-is normal as built.  So ``ClauseSet.of_normal`` indexes the compiler's
-own list and tuples, with no second normalizing pass and no copy.  The
+``answer_sat`` on a theory compiles it and keeps the indexed clauses, a
+``ClauseSet``, on ``theory.sat_memo``; every later query builds only a
+fresh ``Solver`` (its own budget and stats) over them and solves under
+assumptions.  The compiler emits every clause in the kernel's normal
+form: the state constraints are the theory's own clauses, normal as
+grounding builds them, shifted to each time point, and every other
+clause is normal as built.  So ``ClauseSet`` indexes the compiler's own
+list and tuples, with no normalizing pass and no copy.  The
 ``ClauseSet`` propagates the observation and precondition units once, on
 the first solve, and every solve starts from that root (see
 ``clauses.py``); its ``propagations`` count the root's on every solve,
@@ -84,7 +85,7 @@ import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .clauses import ClauseSet, normalize
+from .clauses import ClauseSet
 from .grounding import GroundTheory, Lit, State
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
@@ -193,7 +194,6 @@ class CnfInstance:
     n_fluents: int
     horizon: int
     names: dict[int, str] = field(default_factory=dict)
-    origins: list[str] = field(default_factory=list)
 
     def fluent_var(self, atom_index: int, time: int) -> int:
         return time * self.n_fluents + atom_index + 1
@@ -203,14 +203,13 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     """Clausal form of a theory; see the module docstring for the variable
     roles and for when a model needs the decoded-step check.
 
-    Variable numbering is deterministic.  Every clause is in the normal
-    form of ``clauses.normalize``, so ``ClauseSet.of_normal`` indexes the
-    list as it is.  ``names`` and ``origins`` are filled only with
-    ``labels``: export reads them, answering does not."""
+    Variable numbering is deterministic.  Every clause is in the kernel's
+    normal form, so ``ClauseSet`` indexes the list as it is.  ``names``
+    is filled only with ``labels``: export reads it, answering does not."""
     n = theory.n_fluents
     horizon = theory.horizon
     inst = CnfInstance(num_vars=(horizon + 1) * n, clauses=[], n_fluents=n, horizon=horizon)
-    clauses, origins = inst.clauses, inst.origins
+    clauses = inst.clauses
     emit, emit_all = clauses.append, clauses.extend
     if labels:
         for t in range(horizon + 1):
@@ -223,10 +222,6 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
             inst.names[inst.num_vars] = fmt % args
         return inst.num_vars
 
-    def label(fmt: str, *args) -> None:
-        """Give the clauses emitted since the last label this origin."""
-        origins.extend([fmt % args] * (len(clauses) - len(origins)))
-
     def lit_str(code: Lit) -> str | None:
         return theory.lit_str(code) if labels else None
 
@@ -237,30 +232,20 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     def ordered(codes) -> list[Lit]:
         return sorted(codes, key=lambda c: (abs(c), c))
 
-    # State constraints at every time point.  Each statement's clause is
-    # normalized once (a head in its own body makes a tautology or a
-    # duplicate literal); literal l at time t is l shifted by t*n away
-    # from zero, so the clauses at 0..horizon zip one range per literal.
+    # The state constraints, already normal, at every time point: literal
+    # l at time t is l shifted by t*n away from zero, so the clauses at
+    # 0..horizon zip one range per literal.
     end = (horizon + 1) * n
-    for rp in theory.rprops:
-        clause = [-c for c in ordered(rp.condition)]
-        if rp.head is not None:
-            clause.append(rp.head)
-        normal = normalize(clause)
-        if normal is None:
-            continue
-        if normal:
-            emit_all(zip(*[range(l, l + end, n) if l > 0 else range(l, l - end, -n) for l in normal]))
+    for clause in theory.constraint_clauses:
+        if clause:
+            emit_all(zip(*[range(l, l + end, n) if l > 0 else range(l, l - end, -n) for l in clause]))
         else:
             emit_all([()] * (horizon + 1))
-        if labels:
-            origins.extend(["constraint src=%d t=%d" % (rp.src, t) for t in range(horizon + 1)])
 
-    # Observation units.
+    # Observation units, an atom's two literals in (atom, sign) order,
+    # since an observation set may hold both.
     for t in sorted(theory.observations):
         emit_all([(at(code, t),) for code in ordered(theory.observations[t])])
-        if labels:
-            label("observation t=%d", t)
 
     # Precondition units for scheduled actions.
     for t in sorted(theory.occurrences):
@@ -268,81 +253,59 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
             for _, pp in theory.preconditions_of(action):
                 if pp.impossible:
                     emit(())
-                    if labels:
-                        label("impossible precondition src=%d t=%d", pp.src, t)
-                    continue
-                emit_all([(at(code, t),) for code in ordered(pp.condition)])
-                if labels:
-                    label("precondition src=%d t=%d", pp.src, t)
+                else:
+                    emit_all([(at(code, t),) for code in ordered(pp.condition)])
 
     # Per-step completion of the closure (see the module docstring).  A
     # ground condition is a clash-free set and every auxiliary variable
     # is fresh, so these clauses are normal as built.  Each action's
-    # effects, the literals a set of effects can produce, the rules a
-    # changed literal triggers and the rule bodies are worked out once.
+    # effects, the literals a set of effects can produce and the rule
+    # bodies are worked out once; the rules a changed literal triggers
+    # are the theory's ``triggers``.
     @functools.cache
-    def effects(action: Atom) -> tuple[tuple[int, int, list[Lit], Lit], ...]:
+    def effects(action: Atom) -> tuple[tuple[int, list[Lit], Lit], ...]:
         return tuple(
-            (ci, cp.src, ordered(cp.condition), cp.fluent + 1 if cp.initiates else -(cp.fluent + 1))
+            (ci, ordered(cp.condition), cp.fluent + 1 if cp.initiates else -(cp.fluent + 1))
             for ci, cp in theory.effects_of(action)
         )
 
-    @functools.cache
-    def triggered(code: Lit) -> tuple[int, ...]:
-        rprops = theory.rprops
-        by_body = theory.rprops_by_body_atom.get(abs(code) - 1, ())
-        return tuple(ri for ri in by_body if rprops[ri].head is not None and code in rprops[ri].condition)
-
+    triggers = theory.triggers
     body_of = functools.cache(lambda ri: ordered(theory.rprops[ri].condition))
 
     for t in range(horizon):
         fires: dict[Lit, list[int]] = {}  # effect -> fire variables producing it
         for action in sorted(theory.occurrences.get(t, ())):
-            for ci, src, condition, effect in effects(action):
+            for ci, condition, effect in effects(action):
                 v = new_var("fire[%d]@%d", ci, t)
                 cond = [at(code, t) for code in condition]
                 emit_all([(-v, c) for c in cond])
                 emit((v, *[-c for c in cond]))
-                if labels:
-                    label("fire-def src=%d t=%d", src, t)
                 fires.setdefault(effect, []).append(v)
 
         produced = step_plan(theory, frozenset(fires)).ordered
         changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced}
         supports = {code: list(fires.get(code, ())) for code in changed}
-        for ri in sorted(set().union(*map(triggered, changed))):
-            rp = theory.rprops[ri]
+        for ri in sorted(set().union(*[triggers.get(code, ()) for code in changed])):
+            head = theory.rprops[ri].head
             body = body_of(ri)
             true_body = [at(code, t + 1) for code in body]
             false_body = [-b for b in true_body]
-            triggers = [changed[code] for code in body if code in changed]
+            changes = [changed[code] for code in body if code in changed]
             ram = new_var("ramify[%d]@%d", ri, t)
             emit_all([(-ram, b) for b in true_body])
-            emit((-ram, *triggers))
-            emit_all([(ram, -v, *false_body) for v in triggers])
-            if labels:
-                label("ramify-def src=%d t=%d", rp.src, t)
-            emit((-ram, changed[rp.head]))
-            if labels:
-                label("ramify-effect src=%d t=%d", rp.src, t)
-            supports[rp.head].append(ram)
+            emit((-ram, *changes))
+            emit_all([(ram, -v, *false_body) for v in changes])
+            emit((-ram, changed[head]))
+            supports[head].append(ram)
 
         for code, v in changed.items():
             emit((-v, at(code, t + 1)))
-            if labels:
-                label("rule-b %s t=%d", lit_str(code), t)
             emit((-v, *supports[code]))
-            if labels:
-                label("completion %s t=%d", lit_str(code), t)
         for code, fired in fires.items():
             override = (changed[-code],) if -code in changed else ()
             for v in fired:
                 emit((-v, -at(code, t + 1), changed[code]))
-                if labels:
-                    label("applied %s t=%d", lit_str(code), t)
                 emit((-v, at(code, t + 1), *override))
-                if labels:
-                    label("rule-e %s t=%d", lit_str(code), t)
 
         # Rule c, the explanation frame: a value that changes is in changed.
         for i in range(n):
@@ -351,8 +314,6 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
             src_t, src_t1 = i + 1 + t * n, i + 1 + (t + 1) * n
             emit((-src_t1, src_t, pos) if pos else (-src_t1, src_t))
             emit((src_t1, -src_t, neg) if neg else (src_t1, -src_t))
-            if labels:
-                label("frame %s t=%d", theory.fluents[i], t)
 
     return inst
 
@@ -366,17 +327,6 @@ def to_dimacs(inst: CnfInstance, include_names: bool = False) -> str:
     for clause in inst.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def provenance(inst: CnfInstance) -> dict:
-    """Sidecar mapping variables and clauses back to their origins."""
-    return {
-        "vars": {str(v): inst.names[v] for v in sorted(inst.names)},
-        "clauses": [
-            {"lits": list(clause), "origin": origin}
-            for clause, origin in zip(inst.clauses, inst.origins)
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -433,36 +383,23 @@ class Solver:
 # Query bridge
 
 
-@dataclass(frozen=True)
-class CompiledTheory:
-    """What answering needs of a compiled theory: the indexed clauses and
-    the fluent-variable numbering of ``CnfInstance``."""
-
-    clauses: ClauseSet
-    n_fluents: int
-
-    def fluent_var(self, atom_index: int, time: int) -> int:
-        return time * self.n_fluents + atom_index + 1
-
-
-def _compiled(theory: GroundTheory) -> CompiledTheory:
+def _compiled(theory: GroundTheory) -> ClauseSet:
     """The theory's clauses, compiled (without the export labels) and
     indexed as they are on the first call, and kept on
     ``theory.sat_memo``."""
     if theory.sat_memo is None:
         inst = compile_theory(theory, labels=False)
-        theory.sat_memo = CompiledTheory(ClauseSet.of_normal(inst.num_vars, inst.clauses), inst.n_fluents)
+        theory.sat_memo = ClauseSet(inst.num_vars, inst.clauses)
     return theory.sat_memo
 
 
-def decode_model(
-    inst: CnfInstance | CompiledTheory, theory: GroundTheory, model: frozenset[int]
-) -> Trajectory:
-    """The trajectory a model, given as its true variables, encodes: the
-    state at t holds atom i when ``inst.fluent_var(i, t)`` is in the model.
-    One pass over the true variables, since the fluent variables are
-    numbered t-major and come before every auxiliary one."""
-    n, horizon = inst.n_fluents, theory.horizon
+def decode_model(theory: GroundTheory, model: frozenset[int]) -> Trajectory:
+    """The trajectory a model of the theory's clauses, given as its true
+    variables, encodes: the state at t holds atom i when variable
+    ``t * n_fluents + i + 1`` is in the model.  One pass over the true
+    variables, since the fluent variables are numbered t-major and come
+    before every auxiliary one."""
+    n, horizon = theory.n_fluents, theory.horizon
     last = (horizon + 1) * n
     rows: list[list[int]] = [[] for _ in range(horizon + 1)]
     for v in model:
@@ -492,21 +429,19 @@ def answer_sat(
     """Answer a query on the theory's compiled clauses (see ``_compiled``).
     Around a ramification cycle only the models whose decoded steps hold
     are accepted; without one every model is a trajectory."""
-    comp = _compiled(theory)
+    clauses = _compiled(theory)
     dynamic_goals, constants_ok = split_goals(theory, query)
     stats = SatStats()
 
     def is_trajectory(model: frozenset[int]) -> bool:
-        return steps_hold(theory, decode_model(comp, theory, model))
+        return steps_hold(theory, decode_model(theory, model))
 
-    solver = Solver(comp.clauses, budget, stats, accept=None if theory.first_cycle is None else is_trajectory)
+    solver = Solver(clauses, budget, stats, accept=None if theory.first_cycle is None else is_trajectory)
+    n = theory.n_fluents
 
     def find_model(forced: Iterable[tuple[Lit, int]]) -> Trajectory | None:
-        assumptions = []
-        for code, t in forced:
-            v = comp.fluent_var(abs(code) - 1, t)
-            assumptions.append(v if code > 0 else -v)
-        sat, model = solver.solve(assumptions)
-        return decode_model(comp, theory, model) if sat else None
+        # literal l at time t is l shifted by t*n away from zero
+        sat, model = solver.solve([code + t * n if code > 0 else code - t * n for code, t in forced])
+        return decode_model(theory, model) if sat else None
 
     return decide(theory, query, dynamic_goals, constants_ok, find_model, "sat", stats)

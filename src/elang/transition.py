@@ -33,12 +33,13 @@ runs one search per step rather than one per subset, and hands rules c, d
 and e to the clause kernel (``clauses.py``) as clauses:
 
 * Only producible literals can enter ``changed``: the candidates, closed
-  under the statements with a body literal already producible.  The
-  search runs over their atoms, the reach; persistence freezes every
-  other atom at its source value.
-* Rule d: the theory's own ``constraints``, searched with the frozen
-  atoms fixed.  Every kernel model satisfies them, so the targets are not
-  checked again.
+  under the statements with a body literal already producible, as the
+  theory's ``triggers`` list them by body literal.  The search runs over
+  their atoms, the reach; persistence freezes every other atom at its
+  source value.
+* Rule d: the theory's own ``constraints``, the statements' clauses as
+  grounding builds them, searched with the frozen atoms fixed.  Every
+  kernel model satisfies them, so the targets are not checked again.
 * Rules c and e as support clauses, the kernel's overlay for this step.
   A reach atom whose value in ``t`` is no candidate needs a statement
   with that head whose body holds in ``t`` and has a producible literal:
@@ -125,13 +126,9 @@ def ramification_closure(
     work = list(applied)
     while work:
         lit = work.pop()
-        for ri in theory.rprops_by_body_atom.get(abs(lit) - 1, ()):
+        for ri in theory.triggers.get(lit, ()):
             rp = theory.rprops[ri]
-            if rp.head is None or rp.head in changed:
-                continue
-            if lit not in rp.condition:
-                continue
-            if not theory.satisfies(target, rp.condition):
+            if rp.head in changed or not theory.satisfies(target, rp.condition):
                 continue
             if -rp.head in changed:
                 return None
@@ -172,21 +169,19 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
     if plan is not None:
         return plan
     # The producible literals: the candidates closed under the statements
-    # with a body literal already among them.  Those statements, the ones
-    # a step can fire, give the supporting bodies.  Denials never fire.
-    rprops, by_body = theory.rprops, theory.rprops_by_body_atom
+    # a literal already among them triggers.  Those statements, the ones
+    # a step can fire, give the supporting bodies.
+    rprops, triggers = theory.rprops, theory.triggers
     produced = set(candidates)
     firing: set[int] = set()
     work = list(produced)
     while work:
-        lit = work.pop()
-        for ri in by_body.get(abs(lit) - 1, ()):
-            rp = rprops[ri]
-            if rp.head is not None and lit in rp.condition:
-                firing.add(ri)
-                if rp.head not in produced:
-                    produced.add(rp.head)
-                    work.append(rp.head)
+        for ri in triggers.get(work.pop(), ()):
+            firing.add(ri)
+            head = rprops[ri].head
+            if head not in produced:
+                produced.add(head)
+                work.append(head)
     bodies_for: dict[Lit, list[frozenset[Lit]]] = {}
     for ri in sorted(firing):
         bodies_for.setdefault(rprops[ri].head, []).append(rprops[ri].condition)

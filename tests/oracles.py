@@ -327,6 +327,26 @@ def cnf_models(
     return out
 
 
+def normalize(clause) -> tuple[int, ...] | None:
+    """The clause in the clause kernel's normal form: duplicate literals
+    merged, each kept where it first occurs; None for a tautology."""
+    lits: list[int] = []
+    for l in clause:
+        if -l in lits:
+            return None
+        if l not in lits:
+            lits.append(l)
+    return tuple(lits)
+
+
+def constraint_clause(rp) -> tuple[int, ...] | None:
+    """A ground ramification statement or denial as a state-constraint
+    clause in normal form: the negated body literals, lowest atom first,
+    then the head; None for a tautology."""
+    body = sorted(rp.condition, key=lambda c: (abs(c), c))
+    return normalize([-c for c in body] + ([] if rp.head is None else [rp.head]))
+
+
 def random_cnf(rng: random.Random, max_vars: int = 20) -> tuple[int, list[list[int]]]:
     num_vars = rng.randint(1, max_vars)
     num_clauses = rng.randint(0, max(2, num_vars * 2))

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from elang import BudgetExceeded as TopLevelBudgetExceeded
-from elang.clauses import BudgetExceeded, ClauseSet, normalize
+from elang.clauses import BudgetExceeded, ClauseSet
 from elang.query import BudgetExceeded as QueryBudgetExceeded
 
-from oracles import cnf_models, random_cnf
+from oracles import cnf_models, normalize, random_cnf
 
 
 def random_literals(rng, num_vars, count):
@@ -66,12 +66,15 @@ def test_interleaved_enumerations_do_not_interfere():
     ],
 )
 def test_degenerate_inputs(num_vars, clauses, assumptions):
-    got = list(ClauseSet(num_vars, clauses).models(assumptions))
+    # the kernel takes normal clauses: the oracle's normal form of these
+    normal = [c for c in map(normalize, clauses) if c is not None]
+    got = list(ClauseSet(num_vars, normal).models(assumptions))
     assert got == cnf_models(num_vars, clauses, assumptions)
 
 
-def test_clause_index_drops_tautologies_and_duplicates():
-    cs = ClauseSet(3, [(1, -1, 2), (2, 2, 3), (3,), ()])
+def test_clause_index_leaves_out_only_the_empty_clause():
+    assert normalize((1, -1, 2)) is None and normalize((2, 2, 3)) == (2, 3)
+    cs = ClauseSet(3, [(2, 3), (3,), ()])
     assert cs.clauses == [(2, 3), (3,)]
     assert cs.units == (3,)
     assert cs.empty
@@ -82,13 +85,17 @@ def test_normal_clauses_index_as_given():
     for _ in range(300):
         num_vars, clauses = random_cnf(rng, max_vars=8)
         # some with a repeated atom, a duplicate or a tautology, and maybe
-        # the empty clause
+        # the empty clause, put in normal form by the oracle
         clauses = [c + random_literals(rng, num_vars, 1) * (rng.random() < 0.3) for c in clauses]
         clauses += [()] * (rng.random() < 0.1)
         normal = [c for c in map(normalize, clauses) if c is not None]
-        got, want = ClauseSet.of_normal(num_vars, normal), ClauseSet(num_vars, clauses)
-        assert (got.clauses, got.occurs, got.units, got.empty) == (want.clauses, want.occurs, want.units, want.empty)
-        assert list(got.models()) == list(want.models())
+        got = ClauseSet(num_vars, normal)
+        assert got.empty == (() in normal)
+        assert got.clauses == [c for c in normal if c]
+        assert got.units == tuple(c[0] for c in normal if len(c) == 1)
+        for l in range(-num_vars, num_vars + 1):
+            assert got.occurs[l] == [ci for ci, c in enumerate(got.clauses) if l in c]
+        assert list(got.models()) == cnf_models(num_vars, clauses)
         if not got.empty:
             assert got.clauses is normal
 

@@ -8,7 +8,7 @@ import pytest
 from elang.grounding import GroundingError, ground
 from elang.parser import parse_domain
 
-from oracles import naive_ground_strings, random_sorted_domain, theory_strings
+from oracles import constraint_clause, naive_ground_strings, random_sorted_domain, theory_strings
 
 
 def g(text, horizon=None):
@@ -250,16 +250,16 @@ def test_rule_indexes_cover_all_rules():
     from elang.corpus import load_domain
 
     th = ground(load_domain("corpus:zoo_dual.e"), 2)
-    body_indexed = {ri for lst in th.rprops_by_body_atom.values() for ri in lst}
     for ri, rp in enumerate(th.rprops):
-        if rp.condition:
-            assert ri in body_indexed
+        for c in rp.condition:
+            assert (ri in th.triggers.get(c, ())) == (rp.head is not None)
+    assert any(rp.head is None for rp in th.rprops)
 
 
 INDEXES = (
     "constraint_clauses",
     "constraints",
-    "rprops_by_body_atom",
+    "triggers",
 )
 
 
@@ -302,20 +302,15 @@ def test_indexes_match_their_definitions():
     from elang.corpus import load_domain
 
     th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 3)
-    clauses = tuple(
-        frozenset({-c for c in rp.condition} | ({rp.head} if rp.head is not None else set()))
-        for rp in th.rprops
-    )
+    clauses = [clause for clause in map(constraint_clause, th.rprops) if clause is not None]
     assert th.constraint_clauses == clauses
     assert th.constraints.num_vars == th.n_fluents
-    assert sorted(map(sorted, th.constraints.clauses)) == sorted(
-        sorted(c) for c in clauses if c and not any(-l in c for l in c)
-    )
-    atoms = range(th.n_fluents)
-    assert th.rprops_by_body_atom == {
-        a: tuple(ri for ri, rp in enumerate(th.rprops) if a in {abs(c) - 1 for c in rp.condition})
-        for a in atoms
-        if any(a in {abs(c) - 1 for c in rp.condition} for rp in th.rprops)
+    assert th.constraints.clauses is th.constraint_clauses
+    literals = [sign * (a + 1) for a in range(th.n_fluents) for sign in (1, -1)]
+    assert th.triggers == {
+        lit: rules
+        for lit in literals
+        if (rules := [ri for ri, rp in enumerate(th.rprops) if rp.head is not None and lit in rp.condition])
     }
     actions = {p.action for p in th.pprops} | {cp.action for cp in th.cprops}
     for a in actions:

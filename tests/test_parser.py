@@ -332,7 +332,7 @@ DOMAIN_ERRORS = {
     "redeclared": ("fluent f.\naction f.", "identifier f is already declared", "syntax", 2, 8),
     "constant-fluent": ("constant action a.", "expected 'fluent', found 'action'", "syntax", 1, 10),
     "fluent-name": ("fluent F.", "expected a fluent name, found 'F'", "syntax", 1, 8),
-    "action-name": ("action 3.", "expected a action name, found '3'", "syntax", 1, 8),
+    "action-name": ("action 3.", "expected an action name, found '3'", "syntax", 1, 8),
     "decl-close": ("sort s: a.\nfluent f(s.", "expected ')', found 'end of input'", "syntax", 2, 10),
     "decl-trailing": ("fluent f g.", "unexpected 'g' after declaration", "syntax", 1, 10),
     "term": ("sort s: a. fluent f(s).\nf(3) holds-at 0.", "expected a term, found '3'", "syntax", 2, 3),
@@ -340,7 +340,7 @@ DOMAIN_ERRORS = {
     "unknown": ("fluent f.\ng holds-at 0.", "fluent g is not declared", "unknown-identifier", 2, 1),
     "unknown-hint-fluent": (
         "fluent f. action a.\na holds-at 0.",
-        "fluent a is not declared (declared as a action)",
+        "fluent a is not declared (declared as an action)",
         "unknown-identifier", 2, 1,
     ),
     "unknown-hint-action": (

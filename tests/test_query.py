@@ -20,6 +20,8 @@ from elang.query import (
     slice_for_goals,
 )
 
+from elang.sat import answer_sat
+
 from oracles import random_theory, slice_atoms
 
 
@@ -202,6 +204,27 @@ def test_sliced_answers_match_on_random_theories():
         sliced = answer_theory(th, goal, use_slice=True)
         assert plain.answer == sliced.answer
         done += 1
+
+
+# An inconsistency on atoms the slice drops: b is observed true and denied.
+DROPPED_INCONSISTENCY = (
+    "fluent a. fluent b. false whenever { b }. b holds-at 0.",
+    "credulous { neg a holds-at 1 } horizon 2",
+)
+
+
+def test_unsliced_answers_see_an_inconsistency_on_other_atoms():
+    th = ground(parse_domain(DROPPED_INCONSISTENCY[0]).domain, 2)
+    query = q(DROPPED_INCONSISTENCY[1])
+    assert answer_theory(th, query).answer == "domain-inconsistent"
+    assert answer_sat(th, query).answer == "domain-inconsistent"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the slice answers over the goal's atoms only")
+def test_sliced_answer_sees_an_inconsistency_on_dropped_atoms():
+    th = ground(parse_domain(DROPPED_INCONSISTENCY[0]).domain, 2)
+    query = q(DROPPED_INCONSISTENCY[1])
+    assert answer_theory(th, query, use_slice=True).answer == answer_theory(th, query).answer
 
 
 def test_slice_keeps_the_oracle_atoms_on_corpus():

@@ -25,7 +25,6 @@ from elang.sat import (
     check_fragment,
     compile_theory,
     decode_model,
-    provenance,
     to_dimacs,
 )
 from elang.transition import brute_force_successors, legal_occurrence, successor_states
@@ -274,17 +273,8 @@ def test_compile_shape_and_dimacs():
     assert "c var 1 light@0" in named
 
 
-def test_provenance_covers_every_clause():
-    th = ground(load_domain("corpus:bulb.e"), 4)
-    inst = compile_theory(th)
-    side = provenance(inst)
-    assert len(side["clauses"]) == len(inst.clauses)
-    assert all(rec["origin"] for rec in side["clauses"])
-    assert set(side["vars"]) == {str(v) for v in range(1, inst.num_vars + 1)}
-
-
 def test_answers_compile_without_export_labels(monkeypatch):
-    # variable names and clause origins are for --dimacs and provenance only
+    # variable names are for --dimacs only
     built = []
     original = elang.sat.compile_theory
 
@@ -297,9 +287,9 @@ def test_answers_compile_without_export_labels(monkeypatch):
     answer_sat(th, parse_query("skeptical { light holds-at 3 } horizon 4"))
     [bare] = built
     labelled = compile_theory(th)
-    assert not bare.names and not bare.origins
+    assert not bare.names
     assert (bare.num_vars, bare.clauses) == (labelled.num_vars, labelled.clauses)
-    assert len(labelled.origins) == len(labelled.clauses)
+    assert set(labelled.names) == set(range(1, labelled.num_vars + 1))
 
 
 @pytest.mark.parametrize("num_vars", range(1, 11))
@@ -536,7 +526,7 @@ def test_decode_model_roundtrip():
     inst = compile_theory(th)
     sat, model = Solver(ClauseSet(inst.num_vars, inst.clauses)).solve()
     assert sat
-    traj = decode_model(inst, th, model)
+    traj = decode_model(th, model)
     assert len(traj.states) == 5
     assert all(th.state_consistent(s) for s in traj.states)
 
@@ -553,7 +543,7 @@ def test_decode_model_matches_its_per_atom_definition(refs):
             frozenset(i for i in range(th.n_fluents) if inst.fluent_var(i, t) in model)
             for t in range(th.horizon + 1)
         )
-        assert decode_model(inst, th, model).states == states
+        assert decode_model(th, model).states == states
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -1,11 +1,12 @@
 """The clause index the SAT backend builds from the compiler's own list.
 
-``answer_sat`` indexes ``compile_theory``'s clauses with
-``ClauseSet.of_normal``, which trusts them to be normal already.  These
-tests check that the trust holds: the index equals the normalizing
-``ClauseSet`` of the same clauses and solves alike, it keeps the
-compiler's tuples rather than copies, and normalizing at the source
-leaves the ``--dimacs`` export as it was.
+``answer_sat`` indexes ``compile_theory``'s clauses with ``ClauseSet``,
+which trusts them to be normal already.  These tests check that the
+trust holds: the index equals that of the same clauses put in normal
+form by the oracle (``oracles.normalize``) and solves alike, the state
+constraints are the theory's own ``constraint_clauses`` shifted to each
+time point, the index keeps the compiler's tuples rather than copies,
+and normalizing at the source leaves the ``--dimacs`` export as it was.
 """
 
 import hashlib
@@ -15,14 +16,14 @@ import pytest
 
 import elang.sat
 from elang.cli import main
-from elang.clauses import BudgetExceeded, ClauseSet, normalize
+from elang.clauses import BudgetExceeded, ClauseSet
 from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, generate_zoo, load_domain, load_golden
 from elang.grounding import GroundRProp, ground
 from elang.parser import parse_domain, parse_query
 from elang.query import answer_theory, required_horizon
 from elang.sat import SatStats, Solver, answer_sat, compile_theory, ramification_cycle
 
-from oracles import random_theory, walk_scenario
+from oracles import constraint_clause, normalize, random_theory, walk_scenario
 
 
 def outcome(clauses: ClauseSet, assumptions) -> tuple:
@@ -36,13 +37,15 @@ def outcome(clauses: ClauseSet, assumptions) -> tuple:
 
 
 def assert_index_matches_normalizing(th, rng: random.Random, solves: int = 6) -> ClauseSet:
-    """The index ``answer_sat`` builds for ``th`` equals the normalizing
-    ``ClauseSet`` of the same compiled clauses, and solves alike under
-    random assumptions over the fluent variables."""
+    """The index ``answer_sat`` builds for ``th`` equals the index of the
+    same compiled clauses put in normal form by the oracle, and solves
+    alike under random assumptions over the fluent variables; its state
+    constraints are the theory's, shifted."""
     th.sat_memo = None
-    got = elang.sat._compiled(th).clauses
+    got = elang.sat._compiled(th)
     inst = compile_theory(th, labels=False)
-    want = ClauseSet(inst.num_vars, inst.clauses)
+    assert_constraints_shifted(th, inst)
+    want = ClauseSet(inst.num_vars, [c for c in map(normalize, inst.clauses) if c is not None])
     assert got.num_vars == want.num_vars
     assert got.clauses == want.clauses
     assert got.occurs == want.occurs
@@ -54,6 +57,21 @@ def assert_index_matches_normalizing(th, rng: random.Random, solves: int = 6) ->
         assumptions = [v if rng.random() < 0.5 else -v for v in picked]
         assert outcome(got, assumptions) == outcome(want, assumptions), assumptions
     return got
+
+
+def assert_constraints_shifted(th, inst) -> None:
+    """The compiled state constraints are the theory's
+    ``constraint_clauses``, each at every time point in turn, literal l at
+    time t shifted by t*n away from zero; and those are the oracle's
+    normal form of each statement's clause."""
+    n = th.n_fluents
+    assert th.constraint_clauses == [c for c in map(constraint_clause, th.rprops) if c is not None]
+    shifted = [
+        tuple(l + t * n if l > 0 else l - t * n for l in clause)
+        for clause in th.constraint_clauses
+        for t in range(th.horizon + 1)
+    ]
+    assert inst.clauses[: len(shifted)] == shifted
 
 
 def test_golden_cases_index_as_normalized():
@@ -167,7 +185,8 @@ def compiled_by_answer(monkeypatch, th, text):
 def test_held_index_keeps_the_compilers_clauses(monkeypatch, refs, text):
     th = ground(load_domain(*refs), 4)
     inst = compiled_by_answer(monkeypatch, th, text)
-    index = th.sat_memo.clauses
+    index = th.sat_memo
+    assert isinstance(index, ClauseSet)
     assert index.clauses is inst.clauses
     assert len(index.clauses) == len(inst.clauses)
     assert all(a is b for a, b in zip(index.clauses, inst.clauses))
@@ -215,4 +234,14 @@ def test_acyclic_constraint_clauses_are_already_normal():
             clause = [-c for c in rp.condition] + ([] if rp.head is None else [rp.head])
             assert len({abs(l) for l in clause}) == len(clause), rp
         checked += 1
+    assert checked > 100
+
+
+def test_compiled_state_constraints_are_the_ground_clauses_shifted():
+    self_loops = ground(parse_domain(SELF_LOOPS).domain, 3)
+    assert len(self_loops.constraint_clauses) == len(self_loops.rprops) - 1  # the tautology
+    checked = 0
+    for th in [self_loops, *acyclic_theories()]:
+        assert_constraints_shifted(th, compile_theory(th, labels=False))
+        checked += bool(th.constraint_clauses)
     assert checked > 100
