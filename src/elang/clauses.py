@@ -16,10 +16,25 @@ literals move during search.
 A ``ClauseSet`` indexes clauses in normal form, no literal repeated and
 no tautology, and keeps the given list and tuples as ``clauses`` without
 copying them; the empty clause only sets ``empty`` and is not indexed.
+Each literal has one occurrence list, in clause order.  The entry of a
+binary clause is its other literal, so propagation enqueues it, or
+finds the conflict, without reading the clause, as MiniSat and Glucose
+keep binary clauses (Een and Sorensson, SAT 2003); a longer clause's
+entry is the clause, read for a second open or a true literal; a unit
+has none, since the root assigns it.  The order in which literals reach
+the trail, and with it every model, decision and propagation count, is
+that of reading every clause.
+
 Both callers hand it normal clauses: the engine the theory's
-``GroundTheory.constraint_clauses``, built in that form by grounding, and
-the SAT backend the compiler's list, those clauses shifted to every time
-point and the rest normal as built.
+``GroundTheory.constraint_clauses``, built in that form by grounding,
+indexed as ``GroundTheory.constraints``; and the SAT backend the
+compiler's own list, with that index as ``rows`` repeated at every time
+point, one clause schema per step as CCALC-style compilers unroll a
+theory (McCain and Turner, AAAI 1997).  A row literal at time t reads
+the entries of its time-0 literal, shifted by t times the row width,
+and only then its own: the order of listing each row at every time
+point, rows first, and the row units come first in (clause, time)
+order.  So the shifted rows are never built nor indexed.
 
 The unit clauses are propagated once per ``ClauseSet``, not once per
 call, as incremental solvers keep their root level across calls under
@@ -60,28 +75,65 @@ class BudgetExceeded(Exception):
 
 
 class ClauseSet:
-    """Clauses over variables 1..num_vars, indexed by literal occurrence.
-    ``clauses`` holds them, units included, and the empty clause only as
-    ``empty``."""
+    """Clauses over variables 1..num_vars, indexed by literal occurrence:
+    the ``rows`` clauses at each of ``times`` time points, then the
+    clauses given.  ``clauses`` holds the given ones, units included, and
+    the empty clause only as ``empty``; ``size`` counts every clause but
+    the empty one, each row once per time point."""
 
-    def __init__(self, num_vars: int, clauses: list[Sequence[int]]):
+    def __init__(
+        self,
+        num_vars: int,
+        clauses: list[Sequence[int]],
+        rows: ClauseSet | None = None,
+        times: int = 0,
+    ):
         """The index of ``clauses``, which the caller guarantees are normal:
         no literal twice and no literal with its complement.  The list and
         its clauses become ``clauses`` as they are, unless an empty clause
-        has to be left out."""
+        has to be left out.  ``rows``, an index over 1..w with no rows of
+        its own, stands for its clauses at each time t < ``times``, literal
+        l shifted by t*w away from zero; its entries are read in place."""
         self.num_vars = num_vars
         self.empty = not all(clauses)
         if self.empty:
             clauses = [c for c in clauses if c]
         self.clauses = clauses
-        # occurs[l] lists the clauses containing literal l; a negative l
-        # indexes the upper half of the list.
-        occurs: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
-        for ci, clause in enumerate(clauses):
-            for l in clause:
-                occurs[l].append(ci)
+        # occurs[l] lists an entry per clause of two or more literals that
+        # contains l, in clause order: the other literal of a binary
+        # clause, the clause itself otherwise.  A negative l indexes the
+        # upper half of the list.
+        occurs: list[list] = [[] for _ in range(2 * num_vars + 1)]
+        units = []
+        for clause in clauses:
+            width = len(clause)
+            if width == 2:
+                a, b = clause
+                occurs[a].append(b)
+                occurs[b].append(a)
+            elif width > 2:
+                for l in clause:
+                    occurs[l].append(clause)
+            else:
+                units.append(clause[0])
         self.occurs = occurs
-        self.units = tuple(c[0] for c in clauses if len(c) == 1)
+        self.size = len(clauses)
+        self.span = 0  # the row variables are 1..span
+        if rows is not None and times:
+            w = rows.num_vars
+            self.empty = self.empty or rows.empty
+            self.size += times * rows.size
+            self.span = w * times
+            # shift[t][l] is row literal l at time t.  A literal of the
+            # variables 1..span reads the entries of its time-0 literal,
+            # row_occurs[l], through the shift of its time, row_shift[l].
+            shift = [
+                [0, *range(t * w + 1, t * w + w + 1), *range(-t * w - w, -t * w)] for t in range(times)
+            ]
+            self.row_occurs = [None] + rows.occurs[1 : w + 1] * times + rows.occurs[w + 1 :] * times
+            self.row_shift = [None] + [at for at in shift + shift[::-1] for _ in range(w)]
+            units = [at[u] for u in rows.units for at in shift] + units
+        self.units = tuple(units)
         # (ok, value, trail, propagations) after propagating the units,
         # stored by the first models() call and read-only after it.
         self._root: tuple[bool, list[int], list[int], int] | None = None
@@ -105,7 +157,9 @@ class ClauseSet:
         if self.empty:
             return
         n = self.num_vars
-        clauses, occurs = self.clauses, self.occurs
+        occurs, span = self.occurs, self.span
+        if span:
+            row_occurs, row_shift = self.row_occurs, self.row_shift
         tally = SimpleNamespace(decisions=0, propagations=0) if stats is None else stats
         # value[l] is 1 when literal l is true, -1 when false, 0 when open;
         # negative indexes put value[-v] in the upper half of the list.
@@ -123,15 +177,54 @@ class ClauseSet:
             return True
 
         def propagate() -> bool:
+            # Each clause the false literal occurs in, rows first: a binary
+            # clause's other literal is enqueued or a conflict; a longer
+            # clause is read for a second open or a true literal.
             nonlocal qhead
             start = qhead
             try:
                 while qhead < len(trail):
-                    lit = trail[qhead]
+                    false = -trail[qhead]
                     qhead += 1
-                    for ci in occurs[-lit]:
+                    if -span <= false <= span:
+                        at = row_shift[false]
+                        for e in row_occurs[false]:
+                            if type(e) is int:
+                                e = at[e]
+                                v = value[e]
+                                if v > 0:
+                                    continue
+                                if v:
+                                    return False
+                                value[e] = 1
+                                value[-e] = -1
+                                trail.append(e)
+                                continue
+                            unit = 0
+                            for l in e:
+                                l = at[l]
+                                v = value[l]
+                                if v > 0 or (v == 0 and unit):
+                                    break
+                                if v == 0:
+                                    unit = l
+                            else:
+                                if not unit:
+                                    return False
+                                enqueue(unit)
+                    for e in occurs[false]:
+                        if type(e) is int:
+                            v = value[e]
+                            if v > 0:
+                                continue
+                            if v:
+                                return False
+                            value[e] = 1
+                            value[-e] = -1
+                            trail.append(e)
+                            continue
                         unit = 0
-                        for l in clauses[ci]:
+                        for l in e:
                             v = value[l]
                             if v > 0 or (v == 0 and unit):
                                 break  # satisfied, or two literals open
@@ -162,16 +255,20 @@ class ClauseSet:
             aux = [0] * (2 * (top - n))
             value = value[: n + 1] + aux + value[n + 1 :]
             occurs = occurs[: n + 1] + [[] for _ in aux] + occurs[n + 1 :]
-            for ci, clause in enumerate(extra, len(clauses)):
-                for l in clause:
-                    occurs[l] = occurs[l] + [ci]
+            for clause in extra:
+                if len(clause) == 2:
+                    a, b = clause
+                    occurs[a] = occurs[a] + [b]
+                    occurs[b] = occurs[b] + [a]
+                elif len(clause) > 2:
+                    for l in clause:
+                        occurs[l] = occurs[l] + [clause]
                 # Neither the root nor the preset was propagated through it.
                 free = [l for l in clause if value[l] >= 0]
                 if not free:
                     ok = False
                 elif len(free) == 1:
                     enqueue(free[0])  # a no-op when it is true
-            clauses = clauses + list(extra)
             n = top
         ok = ok and all(map(enqueue, assumptions)) and propagate()
         frames: list[list[int]] = []  # [decision literal, trail length, flipped]

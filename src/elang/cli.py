@@ -147,7 +147,7 @@ def cmd_ground(args) -> int:
             raise FragmentError(FragmentReport(False, [cycle]))
         inst = compile_theory(theory)
         Path(args.dimacs).write_text(to_dimacs(inst, include_names=True))
-        print("wrote %s (%d vars, %d clauses)" % (args.dimacs, inst.num_vars, len(inst.clauses)))
+        print("wrote %s (%d vars, %d clauses)" % (args.dimacs, inst.num_vars, inst.num_clauses))
     if args.stats:
         print(report_stats(theory))
     if args.dump:

@@ -180,9 +180,9 @@ class GroundTheory:
     plans: dict[frozenset[Lit], object] = field(default_factory=dict, repr=False, compare=False)
 
     # Derived indexes over the statement lists, each built the first time
-    # it is read: a sliced query indexes only the slice, and the clausal
-    # backend never builds ``constraints``.  The lists are not changed
-    # after grounding, so an index once built stays valid.
+    # it is read: a sliced query indexes only the slice.  The clausal
+    # backend reads ``constraints`` at every time point.  The lists are
+    # not changed after grounding, so an index once built stays valid.
 
     @cached_property
     def constraint_clauses(self) -> list[tuple[Lit, ...]]:

@@ -21,7 +21,7 @@ with the clauses
   l@t+1 and not l@t -> changed(l,t)                      rule c, the frame
   fire(c,t) and not l@t+1 -> changed(not l,t)            rule e
   the rules as state constraints at every time point     rule d
-                   (``GroundTheory.constraint_clauses``, shifted)
+                   (``GroundTheory.constraint_clauses``, as rows)
 
 and the observations and the preconditions of scheduled actions as unit
 clauses.  Every trajectory is the fluent part of a model: take changed
@@ -66,12 +66,17 @@ Answers on one ground theory share the compiled clauses: the first
 ``ClauseSet``, on ``theory.sat_memo``; every later query builds only a
 fresh ``Solver`` (its own budget and stats) over them and solves under
 assumptions.  The compiler emits every clause in the kernel's normal
-form: the state constraints are the theory's own clauses, normal as
-grounding builds them, shifted to each time point, and every other
-clause is normal as built.  So ``ClauseSet`` indexes the compiler's own
-list and tuples, with no normalizing pass and no copy.  The
-``ClauseSet`` propagates the observation and precondition units once, on
-the first solve, and every solve starts from that root (see
+form.  The state constraints are not emitted at all: ``CnfInstance``
+holds the theory's own clauses as ``rows``, normal as grounding builds
+them, and the ``ClauseSet`` reads them at every time point from the
+theory's ``constraints`` index, the one the engine searches (see
+``clauses.py``).  Every other clause is normal as built, and the
+``ClauseSet`` indexes the compiler's own list and tuples, with no
+normalizing pass and no copy.  ``to_dimacs`` writes each row at every
+time point before the other clauses, and ``SatStats.clauses`` counts
+every one of them, as when the compiler listed the shifted copies.
+The ``ClauseSet`` propagates the observation and precondition units
+once, on the first solve, and every solve starts from that root (see
 ``clauses.py``); its ``propagations`` count the root's on every solve,
 so the stats are those of a fresh theory.  The literals a set of effects
 can produce come from the theory's step plans (``transition.step_plan``,
@@ -82,7 +87,7 @@ the compiler and ``check_fragment`` keep none of their own.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .clauses import ClauseSet
@@ -189,7 +194,11 @@ def ramification_cycle(theory: GroundTheory) -> FragmentViolation | None:
 
 @dataclass
 class CnfInstance:
+    """The clauses of a theory: ``rows``, the theory's state constraints,
+    at every time point, then ``clauses``."""
+
     num_vars: int
+    rows: list[tuple[int, ...]]
     clauses: list[tuple[int, ...]]
     n_fluents: int
     horizon: int
@@ -198,17 +207,37 @@ class CnfInstance:
     def fluent_var(self, atom_index: int, time: int) -> int:
         return time * self.n_fluents + atom_index + 1
 
+    @property
+    def num_clauses(self) -> int:
+        return len(self.rows) * (self.horizon + 1) + len(self.clauses)
+
+    def all_clauses(self) -> Iterator[tuple[int, ...]]:
+        """Every clause in order: each row at every time point in turn,
+        literal l at time t shifted by t*n away from zero, so the clauses
+        at 0..horizon zip one range per literal; then ``clauses``."""
+        n, times = self.n_fluents, self.horizon + 1
+        end = times * n
+        for clause in self.rows:
+            if clause:
+                yield from zip(*[range(l, l + end, n) if l > 0 else range(l, l - end, -n) for l in clause])
+            else:
+                yield from [()] * times
+        yield from self.clauses
+
 
 def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     """Clausal form of a theory; see the module docstring for the variable
     roles and for when a model needs the decoded-step check.
 
     Variable numbering is deterministic.  Every clause is in the kernel's
-    normal form, so ``ClauseSet`` indexes the list as it is.  ``names``
+    normal form, so ``ClauseSet`` indexes the list as it is; the state
+    constraints are the theory's own list, held as ``rows``.  ``names``
     is filled only with ``labels``: export reads it, answering does not."""
     n = theory.n_fluents
     horizon = theory.horizon
-    inst = CnfInstance(num_vars=(horizon + 1) * n, clauses=[], n_fluents=n, horizon=horizon)
+    inst = CnfInstance(
+        num_vars=(horizon + 1) * n, rows=theory.constraint_clauses, clauses=[], n_fluents=n, horizon=horizon
+    )
     clauses = inst.clauses
     emit, emit_all = clauses.append, clauses.extend
     if labels:
@@ -231,16 +260,6 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
 
     def ordered(codes) -> list[Lit]:
         return sorted(codes, key=lambda c: (abs(c), c))
-
-    # The state constraints, already normal, at every time point: literal
-    # l at time t is l shifted by t*n away from zero, so the clauses at
-    # 0..horizon zip one range per literal.
-    end = (horizon + 1) * n
-    for clause in theory.constraint_clauses:
-        if clause:
-            emit_all(zip(*[range(l, l + end, n) if l > 0 else range(l, l - end, -n) for l in clause]))
-        else:
-            emit_all([()] * (horizon + 1))
 
     # Observation units, an atom's two literals in (atom, sign) order,
     # since an observation set may hold both.
@@ -323,8 +342,8 @@ def to_dimacs(inst: CnfInstance, include_names: bool = False) -> str:
     if include_names:
         for v in sorted(inst.names):
             lines.append("c var %d %s" % (v, inst.names[v]))
-    lines.append("p cnf %d %d" % (inst.num_vars, len(inst.clauses)))
-    for clause in inst.clauses:
+    lines.append("p cnf %d %d" % (inst.num_vars, inst.num_clauses))
+    for clause in inst.all_clauses():
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 
@@ -368,7 +387,7 @@ class Solver:
         self.budget = budget
         self.stats = stats or SatStats()
         self.stats.vars = max(self.stats.vars, clauses.num_vars)
-        self.stats.clauses += len(clauses.clauses)
+        self.stats.clauses += clauses.size
         self.accept = accept
 
     def solve(self, assumptions=()) -> tuple[bool, frozenset[int] | None]:
@@ -385,11 +404,12 @@ class Solver:
 
 def _compiled(theory: GroundTheory) -> ClauseSet:
     """The theory's clauses, compiled (without the export labels) and
-    indexed as they are on the first call, and kept on
+    indexed as they are on the first call, with the theory's
+    ``constraints`` as rows at every time point, and kept on
     ``theory.sat_memo``."""
     if theory.sat_memo is None:
         inst = compile_theory(theory, labels=False)
-        theory.sat_memo = ClauseSet(inst.num_vars, inst.clauses)
+        theory.sat_memo = ClauseSet(inst.num_vars, inst.clauses, theory.constraints, theory.horizon + 1)
     return theory.sat_memo
 
 

@@ -80,6 +80,15 @@ def test_clause_index_leaves_out_only_the_empty_clause():
     assert cs.empty
 
 
+def occurrence(clause, lit):
+    """The entry a clause of two or more literals has in the occurrence
+    list of its literal ``lit``: the other literal of a binary clause, the
+    clause itself otherwise.  Units have none; the root assigns them."""
+    if len(clause) == 2:
+        return clause[1] if clause[0] == lit else clause[0]
+    return clause
+
+
 def test_normal_clauses_index_as_given():
     rng = random.Random(19)
     for _ in range(300):
@@ -92,9 +101,10 @@ def test_normal_clauses_index_as_given():
         got = ClauseSet(num_vars, normal)
         assert got.empty == (() in normal)
         assert got.clauses == [c for c in normal if c]
+        assert got.size == len(got.clauses)
         assert got.units == tuple(c[0] for c in normal if len(c) == 1)
         for l in range(-num_vars, num_vars + 1):
-            assert got.occurs[l] == [ci for ci, c in enumerate(got.clauses) if l in c]
+            assert got.occurs[l] == [occurrence(c, l) for c in got.clauses if l in c and len(c) > 1]
         assert list(got.models()) == cnf_models(num_vars, clauses)
         if not got.empty:
             assert got.clauses is normal
@@ -279,3 +289,82 @@ def test_preset_from_a_model_gives_exact_models():
         got = list(ClauseSet(num_vars, base).models(preset=preset, extra=extra))
         assert got == cnf_models(top, base + extra, preset)
         assert got == list(ClauseSet(top, folded(base, preset, extra)).models())
+
+
+def shifted(clause, t, width):
+    """A row clause at time t: literal l shifted by t*width away from zero."""
+    return tuple(l + t * width if l > 0 else l - t * width for l in clause)
+
+
+def binary_heavy_clause(rng, top):
+    width = min(top, 2 if rng.random() < 0.7 else rng.choice((1, 3)))
+    return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, top + 1), width))
+
+
+def rows_case(rng):
+    """k blocks of m variables and up to two more: a binary-heavy row
+    template over 1..m, and clauses of their own over every variable,
+    some across blocks; the empty clause now and then in either.  Returns
+    the set indexed with rows and the same clauses materialized, the
+    rows first in (clause, time) order."""
+    m, k = rng.randint(1, 3), rng.randint(1, 4)
+    num_vars = k * m + rng.randint(0, 2)
+    template = [binary_heavy_clause(rng, m) for _ in range(rng.randint(0, 2 * m))]
+    own = [binary_heavy_clause(rng, num_vars) for _ in range(rng.randint(0, num_vars))]
+    for clauses in (template, own):
+        if rng.random() < 0.05:
+            clauses.insert(rng.randint(0, len(clauses)), ())
+    flat = [shifted(c, t, m) for c in template for t in range(k)] + own
+    return ClauseSet(num_vars, own, ClauseSet(m, template), k), ClauseSet(num_vars, flat), flat
+
+
+def run(cs, assumptions=(), **kwargs):
+    """The models a call yields, its counters, and whether it ran out of
+    budget."""
+    tally, got = Tally(), []
+    try:
+        for model in cs.models(assumptions, stats=tally, **kwargs):
+            got.append(model)
+    except BudgetExceeded:
+        return got, tally.counts(), True
+    return got, tally.counts(), False
+
+
+def test_rows_search_as_their_clauses_materialized():
+    rng = random.Random(61)
+    stopped = 0
+    for _ in range(400):
+        rowed, flat, clauses = rows_case(rng)
+        num_vars = flat.num_vars
+        assert (rowed.empty, rowed.units, rowed.size) == (flat.empty, flat.units, len(flat.clauses))
+        for _ in range(3):  # the later calls start from the stored root
+            assumptions = random_literals(rng, num_vars, rng.randint(0, min(3, num_vars)))
+            budget = rng.choice((None, rng.randint(0, 3)))
+            got = run(rowed, assumptions, budget=budget)
+            assert got == run(flat, assumptions, budget=budget)
+            stopped += got[2]
+            if budget is None and num_vars <= 10:
+                assert got[0] == cnf_models(num_vars, clauses, assumptions)
+    assert stopped > 50
+
+
+def test_rows_with_a_preset_and_an_overlay_search_as_materialized():
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(400):
+        rowed, flat, clauses = rows_case(rng)
+        num_vars = flat.num_vars
+        source = next(flat.models(), None)
+        if source is None:
+            continue
+        preset = [v if v in source else -v for v in range(1, num_vars + 1) if rng.random() < 0.4]
+        extra = [binary_heavy_clause(rng, num_vars + rng.randint(0, 3)) for _ in range(rng.randint(1, 6))]
+        top = max([num_vars] + [abs(l) for c in extra for l in c])
+        for _ in range(2):
+            assumptions = random_literals(rng, top, rng.randint(0, min(2, top)))
+            got = run(rowed, assumptions, preset=preset, extra=extra)
+            assert got == run(flat, assumptions, preset=preset, extra=extra)
+            if top <= 10:
+                assert got[0] == cnf_models(top, clauses + extra, assumptions + preset)
+        checked += 1
+    assert checked > 200

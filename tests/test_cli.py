@@ -298,7 +298,11 @@ def test_ground_dimacs(bulb_file, tmp_path, capsys):
     assert main(["ground", bulb_file, "--horizon", "4", "--dimacs", str(target)]) == 0
     text = target.read_text()
     assert text.splitlines()[0].startswith("c var 1 ")
-    assert any(line.startswith("p cnf ") for line in text.splitlines())
+    [header] = [line.split() for line in text.splitlines() if line.startswith("p cnf ")]
+    # the printed count is the header's: every clause written, the state
+    # constraints once per time point
+    assert "(%s vars, %s clauses)" % (header[2], header[3]) in capsys.readouterr().out
+    assert int(header[3]) == sum(not line.startswith(("c ", "p ")) for line in text.splitlines())
 
 
 def test_ground_dimacs_rejects_nonfragment(tmp_path):

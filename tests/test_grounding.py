@@ -283,10 +283,12 @@ def test_indexes_are_built_on_first_read():
     assert set(th.effects) == scheduled
     assert set(th.preconditions) == scheduled
     assert not th.needs
-    # the clausal backend never builds the engine's clause set, nor the
-    # full effect or precondition list
+    # the clausal backend builds the engine's clause set, which its own
+    # reads at every time point, but not the full effect or precondition
+    # list
     answer_sat(th, query)
-    assert "constraints" not in vars(th)
+    assert set(INDEXES) <= set(vars(th))
+    assert th.sat_memo.row_occurs[1] is th.constraints.occurs[1]
     assert "cprops" not in vars(th) and "pprops" not in vars(th)
     answer_theory(th, query)
     assert set(INDEXES) <= set(vars(th))

@@ -213,17 +213,26 @@ DROPPED_INCONSISTENCY = (
 )
 
 
+# The slice drops b, and with it the only literal of go's precondition, so
+# go becomes legal in every state.
+DROPPED_PRECONDITION = (
+    "fluent a. fluent b. action go. go initiates a. go needs { b }. neg b holds-at 0. go happens-at 0.",
+    "credulous { a holds-at 1 } horizon 2",
+)
+
+
 def test_unsliced_answers_see_an_inconsistency_on_other_atoms():
-    th = ground(parse_domain(DROPPED_INCONSISTENCY[0]).domain, 2)
-    query = q(DROPPED_INCONSISTENCY[1])
-    assert answer_theory(th, query).answer == "domain-inconsistent"
-    assert answer_sat(th, query).answer == "domain-inconsistent"
+    for text, query in (DROPPED_INCONSISTENCY, DROPPED_PRECONDITION):
+        th = ground(parse_domain(text).domain, 2)
+        assert answer_theory(th, q(query)).answer == "domain-inconsistent"
+        assert answer_sat(th, q(query)).answer == "domain-inconsistent"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the slice answers over the goal's atoms only")
-def test_sliced_answer_sees_an_inconsistency_on_dropped_atoms():
-    th = ground(parse_domain(DROPPED_INCONSISTENCY[0]).domain, 2)
-    query = q(DROPPED_INCONSISTENCY[1])
+@pytest.mark.parametrize("case", [DROPPED_INCONSISTENCY, DROPPED_PRECONDITION], ids=["denial", "precondition"])
+def test_sliced_answer_sees_an_inconsistency_on_dropped_atoms(case):
+    th = ground(parse_domain(case[0]).domain, 2)
+    query = q(case[1])
     assert answer_theory(th, query, use_slice=True).answer == answer_theory(th, query).answer
 
 

@@ -25,6 +25,7 @@ from elang.sat import (
     check_fragment,
     compile_theory,
     decode_model,
+    ramification_cycle,
     to_dimacs,
 )
 from elang.transition import brute_force_successors, legal_occurrence, successor_states
@@ -267,7 +268,9 @@ def test_compile_shape_and_dimacs():
     header = text.splitlines()[0].split()
     assert header[:2] == ["p", "cnf"]
     assert int(header[2]) == inst.num_vars
-    assert int(header[3]) == len(inst.clauses)
+    # the state constraints at every time point, then the compiler's clauses
+    assert int(header[3]) == inst.num_clauses == len(th.constraint_clauses) * 5 + len(inst.clauses)
+    assert len(text.splitlines()) == 1 + inst.num_clauses
     assert all(line.endswith(" 0") for line in text.splitlines()[1:] if line)
     named = to_dimacs(inst, include_names=True)
     assert "c var 1 light@0" in named
@@ -289,6 +292,8 @@ def test_answers_compile_without_export_labels(monkeypatch):
     labelled = compile_theory(th)
     assert not bare.names
     assert (bare.num_vars, bare.clauses) == (labelled.num_vars, labelled.clauses)
+    assert bare.rows is labelled.rows is th.constraint_clauses
+    assert bare.num_clauses == labelled.num_clauses
     assert set(labelled.names) == set(range(1, labelled.num_vars + 1))
 
 
@@ -448,6 +453,21 @@ def test_golden_cases_answer_on_sat():
             assert_trajectory(th, result.witness, successors=successor_states)
 
 
+def test_stats_count_every_clause_dimacs_writes():
+    # every state constraint counts once per time point, as when the
+    # compiler listed each shifted copy
+    checked = 0
+    for case in load_golden():
+        domain = load_domain(*("corpus:" + name for name in (case.domain,) + case.scenarios))
+        th = ground(domain, required_horizon(domain, case.query))
+        if ramification_cycle(th) is not None:
+            continue
+        header = to_dimacs(compile_theory(th, labels=False)).splitlines()[0].split()
+        assert answer_sat(th, case.query).stats.clauses == int(header[3]), case.name
+        checked += bool(th.constraint_clauses)
+    assert checked >= 5
+
+
 def wide_step_domain(k):
     """One action sets ``trig``, and each of k pairs of rules then makes
     exactly one of ``fi`` and ``gi`` true: 2^k successors from one step."""
@@ -524,7 +544,7 @@ def test_sat_detects_inconsistency():
 def test_decode_model_roundtrip():
     th = ground(load_domain("corpus:bulb.e"), 4)
     inst = compile_theory(th)
-    sat, model = Solver(ClauseSet(inst.num_vars, inst.clauses)).solve()
+    sat, model = Solver(ClauseSet(inst.num_vars, inst.clauses, th.constraints, th.horizon + 1)).solve()
     assert sat
     traj = decode_model(th, model)
     assert len(traj.states) == 5

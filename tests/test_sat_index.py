@@ -1,15 +1,20 @@
-"""The clause index the SAT backend builds from the compiler's own list.
+"""The clause index the SAT backend builds from the compiler's clauses.
 
-``answer_sat`` indexes ``compile_theory``'s clauses with ``ClauseSet``,
-which trusts them to be normal already.  These tests check that the
-trust holds: the index equals that of the same clauses put in normal
-form by the oracle (``oracles.normalize``) and solves alike, the state
-constraints are the theory's own ``constraint_clauses`` shifted to each
-time point, the index keeps the compiler's tuples rather than copies,
-and normalizing at the source leaves the ``--dimacs`` export as it was.
+``answer_sat`` indexes ``compile_theory``'s own clauses with
+``ClauseSet``, which trusts them to be normal already, and reads the
+state constraints from the theory's own ``constraints`` index as rows,
+one per time point.  These tests check that the trust holds and that the
+rows stand for the clauses they replace: the index solves as the whole
+compiled list put in normal form by the oracle (``oracles.normalize``)
+and materialized, with the same models in the same order and the same
+counters; the rows ``--dimacs`` writes are the theory's own
+``constraint_clauses`` shifted to each time point; the index keeps the
+compiler's list rather than a copy; and normalizing at the source leaves
+the ``--dimacs`` export as it was.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -21,7 +26,7 @@ from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, generate_zoo, load_doma
 from elang.grounding import GroundRProp, ground
 from elang.parser import parse_domain, parse_query
 from elang.query import answer_theory, required_horizon
-from elang.sat import SatStats, Solver, answer_sat, compile_theory, ramification_cycle
+from elang.sat import SatStats, Solver, answer_sat, compile_theory, ramification_cycle, to_dimacs
 
 from oracles import constraint_clause, normalize, random_theory, walk_scenario
 
@@ -36,42 +41,55 @@ def outcome(clauses: ClauseSet, assumptions) -> tuple:
     return result, stats.as_dict()
 
 
+def counted(clauses: ClauseSet, assumptions, limit: int = 20) -> tuple:
+    """The first ``limit`` models under the assumptions, in order, with
+    the decisions and propagations that took."""
+    stats = SatStats()
+    models = list(itertools.islice(clauses.models(assumptions, stats=stats), limit))
+    return models, stats.decisions, stats.propagations
+
+
 def assert_index_matches_normalizing(th, rng: random.Random, solves: int = 6) -> ClauseSet:
-    """The index ``answer_sat`` builds for ``th`` equals the index of the
-    same compiled clauses put in normal form by the oracle, and solves
-    alike under random assumptions over the fluent variables; its state
-    constraints are the theory's, shifted."""
+    """The index ``answer_sat`` builds for ``th`` solves as the whole
+    compiled list, materialized and put in normal form by the oracle: the
+    same models in the same order, the same counters, and the same
+    budgeted solves under random assumptions over the fluent variables.
+    Its state constraints are the theory's, shifted."""
     th.sat_memo = None
     got = elang.sat._compiled(th)
     inst = compile_theory(th, labels=False)
     assert_constraints_shifted(th, inst)
-    want = ClauseSet(inst.num_vars, [c for c in map(normalize, inst.clauses) if c is not None])
+    want = ClauseSet(inst.num_vars, [c for c in map(normalize, inst.all_clauses()) if c is not None])
     assert got.num_vars == want.num_vars
-    assert got.clauses == want.clauses
-    assert got.occurs == want.occurs
-    assert got.units == want.units
+    assert got.size == len(want.clauses)
     assert got.empty == want.empty
     fluent_vars = (th.horizon + 1) * th.n_fluents
-    for _ in range(solves):
+    for k in range(solves):
         picked = rng.sample(range(1, fluent_vars + 1), min(fluent_vars, rng.randint(0, 4)))
         assumptions = [v if rng.random() < 0.5 else -v for v in picked]
         assert outcome(got, assumptions) == outcome(want, assumptions), assumptions
+        if k < 2:
+            assert counted(got, assumptions) == counted(want, assumptions), assumptions
     return got
 
 
 def assert_constraints_shifted(th, inst) -> None:
-    """The compiled state constraints are the theory's
+    """The state constraints ``to_dimacs`` writes first are the theory's
     ``constraint_clauses``, each at every time point in turn, literal l at
     time t shifted by t*n away from zero; and those are the oracle's
     normal form of each statement's clause."""
     n = th.n_fluents
+    assert inst.rows is th.constraint_clauses
     assert th.constraint_clauses == [c for c in map(constraint_clause, th.rprops) if c is not None]
     shifted = [
         tuple(l + t * n if l > 0 else l - t * n for l in clause)
         for clause in th.constraint_clauses
         for t in range(th.horizon + 1)
     ]
-    assert inst.clauses[: len(shifted)] == shifted
+    lines = to_dimacs(inst).splitlines()
+    assert lines[0] == "p cnf %d %d" % (inst.num_vars, len(shifted) + len(inst.clauses))
+    written = [tuple(map(int, line.split()[:-1])) for line in lines[1:]]
+    assert written == shifted + inst.clauses
 
 
 def test_golden_cases_index_as_normalized():
@@ -154,9 +172,12 @@ def test_groundless_denial_indexes_as_the_empty_clause():
     # denial over constants alone is checked and dropped, so add it here
     th = ground(load_domain("corpus:bulb.e"), 4)
     th.rprops.append(GroundRProp(None, frozenset(), len(th.rprops)))
-    assert compile_theory(th, labels=False).clauses.count(()) == 5
+    inst = compile_theory(th, labels=False)
+    assert inst.rows.count(()) == 1 and () not in inst.clauses
+    assert list(inst.all_clauses()).count(()) == 5
+    assert to_dimacs(inst).splitlines().count(" 0") == 5
     index = assert_index_matches_normalizing(th, random.Random(5))
-    assert index.empty and () not in index.clauses
+    assert index.empty and th.constraints.empty
 
 
 def compiled_by_answer(monkeypatch, th, text):
@@ -188,8 +209,16 @@ def test_held_index_keeps_the_compilers_clauses(monkeypatch, refs, text):
     index = th.sat_memo
     assert isinstance(index, ClauseSet)
     assert index.clauses is inst.clauses
-    assert len(index.clauses) == len(inst.clauses)
-    assert all(a is b for a, b in zip(index.clauses, inst.clauses))
+    # the rows are the theory's own constraint index, read in place:
+    # literal l at time t reads the entries of l at time 0
+    n, times = th.n_fluents, th.horizon + 1
+    assert inst.rows is th.constraint_clauses
+    assert index.span == n * times
+    for l in range(1, n + 1):
+        for t in range(times):
+            assert index.row_occurs[l + t * n] is th.constraints.occurs[l]
+            assert index.row_occurs[-l - t * n] is th.constraints.occurs[-l]
+    assert index.size == inst.num_clauses
 
 
 # sha256 of `elang ground REF [--horizon H] --dimacs FILE`, taken before
