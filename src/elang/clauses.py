@@ -249,12 +249,16 @@ class ClauseSet:
             ok = all(map(enqueue, preset))
             qhead = len(trail)  # not propagated
         if extra:
-            # Per-call copies of the root's arrays, with the auxiliaries'
-            # slots between the two halves.
+            # A per-call copy of the occurrence lists; with auxiliaries, it
+            # and the call's values are widened by their slots between the
+            # two halves.
             top = max([n] + [abs(l) for clause in extra for l in clause])
-            aux = [0] * (2 * (top - n))
-            value = value[: n + 1] + aux + value[n + 1 :]
-            occurs = occurs[: n + 1] + [[] for _ in aux] + occurs[n + 1 :]
+            if top > n:
+                aux = [0] * (2 * (top - n))
+                value = value[: n + 1] + aux + value[n + 1 :]
+                occurs = occurs[: n + 1] + [[] for _ in aux] + occurs[n + 1 :]
+            else:
+                occurs = occurs[:]
             for clause in extra:
                 if len(clause) == 2:
                     a, b = clause

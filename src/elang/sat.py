@@ -12,12 +12,22 @@ then, per step t:
   ramify(r,t)  <-> the rule's body holds at t+1 and some body literal
                    is changed at t (``GroundTheory.triggers``)
 
+A fire or ramify literal defined as one literal is that literal, with
+no variable or defining clauses of its own: fire(c,t) is x@t for a
+condition { x }, and ramify(r,t) is changed(b,t) for a body { b }, since
+changed(b,t) -> b@t+1 is a clause.  Only longer conditions and bodies
+get variables.  This is the substitution step of SatELite's variable
+elimination (Een and Biere, SAT 2005); it keeps every model on the other
+variables, so the models on the fluents and their order do not change.
+
 with the clauses
 
   changed(l,t) -> l@t+1                                  rule b
   fire(c,t) and l@t+1 -> changed(l,t)   (l the effect)   applied
   ramify(r,t) -> changed(head,t)
   changed(l,t) -> some fire or ramify producing l        completion
+                   (both left out when a tautology, as when h whenever
+                   { h } makes changed(h,t) its own support)
   l@t+1 and not l@t -> changed(l,t)                      rule c, the frame
   fire(c,t) and not l@t+1 -> changed(not l,t)            rule e
   the rules as state constraints at every time point     rule d
@@ -277,10 +287,12 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
 
     # Per-step completion of the closure (see the module docstring).  A
     # ground condition is a clash-free set and every auxiliary variable
-    # is fresh, so these clauses are normal as built.  Each action's
-    # effects, the literals a set of effects can produce and the rule
-    # bodies are worked out once; the rules a changed literal triggers
-    # are the theory's ``triggers``.
+    # is fresh, so these clauses are normal as built, once the support
+    # lists drop repeated literals and the tautologies a one-literal
+    # condition or body can make are left out.  Each action's effects,
+    # the literals a set of effects can produce and the rule bodies are
+    # worked out once; the rules a changed literal triggers are the
+    # theory's ``triggers``.
     @functools.cache
     def effects(action: Atom) -> tuple[tuple[int, list[Lit], Lit], ...]:
         return tuple(
@@ -292,14 +304,24 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     body_of = functools.cache(lambda ri: ordered(theory.rprops[ri].condition))
 
     for t in range(horizon):
-        fires: dict[Lit, list[int]] = {}  # effect -> fire variables producing it
+        fires: dict[Lit, list[int]] = {}  # effect -> fire literals producing it
+        # The literals whose completion clause is a tautology: fired by a
+        # literal and its complement, or supported by themselves.
+        tautologies: set[Lit] = set()
         for action in sorted(theory.occurrences.get(t, ())):
             for ci, condition, effect in effects(action):
-                v = new_var("fire[%d]@%d", ci, t)
                 cond = [at(code, t) for code in condition]
-                emit_all([(-v, c) for c in cond])
-                emit((v, *[-c for c in cond]))
-                fires.setdefault(effect, []).append(v)
+                if len(cond) == 1:
+                    [v] = cond  # the condition names itself
+                else:
+                    v = new_var("fire[%d]@%d", ci, t)
+                    emit_all([(-v, c) for c in cond])
+                    emit((v, *[-c for c in cond]))
+                fired = fires.setdefault(effect, [])
+                if v not in fired:
+                    if -v in fired:
+                        tautologies.add(effect)
+                    fired.append(v)
 
         produced = step_plan(theory, frozenset(fires)).ordered
         changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced}
@@ -307,19 +329,30 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
         for ri in sorted(set().union(*[triggers.get(code, ()) for code in changed])):
             head = theory.rprops[ri].head
             body = body_of(ri)
-            true_body = [at(code, t + 1) for code in body]
-            false_body = [-b for b in true_body]
-            changes = [changed[code] for code in body if code in changed]
-            ram = new_var("ramify[%d]@%d", ri, t)
-            emit_all([(-ram, b) for b in true_body])
-            emit((-ram, *changes))
-            emit_all([(ram, -v, *false_body) for v in changes])
-            emit((-ram, changed[head]))
-            supports[head].append(ram)
+            if len(body) == 1:
+                # ramify <-> b@t+1 and changed(b,t) is changed(b,t), since
+                # changed(b,t) -> b@t+1 is a clause; a rule triggered by
+                # its one body literal has it in changed.
+                ram = changed[body[0]]
+            else:
+                true_body = [at(code, t + 1) for code in body]
+                false_body = [-b for b in true_body]
+                changes = [changed[code] for code in body if code in changed]
+                ram = new_var("ramify[%d]@%d", ri, t)
+                emit_all([(-ram, b) for b in true_body])
+                emit((-ram, *changes))
+                emit_all([(ram, -v, *false_body) for v in changes])
+            if ram == changed[head]:
+                tautologies.add(head)  # h whenever { h }
+            else:
+                emit((-ram, changed[head]))
+                if ram not in supports[head]:
+                    supports[head].append(ram)
 
         for code, v in changed.items():
             emit((-v, at(code, t + 1)))
-            emit((-v, *supports[code]))
+            if code not in tautologies:
+                emit((-v, *supports[code]))
         for code, fired in fires.items():
             override = (changed[-code],) if -code in changed else ()
             for v in fired:

@@ -44,13 +44,17 @@ and e to the clause kernel (``clauses.py``) as clauses:
   A reach atom whose value in ``t`` is no candidate needs a statement
   with that head whose body holds in ``t`` and has a producible literal:
   its change literal by rule c, its source literal by rule e when the
-  change is a candidate left out.  Each such body gets an auxiliary
-  variable, numbered after the theory's atoms so that every target has
-  exactly one model; the auxiliaries are projected out.  With no such
-  statement the atom keeps its value (rule c) or must change (rule e),
-  a unit passed with the assumptions.  One more clause asks that some
-  candidate hold in ``t``: with none applied, ``changed`` is empty and
-  rule e fails.
+  change is a candidate left out.  A body of one literal enters the
+  clause as that literal.  Each longer body gets an auxiliary variable,
+  numbered after the theory's atoms so that every target has exactly one
+  model; the auxiliaries are projected out.  The clause is in the
+  kernel's normal form: repeated literals merged, and left out when a
+  body is the literal itself or two bodies are complements.  With no
+  such statement the atom keeps its value (rule c) or must change (rule
+  e), a unit passed with the assumptions, as is a clause merged to one
+  literal.  One more clause asks that some candidate hold in ``t``: with
+  none applied, ``changed`` is empty and rule e fails.  It is left out
+  when the candidates hold both values of an atom.
 
 What a step needs of the theory besides its source, the producible
 literals, the reach, the frozen atoms and the bodies that can support
@@ -137,8 +141,27 @@ def ramification_closure(
     return frozenset(changed)
 
 
-# A target literal that needs support, and the bodies that can give it.
-Support = tuple[Lit, tuple[frozenset[Lit], ...]]
+# The support clause of a target literal ``need``: its literals fixed by
+# the plan, ``-need`` and each one-literal body's literal, normal, or None
+# when they make a tautology; then the longer bodies, each of which
+# enters the clause through an auxiliary variable.
+Support = tuple[tuple[Lit, ...] | None, tuple[frozenset[Lit], ...]]
+
+
+def _support(need: Lit, bodies: list[frozenset[Lit]]) -> Support:
+    """The support of ``need`` by ``bodies`` (see ``Support``)."""
+    clause = [-need]
+    longer = []
+    for body in bodies:
+        if len(body) > 1:
+            longer.append(body)
+            continue
+        [lit] = body
+        if -lit in clause:
+            return None, ()  # a body that is need itself, or two complements
+        if lit not in clause:
+            clause.append(lit)
+    return tuple(clause), tuple(longer)
 
 
 class StepPlan(NamedTuple):
@@ -157,7 +180,7 @@ class StepPlan(NamedTuple):
     # candidates, each with its support for either source value (false,
     # true).
     supported: tuple[tuple[int, Support, Support], ...]
-    clause: list[Lit]  # some candidate holds
+    clause: list[Lit] | None  # some candidate holds, unless a tautology
     true: frozenset[int]  # the atoms the candidates need true
     false: frozenset[int]  # and false
 
@@ -199,12 +222,12 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
             # the candidate's value, unless a body gives the other one
             value, bodies = (pos, breaking) if pos in candidates else (neg, making)
             if bodies:
-                entry = (-value, tuple(bodies))
+                entry = _support(-value, bodies)
                 supported.append((a, entry, entry))
             else:
                 forced.append(value)
         elif making or breaking:
-            supported.append((a, (pos, tuple(making)), (neg, tuple(breaking))))
+            supported.append((a, _support(pos, making), _support(neg, breaking)))
         else:
             kept.append(pos)
     plan = theory.plans[candidates] = StepPlan(
@@ -214,7 +237,8 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
         tuple(kept),
         tuple(forced),
         tuple(supported),
-        list(candidates),
+        # a tautology when the candidates hold both values of an atom
+        None if any(-c in candidates for c in candidates) else list(candidates),
         *split_condition(candidates),
     )
     return plan
@@ -276,29 +300,34 @@ def successor_states(
     frozen = [v if v - 1 in source else -v for v in plan.frozen]
 
     # Rules c and e as support clauses (see the module docstring).  Each
-    # supporting body is an auxiliary variable s <-> body, numbered after
-    # the atoms so that the atoms fix it.  A support clause without bodies
-    # is a unit, which goes with the assumptions.
+    # longer supporting body is an auxiliary variable s <-> body, numbered
+    # after the atoms so that the atoms fix it.  A support clause of one
+    # literal is a unit, which goes with the assumptions.
     n = theory.n_fluents
-    overlay: list[list[Lit]] = []
+    overlay: list[list[Lit] | tuple[Lit, ...]] = []
     units = [v if v - 1 in source else -v for v in plan.kept]
     units += plan.forced
     aux = n
     for a, if_false, if_true in plan.supported:
-        need, bodies = if_true if a in source else if_false
-        if not bodies:
-            units.append(-need)
-            continue
-        support = [-need]
-        for body in bodies:
-            aux += 1
-            overlay.append([aux] + [-l for l in body])
-            overlay.extend([-aux, l] for l in body)
-            support.append(aux)
-        overlay.append(support)
+        clause, bodies = if_true if a in source else if_false
+        if clause is None:
+            continue  # a tautology
+        if bodies:
+            support = list(clause)
+            for body in bodies:
+                aux += 1
+                overlay.append([aux] + [-l for l in body])
+                overlay.extend([-aux, l] for l in body)
+                support.append(aux)
+            overlay.append(support)
+        elif len(clause) == 1:
+            units.append(clause[0])
+        else:
+            overlay.append(clause)
     # With no candidate applied nothing changes, and rule e fails for every
     # candidate: so some candidate holds in the target.
-    overlay.append(plan.clause)
+    if plan.clause is not None:
+        overlay.append(plan.clause)
 
     # Rule d: the theory's own constraints, the frozen values preset when
     # they satisfy them and propagated as assumptions otherwise.  A model

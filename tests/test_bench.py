@@ -1,6 +1,8 @@
 """Benchmark harness: spec parsing, domain refs, timing, result tables."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +290,10 @@ def test_bench_record_times_cases_and_specs(tmp_path):
     sources = sorted((root / "src" / "elang").glob("**/*.py"))
     assert record["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources)
     json.dumps(record)
+
+
+def test_readme_lists_every_bench_record():
+    # README's Performance section names each BENCH_<n>.json at the root
+    root = Path(__file__).resolve().parent.parent
+    listed = re.findall(r"^- `(BENCH_\d+\.json)`", (root / "README.md").read_text(), re.M)
+    assert sorted(listed) == sorted(path.name for path in root.glob("BENCH_*.json"))

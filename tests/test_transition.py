@@ -472,6 +472,28 @@ def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     assert len(checks) <= len(initial) < len(steps)
 
 
+def test_walk_steps_pass_the_kernel_no_auxiliary(monkeypatch, tmp_path):
+    # Every rule body of the generated zoo is one literal, which enters a
+    # support clause as itself: no overlay clause reaches past the atoms.
+    scenario = tmp_path / "walk.e"
+    scenario.write_text(walk_narrative())
+    horizon = len(WALK_MOVES)
+    th = ground(load_domain("gen:direct:6:feed", str(scenario)), horizon)
+    overlays = []
+    models = ClauseSet.models
+
+    def spied(self, *args, **kwargs):
+        overlays.append(kwargs.get("extra", ()))
+        return models(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClauseSet, "models", spied)
+    query = parse_query("credulous { animal_pos(john, p1) holds-at %d } horizon %d" % (horizon, horizon))
+    assert answer_theory(th, query).answer == "true"
+    clauses = [c for extra in overlays for c in extra]
+    assert len(clauses) > 50
+    assert max(abs(l) for c in clauses for l in c) <= th.n_fluents
+
+
 # A ramification cycle next to an effect that fires: a's effect sets k,
 # and f and g could each be changed because the other is, since the rule
 # { k, h } makes them producible but cannot fire (h stays false).
