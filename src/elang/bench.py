@@ -11,8 +11,10 @@ Experiment specs are stanza files (see specfiles).  Four families:
   zoo representations and compare times; an ``agree`` column marks where a
   variant's answer matches the first listed one, since the representations
   genuinely differ on some conclusions.  A ``fragment`` column says
-  whether ``sat.check_fragment`` accepts the domain; both backends answer
-  every domain either way.
+  whether the domain lies in the clausal fragment, the theories without
+  a ramification cycle (``sat.check_fragment``), where ``answer_sat``
+  needs no decoded-step check; both backends answer every domain either
+  way.
 * ``scaling``: grow the zoo terrain, recording grounding statistics and
   one query's time per size on the chosen backend.
 
@@ -390,6 +392,10 @@ def _run_scaling(spec: ExperimentSpec) -> ResultTable:
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
+    # checked here, where the spec key, ``elang bench --repeats`` and
+    # scripts/run_experiments.py all arrive
+    if spec.repeats < 1:
+        raise SpecError("repeats must be at least 1, got %d" % spec.repeats)
     runner = {
         "completeness": _run_completeness,
         "irrelevance": _run_irrelevance,

@@ -32,7 +32,7 @@ from .query import (
     check_consistency,
     required_horizon,
 )
-from .sat import FragmentError, FragmentReport, answer_sat, compile_theory, ramification_cycle, to_dimacs
+from .sat import FragmentError, answer_sat, check_fragment, compile_theory, to_dimacs
 from .specfiles import SpecError
 
 EXIT_TRUE = 0
@@ -142,9 +142,9 @@ def cmd_query(args) -> int:
 def cmd_ground(args) -> int:
     theory = ground(load_domain(*args.files), args.horizon)
     if args.dimacs:
-        cycle = ramification_cycle(theory)
-        if cycle is not None:
-            raise FragmentError(FragmentReport(False, [cycle]))
+        report = check_fragment(theory)
+        if not report.accepted:
+            raise FragmentError(report)
         inst = compile_theory(theory)
         Path(args.dimacs).write_text(to_dimacs(inst, include_names=True))
         print("wrote %s (%d vars, %d clauses)" % (args.dimacs, inst.num_vars, inst.num_clauses))
@@ -183,11 +183,7 @@ def cmd_corpus(args) -> int:
     if args.action == "generate":
         if not args.name:
             return _fail("corpus generate needs VARIANT:POSITIONS", EXIT_USAGE)
-        try:
-            variant, _, size = args.name.partition(":")
-            print(corpus.generate_zoo(variant, int(size or "6")), end="")
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
+        print(corpus.generated_zoo(args.name, positions=6), end="")
         return EXIT_TRUE
     # verify
     corpus.load_corpus()

@@ -13,8 +13,9 @@ The zoo ships in three representations over one shared signature:
 * ``zoo_direct``: every effect of a move is a direct law and the
   constraints are written as denials, so they restrict states but never
   generate effects.  The throw-off action keeps no laws here: its landing
-  choice is inherently non-deterministic and outside this style (and
-  outside the clausal backend's fragment, which accepts this variant).
+  choice is inherently non-deterministic and outside this style.  With
+  no generating ramifications it has no ramification cycle, so it is the
+  one variant inside the clausal backend's fragment.
 
 The terrain is parameterized (3 to 15 positions): positions are laid out
 as two chains of adjacent cells (two cages) joined by two gates, one
@@ -84,17 +85,26 @@ def _read_ref(ref: str) -> tuple[str, str]:
         except FileNotFoundError as exc:
             raise DomainRefError(str(exc)) from exc
     if ref.startswith("gen:"):
-        parts = ref.split(":")
-        if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "feed"):
-            raise DomainRefError("bad generator reference %r" % ref)
-        try:
-            return ref, generate_zoo(parts[1], int(parts[2]), include_feed=len(parts) == 4)
-        except ValueError as exc:
-            raise DomainRefError("bad generator reference %r: %s" % (ref, exc)) from exc
+        return ref, generated_zoo(ref)
     try:
         return ref, Path(ref).read_text()
     except OSError as exc:
         raise DomainRefError("cannot read domain file %s: %s" % (ref, exc.strerror)) from exc
+
+
+def generated_zoo(ref: str, positions: int | None = None) -> str:
+    """The zoo text a generator reference ``[gen:]VARIANT:N[:feed]``
+    names; a bare ``VARIANT`` takes ``positions`` when given.  Raises
+    ``DomainRefError`` for anything else."""
+    parts = ref.removeprefix("gen:").split(":")
+    if len(parts) == 1 and positions is not None:
+        parts.append(str(positions))
+    if len(parts) not in (2, 3) or parts[2:] not in ([], ["feed"]):
+        raise DomainRefError("bad generator reference %r" % ref)
+    try:
+        return generate_zoo(parts[0], int(parts[1]), include_feed=len(parts) == 3)
+    except ValueError as exc:
+        raise DomainRefError("bad generator reference %r: %s" % (ref, exc)) from exc
 
 
 def load_domain(*refs: str) -> DomainDescription:

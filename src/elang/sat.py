@@ -54,22 +54,15 @@ countermodel too.
 false first), budgeted by decision count; rejected models count against
 the same budget.
 
-``check_fragment`` reports the fragment the backend was once limited to:
-
-  1. No two effect instances that can apply together (same action, or
-     actions scheduled at the same time) may produce changes that clash,
-     directly or through ramifications.  "May produce" is closed
-     transitively: an effect literal may cause every ramification head
-     reachable from it through rule bodies, ignoring the rest of the body.
-     A clash is a complementary pair across (or within) these closures.
-  2. The ramification dependency graph on fluent atoms (body atom to head
-     atom) is acyclic.
-
-Condition 2 alone already makes every model of the clauses a trajectory.
-Answering does not use the report; the ``fragment`` result column shows
-it.  ``elang ground --dimacs`` exports every theory without a cycle
-(``ramification_cycle``), since an outside solver cannot run the
-decoded-step check.
+The clausal fragment is the acyclic theories: ``check_fragment`` gives
+the verdict on ``GroundTheory.first_cycle`` and names the cycle, if
+any.  Inside the fragment every model of the clauses is a trajectory,
+so ``answer_sat`` installs no decoded-step check and ``elang ground
+--dimacs`` exports the clauses; outside it the export is refused, since
+an outside solver cannot run the check.  Concurrent effects that clash
+are inside too: as in any step, rule b keeps both changes from holding
+and rule e lets either one win.  The ``fragment`` column of ``elang
+bench``'s representation family shows the verdict.
 
 Answers on one ground theory share the compiled clauses: the first
 ``answer_sat`` on a theory compiles it and keeps the indexed clauses, a
@@ -91,7 +84,7 @@ once, on the first solve, and every solve starts from that root (see
 so the stats are those of a fresh theory.  The literals a set of effects
 can produce come from the theory's step plans (``transition.step_plan``,
 kept on ``theory.plans``), the memo the engine's step search fills, so
-the compiler and ``check_fragment`` keep none of their own.
+the compiler keeps none of its own.
 """
 
 from __future__ import annotations
@@ -107,95 +100,27 @@ from .query import EntailmentResult, Query, Trajectory, decide, split_goals
 from .transition import direct_candidates, step_holds, step_plan
 
 
-@dataclass(frozen=True)
-class FragmentViolation:
-    kind: str  # "effect-conflict" | "ramification-cycle"
-    detail: str
-
-    def __str__(self) -> str:
-        return "%s: %s" % (self.kind, self.detail)
-
-
 @dataclass
 class FragmentReport:
     accepted: bool
-    violations: list[FragmentViolation]
+    violations: list[str]  # empty, or the one cycle as "ramification-cycle: a -> b -> a"
 
 
 class FragmentError(Exception):
     def __init__(self, report: FragmentReport):
-        lines = "; ".join(str(v) for v in report.violations[:5])
+        lines = "; ".join(report.violations)
         super().__init__("theory outside the clausal fragment: %s" % lines)
         self.report = report
 
 
 def check_fragment(theory: GroundTheory) -> FragmentReport:
-    """Decide whether the theory lies in the fragment (see the module
-    docstring)."""
-    cycle = ramification_cycle(theory)
-    violations: list[FragmentViolation] = [] if cycle is None else [cycle]
-
-    # Clashing effects among instances that can apply together: the pairs
-    # of effect instances of one action, or of two actions scheduled at
-    # the same time.
-    together: set[tuple[Atom, Atom]] = set()
-    by_action: dict[Atom, list[tuple[int, Lit]]] = {}  # (cprop index, effect)
-    for acts in theory.occurrences.values():
-        ordered = sorted(acts)
-        for i, a in enumerate(ordered):
-            by_action.setdefault(a, [])
-            for b in ordered[i:]:
-                together.add((a, b))
-    src_of: dict[int, int] = {}  # cprop index -> originating statement
-    for action, effects in by_action.items():
-        for ci, cp in theory.effects_of(action):
-            effects.append((ci, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)))
-            src_of[ci] = cp.src
-
-    def may_cause(lit: Lit) -> frozenset[Lit]:
-        return step_plan(theory, frozenset((lit,))).produced
-
-    clash_memo: dict[tuple[Lit, Lit], int | None] = {}
-
-    def clash(li: Lit, lj: Lit) -> int | None:
-        """The lowest atom on which the two effect literals' closures take
-        complementary values, if any; symmetric in li and lj."""
-        key = (li, lj) if li <= lj else (lj, li)
-        if key not in clash_memo:
-            rj = may_cause(lj)
-            clashes = [abs(m) for m in may_cause(li) if -m in rj]
-            clash_memo[key] = min(clashes) - 1 if clashes else None
-        return clash_memo[key]
-
-    found: list[tuple[int, int, int]] = []
-    for a, b in together:
-        for ci, li in by_action[a]:
-            for cj, lj in by_action[b]:
-                if a == b and cj < ci:
-                    continue  # each unordered pair of one action's effects once
-                atom = clash(li, lj)
-                if atom is not None:
-                    found.append((min(ci, cj), max(ci, cj), atom))
-    for ci, cj, atom in sorted(found):
-        violations.append(
-            FragmentViolation(
-                "effect-conflict",
-                "statements %d and %d can disagree on %s"
-                % (src_of[ci], src_of[cj], theory.fluents[atom]),
-            )
-        )
-
-    return FragmentReport(not violations, violations)
-
-
-def ramification_cycle(theory: GroundTheory) -> FragmentViolation | None:
-    """The first cycle in the ramification dependency graph, if any (see
-    ``GroundTheory.first_cycle``).  Without one every model of the clauses
-    is a trajectory."""
+    """Decide whether the theory lies in the fragment, the acyclic theories
+    (see the module docstring), from ``GroundTheory.first_cycle``."""
     cycle = theory.first_cycle
     if cycle is None:
-        return None
-    return FragmentViolation("ramification-cycle", " -> ".join(str(theory.fluents[i]) for i in cycle))
+        return FragmentReport(True, [])
+    path = " -> ".join(str(theory.fluents[i]) for i in cycle)
+    return FragmentReport(False, ["ramification-cycle: " + path])
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,11 @@ What a step needs of the theory besides its source, the producible
 literals, the reach, the frozen atoms and the bodies that can support
 each reach atom, depends on the candidates only.  ``step_plan`` works it
 out once per theory and candidate set and keeps it on ``theory.plans``;
-the clausal compiler and ``sat.check_fragment`` read the producible
-literals from the same memo.  The direct candidates are read off each
-action's effects with their conditions split once into the atoms they
-need true and false (``GroundTheory.effect_tests``), and an occurrence
-is tested against each action's preconditions split the same way
+the clausal compiler reads the producible literals from the same memo.
+The direct candidates are read off each action's effects with their
+conditions split once into the atoms they need true and false
+(``GroundTheory.effect_tests``), and an occurrence is tested against
+each action's preconditions split the same way
 (``GroundTheory.precondition_test``).
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
@@ -168,8 +168,7 @@ class StepPlan(NamedTuple):
     """What a step with a given candidate set needs of the theory, whatever
     its source (see ``step_plan``)."""
 
-    produced: frozenset[Lit]  # the producible literals
-    ordered: tuple[Lit, ...]  # the same, lowest atom first, negative first
+    ordered: tuple[Lit, ...]  # the producible literals, lowest atom first, negative first
     frozen: tuple[Lit, ...]  # the atoms outside the reach, as positive codes
     # The reach atoms no body can change, as positive codes: they keep
     # their source values.
@@ -231,7 +230,6 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
         else:
             kept.append(pos)
     plan = theory.plans[candidates] = StepPlan(
-        frozenset(produced),
         tuple(sorted(sorted(produced), key=abs)),
         tuple(a + 1 for a in range(theory.n_fluents) if a not in reach),
         tuple(kept),

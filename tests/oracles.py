@@ -364,17 +364,21 @@ def random_cnf(rng: random.Random, max_vars: int = 20) -> tuple[int, list[list[i
 
 def fragment_report(theory) -> tuple[bool, list[str]]:
     """The clausal fragment's verdict on a ground theory, as (accepted,
-    rendered violations), straight from the definition: first the cycle a
-    depth-first search over the ramification graph (body atom to head
-    atom, lowest atom first, successors ascending) meets first; then, for
-    every pair i <= j of effect instances whose actions both occur and are
-    the same or scheduled at one time, the lowest atom on which the two
-    effects' ramification closures hold complementary literals."""
-    out = []
+    rendered violations), straight from the definition: the fragment is
+    the theories whose ramification graph is acyclic, and a theory outside
+    it is reported with the cycle ``ramification_cycle`` finds."""
     cycle = ramification_cycle(theory)
-    if cycle is not None:
-        out.append("ramification-cycle: " + " -> ".join(str(theory.fluents[a]) for a in cycle))
+    if cycle is None:
+        return True, []
+    return False, ["ramification-cycle: " + " -> ".join(str(theory.fluents[a]) for a in cycle)]
 
+
+def effect_conflicts(theory) -> list[str]:
+    """Every pair i <= j of effect instances whose actions both occur and
+    are the same or scheduled at one time, and whose effects'
+    ramification closures hold complementary literals, each rendered with
+    the lowest such atom.  The clausal fragment admits these; the tests
+    count them to show that random draws reach clashing effects."""
     closures: dict[int, set[int]] = {}
 
     def closure(lit: int) -> set[int]:
@@ -399,6 +403,7 @@ def fragment_report(theory) -> tuple[bool, list[str]]:
         for cp in theory.cprops
         if cp.action in occurring
     ]
+    out = []
     for i, (a, li, si) in enumerate(effects):
         for b, lj, sj in effects[i:]:
             if a != b and not any(a in acts and b in acts for acts in theory.occurrences.values()):
@@ -406,11 +411,8 @@ def fragment_report(theory) -> tuple[bool, list[str]]:
             other = closure(lj)
             common = sorted(abs(m) for m in closure(li) if -m in other)
             if common:
-                out.append(
-                    "effect-conflict: statements %d and %d can disagree on %s"
-                    % (si, sj, theory.fluents[common[0] - 1])
-                )
-    return not out, out
+                out.append("statements %d and %d can disagree on %s" % (si, sj, theory.fluents[common[0] - 1]))
+    return out
 
 
 def ramification_cycle(theory) -> list[int] | None:

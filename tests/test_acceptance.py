@@ -22,12 +22,14 @@ from elang.grounding import ground
 from elang.model import Atom
 from elang.parser import parse_domain, parse_query
 from elang.query import answer, answer_theory, check_consistency
-from elang.sat import Solver, answer_sat, check_fragment
+from elang.sat import Solver, answer_sat
 from elang.transition import brute_force_successors, successor_states
 
 from oracles import (
     cnf_satisfiable,
+    effect_conflicts,
     model_satisfies,
+    ramification_cycle,
     random_cnf,
     random_state,
     random_theory,
@@ -210,9 +212,8 @@ def test_criterion_06_sat_backend_agreement(monkeypatch):
     for _ in range(100):
         domain = random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4)
         theory = ground(domain)
-        kinds = {v.kind for v in check_fragment(theory).violations}
-        conflicts += "effect-conflict" in kinds
-        cycles += "ramification-cycle" in kinds
+        conflicts += bool(effect_conflicts(theory))
+        cycles += ramification_cycle(theory) is not None
         for _ in range(5):
             name = rng.choice(list(domain.signature.fluents))
             sign = "" if rng.random() < 0.5 else "neg "
@@ -221,7 +222,7 @@ def test_criterion_06_sat_backend_agreement(monkeypatch):
                             % (mode, sign, name, rng.randint(0, theory.horizon)))
             assert answer_sat(theory, q).answer == answer_theory(theory, q).answer
             queries += 1
-    # both ways out of the fragment are drawn, and around cycles the
+    # clashing effects and cycles are drawn, and around cycles the
     # decoded-step check turns models of the clauses down
     assert conflicts >= 30 and cycles >= 30 and rejected
     sat_checked = 0

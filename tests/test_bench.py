@@ -290,6 +290,8 @@ def test_bench_record_times_cases_and_specs(tmp_path):
     sources = sorted((root / "src" / "elang").glob("**/*.py"))
     assert record["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources)
     json.dumps(record)
+    with pytest.raises(SpecError, match="repeats must be at least 1"):
+        script.bench([], [spec], 0)
 
 
 def test_readme_lists_every_bench_record():

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from elang.cli import main
-from elang.corpus import corpus_path, load_domain
+from elang.corpus import corpus_path, generate_zoo, load_domain
 from elang.grounding import ground
 from elang.sat import check_fragment
+
+from oracles import effect_conflicts
 
 
 @pytest.fixture()
@@ -314,15 +316,15 @@ def test_ground_dimacs_rejects_nonfragment(tmp_path):
 
 
 def test_ground_dimacs_exports_effect_conflicts(tmp_path):
-    # acyclic, so every model of the clauses is a trajectory: the export
-    # takes it though check_fragment reports the clash
+    # acyclic, so every model of the clauses is a trajectory: the fragment
+    # holds the clash, and the export takes it
     path = tmp_path / "clash.e"
     path.write_text(
         "fluent f.\naction a.\naction b.\na initiates f.\nb terminates f.\n"
         "a happens-at 0.\nb happens-at 0.\n"
     )
-    report = check_fragment(ground(load_domain(str(path)), 1))
-    assert [v.kind for v in report.violations] == ["effect-conflict"]
+    th = ground(load_domain(str(path)), 1)
+    assert effect_conflicts(th) and check_fragment(th).accepted
     target = tmp_path / "clash.cnf"
     assert main(["ground", str(path), "--horizon", "1", "--dimacs", str(target)]) == 0
     assert "p cnf 6 12" in target.read_text().splitlines()
@@ -345,6 +347,18 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (out_dir / "tiny.jsonl").exists()
 
 
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_repeats_below_one_exits_three(repeats, tmp_path, capsys):
+    spec = tmp_path / "tiny.spec"
+    spec.write_text(
+        "family = representation\ndomain = corpus:bulb.e\n"
+        "query = credulous { light holds-at 1 } horizon 2\n"
+    )
+    assert main(["bench", str(spec), "--out", str(tmp_path / "r"), "--repeats", repeats]) == 3
+    assert "repeats must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_bad_spec(tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text("family = unheard_of\n")
@@ -356,10 +370,11 @@ BAD_SPECS = [
     "family = representation\ndomain = corpus:zoo_direct.e\nhorizon = 4.5\n",
     "family = irrelevance\ndomain = corpus:zoo_direct.e\ninject = some\n",
     "family = completeness\n",  # no domain
+    "family = representation\ndomain = corpus:zoo_direct.e\nrepeats = 0\n",
 ]
 
 
-@pytest.mark.parametrize("text", BAD_SPECS, ids=["budget", "horizon", "inject", "no-domain"])
+@pytest.mark.parametrize("text", BAD_SPECS, ids=["budget", "horizon", "inject", "no-domain", "repeats"])
 def test_bench_bad_spec_value_exits_three(text, tmp_path, capsys):
     spec = tmp_path / "bad_value.spec"
     spec.write_text(text + "query = credulous { } horizon 2\n")
@@ -383,7 +398,17 @@ def test_corpus_generate(capsys):
     assert main(["corpus", "generate", "indirect:4"]) == 0
     out = capsys.readouterr().out
     assert "sort position: p1, p2, p3, p4." in out
-    assert main(["corpus", "generate", "bogus:4"]) == 3
+    # the references load_domain reads as gen:..., and a bare variant at 6
+    for name, variant, positions, feed in (
+        ("direct:6:feed", "direct", 6, True),
+        ("dual:15", "dual", 15, False),
+        ("dual", "dual", 6, False),
+    ):
+        assert main(["corpus", "generate", name]) == 0
+        assert capsys.readouterr().out == generate_zoo(variant, positions, include_feed=feed), name
+    for name in ("bogus:4", "direct:16", "direct:6:food", "direct:six", "direct:6:feed:x", "direct:feed"):
+        assert main(["corpus", "generate", name]) == 3, name
+        assert capsys.readouterr().err.startswith("error: bad generator reference %r" % name), name
 
 
 def test_usage_error_exits_three(capsys):

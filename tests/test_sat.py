@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elang.cli
 import elang.sat
 from elang.clauses import ClauseSet
 from elang.corpus import ZOO_SCENARIOS, load_domain, load_golden
@@ -26,7 +27,6 @@ from elang.sat import (
     check_fragment,
     compile_theory,
     decode_model,
-    ramification_cycle,
     steps_hold,
     to_dimacs,
 )
@@ -35,10 +35,12 @@ from elang.transition import brute_force_successors, direct_candidates, legal_oc
 from oracles import (
     _column,
     cnf_satisfiable,
+    effect_conflicts,
     fragment_report,
     model_satisfies,
     normalize,
     random_cnf,
+    ramification_cycle,
     random_step,
     random_theory,
 )
@@ -56,15 +58,16 @@ def test_bulb_is_in_fragment():
 
 def test_zoo_direct_in_fragment_others_not():
     acc = check_fragment(ground(load_domain("corpus:zoo_direct.e", "corpus:chain_scenario.e"), 4))
-    assert acc.accepted
+    assert acc.accepted and not acc.violations
     for name in ("zoo_indirect.e", "zoo_dual.e"):
         rep = check_fragment(ground(load_domain("corpus:" + name, "corpus:chain_scenario.e"), 4))
         assert not rep.accepted, name
-        kinds = {v.kind for v in rep.violations}
-        assert "ramification-cycle" in kinds, name
+        # the one violation is the cycle
+        [violation] = rep.violations
+        assert violation.startswith("ramification-cycle: "), name
 
 
-def test_effect_conflict_detected():
+def test_clashing_effects_are_in_fragment():
     text = """
     fluent f.
     action a.
@@ -74,9 +77,16 @@ def test_effect_conflict_detected():
     a happens-at 0.
     b happens-at 0.
     """
-    rep = check_fragment(ground(dom(text), 1))
-    assert not rep.accepted
-    assert {v.kind for v in rep.violations} == {"effect-conflict"}
+    th = ground(dom(text), 1)
+    assert effect_conflicts(th) == ["statements 0 and 1 can disagree on f"]
+    rep = check_fragment(th)
+    assert rep.accepted and not rep.violations
+    # either effect can win, on both backends
+    for text, expect in (("credulous { f holds-at 1 }", "true"), ("credulous { neg f holds-at 1 }", "true"),
+                         ("skeptical { f holds-at 1 }", "false")):
+        query = parse_query(text)
+        result, engine = answer_sat(th, query), answer_theory(th, query)
+        assert (result.answer, result.witness) == (engine.answer, engine.witness) and result.answer == expect, text
 
 
 def test_nonconcurrent_opposite_effects_accepted():
@@ -92,42 +102,77 @@ def test_nonconcurrent_opposite_effects_accepted():
     assert check_fragment(ground(dom(text), 2)).accepted
 
 
-def assert_report_matches_oracle(th):
+def decoded_step_checks(monkeypatch) -> list[bool]:
+    """Whether each ``Solver`` that ``answer_sat`` builds checks decoded
+    steps, filled as the answers run."""
+    installed = []
+
+    class Spied(Solver):
+        def __init__(self, *args, accept=None, **kwargs):
+            installed.append(accept is not None)
+            super().__init__(*args, accept=accept, **kwargs)
+
+    monkeypatch.setattr(elang.sat, "Solver", Spied)
+    return installed
+
+
+def assert_report_matches_oracle(th, installed):
+    # One verdict everywhere: check_fragment is the oracle's cycle verdict,
+    # and it says whether answer_sat checks decoded steps.
     report = check_fragment(th)
-    assert (report.accepted, [str(v) for v in report.violations]) == fragment_report(th)
+    assert (report.accepted, report.violations) == fragment_report(th)
+    del installed[:]
+    atom = (th.fluents or tuple(th.constant_values))[0]  # zoo_landscape.e has no fluent that changes
+    answer_sat(th, parse_query("credulous { %s holds-at 0 }" % atom))
+    assert installed == [not report.accepted]
+    return report
+
+
+def assert_verdict_on_refs(refs, horizon, tmp_path, installed):
+    """The verdict on the domain the references name, and --dimacs exports
+    it exactly when the verdict accepts."""
+    report = assert_report_matches_oracle(ground(load_domain(*refs), horizon), installed)
+    target = tmp_path / "out.cnf"
+    argv = ["ground", *refs, "--dimacs", str(target)] + ([] if horizon is None else ["--horizon", str(horizon)])
+    assert elang.cli.main(argv) == (0 if report.accepted else 3), refs
+    assert target.exists() == report.accepted, refs
+    target.unlink(missing_ok=True)
     return report
 
 
 @pytest.mark.parametrize("variant", ["direct", "indirect", "dual"])
-@pytest.mark.parametrize("positions", [3, 4, 6])
+@pytest.mark.parametrize("positions", [3, 4, 6, 15])
 @pytest.mark.parametrize("feed", ["", ":feed"])
-def test_fragment_matches_oracle_on_generated_zoos(variant, positions, feed):
+def test_fragment_matches_oracle_on_generated_zoos(variant, positions, feed, tmp_path, monkeypatch):
     ref = "gen:%s:%d%s" % (variant, positions, feed)
-    report = assert_report_matches_oracle(ground(load_domain(ref, "corpus:zoo_scenario_move.e")))
+    report = assert_verdict_on_refs((ref, "corpus:zoo_scenario_move.e"), None, tmp_path, decoded_step_checks(monkeypatch))
     assert report.accepted == (variant == "direct")
 
 
-def test_fragment_matches_oracle_on_corpus():
+def test_fragment_matches_oracle_on_corpus(tmp_path, monkeypatch):
+    installed = decoded_step_checks(monkeypatch)
     for name in ("bulb.e", "bulb_noinit.e", "zoo_landscape.e"):
-        assert_report_matches_oracle(ground(load_domain("corpus:" + name), 4))
+        assert assert_verdict_on_refs(("corpus:" + name,), 4, tmp_path, installed).accepted
     for name in ("zoo_direct.e", "zoo_indirect.e", "zoo_dual.e", "zoo_dual_feed.e"):
         for scenario in ("chain_scenario.e",) + ZOO_SCENARIOS:
-            assert_report_matches_oracle(ground(load_domain("corpus:" + name, "corpus:" + scenario)))
+            report = assert_verdict_on_refs(("corpus:" + name, "corpus:" + scenario), None, tmp_path, installed)
+            assert report.accepted == (name == "zoo_direct.e")
 
 
-def test_fragment_matches_oracle_on_random_theories():
+def test_fragment_matches_oracle_on_random_theories(monkeypatch):
+    installed = decoded_step_checks(monkeypatch)
     rng = random.Random(41)
-    conflicts = cycles = accepted = 0
+    conflicts = cycles = accepted = accepted_conflicts = 0
     for _ in range(300):
-        report = assert_report_matches_oracle(
-            ground(random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4))
-        )
-        kinds = [v.kind for v in report.violations]
-        conflicts += "effect-conflict" in kinds
-        cycles += "ramification-cycle" in kinds
+        th = ground(random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4))
+        report = assert_report_matches_oracle(th, installed)
+        clash = bool(effect_conflicts(th))
+        conflicts += clash
+        cycles += not report.accepted
         accepted += report.accepted
-    # the draws reach every branch of the check
-    assert conflicts > 30 and cycles > 30 and accepted > 30
+        accepted_conflicts += report.accepted and clash
+    # the draws reach both verdicts, and clashing effects inside the fragment
+    assert conflicts > 30 and cycles > 30 and accepted > 30 and accepted_conflicts > 30
 
 
 DUAL_QUERIES = (
@@ -349,16 +394,15 @@ def test_solver_budget():
 
 def test_engine_agreement_on_random_theories():
     # drawn as in test_fragment_matches_oracle_on_random_theories, so that
-    # most theories fall outside the fragment
+    # many theories have clashing effects or a cycle
     rng = random.Random(31)
     multi = random.Random(32)  # conjunctions, drawn apart so the single goals stay as they were
     conflicts = cycles = 0
     for _ in range(120):
         domain = random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4)
         th = ground(domain)
-        kinds = {v.kind for v in check_fragment(th).violations}
-        conflicts += "effect-conflict" in kinds
-        cycles += "ramification-cycle" in kinds
+        conflicts += bool(effect_conflicts(th))
+        cycles += ramification_cycle(th) is not None
         name = rng.choice(list(domain.signature.fluents))
         sign = "" if rng.random() < 0.5 else "neg "
         mode = rng.choice(["credulous", "skeptical"])
@@ -380,7 +424,7 @@ def test_engine_agreement_on_random_theories():
             if query.mode == "skeptical" and result.answer == "false":  # a countermodel
                 states = decode_witness(th, result.witness)
                 assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
-    # the draws reach both ways out of the fragment
+    # the draws reach clashing effects and cycles
     assert conflicts >= 30 and cycles >= 30
 
     # Fully observed single steps with several targets (``random_step``):
@@ -506,7 +550,7 @@ def test_acyclic_support_that_never_changed_is_rejected():
     # is dropped without an override: no step, even though the theory is
     # acyclic.
     th = ground(dom(UNCHANGED_SUPPORT), 1)
-    assert elang.sat.ramification_cycle(th) is None
+    assert check_fragment(th).accepted
     source, actions = frozenset(c - 1 for c in th.observations[0] if c > 0), th.occurrences[0]
     assert successor_states(th, source, actions) == brute_force_successors(th, source, actions) == []
     query = parse_query("credulous { h holds-at 1 } horizon 1")

@@ -26,9 +26,9 @@ from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, generate_zoo, load_doma
 from elang.grounding import GroundRProp, ground
 from elang.parser import parse_domain, parse_query
 from elang.query import answer_theory, required_horizon
-from elang.sat import SatStats, Solver, answer_sat, compile_theory, ramification_cycle, to_dimacs
+from elang.sat import SatStats, Solver, answer_sat, compile_theory, to_dimacs
 
-from oracles import constraint_clause, normalize, random_theory, walk_scenario
+from oracles import constraint_clause, normalize, ramification_cycle, random_theory, walk_scenario
 
 
 def outcome(clauses: ClauseSet, assumptions) -> tuple:
