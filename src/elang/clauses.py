@@ -68,8 +68,10 @@ from types import SimpleNamespace
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, budget: int, stats):
-        super().__init__("search budget of %d nodes exceeded" % budget)
+    """More than ``budget`` engine nodes or kernel decisions of search."""
+
+    def __init__(self, budget: int, stats, unit: str):
+        super().__init__("search budget of %d %s exceeded" % (budget, unit))
         self.budget = budget
         self.stats = stats
 
@@ -284,7 +286,7 @@ class ClauseSet:
                 if var <= n:
                     tally.decisions += 1
                     if budget is not None and tally.decisions > budget:
-                        raise BudgetExceeded(budget, tally)
+                        raise BudgetExceeded(budget, tally, "decisions")
                     lit = -var
                     frames.append([lit, len(trail), 0])
                     enqueue(lit)

@@ -44,17 +44,18 @@ Grounding builds the ramification instances, but no effect or
 precondition instance: an effect statement only counts the bindings it
 keeps, and a precondition statement keeps all of its bindings, so
 ``stats`` is exact.  ``GroundTheory.effects_of(action)`` and
-``GroundTheory.preconditions_of(action)`` ground one action's instances
-the first time they are asked for: each statement groups its kept
-bindings by the arguments they give its action atom, once, so an action
-reads only its own.  Each instance comes with its position in ``cprops``
-or ``pprops``, the full lists in statement order and binding order,
-which are the instances of every ground action of the signature
-(``actions``) put in position order, built only when something reads
-them (``elang ground --dump``).  The step search, the clausal compiler
-and the relevance slice read effects and preconditions per action, so a
-query grounds only those of the actions its narrative schedules, much as
-gringo instantiates only what is relevant (Gebser et al., LPNMR 2007).
+``preconditions_of(action)`` ground one action's instances the first
+time they are asked for, as rows in the numeric form the step search,
+the relevance slice and the clausal compiler read, much as gringo hands
+its solver ground rules, not term objects, and instantiates only what is
+relevant (Gebser et al., LPNMR 2007): an effect is (position, effect
+literal, atoms the condition needs true, atoms it needs false), a
+precondition (position, atoms needed true, atoms needed false, whether it
+can never hold).  A row is read off its statement's tables for all of
+the action's bindings at once.  The positions are those in ``cprops``
+and ``pprops``, the instance objects of every ground action
+(``actions``) in statement order and binding order, built from the rows
+only when something lists them (``elang ground --dump``).
 
 Grounding is also the one reader of the ramification statements.  Each
 is a state constraint, whose clause ``constraint_clauses`` builds in the
@@ -63,14 +64,15 @@ trigger from each body literal to its head (``triggers``), which the
 step search, the clausal compiler and the cycle search (``first_cycle``)
 follow.  These indexes are derived the first time they are read, so a
 caller that needs few of them, such as a relevance slice, pays for no
-others.  So are the tests the step search reads off an action's
-effects and preconditions (``effect_tests`` and ``precondition_test``:
-conditions split into the atoms they need true and false) and its
+others.  So are an action's preconditions as one test
+(``precondition_test``, the union of its rows) and the step search's
 per-candidate-set plans (``plans``, filled by ``transition.step_plan``).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import operator
 from collections.abc import Callable
@@ -140,15 +142,13 @@ class GroundingStats:
     horizon: int = 0
 
 
-# An action's effect instances, each with its position in the full list.
-Instances = tuple[tuple[int, GroundCProp], ...]
-# An action's preconditions, each with its position in the full list.
-Preconditions = tuple[tuple[int, GroundPProp], ...]
-# An action's effects as (effect literal, atoms the condition needs true,
-# atoms it needs false).
-EffectTests = tuple[tuple[Lit, frozenset[int], frozenset[int]], ...]
-# An action's preconditions together as (whether one can never hold, atoms
-# they need true, atoms they need false).
+# An action's effect instances as rows (position in ``cprops``, effect
+# literal, atoms the condition needs true, atoms it needs false).
+Effects = tuple[tuple[int, Lit, frozenset[int], frozenset[int]], ...]
+# An action's precondition instances as rows (position in ``pprops``, atoms
+# the condition needs true, atoms it needs false, whether it can never hold).
+Preconditions = tuple[tuple[int, frozenset[int], frozenset[int], bool], ...]
+# An action's preconditions as one test (``precondition_test``).
 PreconditionTest = tuple[bool, frozenset[int], frozenset[int]]
 
 
@@ -158,8 +158,12 @@ class GroundTheory:
     index: dict[Atom, int]
     constant_values: dict[Atom, bool]
     signature: Signature
-    ground_effects: Callable[[Atom], Instances]  # one action's, on first read
+    ground_effects: Callable[[Atom], Effects]  # one action's, on first read
     ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
+    # (first position, statement) of each effect and needs statement, in
+    # order: the ``src`` of the instances ``cprops`` and ``pprops`` list
+    effect_sources: list[tuple[int, int]]
+    need_sources: list[tuple[int, int]]
     rprops: list[GroundRProp]
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
@@ -169,9 +173,7 @@ class GroundTheory:
     # compiled clauses, indexed.
     sat_memo: object = field(default=None, repr=False, compare=False)
     # The effect instances ground so far, by action.
-    effects: dict[Atom, Instances] = field(default_factory=dict, repr=False, compare=False)
-    # The effect tests made so far, by action (``effect_tests``).
-    tests: dict[Atom, EffectTests] = field(default_factory=dict, repr=False, compare=False)
+    effects: dict[Atom, Effects] = field(default_factory=dict, repr=False, compare=False)
     # The preconditions ground so far, by action.
     preconditions: dict[Atom, Preconditions] = field(default_factory=dict, repr=False, compare=False)
     # The precondition tests made so far, by action (``precondition_test``).
@@ -264,55 +266,53 @@ class GroundTheory:
     @cached_property
     def cprops(self) -> list[GroundCProp]:
         """Every effect instance, in statement order and binding order: the
-        instances of every ground action, by position."""
-        return _by_position(map(self.effects_of, self.actions))
+        instances of every ground action, by position, built from the
+        rows."""
+        src = _owner(self.effect_sources)
+        rows = sorted((row, action) for action in self.actions for row in self.effects_of(action))
+        return [
+            GroundCProp(action, effect > 0, abs(effect) - 1, condition_codes(true, false), src(p))
+            for (p, effect, true, false), action in rows
+        ]
 
-    def effects_of(self, action: Atom) -> Instances:
-        """The effect instances of ``action`` with their positions in
-        ``cprops``, ground the first time they are asked for."""
+    def effects_of(self, action: Atom) -> Effects:
+        """The effect rows of ``action``, in position order, ground the
+        first time they are asked for."""
         found = self.effects.get(action)
         if found is None:
             found = self.effects[action] = self.ground_effects(action)
         return found
 
-    def effect_tests(self, action: Atom) -> EffectTests:
-        """The effects of ``action``, in ``effects_of`` order, each with its
-        condition split into the atoms it needs true and false, so that a
-        state is tested with two set operations; made the first time they
-        are asked for."""
-        found = self.tests.get(action)
-        if found is None:
-            found = self.tests[action] = tuple(
-                (cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), *split_condition(cp.condition))
-                for _, cp in self.effects_of(action)
-            )
-        return found
-
     @cached_property
     def pprops(self) -> list[GroundPProp]:
         """Every precondition instance, in statement order and binding order:
-        the instances of every ground action, by position."""
-        return _by_position(map(self.preconditions_of, self.actions))
+        the instances of every ground action, by position, built from the
+        rows."""
+        src = _owner(self.need_sources)
+        rows = sorted((row, action) for action in self.actions for row in self.preconditions_of(action))
+        return [
+            GroundPProp(action, condition_codes(true, false), src(p), impossible)
+            for (p, true, false, impossible), action in rows
+        ]
 
     def preconditions_of(self, action: Atom) -> Preconditions:
-        """The precondition instances of ``action`` with their positions in
-        ``pprops``, ground the first time they are asked for."""
+        """The precondition rows of ``action``, in position order, ground
+        the first time they are asked for."""
         found = self.preconditions.get(action)
         if found is None:
             found = self.preconditions[action] = self.ground_preconditions(action)
         return found
 
     def precondition_test(self, action: Atom) -> PreconditionTest:
-        """The preconditions of ``action`` as one test: whether one of them
-        can never hold, and the atoms they need true and false, so that a
-        state is tested with two set operations; made the first time it is
-        asked for."""
+        """The preconditions of ``action`` as one test, the union of its
+        rows: whether one of them can never hold, and the atoms they need
+        true and false, so that a state is tested with two set operations;
+        made the first time it is asked for."""
         found = self.needs.get(action)
         if found is None:
-            pairs = self.preconditions_of(action)
-            impossible = any(pp.impossible for _, pp in pairs)
-            condition = _NONE.union(*(pp.condition for _, pp in pairs))
-            found = self.needs[action] = (impossible, *split_condition(condition))
+            rows = self.preconditions_of(action)
+            _, true, false, impossible = zip(*rows) if rows else ((),) * 4
+            found = self.needs[action] = (any(impossible), _NONE.union(*true), _NONE.union(*false))
         return found
 
     @property
@@ -326,11 +326,8 @@ class GroundTheory:
     def atom_of(self, code: Lit) -> Atom:
         return self.fluents[abs(code) - 1]
 
-    def decode(self, code: Lit) -> FluentLiteral:
-        return FluentLiteral(self.atom_of(code), code > 0)
-
     def lit_str(self, code: Lit) -> str:
-        return str(self.decode(code))
+        return str(FluentLiteral(self.atom_of(code), code > 0))
 
     def holds(self, state: State, code: Lit) -> bool:
         return (abs(code) - 1 in state) == (code > 0)
@@ -349,23 +346,16 @@ class GroundTheory:
 _NONE: frozenset[int] = frozenset()
 
 
-def _by_position(per_action) -> list:
-    """The instances of the actions' (position, instance) pairs, by position."""
-    pairs = sorted(itertools.chain.from_iterable(per_action), key=operator.itemgetter(0))
-    return [instance for _, instance in pairs]
+def _owner(sources: list[tuple[int, int]]) -> Callable[[int], int]:
+    """The statement that owns a position, from the statements' first
+    positions in order."""
+    firsts = [first for first, _ in sources]
+    return lambda position: sources[bisect.bisect_right(firsts, position) - 1][1]
 
 
-def split_condition(condition: frozenset[Lit]) -> tuple[frozenset[int], frozenset[int]]:
-    """The atoms ``condition`` needs true and the atoms it needs false: it
-    holds in a state that contains the first and meets none of the second.
-    An empty side is one shared empty set."""
-    true, false = [], []
-    for c in condition:
-        if c > 0:
-            true.append(c - 1)
-        else:
-            false.append(-c - 1)
-    return frozenset(true) if true else _NONE, frozenset(false) if false else _NONE
+def condition_codes(true: frozenset[int], false: frozenset[int]) -> frozenset[Lit]:
+    """The literal codes of a condition split into its true and false atoms."""
+    return frozenset([a + 1 for a in true] + [-a - 1 for a in false])
 
 
 class _Template:
@@ -438,88 +428,62 @@ def _clash_free(codes: set[Lit]) -> bool:
     return not any(-c in codes for c in codes)
 
 
+def _column(lookup) -> Callable:
+    """The looked-up value per binding, as a function of the bindings."""
+    getter, table = lookup
+    return lambda combos: map(table.__getitem__, map(getter, combos))
+
+
+def _sets(lookups: list) -> Callable:
+    """The set of the lookups' values per binding, as a function of the
+    bindings: the shared empty set when there are no lookups."""
+    if not lookups:
+        return lambda combos: itertools.repeat(_NONE, len(combos))
+    columns = list(map(_column, lookups))
+    return lambda combos: map(frozenset, zip(*[column(combos) for column in columns]))
+
+
 class _PerAction:
     """An effect or needs statement, ground one action at a time.  Its
     instances take the positions from ``offset`` on in the theory's full
-    list of its kind, one per ``kept`` binding in binding order.  The
-    first time an action is asked for, the kept bindings are grouped by
-    the values they give the statement's action atom, so each action
-    finds its own directly."""
+    list of its kind, one per ``kept`` binding in binding order.  An
+    action's bindings are the product of the sorts of the slots its
+    arguments leave free, in binding order, and a table made once gives a
+    kept one's position.  Its rows are the positions and the columns
+    ``make_columns`` makes, on first use, from the statement's tables."""
 
-    def __init__(self, tpl: _Template, action: Atom, offset: int, kept: list[tuple[str, ...]]):
+    def __init__(self, tpl: _Template, action: Atom, offset: int, kept, make_columns: Callable[[], list]):
         self.tpl = tpl
         self.action = action
         self.offset = offset
         self.kept = kept
-        self._by_key: dict[object, list[tuple[int, tuple[str, ...]]]] | None = None
+        self.make_columns = make_columns
+        self._positions: dict[tuple[str, ...], int] | None = None
+        self._columns: list[Callable] = []
 
-    def _instance(self, action: Atom, combo: tuple[str, ...]):
-        raise NotImplementedError
-
-    def of(self, action: Atom) -> tuple[tuple[int, object], ...]:
-        """The instances of ``action``, in binding order."""
-        args, slot = self.action.args, self.tpl.slot
-        # an action names a kept binding by its arguments in the places of
-        # the statement's variables; its other arguments must be the
-        # statement's constants
-        if any(t not in slot and t != value for t, value in zip(args, action.args)):
-            return ()
-        places = [k for k, t in enumerate(args) if t in slot]
-        key_of = operator.itemgetter(*places) if places else _no_slots
-        if self._by_key is None:
-            of_combo = operator.itemgetter(*(slot[args[k]] for k in places)) if places else _no_slots
-            self._by_key = {}
-            for position, combo in enumerate(self.kept, self.offset):
-                self._by_key.setdefault(of_combo(combo), []).append((position, combo))
-        found = self._by_key.get(key_of(action.args), ())
-        return tuple((position, self._instance(action, combo)) for position, combo in found)
-
-
-class _Effect(_PerAction):
-    """An effect statement over a dynamic fluent.  Grounding keeps its
-    ``kept`` bindings, those whose constant literals hold and whose
-    literals never clash, and the tables of its dynamic condition
-    literals."""
-
-    def __init__(
-        self, tpl: _Template, prop: CProp, src: int, offset: int, kept, dynamic, fluent_numbers
-    ):
-        super().__init__(tpl, prop.action, offset, kept)
-        self.prop = prop
-        self.src = src
-        self.dynamic = dynamic
-        self.fluent_numbers = fluent_numbers
-        self._fluent = None
-
-    def _instance(self, action: Atom, combo: tuple[str, ...]) -> GroundCProp:
-        if self._fluent is None:
-            self._fluent = self.tpl.lookup(self.prop.fluent, self.fluent_numbers.__getitem__)
-        get_fluent, fluents = self._fluent
-        codes = frozenset([table[getter(combo)] for getter, table in self.dynamic])
-        return GroundCProp(action, self.prop.initiates, fluents[get_fluent(combo)], codes, self.src)
-
-
-class _Need(_PerAction):
-    """A needs statement.  Every binding is kept: one whose constant
-    literals fail or whose literals clash makes an impossible instance,
-    which keeps its action from ever occurring legally.  The tables of its
-    condition are built by ``residues`` when its first instance is."""
-
-    def __init__(self, tpl: _Template, prop: PProp, src: int, offset: int, residues):
-        super().__init__(tpl, prop.action, offset, tpl.bindings)
-        self.prop = prop
-        self.src = src
-        self.residues = residues
-        self._tables = None
-
-    def _instance(self, action: Atom, combo: tuple[str, ...]) -> GroundPProp:
-        if self._tables is None:
-            dynamic, possible = self.residues(self.tpl, self.prop.condition)
-            self._tables = dynamic, None if possible is self.kept else set(possible)
-        dynamic, possible = self._tables
-        codes = frozenset([table[getter(combo)] for getter, table in dynamic])
-        impossible = possible is not None and combo not in possible
-        return GroundPProp(action, codes, self.src, impossible)
+    def rows(self, action: Atom):
+        """The rows of ``action``, in binding order."""
+        slot, fixed = self.tpl.slot, {}
+        # the action's arguments fix the slots of the statement's variables
+        # in their places; its other arguments must be the statement's
+        # constants
+        for t, value in zip(self.action.args, action.args):
+            i = slot.get(t)
+            if i is None:
+                if t != value:
+                    return ()
+            elif fixed.setdefault(i, value) != value:
+                return ()
+        if self._positions is None:
+            self._positions = dict(zip(self.kept, itertools.count(self.offset)))
+            self._columns = self.make_columns()
+        pools = [[fixed[i]] if i in fixed else pool for i, pool in enumerate(self.tpl.pools)]
+        combos = list(itertools.product(*pools))
+        positions = list(map(self._positions.get, combos))
+        if None in positions:
+            kept = list(map(operator.is_not, positions, itertools.repeat(None)))
+            combos, positions = [*itertools.compress(combos, kept)], [*itertools.compress(positions, kept)]
+        return zip(positions, *[column(combos) for column in self._columns]) if combos else ()
 
 
 def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheory:
@@ -687,34 +651,54 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             )
 
     def residues(tpl: _Template, condition: Condition):
-        """The getters and tables of the condition's dynamic literals, and
-        the template's bindings whose constant literals hold and whose
-        codes never clash, in binding order (the list itself when that is
-        all of them).  Each constant literal narrows the list in turn."""
-        kept, dynamic, signs = tpl.bindings, [], set()
+        """The condition's dynamic literals, and the template's bindings
+        whose constant literals hold and whose codes never clash, in
+        binding order (the list itself when that is all of them).  Each
+        constant literal narrows the list in turn."""
+        kept, dynamic = tpl.bindings, []
         for lit in condition.literals:
             if is_constant(lit.atom):
                 getter, table = tpl.lookup(lit.atom, truth(lit))
                 kept = [combo for combo in kept if table[getter(combo)]]
             else:
-                dynamic.append(tpl.lookup(lit.atom, coder(lit)))
-                signs.add((lit.atom.name, lit.positive))
+                dynamic.append(lit)
+        signs = {(lit.atom.name, lit.positive) for lit in dynamic}
         if any((name, False) in signs for name, positive in signs if positive):
+            lookups = [tpl.lookup(lit.atom, coder(lit)) for lit in dynamic]
             kept = [
                 combo
                 for combo in kept
-                if _clash_free({table[getter(combo)] for getter, table in dynamic})
+                if _clash_free({table[getter(combo)] for getter, table in lookups})
             ]
         return dynamic, kept if len(kept) < len(tpl.bindings) else tpl.bindings
+
+    # The columns of the rows: a dynamic condition literal's sign is fixed,
+    # so its table gives atom numbers, and each sign's make one set.
+    def sides(tpl: _Template, literals: list[FluentLiteral]) -> list[Callable]:
+        tables = [(lit.positive, tpl.lookup(lit.atom, numbers[lit.atom.name].__getitem__)) for lit in literals]
+        return [_sets([lookup for positive, lookup in tables if positive is sign]) for sign in (True, False)]
+
+    def effect_columns(tpl: _Template, prop: CProp, literals: list[FluentLiteral]) -> list[Callable]:
+        effect = tpl.lookup(prop.fluent, coder(FluentLiteral(prop.fluent, prop.initiates)))
+        return [_column(effect), *sides(tpl, literals)]
+
+    def need_columns(tpl: _Template, prop: PProp) -> list[Callable]:
+        # a binding whose constant literals fail or whose literals clash
+        # makes an impossible instance
+        literals, possible = residues(tpl, prop.condition)
+        impossible = set() if possible is tpl.bindings else set(tpl.bindings).difference(possible)
+        return [*sides(tpl, literals), lambda combos: map(impossible.__contains__, combos)]
 
     # After the fixpoint: expand the statements over dynamic fluents, in
     # statement order and binding order, with constants resolved.  An
     # effect statement only counts the bindings it keeps, and a needs
-    # statement keeps them all; their instances are ground per action
-    # when first asked for (``_PerAction``).
-    effects_by_action: dict[str, list[_Effect]] = {}
+    # statement keeps them all; their rows are ground per action when
+    # first asked for (``_PerAction``).
+    effects_by_action: dict[str, list[_PerAction]] = {}
+    effect_sources: list[tuple[int, int]] = []
     n_effects = 0
-    needs_by_action: dict[str, list[_Need]] = {}
+    needs_by_action: dict[str, list[_PerAction]] = {}
+    need_sources: list[tuple[int, int]] = []
     n_needs = 0
     rprops: list[GroundRProp] = []
     occurrences: dict[int, set[Atom]] = {}
@@ -742,10 +726,13 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             if is_constant(prop.fluent):
                 continue
             tpl = templates[src]
-            dynamic, kept = residues(tpl, prop.condition)
+            literals, kept = residues(tpl, prop.condition)
             stats.dropped_instances += len(tpl.bindings) - len(kept)
-            effect = _Effect(tpl, prop, src, n_effects, kept, dynamic, numbers[prop.fluent.name])
-            effects_by_action.setdefault(prop.action.name, []).append(effect)
+            columns = functools.partial(effect_columns, tpl, prop, literals)
+            effects_by_action.setdefault(prop.action.name, []).append(
+                _PerAction(tpl, prop.action, n_effects, kept, columns)
+            )
+            effect_sources.append((n_effects, src))
             n_effects += len(kept)
         elif isinstance(prop, RProp):
             if prop.head is None:
@@ -756,23 +743,25 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                 continue  # folded into the constant fixpoint above
             else:
                 get_head, heads = templates[src].lookup(prop.head.atom, coder(prop.head))
-            dynamic, kept = residues(templates[src], prop.condition)
+            literals, kept = residues(templates[src], prop.condition)
+            dynamic = [templates[src].lookup(lit.atom, coder(lit)) for lit in literals]
             stats.dropped_instances += len(templates[src].bindings) - len(kept)
             for combo in kept:
                 codes = frozenset([table[getter(combo)] for getter, table in dynamic])
                 rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
         else:
-            need = _Need(templates[src], prop, src, n_needs, residues)
-            needs_by_action.setdefault(prop.action.name, []).append(need)
-            n_needs += len(need.kept)
+            tpl = templates[src]
+            columns = functools.partial(need_columns, tpl, prop)
+            needs_by_action.setdefault(prop.action.name, []).append(
+                _PerAction(tpl, prop.action, n_needs, tpl.bindings, columns)
+            )
+            need_sources.append((n_needs, src))
+            n_needs += len(tpl.bindings)
 
-    def ground_effects(action: Atom) -> Instances:
-        return tuple(
-            pair for effect in effects_by_action.get(action.name, ()) for pair in effect.of(action)
+    def rows_of(statements: dict[str, list[_PerAction]]) -> Callable[[Atom], tuple]:
+        return lambda action: tuple(
+            itertools.chain.from_iterable([s.rows(action) for s in statements.get(action.name, ())])
         )
-
-    def ground_preconditions(action: Atom) -> Preconditions:
-        return tuple(pair for need in needs_by_action.get(action.name, ()) for pair in need.of(action))
 
     stats.cprops = n_effects
     stats.rprops = sum(1 for r in rprops if r.head is not None)
@@ -786,8 +775,10 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         index=index,
         constant_values=dict(zip(constant_atoms, values)),
         signature=sig,
-        ground_effects=ground_effects,
-        ground_preconditions=ground_preconditions,
+        ground_effects=rows_of(effects_by_action),
+        ground_preconditions=rows_of(needs_by_action),
+        effect_sources=effect_sources,
+        need_sources=need_sources,
         rprops=rprops,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
         observations={t: frozenset(v) for t, v in sorted(observations.items())},

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .clauses import BudgetExceeded
-from .grounding import GroundingStats, GroundTheory, Lit, State, ground
-from .grounding import GroundPProp, GroundRProp
+from .grounding import GroundingStats, GroundRProp, GroundTheory, Lit, State, ground
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
 
@@ -121,7 +120,7 @@ class Evaluator:
     def _tick(self) -> None:
         self.stats.nodes += 1
         if self.budget is not None and self.stats.nodes > self.budget:
-            raise BudgetExceeded(self.budget, self.stats)
+            raise BudgetExceeded(self.budget, self.stats, "nodes")
 
     def successors(self, state: State, actions: frozenset[Atom]) -> tuple[State, ...]:
         key = (state, actions)
@@ -326,27 +325,26 @@ def slice_for_goals(
     effect instance of an action the theory schedules, mentions both (head
     and body included).  An effect or precondition of an action that never
     occurs never applies, so it links or restricts nothing and is left
-    out; only the scheduled actions' effects and preconditions are read,
-    and so ground.
-    The kept atoms then never share a live statement with a dropped one,
-    and the transition relation factorizes.  Answers over the slice match
-    the full theory whenever the full theory is consistent; an
-    inconsistency caused purely by dropped atoms is invisible to the slice.
+    out; only the scheduled actions' effect and precondition rows are
+    read, and so ground.  The kept atoms then never share a live statement
+    with a dropped one, and the transition relation factorizes.  Answers
+    over the slice match the full theory whenever the full theory is
+    consistent; an inconsistency caused purely by dropped atoms is
+    invisible to the slice.
 
     The slice is a view in the theory's own atom numbering, not a copy.
     It shares the theory's signature, fluents, index, constant values and
-    occurrences; every kept rule and effect pair is the theory's own
-    object (the rule list itself when every rule is kept), so an effect
-    keeps its position in the theory's ``cprops``, as a precondition does
-    in its ``pprops``.  Preconditions and
-    observations lose their literals on dropped atoms; only a statement
-    that has one is rebuilt.  Each dropped atom is then observed false at
-    time 0: nothing in the view can change it, so neither the initial
-    states nor the steps branch on it, and a witness, which lists true
-    atoms, reads as over the kept atoms alone.  ``stats`` count the kept
-    atoms and statements and the narrative's own kept observations.  The
-    view's indexes are its own, built when first read.  Returns the view
-    and the kept atom numbers, ascending.
+    occurrences; every kept rule and row is the theory's own object (the
+    rule list, or an action's rows, itself when all are kept), and a row
+    keeps its position.  Precondition rows and observations lose their
+    dropped atoms; only a row that has one is rebuilt.
+    Each dropped atom is then observed false at time 0: nothing in the
+    view can change it, so neither the initial states nor the steps branch
+    on it, and a witness, which lists true atoms, reads as over the kept
+    atoms alone.  ``stats`` count the kept atoms and statements and the
+    narrative's own kept observations.  The view's indexes are its own,
+    built when first read.  Returns the view and the kept atom numbers,
+    ascending.
     """
     n = theory.n_fluents
     occurring = set().union(*theory.occurrences.values())
@@ -359,40 +357,38 @@ def slice_for_goals(
             root[a] = a = root[root[a]]
         return a
 
-    def link(head: Lit | None, body: frozenset[Lit]) -> None:
-        if head is None:
-            if not body:
-                return
-            head = next(iter(body))
+    def link(head: Lit, members: Iterable[int], shift: int) -> None:
+        # joins the atom of ``head`` and the members, atom numbers (shift
+        # 0) or literal codes (shift 1)
         first = find(abs(head) - 1)
-        for c in body:
-            r = abs(c) - 1
+        for r in members:
+            r = abs(r) - shift
             if root[r] != r:
                 r = find(r)
             if r != first:
                 root[r] = first
 
     for action in occurring:
-        for _, cp in theory.effects_of(action):
-            link(cp.fluent + 1, cp.condition)
+        for _, effect, true, false in theory.effects_of(action):
+            link(effect, true, 0)
+            if false:
+                link(effect, false, 0)
     for rp in theory.rprops:
-        link(rp.head, rp.condition)
+        if rp.head is not None:
+            link(rp.head, rp.condition, 1)
+        elif rp.condition:
+            link(next(iter(rp.condition)), rp.condition, 1)
     roots = {find(a) for a in goal_atoms}
     inside = [find(a) in roots for a in range(n)]
     kept = tuple(compress(range(n), inside))
-
-    def own(codes: frozenset[Lit]) -> frozenset[Lit]:
-        # ``codes`` less the literals on dropped atoms, itself if it has none
-        if all(inside[abs(c) - 1] for c in codes):
-            return codes
-        return frozenset(c for c in codes if inside[abs(c) - 1])
+    mine = frozenset(kept)
 
     effects = {}
     for action in occurring:
-        pairs = theory.effects_of(action)
-        mine = tuple(pair for pair in pairs if inside[pair[1].fluent])
-        if mine:
-            effects[action] = pairs if len(mine) == len(pairs) else mine
+        rows = theory.effects_of(action)
+        kept_rows = tuple(row for row in rows if inside[abs(row[1]) - 1])
+        if kept_rows:
+            effects[action] = rows if len(kept_rows) == len(rows) else kept_rows
 
     def kept_rule(rp: GroundRProp) -> bool:
         probe = rp.head if rp.head is not None else next(iter(rp.condition), 0)
@@ -403,16 +399,18 @@ def slice_for_goals(
         rprops = theory.rprops
     preconditions = {}
     for action in occurring:
-        mine = []
-        for position, pp in theory.preconditions_of(action):
-            condition = own(pp.condition)
-            if condition is not pp.condition:
-                pp = GroundPProp(pp.action, condition, pp.src, pp.impossible)
-            if condition or pp.impossible:
-                mine.append((position, pp))
-        if mine:
-            preconditions[action] = tuple(mine)
-    observations = {t: mine for t, obs in theory.observations.items() if (mine := own(obs))}
+        kept_rows = []
+        for row in theory.preconditions_of(action):
+            position, true, false, impossible = row
+            if not (true <= mine and false <= mine):
+                true, false = true & mine, false & mine
+                row = (position, true, false, impossible)
+            if true or false or impossible:
+                kept_rows.append(row)
+        if kept_rows:
+            preconditions[action] = tuple(kept_rows)
+    observed = {t: frozenset([c for c in obs if inside[abs(c) - 1]]) for t, obs in theory.observations.items()}
+    observations = {t: obs for t, obs in observed.items() if obs}
     denials = sum(1 for r in rprops if r.head is None)
     stats = GroundingStats(
         fluent_atoms=len(kept),
@@ -439,6 +437,8 @@ def slice_for_goals(
         # and their kept preconditions
         preconditions=preconditions,
         ground_preconditions=lambda action: (),
+        effect_sources=theory.effect_sources,
+        need_sources=theory.need_sources,
         rprops=rprops,
         occurrences=theory.occurrences,
         observations=observations,

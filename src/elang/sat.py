@@ -6,7 +6,7 @@ closure, the way CCALC compiles causal theories (McCain and Turner,
 AAAI 1997).  The fluent variables come first, time point by time point;
 then, per step t:
 
-  fire(c,t)    <-> the effect instance's condition holds at t
+  fire(c,t)    <-> the condition of effect row c holds at t
   changed(l,t)     one per literal the step's effects can produce
                    (``transition.step_plan``)
   ramify(r,t)  <-> the rule's body holds at t+1 and some body literal
@@ -34,7 +34,10 @@ with the clauses
                    (``GroundTheory.constraint_clauses``, as rows)
 
 and the observations and the preconditions of scheduled actions as unit
-clauses.  Every trajectory is the fluent part of a model: take changed
+clauses.  The effects and preconditions are the scheduled actions' rows
+(``GroundTheory.effects_of``, ``preconditions_of``): a row's position
+names its fire variable, and its atom sets give the condition's
+literals.  Every trajectory is the fluent part of a model: take changed
 as the least closure.  The converse holds when the ramification graph is
 acyclic, since the completion then has the least closure as its only
 solution.  Around a cycle, changes may support each other.  So on a
@@ -94,7 +97,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .clauses import ClauseSet
-from .grounding import GroundTheory, Lit, State
+from .grounding import GroundTheory, Lit, State, condition_codes
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
 from .transition import direct_candidates, step_holds, step_plan
@@ -196,6 +199,7 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     def ordered(codes) -> list[Lit]:
         return sorted(codes, key=lambda c: (abs(c), c))
 
+
     # Observation units, an atom's two literals in (atom, sign) order,
     # since an observation set may hold both.
     for t in sorted(theory.observations):
@@ -204,11 +208,11 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     # Precondition units for scheduled actions.
     for t in sorted(theory.occurrences):
         for action in sorted(theory.occurrences[t]):
-            for _, pp in theory.preconditions_of(action):
-                if pp.impossible:
+            for _, true, false, impossible in theory.preconditions_of(action):
+                if impossible:
                     emit(())
                 else:
-                    emit_all([(at(code, t),) for code in ordered(pp.condition)])
+                    emit_all([(at(code, t),) for code in ordered(condition_codes(true, false))])
 
     # Per-step completion of the closure (see the module docstring).  A
     # ground condition is a clash-free set and every auxiliary variable
@@ -220,10 +224,8 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     # theory's ``triggers``.
     @functools.cache
     def effects(action: Atom) -> tuple[tuple[int, list[Lit], Lit], ...]:
-        return tuple(
-            (ci, ordered(cp.condition), cp.fluent + 1 if cp.initiates else -(cp.fluent + 1))
-            for ci, cp in theory.effects_of(action)
-        )
+        rows = theory.effects_of(action)
+        return tuple((ci, ordered(condition_codes(true, false)), effect) for ci, effect, true, false in rows)
 
     triggers = theory.triggers
     body_of = functools.cache(lambda ri: ordered(theory.rprops[ri].condition))

@@ -61,11 +61,10 @@ literals, the reach, the frozen atoms and the bodies that can support
 each reach atom, depends on the candidates only.  ``step_plan`` works it
 out once per theory and candidate set and keeps it on ``theory.plans``;
 the clausal compiler reads the producible literals from the same memo.
-The direct candidates are read off each action's effects with their
-conditions split once into the atoms they need true and false
-(``GroundTheory.effect_tests``), and an occurrence is tested against
-each action's preconditions split the same way
-(``GroundTheory.precondition_test``).
+The direct candidates are read off each action's effect rows
+(``GroundTheory.effects_of``), whose conditions come as the atoms they
+need true and false, and an occurrence is tested against the union of
+its preconditions' rows (``GroundTheory.precondition_test``).
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
@@ -96,7 +95,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grounding import GroundTheory, Lit, State, split_condition
+from .grounding import GroundTheory, Lit, State
 from .model import Atom
 
 
@@ -104,7 +103,7 @@ def direct_candidates(theory: GroundTheory, state: State, actions: frozenset[Ato
     """Direct effect literals produced by ``actions`` in ``state``."""
     out: set[Lit] = set()
     for action in actions:
-        for effect, true, false in theory.effect_tests(action):
+        for _, effect, true, false in theory.effects_of(action):
             if state.issuperset(true) and state.isdisjoint(false):
                 out.add(effect)
     return frozenset(out)
@@ -237,7 +236,8 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
         tuple(supported),
         # a tautology when the candidates hold both values of an atom
         None if any(-c in candidates for c in candidates) else list(candidates),
-        *split_condition(candidates),
+        frozenset([c - 1 for c in candidates if c > 0]),
+        frozenset([-c - 1 for c in candidates if c < 0]),
     )
     return plan
 

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, output shapes."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,8 +9,9 @@ from elang.cli import main
 from elang.corpus import corpus_path, generate_zoo, load_domain
 from elang.grounding import ground
 from elang.sat import check_fragment
+from elang.specfiles import parse_stanzas
 
-from oracles import effect_conflicts
+from oracles import effect_conflicts, walk_scenario
 
 
 @pytest.fixture()
@@ -140,6 +142,15 @@ def test_query_budget_exit(noinit_file):
     assert main(argv) == 4
 
 
+@pytest.mark.parametrize("backend, unit", [("engine", "nodes"), ("sat", "decisions")])
+def test_query_budget_message_names_the_unit(noinit_file, backend, unit, capsys):
+    # the engine charges trajectory nodes, the clausal backend decisions
+    argv = ["query", noinit_file, "--mode", "skeptical", "--goal", "light holds-at 3",
+            "--horizon", "4", "--budget", "0", "--backend", backend]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: search budget of 0 %s exceeded\n" % unit
+
+
 def test_query_long_horizon_answers(bulb_file, capsys):
     argv = ["query", bulb_file, "--mode", "credulous", "--goal", "light holds-at 3",
             "--horizon", "5000"]
@@ -189,6 +200,52 @@ def test_query_long_ramification_chain_answers(chain_file, backend, capsys):
             "--backend", backend]
     assert main(argv) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+def query_records(capsys, tmp_path, files, queries, *flags) -> str:
+    """The ``elang query FILES --query Q --json --witness`` record of each
+    query text, exit code first, one per line."""
+    lines = []
+    for i, text in enumerate(queries):
+        qfile = tmp_path / ("q%d.q" % i)
+        qfile.write_text(text + "\n")
+        code = main(["query", *files, "--query", str(qfile), "--json", "--witness", *flags])
+        lines.append("%d %s" % (code, capsys.readouterr().out))
+    return "".join(lines)
+
+
+# sha256 of query_records over the golden cases, in file order, and over
+# WALK_QUERIES on a seeded walk with --slice on, taken before an action's
+# effects and preconditions were ground as rows; a change that moves a
+# counter or a witness retakes them and says so
+ANSWER_RECORDS_SHA256 = {
+    "engine": "1a5576111bffc6db473e85531dfd457e7dbeade439bdcf671453fee9f3751b42",
+    "sat": "c12f9bc4d58ee594ea83735be87173b3949248314d4363b95ab3b45154c394e6",
+    "walk": "dbcf04de099ae85af55b03e1807650c1bff5f864bf06bde394a10b2f17be77de",
+}
+WALK_QUERIES = (
+    "credulous { hungry(john) holds-at 20 }",
+    "skeptical { neg hungry(dumpo) holds-at 12 }",
+    "credulous { animal_pos(john, p3) holds-at 1 }",
+    "skeptical { neg rides(john, dumpo) holds-at 5 }",
+)
+
+
+@pytest.mark.parametrize("backend", ["engine", "sat"])
+def test_golden_records_are_pinned(capsys, tmp_path, backend):
+    records = []
+    for case in parse_stanzas(corpus_path("golden.cases").read_text(), section="case"):
+        files = ["corpus:" + name for name in [case.one("domain"), *case.many("scenario")]]
+        records.append(query_records(capsys, tmp_path, files, [case.one("query")], "--backend", backend))
+    assert len(records) == 18
+    assert hashlib.sha256("".join(records).encode()).hexdigest() == ANSWER_RECORDS_SHA256[backend]
+
+
+def test_sliced_walk_records_are_pinned(capsys, tmp_path):
+    path = tmp_path / "walk.e"
+    path.write_text(generate_zoo("direct", 8, include_feed=True) + walk_scenario(8, 20, 2))
+    records = query_records(capsys, tmp_path, [str(path)], WALK_QUERIES, "--slice", "on")
+    assert hashlib.sha256(records.encode()).hexdigest() == ANSWER_RECORDS_SHA256["walk"]
 
 
 def test_query_multiple_files_merge(tmp_path):

@@ -15,6 +15,21 @@ def g(text, horizon=None):
     return ground(parse_domain(text).domain, horizon)
 
 
+def split(condition):
+    """A condition's codes as the atoms it needs true and false."""
+    return frozenset(c - 1 for c in condition if c > 0), frozenset(-c - 1 for c in condition if c < 0)
+
+
+def effect_row(position, cp):
+    """The row ``effects_of`` gives for a listed effect instance."""
+    return (position, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), *split(cp.condition))
+
+
+def precondition_row(position, pp):
+    """The row ``preconditions_of`` gives for a listed precondition."""
+    return (position, *split(pp.condition), pp.impossible)
+
+
 def test_bulb_ground_counts():
     from elang.corpus import load_domain
 
@@ -316,7 +331,9 @@ def test_indexes_match_their_definitions():
     }
     actions = {p.action for p in th.pprops} | {cp.action for cp in th.cprops}
     for a in actions:
-        assert th.preconditions_of(a) == tuple((i, p) for i, p in enumerate(th.pprops) if p.action == a)
+        assert th.preconditions_of(a) == tuple(
+            precondition_row(i, p) for i, p in enumerate(th.pprops) if p.action == a
+        )
         conditions = [p.condition for p in th.pprops if p.action == a]
         assert th.precondition_test(a) == (
             any(p.impossible for p in th.pprops if p.action == a),
@@ -324,7 +341,7 @@ def test_indexes_match_their_definitions():
             frozenset(-c - 1 for cond in conditions for c in cond if c < 0),
         )
     for a in {cp.action for cp in th.cprops}:
-        assert th.effects_of(a) == tuple((i, cp) for i, cp in enumerate(th.cprops) if cp.action == a)
+        assert th.effects_of(a) == tuple(effect_row(i, cp) for i, cp in enumerate(th.cprops) if cp.action == a)
     assert th.rprops and th.cprops and th.pprops
     assert any(not th.preconditions_of(a) for a in actions)
 
@@ -399,10 +416,10 @@ def _ground_actions(domain):
 
 
 def _check_lazy_effects(domain, horizon, rng):
-    """Ground each action's effects first, in a random order, on one theory;
-    they must be the full list (from a second theory) filtered by action,
-    at the same positions.  The stats, read before any effect is ground,
-    must match the naive grounder's counts."""
+    """Ground each action's effect rows first, in a random order, on one
+    theory; they must be the rows of the full list (from a second theory)
+    filtered by action, at the same positions.  The stats, read before any
+    effect is ground, must match the naive grounder's counts."""
     lazy = ground(domain, horizon)
     naive = naive_ground_strings(domain, horizon)
     s = lazy.stats
@@ -417,7 +434,7 @@ def _check_lazy_effects(domain, horizon, rng):
     assert "cprops" not in vars(lazy)
     full = ground(domain, horizon).cprops
     for a in actions:
-        assert per_action[a] == tuple((i, cp) for i, cp in enumerate(full) if cp.action == a), a
+        assert per_action[a] == tuple(effect_row(i, cp) for i, cp in enumerate(full) if cp.action == a), a
     assert sum(map(len, per_action.values())) == len(full) == s.cprops
     assert lazy.cprops == full
 
@@ -453,11 +470,12 @@ def test_lazy_effects_match_full_list_on_random_domains():
 
 
 def _check_lazy_preconditions(domain, horizon, rng):
-    """Ground each action's preconditions first, in a random order, on one
-    theory; they must be the full list (from a second theory) filtered by
-    action, at the same positions, and each action's test must hold in
-    exactly the states where all of them do.  The stats, read before any
-    precondition is ground, must match the naive grounder's count."""
+    """Ground each action's precondition rows first, in a random order, on
+    one theory; they must be the rows of the full list (from a second
+    theory) filtered by action, at the same positions, and each action's
+    test must hold in exactly the states where all of them do.  The stats,
+    read before any precondition is ground, must match the naive
+    grounder's count."""
     lazy = ground(domain, horizon)
     assert lazy.stats.pprops == len(naive_ground_strings(domain, horizon)["pprops"])
     assert not lazy.preconditions
@@ -468,10 +486,10 @@ def _check_lazy_preconditions(domain, horizon, rng):
     full = ground(domain, horizon).pprops
     states = [frozenset(i for i in range(lazy.n_fluents) if rng.random() < 0.5) for _ in range(4)]
     for a in actions:
-        assert per_action[a] == tuple((i, pp) for i, pp in enumerate(full) if pp.action == a), a
+        assert per_action[a] == tuple(precondition_row(i, pp) for i, pp in enumerate(full) if pp.action == a), a
         impossible, true, false = lazy.precondition_test(a)
         for state in states:
-            legal = all(not pp.impossible and lazy.satisfies(state, pp.condition) for _, pp in per_action[a])
+            legal = all(not pp.impossible and lazy.satisfies(state, pp.condition) for pp in full if pp.action == a)
             assert legal == (not impossible and state >= true and not state & false), (a, state)
     assert sum(map(len, per_action.values())) == len(full) == lazy.stats.pprops
     assert lazy.pprops == full
@@ -504,6 +522,101 @@ def test_lazy_preconditions_match_full_list_on_random_domains():
         with_needs += bool(th.pprops)
         impossible += any(pp.impossible for pp in th.pprops)
     assert with_needs > 50 and impossible > 10
+
+
+def _check_rows(domain, horizon, rng):
+    """Every ground action's effect and precondition rows, asked for in a
+    random order, are the naive grounder's instances of that action at
+    their positions, in position order, with each condition split by
+    sign."""
+    th = ground(domain, horizon)
+    naive = naive_ground_strings(domain, horizon)
+
+    def literals(true, false):
+        return ",".join(sorted([th.lit_str(a + 1) for a in true] + [th.lit_str(-a - 1) for a in false]))
+
+    actions = _ground_actions(domain)
+    rng.shuffle(actions)
+    for a in actions:
+        effects = [
+            (i, "%s|%s|%s|%s" % (a, "+" if effect > 0 else "-", th.atom_of(effect), literals(true, false)))
+            for i, effect, true, false in th.effects_of(a)
+        ]
+        assert effects == [(i, e) for i, e in enumerate(naive["cprops"]) if e.split("|")[0] == str(a)], a
+        preconditions = [
+            (i, "%s|%s" % (a, "impossible" if impossible else literals(true, false)))
+            for i, true, false, impossible in th.preconditions_of(a)
+        ]
+        assert preconditions == [(i, p) for i, p in enumerate(naive["pprops"]) if p.split("|")[0] == str(a)], a
+    assert "cprops" not in vars(th) and "pprops" not in vars(th)
+
+
+def test_rows_match_naive_oracle_on_corpus():
+    from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, load_domain
+
+    rng = random.Random(9)
+    for name, horizon in CORPUS_HORIZONS.items():
+        _check_rows(load_domain("corpus:" + name), horizon, rng)
+    for name in ("zoo_direct.e", "zoo_indirect.e", "zoo_dual.e", "zoo_dual_feed.e"):
+        for scenario in ZOO_SCENARIOS:
+            _check_rows(load_domain("corpus:" + name, "corpus:" + scenario), 6, rng)
+    _check_rows(_walk_domain(8, 20, seed=3), 20, rng)
+
+
+def test_rows_match_naive_oracle_on_random_domains():
+    rng = random.Random(13)
+    checked = negative = impossible = 0
+    while checked < 200:
+        domain = random_sorted_domain(rng, wide=True)
+        try:
+            th = ground(domain, 2)
+        except GroundingError:
+            continue
+        _check_rows(domain, 2, rng)
+        checked += 1
+        negative += any(c < 0 for cp in th.cprops for c in cp.condition)
+        impossible += any(pp.impossible for pp in th.pprops)
+    # both signs in effect conditions, and preconditions that never hold
+    assert negative > 10 and impossible > 10, (negative, impossible)
+
+
+def _consistent_walk() -> str:
+    """The generated direct zoo on 8 positions with a walk that has one
+    model: elly steps round the ring of positions while the animals are
+    fed in turn."""
+    from elang.corpus import generate_zoo
+
+    animals = ("john", "elly", "dumpo")
+    ring = ["p2", "p1"] + ["p%d" % i for i in range(3, 9)]
+    lines = ["animal_pos(elly, p2) holds-at 0.", "animal_pos(john, p5) holds-at 0.", "animal_pos(dumpo, p7) holds-at 0."]
+    lines += ["neg rides(%s, %s) holds-at 0." % (a, b) for a in animals for b in animals]
+    lines += ["hungry(%s) holds-at 0." % a for a in animals]
+    for t in range(12):
+        lines.append("move_to_position(elly, %s) happens-at %d." % (ring[(t + 1) % 8], t))
+        lines.append("feed_animal(%s) happens-at %d." % (animals[t % 3], t))
+    return generate_zoo("direct", 8, include_feed=True) + "\n".join(lines) + "\n"
+
+
+def test_answers_build_no_listed_instance(monkeypatch, tmp_path):
+    # the step search, the slice and the compiler read the rows: only the
+    # cprops and pprops listings build instance objects
+    from elang import grounding
+    from elang.cli import main
+
+    def refuse(*args):
+        raise AssertionError("an answer built a listed instance")
+
+    monkeypatch.setattr(grounding, "GroundCProp", refuse)
+    monkeypatch.setattr(grounding, "GroundPProp", refuse)
+    path = tmp_path / "walk.e"
+    path.write_text(_consistent_walk())
+    argv = ["query", str(path), "--mode", "skeptical", "--goal", "animal_pos(elly, p5) holds-at 12"]
+    assert main(argv + ["--slice", "on"]) == 0
+    assert main(argv + ["--backend", "sat"]) == 0
+    th = ground(parse_domain(path.read_text()).domain)
+    for listing in ("cprops", "pprops"):
+        with pytest.raises(AssertionError):
+            getattr(th, listing)
 
 
 def _grounding_error(text, horizon=3):

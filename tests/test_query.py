@@ -353,20 +353,22 @@ def test_slice_shares_the_theory_objects():
     assert sliced.fluents is th.fluents and sliced.index is th.index
     assert sliced.occurrences is th.occurrences
     assert sliced.constant_values is th.constant_values
-    # the kept rule and effect pairs are the theory's own objects
+    # the kept rule and effect rows are the theory's own objects
     assert [id(r) for r in sliced.rprops] == [id(th.rprops[0])]
     assert sliced.effects_of(Atom("a")) is th.effects_of(Atom("a"))
     assert sliced.effects_of(Atom("b")) == ()
-    # only the precondition with a literal on h is rebuilt, without it;
+    # only the precondition row with an atom of h is rebuilt, without it;
     # both keep their positions in the theory's list
-    (i, first), (j, second) = th.preconditions_of(Atom("a"))
-    [(i1, first1), (j1, second1)] = sliced.preconditions_of(Atom("a"))
-    assert (i1, j1) == (i, j) == (0, 1)
-    assert first1 is first
+    first, second = th.preconditions_of(Atom("a"))
+    first1, second1 = sliced.preconditions_of(Atom("a"))
+    assert first1 is first and first == (0, frozenset(), {f}, False)
     assert second1 is not second
-    assert second1.condition == first.condition == {-(f + 1)}
-    assert sliced.pprops == [first1, second1]
-    assert th.pprops == [first, second]
+    assert second == (1, frozenset(), {f, h}, False)
+    assert second1 == (1, frozenset(), {f}, False)
+    # the listings show the view's rows as the theory's instances
+    assert [pp.condition for pp in sliced.pprops] == [{-(f + 1)}, {-(f + 1)}]
+    assert [pp.condition for pp in th.pprops] == [{-(f + 1)}, {-(f + 1), -(h + 1)}]
+    assert [pp.src for pp in sliced.pprops] == [pp.src for pp in th.pprops] == [4, 5]
     # h, k and z are pinned false at 0; the stats count f's observation only
     pins = {-(th.index[Atom(name)] + 1) for name in "hkz"}
     assert sliced.observations[0] == {-(f + 1)} | pins

@@ -589,17 +589,17 @@ def one_literal_auxiliaries(th) -> list[str]:
     """The names of the fire and ramify variables that ``compile_theory``
     gives a condition or body of one literal: none, since the literal
     stands for them."""
-    conditions = {
-        ci: cp.condition
+    sizes = {
+        ci: len(true) + len(false)
         for acts in th.occurrences.values()
         for action in acts
-        for ci, cp in th.effects_of(action)
+        for ci, _, true, false in th.effects_of(action)
     }
     found = []
     for name in compile_theory(th).names.values():
         role, _, rest = name.partition("[")
         index = int(rest.partition("]")[0]) if role in ("fire", "ramify") else None
-        if role == "fire" and len(conditions[index]) == 1:
+        if role == "fire" and sizes[index] == 1:
             found.append(name)
         elif role == "ramify" and len(th.rprops[index].condition) == 1:
             found.append(name)
