@@ -26,7 +26,7 @@ the trail, and with it every model, decision and propagation count, is
 that of reading every clause.
 
 Both callers hand it normal clauses: the engine the theory's
-``GroundTheory.constraint_clauses``, built in that form by grounding,
+``GroundTheory.constraint_clauses``, read off the rule rows with no sort,
 indexed as ``GroundTheory.constraints``; and the SAT backend the
 compiler's own list, with that index as ``rows`` repeated at every time
 point, one clause schema per step as CCALC-style compilers unroll a

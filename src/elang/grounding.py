@@ -40,33 +40,30 @@ atom number ``i`` (0-based, declaration order, argument tuples in each
 sort's declaration order) is ``+(i+1)`` when true and ``-(i+1)`` when
 false.  States are frozensets of true atom numbers.
 
-Grounding builds the ramification instances, but no effect or
-precondition instance: an effect statement only counts the bindings it
-keeps, and a precondition statement keeps all of its bindings, so
-``stats`` is exact.  ``GroundTheory.effects_of(action)`` and
-``preconditions_of(action)`` ground one action's instances the first
-time they are asked for, as rows in the numeric form the step search,
-the relevance slice and the clausal compiler read, much as gringo hands
-its solver ground rules, not term objects, and instantiates only what is
-relevant (Gebser et al., LPNMR 2007): an effect is (position, effect
-literal, atoms the condition needs true, atoms it needs false), a
-precondition (position, atoms needed true, atoms needed false, whether it
-can never hold).  A row is read off its statement's tables for all of
-the action's bindings at once.  The positions are those in ``cprops``
-and ``pprops``, the instance objects of every ground action
-(``actions``) in statement order and binding order, built from the rows
-only when something lists them (``elang ground --dump``).
+Every instance is a row in the numeric form the step search, the
+relevance slice and the clausal compiler read, much as gringo hands its
+solver ground rules, not term objects, and instantiates only what is
+relevant (Gebser et al., LPNMR 2007); rows are read off a statement's
+tables a column at a time.  Grounding builds each ramification and
+denial instance as a row of ``rules``: (head, or None for a denial; the
+body's literal codes, lowest atom first, none repeated).  An effect
+statement only counts the bindings it keeps and a needs statement keeps
+them all, so ``stats`` is exact; ``effects_of(action)`` and
+``preconditions_of`` ground one action's rows when first asked for: an
+effect is (position, effect literal, atoms the condition needs true,
+atoms it needs false), a precondition (position, atoms needed true,
+atoms needed false, whether it can never hold).  ``rprops``, ``cprops``
+and ``pprops`` list the instance objects, in statement and binding
+order, built from the rows only when read (``elang ground --dump``).
 
-Grounding is also the one reader of the ramification statements.  Each
-is a state constraint, whose clause ``constraint_clauses`` builds in the
-kernel's normal form (``clauses.py``), and, when it has a head, a
-trigger from each body literal to its head (``triggers``), which the
-step search, the clausal compiler and the cycle search (``first_cycle``)
-follow.  These indexes are derived the first time they are read, so a
-caller that needs few of them, such as a relevance slice, pays for no
-others.  So are an action's preconditions as one test
-(``precondition_test``, the union of its rows) and the step search's
-per-candidate-set plans (``plans``, filled by ``transition.step_plan``).
+The rules are the state constraints: ``constraint_clauses`` reads their
+clauses off the rows in the kernel's normal form (``clauses.py``), and
+``triggers`` lists the rules with a head by body literal, for the step
+search, the clausal compiler and the cycle search (``first_cycle``).
+These indexes, an action's preconditions as one test
+(``precondition_test``) and the step plans (``transition.step_plan``)
+are made the first time they are read, so a caller that needs few of
+them, such as a relevance slice, pays for no others.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ import bisect
 import functools
 import itertools
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -150,6 +147,8 @@ Effects = tuple[tuple[int, Lit, frozenset[int], frozenset[int]], ...]
 Preconditions = tuple[tuple[int, frozenset[int], frozenset[int], bool], ...]
 # An action's preconditions as one test (``precondition_test``).
 PreconditionTest = tuple[bool, frozenset[int], frozenset[int]]
+# A ramification or denial instance as a row (head or None, body).
+Rule = tuple[Lit | None, tuple[Lit, ...]]
 
 
 @dataclass
@@ -160,11 +159,12 @@ class GroundTheory:
     signature: Signature
     ground_effects: Callable[[Atom], Effects]  # one action's, on first read
     ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
-    # (first position, statement) of each effect and needs statement, in
-    # order: the ``src`` of the instances ``cprops`` and ``pprops`` list
+    # (first position, statement) of each effect, needs and whenever
+    # statement, in order: the ``src`` of the listed instances
     effect_sources: list[tuple[int, int]]
     need_sources: list[tuple[int, int]]
-    rprops: list[GroundRProp]
+    rule_sources: list[tuple[int, int]]
+    rules: list[Rule]  # every ramification and denial instance, in statement and binding order
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
     horizon: int
@@ -188,20 +188,16 @@ class GroundTheory:
 
     @cached_property
     def constraint_clauses(self) -> list[tuple[Lit, ...]]:
-        """Each ramification statement and denial as a clause in the
-        kernel's normal form: the negated body literals, lowest atom
-        first, then the head.  A head in its own body makes a tautology,
-        which is left out; a head whose complement is in the body is
-        already in the clause.  A ground condition never clashes, so only
+        """Each rule as a clause in the kernel's normal form: the negated
+        body, lowest atom first, then the head.  A head in its own body
+        makes a tautology, which is left out; a head whose complement is in
+        the body is already in the clause.  A body never clashes, so only
         the head can repeat an atom."""
         clauses = []
-        for rp in self.rprops:
-            clause = tuple([-c for c in sorted(rp.condition, key=abs)])
-            head = rp.head
-            if head is None or -head in rp.condition:
-                clauses.append(clause)
-            elif head not in rp.condition:
-                clauses.append(clause + (head,))
+        for head, body in self.rules:
+            if head not in body:
+                clause = tuple([-c for c in body])
+                clauses.append(clause if head is None or -head in body else clause + (head,))
         return clauses
 
     @cached_property
@@ -215,9 +211,9 @@ class GroundTheory:
         to literal ``l`` can fire the statements ``triggers[l]``.  Denials
         never fire."""
         triggers: dict[Lit, list[int]] = {}
-        for ri, rp in enumerate(self.rprops):
-            if rp.head is not None:
-                for c in rp.condition:
+        for ri, (head, body) in enumerate(self.rules):
+            if head is not None:
+                for c in body:
                     triggers.setdefault(c, []).append(ri)
         return triggers
 
@@ -229,7 +225,7 @@ class GroundTheory:
         from the repeated atom back to it; None when the graph is acyclic."""
         graph: dict[int, set[int]] = {}
         for c, rules in self.triggers.items():
-            graph.setdefault(abs(c) - 1, set()).update(abs(self.rprops[ri].head) - 1 for ri in rules)
+            graph.setdefault(abs(c) - 1, set()).update(abs(self.rules[ri][0]) - 1 for ri in rules)
         done: set[int] = set()
         for root in sorted(graph):
             if root in done:
@@ -262,6 +258,12 @@ class GroundTheory:
             for decl in sig.actions.values()
             for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
         )
+
+    @cached_property
+    def rprops(self) -> list[GroundRProp]:
+        """Every ramification and denial instance, built from the rows."""
+        src = _owner(self.rule_sources)
+        return [GroundRProp(head, frozenset(body), src(p)) for p, (head, body) in enumerate(self.rules)]
 
     @cached_property
     def cprops(self) -> list[GroundCProp]:
@@ -332,7 +334,7 @@ class GroundTheory:
     def holds(self, state: State, code: Lit) -> bool:
         return (abs(code) - 1 in state) == (code > 0)
 
-    def satisfies(self, state: State, condition: frozenset[Lit]) -> bool:
+    def satisfies(self, state: State, condition: Iterable[Lit]) -> bool:
         return all(self.holds(state, c) for c in condition)
 
     def state_consistent(self, state: State) -> bool:
@@ -393,7 +395,7 @@ class _Template:
     def lookup(self, atom: Atom, value: Callable[[tuple[str, ...]], object]):
         slot = self.slot
         slots = sorted({slot[t] for t in atom.args if t in slot})
-        getter = operator.itemgetter(*slots) if slots else _no_slots
+        getter = operator.itemgetter(*slots) if slots else lambda combo: ()
         where = [slots.index(slot[t]) if t in slot else None for t in atom.args]
         constants = tuple(t for t, k in zip(atom.args, where) if k is None)
         if where == list(range(len(slots))):
@@ -420,10 +422,6 @@ class _Template:
         return atom.substitute(dict(zip(self.names, combo)))
 
 
-def _no_slots(combo: tuple[str, ...]) -> tuple[()]:
-    return ()
-
-
 def _clash_free(codes: set[Lit]) -> bool:
     return not any(-c in codes for c in codes)
 
@@ -434,13 +432,22 @@ def _column(lookup) -> Callable:
     return lambda combos: map(table.__getitem__, map(getter, combos))
 
 
-def _sets(lookups: list) -> Callable:
-    """The set of the lookups' values per binding, as a function of the
-    bindings: the shared empty set when there are no lookups."""
+def _sets(lookups: list, make: Callable = frozenset) -> Callable:
+    """What ``make`` makes of the lookups' values per binding, as a
+    function of the bindings: one shared ``make(())`` without lookups."""
     if not lookups:
-        return lambda combos: itertools.repeat(_NONE, len(combos))
+        empty = make(())
+        return lambda combos: itertools.repeat(empty, len(combos))
     columns = list(map(_column, lookups))
-    return lambda combos: map(frozenset, zip(*[column(combos) for column in columns]))
+    return lambda combos: map(make, zip(*[column(combos) for column in columns]))
+
+
+def _body(codes: tuple[Lit, ...]) -> tuple[Lit, ...]:
+    """A rule body: its literal codes, lowest atom first, none repeated."""
+    if len(codes) == 2:  # the common pair, without a sort; it never clashes
+        a, b = codes
+        return codes if abs(a) < abs(b) else (a,) if a == b else (b, a)
+    return codes if len(codes) == 1 else tuple(sorted(set(codes), key=abs))
 
 
 class _PerAction:
@@ -549,6 +556,10 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     def holds(code: Lit) -> bool:
         return values[abs(code) - 1] == (code > 0)
 
+    def heads(tpl: _Template, head: FluentLiteral | None, combos: list) -> Iterable[Lit | None]:
+        """A rule's head codes over ``combos``; None for a denial."""
+        return itertools.repeat(None) if head is None else _column(tpl.lookup(head.atom, coder(head)))(combos)
+
     props = domain.propositions
     templates = {
         src: _Template(sig, prop, rule_sorts[src])
@@ -562,8 +573,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     # depend on the state.
     facts: list[Lit] = []
     denied: list[tuple[Lit, int]] = []
-    rules: list[tuple[list[Lit], Lit]] = []
-    checks: list[tuple[list[Lit], Lit | None, int]] = []
+    rules: list[tuple[tuple[Lit, ...], Lit]] = []
+    checks: list[tuple[tuple[Lit, ...], Lit | None, int]] = []
     for src, prop in enumerate(props):
         if isinstance(prop, TProp) and is_constant(prop.literal.atom):
             code = coder(prop.literal)(prop.literal.atom.args)
@@ -600,17 +611,11 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         # fixpoint a plain monotone closure.
         derives = head_constant and prop.head.positive
         derives = derives and all(l.positive for l in prop.condition.literals)
-        body = [tpl.lookup(l.atom, coder(l)) for l in prop.condition.literals]
-        get_head, heads = _no_slots, {(): None}
-        if prop.head is not None:
-            get_head, heads = tpl.lookup(prop.head.atom, coder(prop.head))
-        for combo in tpl.bindings:
-            codes = [table[getter(combo)] for getter, table in body]
-            head_code = heads[get_head(combo)]
-            if derives:
-                rules.append((codes, head_code))
-            else:
-                checks.append((codes, head_code, src))
+        bodies = _sets([tpl.lookup(l.atom, coder(l)) for l in prop.condition.literals], tuple)(tpl.bindings)
+        if derives:
+            rules += zip(bodies, heads(tpl, prop.head, tpl.bindings))
+        else:
+            checks += zip(bodies, heads(tpl, prop.head, tpl.bindings), itertools.repeat(src))
         if prop.head is None:
             # a denial over constants never holds (checked below), so every
             # instance of it is dropped
@@ -619,23 +624,24 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     # not yet true, and an atom made true wakes only the rules it occurs in.
     waiting: list[int] = []
     wakes: dict[int, list[int]] = {}
-    made_true = [code - 1 for code in facts]
+    # The codes of a rule's body are positive: they key ``wakes``.
+    made_true = list(facts)
     for ri, (body_codes, head_code) in enumerate(rules):
-        atoms = {c - 1 for c in body_codes}
-        waiting.append(len(atoms))
-        for a in atoms:
-            wakes.setdefault(a, []).append(ri)
-        if not atoms:
-            made_true.append(head_code - 1)
+        codes = set(body_codes)
+        waiting.append(len(codes))
+        for c in codes:
+            wakes.setdefault(c, []).append(ri)
+        if not codes:
+            made_true.append(head_code)
     while made_true:
-        a = made_true.pop()
-        if values[a]:
+        c = made_true.pop()
+        if values[c - 1]:
             continue
-        values[a] = True
-        for ri in wakes.get(a, ()):
+        values[c - 1] = True
+        for ri in wakes.get(c, ()):
             waiting[ri] -= 1
             if not waiting[ri]:
-                made_true.append(rules[ri][1] - 1)
+                made_true.append(rules[ri][1])
     for code, src in denied:
         if values[-code - 1]:
             raise GroundingError(
@@ -658,18 +664,13 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         kept, dynamic = tpl.bindings, []
         for lit in condition.literals:
             if is_constant(lit.atom):
-                getter, table = tpl.lookup(lit.atom, truth(lit))
-                kept = [combo for combo in kept if table[getter(combo)]]
+                kept = [*itertools.compress(kept, _column(tpl.lookup(lit.atom, truth(lit)))(kept))]
             else:
                 dynamic.append(lit)
         signs = {(lit.atom.name, lit.positive) for lit in dynamic}
         if any((name, False) in signs for name, positive in signs if positive):
-            lookups = [tpl.lookup(lit.atom, coder(lit)) for lit in dynamic]
-            kept = [
-                combo
-                for combo in kept
-                if _clash_free({table[getter(combo)] for getter, table in lookups})
-            ]
+            columns = [_column(tpl.lookup(lit.atom, coder(lit))) for lit in dynamic]
+            kept = [*itertools.compress(kept, map(_clash_free, map(set, zip(*[c(kept) for c in columns]))))]
         return dynamic, kept if len(kept) < len(tpl.bindings) else tpl.bindings
 
     # The columns of the rows: a dynamic condition literal's sign is fixed,
@@ -700,7 +701,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     needs_by_action: dict[str, list[_PerAction]] = {}
     need_sources: list[tuple[int, int]] = []
     n_needs = 0
-    rprops: list[GroundRProp] = []
+    rule_rows: list[Rule] = []
+    rule_sources: list[tuple[int, int]] = []
     occurrences: dict[int, set[Atom]] = {}
     observations: dict[int, set[Lit]] = {}
     for src, prop in enumerate(props):
@@ -738,17 +740,14 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             if prop.head is None:
                 if all(is_constant(l.atom) for l in prop.condition.literals):
                     continue  # dropped above
-                get_head, heads = _no_slots, {(): None}
             elif is_constant(prop.head.atom):
                 continue  # folded into the constant fixpoint above
-            else:
-                get_head, heads = templates[src].lookup(prop.head.atom, coder(prop.head))
-            literals, kept = residues(templates[src], prop.condition)
-            dynamic = [templates[src].lookup(lit.atom, coder(lit)) for lit in literals]
-            stats.dropped_instances += len(templates[src].bindings) - len(kept)
-            for combo in kept:
-                codes = frozenset([table[getter(combo)] for getter, table in dynamic])
-                rprops.append(GroundRProp(heads[get_head(combo)], codes, src))
+            tpl = templates[src]
+            literals, kept = residues(tpl, prop.condition)
+            stats.dropped_instances += len(tpl.bindings) - len(kept)
+            rule_sources.append((len(rule_rows), src))
+            bodies = _sets([tpl.lookup(lit.atom, coder(lit)) for lit in literals], _body)(kept)
+            rule_rows += zip(heads(tpl, prop.head, kept), bodies)
         else:
             tpl = templates[src]
             columns = functools.partial(need_columns, tpl, prop)
@@ -764,8 +763,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         )
 
     stats.cprops = n_effects
-    stats.rprops = sum(1 for r in rprops if r.head is not None)
-    stats.denials = sum(1 for r in rprops if r.head is None)
+    stats.denials = [head for head, _ in rule_rows].count(None)
+    stats.rprops = len(rule_rows) - stats.denials
     stats.pprops = n_needs
     stats.occurrences = sum(len(v) for v in occurrences.values())
     stats.observations = sum(len(v) for v in observations.values())
@@ -779,7 +778,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         ground_preconditions=rows_of(needs_by_action),
         effect_sources=effect_sources,
         need_sources=need_sources,
-        rprops=rprops,
+        rule_sources=rule_sources,
+        rules=rule_rows,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
         observations={t: frozenset(v) for t, v in sorted(observations.items())},
         horizon=horizon,

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 
 from .clauses import BudgetExceeded
-from .grounding import GroundingStats, GroundRProp, GroundTheory, Lit, State, ground
+from .grounding import GroundingStats, GroundTheory, Lit, State, ground
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
 
@@ -334,10 +334,11 @@ def slice_for_goals(
 
     The slice is a view in the theory's own atom numbering, not a copy.
     It shares the theory's signature, fluents, index, constant values and
-    occurrences; every kept rule and row is the theory's own object (the
-    rule list, or an action's rows, itself when all are kept), and a row
-    keeps its position.  Precondition rows and observations lose their
-    dropped atoms; only a row that has one is rebuilt.
+    occurrences.  A kept row is the theory's own tuple, in the theory's
+    own list when all are kept: one pass with the kept-atom mask filters
+    the rules, whose listing is the kept part of the theory's.  An
+    action's rows keep their positions; precondition rows and observations
+    lose their dropped atoms, and only a row with one is rebuilt.
     Each dropped atom is then observed false at time 0: nothing in the
     view can change it, so neither the initial states nor the steps branch
     on it, and a witness, which lists true atoms, reads as over the kept
@@ -373,11 +374,10 @@ def slice_for_goals(
             link(effect, true, 0)
             if false:
                 link(effect, false, 0)
-    for rp in theory.rprops:
-        if rp.head is not None:
-            link(rp.head, rp.condition, 1)
-        elif rp.condition:
-            link(next(iter(rp.condition)), rp.condition, 1)
+    rules = theory.rules
+    for head, body in rules:
+        if head or body:
+            link(head or body[0], body, 1)
     roots = {find(a) for a in goal_atoms}
     inside = [find(a) in roots for a in range(n)]
     kept = tuple(compress(range(n), inside))
@@ -390,13 +390,13 @@ def slice_for_goals(
         if kept_rows:
             effects[action] = rows if len(kept_rows) == len(rows) else kept_rows
 
-    def kept_rule(rp: GroundRProp) -> bool:
-        probe = rp.head if rp.head is not None else next(iter(rp.condition), 0)
-        return not probe or inside[abs(probe) - 1]  # groundless denials too
-
-    rprops = list(filter(kept_rule, theory.rprops))
-    if len(rprops) == len(theory.rprops):
-        rprops = theory.rprops
+    # a rule is kept with its atoms, and so is a groundless denial
+    keep = [inside[abs(head or body[0]) - 1] if head or body else True for head, body in rules]
+    rule_sources = theory.rule_sources
+    if not all(keep):
+        rules = list(compress(rules, keep))
+        before = [0, *accumulate(keep)]
+        rule_sources = [(before[first], src) for first, src in rule_sources]
     preconditions = {}
     for action in occurring:
         kept_rows = []
@@ -411,12 +411,12 @@ def slice_for_goals(
             preconditions[action] = tuple(kept_rows)
     observed = {t: frozenset([c for c in obs if inside[abs(c) - 1]]) for t, obs in theory.observations.items()}
     observations = {t: obs for t, obs in observed.items() if obs}
-    denials = sum(1 for r in rprops if r.head is None)
+    denials = [head for head, _ in rules].count(None)
     stats = GroundingStats(
         fluent_atoms=len(kept),
         constant_atoms=len(theory.constant_values),
         cprops=sum(map(len, effects.values())),
-        rprops=len(rprops) - denials,
+        rprops=len(rules) - denials,
         denials=denials,
         pprops=sum(map(len, preconditions.values())),
         occurrences=sum(len(v) for v in theory.occurrences.values()),
@@ -439,7 +439,8 @@ def slice_for_goals(
         ground_preconditions=lambda action: (),
         effect_sources=theory.effect_sources,
         need_sources=theory.need_sources,
-        rprops=rprops,
+        rule_sources=rule_sources,
+        rules=rules,
         occurrences=theory.occurrences,
         observations=observations,
         horizon=theory.horizon,

@@ -34,6 +34,8 @@ with the clauses
                    (``GroundTheory.constraint_clauses``, as rows)
 
 and the observations and the preconditions of scheduled actions as unit
+clauses.  A rule row's position in ``GroundTheory.rules`` names its
+ramify variable, and its body, lowest atom first, orders the defining
 clauses.  The effects and preconditions are the scheduled actions' rows
 (``GroundTheory.effects_of``, ``preconditions_of``): a row's position
 names its fire variable, and its atom sets give the condition's
@@ -199,7 +201,6 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     def ordered(codes) -> list[Lit]:
         return sorted(codes, key=lambda c: (abs(c), c))
 
-
     # Observation units, an atom's two literals in (atom, sign) order,
     # since an observation set may hold both.
     for t in sorted(theory.observations):
@@ -218,17 +219,16 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     # ground condition is a clash-free set and every auxiliary variable
     # is fresh, so these clauses are normal as built, once the support
     # lists drop repeated literals and the tautologies a one-literal
-    # condition or body can make are left out.  Each action's effects,
-    # the literals a set of effects can produce and the rule bodies are
-    # worked out once; the rules a changed literal triggers are the
-    # theory's ``triggers``.
+    # condition or body can make are left out.  Each action's effects and
+    # the literals a set of effects can produce are worked out once; the
+    # rules a changed literal triggers are the theory's ``triggers``, and
+    # their bodies come ordered.
     @functools.cache
     def effects(action: Atom) -> tuple[tuple[int, list[Lit], Lit], ...]:
         rows = theory.effects_of(action)
         return tuple((ci, ordered(condition_codes(true, false)), effect) for ci, effect, true, false in rows)
 
-    triggers = theory.triggers
-    body_of = functools.cache(lambda ri: ordered(theory.rprops[ri].condition))
+    rules, triggers = theory.rules, theory.triggers
 
     for t in range(horizon):
         fires: dict[Lit, list[int]] = {}  # effect -> fire literals producing it
@@ -254,8 +254,7 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
         changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced}
         supports = {code: list(fires.get(code, ())) for code in changed}
         for ri in sorted(set().union(*[triggers.get(code, ()) for code in changed])):
-            head = theory.rprops[ri].head
-            body = body_of(ri)
+            head, body = rules[ri]
             if len(body) == 1:
                 # ramify <-> b@t+1 and changed(b,t) is changed(b,t), since
                 # changed(b,t) -> b@t+1 is a clause; a rule triggered by

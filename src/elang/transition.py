@@ -38,7 +38,7 @@ and e to the clause kernel (``clauses.py``) as clauses:
   their atoms, the reach; persistence freezes every other atom at its
   source value.
 * Rule d: the theory's own ``constraints``, the statements' clauses as
-  grounding builds them, searched with the frozen atoms fixed.  Every
+  read off the rule rows, searched with the frozen atoms fixed.  Every
   kernel model satisfies them, so the targets are not checked again.
 * Rules c and e as support clauses, the kernel's overlay for this step.
   A reach atom whose value in ``t`` is no candidate needs a statement
@@ -61,10 +61,10 @@ literals, the reach, the frozen atoms and the bodies that can support
 each reach atom, depends on the candidates only.  ``step_plan`` works it
 out once per theory and candidate set and keeps it on ``theory.plans``;
 the clausal compiler reads the producible literals from the same memo.
-The direct candidates are read off each action's effect rows
-(``GroundTheory.effects_of``), whose conditions come as the atoms they
-need true and false, and an occurrence is tested against the union of
-its preconditions' rows (``GroundTheory.precondition_test``).
+Statements are read as rows: a rule as its head and body, lowest atom
+first (``GroundTheory.rules``), the order a body enters the overlay in;
+an effect with the atoms its condition needs true and false; and an
+occurrence against its preconditions' union (``precondition_test``).
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
@@ -130,13 +130,13 @@ def ramification_closure(
     while work:
         lit = work.pop()
         for ri in theory.triggers.get(lit, ()):
-            rp = theory.rprops[ri]
-            if rp.head in changed or not theory.satisfies(target, rp.condition):
+            head, body = theory.rules[ri]
+            if head in changed or not theory.satisfies(target, body):
                 continue
-            if -rp.head in changed:
+            if -head in changed:
                 return None
-            changed.add(rp.head)
-            work.append(rp.head)
+            changed.add(head)
+            work.append(head)
     return frozenset(changed)
 
 
@@ -144,10 +144,10 @@ def ramification_closure(
 # the plan, ``-need`` and each one-literal body's literal, normal, or None
 # when they make a tautology; then the longer bodies, each of which
 # enters the clause through an auxiliary variable.
-Support = tuple[tuple[Lit, ...] | None, tuple[frozenset[Lit], ...]]
+Support = tuple[tuple[Lit, ...] | None, tuple[tuple[Lit, ...], ...]]
 
 
-def _support(need: Lit, bodies: list[frozenset[Lit]]) -> Support:
+def _support(need: Lit, bodies: list[tuple[Lit, ...]]) -> Support:
     """The support of ``need`` by ``bodies`` (see ``Support``)."""
     clause = [-need]
     longer = []
@@ -192,20 +192,20 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
     # The producible literals: the candidates closed under the statements
     # a literal already among them triggers.  Those statements, the ones
     # a step can fire, give the supporting bodies.
-    rprops, triggers = theory.rprops, theory.triggers
+    rules, triggers = theory.rules, theory.triggers
     produced = set(candidates)
     firing: set[int] = set()
     work = list(produced)
     while work:
         for ri in triggers.get(work.pop(), ()):
             firing.add(ri)
-            head = rprops[ri].head
+            head = rules[ri][0]
             if head not in produced:
                 produced.add(head)
                 work.append(head)
-    bodies_for: dict[Lit, list[frozenset[Lit]]] = {}
-    for ri in sorted(firing):
-        bodies_for.setdefault(rprops[ri].head, []).append(rprops[ri].condition)
+    bodies_for: dict[Lit, list[tuple[Lit, ...]]] = {}
+    for head, body in map(rules.__getitem__, sorted(firing)):
+        bodies_for.setdefault(head, []).append(body)
     reach = {abs(l) - 1 for l in produced}
     kept: list[Lit] = []
     forced: list[Lit] = []

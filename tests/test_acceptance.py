@@ -299,22 +299,35 @@ IRRELEVANCE_QUERIES = (
 
 def test_criterion_09_irrelevant_occurrences_stay_cheap():
     base = load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e")
-    results = {}
-    for count in (0, 3):
-        domain = inject_irrelevant(base, count, 6) if count else base
-        theory = ground(domain, 6)
-        answers = []
-        runs = []
-        for q in IRRELEVANCE_QUERIES:
-            timed = time_answer(theory, q, domain, repeats=5, budget=None,
-                                backend="engine", use_slice=True)
-            answers.append(timed.answer)
-            runs.append(timed.median_s)
-        results[count] = (answers, median(runs))
-    assert results[0][0] == results[3][0], "answers changed under injection"
-    ratio = results[3][1] / results[0][1]
+    domains = {0: base, 3: inject_irrelevant(base, 3, 6)}
+    theories = {count: ground(domain, 6) for count, domain in domains.items()}
+    answers = {0: [], 3: []}
+    medians = {0: [], 3: []}
+    for text in IRRELEVANCE_QUERIES:
+        queries = {count: parse_query(text, domains[count].signature) for count in domains}
+        runs = {0: [], 3: []}
+        # a warm-up run on each side, then the sides take turns, so that
+        # a slow spell of the host hits both
+        for i in range(6):
+            for count in (0, 3):
+                start = time.perf_counter()
+                result = answer_theory(theories[count], queries[count], use_slice=True)
+                elapsed = time.perf_counter() - start
+                if i == 0:
+                    answers[count].append(result)
+                else:
+                    runs[count].append(elapsed)
+        for count in (0, 3):
+            medians[count].append(median(runs[count]))
+    assert [r.answer for r in answers[0]] == [r.answer for r in answers[3]], "answers changed under injection"
+    # the injected steps bring a new action set, so only ``transitions``
+    # may grow: the search and the slice are the baseline's
+    for before, after in zip(answers[0], answers[3]):
+        for stat in ("nodes", "models", "atoms_sliced"):
+            assert getattr(after.stats, stat) == getattr(before.stats, stat), stat
+    ratio = median(medians[3]) / median(medians[0])
     assert ratio < 2.0, "slowdown ratio %.2f" % ratio
-    report(9, "PASS", "three injected occurrences leave answers unchanged at %.2fx "
+    report(9, "PASS", "three injected occurrences leave answers and search unchanged at %.2fx "
                       "the baseline median" % ratio)
 
 

@@ -8,7 +8,7 @@ import pytest
 from elang.grounding import GroundingError, ground
 from elang.parser import parse_domain
 
-from oracles import constraint_clause, naive_ground_strings, random_sorted_domain, theory_strings
+from oracles import constraint_clause, naive_ground_strings, random_sorted_domain, theory_strings, walk_scenario
 
 
 def g(text, horizon=None):
@@ -525,12 +525,21 @@ def test_lazy_preconditions_match_full_list_on_random_domains():
 
 
 def _check_rows(domain, horizon, rng):
-    """Every ground action's effect and precondition rows, asked for in a
-    random order, are the naive grounder's instances of that action at
-    their positions, in position order, with each condition split by
-    sign."""
+    """Every rule row is the naive grounder's ramification or denial
+    instance at its index, its body lowest atom first with no atom
+    repeated.  Every ground action's effect and precondition rows, asked
+    for in a random order, are the naive grounder's instances of that
+    action at their positions, in position order, with each condition
+    split by sign."""
     th = ground(domain, horizon)
     naive = naive_ground_strings(domain, horizon)
+    rules = [
+        "%s|%s" % ("false" if head is None else th.lit_str(head), ",".join(sorted(map(th.lit_str, body))))
+        for head, body in th.rules
+    ]
+    assert rules == naive["rprops"]
+    for _, body in th.rules:
+        assert type(body) is tuple and [abs(c) for c in body] == sorted({abs(c) for c in body}), body
 
     def literals(true, false):
         return ",".join(sorted([th.lit_str(a + 1) for a in true] + [th.lit_str(-a - 1) for a in false]))
@@ -580,6 +589,29 @@ def test_rows_match_naive_oracle_on_random_domains():
     assert negative > 10 and impossible > 10, (negative, impossible)
 
 
+def test_rule_rows_merge_repeats_and_keep_their_heads():
+    # a body that repeats a literal under some bindings, a head in its own
+    # body, and a head whose complement is in its body
+    text = """
+    sort s: a, b.
+    fluent f(s).
+    fluent h.
+    fluent k.
+    false whenever { f(X), f(Y) }.
+    h whenever { h, k }.
+    neg h whenever { h, k }.
+    """
+    domain = parse_domain(text).domain
+    th = ground(domain, 1)
+    assert th.rules == [(None, (1,)), (None, (1, 2)), (None, (1, 2)), (None, (2,)), (3, (3, 4)), (-3, (3, 4))]
+    assert th.stats.rprops == 2 and th.stats.denials == 4
+    # the tautology is left out, and the complement head is merged
+    assert th.constraint_clauses == [(-1,), (-1, -2), (-1, -2), (-2,), (-3, -4)]
+    assert th.constraint_clauses == [c for c in map(constraint_clause, th.rprops) if c is not None]
+    assert [rp.src for rp in th.rprops] == [0, 0, 0, 0, 1, 2]
+    _check_rows(domain, 1, random.Random(1))
+
+
 def _consistent_walk() -> str:
     """The generated direct zoo on 8 positions with a walk that has one
     model: elly steps round the ring of positions while the animals are
@@ -617,6 +649,28 @@ def test_answers_build_no_listed_instance(monkeypatch, tmp_path):
     for listing in ("cprops", "pprops"):
         with pytest.raises(AssertionError):
             getattr(th, listing)
+
+
+def test_answers_build_no_rule_object(monkeypatch, tmp_path):
+    # grounding, the slice, the step search, the compiler and the cycle
+    # search read the rule rows: only the rprops listing builds objects
+    from elang import grounding
+    from elang.cli import main
+    from elang.corpus import generate_zoo
+
+    def refuse(*args):
+        raise AssertionError("an answer built a rule object")
+
+    monkeypatch.setattr(grounding, "GroundRProp", refuse)
+    path = tmp_path / "walk.e"
+    # a consistent walk: dumpo steps from p4 to p7
+    path.write_text(generate_zoo("direct", 8, include_feed=True) + walk_scenario(8, 6, 260))
+    argv = ["query", str(path), "--mode", "skeptical", "--goal", "animal_pos(dumpo, p7) holds-at 6"]
+    for flags in (["--slice", "on"], ["--slice", "off"], ["--backend", "sat"]):
+        assert main(argv + flags) == 0, flags
+    th = ground(parse_domain(path.read_text()).domain)
+    with pytest.raises(AssertionError):
+        th.rprops
 
 
 def _grounding_error(text, horizon=3):

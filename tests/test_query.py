@@ -353,8 +353,10 @@ def test_slice_shares_the_theory_objects():
     assert sliced.fluents is th.fluents and sliced.index is th.index
     assert sliced.occurrences is th.occurrences
     assert sliced.constant_values is th.constant_values
-    # the kept rule and effect rows are the theory's own objects
-    assert [id(r) for r in sliced.rprops] == [id(th.rprops[0])]
+    # the kept rule and effect rows are the theory's own objects, and the
+    # view lists the kept part of the theory's rule instances
+    assert len(sliced.rules) == 1 and sliced.rules[0] is th.rules[0]
+    assert sliced.rprops == th.rprops[:1]
     assert sliced.effects_of(Atom("a")) is th.effects_of(Atom("a"))
     assert sliced.effects_of(Atom("b")) == ()
     # only the precondition row with an atom of h is rebuilt, without it;
@@ -377,7 +379,7 @@ def test_slice_shares_the_theory_objects():
     # every rule kept, z dropped: the view holds the theory's own list
     sliced, kept = slice_for_goals(th, {f, h})
     assert len(kept) == 4
-    assert sliced.rprops is th.rprops
+    assert sliced.rules is th.rules and sliced.rule_sources is th.rule_sources
     assert sliced.effects_of(Atom("b")) is th.effects_of(Atom("b"))
 
 

@@ -23,7 +23,7 @@ import elang.sat
 from elang.cli import main
 from elang.clauses import BudgetExceeded, ClauseSet
 from elang.corpus import CORPUS_HORIZONS, ZOO_SCENARIOS, generate_zoo, load_domain, load_golden
-from elang.grounding import GroundRProp, ground
+from elang.grounding import ground
 from elang.parser import parse_domain, parse_query
 from elang.query import answer_theory, required_horizon
 from elang.sat import SatStats, Solver, answer_sat, compile_theory, to_dimacs
@@ -169,9 +169,9 @@ def test_impossible_precondition_indexes_as_the_empty_clause():
 
 def test_groundless_denial_indexes_as_the_empty_clause():
     # a denial with no literal left; grounding never builds one, since a
-    # denial over constants alone is checked and dropped, so add it here
+    # denial over constants alone is checked and dropped, so add its row
     th = ground(load_domain("corpus:bulb.e"), 4)
-    th.rprops.append(GroundRProp(None, frozenset(), len(th.rprops)))
+    th.rules.append((None, ()))
     inst = compile_theory(th, labels=False)
     assert inst.rows.count(()) == 1 and () not in inst.clauses
     assert list(inst.all_clauses()).count(()) == 5
