@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, corpus
-from .bench import load_spec, run_experiment
 from .corpus import DomainRefError, load_domain
 from .grounding import GroundingError, GroundTheory, ground, report_stats, dump_ground
 from .model import errors_of, validate
@@ -158,6 +157,10 @@ def cmd_ground(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # the experiment harness is imported only here, so that the other
+    # commands do not pay for compiling and importing it at start-up
+    from .bench import load_spec, run_experiment
+
     spec = load_spec(args.specfile)
     if args.repeats is not None:
         spec.repeats = args.repeats

@@ -11,24 +11,27 @@ removed, leaving a residue over state-dependent fluents only.
 Constant derivation uses rules with all-positive constant bodies; a rule
 over constant fluents with a negative premise is not a derivation step but
 an integrity check against the fixed values (this keeps the fixpoint a
-plain monotone closure).  The fixpoint is reached by counting (Dowling and
-Gallier, J. Logic Programming 1984), the way ASP grounders evaluate Horn
-rules (Gebser et al., LPNMR 2011): each rule waits on the body atoms not
-yet true, and an atom made true wakes only the rules it occurs in, so no
-rule is scanned again once it has fired.
+plain monotone closure).  The fixpoint is reached semi-naively (Bancilhon
+and Ramakrishnan, SIGMOD 1986): each round joins a rule's body against
+the atoms the round before made true, one body atom at a time, and its
+other atoms against all true atoms, so a rule is instantiated only where
+a new fact can fire it.
 
 Each effect, whenever and needs statement is compiled once into a
-template (``_Template``): its bindings with the disequalities applied,
-and for each atom a table from the binding to the atom's literal code,
-constant value or action, built in one comprehension over the product of
-the slots the atom uses (the binding itself is the argument tuple when
-the atom's arguments are exactly its slots in order).  Instances are read
-off the tables; no substituted copy of a statement is built.  The
-statements over constant fluents only (constant heads, denials over
-constants, constant observations) are expanded first, for the fixpoint;
-the others after it, with their constant literals looked up in the fixed
-values.  Instances come out in statement order and, within a statement,
-in binding order: variables in sorted-name order, each ranging over its
+template (``Template``): its variables become slots, its atoms patterns
+over them.  A statement is instantiated at the cost of its output, as
+gringo instantiates a rule body (Gebser et al., LPNMR 2007): its positive
+constant literals are joined against an index of the true constant atoms
+by bound argument positions, the slots still free then take their
+sorts' constants, and each disequality, negative constant literal and
+pair of clashing literals filters the bindings as soon as the slots it
+reads are bound (``joins.solve``).  No statement's full binding product is
+built; the bindings a constraint rejects are counted as the product's
+size less the bindings kept.  The statements over constant fluents only
+(constant heads, denials over constants, constant observations) are read
+first, for the fixpoint; the others after it, against the fixed values.
+Instances come out in statement order and, within a statement, in
+binding order: variables in sorted-name order, each ranging over its
 sort's constants in declaration order.  Errors keep a fixed precedence:
 an invalid domain, then the first statement (in source order) that makes
 a constant fluent change or depend on the state, then a denied or
@@ -38,18 +41,21 @@ horizon.
 The result is a :class:`GroundTheory` over integer literal codes: fluent
 atom number ``i`` (0-based, declaration order, argument tuples in each
 sort's declaration order) is ``+(i+1)`` when true and ``-(i+1)`` when
-false.  States are frozensets of true atom numbers.
+false.  States are frozensets of true atom numbers.  Only the fluents
+that change are numbered; ``constant_values`` reads a constant atom's
+value off the true ones.
 
 Every instance is a row in the numeric form the step search, the
 relevance slice and the clausal compiler read, much as gringo hands its
 solver ground rules, not term objects, and instantiates only what is
 relevant (Gebser et al., LPNMR 2007); rows are read off a statement's
-tables a column at a time.  Grounding builds each ramification and
+bindings a column at a time.  Grounding builds each ramification and
 denial instance as a row of ``rules``: (head, or None for a denial; the
 body's literal codes, lowest atom first, none repeated).  An effect
-statement only counts the bindings it keeps and a needs statement keeps
-them all, so ``stats`` is exact; ``effects_of(action)`` and
-``preconditions_of`` ground one action's rows when first asked for: an
+statement only counts the bindings it keeps, and a needs statement the
+ones its disequalities keep, without listing them, so ``stats`` is
+exact; ``effects_of(action)`` and ``preconditions_of`` ground one
+action's rows when first asked for (``PerAction``): an
 effect is (position, effect literal, atoms the condition needs true,
 atoms it needs false), a precondition (position, atoms needed true,
 atoms needed false, whether it can never hold).  ``rprops``, ``cprops``
@@ -71,12 +77,14 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .clauses import ClauseSet
+from .joins import Facts, Pattern, PerAction, Template, clash_pairs, reader, solve
 from .model import (
     Atom,
     Condition,
@@ -84,7 +92,6 @@ from .model import (
     DomainDescription,
     FluentLiteral,
     HProp,
-    PProp,
     RProp,
     Signature,
     TProp,
@@ -155,7 +162,7 @@ Rule = tuple[Lit | None, tuple[Lit, ...]]
 class GroundTheory:
     fluents: tuple[Atom, ...]
     index: dict[Atom, int]
-    constant_values: dict[Atom, bool]
+    constant_values: Mapping[Atom, bool]
     signature: Signature
     ground_effects: Callable[[Atom], Effects]  # one action's, on first read
     ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
@@ -348,6 +355,43 @@ class GroundTheory:
 _NONE: frozenset[int] = frozenset()
 
 
+class ConstantValues(Mapping):
+    """The fixed value of every constant atom, keyed in declaration order
+    (by fluent, then argument tuples in product order): true when stated
+    or derived, false otherwise.  Read off the true atoms, so the atoms
+    of a constant fluent are made only when iterated."""
+
+    def __init__(self, signature: Signature, true: dict[str, set[tuple[str, ...]]]):
+        self.signature = signature
+        self.true = true
+        self.members: dict[str, frozenset[str]] = {}
+
+    def __getitem__(self, atom: Atom) -> bool:
+        sig = self.signature
+        decl = sig.fluents.get(atom.name)
+        if decl is None or not decl.constant or len(atom.args) != len(decl.arg_sorts):
+            raise KeyError(atom)
+        for arg, sort in zip(atom.args, decl.arg_sorts):
+            members = self.members.get(sort)
+            if members is None:
+                members = self.members[sort] = frozenset(sig.sorts[sort])
+            if arg not in members:
+                raise KeyError(atom)
+        return atom.args in self.true[atom.name]
+
+    def __iter__(self):
+        sorts = self.signature.sorts
+        for decl in self.signature.fluents.values():
+            if decl.constant:
+                for args in itertools.product(*(sorts[s] for s in decl.arg_sorts)):
+                    yield Atom(decl.name, args)
+
+    def __len__(self) -> int:
+        sorts = self.signature.sorts
+        decls = [d for d in self.signature.fluents.values() if d.constant]
+        return sum(math.prod(len(sorts[s]) for s in d.arg_sorts) for d in decls)
+
+
 def _owner(sources: list[tuple[int, int]]) -> Callable[[int], int]:
     """The statement that owns a position, from the statements' first
     positions in order."""
@@ -360,86 +404,19 @@ def condition_codes(true: frozenset[int], false: frozenset[int]) -> frozenset[Li
     return frozenset([a + 1 for a in true] + [-a - 1 for a in false])
 
 
-class _Template:
-    """One effect, whenever or needs statement compiled for grounding.
-
-    Its variables are slots in sorted-name order, so ``bindings`` lists the
-    sort-respecting bindings in the order ``itertools.product`` visits
-    them, less the ones a disequality rules out (``dropped`` counts
-    those).  ``lookup`` compiles an atom of the statement into a getter and
-    a table over the slots the atom uses: ``table[getter(binding)]`` is
-    the atom's value, computed once per ground argument tuple."""
-
-    def __init__(self, sig: Signature, prop: CProp | RProp | PProp, var_sorts: dict[str, str]):
-        # ``var_sorts`` come from ``validate``, which has checked that they
-        # agree and that every sort is declared
-        names = sorted(var_sorts)
-        self.pools = [sig.sorts[var_sorts[v]] for v in names]
-        self.names = names
-        self.slot = {v: i for i, v in enumerate(names)}
-        bindings = list(itertools.product(*self.pools))
-        kept = bindings
-        for a, b in prop.condition.diseqs:
-            i, j = self.slot.get(a), self.slot.get(b)
-            if i is None:
-                i, j, a, b = j, i, b, a
-            if i is None:
-                kept = kept if a != b else []
-            elif j is None:
-                kept = [combo for combo in kept if combo[i] != b]
-            else:
-                kept = [combo for combo in kept if combo[i] != combo[j]]
-        self.bindings = kept
-        self.dropped = len(bindings) - len(kept)
-
-    def lookup(self, atom: Atom, value: Callable[[tuple[str, ...]], object]):
-        slot = self.slot
-        slots = sorted({slot[t] for t in atom.args if t in slot})
-        getter = operator.itemgetter(*slots) if slots else lambda combo: ()
-        where = [slots.index(slot[t]) if t in slot else None for t in atom.args]
-        constants = tuple(t for t, k in zip(atom.args, where) if k is None)
-        if where == list(range(len(slots))):
-            pick = None  # the arguments are the slots in order: the binding is the tuple
-        elif not slots:
-            return getter, {(): value(constants)}
-        else:
-            # the arguments are picked from the binding followed by the constants
-            places = iter(range(len(slots), len(slots) + len(constants)))
-            pick = operator.itemgetter(*[next(places) if k is None else k for k in where])
-        if len(slots) == 1:
-            # the getter of one slot gives its bare value, which keys the table
-            pool = self.pools[slots[0]]
-            if pick is None:
-                return getter, {c: value((c,)) for c in pool}
-            return getter, {c: value(pick((c,) + constants)) for c in pool}
-        combos = itertools.product(*(self.pools[i] for i in slots))
-        if pick is None:
-            return getter, {combo: value(combo) for combo in combos}
-        return getter, {combo: value(pick(combo + constants)) for combo in combos}
-
-    def instance(self, atom: Atom, combo: tuple[str, ...]) -> Atom:
-        """``atom`` under one binding, for error messages."""
-        return atom.substitute(dict(zip(self.names, combo)))
+def _column(codes: dict, pattern: Pattern, width: int) -> Callable[[list[tuple]], Iterable]:
+    """The value ``codes`` gives a pattern's arguments per binding (of
+    ``width`` slots), as a function of the bindings."""
+    read = reader(pattern, range(width))
+    return lambda rel: map(codes.__getitem__, read(rel))
 
 
-def _clash_free(codes: set[Lit]) -> bool:
-    return not any(-c in codes for c in codes)
-
-
-def _column(lookup) -> Callable:
-    """The looked-up value per binding, as a function of the bindings."""
-    getter, table = lookup
-    return lambda combos: map(table.__getitem__, map(getter, combos))
-
-
-def _sets(lookups: list, make: Callable = frozenset) -> Callable:
-    """What ``make`` makes of the lookups' values per binding, as a
-    function of the bindings: one shared ``make(())`` without lookups."""
-    if not lookups:
-        empty = make(())
-        return lambda combos: itertools.repeat(empty, len(combos))
-    columns = list(map(_column, lookups))
-    return lambda combos: map(make, zip(*[column(combos) for column in columns]))
+def _sets(columns: list[Iterable], n: int, make: Callable = frozenset) -> Iterable:
+    """What ``make`` makes of the columns' values per binding (of ``n``):
+    one shared ``make(())`` without columns."""
+    if not columns:
+        return itertools.repeat(make(()), n)
+    return map(make, zip(*columns))
 
 
 def _body(codes: tuple[Lit, ...]) -> tuple[Lit, ...]:
@@ -448,49 +425,6 @@ def _body(codes: tuple[Lit, ...]) -> tuple[Lit, ...]:
         a, b = codes
         return codes if abs(a) < abs(b) else (a,) if a == b else (b, a)
     return codes if len(codes) == 1 else tuple(sorted(set(codes), key=abs))
-
-
-class _PerAction:
-    """An effect or needs statement, ground one action at a time.  Its
-    instances take the positions from ``offset`` on in the theory's full
-    list of its kind, one per ``kept`` binding in binding order.  An
-    action's bindings are the product of the sorts of the slots its
-    arguments leave free, in binding order, and a table made once gives a
-    kept one's position.  Its rows are the positions and the columns
-    ``make_columns`` makes, on first use, from the statement's tables."""
-
-    def __init__(self, tpl: _Template, action: Atom, offset: int, kept, make_columns: Callable[[], list]):
-        self.tpl = tpl
-        self.action = action
-        self.offset = offset
-        self.kept = kept
-        self.make_columns = make_columns
-        self._positions: dict[tuple[str, ...], int] | None = None
-        self._columns: list[Callable] = []
-
-    def rows(self, action: Atom):
-        """The rows of ``action``, in binding order."""
-        slot, fixed = self.tpl.slot, {}
-        # the action's arguments fix the slots of the statement's variables
-        # in their places; its other arguments must be the statement's
-        # constants
-        for t, value in zip(self.action.args, action.args):
-            i = slot.get(t)
-            if i is None:
-                if t != value:
-                    return ()
-            elif fixed.setdefault(i, value) != value:
-                return ()
-        if self._positions is None:
-            self._positions = dict(zip(self.kept, itertools.count(self.offset)))
-            self._columns = self.make_columns()
-        pools = [[fixed[i]] if i in fixed else pool for i, pool in enumerate(self.tpl.pools)]
-        combos = list(itertools.product(*pools))
-        positions = list(map(self._positions.get, combos))
-        if None in positions:
-            kept = list(map(operator.is_not, positions, itertools.repeat(None)))
-            combos, positions = [*itertools.compress(combos, kept)], [*itertools.compress(positions, kept)]
-        return zip(positions, *[column(combos) for column in self._columns]) if combos else ()
 
 
 def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheory:
@@ -509,32 +443,32 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
 
     stats = GroundingStats(horizon=horizon)
 
-    # Dynamic and constant atoms are numbered apart; numbers[name][args]
-    # is an atom's number among its kind, and its code is that plus one.
-    constant_atoms: list[Atom] = []
+    # The dynamic atoms are numbered: numbers[name][args] is an atom's
+    # number, and its code is that plus one.  A constant atom is only ever
+    # looked up among the true ones.
     dynamic_atoms: list[Atom] = []
     numbers: dict[str, dict[tuple[str, ...], int]] = {}
     for decl in sig.fluents.values():
-        atoms = constant_atoms if decl.constant else dynamic_atoms
-        table = numbers[decl.name] = {}
-        for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts)):
-            table[args] = len(atoms)
-            atoms.append(Atom(decl.name, args))
+        if not decl.constant:
+            table = numbers[decl.name] = {}
+            for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts)):
+                table[args] = len(dynamic_atoms)
+                dynamic_atoms.append(Atom(decl.name, args))
     fluents = tuple(dynamic_atoms)
     index = {atom: i for i, atom in enumerate(fluents)}
+    facts = Facts(name for name, decl in sig.fluents.items() if decl.constant)
+    constant_values = ConstantValues(sig, facts.sets)
     stats.fluent_atoms = len(fluents)
-    stats.constant_atoms = len(constant_atoms)
-    values = [False] * len(constant_atoms)  # closed world until derived
+    stats.constant_atoms = len(constant_values)
 
     def is_constant(atom: Atom) -> bool:
         return sig.fluents[atom.name].constant
 
-    # A literal's code, and after the fixpoint a constant literal's truth,
-    # by its atom's arguments: one table per fluent and sign, made once.
+    # A dynamic literal's code by its atom's arguments: one table per
+    # fluent and sign, made once.
     code_tables: dict[tuple[str, bool], dict[tuple[str, ...], Lit]] = {}
-    truth_tables: dict[tuple[str, bool], dict[tuple[str, ...], bool]] = {}
 
-    def coder(lit: FluentLiteral) -> Callable[[tuple[str, ...]], Lit]:
+    def coder(lit: FluentLiteral) -> dict[tuple[str, ...], Lit]:
         key = (lit.atom.name, lit.positive)
         table = code_tables.get(key)
         if table is None:
@@ -543,162 +477,172 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                 table = code_tables[key] = {args: n + 1 for args, n in nums.items()}
             else:
                 table = code_tables[key] = {args: -n - 1 for args, n in nums.items()}
-        return table.__getitem__
+        return table
 
-    def truth(lit: FluentLiteral) -> Callable[[tuple[str, ...]], bool]:
-        key = (lit.atom.name, lit.positive)
-        table = truth_tables.get(key)
-        if table is None:
-            nums = numbers[lit.atom.name]
-            table = truth_tables[key] = {args: values[n] == lit.positive for args, n in nums.items()}
-        return table.__getitem__
-
-    def holds(code: Lit) -> bool:
-        return values[abs(code) - 1] == (code > 0)
-
-    def heads(tpl: _Template, head: FluentLiteral | None, combos: list) -> Iterable[Lit | None]:
-        """A rule's head codes over ``combos``; None for a denial."""
-        return itertools.repeat(None) if head is None else _column(tpl.lookup(head.atom, coder(head)))(combos)
+    def split(tpl: Template, condition: Condition) -> tuple[dict, list[FluentLiteral]]:
+        """A condition's constraints for ``solve``: its constant literals
+        as true and false atoms, the clashing pairs of its dynamic ones;
+        and the dynamic literals."""
+        dynamic = [lit for lit in condition.literals if not is_constant(lit.atom)]
+        constant = [lit for lit in condition.literals if is_constant(lit.atom)]
+        return {
+            "facts": facts,
+            "positives": [(lit.atom.name, tpl.pattern(lit.atom)) for lit in constant if lit.positive],
+            "negatives": [(lit.atom.name, tpl.pattern(lit.atom)) for lit in constant if not lit.positive],
+            "clashes": clash_pairs(tpl, dynamic),
+        }, dynamic
 
     props = domain.propositions
     templates = {
-        src: _Template(sig, prop, rule_sorts[src])
+        src: Template(sig, prop, rule_sorts[src])
         for src, prop in enumerate(props)
         if not isinstance(prop, (TProp, HProp))
     }
-    stats.dropped_instances = sum(t.dropped for t in templates.values())
 
-    # Before the fixpoint: expand the statements over constant fluents
-    # only, and reject the first that lets a constant fluent change or
-    # depend on the state.
-    facts: list[Lit] = []
-    denied: list[tuple[Lit, int]] = []
-    rules: list[tuple[tuple[Lit, ...], Lit]] = []
-    checks: list[tuple[tuple[Lit, ...], Lit | None, int]] = []
+    # Before the fixpoint: read the constant facts and the statements over
+    # constant fluents only, and reject the first statement that lets a
+    # constant fluent change or depend on the state.
+    denied: list[tuple[Atom, int]] = []
+    derivations: list[tuple[Template, str, Pattern, list[tuple[str, Pattern]]]] = []
+    checks: list[tuple[int, Template, dict]] = []
     for src, prop in enumerate(props):
         if isinstance(prop, TProp) and is_constant(prop.literal.atom):
-            code = coder(prop.literal)(prop.literal.atom.args)
-            if code > 0:
-                facts.append(code)
+            if prop.literal.positive:
+                facts.add(prop.literal.atom.name, prop.literal.atom.args)
             else:
-                denied.append((code, src))
+                denied.append((prop.literal.atom, src))
         if not isinstance(prop, (CProp, RProp)):
             continue
         tpl = templates[src]
         if isinstance(prop, CProp):
-            if is_constant(prop.fluent) and tpl.bindings:
-                first = tpl.bindings[0]
-                raise GroundingError(
-                    "statement %d lets action %s change constant fluent %s"
-                    % (src, tpl.instance(prop.action, first), tpl.instance(prop.fluent, first)),
-                    kind="constant-effect",
-                )
+            if is_constant(prop.fluent):
+                first = tpl.first()
+                if first is not None:
+                    raise GroundingError(
+                        "statement %d lets action %s change constant fluent %s"
+                        % (src, tpl.instance(prop.action, first), tpl.instance(prop.fluent, first)),
+                        kind="constant-effect",
+                    )
+                stats.dropped_instances += tpl.size
             continue
         body_constant = all(is_constant(l.atom) for l in prop.condition.literals)
         head_constant = prop.head is not None and is_constant(prop.head.atom)
         if head_constant and not body_constant:
-            if tpl.bindings:
+            first = tpl.first()
+            if first is not None:
                 raise GroundingError(
                     "statement %d makes constant fluent %s depend on state-varying fluents"
-                    % (src, tpl.instance(prop.head.atom, tpl.bindings[0])),
+                    % (src, tpl.instance(prop.head.atom, first)),
                     kind="constant-dynamic",
                 )
+            stats.dropped_instances += tpl.size
             continue
         if not body_constant or not (head_constant or prop.head is None):
             continue
         # A rule with a negative premise is a closed-world test, not a
         # derivation step: checking it after the fixpoint keeps the
-        # fixpoint a plain monotone closure.
-        derives = head_constant and prop.head.positive
-        derives = derives and all(l.positive for l in prop.condition.literals)
-        bodies = _sets([tpl.lookup(l.atom, coder(l)) for l in prop.condition.literals], tuple)(tpl.bindings)
-        if derives:
-            rules += zip(bodies, heads(tpl, prop.head, tpl.bindings))
-        else:
-            checks += zip(bodies, heads(tpl, prop.head, tpl.bindings), itertools.repeat(src))
-        if prop.head is None:
-            # a denial over constants never holds (checked below), so every
-            # instance of it is dropped
-            stats.dropped_instances += len(tpl.bindings)
-    # The least fixpoint by counting: each rule waits on its body atoms
-    # not yet true, and an atom made true wakes only the rules it occurs in.
-    waiting: list[int] = []
-    wakes: dict[int, list[int]] = {}
-    # The codes of a rule's body are positive: they key ``wakes``.
-    made_true = list(facts)
-    for ri, (body_codes, head_code) in enumerate(rules):
-        codes = set(body_codes)
-        waiting.append(len(codes))
-        for c in codes:
-            wakes.setdefault(c, []).append(ri)
-        if not codes:
-            made_true.append(head_code)
-    while made_true:
-        c = made_true.pop()
-        if values[c - 1]:
+        # fixpoint a plain monotone closure.  A denial over constants
+        # never holds (checked below), so every instance of it is dropped;
+        # the other statements here drop what their disequalities rule out.
+        stats.dropped_instances += tpl.size if prop.head is None else tpl.size - tpl.count()
+        body = [(l.atom.name, tpl.pattern(l.atom)) for l in prop.condition.literals]
+        if head_constant and prop.head.positive and all(l.positive for l in prop.condition.literals):
+            derivations.append((tpl, prop.head.atom.name, tpl.pattern(prop.head.atom), body))
             continue
-        values[c - 1] = True
-        for ri in wakes.get(c, ()):
-            waiting[ri] -= 1
-            if not waiting[ri]:
-                made_true.append(rules[ri][1])
-    for code, src in denied:
-        if values[-code - 1]:
+        constraints, _ = split(tpl, prop.condition)
+        # the body holds and the head does not
+        if prop.head is not None:
+            head = (prop.head.atom.name, tpl.pattern(prop.head.atom))
+            constraints["negatives" if prop.head.positive else "positives"].append(head)
+        checks.append((src, tpl, constraints))
+
+    # The least fixpoint, semi-naively: each round joins the derivations'
+    # bodies only against the atoms the round before made true, one body
+    # atom at a time, the others against all true atoms.  A derivation
+    # without a body atom fires once, first.
+    def fire(tpl: Template, name: str, head: Pattern, bindings: list[tuple], made: dict[str, dict]) -> None:
+        true = facts.sets[name]
+        for args in reader(head, range(len(tpl.pools)))(bindings):
+            if args not in true:
+                made.setdefault(name, {})[args] = None
+
+    made: dict[str, dict] = {}
+    for tpl, name, head, body in derivations:
+        if not body:
+            fire(tpl, name, head, solve(tpl, range(len(tpl.pools)), ordered=False), made)
+    for name, atoms in made.items():
+        for args in atoms:
+            facts.add(name, args)
+    fresh = {name: list(atoms) for name, atoms in facts.lists.items() if atoms}
+    while fresh:
+        made = {}
+        for tpl, name, head, body in derivations:
+            every = range(len(tpl.pools))
+            for k, (other, pattern) in enumerate(body):
+                if other in fresh:
+                    others, delta = body[:k] + body[k + 1 :], (pattern, fresh[other])
+                    fire(tpl, name, head, solve(tpl, every, facts, others, ordered=False, delta=delta), made)
+        for name, atoms in made.items():
+            for args in atoms:
+                facts.add(name, args)
+        fresh = {name: list(atoms) for name, atoms in made.items()}
+    for atom, src in denied:
+        if atom.args in facts.sets[atom.name]:
             raise GroundingError(
-                "statement %d denies constant fluent %s, which is derived true"
-                % (src, constant_atoms[-code - 1]),
+                "statement %d denies constant fluent %s, which is derived true" % (src, atom),
                 kind="constant-conflict",
             )
-    for body_codes, head_code, src in checks:
-        if all(holds(c) for c in body_codes) and (head_code is None or not holds(head_code)):
+    for src, tpl, constraints in checks:
+        if solve(tpl, range(len(tpl.pools)), ordered=False, **constraints):
             raise GroundingError(
                 "statement %d is violated by the fixed constant fluent values" % src,
                 kind="constant-contradiction",
             )
 
-    def residues(tpl: _Template, condition: Condition):
-        """The condition's dynamic literals, and the template's bindings
-        whose constant literals hold and whose codes never clash, in
-        binding order (the list itself when that is all of them).  Each
-        constant literal narrows the list in turn."""
-        kept, dynamic = tpl.bindings, []
-        for lit in condition.literals:
-            if is_constant(lit.atom):
-                kept = [*itertools.compress(kept, _column(tpl.lookup(lit.atom, truth(lit)))(kept))]
-            else:
-                dynamic.append(lit)
-        signs = {(lit.atom.name, lit.positive) for lit in dynamic}
-        if any((name, False) in signs for name, positive in signs if positive):
-            columns = [_column(tpl.lookup(lit.atom, coder(lit))) for lit in dynamic]
-            kept = [*itertools.compress(kept, map(_clash_free, map(set, zip(*[c(kept) for c in columns]))))]
-        return dynamic, kept if len(kept) < len(tpl.bindings) else tpl.bindings
+    # The columns of the rows, as a function of an action's bindings: a
+    # dynamic condition literal's sign is fixed, so it gives atom numbers,
+    # and each sign's make one set.
+    def sides(tpl: Template, literals: list[FluentLiteral]) -> Callable[[list[tuple]], list[Iterable]]:
+        width = len(tpl.pools)
+        signs = [
+            [_column(numbers[l.atom.name], tpl.pattern(l.atom), width) for l in literals if l.positive is sign]
+            for sign in (True, False)
+        ]
+        return lambda combos: [_sets([column(combos) for column in columns], len(combos)) for columns in signs]
 
-    # The columns of the rows: a dynamic condition literal's sign is fixed,
-    # so its table gives atom numbers, and each sign's make one set.
-    def sides(tpl: _Template, literals: list[FluentLiteral]) -> list[Callable]:
-        tables = [(lit.positive, tpl.lookup(lit.atom, numbers[lit.atom.name].__getitem__)) for lit in literals]
-        return [_sets([lookup for positive, lookup in tables if positive is sign]) for sign in (True, False)]
+    def effect_columns(tpl: Template, prop: CProp, literals: list[FluentLiteral]):
+        codes = coder(FluentLiteral(prop.fluent, prop.initiates))
+        effect = _column(codes, tpl.pattern(prop.fluent), len(tpl.pools))
+        conditions = sides(tpl, literals)
+        return lambda combos: [effect(combos), *conditions(combos)]
 
-    def effect_columns(tpl: _Template, prop: CProp, literals: list[FluentLiteral]) -> list[Callable]:
-        effect = tpl.lookup(prop.fluent, coder(FluentLiteral(prop.fluent, prop.initiates)))
-        return [_column(effect), *sides(tpl, literals)]
+    def need_columns(tpl: Template, constraints: dict, literals: list[FluentLiteral]):
+        # a binding that makes a constant literal false or gives a clashing
+        # pair the same arguments makes an impossible instance
+        width = range(len(tpl.pools))
+        true = [(facts.sets[name].__contains__, reader(p, width)) for name, p in constraints["positives"]]
+        false = [(facts.sets[name].__contains__, reader(p, width)) for name, p in constraints["negatives"]]
+        pairs = [(reader(p, width), reader(q, width)) for p, q in constraints["clashes"]]
+        conditions = sides(tpl, literals)
 
-    def need_columns(tpl: _Template, prop: PProp) -> list[Callable]:
-        # a binding whose constant literals fail or whose literals clash
-        # makes an impossible instance
-        literals, possible = residues(tpl, prop.condition)
-        impossible = set() if possible is tpl.bindings else set(tpl.bindings).difference(possible)
-        return [*sides(tpl, literals), lambda combos: map(impossible.__contains__, combos)]
+        def columns(combos):
+            fails = [map(operator.not_, map(holds, read(combos))) for holds, read in true]
+            fails += [map(holds, read(combos)) for holds, read in false]
+            fails += [map(operator.eq, p(combos), q(combos)) for p, q in pairs]
+            impossible = map(any, zip(*fails)) if fails else itertools.repeat(False, len(combos))
+            return [*conditions(combos), impossible]
 
-    # After the fixpoint: expand the statements over dynamic fluents, in
-    # statement order and binding order, with constants resolved.  An
-    # effect statement only counts the bindings it keeps, and a needs
-    # statement keeps them all; their rows are ground per action when
-    # first asked for (``_PerAction``).
-    effects_by_action: dict[str, list[_PerAction]] = {}
+        return columns
+
+    # After the fixpoint: the statements over dynamic fluents, in statement
+    # order and binding order, with constants resolved.  An effect
+    # statement only counts the bindings it keeps, and a needs statement
+    # the ones its disequalities keep; their rows are ground per action
+    # when first asked for (``PerAction``).
+    effects_by_action: dict[str, list[PerAction]] = {}
     effect_sources: list[tuple[int, int]] = []
     n_effects = 0
-    needs_by_action: dict[str, list[_PerAction]] = {}
+    needs_by_action: dict[str, list[PerAction]] = {}
     need_sources: list[tuple[int, int]] = []
     n_needs = 0
     rule_rows: list[Rule] = []
@@ -714,8 +658,7 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
                     "observation at time %d is outside 0..%d" % (prop.time, horizon),
                     kind="horizon",
                 )
-            code = coder(prop.literal)(prop.literal.atom.args)
-            observations.setdefault(prop.time, set()).add(code)
+            observations.setdefault(prop.time, set()).add(coder(prop.literal)[prop.literal.atom.args])
         elif isinstance(prop, HProp):
             if not (0 <= prop.time < horizon):
                 raise GroundingError(
@@ -728,14 +671,13 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             if is_constant(prop.fluent):
                 continue
             tpl = templates[src]
-            literals, kept = residues(tpl, prop.condition)
-            stats.dropped_instances += len(tpl.bindings) - len(kept)
+            constraints, literals = split(tpl, prop.condition)
             columns = functools.partial(effect_columns, tpl, prop, literals)
-            effects_by_action.setdefault(prop.action.name, []).append(
-                _PerAction(tpl, prop.action, n_effects, kept, columns)
-            )
+            statement = PerAction(tpl, prop.action, n_effects, constraints, columns)
+            stats.dropped_instances += tpl.size - statement.kept
+            effects_by_action.setdefault(prop.action.name, []).append(statement)
             effect_sources.append((n_effects, src))
-            n_effects += len(kept)
+            n_effects += statement.kept
         elif isinstance(prop, RProp):
             if prop.head is None:
                 if all(is_constant(l.atom) for l in prop.condition.literals):
@@ -743,21 +685,29 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             elif is_constant(prop.head.atom):
                 continue  # folded into the constant fixpoint above
             tpl = templates[src]
-            literals, kept = residues(tpl, prop.condition)
-            stats.dropped_instances += len(tpl.bindings) - len(kept)
+            constraints, literals = split(tpl, prop.condition)
+            width = len(tpl.pools)
+            kept = solve(tpl, range(width), **constraints)
+            stats.dropped_instances += tpl.size - len(kept)
             rule_sources.append((len(rule_rows), src))
-            bodies = _sets([tpl.lookup(lit.atom, coder(lit)) for lit in literals], _body)(kept)
-            rule_rows += zip(heads(tpl, prop.head, kept), bodies)
+            if prop.head is None:
+                heads = itertools.repeat(None)
+            else:
+                heads = _column(coder(prop.head), tpl.pattern(prop.head.atom), width)(kept)
+            body = [_column(coder(l), tpl.pattern(l.atom), width)(kept) for l in literals]
+            bodies = _sets(body, len(kept), _body)
+            rule_rows += zip(heads, bodies)
         else:
             tpl = templates[src]
-            columns = functools.partial(need_columns, tpl, prop)
-            needs_by_action.setdefault(prop.action.name, []).append(
-                _PerAction(tpl, prop.action, n_needs, tpl.bindings, columns)
-            )
+            constraints, literals = split(tpl, prop.condition)
+            columns = functools.partial(need_columns, tpl, constraints, literals)
+            statement = PerAction(tpl, prop.action, n_needs, {}, columns)
+            stats.dropped_instances += tpl.size - statement.kept
+            needs_by_action.setdefault(prop.action.name, []).append(statement)
             need_sources.append((n_needs, src))
-            n_needs += len(tpl.bindings)
+            n_needs += statement.kept
 
-    def rows_of(statements: dict[str, list[_PerAction]]) -> Callable[[Atom], tuple]:
+    def rows_of(statements: dict[str, list[PerAction]]) -> Callable[[Atom], tuple]:
         return lambda action: tuple(
             itertools.chain.from_iterable([s.rows(action) for s in statements.get(action.name, ())])
         )
@@ -772,7 +722,7 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     theory = GroundTheory(
         fluents=fluents,
         index=index,
-        constant_values=dict(zip(constant_atoms, values)),
+        constant_values=constant_values,
         signature=sig,
         ground_effects=rows_of(effects_by_action),
         ground_preconditions=rows_of(needs_by_action),

@@ -664,12 +664,16 @@ def random_state(rng: random.Random, n_atoms: int) -> frozenset[int]:
     return frozenset(i for i in range(n_atoms) if rng.random() < 0.5)
 
 
-def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescription:
+def random_sorted_domain(rng: random.Random, wide: bool = False, joins: bool = False) -> DomainDescription:
     """A random domain with sorts, variables and constant fluents, for
     checking the grounder against full enumeration.  ``wide`` adds
     two-argument actions (so an action atom may repeat a variable or mix
-    variables and constants) and disequalities in conditions; without it
-    the draws are those of earlier versions."""
+    variables and constants) and disequalities in conditions.  ``joins``
+    adds a third variable, a binary and a unary constant relation over the
+    first sort with a few facts each, conditions with two or three
+    constant literals of either sign sharing variables, and recursive
+    positive derivations of the two relations.  Without either the draws
+    are those of earlier versions."""
     sorts = {}
     for s in range(rng.randint(1, 2)):
         name = "s%d" % (s + 1)
@@ -684,6 +688,10 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
         )
     if all(d.constant for d in fluents.values()):
         fluents["fdyn"] = FluentDecl("fdyn", (), constant=False)
+    if joins:
+        node = sort_names[0]
+        fluents["edge"] = FluentDecl("edge", (node, node), constant=True)
+        fluents["mark"] = FluentDecl("mark", (node,), constant=True)
     actions = {}
     for i in range(rng.randint(1, 2)):
         name = "act%d" % (i + 1)
@@ -691,7 +699,7 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
         actions[name] = ActionDecl(name, tuple(rng.choice(sort_names) for _ in range(arity)))
     sig = Signature(sorts, fluents, actions)
 
-    var_pool = ["X", "Y"]
+    var_pool = ["X", "Y", "Z"] if joins else ["X", "Y"]
 
     def atom_of(decl: FluentDecl | ActionDecl, vars_allowed: bool) -> Atom:
         args = []
@@ -739,6 +747,28 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
     props = []
     horizon = 2
 
+    def join_atoms(atoms: list[Atom], decls: list, count: int) -> None:
+        """Under ``joins``, add ``count`` atoms of the two relations, each
+        sharing a variable of the first sort with the atoms before it
+        where they have one."""
+        if not joins:
+            return
+        for _ in range(count):
+            d = fluents[rng.choice(["edge", "edge", "mark"])]
+            atom = atom_of(d, True)
+            shared = sorted(
+                arg
+                for a, ad in zip(atoms, decls)
+                for arg, s in zip(a.args, ad.arg_sorts)
+                if arg in var_pool and s == node
+            )
+            if shared and not vars_of([atom]) & set(shared):
+                args = list(atom.args)
+                args[rng.randrange(len(args))] = rng.choice(shared)
+                atom = Atom(atom.name, tuple(args))
+            atoms.append(atom)
+            decls.append(d)
+
     for _ in range(rng.randint(1, 4)):
         kind = rng.random()
         if kind < 0.35:
@@ -752,6 +782,7 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
                 d = rng.choice(list(fluents.values()))
                 catoms.append(atom_of(d, True))
                 cdecls.append(d)
+            join_atoms(catoms, cdecls, rng.randint(0, 3) if joins else 0)
             if not consistent_vars([action, fluent] + catoms, [adecl, fdecl] + cdecls):
                 continue
             cond = Condition.of(
@@ -769,6 +800,7 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
                 d = rng.choice(list(fluents.values()))
                 catoms.append(atom_of(d, True))
                 cdecls.append(d)
+            join_atoms(catoms, cdecls, rng.randint(0, 3) if joins else 0)
             if not consistent_vars([head_atom] + catoms, [fdecl] + cdecls):
                 continue
             head = None if rng.random() < 0.2 else FluentLiteral(head_atom, rng.random() < 0.7)
@@ -790,6 +822,7 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
                 d = rng.choice(list(fluents.values()))
                 catoms.append(atom_of(d, True))
                 cdecls.append(d)
+            join_atoms(catoms, cdecls, rng.randint(0, 3) if joins else 0)
             if not consistent_vars([action] + catoms, [adecl] + cdecls):
                 continue
             cond = Condition.of(
@@ -802,6 +835,20 @@ def random_sorted_domain(rng: random.Random, wide: bool = False) -> DomainDescri
     for decl in const_fluents:
         for _ in range(rng.randint(0, 2)):
             props.append(TProp(FluentLiteral(atom_of(decl, False), True), 0))
+    if joins:
+        # more edges, and derivations of either relation from a positive
+        # body of one to three atoms, which may use the head's relation
+        for _ in range(rng.randint(1, 4)):
+            props.append(TProp(FluentLiteral(atom_of(fluents["edge"], False), True), 0))
+        for _ in range(rng.randint(1, 3)):
+            hdecl = fluents[rng.choice(["edge", "mark"])]
+            head_atom = atom_of(hdecl, True)
+            catoms, cdecls = [], []
+            join_atoms(catoms, cdecls, rng.randint(1, 3))
+            if not consistent_vars([head_atom] + catoms, [hdecl] + cdecls):
+                continue
+            body = Condition.of(*map(FluentLiteral, catoms), diseqs=diseqs([head_atom] + catoms, [hdecl] + cdecls))
+            props.append(RProp(FluentLiteral(head_atom), body, ()))
     # ground observations and occurrences
     for _ in range(rng.randint(0, 2)):
         fdecl = rng.choice(dyn_fluents)

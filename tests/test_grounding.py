@@ -360,6 +360,59 @@ def test_matches_naive_oracle_on_random_domains():
             continue
         assert theory_strings(th) == naive_ground_strings(domain, 2)
         checked += 1
+    # and on the join-shaped draws, which the grounder instantiates from
+    # the true facts
+    rng = random.Random(43)
+    checked = 0
+    while checked < 200:
+        domain = random_sorted_domain(rng, wide=True, joins=True)
+        try:
+            th = ground(domain, 2)
+        except GroundingError:
+            continue
+        assert theory_strings(th) == naive_ground_strings(domain, 2)
+        checked += 1
+
+
+def _join_features(domain) -> set[str]:
+    """Which of the join draws' features a domain has: constant literals
+    sharing a variable, a negative constant literal, the third variable,
+    and a constant fluent derived from itself."""
+    constant = {name for name, decl in domain.signature.fluents.items() if decl.constant}
+    found = set()
+    for prop in domain.propositions:
+        if not hasattr(prop, "condition"):
+            continue
+        literals = prop.condition.literals
+        ours = [l for l in literals if l.atom.name in constant]
+        names = [v for l in ours for v in l.atom.variables()]
+        if len(set(names)) < len(names):
+            found.add("shared")
+        if any(not l.positive for l in ours):
+            found.add("negative")
+        if any("Z" in l.atom.args for l in literals):
+            found.add("third")
+        head = getattr(prop, "head", None)
+        if head is not None and head.atom.name in constant and head.atom.name in {l.atom.name for l in literals}:
+            found.add("recursive")
+    return found
+
+
+def test_rows_match_naive_oracle_on_join_domains():
+    rng = random.Random(14)
+    checked = 0
+    features: dict[str, int] = {}
+    while checked < 200:
+        domain = random_sorted_domain(rng, wide=True, joins=True)
+        try:
+            ground(domain, 2)
+        except GroundingError:
+            continue
+        _check_rows(domain, 2, rng)
+        checked += 1
+        for feature in _join_features(domain):
+            features[feature] = features.get(feature, 0) + 1
+    assert all(features.get(f, 0) > 50 for f in ("shared", "negative", "third", "recursive")), features
 
 
 def _walk_domain(positions: int, steps: int, seed: int):
@@ -756,3 +809,91 @@ def test_ground_listing_is_pinned(capsys, argv):
     assert main(["ground", *argv, "--stats", "--dump"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GROUND_LISTING_SHA256[argv]
+
+
+def join_domain(k: int) -> str:
+    """A chain of ``k`` nodes, its ``edge`` facts constant, and one rule
+    that joins two of them: ``on`` spreads two edges at a time from c0.
+    Its rule has k³ bindings and k-2 instances."""
+    nodes = ["c%d" % i for i in range(k)]
+    lines = [
+        "sort node: %s." % ", ".join(nodes),
+        "constant fluent edge(node, node).",
+        "fluent on(node).",
+        "action tick.",
+        "tick initiates on(c0).",
+        "on(Y) whenever { on(X), edge(X, Z), edge(Z, Y) }.",
+    ]
+    lines += ["edge(%s, %s) holds-at 0." % edge for edge in zip(nodes, nodes[1:])]
+    lines += ["neg on(c0) holds-at 0.", "tick happens-at 0."]
+    return "\n".join(lines) + "\n"
+
+
+# The files the written-listing pins ground: (references before the
+# file, file text, arguments after it).
+WRITTEN = {
+    "walk": (["gen:direct:15:feed"], walk_scenario(15, 80, 5), []),
+    "chain": ([], CHAIN, ["--horizon", "2"]),
+    "join-12": ([], join_domain(12), ["--horizon", "2"]),
+    "join-120": ([], join_domain(120), ["--horizon", "2"]),
+}
+# sha256 of `elang ground FILES --stats --dump` on the files above, and of
+# the walk's `--dimacs` export, taken before statements were ground by
+# joining their constant literals against the true facts: binding order,
+# positions and dropped instances are kept
+WRITTEN_LISTING_SHA256 = {
+    "walk": "1300edfefc11b0f22e1da54c13a3eb4a210cf7aa50adf040b5a4896c1a5ae9f4",
+    "chain": "3670e011d3ec0016761d109e4e070fa3c0403473880e3dc5809a7132e5e44dad",
+    "join-12": "3a6a190eabd7c375e7f599ceb3286e11c546d84b578ba11b03073ef10c8ac3f2",
+    "join-120": "29f9f864bc9486021a8a969f527312b761ee424fc18a4f23b7fdf1cd61d480ae",
+}
+WALK_DIMACS_SHA256 = "551cbe874a62530a59fa67556f928e33e7f75f14ab7f8d093f90269e2f851c0c"
+
+
+def _written_argv(tmp_path, name):
+    before, text, after = WRITTEN[name]
+    path = tmp_path / ("%s.e" % name)
+    path.write_text(text)
+    return ["ground", *before, str(path), *after]
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN_LISTING_SHA256))
+def test_written_ground_listing_is_pinned(capsys, tmp_path, name):
+    from elang.cli import main
+
+    assert main(_written_argv(tmp_path, name) + ["--stats", "--dump"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WRITTEN_LISTING_SHA256[name]
+
+
+def test_walk_dimacs_export_is_pinned(tmp_path):
+    from elang.cli import main
+
+    target = tmp_path / "walk.cnf"
+    assert main(_written_argv(tmp_path, "walk") + ["--dimacs", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == WALK_DIMACS_SHA256
+
+
+def test_join_domain_grounds_at_the_cost_of_its_output(capsys, tmp_path):
+    # 240³ bindings of the rule, 238 instances: the rule is joined from the
+    # 239 edges, so grounding never holds anything the size of the product
+    import tracemalloc
+
+    from elang.cli import main
+
+    k = 240
+    path = tmp_path / "join.e"
+    path.write_text(join_domain(k))
+    assert main(["ground", str(path), "--horizon", "2", "--stats"]) == 0
+    stats = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert stats["ramification rules"] == str(k - 2)
+    assert stats["dropped instances"] == str(k**3 - (k - 2))
+    domain = parse_domain(path.read_text()).domain
+    tracemalloc.start()
+    try:
+        th = ground(domain, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(th.rules) == k - 2
+    assert peak < 25 * 2**20, peak
