@@ -58,9 +58,10 @@ exact; ``effects_of(action)`` and ``preconditions_of`` ground one
 action's rows when first asked for (``PerAction``): an
 effect is (position, effect literal, atoms the condition needs true,
 atoms it needs false), a precondition (position, atoms needed true,
-atoms needed false, whether it can never hold).  ``rprops``, ``cprops``
-and ``pprops`` list the instance objects, in statement and binding
-order, built from the rows only when read (``elang ground --dump``).
+atoms needed false, whether it can never hold).  A position numbers an
+instance among all of its kind, in statement and binding order; the rows
+are the only form of the instances, and ``elang ground --dump`` renders
+them (``dump_ground``).
 
 The rules are the state constraints: ``constraint_clauses`` reads their
 clauses off the rows in the kernel's normal form (``clauses.py``), and
@@ -74,7 +75,6 @@ them, such as a relevance slice, pays for no others.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -108,30 +108,6 @@ class GroundingError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class GroundCProp:
-    action: Atom
-    initiates: bool
-    fluent: int  # atom number of the affected fluent
-    condition: frozenset[Lit]
-    src: int  # index of the originating proposition
-
-
-@dataclass(frozen=True)
-class GroundRProp:
-    head: Lit | None  # None encodes a denial
-    condition: frozenset[Lit]
-    src: int
-
-
-@dataclass(frozen=True)
-class GroundPProp:
-    action: Atom
-    condition: frozenset[Lit]
-    src: int
-    impossible: bool = False  # condition mentions a false constant literal
-
-
 @dataclass
 class GroundingStats:
     fluent_atoms: int = 0
@@ -146,11 +122,11 @@ class GroundingStats:
     horizon: int = 0
 
 
-# An action's effect instances as rows (position in ``cprops``, effect
-# literal, atoms the condition needs true, atoms it needs false).
+# An action's effect instances as rows: (position among all effect
+# instances, effect literal, atoms the condition needs true, needs false).
 Effects = tuple[tuple[int, Lit, frozenset[int], frozenset[int]], ...]
-# An action's precondition instances as rows (position in ``pprops``, atoms
-# the condition needs true, atoms it needs false, whether it can never hold).
+# An action's precondition instances as rows: (position among all
+# preconditions, atoms needed true, needed false, whether it never holds).
 Preconditions = tuple[tuple[int, frozenset[int], frozenset[int], bool], ...]
 # An action's preconditions as one test (``precondition_test``).
 PreconditionTest = tuple[bool, frozenset[int], frozenset[int]]
@@ -166,11 +142,6 @@ class GroundTheory:
     signature: Signature
     ground_effects: Callable[[Atom], Effects]  # one action's, on first read
     ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
-    # (first position, statement) of each effect, needs and whenever
-    # statement, in order: the ``src`` of the listed instances
-    effect_sources: list[tuple[int, int]]
-    need_sources: list[tuple[int, int]]
-    rule_sources: list[tuple[int, int]]
     rules: list[Rule]  # every ramification and denial instance, in statement and binding order
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
@@ -266,24 +237,6 @@ class GroundTheory:
             for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
         )
 
-    @cached_property
-    def rprops(self) -> list[GroundRProp]:
-        """Every ramification and denial instance, built from the rows."""
-        src = _owner(self.rule_sources)
-        return [GroundRProp(head, frozenset(body), src(p)) for p, (head, body) in enumerate(self.rules)]
-
-    @cached_property
-    def cprops(self) -> list[GroundCProp]:
-        """Every effect instance, in statement order and binding order: the
-        instances of every ground action, by position, built from the
-        rows."""
-        src = _owner(self.effect_sources)
-        rows = sorted((row, action) for action in self.actions for row in self.effects_of(action))
-        return [
-            GroundCProp(action, effect > 0, abs(effect) - 1, condition_codes(true, false), src(p))
-            for (p, effect, true, false), action in rows
-        ]
-
     def effects_of(self, action: Atom) -> Effects:
         """The effect rows of ``action``, in position order, ground the
         first time they are asked for."""
@@ -291,18 +244,6 @@ class GroundTheory:
         if found is None:
             found = self.effects[action] = self.ground_effects(action)
         return found
-
-    @cached_property
-    def pprops(self) -> list[GroundPProp]:
-        """Every precondition instance, in statement order and binding order:
-        the instances of every ground action, by position, built from the
-        rows."""
-        src = _owner(self.need_sources)
-        rows = sorted((row, action) for action in self.actions for row in self.preconditions_of(action))
-        return [
-            GroundPProp(action, condition_codes(true, false), src(p), impossible)
-            for (p, true, false, impossible), action in rows
-        ]
 
     def preconditions_of(self, action: Atom) -> Preconditions:
         """The precondition rows of ``action``, in position order, ground
@@ -390,13 +331,6 @@ class ConstantValues(Mapping):
         sorts = self.signature.sorts
         decls = [d for d in self.signature.fluents.values() if d.constant]
         return sum(math.prod(len(sorts[s]) for s in d.arg_sorts) for d in decls)
-
-
-def _owner(sources: list[tuple[int, int]]) -> Callable[[int], int]:
-    """The statement that owns a position, from the statements' first
-    positions in order."""
-    firsts = [first for first, _ in sources]
-    return lambda position: sources[bisect.bisect_right(firsts, position) - 1][1]
 
 
 def condition_codes(true: frozenset[int], false: frozenset[int]) -> frozenset[Lit]:
@@ -640,13 +574,10 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
     # the ones its disequalities keep; their rows are ground per action
     # when first asked for (``PerAction``).
     effects_by_action: dict[str, list[PerAction]] = {}
-    effect_sources: list[tuple[int, int]] = []
     n_effects = 0
     needs_by_action: dict[str, list[PerAction]] = {}
-    need_sources: list[tuple[int, int]] = []
     n_needs = 0
     rule_rows: list[Rule] = []
-    rule_sources: list[tuple[int, int]] = []
     occurrences: dict[int, set[Atom]] = {}
     observations: dict[int, set[Lit]] = {}
     for src, prop in enumerate(props):
@@ -676,7 +607,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             statement = PerAction(tpl, prop.action, n_effects, constraints, columns)
             stats.dropped_instances += tpl.size - statement.kept
             effects_by_action.setdefault(prop.action.name, []).append(statement)
-            effect_sources.append((n_effects, src))
             n_effects += statement.kept
         elif isinstance(prop, RProp):
             if prop.head is None:
@@ -689,7 +619,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             width = len(tpl.pools)
             kept = solve(tpl, range(width), **constraints)
             stats.dropped_instances += tpl.size - len(kept)
-            rule_sources.append((len(rule_rows), src))
             if prop.head is None:
                 heads = itertools.repeat(None)
             else:
@@ -704,7 +633,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             statement = PerAction(tpl, prop.action, n_needs, {}, columns)
             stats.dropped_instances += tpl.size - statement.kept
             needs_by_action.setdefault(prop.action.name, []).append(statement)
-            need_sources.append((n_needs, src))
             n_needs += statement.kept
 
     def rows_of(statements: dict[str, list[PerAction]]) -> Callable[[Atom], tuple]:
@@ -726,9 +654,6 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         signature=sig,
         ground_effects=rows_of(effects_by_action),
         ground_preconditions=rows_of(needs_by_action),
-        effect_sources=effect_sources,
-        need_sources=need_sources,
-        rule_sources=rule_sources,
         rules=rule_rows,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
         observations={t: frozenset(v) for t, v in sorted(observations.items())},
@@ -756,7 +681,20 @@ def report_stats(theory: GroundTheory) -> str:
 
 
 def dump_ground(theory: GroundTheory) -> str:
-    """Human-readable listing of the ground theory, deterministic order."""
+    """Human-readable listing of the ground theory, read off its rows: the
+    fluent atoms and the true constant atoms as comments, then the effect,
+    rule and precondition rows, each in position order (statement order,
+    then binding order), then the observations and the occurrences.  A
+    precondition that can never hold ends in the comment ``% never holds``."""
+
+    def condition(true: frozenset[int], false: frozenset[int]) -> str:
+        return ", ".join(sorted(map(theory.lit_str, condition_codes(true, false))))
+
+    def listed(rows_of: Callable[[Atom], tuple]) -> list[tuple[tuple, Atom]]:
+        # every ground action's rows, in position order
+        rows = [(row, action) for action in theory.actions for row in rows_of(action)]
+        return sorted(rows, key=lambda item: item[0][0])
+
     out: list[str] = []
     out.append("%% fluent atoms (%d)" % theory.n_fluents)
     for i, atom in enumerate(theory.fluents):
@@ -764,18 +702,17 @@ def dump_ground(theory: GroundTheory) -> str:
     true_consts = sorted(str(a) for a, v in theory.constant_values.items() if v)
     if theory.constant_values:
         out.append("%% constant atoms true: %s" % (", ".join(true_consts) or "(none)"))
-    for cp in theory.cprops:
-        verb = "initiates" if cp.initiates else "terminates"
-        cond = ", ".join(sorted(theory.lit_str(c) for c in cp.condition))
+    for (_, effect, true, false), action in listed(theory.effects_of):
+        verb = "initiates" if effect > 0 else "terminates"
+        cond = condition(true, false)
         suffix = " when { %s }" % cond if cond else ""
-        out.append("%s %s %s%s." % (cp.action, verb, theory.fluents[cp.fluent], suffix))
-    for rp in theory.rprops:
-        head = "false" if rp.head is None else theory.lit_str(rp.head)
-        cond = ", ".join(sorted(theory.lit_str(c) for c in rp.condition))
-        out.append("%s whenever { %s }." % (head, cond))
-    for pp in theory.pprops:
-        cond = ", ".join(sorted(theory.lit_str(c) for c in pp.condition))
-        out.append("%s needs { %s }." % (pp.action, cond))
+        out.append("%s %s %s%s." % (action, verb, theory.atom_of(effect), suffix))
+    for head, body in theory.rules:
+        head = "false" if head is None else theory.lit_str(head)
+        out.append("%s whenever { %s }." % (head, ", ".join(sorted(map(theory.lit_str, body)))))
+    for (_, true, false, impossible), action in listed(theory.preconditions_of):
+        never = " % never holds" if impossible else ""
+        out.append("%s needs { %s }.%s" % (action, condition(true, false), never))
     for t in sorted(theory.observations):
         for code in sorted(theory.observations[t], key=lambda c: (abs(c), c)):
             out.append("%s holds-at %d." % (theory.lit_str(code), t))

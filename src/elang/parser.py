@@ -108,7 +108,7 @@ class ParseError(Exception):
         super().__init__("%s: %s" % (span, message))
         self.message = message
         self.span = span
-        self.kind = kind  # "lexical" | "syntax" | "unknown-identifier" | "arity-mismatch"
+        self.kind = kind  # "lexical" | "syntax" | "unknown-identifier" | "arity-mismatch" | "sort-mismatch"
 
 
 # One scan step: blanks and comments, then a word, a punctuation mark, a
@@ -509,8 +509,8 @@ def parse_domain(
 def parse_query(text: str, signature: Signature | None = None, file: str = "<query>") -> Query:
     """Parse a query: ``credulous|skeptical { L holds-at T, ... } [horizon N]``.
 
-    With a signature, fluent names are resolved and checked; goals must be
-    ground either way."""
+    With a signature, fluent names, arities and the sorts of the goals'
+    constants are checked; goals must be ground either way."""
     parser = _Parser(_Scan(text, file), signature)
     toks = parser.toks
     mode = toks[0]
@@ -525,6 +525,13 @@ def parse_query(text: str, signature: Signature | None = None, file: str = "<que
             literal, i = parser._literal(i)
             if not literal.is_ground:
                 raise parser._error(name, "query literal must be ground")
+            if signature is not None:
+                # a domain file's constants are checked by ``validate``
+                sorts = signature.fluents[literal.atom.name].arg_sorts
+                for k, (arg, sort) in enumerate(zip(literal.atom.args, sorts)):
+                    if arg not in signature.sorts.get(sort, ()):
+                        message = "constant %s is not of sort %s" % (arg, sort)
+                        raise parser._error(name + 2 + 2 * k, message, "sort-mismatch")
             if toks[i] != "holds-at":
                 raise parser._expected(i, "'holds-at'")
             goals.append((literal, parser._number(i + 1)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 
 from .clauses import BudgetExceeded
 from .grounding import GroundingStats, GroundTheory, Lit, State, ground
@@ -336,7 +336,8 @@ def slice_for_goals(
     It shares the theory's signature, fluents, index, constant values and
     occurrences.  A kept row is the theory's own tuple, in the theory's
     own list when all are kept: one pass with the kept-atom mask filters
-    the rules, whose listing is the kept part of the theory's.  An
+    the rules, so the view's rules are the kept part of the theory's, in
+    its order.  An
     action's rows keep their positions; precondition rows and observations
     lose their dropped atoms, and only a row with one is rebuilt.
     Each dropped atom is then observed false at time 0: nothing in the
@@ -392,11 +393,8 @@ def slice_for_goals(
 
     # a rule is kept with its atoms, and so is a groundless denial
     keep = [inside[abs(head or body[0]) - 1] if head or body else True for head, body in rules]
-    rule_sources = theory.rule_sources
     if not all(keep):
         rules = list(compress(rules, keep))
-        before = [0, *accumulate(keep)]
-        rule_sources = [(before[first], src) for first, src in rule_sources]
     preconditions = {}
     for action in occurring:
         kept_rows = []
@@ -437,9 +435,6 @@ def slice_for_goals(
         # and their kept preconditions
         preconditions=preconditions,
         ground_preconditions=lambda action: (),
-        effect_sources=theory.effect_sources,
-        need_sources=theory.need_sources,
-        rule_sources=rule_sources,
         rules=rules,
         occurrences=theory.occurrences,
         observations=observations,

@@ -49,7 +49,9 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
     order, then binding order (variables in sorted-name order, each over
     its sort's constants in declaration order); the constants, occurrences
     and observations as sets; and under ``dropped`` the number of
-    instances a disequality or a residue that can never hold removed."""
+    instances a disequality or a residue that can never hold removed.  A
+    precondition that can never hold is kept, marked ``impossible``, with
+    its literals over the fluents that change."""
     sig = domain.signature
     constant_names = {n for n, d in sig.fluents.items() if d.constant}
 
@@ -156,39 +158,69 @@ def naive_ground_strings(domain: DomainDescription, horizon: int) -> dict:
             out["rprops"].append("%s|%s" % (head, ",".join(sorted(str(l) for l in body))))
         elif isinstance(inst, PProp):
             body = residue(inst.condition)
+            dynamic = ",".join(sorted(str(l) for l in inst.condition.literals if not is_constant(l.atom)))
             if body is None or contradictory(body):
-                out["pprops"].append("%s|impossible" % inst.action)
+                out["pprops"].append("%s|impossible|%s" % (inst.action, dynamic))
             else:
-                out["pprops"].append(
-                    "%s|%s" % (inst.action, ",".join(sorted(str(l) for l in body)))
-                )
+                out["pprops"].append("%s|%s" % (inst.action, dynamic))
     out["dropped"] = dropped
     return out
 
 
+def condition_of(true, false) -> frozenset[int]:
+    """A row's condition as literal codes: the atoms it needs true as
+    positive codes, the atoms it needs false as negative ones."""
+    return frozenset([a + 1 for a in true] + [-a - 1 for a in false])
+
+
+def _listed(theory, rows_of) -> list:
+    # every ground action's rows, as (row, action), in position order
+    sig = theory.signature
+    actions = [
+        Atom(decl.name, args)
+        for decl in sig.actions.values()
+        for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
+    ]
+    return sorted(((row, a) for a in actions for row in rows_of(a)), key=lambda item: item[0][0])
+
+
+def effect_instances(theory) -> list[tuple[Atom, int, frozenset[int]]]:
+    """Every effect instance of the theory as (action, effect literal,
+    condition codes), read off each ground action's rows, in position
+    order."""
+    return [
+        (a, effect, condition_of(true, false))
+        for (_, effect, true, false), a in _listed(theory, theory.effects_of)
+    ]
+
+
+def precondition_instances(theory) -> list[tuple[Atom, frozenset[int], bool]]:
+    """Every precondition of the theory as (action, condition codes,
+    whether it can never hold), read off each ground action's rows, in
+    position order."""
+    return [
+        (a, condition_of(true, false), impossible)
+        for (_, true, false, impossible), a in _listed(theory, theory.preconditions_of)
+    ]
+
+
 def theory_strings(theory) -> dict:
-    """Render a GroundTheory into the same shape as naive_ground_strings."""
+    """Render a GroundTheory's rows into the same shape as naive_ground_strings."""
     out = {"cprops": [], "rprops": [], "pprops": [], "constants": set(),
            "occurrences": set(), "observations": set()}
     out["constants"] = {str(a) for a, v in theory.constant_values.items() if v}
-    for cp in theory.cprops:
+
+    def literals(condition):
+        return ",".join(sorted(theory.lit_str(l) for l in condition))
+
+    for action, effect, condition in effect_instances(theory):
         out["cprops"].append(
-            "%s|%s|%s|%s"
-            % (cp.action, "+" if cp.initiates else "-", theory.fluents[cp.fluent],
-               ",".join(sorted(theory.lit_str(l) for l in cp.condition)))
+            "%s|%s|%s|%s" % (action, "+" if effect > 0 else "-", theory.atom_of(effect), literals(condition))
         )
-    for rp in theory.rprops:
-        head = theory.lit_str(rp.head) if rp.head is not None else "false"
-        out["rprops"].append(
-            "%s|%s" % (head, ",".join(sorted(theory.lit_str(l) for l in rp.condition)))
-        )
-    for pp in theory.pprops:
-        if pp.impossible:
-            out["pprops"].append("%s|impossible" % pp.action)
-        else:
-            out["pprops"].append(
-                "%s|%s" % (pp.action, ",".join(sorted(theory.lit_str(l) for l in pp.condition)))
-            )
+    for head, body in theory.rules:
+        out["rprops"].append("%s|%s" % ("false" if head is None else theory.lit_str(head), literals(body)))
+    for action, condition, impossible in precondition_instances(theory):
+        out["pprops"].append("%s|%s%s" % (action, "impossible|" if impossible else "", literals(condition)))
     out["dropped"] = theory.stats.dropped_instances
     for t, actions in theory.occurrences.items():
         for a in actions:
@@ -339,12 +371,13 @@ def normalize(clause) -> tuple[int, ...] | None:
     return tuple(lits)
 
 
-def constraint_clause(rp) -> tuple[int, ...] | None:
-    """A ground ramification statement or denial as a state-constraint
-    clause in normal form: the negated body literals, lowest atom first,
-    then the head; None for a tautology."""
-    body = sorted(rp.condition, key=lambda c: (abs(c), c))
-    return normalize([-c for c in body] + ([] if rp.head is None else [rp.head]))
+def constraint_clause(rule) -> tuple[int, ...] | None:
+    """A ground ramification statement or denial, a (head or None, body)
+    row, as a state-constraint clause in normal form: the negated body
+    literals, lowest atom first, then the head; None for a tautology."""
+    head, body = rule
+    body = sorted(body, key=lambda c: (abs(c), c))
+    return normalize([-c for c in body] + ([] if head is None else [head]))
 
 
 def random_cnf(rng: random.Random, max_vars: int = 20) -> tuple[int, list[list[int]]]:
@@ -377,8 +410,9 @@ def effect_conflicts(theory) -> list[str]:
     """Every pair i <= j of effect instances whose actions both occur and
     are the same or scheduled at one time, and whose effects'
     ramification closures hold complementary literals, each rendered with
-    the lowest such atom.  The clausal fragment admits these; the tests
-    count them to show that random draws reach clashing effects."""
+    the instances' positions and the lowest such atom.  The clausal
+    fragment admits these; the tests count them to show that random draws
+    reach clashing effects."""
     closures: dict[int, set[int]] = {}
 
     def closure(lit: int) -> set[int]:
@@ -388,9 +422,9 @@ def effect_conflicts(theory) -> list[str]:
             grew = True
             while grew:
                 grew = False
-                for rp in theory.rprops:
-                    if rp.head is not None and rp.head not in got and any(c in got for c in rp.condition):
-                        got.add(rp.head)
+                for head, body in theory.rules:
+                    if head is not None and head not in got and any(c in got for c in body):
+                        got.add(head)
                         grew = True
             closures[lit] = got
         return closures[lit]
@@ -399,9 +433,9 @@ def effect_conflicts(theory) -> list[str]:
     for acts in theory.occurrences.values():
         occurring |= acts
     effects = [
-        (cp.action, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), cp.src)
-        for cp in theory.cprops
-        if cp.action in occurring
+        (action, effect, position)
+        for position, (action, effect, _) in enumerate(effect_instances(theory))
+        if action in occurring
     ]
     out = []
     for i, (a, li, si) in enumerate(effects):
@@ -411,7 +445,7 @@ def effect_conflicts(theory) -> list[str]:
             other = closure(lj)
             common = sorted(abs(m) for m in closure(li) if -m in other)
             if common:
-                out.append("statements %d and %d can disagree on %s" % (si, sj, theory.fluents[common[0] - 1]))
+                out.append("effects %d and %d can disagree on %s" % (si, sj, theory.fluents[common[0] - 1]))
     return out
 
 
@@ -420,10 +454,10 @@ def ramification_cycle(theory) -> list[int] | None:
     (body atom to head atom, lowest atom first, successors ascending)
     meets, as atom numbers; None when the graph is acyclic."""
     edges: dict[int, set[int]] = {}
-    for rp in theory.rprops:
-        if rp.head is not None:
-            for c in rp.condition:
-                edges.setdefault(abs(c) - 1, set()).add(abs(rp.head) - 1)
+    for head, body in theory.rules:
+        if head is not None:
+            for c in body:
+                edges.setdefault(abs(c) - 1, set()).add(abs(head) - 1)
     return _dfs_cycle(edges)
 
 
@@ -467,13 +501,13 @@ def slice_atoms(theory, goal_atoms) -> set[int]:
     for acts in theory.occurrences.values():
         occurring |= acts
     statements = [
-        {cp.fluent} | {abs(c) - 1 for c in cp.condition}
-        for cp in theory.cprops
-        if cp.action in occurring
+        {abs(effect) - 1} | {abs(c) - 1 for c in condition}
+        for action, effect, condition in effect_instances(theory)
+        if action in occurring
     ]
     statements += [
-        {abs(c) - 1 for c in rp.condition} | ({abs(rp.head) - 1} if rp.head is not None else set())
-        for rp in theory.rprops
+        {abs(c) - 1 for c in body} | ({abs(head) - 1} if head is not None else set())
+        for head, body in theory.rules
     ]
     kept = set(goal_atoms)
     grew = True
@@ -650,13 +684,12 @@ def override_at_source(theory, source: frozenset[int], actions) -> bool:
         return (abs(code) - 1 in source) == (code > 0)
 
     fired = {
-        cp.fluent + 1 if cp.initiates else -(cp.fluent + 1)
-        for cp in theory.cprops
-        if cp.action in actions and all(holds(c) for c in cp.condition)
+        effect
+        for action, effect, condition in effect_instances(theory)
+        if action in actions and all(holds(c) for c in condition)
     }
     return any(
-        rp.head is not None and -rp.head in fired and all(holds(c) for c in rp.condition)
-        for rp in theory.rprops
+        head is not None and -head in fired and all(holds(c) for c in body) for head, body in theory.rules
     )
 
 

@@ -28,6 +28,7 @@ from elang.transition import brute_force_successors, successor_states
 from oracles import (
     cnf_satisfiable,
     effect_conflicts,
+    effect_instances,
     model_satisfies,
     ramification_cycle,
     random_cnf,
@@ -49,12 +50,12 @@ def close_state(theory, seed):
     state = set(seed)
     for _ in range(100):
         grew = False
-        for rp in theory.rprops:
-            if rp.head is None or rp.head < 0:
+        for head, body in theory.rules:
+            if head is None or head < 0:
                 continue
-            if all(theory.holds(frozenset(state), c) for c in rp.condition):
-                if abs(rp.head) - 1 not in state:
-                    state.add(abs(rp.head) - 1)
+            if all(theory.holds(frozenset(state), c) for c in body):
+                if head - 1 not in state:
+                    state.add(head - 1)
                     grew = True
         if not grew:
             break
@@ -168,8 +169,8 @@ def test_criterion_04_carried_rider_branch_counts():
         seed.add(theory.index[Atom("rides", ("john", "dumpo"))])
         src = close_state(theory, seed)
         assert theory.state_consistent(src), variant
-        move = next(cp.action for cp in theory.cprops
-                    if str(cp.action) == "move_to_position(dumpo,p3)")
+        move = next(action for action, _, _ in effect_instances(theory)
+                    if str(action) == "move_to_position(dumpo,p3)")
         succs = successor_states(theory, src, frozenset({move}))
         assert len(succs) == expected, variant
         carried = sum(

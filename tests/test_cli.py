@@ -321,6 +321,30 @@ def test_query_bad_reference_exits_three(ref, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("backend", ["engine", "sat"])
+def test_query_goal_outside_its_sort_exits_three(backend, tmp_path, capsys):
+    # p9 is no position and p1 no animal: a usage error, inline or from a
+    # query file, on both backends
+    files = ["corpus:zoo_direct.e", "corpus:zoo_scenario_base.e"]
+    query = tmp_path / "goal.q"
+    for goal, column, message in (
+        ("neighbor_pos(p1, p9) holds-at 0", 30, "constant p9 is not of sort position"),
+        ("animal_pos(p1, p9) holds-at 0", 24, "constant p1 is not of sort animal"),
+    ):
+        query.write_text("credulous { %s }\n" % goal)
+        for argv in (["--mode", "credulous", "--goal", goal], ["--query", str(query)]):
+            assert main(["query", *files, *argv, "--backend", backend]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.endswith(":1:%d: %s\n" % (column, message)), err
+
+
+def test_domain_constant_outside_its_sort_is_reported_by_validate(tmp_path, capsys):
+    path = tmp_path / "sorts.e"
+    path.write_text("sort s: a. fluent f(s). f(b) holds-at 0.\n")
+    assert main(["check", str(path)]) == 3
+    assert "error sort-mismatch: statement 1: constant b is not of sort s" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("ref", BAD_REFS)
 def test_ground_bad_reference_exits_three(ref, capsys):
     assert main(["ground", "corpus:zoo_direct.e", ref, "--horizon", "2"]) == 3
@@ -350,6 +374,21 @@ def test_ground_dump(bulb_file, capsys):
     assert main(["ground", bulb_file, "--horizon", "4", "--dump"]) == 0
     out = capsys.readouterr().out
     assert "switch_on initiates light" in out
+
+
+def test_ground_dump_marks_a_precondition_that_never_holds(tmp_path, capsys):
+    # c(x) is false, so a(x)'s precondition never holds and the scheduled
+    # a(x) makes the narrative inconsistent; a(y)'s holds where f is false
+    path = tmp_path / "never.e"
+    path.write_text(
+        "sort s: x, y. constant fluent c(s). fluent f. action a(s). c(y) holds-at 0. "
+        "a(S) initiates f. a(S) needs { c(S), neg f }. a(x) happens-at 0.\n"
+    )
+    assert main(["ground", str(path), "--dump"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "a(x) needs { neg f }. % never holds" in lines
+    assert "a(y) needs { neg f }." in lines
+    assert main(["check", str(path)]) == 2
 
 
 def test_ground_dimacs(bulb_file, tmp_path, capsys):

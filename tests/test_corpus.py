@@ -20,6 +20,8 @@ from elang.grounding import ground
 from elang.model import Atom
 from elang.parser import parse_query
 
+from oracles import precondition_instances
+
 
 def test_data_files_match_generators():
     for variant in VARIANTS:
@@ -123,5 +125,5 @@ def test_mount_without_position_constraint_dies_by_denial():
     th = corpus.ground_corpus_domain("zoo_dual.e")
     mounts = [a for acts in th.occurrences.values() for a in acts if a.name == "mount_animal"]
     assert not any(
-        pp.action == m for m in mounts for pp in th.pprops
+        action == m for m in mounts for action, _, _ in precondition_instances(th)
     ), "mount gained a precondition; golden skeptical cases rely on none"

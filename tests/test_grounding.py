@@ -2,32 +2,26 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
-from elang.grounding import GroundingError, ground
+from elang.grounding import GroundingError, dump_ground, ground
 from elang.parser import parse_domain
 
-from oracles import constraint_clause, naive_ground_strings, random_sorted_domain, theory_strings, walk_scenario
+from oracles import (
+    constraint_clause,
+    effect_instances,
+    naive_ground_strings,
+    precondition_instances,
+    random_sorted_domain,
+    theory_strings,
+    walk_scenario,
+)
 
 
 def g(text, horizon=None):
     return ground(parse_domain(text).domain, horizon)
-
-
-def split(condition):
-    """A condition's codes as the atoms it needs true and false."""
-    return frozenset(c - 1 for c in condition if c > 0), frozenset(-c - 1 for c in condition if c < 0)
-
-
-def effect_row(position, cp):
-    """The row ``effects_of`` gives for a listed effect instance."""
-    return (position, cp.fluent + 1 if cp.initiates else -(cp.fluent + 1), *split(cp.condition))
-
-
-def precondition_row(position, pp):
-    """The row ``preconditions_of`` gives for a listed precondition."""
-    return (position, *split(pp.condition), pp.impossible)
 
 
 def test_bulb_ground_counts():
@@ -53,9 +47,9 @@ def test_sort_expansion_order_is_deterministic():
     act(X) initiates f(X, Y).
     """
     th = g(text, 1)
-    conds = [(cp.action, cp.fluent) for cp in th.cprops]
+    conds = [(action, abs(effect) - 1) for action, effect, _ in effect_instances(th)]
     assert conds == sorted(conds, key=lambda t: (str(t[0]), t[1]))
-    assert len(th.cprops) == 4  # two bindings of X times two of Y
+    assert len(conds) == 4  # two bindings of X times two of Y
 
 
 def test_diseq_instances_dropped():
@@ -65,7 +59,7 @@ def test_diseq_instances_dropped():
     neg f(X) whenever { f(Y), X != Y }.
     """
     th = g(text, 1)
-    assert len(th.rprops) == 2  # only the X != Y bindings survive
+    assert len(th.rules) == 2  # only the X != Y bindings survive
 
 
 def test_constant_cwa_fixpoint():
@@ -82,9 +76,10 @@ def test_constant_cwa_fixpoint():
     values = {str(atom): v for atom, v in th.constant_values.items()}
     assert values == {"base(a)": True, "base(b)": False, "derived(a)": True, "derived(b)": False}
     # the dynamic rule residuates: only the derived(a) instance survives
-    assert len(th.rprops) == 1
-    assert th.lit_str(th.rprops[0].head) == "dyn(a)"
-    assert not th.rprops[0].condition
+    assert len(th.rules) == 1
+    head, body = th.rules[0]
+    assert th.lit_str(head) == "dyn(a)"
+    assert not body
 
 
 # A chain of seven nodes and its transitive closure, which takes six
@@ -127,7 +122,7 @@ def test_counting_fixpoint_closes_a_chain():
     assert outs == {"out(%s)" % x: x != "c7" for x in nodes}
     assert theory_strings(th) == naive_ground_strings(parse_domain(CHAIN).domain, 2)
     # go(c1) needs path(c1, c1), which is never derived
-    assert [pp.impossible for pp in th.pprops] == [True] + [False] * 6
+    assert [impossible for _, _, impossible in precondition_instances(th)] == [True] + [False] * 6
     assert th.stats.cprops == 21 and th.stats.pprops == 7
 
 
@@ -156,9 +151,9 @@ def test_condition_residuation_drops_false_instances():
     pet(X) initiates happy(X) when { tame(X) }.
     """
     th = g(text, 1)
-    assert len(th.cprops) == 1
-    assert str(th.cprops[0].action) == "pet(a)"
-    assert not th.cprops[0].condition  # the constant condition was consumed
+    [(action, _, condition)] = effect_instances(th)
+    assert str(action) == "pet(a)"
+    assert not condition  # the constant condition was consumed
 
 
 def test_impossible_precondition_kept():
@@ -171,8 +166,8 @@ def test_impossible_precondition_kept():
     pet(a) happens-at 0.
     """
     th = g(text, 1)
-    assert len(th.pprops) == 1
-    assert th.pprops[0].impossible
+    [(_, _, impossible)] = precondition_instances(th)
+    assert impossible
 
 
 def test_action_effect_on_constant_rejected():
@@ -258,17 +253,17 @@ def test_contradictory_residue_dropped():
     a initiates h when { f, neg f }.
     """
     th = g(text, 1)
-    assert not th.cprops
+    assert not effect_instances(th)
 
 
 def test_rule_indexes_cover_all_rules():
     from elang.corpus import load_domain
 
     th = ground(load_domain("corpus:zoo_dual.e"), 2)
-    for ri, rp in enumerate(th.rprops):
-        for c in rp.condition:
-            assert (ri in th.triggers.get(c, ())) == (rp.head is not None)
-    assert any(rp.head is None for rp in th.rprops)
+    for ri, (head, body) in enumerate(th.rules):
+        for c in body:
+            assert (ri in th.triggers.get(c, ())) == (head is not None)
+    assert any(head is None for head, _ in th.rules)
 
 
 INDEXES = (
@@ -294,7 +289,6 @@ def test_indexes_are_built_on_first_read():
     # scheduled actions' effects and preconditions
     answer_theory(th, query, use_slice=True)
     assert not set(INDEXES) & set(vars(th))
-    assert "cprops" not in vars(th) and "pprops" not in vars(th)
     assert set(th.effects) == scheduled
     assert set(th.preconditions) == scheduled
     assert not th.needs
@@ -304,22 +298,20 @@ def test_indexes_are_built_on_first_read():
     answer_sat(th, query)
     assert set(INDEXES) <= set(vars(th))
     assert th.sat_memo.row_occurs[1] is th.constraints.occurs[1]
-    assert "cprops" not in vars(th) and "pprops" not in vars(th)
     answer_theory(th, query)
     assert set(INDEXES) <= set(vars(th))
-    assert "cprops" not in vars(th) and "pprops" not in vars(th)
     assert set(th.effects) == scheduled
     assert set(th.preconditions) == scheduled
     assert set(th.needs) <= scheduled
     # the theory has preconditions of actions it never schedules
-    assert {pp.action for pp in th.pprops} - scheduled
+    assert {action for action, _, _ in precondition_instances(th)} - scheduled
 
 
 def test_indexes_match_their_definitions():
     from elang.corpus import load_domain
 
     th = ground(load_domain("corpus:zoo_dual_feed.e", "corpus:chain_scenario.e"), 3)
-    clauses = [clause for clause in map(constraint_clause, th.rprops) if clause is not None]
+    clauses = [clause for clause in map(constraint_clause, th.rules) if clause is not None]
     assert th.constraint_clauses == clauses
     assert th.constraints.num_vars == th.n_fluents
     assert th.constraints.clauses is th.constraint_clauses
@@ -327,22 +319,18 @@ def test_indexes_match_their_definitions():
     assert th.triggers == {
         lit: rules
         for lit in literals
-        if (rules := [ri for ri, rp in enumerate(th.rprops) if rp.head is not None and lit in rp.condition])
+        if (rules := [ri for ri, (head, body) in enumerate(th.rules) if head is not None and lit in body])
     }
-    actions = {p.action for p in th.pprops} | {cp.action for cp in th.cprops}
+    effects, needs = effect_instances(th), precondition_instances(th)
+    actions = {a for a, _, _ in needs} | {a for a, _, _ in effects}
     for a in actions:
-        assert th.preconditions_of(a) == tuple(
-            precondition_row(i, p) for i, p in enumerate(th.pprops) if p.action == a
-        )
-        conditions = [p.condition for p in th.pprops if p.action == a]
+        conditions = [condition for b, condition, _ in needs if b == a]
         assert th.precondition_test(a) == (
-            any(p.impossible for p in th.pprops if p.action == a),
+            any(impossible for b, _, impossible in needs if b == a),
             frozenset(c - 1 for cond in conditions for c in cond if c > 0),
             frozenset(-c - 1 for cond in conditions for c in cond if c < 0),
         )
-    for a in {cp.action for cp in th.cprops}:
-        assert th.effects_of(a) == tuple(effect_row(i, cp) for i, cp in enumerate(th.cprops) if cp.action == a)
-    assert th.rprops and th.cprops and th.pprops
+    assert th.rules and effects and needs
     assert any(not th.preconditions_of(a) for a in actions)
 
 
@@ -470,9 +458,10 @@ def _ground_actions(domain):
 
 def _check_lazy_effects(domain, horizon, rng):
     """Ground each action's effect rows first, in a random order, on one
-    theory; they must be the rows of the full list (from a second theory)
-    filtered by action, at the same positions.  The stats, read before any
-    effect is ground, must match the naive grounder's counts."""
+    theory; they must be the rows a second theory gives in declaration
+    order, and their positions must number the effects from 0 with none
+    skipped.  The stats, read before any effect is ground, must match the
+    naive grounder's counts."""
     lazy = ground(domain, horizon)
     naive = naive_ground_strings(domain, horizon)
     s = lazy.stats
@@ -484,12 +473,11 @@ def _check_lazy_effects(domain, horizon, rng):
     actions = _ground_actions(domain)
     rng.shuffle(actions)
     per_action = {a: lazy.effects_of(a) for a in actions}
-    assert "cprops" not in vars(lazy)
-    full = ground(domain, horizon).cprops
-    for a in actions:
-        assert per_action[a] == tuple(effect_row(i, cp) for i, cp in enumerate(full) if cp.action == a), a
-    assert sum(map(len, per_action.values())) == len(full) == s.cprops
-    assert lazy.cprops == full
+    full = ground(domain, horizon)
+    for a in _ground_actions(domain):
+        assert per_action[a] == full.effects_of(a), a
+    positions = sorted(row[0] for rows in per_action.values() for row in rows)
+    assert positions == list(range(s.cprops))
 
 
 def test_lazy_effects_match_full_list_on_corpus():
@@ -524,28 +512,28 @@ def test_lazy_effects_match_full_list_on_random_domains():
 
 def _check_lazy_preconditions(domain, horizon, rng):
     """Ground each action's precondition rows first, in a random order, on
-    one theory; they must be the rows of the full list (from a second
-    theory) filtered by action, at the same positions, and each action's
-    test must hold in exactly the states where all of them do.  The stats,
-    read before any precondition is ground, must match the naive
-    grounder's count."""
+    one theory; they must be the rows a second theory gives in declaration
+    order, their positions must number the preconditions from 0 with none
+    skipped, and each action's test must hold in exactly the states where
+    all of them do.  The stats, read before any precondition is ground,
+    must match the naive grounder's count."""
     lazy = ground(domain, horizon)
     assert lazy.stats.pprops == len(naive_ground_strings(domain, horizon)["pprops"])
     assert not lazy.preconditions
     actions = _ground_actions(domain)
     rng.shuffle(actions)
     per_action = {a: lazy.preconditions_of(a) for a in actions}
-    assert "pprops" not in vars(lazy)
-    full = ground(domain, horizon).pprops
+    full = ground(domain, horizon)
+    needs = precondition_instances(full)
     states = [frozenset(i for i in range(lazy.n_fluents) if rng.random() < 0.5) for _ in range(4)]
-    for a in actions:
-        assert per_action[a] == tuple(precondition_row(i, pp) for i, pp in enumerate(full) if pp.action == a), a
+    for a in _ground_actions(domain):
+        assert per_action[a] == full.preconditions_of(a), a
         impossible, true, false = lazy.precondition_test(a)
         for state in states:
-            legal = all(not pp.impossible and lazy.satisfies(state, pp.condition) for pp in full if pp.action == a)
+            legal = all(not never and lazy.satisfies(state, cond) for b, cond, never in needs if b == a)
             assert legal == (not impossible and state >= true and not state & false), (a, state)
-    assert sum(map(len, per_action.values())) == len(full) == lazy.stats.pprops
-    assert lazy.pprops == full
+    positions = sorted(row[0] for rows in per_action.values() for row in rows)
+    assert positions == list(range(lazy.stats.pprops))
 
 
 def test_lazy_preconditions_match_full_list_on_corpus():
@@ -572,8 +560,9 @@ def test_lazy_preconditions_match_full_list_on_random_domains():
             continue
         _check_lazy_preconditions(domain, 2, rng)
         checked += 1
-        with_needs += bool(th.pprops)
-        impossible += any(pp.impossible for pp in th.pprops)
+        needs = precondition_instances(th)
+        with_needs += bool(needs)
+        impossible += any(never for _, _, never in needs)
     assert with_needs > 50 and impossible > 10
 
 
@@ -606,11 +595,10 @@ def _check_rows(domain, horizon, rng):
         ]
         assert effects == [(i, e) for i, e in enumerate(naive["cprops"]) if e.split("|")[0] == str(a)], a
         preconditions = [
-            (i, "%s|%s" % (a, "impossible" if impossible else literals(true, false)))
+            (i, "%s|%s%s" % (a, "impossible|" if impossible else "", literals(true, false)))
             for i, true, false, impossible in th.preconditions_of(a)
         ]
         assert preconditions == [(i, p) for i, p in enumerate(naive["pprops"]) if p.split("|")[0] == str(a)], a
-    assert "cprops" not in vars(th) and "pprops" not in vars(th)
 
 
 def test_rows_match_naive_oracle_on_corpus():
@@ -636,8 +624,8 @@ def test_rows_match_naive_oracle_on_random_domains():
             continue
         _check_rows(domain, 2, rng)
         checked += 1
-        negative += any(c < 0 for cp in th.cprops for c in cp.condition)
-        impossible += any(pp.impossible for pp in th.pprops)
+        negative += any(c < 0 for _, _, condition in effect_instances(th) for c in condition)
+        impossible += any(never for _, _, never in precondition_instances(th))
     # both signs in effect conditions, and preconditions that never hold
     assert negative > 10 and impossible > 10, (negative, impossible)
 
@@ -660,8 +648,7 @@ def test_rule_rows_merge_repeats_and_keep_their_heads():
     assert th.stats.rprops == 2 and th.stats.denials == 4
     # the tautology is left out, and the complement head is merged
     assert th.constraint_clauses == [(-1,), (-1, -2), (-1, -2), (-2,), (-3, -4)]
-    assert th.constraint_clauses == [c for c in map(constraint_clause, th.rprops) if c is not None]
-    assert [rp.src for rp in th.rprops] == [0, 0, 0, 0, 1, 2]
+    assert th.constraint_clauses == [c for c in map(constraint_clause, th.rules) if c is not None]
     _check_rows(domain, 1, random.Random(1))
 
 
@@ -682,48 +669,30 @@ def _consistent_walk() -> str:
     return generate_zoo("direct", 8, include_feed=True) + "\n".join(lines) + "\n"
 
 
-def test_answers_build_no_listed_instance(monkeypatch, tmp_path):
-    # the step search, the slice and the compiler read the rows: only the
-    # cprops and pprops listings build instance objects
-    from elang import grounding
+def test_answers_build_no_listed_instance(tmp_path):
+    # the step search, the slice and the compiler answer from the effect
+    # and precondition rows, the only form of the instances
     from elang.cli import main
 
-    def refuse(*args):
-        raise AssertionError("an answer built a listed instance")
-
-    monkeypatch.setattr(grounding, "GroundCProp", refuse)
-    monkeypatch.setattr(grounding, "GroundPProp", refuse)
     path = tmp_path / "walk.e"
     path.write_text(_consistent_walk())
     argv = ["query", str(path), "--mode", "skeptical", "--goal", "animal_pos(elly, p5) holds-at 12"]
     assert main(argv + ["--slice", "on"]) == 0
     assert main(argv + ["--backend", "sat"]) == 0
-    th = ground(parse_domain(path.read_text()).domain)
-    for listing in ("cprops", "pprops"):
-        with pytest.raises(AssertionError):
-            getattr(th, listing)
 
 
-def test_answers_build_no_rule_object(monkeypatch, tmp_path):
+def test_answers_build_no_rule_object(tmp_path):
     # grounding, the slice, the step search, the compiler and the cycle
-    # search read the rule rows: only the rprops listing builds objects
-    from elang import grounding
+    # search answer from the rule rows, the only form of the rules
     from elang.cli import main
     from elang.corpus import generate_zoo
 
-    def refuse(*args):
-        raise AssertionError("an answer built a rule object")
-
-    monkeypatch.setattr(grounding, "GroundRProp", refuse)
     path = tmp_path / "walk.e"
     # a consistent walk: dumpo steps from p4 to p7
     path.write_text(generate_zoo("direct", 8, include_feed=True) + walk_scenario(8, 6, 260))
     argv = ["query", str(path), "--mode", "skeptical", "--goal", "animal_pos(dumpo, p7) holds-at 6"]
     for flags in (["--slice", "on"], ["--slice", "off"], ["--backend", "sat"]):
         assert main(argv + flags) == 0, flags
-    th = ground(parse_domain(path.read_text()).domain)
-    with pytest.raises(AssertionError):
-        th.rprops
 
 
 def _grounding_error(text, horizon=3):
@@ -840,10 +809,12 @@ WRITTEN = {
 # sha256 of `elang ground FILES --stats --dump` on the files above, and of
 # the walk's `--dimacs` export, taken before statements were ground by
 # joining their constant literals against the true facts: binding order,
-# positions and dropped instances are kept
+# positions and dropped instances are kept.  The chain's was retaken when
+# the listing began to mark a precondition that never holds: its one such
+# row, go(c1)'s, gained the trailing "% never holds" and nothing else moved
 WRITTEN_LISTING_SHA256 = {
     "walk": "1300edfefc11b0f22e1da54c13a3eb4a210cf7aa50adf040b5a4896c1a5ae9f4",
-    "chain": "3670e011d3ec0016761d109e4e070fa3c0403473880e3dc5809a7132e5e44dad",
+    "chain": "191ec85ac39b9ab5edef291d7e3e347ba937d7456d2902849325eecce8f96287",
     "join-12": "3a6a190eabd7c375e7f599ceb3286e11c546d84b578ba11b03073ef10c8ac3f2",
     "join-120": "29f9f864bc9486021a8a969f527312b761ee424fc18a4f23b7fdf1cd61d480ae",
 }
@@ -864,6 +835,56 @@ def test_written_ground_listing_is_pinned(capsys, tmp_path, name):
     assert main(_written_argv(tmp_path, name) + ["--stats", "--dump"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == WRITTEN_LISTING_SHA256[name]
+
+
+def _literals(text):
+    # the literals of a ","-joined list; an atom's arguments hold commas too
+    return re.findall(r"[^,(]+(?:\([^)]*\))?", text)
+
+
+def _dump_lines(naive):
+    """The statement lines `elang ground --dump` prints for the naive
+    grounder's instances, in its order: effects, rules, preconditions."""
+    lines = []
+    for text in naive["cprops"]:
+        action, sign, fluent, body = text.split("|")
+        when = " when { %s }" % ", ".join(_literals(body)) if body else ""
+        lines.append("%s %s %s%s." % (action, "initiates" if sign == "+" else "terminates", fluent, when))
+    for text in naive["rprops"]:
+        head, body = text.split("|")
+        lines.append("%s whenever { %s }." % (head, ", ".join(_literals(body))))
+    for text in naive["pprops"]:
+        action, *impossible, body = text.split("|")
+        never = " % never holds" if impossible else ""
+        lines.append("%s needs { %s }.%s" % (action, ", ".join(_literals(body)), never))
+    return lines
+
+
+def test_dump_matches_naive_oracle_on_random_domains():
+    # the listing `elang ground --dump` prints, line for line in order,
+    # against the naive grounder's instances; observations and occurrences
+    # as sets, since their order follows the atom numbering
+    rng = random.Random(2707)
+    checked = impossible = 0
+    while checked < 200:
+        domain = random_sorted_domain(rng, wide=True, joins=True)
+        try:
+            th = ground(domain, 2)
+        except GroundingError:
+            continue
+        naive = naive_ground_strings(domain, 2)
+        lines = [line for line in dump_ground(th).splitlines() if not line.startswith("%")]
+        narrative = [line for line in lines if " holds-at " in line or " happens-at " in line]
+        assert lines == _dump_lines(naive) + narrative
+        assert {line for line in narrative if " holds-at " in line} == {
+            "%s holds-at %s." % tuple(reversed(text.split(":"))) for text in naive["observations"]
+        }
+        assert {line for line in narrative if " happens-at " in line} == {
+            "%s happens-at %s." % tuple(reversed(text.split(":"))) for text in naive["occurrences"]
+        }
+        checked += 1
+        impossible += any(line.endswith("% never holds") for line in lines)
+    assert impossible > 10, impossible
 
 
 def test_walk_dimacs_export_is_pinned(tmp_path):

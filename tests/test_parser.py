@@ -386,6 +386,9 @@ QUERY_ERRORS = {
     "close-args": ("credulous { f(a holds-at 0 }", "expected ')', found 'holds-at'", "syntax", 1, 17),
     "unknown": ("credulous { g holds-at 0 }", "fluent g is not declared", "unknown-identifier", 1, 13),
     "ground": ("skeptical { f(X) holds-at 0 }", "query literal must be ground", "syntax", 1, 13),
+    "sort": (
+        "credulous { h holds-at 0, neg f(b) holds-at 1 }", "constant b is not of sort s", "sort-mismatch", 1, 33,
+    ),
     "holds-at": ("credulous { h at 0 }", "expected 'holds-at', found 'at'", "syntax", 1, 15),
     "time": ("credulous { h holds-at x }", "expected a time point, found 'x'", "syntax", 1, 24),
     "unclosed": ("credulous { h holds-at 0 ", "expected '}', found 'end of input'", "syntax", 1, 26),

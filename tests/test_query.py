@@ -22,7 +22,7 @@ from elang.query import (
 
 from elang.sat import answer_sat
 
-from oracles import random_theory, slice_atoms
+from oracles import effect_instances, precondition_instances, random_theory, slice_atoms
 
 
 def dom(text):
@@ -288,7 +288,7 @@ def test_slice_drops_atoms_linked_only_by_unscheduled_effects():
     sliced, kept = slice_for_goals(th, {th.index[Atom("f")]})
     assert [str(th.fluents[i]) for i in kept] == ["f"]
     assert sliced.stats.fluent_atoms == 1
-    assert [str(cp.action) for cp in sliced.cprops] == ["a"]
+    assert [str(action) for action, _, _ in effect_instances(sliced)] == ["a"]
     for text in (
         "skeptical { f holds-at 1 }",
         "credulous { neg f holds-at 1 }",
@@ -353,10 +353,8 @@ def test_slice_shares_the_theory_objects():
     assert sliced.fluents is th.fluents and sliced.index is th.index
     assert sliced.occurrences is th.occurrences
     assert sliced.constant_values is th.constant_values
-    # the kept rule and effect rows are the theory's own objects, and the
-    # view lists the kept part of the theory's rule instances
+    # the kept rule and effect rows are the theory's own objects
     assert len(sliced.rules) == 1 and sliced.rules[0] is th.rules[0]
-    assert sliced.rprops == th.rprops[:1]
     assert sliced.effects_of(Atom("a")) is th.effects_of(Atom("a"))
     assert sliced.effects_of(Atom("b")) == ()
     # only the precondition row with an atom of h is rebuilt, without it;
@@ -367,10 +365,9 @@ def test_slice_shares_the_theory_objects():
     assert second1 is not second
     assert second == (1, frozenset(), {f, h}, False)
     assert second1 == (1, frozenset(), {f}, False)
-    # the listings show the view's rows as the theory's instances
-    assert [pp.condition for pp in sliced.pprops] == [{-(f + 1)}, {-(f + 1)}]
-    assert [pp.condition for pp in th.pprops] == [{-(f + 1)}, {-(f + 1), -(h + 1)}]
-    assert [pp.src for pp in sliced.pprops] == [pp.src for pp in th.pprops] == [4, 5]
+    # read as instances, the view's rows are the theory's without h
+    assert [condition for _, condition, _ in precondition_instances(sliced)] == [{-(f + 1)}, {-(f + 1)}]
+    assert [condition for _, condition, _ in precondition_instances(th)] == [{-(f + 1)}, {-(f + 1), -(h + 1)}]
     # h, k and z are pinned false at 0; the stats count f's observation only
     pins = {-(th.index[Atom(name)] + 1) for name in "hkz"}
     assert sliced.observations[0] == {-(f + 1)} | pins
@@ -379,7 +376,7 @@ def test_slice_shares_the_theory_objects():
     # every rule kept, z dropped: the view holds the theory's own list
     sliced, kept = slice_for_goals(th, {f, h})
     assert len(kept) == 4
-    assert sliced.rules is th.rules and sliced.rule_sources is th.rule_sources
+    assert sliced.rules is th.rules
     assert sliced.effects_of(Atom("b")) is th.effects_of(Atom("b"))
 
 

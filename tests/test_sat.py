@@ -78,7 +78,7 @@ def test_clashing_effects_are_in_fragment():
     b happens-at 0.
     """
     th = ground(dom(text), 1)
-    assert effect_conflicts(th) == ["statements 0 and 1 can disagree on f"]
+    assert effect_conflicts(th) == ["effects 0 and 1 can disagree on f"]
     rep = check_fragment(th)
     assert rep.accepted and not rep.violations
     # either effect can win, on both backends
@@ -601,7 +601,7 @@ def one_literal_auxiliaries(th) -> list[str]:
         index = int(rest.partition("]")[0]) if role in ("fire", "ramify") else None
         if role == "fire" and sizes[index] == 1:
             found.append(name)
-        elif role == "ramify" and len(th.rprops[index].condition) == 1:
+        elif role == "ramify" and len(th.rules[index][1]) == 1:
             found.append(name)
     return found
 
@@ -612,7 +612,7 @@ def test_one_literal_conditions_and_bodies_get_no_variable():
     for _ in range(100):
         th = ground(random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4))
         assert one_literal_auxiliaries(th) == []
-        singles += any(len(rp.condition) == 1 for rp in th.rprops)
+        singles += any(len(body) == 1 for _, body in th.rules)
     assert singles >= 50
     # the generated zoo, whose rule bodies are one literal each
     th = ground(load_domain("gen:direct:6:feed", "corpus:zoo_scenario_move.e"), 4)

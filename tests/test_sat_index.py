@@ -80,7 +80,7 @@ def assert_constraints_shifted(th, inst) -> None:
     normal form of each statement's clause."""
     n = th.n_fluents
     assert inst.rows is th.constraint_clauses
-    assert th.constraint_clauses == [c for c in map(constraint_clause, th.rprops) if c is not None]
+    assert th.constraint_clauses == [c for c in map(constraint_clause, th.rules) if c is not None]
     shifted = [
         tuple(l + t * n if l > 0 else l - t * n for l in clause)
         for clause in th.constraint_clauses
@@ -149,7 +149,7 @@ a happens-at 1.
 def test_heads_in_their_own_bodies_index_as_normalized():
     th = ground(parse_domain(SELF_LOOPS).domain, 3)
     assert ramification_cycle(th) is not None
-    raw = [sorted({-c for c in rp.condition}) + [rp.head] for rp in th.rprops]
+    raw = [sorted({-c for c in body}) + [head] for head, body in th.rules]
     assert sum(normalize(clause) is None for clause in raw) == 1
     assert sum(normalize(clause) not in (None, tuple(clause)) for clause in raw) == 1
     index = assert_index_matches_normalizing(th, random.Random(3), solves=20)
@@ -261,16 +261,16 @@ def test_acyclic_constraint_clauses_are_already_normal():
     for th in acyclic_theories():
         if ramification_cycle(th) is not None:
             continue
-        for rp in th.rprops:
-            clause = [-c for c in rp.condition] + ([] if rp.head is None else [rp.head])
-            assert len({abs(l) for l in clause}) == len(clause), rp
+        for head, body in th.rules:
+            clause = [-c for c in body] + ([] if head is None else [head])
+            assert len({abs(l) for l in clause}) == len(clause), (head, body)
         checked += 1
     assert checked > 100
 
 
 def test_compiled_state_constraints_are_the_ground_clauses_shifted():
     self_loops = ground(parse_domain(SELF_LOOPS).domain, 3)
-    assert len(self_loops.constraint_clauses) == len(self_loops.rprops) - 1  # the tautology
+    assert len(self_loops.constraint_clauses) == len(self_loops.rules) - 1  # the tautology
     checked = 0
     for th in [self_loops, *acyclic_theories()]:
         assert_constraints_shifted(th, compile_theory(th, labels=False))

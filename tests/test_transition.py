@@ -22,7 +22,14 @@ from elang.transition import (
     successor_states,
 )
 
-from oracles import override_at_source, ramification_cycle, random_state, random_step, random_theory
+from oracles import (
+    effect_instances,
+    override_at_source,
+    ramification_cycle,
+    random_state,
+    random_step,
+    random_theory,
+)
 from test_acceptance import mini_throw_domain
 
 
@@ -42,8 +49,8 @@ def lit(theory, name, positive=True):
 
 def actions_of(theory, *names):
     acts = {str(h): h for t, hs in theory.occurrences.items() for h in hs}
-    for cp in theory.cprops:
-        acts.setdefault(str(cp.action), cp.action)
+    for action, _, _ in effect_instances(theory):
+        acts.setdefault(str(action), action)
     return frozenset(acts[n] for n in names)
 
 
@@ -52,12 +59,12 @@ def close_state(theory, seed):
     state = set(seed)
     for _ in range(100):
         grew = False
-        for rp in theory.rprops:
-            if rp.head is None or rp.head < 0:
+        for head, body in theory.rules:
+            if head is None or head < 0:
                 continue
-            if all(theory.holds(frozenset(state), c) for c in rp.condition):
-                if abs(rp.head) - 1 not in state:
-                    state.add(abs(rp.head) - 1)
+            if all(theory.holds(frozenset(state), c) for c in body):
+                if head - 1 not in state:
+                    state.add(head - 1)
                     grew = True
         if not grew:
             break
