@@ -47,23 +47,29 @@ any order, so the models, their order, the decisions and where a budget
 runs out are those of propagating units and assumptions together.  A
 conflict at the root makes every call yield nothing.
 
-A call may also fix ``preset`` literals and add ``extra`` clauses, as
-the single-step search does on the state constraints.  Preset literals
-are assigned after the root and never propagated, so a call costs the
-occurrences of its open variables only; the caller guarantees that they
-agree with some model of the clauses, so a clause over root and preset
-variables alone already holds.  A clause the preset leaves unit waits
-for its open literal, which may cost decisions but no model.  The extra
-clauses, the overlay, may use auxiliaries numbered after ``num_vars``.
-They are indexed into per-call copies of the occurrence lists, so
-propagation runs one loop, and first checked once against the root and
-the preset, which were never propagated through them.  The SAT backend
-and the initial-state enumeration pass neither.
+A call may also fix every variable but some open ones and add ``extra``
+clauses, as the single-step search does on the state constraints.  The
+``fixed`` assignment names the open variables and the true fixed ones;
+the rest are false.  The call builds its values as one list, every
+variable false, clears the open variables, applies the root over them
+and puts the true fixed variables on the trail, so it costs its open and
+true variables and the root, not a step per variable.  A root literal
+the fixed values make false leaves no model.  The fixed values are never
+propagated, so the search reads the occurrences of its open variables
+only; the caller guarantees that they agree with some model of the
+clauses, so a clause over root and fixed variables alone already holds.
+A clause the fixed values leave unit waits for its open literal, which
+may cost decisions but no model.  The extra clauses, the overlay, may
+use auxiliaries numbered after ``num_vars``, which are open.  They are
+indexed into per-call copies of the occurrence lists, so propagation
+runs one loop, and first checked once against the root and the fixed
+values, which were never propagated through them.  The SAT backend and
+the initial-state enumeration pass neither.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 
@@ -145,17 +151,19 @@ class ClauseSet:
         assumptions: Iterable[int] = (),
         stats=None,
         budget: int | None = None,
-        preset: Iterable[int] = (),
+        fixed: tuple[Collection[int], Collection[int]] | None = None,
         extra: Sequence[Sequence[int]] = (),
     ) -> Iterator[frozenset[int]]:
         """Yield every total assignment satisfying the clauses, the
-        ``extra`` clauses, the ``assumptions`` and the ``preset`` literals
-        (over 1..num_vars; see the module docstring), each as the frozenset
-        of its true variables, in the order the module docstring gives.
-        ``stats``, any object with integer ``decisions`` and
-        ``propagations``, accumulates the work, the root's propagations
-        included on every call; more than ``budget`` decisions on it raise
-        BudgetExceeded."""
+        ``extra`` clauses and the ``assumptions``, and agreeing with the
+        ``fixed`` assignment ``(open, true)`` when one is given: every
+        variable of 1..num_vars but the ``open`` ones fixed, true when in
+        ``true`` and false otherwise (see the module docstring).  Each
+        model is the frozenset of its true variables, in the order the
+        module docstring gives.  ``stats``, any object with integer
+        ``decisions`` and ``propagations``, accumulates the work, the
+        root's propagations included on every call; more than ``budget``
+        decisions on it raise BudgetExceeded."""
         if self.empty:
             return
         n = self.num_vars
@@ -165,7 +173,7 @@ class ClauseSet:
         tally = SimpleNamespace(decisions=0, propagations=0) if stats is None else stats
         # value[l] is 1 when literal l is true, -1 when false, 0 when open;
         # negative indexes put value[-v] in the upper half of the list.
-        value = [0] * (2 * n + 1)
+        value: list[int] = []
         trail: list[int] = []
         qhead = 0
 
@@ -241,15 +249,33 @@ class ClauseSet:
                 tally.propagations += qhead - start
 
         if self._root is None:
+            value = [0] * (2 * n + 1)
             ok = all(map(enqueue, self.units)) and propagate()
             self._root = (ok, value[:], trail[:], qhead)
         else:
-            ok, value, trail, qhead = self._root
-            value, trail = value[:], trail[:]
-            tally.propagations += qhead
-        if ok and preset:
-            ok = all(map(enqueue, preset))
-            qhead = len(trail)  # not propagated
+            tally.propagations += self._root[3]
+        ok, root_value, root_trail, qhead = self._root
+        if fixed is None or not ok:
+            value, trail = root_value[:], root_trail[:]
+        else:
+            # Every variable false, the open ones cleared and the true ones
+            # set, then the root over them: a root literal the fixed values
+            # make false leaves no model.  The true fixed variables join
+            # the trail unpropagated.
+            open_vars, true_vars = fixed
+            value = [0] + [-1] * n + [1] * n
+            for v in open_vars:
+                value[v] = value[-v] = 0
+            for v in true_vars:
+                value[v] = 1
+                value[-v] = -1
+            for lit in root_trail:
+                if value[lit] < 0:
+                    ok = False
+                value[lit] = 1
+                value[-lit] = -1
+            trail = root_trail + [v for v in true_vars if not root_value[v]]
+            qhead = len(trail)
         if extra:
             # A per-call copy of the occurrence lists; with auxiliaries, it
             # and the call's values are widened by their slots between the
@@ -269,7 +295,8 @@ class ClauseSet:
                 elif len(clause) > 2:
                     for l in clause:
                         occurs[l] = occurs[l] + [clause]
-                # Neither the root nor the preset was propagated through it.
+                # Neither the root nor the fixed values were propagated
+                # through it.
                 free = [l for l in clause if value[l] >= 0]
                 if not free:
                     ok = False

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -107,7 +108,7 @@ def cmd_query(args) -> int:
         qtext = Path(args.query).read_text()
     else:
         qtext = "%s { %s }" % (args.mode, args.goal)
-    query = parse_query(qtext, domain.signature)
+    query = parse_query(qtext, domain.signature, file=args.query or "<query>")
     if args.horizon is not None:
         if query.horizon not in (None, args.horizon):
             return _fail(
@@ -197,7 +198,11 @@ def cmd_corpus(args) -> int:
     return EXIT_TRUE if report.ok else EXIT_FALSE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: ``parse_args`` keeps no state between calls, so one process
+    that calls ``main`` many times builds the argparse tree once."""
     parser = _Parser(prog="elang", description=__doc__)
     parser.add_argument("--version", action="version", version="elang " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)

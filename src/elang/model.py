@@ -353,8 +353,12 @@ def validate(
     def check_condition(cond: Condition, where: str) -> None:
         for lit in sorted(cond.literals):
             check_atom(lit.atom, "fluent", where)
-        if warnings and cond.has_complementary_pair():
-            warning("unsat-condition", "%s: condition contains a literal and its negation" % where)
+        if warnings:
+            if cond.has_complementary_pair():
+                warning("unsat-condition", "%s: condition contains a literal and its negation" % where)
+            for a, b in sorted(cond.diseqs):
+                if a == b:
+                    warning("unsat-condition", "%s: disequality %s != %s is never true" % (where, a, b))
 
     # Statements are frozen and compare by value (conditions as sets), so
     # each is its own key.

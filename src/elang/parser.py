@@ -401,8 +401,6 @@ class _Parser:
                 if kinds[i] in _TERMS and toks[i + 1] == "!=":
                     if kinds[i + 2] not in _TERMS:
                         raise self._expected(i + 2, "a term")
-                    if tok == toks[i + 2]:
-                        raise self._error(i + 2, "disequality %s != %s is never true" % (tok, tok))
                     diseqs.append(_norm_diseq(tok, toks[i + 2]))
                     i += 3
                 elif kinds[i] == "name" and tok in self.sig.sorts:

@@ -250,7 +250,8 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
                         tautologies.add(effect)
                     fired.append(v)
 
-        produced = step_plan(theory, frozenset(fires)).ordered
+        # the producible literals, lowest atom first, negative first
+        produced = sorted(sorted(step_plan(theory, frozenset(fires)).produced), key=abs)
         changed = {code: new_var("changed[%s]@%d", lit_str(code), t) for code in produced}
         supports = {code: list(fires.get(code, ())) for code in changed}
         for ri in sorted(set().union(*[triggers.get(code, ()) for code in changed])):

@@ -57,8 +57,8 @@ and e to the clause kernel (``clauses.py``) as clauses:
   when the candidates hold both values of an atom.
 
 What a step needs of the theory besides its source, the producible
-literals, the reach, the frozen atoms and the bodies that can support
-each reach atom, depends on the candidates only.  ``step_plan`` works it
+literals, their atoms (the reach) and the bodies that can support each
+reach atom, depends on the candidates only.  ``step_plan`` works it
 out once per theory and candidate set and keeps it on ``theory.plans``;
 the clausal compiler reads the producible literals from the same memo.
 Statements are read as rows: a rule as its head and body, lowest atom
@@ -83,9 +83,11 @@ constraint its source violates, and the kernel propagates the frozen
 values as assumptions, which finds the constraints they break.  A caller
 whose sources satisfy the constraints (``query.Evaluator``: its sources
 are initial-state models or earlier successors) passes
-``consistent_source``.  The frozen values are then preset, never
-propagated, so a step costs the occurrences of its reach atoms only, and
-a step without candidates returns its source unchecked.
+``consistent_source``.  The kernel then fixes the frozen values from the
+reach and the source's true atoms, never propagating them, so a step
+costs its reach, its source and the occurrences of its reach atoms,
+whatever the size of the theory, and a step without candidates returns
+its source unchecked.
 ``brute_force_successors`` checks the definition, rule d included, over
 all assignments in the same order, each against every conflict-free
 subset, and is the reference the search is tested against.
@@ -167,8 +169,8 @@ class StepPlan(NamedTuple):
     """What a step with a given candidate set needs of the theory, whatever
     its source (see ``step_plan``)."""
 
-    ordered: tuple[Lit, ...]  # the producible literals, lowest atom first, negative first
-    frozen: tuple[Lit, ...]  # the atoms outside the reach, as positive codes
+    produced: frozenset[Lit]  # the producible literals
+    reach: frozenset[int]  # their atoms, as positive codes
     # The reach atoms no body can change, as positive codes: they keep
     # their source values.
     kept: tuple[Lit, ...]
@@ -206,12 +208,12 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
     bodies_for: dict[Lit, list[tuple[Lit, ...]]] = {}
     for head, body in map(rules.__getitem__, sorted(firing)):
         bodies_for.setdefault(head, []).append(body)
-    reach = {abs(l) - 1 for l in produced}
+    reach = frozenset(map(abs, produced))
     kept: list[Lit] = []
     forced: list[Lit] = []
     supported = []
-    for a in sorted(reach):
-        pos, neg = a + 1, -(a + 1)
+    for pos in sorted(reach):
+        a, neg = pos - 1, -pos
         making = bodies_for.get(pos, ())
         breaking = bodies_for.get(neg, ())
         if pos in candidates and neg in candidates:
@@ -229,8 +231,8 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
         else:
             kept.append(pos)
     plan = theory.plans[candidates] = StepPlan(
-        tuple(sorted(sorted(produced), key=abs)),
-        tuple(a + 1 for a in range(theory.n_fluents) if a not in reach),
+        frozenset(produced),
+        reach,
         tuple(kept),
         tuple(forced),
         tuple(supported),
@@ -293,10 +295,6 @@ def successor_states(
         return [source] if consistent_source or theory.state_consistent(source) else []
     plan = step_plan(theory, candidates)
 
-    # Persistence freezes every atom no producible literal mentions at its
-    # source value.
-    frozen = [v if v - 1 in source else -v for v in plan.frozen]
-
     # Rules c and e as support clauses (see the module docstring).  Each
     # longer supporting body is an auxiliary variable s <-> body, numbered
     # after the atoms so that the atoms fix it.  A support clause of one
@@ -327,16 +325,22 @@ def successor_states(
     if plan.clause is not None:
         overlay.append(plan.clause)
 
-    # Rule d: the theory's own constraints, the frozen values preset when
-    # they satisfy them and propagated as assumptions otherwise.  A model
-    # in which every candidate holds passes ``step_holds`` unchecked when
-    # the source is consistent and the ramification graph acyclic (see the
-    # module docstring).
-    assumptions, preset = (units, frozen) if consistent_source else (frozen + units, ())
+    # Rule d: the theory's own constraints.  Persistence freezes every atom
+    # outside the reach at its source value: the kernel fixes those values,
+    # the reach open, when they satisfy the constraints, and propagates
+    # them as assumptions otherwise.  A model in which every candidate
+    # holds passes ``step_holds`` unchecked when the source is consistent
+    # and the ramification graph acyclic (see the module docstring).
+    reach = plan.reach
+    if consistent_source:
+        fixed = (reach, [a + 1 for a in source if a + 1 not in reach])
+    else:
+        fixed = None
+        units = [v if v - 1 in source else -v for v in range(1, n + 1) if v not in reach] + units
     trusted = consistent_source and theory.first_cycle is None
     true, false = plan.true, plan.false
     found: list[State] = []
-    for model in theory.constraints.models(assumptions, preset=preset, extra=overlay):
+    for model in theory.constraints.models(units, fixed=fixed, extra=overlay):
         target = frozenset(v - 1 for v in model if v <= n)
         if (trusted and target.issuperset(true) and target.isdisjoint(false)) or step_holds(
             theory, source, candidates, target

@@ -228,67 +228,115 @@ def test_calls_stopped_early_leave_later_calls_exact():
     assert stopped > 20
 
 
-def overlay_case(rng, satisfied_by_preset):
-    """A base clause set, a preset drawn from one of its models, and an
+def fixed_from(rng, num_vars, source):
+    """Each variable fixed at its value in the model ``source`` with
+    probability 0.4 and open otherwise: the fixed values as literals, and
+    the kernel's ``fixed`` argument (open variables, true fixed ones)."""
+    held = [v if v in source else -v for v in range(1, num_vars + 1) if rng.random() < 0.4]
+    fixed_vars = {abs(l) for l in held}
+    open_vars = [v for v in range(1, num_vars + 1) if v not in fixed_vars]
+    return held, (open_vars, [l for l in held if l > 0])
+
+
+def overlay_case(rng, satisfied_by_fixed):
+    """A base clause set, fixed values drawn from one of its models, and an
     overlay over the base atoms and up to three auxiliaries.  With
-    ``satisfied_by_preset`` every base clause that mentions a preset atom
-    also has a true preset literal, so the preset leaves no base clause
-    unit.  Base units on atoms the overlay mentions make the root reach
-    the overlay."""
+    ``satisfied_by_fixed`` every base clause that mentions a fixed atom
+    also has a true fixed literal, so the fixed values leave no base
+    clause unit.  Base units on open atoms the overlay mentions make the
+    root reach the overlay."""
     while True:
         num_vars, base = random_cnf(rng, max_vars=7)
         sources = cnf_models(num_vars, base)
         if sources:
             break
     source = rng.choice(sources)
-    preset = [v if v in source else -v for v in range(1, num_vars + 1) if rng.random() < 0.4]
-    held = set(preset)
-    if satisfied_by_preset:
-        base = [c for c in base if not held.isdisjoint(c) or held.isdisjoint([-l for l in c])]
+    held, fixed = fixed_from(rng, num_vars, source)
+    if satisfied_by_fixed:
+        true = set(held)
+        base = [c for c in base if not true.isdisjoint(c) or true.isdisjoint([-l for l in c])]
     top = num_vars + rng.randint(0, 3)
     extra = [random_literals(rng, top, rng.randint(1, min(3, top))) for _ in range(rng.randint(1, 5))]
-    mentioned = sorted({abs(l) for c in extra for l in c if abs(l) <= num_vars} - {abs(l) for l in preset})
+    mentioned = sorted({abs(l) for c in extra for l in c if abs(l) <= num_vars} - {abs(l) for l in held})
     for v in rng.sample(mentioned, min(2, len(mentioned))):
         base.append([v if v in source else -v])
-    return num_vars, base, preset, extra
+    return num_vars, base, held, fixed, extra
 
 
-def folded(base, preset, extra):
-    """The base clauses with the preset folded in, the overlay and the
-    preset as units: one clause set for the same models."""
-    held = set(preset)
+def folded(base, held, extra):
+    """The base clauses with the fixed values folded in, the overlay and
+    the fixed values as units: one clause set for the same models."""
+    held = set(held)
     kept = [[l for l in c if -l not in held] for c in base if held.isdisjoint(c)]
-    return kept + [list(c) for c in extra] + [[l] for l in preset]
+    return kept + [list(c) for c in extra] + [[l] for l in held]
 
 
-def test_preset_and_overlay_match_one_merged_clause_set():
+def test_fixed_values_and_overlay_match_one_merged_clause_set():
     rng = random.Random(53)
     for _ in range(400):
-        num_vars, base, preset, extra = overlay_case(rng, satisfied_by_preset=True)
+        num_vars, base, held, fixed, extra = overlay_case(rng, satisfied_by_fixed=True)
         top = max([num_vars] + [abs(l) for c in extra for l in c])
-        held = ClauseSet(num_vars, base)
-        merged = ClauseSet(top, folded(base, preset, extra))
+        clauses = ClauseSet(num_vars, base)
+        merged = ClauseSet(top, folded(base, held, extra))
         for _ in range(2):  # the second call starts from the stored root
             assumptions = random_literals(rng, top, rng.randint(0, min(2, top)))
             tally = Tally()
-            got = list(held.models(assumptions, stats=tally, preset=preset, extra=extra))
+            got = list(clauses.models(assumptions, stats=tally, fixed=fixed, extra=extra))
             want = enumerate_with_stats(merged, assumptions)
             assert (got, tally.decisions) == (want[0], want[1][0])
-            assert got == cnf_models(top, base + extra, assumptions + preset)
-        # the overlay leaves the held clause set as it was
-        assert list(held.models()) == cnf_models(num_vars, base)
+            assert got == cnf_models(top, base + extra, assumptions + held)
+        # neither the overlay nor the fixed values change the clause set
+        assert list(clauses.models()) == cnf_models(num_vars, base)
 
 
-def test_preset_from_a_model_gives_exact_models():
-    # the documented precondition alone: base clauses may have false preset
+def test_fixed_values_from_a_model_give_exact_models():
+    # the documented precondition alone: base clauses may have false fixed
     # literals, and only the decisions may differ from the merged set
     rng = random.Random(59)
     for _ in range(400):
-        num_vars, base, preset, extra = overlay_case(rng, satisfied_by_preset=False)
+        num_vars, base, held, fixed, extra = overlay_case(rng, satisfied_by_fixed=False)
         top = max([num_vars] + [abs(l) for c in extra for l in c])
-        got = list(ClauseSet(num_vars, base).models(preset=preset, extra=extra))
-        assert got == cnf_models(top, base + extra, preset)
-        assert got == list(ClauseSet(top, folded(base, preset, extra)).models())
+        got = list(ClauseSet(num_vars, base).models(fixed=fixed, extra=extra))
+        assert got == cnf_models(top, base + extra, held)
+        assert got == list(ClauseSet(top, folded(base, held, extra)).models())
+
+
+def test_fixed_values_search_as_their_units():
+    # the same clauses with the fixed values written as unit clauses: the
+    # same models in the same order, the overlay's auxiliaries open
+    rng = random.Random(71)
+    for _ in range(400):
+        num_vars, base, held, fixed, extra = overlay_case(rng, satisfied_by_fixed=rng.random() < 0.5)
+        top = max([num_vars] + [abs(l) for c in extra for l in c])
+        clauses = ClauseSet(num_vars, base)
+        as_units = ClauseSet(top, base + [list(c) for c in extra] + [[l] for l in held])
+        for _ in range(2):
+            assumptions = random_literals(rng, top, rng.randint(0, min(2, top)))
+            got = list(clauses.models(assumptions, fixed=fixed, extra=extra))
+            assert got == list(as_units.models(assumptions))
+
+
+def test_a_root_literal_against_a_fixed_value_gives_no_model():
+    # a unit u and the literal w it propagates are root literals; fixing
+    # either variable at its other value leaves no model, with or without
+    # an overlay, while fixing it at the root's value keeps every model
+    rng = random.Random(73)
+    for _ in range(300):
+        num_vars, base = random_cnf(rng, max_vars=7)
+        if num_vars < 2:
+            continue
+        u, w = random_literals(rng, num_vars, 2)
+        base = base + [(u,), (-u, w)]
+        clauses = ClauseSet(num_vars, base)
+        lit = rng.choice((u, w))
+        v = abs(lit)
+        open_vars = [x for x in range(1, num_vars + 1) if x != v and rng.random() < 0.6]
+        true_vars = [x for x in range(1, num_vars + 1) if x != v and x not in open_vars and rng.random() < 0.5]
+        extra = [random_literals(rng, num_vars + 1, 2)] if rng.random() < 0.5 else []
+        against = true_vars + [v] if lit < 0 else true_vars
+        assert list(clauses.models(fixed=(open_vars, against), extra=extra)) == []
+        agreeing = ([x for x in range(1, num_vars + 1) if x != v], [v] if lit > 0 else [])
+        assert list(clauses.models(fixed=agreeing)) == cnf_models(num_vars, base, [lit])
 
 
 def shifted(clause, t, width):
@@ -348,7 +396,7 @@ def test_rows_search_as_their_clauses_materialized():
     assert stopped > 50
 
 
-def test_rows_with_a_preset_and_an_overlay_search_as_materialized():
+def test_rows_with_fixed_values_and_an_overlay_search_as_materialized():
     rng = random.Random(67)
     checked = 0
     for _ in range(400):
@@ -357,14 +405,14 @@ def test_rows_with_a_preset_and_an_overlay_search_as_materialized():
         source = next(flat.models(), None)
         if source is None:
             continue
-        preset = [v if v in source else -v for v in range(1, num_vars + 1) if rng.random() < 0.4]
+        held, fixed = fixed_from(rng, num_vars, source)
         extra = [binary_heavy_clause(rng, num_vars + rng.randint(0, 3)) for _ in range(rng.randint(1, 6))]
         top = max([num_vars] + [abs(l) for c in extra for l in c])
         for _ in range(2):
             assumptions = random_literals(rng, top, rng.randint(0, min(2, top)))
-            got = run(rowed, assumptions, preset=preset, extra=extra)
-            assert got == run(flat, assumptions, preset=preset, extra=extra)
+            got = run(rowed, assumptions, fixed=fixed, extra=extra)
+            assert got == run(flat, assumptions, fixed=fixed, extra=extra)
             if top <= 10:
-                assert got[0] == cnf_models(top, clauses + extra, assumptions + preset)
+                assert got[0] == cnf_models(top, clauses + extra, assumptions + held)
         checked += 1
     assert checked > 200

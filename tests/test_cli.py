@@ -332,10 +332,10 @@ def test_query_goal_outside_its_sort_exits_three(backend, tmp_path, capsys):
         ("animal_pos(p1, p9) holds-at 0", 24, "constant p1 is not of sort animal"),
     ):
         query.write_text("credulous { %s }\n" % goal)
-        for argv in (["--mode", "credulous", "--goal", goal], ["--query", str(query)]):
+        # the message names the query file, or <query> for an inline goal
+        for argv, at in ((["--mode", "credulous", "--goal", goal], "<query>"), (["--query", str(query)], query)):
             assert main(["query", *files, *argv, "--backend", backend]) == 3
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.endswith(":1:%d: %s\n" % (column, message)), err
+            assert capsys.readouterr().err == "error: %s:1:%d: %s\n" % (at, column, message)
 
 
 def test_domain_constant_outside_its_sort_is_reported_by_validate(tmp_path, capsys):
