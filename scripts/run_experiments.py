@@ -6,7 +6,8 @@ Usage: python scripts/run_experiments.py [--out DIR] [--repeats N] [--only NAME]
 
 With ``--bench FILE`` no tables are written.  Instead FILE receives one
 JSON record: the wall time of each golden case (load, ground and answer)
-on the engine backend and on the SAT backend, the elapsed time of each
+on the engine backend and on the SAT backend, each the median of
+``GOLDEN_RUNS`` runs (recorded as ``golden_runs``), the elapsed time of each
 spec at ``--repeats`` (1 unless given), the size of the package source
 (``src_lines``: the ``wc -l`` total over ``src/elang/**/*.py``), and the
 environment the run was made in.  Compare two such records only when
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -33,6 +35,9 @@ from elang.sat import answer_sat
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "experiments"
 SRC_DIR = ROOT / "src" / "elang"
+# Runs per golden case and backend: a case takes a few milliseconds, and
+# one run of each spreads the suite's total by half between runs.
+GOLDEN_RUNS = 5
 
 
 def _git(*argv: str) -> str | None:
@@ -69,17 +74,24 @@ def answer_case_on_sat(case) -> None:
     answer_sat(ground(domain, required_horizon(domain, case.query)), case.query)
 
 
+def median_seconds(run) -> tuple[float, object]:
+    """The median wall time of ``GOLDEN_RUNS`` calls of ``run``, and what
+    the last one returned."""
+    times = []
+    for _ in range(GOLDEN_RUNS):
+        start = time.perf_counter()
+        got = run()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), got
+
+
 def bench(cases, specs: list[Path], repeats: int) -> dict:
-    """Time each golden case on both backends and each spec once, in the
-    given order."""
+    """Time each golden case on both backends, as the median of
+    ``GOLDEN_RUNS`` runs each, and each spec once, in the given order."""
     golden = []
     for case in cases:
-        start = time.perf_counter()
-        outcome = evaluate_case(case)
-        elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        answer_case_on_sat(case)
-        sat_elapsed = time.perf_counter() - start
+        elapsed, outcome = median_seconds(lambda: evaluate_case(case))
+        sat_elapsed, _ = median_seconds(lambda: answer_case_on_sat(case))
         golden.append({
             "name": case.name, "answer": outcome.got, "ok": outcome.ok,
             "seconds": round(elapsed, 4), "sat_seconds": round(sat_elapsed, 4),
@@ -95,6 +107,7 @@ def bench(cases, specs: list[Path], repeats: int) -> dict:
     return {
         "environment": environment(),
         "golden": golden,
+        "golden_runs": GOLDEN_RUNS,
         "golden_seconds": round(sum(g["seconds"] for g in golden), 4),
         "golden_sat_seconds": round(sum(g["sat_seconds"] for g in golden), 4),
         "specs": timed_specs,

@@ -25,7 +25,7 @@ from .model import (
 )
 from .parser import ParseError, parse_domain, parse_query, pretty_print
 from .grounding import GroundingError, GroundTheory, ground
-from .transition import brute_force_successors, successor_states
+from .transition import successor_states
 from .query import BudgetExceeded, EntailmentResult, Query, answer, answer_theory
 from .sat import FragmentError, answer_sat, check_fragment, compile_theory
 
@@ -51,7 +51,6 @@ __all__ = [
     "answer",
     "answer_sat",
     "answer_theory",
-    "brute_force_successors",
     "check_fragment",
     "compile_theory",
     "ground",

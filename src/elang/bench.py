@@ -46,6 +46,10 @@ from .sat import check_fragment
 from .specfiles import SpecError, Stanza, parse_stanza_file, to_int
 
 FAMILIES = ("completeness", "irrelevance", "representation", "scaling")
+# every key a spec may set; any other is a typo, rejected by name
+SPEC_KEYS = frozenset(
+    "name family domain scenario query repeats budget backend slice enrich variant inject sizes horizon".split()
+)
 
 # reference instance count for the largest configuration, from the written
 # experiment design; recorded next to measurements, never enforced
@@ -75,6 +79,9 @@ def parse_spec(text: str, name_hint: str = "experiment") -> ExperimentSpec:
     if len(stanzas) != 1:
         raise SpecError("an experiment spec holds exactly one stanza")
     st: Stanza = stanzas[0]
+    unknown = sorted(st.keys() - SPEC_KEYS)
+    if unknown:
+        raise SpecError("unknown key %r" % unknown[0])
     family = st.one("family")
     if family not in FAMILIES:
         raise SpecError("unknown family %r, expected one of %s" % (family, FAMILIES))

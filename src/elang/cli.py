@@ -205,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     that calls ``main`` many times builds the argparse tree once."""
     parser = _Parser(prog="elang", description=__doc__)
     parser.add_argument("--version", action="version", version="elang " + __version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # not required here, so that ``main`` reports an unknown option before a
+    # missing command
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("check", help="parse, validate and probe consistency")
     p.add_argument("files", nargs="+")
@@ -253,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    if args.command is None:
+        parser.error("the following arguments are required: command")
     if getattr(args, "budget", None) is not None and args.budget < 0:
         parser.error("--budget must not be negative")
     try:

@@ -285,10 +285,6 @@ class GroundTheory:
     def satisfies(self, state: State, condition: Iterable[Lit]) -> bool:
         return all(self.holds(state, c) for c in condition)
 
-    def state_consistent(self, state: State) -> bool:
-        """Whether ``state`` satisfies every state constraint."""
-        return all(any(self.holds(state, c) for c in cl) for cl in self.constraint_clauses)
-
     def state_str(self, state: State) -> str:
         return "{%s}" % ", ".join(str(self.fluents[i]) for i in sorted(state))
 

@@ -131,7 +131,7 @@ class Evaluator:
         self.stats.transitions += 1
         # Every source here is an initial-state model or an earlier
         # successor, so it satisfies the state constraints.
-        result = tuple(successor_states(self.theory, state, actions, consistent_source=True))
+        result = tuple(successor_states(self.theory, state, actions))
         self._succ[key] = result
         return result
 

@@ -70,27 +70,20 @@ These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
 support each other.  So ``step_holds`` checks a model against
 conditions a, b, c and e, with ``applied`` the candidates true in it,
-except where it cannot fail: when the source satisfies the constraints,
-the ramification graph is acyclic (``GroundTheory.first_cycle``) and
-every candidate holds in the model.  Rule e is then vacuous, and every
-change has a support chain back to an applied candidate, so the least
-closure explains it (``docs/semantics.md``, "When the re-check can be
-skipped").  Each target has one model, so the targets come in the
-kernel's order.
+except where it cannot fail: when the ramification graph is acyclic
+(``GroundTheory.first_cycle``) and every candidate holds in the model.
+Rule e is then vacuous, and every change has a support chain back to an
+applied candidate, so the least closure explains it
+(``docs/semantics.md``, "When the re-check can be skipped").  Each
+target has one model, so the targets come in the kernel's order.
 
-``successor_states`` is exact for any source state; a step can repair a
-constraint its source violates, and the kernel propagates the frozen
-values as assumptions, which finds the constraints they break.  A caller
-whose sources satisfy the constraints (``query.Evaluator``: its sources
-are initial-state models or earlier successors) passes
-``consistent_source``.  The kernel then fixes the frozen values from the
-reach and the source's true atoms, never propagating them, so a step
-costs its reach, its source and the occurrences of its reach atoms,
-whatever the size of the theory, and a step without candidates returns
-its source unchecked.
-``brute_force_successors`` checks the definition, rule d included, over
-all assignments in the same order, each against every conflict-free
-subset, and is the reference the search is tested against.
+The contract of ``successor_states``: its source satisfies the state
+constraints.  Every state of a trajectory does, since the initial
+states are models of the constraints and every successor meets rule d.
+The kernel therefore fixes the frozen values from the reach and the
+source's true atoms, never propagating them, so a step costs its reach,
+its source and the occurrences of its reach atoms, whatever the size of
+the theory, and a step without candidates returns its source.
 """
 
 from __future__ import annotations
@@ -244,25 +237,13 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
     return plan
 
 
-def _conflict_free_subsets(candidates: frozenset[Lit]) -> list[frozenset[Lit]]:
-    """All subsets without complementary pairs."""
-    ordered = list(candidates)
-    n = len(ordered)
-    subsets = [frozenset(ordered[j] for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
-    return [s for s in subsets if not any(-c in s for c in s)]
-
-
-def _verify_target(
-    theory: GroundTheory,
-    source: State,
-    applied: frozenset[Lit],
-    candidates: frozenset[Lit],
-    target: State,
-) -> bool:
+def step_holds(theory: GroundTheory, source: State, candidates: frozenset[Lit], target: State) -> bool:
+    """Whether ``target`` meets rules a, b, c and e as a step from ``source``
+    with the direct effects ``candidates``, ``applied`` being the
+    candidates true in ``target`` (the only subset that can qualify)."""
+    applied = frozenset(c for c in candidates if theory.holds(target, c))
     changed = ramification_closure(theory, applied, target)
-    if changed is None:
-        return False
-    if not all(theory.holds(target, l) for l in changed):
+    if changed is None or not all(theory.holds(target, l) for l in changed):
         return False
     mentioned = {abs(l) - 1 for l in changed}
     if any(a not in mentioned for a in source ^ target):
@@ -270,29 +251,13 @@ def _verify_target(
     return all(-c in changed for c in candidates - applied)
 
 
-def step_holds(theory: GroundTheory, source: State, candidates: frozenset[Lit], target: State) -> bool:
-    """Whether ``target`` meets rules a, b, c and e as a step from ``source``
-    with the direct effects ``candidates``, ``applied`` being the
-    candidates true in ``target`` (the only subset that can qualify)."""
-    applied = frozenset(c for c in candidates if theory.holds(target, c))
-    return _verify_target(theory, source, applied, candidates, target)
-
-
-def successor_states(
-    theory: GroundTheory,
-    source: State,
-    actions: frozenset[Atom],
-    *,
-    consistent_source: bool = False,
-) -> list[State]:
+def successor_states(theory: GroundTheory, source: State, actions: frozenset[Atom]) -> list[State]:
     """All successor states of ``source`` under the simultaneous
-    ``actions``, in the kernel's order; exact for any source.  A caller that
-    knows ``source`` satisfies the state constraints passes
-    ``consistent_source``, and the constraints on atoms the step cannot
-    change are then not checked again."""
+    ``actions``, in the kernel's order.  ``source`` satisfies the state
+    constraints, as every state of a trajectory does."""
     candidates = direct_candidates(theory, source, actions)
     if not candidates:
-        return [source] if consistent_source or theory.state_consistent(source) else []
+        return [source]
     plan = step_plan(theory, candidates)
 
     # Rules c and e as support clauses (see the module docstring).  Each
@@ -326,18 +291,14 @@ def successor_states(
         overlay.append(plan.clause)
 
     # Rule d: the theory's own constraints.  Persistence freezes every atom
-    # outside the reach at its source value: the kernel fixes those values,
-    # the reach open, when they satisfy the constraints, and propagates
-    # them as assumptions otherwise.  A model in which every candidate
-    # holds passes ``step_holds`` unchecked when the source is consistent
-    # and the ramification graph acyclic (see the module docstring).
+    # outside the reach at its source value, and the kernel fixes those
+    # values, the reach open: the source satisfies the constraints, so they
+    # need no propagating.  A model in which every candidate holds passes
+    # ``step_holds`` unchecked when the ramification graph is acyclic (see
+    # the module docstring).
     reach = plan.reach
-    if consistent_source:
-        fixed = (reach, [a + 1 for a in source if a + 1 not in reach])
-    else:
-        fixed = None
-        units = [v if v - 1 in source else -v for v in range(1, n + 1) if v not in reach] + units
-    trusted = consistent_source and theory.first_cycle is None
+    fixed = (reach, [a + 1 for a in source if a + 1 not in reach])
+    trusted = theory.first_cycle is None
     true, false = plan.true, plan.false
     found: list[State] = []
     for model in theory.constraints.models(units, fixed=fixed, extra=overlay):
@@ -348,23 +309,3 @@ def successor_states(
             found.append(target)
     return found
 
-
-def brute_force_successors(
-    theory: GroundTheory, source: State, actions: frozenset[Atom], bound: int = 16
-) -> list[State]:
-    """Reference implementation: test every assignment, in the kernel's
-    order, against the successor conditions for every conflict-free subset
-    of the candidates.  Exponential; refuses theories over ``bound``."""
-    n = theory.n_fluents
-    if n > bound:
-        raise ValueError("brute force limited to %d fluent atoms, theory has %d" % (bound, n))
-    candidates = direct_candidates(theory, source, actions)
-    subsets = _conflict_free_subsets(candidates)
-    found: list[State] = []
-    for bits in range(1 << n):
-        target = frozenset(i for i in range(n) if bits >> (n - 1 - i) & 1)
-        if theory.state_consistent(target) and any(
-            _verify_target(theory, source, applied, candidates, target) for applied in subsets
-        ):
-            found.append(target)
-    return found

@@ -521,6 +521,230 @@ def slice_atoms(theory, goal_atoms) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
+# Step and trajectory reference
+
+
+def _top_level(text: str) -> list[str]:
+    """``text`` split at its commas outside parentheses; none when empty."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]] if text else parts
+
+
+def _literals(text: str) -> list[tuple[str, bool]]:
+    """A rendered condition's literals as (atom name, positive) pairs."""
+    return [(l[4:], False) if l.startswith("neg ") else (l, True) for l in _top_level(text)]
+
+
+class NaiveTheory:
+    """The models of a description straight from ``docs/semantics.md``,
+    by enumeration over the statements ``naive_ground_strings`` renders.
+    A state is the frozenset of the names of its true atoms, a literal an
+    (atom name, positive) pair; actions are read by name.  Nothing here
+    depends on the source state being consistent, or on any argument
+    about which candidate subsets can qualify."""
+
+    def __init__(self, domain: DomainDescription, horizon: int):
+        strings = naive_ground_strings(domain, horizon)
+        sig = domain.signature
+        self.horizon = horizon
+        self.atoms = [
+            str(Atom(decl.name, args))
+            for decl in sig.fluents.values()
+            if not decl.constant
+            for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
+        ]
+        self.constants = strings["constants"]
+        self.effects = []  # (action, effect literal, condition)
+        for row in strings["cprops"]:
+            action, sign, atom, condition = row.split("|")
+            self.effects.append((action, (atom, sign == "+"), _literals(condition)))
+        self.rules = []  # (head literal, or None for a denial, body)
+        for row in strings["rprops"]:
+            head, body = row.split("|")
+            self.rules.append((None if head == "false" else _literals(head)[0], _literals(body)))
+        self.preconditions = []  # (action, condition, or None when it never holds)
+        for row in strings["pprops"]:
+            parts = row.split("|")
+            self.preconditions.append((parts[0], None if len(parts) == 3 else _literals(parts[1])))
+        self.occurrences: dict[int, set[str]] = {}
+        for item in strings["occurrences"]:
+            t, action = item.split(":", 1)
+            self.occurrences.setdefault(int(t), set()).add(action)
+        self.observations: dict[int, list[tuple[str, bool]]] = {}
+        for item in strings["observations"]:
+            t, literal = item.split(":", 1)
+            self.observations.setdefault(int(t), []).extend(_literals(literal))
+        self._successors: dict = {}
+
+    @staticmethod
+    def holds(state: frozenset[str], literal: tuple[str, bool]) -> bool:
+        return (literal[0] in state) == literal[1]
+
+    def all_hold(self, state: frozenset[str], literals) -> bool:
+        return all(self.holds(state, l) for l in literals)
+
+    def consistent(self, state: frozenset[str]) -> bool:
+        """Rule d: every statement holds in ``state`` as a state
+        constraint, denials included."""
+        return all(
+            not self.all_hold(state, body) or (head is not None and self.holds(state, head))
+            for head, body in self.rules
+        )
+
+    def assignments(self):
+        """Every state, by truth table over the atoms."""
+        for row in itertools.product((False, True), repeat=len(self.atoms)):
+            yield frozenset(a for a, v in zip(self.atoms, row) if v)
+
+    def states(self) -> list[frozenset[str]]:
+        """Every state that satisfies the state constraints."""
+        return [s for s in self.assignments() if self.consistent(s)]
+
+    def candidates(self, source: frozenset[str], actions) -> set[tuple[str, bool]]:
+        """The direct candidates: the effect of every statement of an
+        action in ``actions`` whose condition holds in ``source``."""
+        names = {str(a) for a in actions}
+        return {effect for action, effect, condition in self.effects
+                if action in names and self.all_hold(source, condition)}
+
+    def closure(self, applied, target: frozenset[str]) -> set[tuple[str, bool]] | None:
+        """Rule a: the least set holding ``applied`` to which a statement
+        adds its head whenever its body holds in ``target`` and has a
+        literal in the set; None when that set holds a literal and its
+        complement."""
+        changed = set(applied)
+        grew = True
+        while grew:
+            grew = False
+            for head, body in self.rules:
+                if (head is not None and head not in changed and self.all_hold(target, body)
+                        and any(l in changed for l in body)):
+                    changed.add(head)
+                    grew = True
+        if any((atom, not positive) in changed for atom, positive in changed):
+            return None
+        return changed
+
+    def is_step(self, source: frozenset[str], actions, target: frozenset[str]) -> bool:
+        """Whether ``target`` is a successor of ``source`` under
+        ``actions``: it meets rule d, and some subset of the candidates
+        without a complementary pair meets rules a, b, c and e."""
+        if not self.consistent(target):
+            return False
+        candidates = sorted(self.candidates(source, actions))
+        for size in range(len(candidates) + 1):
+            for applied in itertools.combinations(candidates, size):
+                if any((atom, not positive) in applied for atom, positive in applied):
+                    continue
+                if not self.all_hold(target, applied):
+                    continue  # rule b on applied, a subset of changed
+                changed = self.closure(applied, target)
+                if changed is None or not self.all_hold(target, changed):
+                    continue
+                mentioned = {atom for atom, _ in changed}
+                if any((atom in source) != (atom in target) and atom not in mentioned for atom in self.atoms):
+                    continue
+                if all((atom, not positive) in changed for atom, positive in candidates
+                       if (atom, positive) not in applied):
+                    return True
+        return False
+
+    def successors(self, source: frozenset[str], actions) -> list[frozenset[str]]:
+        """Every successor of ``source`` under ``actions``, whether or not
+        ``source`` itself satisfies the state constraints."""
+        key = (source, frozenset(str(a) for a in actions))
+        if key not in self._successors:
+            self._successors[key] = [t for t in self.assignments() if self.is_step(source, key[1], t)]
+        return self._successors[key]
+
+    def legal(self, state: frozenset[str], actions) -> bool:
+        """Whether every precondition of every action in ``actions``
+        holds in ``state``; one that can never hold never does."""
+        names = {str(a) for a in actions}
+        return all(condition is not None and self.all_hold(state, condition)
+                   for action, condition in self.preconditions if action in names)
+
+    def observed(self, state: frozenset[str], t: int) -> bool:
+        return self.all_hold(state, self.observations.get(t, ()))
+
+    def trajectories(self) -> list[tuple[frozenset[str], ...]]:
+        """Every model: an initial state that satisfies the constraints and
+        the observations at 0, then at each step, from a state where the
+        scheduled actions' preconditions hold, a successor under them that
+        meets the observations at the next time point."""
+        paths = [(s,) for s in self.states() if self.observed(s, 0)]
+        for t in range(self.horizon):
+            actions = self.occurrences.get(t, set())
+            paths = [
+                path + (target,)
+                for path in paths
+                if self.legal(path[-1], actions)
+                for target in self.successors(path[-1], actions)
+                if self.observed(target, t + 1)
+            ]
+        return paths
+
+    def goal_holds(self, path, literal: FluentLiteral, t: int) -> bool:
+        """A goal literal at time ``t`` of ``path``; a constant atom has
+        the value grounding derives for it."""
+        name = str(literal.atom)
+        if name in self.atoms:
+            return self.holds(path[t], (name, literal.positive))
+        return (name in self.constants) == literal.positive
+
+    def answer(self, mode: str, goals) -> str:
+        """``true``, ``false`` or ``domain-inconsistent`` for the (literal,
+        time) ``goals``: inconsistent without a model; otherwise whether
+        the goals hold together in some model (credulous) or in every
+        one (skeptical)."""
+        paths = self.trajectories()
+        if not paths:
+            return "domain-inconsistent"
+        met = [all(self.goal_holds(p, l, t) for l, t in goals) for p in paths]
+        return "true" if (any(met) if mode == "credulous" else all(met)) else "false"
+
+    def accepts(self, witness: dict) -> bool:
+        """Whether a rendered trajectory (its states' and each step's
+        actions' sorted names) is a model."""
+        states = [frozenset(names) for names in witness["states"]]
+        actions = [sorted(self.occurrences.get(t, ())) for t in range(self.horizon)]
+        return (
+            len(states) == self.horizon + 1
+            and witness["actions"] == actions
+            and all(s <= set(self.atoms) and self.consistent(s) and self.observed(s, t) for t, s in enumerate(states))
+            and all(self.legal(states[t], acts) and self.is_step(states[t], acts, states[t + 1])
+                    for t, acts in enumerate(actions))
+        )
+
+
+def named(theory, state: frozenset[int]) -> frozenset[str]:
+    """A state of ``theory``, as atom numbers, by its atoms' names."""
+    return frozenset(str(theory.fluents[i]) for i in state)
+
+
+def numbered(theory, states) -> list[frozenset[int]]:
+    """Named states in ``theory``'s atom numbering, in the clause
+    kernel's order: atom 0 most significant, false before true."""
+    number = {str(atom): i for i, atom in enumerate(theory.fluents)}
+    found = [frozenset(number[name] for name in state) for state in states]
+    return sorted(found, key=lambda s: [i in s for i in range(len(theory.fluents))])
+
+
+def reference_successors(theory, reference: NaiveTheory, source: frozenset[int], actions) -> list[frozenset[int]]:
+    """``reference``'s successors of a state in ``theory``'s numbering,
+    numbered and in the kernel's order (see ``numbered``)."""
+    return numbered(theory, reference.successors(named(theory, source), actions))
+
+
+# ---------------------------------------------------------------------------
 # Random domain generators
 
 
@@ -691,10 +915,6 @@ def override_at_source(theory, source: frozenset[int], actions) -> bool:
     return any(
         head is not None and -head in fired and all(holds(c) for c in body) for head, body in theory.rules
     )
-
-
-def random_state(rng: random.Random, n_atoms: int) -> frozenset[int]:
-    return frozenset(i for i in range(n_atoms) if rng.random() < 0.5)
 
 
 def random_sorted_domain(rng: random.Random, wide: bool = False, joins: bool = False) -> DomainDescription:

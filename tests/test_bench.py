@@ -66,6 +66,8 @@ def test_parse_spec_rejects_bad_values():
         parse_spec(spec_text(backend="sat", slice="on"))
     with pytest.raises(SpecError):
         parse_spec(spec_text() + "\n[extra]\nname = x\n")
+    with pytest.raises(SpecError, match="unknown key 'backnd'"):
+        parse_spec(spec_text(backnd="sat"))
     for key in ("budget", "horizon", "inject", "sizes", "repeats"):
         with pytest.raises(SpecError, match=key):
             parse_spec(spec_text(**{key: "lots"}))

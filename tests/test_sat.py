@@ -30,9 +30,10 @@ from elang.sat import (
     steps_hold,
     to_dimacs,
 )
-from elang.transition import brute_force_successors, direct_candidates, legal_occurrence, successor_states
+from elang.transition import direct_candidates, successor_states
 
 from oracles import (
+    NaiveTheory,
     _column,
     cnf_satisfiable,
     effect_conflicts,
@@ -41,8 +42,11 @@ from oracles import (
     normalize,
     random_cnf,
     ramification_cycle,
+    named,
+    numbered,
     random_step,
     random_theory,
+    reference_successors,
 )
 
 
@@ -184,14 +188,16 @@ DUAL_QUERIES = (
 
 
 def test_answer_sat_agrees_with_engine_outside_fragment():
-    th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
+    domain = load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e")
+    th = ground(domain, 4)
+    ref = NaiveTheory(domain, 4)
     assert not check_fragment(th).accepted
     for text in DUAL_QUERIES:
         query = parse_query(text)
         result = answer_sat(th, query)
         assert result.answer == answer_theory(th, query).answer, text
         if result.witness is not None:
-            assert_trajectory(th, result.witness, successors=successor_states)
+            assert ref.accepts(result.witness), text
 
 
 MEMO_QUERIES = (
@@ -401,6 +407,7 @@ def test_engine_agreement_on_random_theories():
     for _ in range(120):
         domain = random_theory(rng, max_fluents=5, max_cprops=6, max_rprops=4)
         th = ground(domain)
+        ref = NaiveTheory(domain, th.horizon)
         conflicts += bool(effect_conflicts(th))
         cycles += ramification_cycle(th) is not None
         name = rng.choice(list(domain.signature.fluents))
@@ -420,7 +427,7 @@ def test_engine_agreement_on_random_theories():
             # one model order: the same witness, countermodels included
             assert (result.answer, result.witness) == (engine.answer, engine.witness), text
             if result.witness is not None:
-                assert_trajectory(th, result.witness)
+                assert ref.accepts(result.witness), text
             if query.mode == "skeptical" and result.answer == "false":  # a countermodel
                 states = decode_witness(th, result.witness)
                 assert any(not th.holds(states[t], th.code(lit)) for lit, t in query.goals)
@@ -437,7 +444,7 @@ def test_engine_agreement_on_random_theories():
         domain = random_step(rng)
         th = ground(domain, 1)
         source = frozenset(c - 1 for c in th.observations[0] if c > 0)
-        targets = brute_force_successors(th, source, th.occurrences[0])
+        targets = reference_successors(th, NaiveTheory(domain, 1), source, th.occurrences[0])
         for name in domain.signature.fluents:
             for sign in ("", "neg "):
                 query = parse_query("credulous { %s%s holds-at 1 }" % (sign, name))
@@ -469,7 +476,8 @@ a happens-at 0.
 def test_decoded_step_check_rejects_self_supported_change(monkeypatch):
     # a's effect does not fire, yet f and g could each be changed because
     # the other is: a model of the completion, but no step of the engine.
-    th = ground(dom(SELF_SUPPORT), 1)
+    domain = dom(SELF_SUPPORT)
+    th = ground(domain, 1)
     query = parse_query("credulous { f holds-at 1 }")
     rejected = []
     original = elang.sat.steps_hold
@@ -483,7 +491,7 @@ def test_decoded_step_check_rejects_self_supported_change(monkeypatch):
     monkeypatch.setattr(elang.sat, "steps_hold", counted)
     assert answer_sat(th, query).answer == answer_theory(th, query).answer == "false"
     [traj] = rejected
-    assert traj.states[1] not in brute_force_successors(th, traj.states[0], traj.actions[0])
+    assert traj.states[1] not in reference_successors(th, NaiveTheory(domain, 1), traj.states[0], traj.actions[0])
     # without the check the self-supported change is a witness
     monkeypatch.setattr(elang.sat, "steps_hold", lambda theory, traj: True)
     assert answer_sat(th, query).answer == "true"
@@ -497,7 +505,7 @@ def test_golden_cases_answer_on_sat():
         assert result.answer == case.expect, case.name
         assert result.witness == answer_theory(th, case.query).witness, case.name
         if result.witness is not None:
-            assert_trajectory(th, result.witness, successors=successor_states)
+            assert NaiveTheory(domain, th.horizon).accepts(result.witness), case.name
 
 
 def test_stats_count_every_clause_dimacs_writes():
@@ -552,7 +560,8 @@ def test_acyclic_support_that_never_changed_is_rejected():
     th = ground(dom(UNCHANGED_SUPPORT), 1)
     assert check_fragment(th).accepted
     source, actions = frozenset(c - 1 for c in th.observations[0] if c > 0), th.occurrences[0]
-    assert successor_states(th, source, actions) == brute_force_successors(th, source, actions) == []
+    ref = NaiveTheory(dom(UNCHANGED_SUPPORT), 1)
+    assert successor_states(th, source, actions) == reference_successors(th, ref, source, actions) == []
     query = parse_query("credulous { h holds-at 1 } horizon 1")
     assert answer_theory(th, query).answer == answer_sat(th, query).answer == "domain-inconsistent"
 
@@ -673,16 +682,18 @@ def step_overlays(monkeypatch) -> list[tuple[list, list]]:
 def test_self_referent_statements_agree_everywhere(name, monkeypatch):
     text = SELF_REFERENCES[name] + "a happens-at 0. a happens-at 1.\n"
     th = ground(dom(text), 2)
+    ref = NaiveTheory(dom(text), 2)
     assert (th.first_cycle is None) == (name == "complements")
     # the compiled clauses are normal: no tautology, no repeated literal
     assert all(normalize(c) == tuple(c) for c in compile_theory(th, labels=False).clauses)
     calls = step_overlays(monkeypatch)
-    n, actions = th.n_fluents, th.occurrences[0]
-    for bits in range(1 << n):
-        source = frozenset(i for i in range(n) if bits >> i & 1)
+    actions = th.occurrences[0]
+    sources = numbered(th, ref.states())
+    assert len(sources) >= 2
+    for source in sources:
         del calls[:]
         found = successor_states(th, source, actions)
-        assert found == brute_force_successors(th, source, actions), sorted(source)
+        assert found == reference_successors(th, ref, source, actions), sorted(source)
         for extra, leaves in calls:
             assert all(normalize(c) == tuple(c) for c in extra), extra
             if name == "negated":
@@ -712,11 +723,14 @@ def test_step_overlay_is_normal(monkeypatch):
     rng = random.Random(2207)
     both = 0
     for _ in range(300):
-        th = ground(random_step(rng), 1)
+        domain = random_step(rng)
+        th = ground(domain, 1)
+        ref = NaiveTheory(domain, 1)
         source = frozenset(c - 1 for c in th.observations[0] if c > 0)
+        assert ref.consistent(named(th, source))
         del calls[:]
-        assert successor_states(th, source, th.occurrences[0]) == brute_force_successors(
-            th, source, th.occurrences[0]
+        assert successor_states(th, source, th.occurrences[0]) == reference_successors(
+            th, ref, source, th.occurrences[0]
         )
         for extra, _ in calls:
             assert all(normalize(c) == tuple(c) for c in extra), extra
@@ -738,21 +752,6 @@ def decode_witness(th, witness):
     return [frozenset(by_name[name] for name in names) for names in witness["states"]]
 
 
-def assert_trajectory(th, witness, successors=brute_force_successors):
-    """The rendered witness is a trajectory of ``th``: observed values
-    hold, and each step is legal and reaches a successor of ``successors``."""
-    states = decode_witness(th, witness)
-    assert len(states) == th.horizon + 1
-    assert th.state_consistent(states[0])
-    for t, state in enumerate(states):
-        assert all(th.holds(state, code) for code in th.observations.get(t, ()))
-    for t in range(th.horizon):
-        actions = th.occurrences.get(t, frozenset())
-        assert sorted(str(a) for a in actions) == witness["actions"][t]
-        assert legal_occurrence(th, states[t], actions)
-        assert states[t + 1] in successors(th, states[t], actions)
-
-
 def test_sat_detects_inconsistency():
     text = """
     fluent f.
@@ -765,13 +764,14 @@ def test_sat_detects_inconsistency():
 
 
 def test_decode_model_roundtrip():
-    th = ground(load_domain("corpus:bulb.e"), 4)
+    domain = load_domain("corpus:bulb.e")
+    th = ground(domain, 4)
     inst = compile_theory(th)
     sat, model = Solver(ClauseSet(inst.num_vars, inst.clauses, th.constraints, th.horizon + 1)).solve()
     assert sat
     traj = decode_model(th, model)
     assert len(traj.states) == 5
-    assert all(th.state_consistent(s) for s in traj.states)
+    assert all(NaiveTheory(domain, 4).consistent(named(th, s)) for s in traj.states)
 
 
 @pytest.mark.parametrize("refs", [("corpus:bulb.e",), ("corpus:zoo_direct.e", "corpus:chain_scenario.e")])

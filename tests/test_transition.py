@@ -1,8 +1,8 @@
-"""Transition relation: direct effects, closure, guided vs brute force."""
+"""Transition relation: direct effects, closure, the step search against
+the step reference of ``oracles.NaiveTheory``."""
 
 import random
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,31 +10,32 @@ import elang.query
 import elang.transition
 from elang.clauses import ClauseSet
 from elang.corpus import load_domain, load_golden
-from elang.grounding import GroundTheory, ground
+from elang.grounding import ground
 from elang.model import Atom
 from elang.parser import parse_domain, parse_query
 from elang.query import Evaluator, answer_theory, required_horizon
-from elang.transition import (
-    brute_force_successors,
-    direct_candidates,
-    legal_occurrence,
-    ramification_closure,
-    successor_states,
-)
+from elang.transition import direct_candidates, legal_occurrence, ramification_closure, step_holds, successor_states
 
 from oracles import (
+    NaiveTheory,
     effect_instances,
+    named,
+    numbered,
     override_at_source,
     ramification_cycle,
-    random_state,
     random_step,
     random_theory,
+    reference_successors,
 )
 from test_acceptance import mini_throw_domain
 
 
 def g(text, horizon=2):
     return ground(parse_domain(text).domain, horizon)
+
+
+def reference(text, horizon=2):
+    return NaiveTheory(parse_domain(text).domain, horizon)
 
 
 def atoms(theory, *names):
@@ -110,44 +111,6 @@ def test_empty_action_set_is_identity():
         assert ramification_closure(th, frozenset(), src) == frozenset()
 
 
-def test_inconsistent_source_has_no_successors():
-    th = g(BULB_LAWS)
-    src = atoms(th, "light")  # light without normal violates the constraint
-    assert not th.state_consistent(src)
-    assert successor_states(th, src, frozenset()) == []
-
-
-def test_step_can_repair_an_inconsistent_source():
-    # the violated constraint mentions light, which the step turns off
-    th = g(BULB_LAWS)
-    src = atoms(th, "light")
-    assert not th.state_consistent(src)
-    off = actions_of(th, "switch_off")
-    assert successor_states(th, src, off) == brute_force_successors(th, src, off) == [frozenset()]
-
-
-def test_repair_needs_a_support_that_changed():
-    # h whenever { a } is broken at the source.  go makes a producible,
-    # through { q, r }, but r keeps that rule from firing, so a never
-    # changes and nothing explains the change of h the constraint forces.
-    th = g("fluent h. fluent a. fluent q. fluent r. action go.\n"
-           "go initiates q. a whenever { q, r }. h whenever { a }.\n", 1)
-    src = atoms(th, "a")
-    assert not th.state_consistent(src) and th.first_cycle is None
-    go = actions_of(th, "go")
-    assert successor_states(th, src, go) == brute_force_successors(th, src, go) == []
-
-
-def test_constraint_broken_by_unchangeable_atoms_leaves_no_successor():
-    # light without normal breaks the constraint, and opening the door
-    # changes neither
-    th = g(BULB_LAWS + "fluent door.\naction open_door.\nopen_door initiates door.\n")
-    src = atoms(th, "light")
-    opening = actions_of(th, "open_door")
-    assert direct_candidates(th, src, opening) == {lit(th, "door")}
-    assert successor_states(th, src, opening) == brute_force_successors(th, src, opening) == []
-
-
 def test_preconditions_are_a_separate_check():
     # the raw relation ignores p-propositions; callers filter via legal_occurrence
     th = g(BULB_LAWS)
@@ -205,11 +168,13 @@ def test_nondeterminism_from_mutually_exclusive_rules():
 ZOO_BY_VARIANT = {}
 
 
+def zoo_domain(variant):
+    return load_domain("corpus:zoo_%s.e" % variant, "corpus:zoo_scenario_base.e")
+
+
 def zoo(variant):
     if variant not in ZOO_BY_VARIANT:
-        ZOO_BY_VARIANT[variant] = ground(
-            load_domain("corpus:zoo_%s.e" % variant, "corpus:zoo_scenario_base.e"), 6
-        )
+        ZOO_BY_VARIANT[variant] = ground(zoo_domain(variant), 6)
     return ZOO_BY_VARIANT[variant]
 
 
@@ -219,16 +184,12 @@ def zoo_state(th, riders=(), **pos):
     return close_state(th, seed)
 
 
-def named(th, state):
-    return {str(th.fluents[i]) for i in state}
-
-
 def test_mover_with_rider_dual_vs_indirect():
     # moving a ridden animal: the rider follows on dual, may fall off on indirect
     for variant, expected in (("dual", 1), ("indirect", 2)):
         th = zoo(variant)
         src = zoo_state(th, riders=[("john", "dumpo")], john="p1", dumpo="p1", elly="p2")
-        assert th.state_consistent(src), variant
+        assert NaiveTheory(zoo_domain(variant), 6).consistent(named(th, src)), variant
         succs = successor_states(th, src, actions_of(th, "move_to_position(dumpo,p3)"))
         assert len(succs) == expected, variant
         carried = [s for s in succs if "animal_pos(john,p3)" in named(th, s)]
@@ -288,47 +249,54 @@ def test_one_kernel_enumeration_per_step(monkeypatch):
     assert [named(th, s) for s in succs] == [{"at(l3)"}, {"at(l2)"}, {"at(l1)"}]
 
 
+def drawn(domain):
+    """A random theory, its reference, and its states that satisfy the
+    constraints, numbered as the theory numbers its atoms."""
+    th = ground(domain)
+    ref = NaiveTheory(domain, th.horizon)
+    return th, ref, numbered(th, ref.states())
+
+
 def test_guided_matches_brute_force_on_seeded_theories():
     rng = random.Random(7)
+    checked = 0
     for _ in range(200):
         domain = random_theory(rng)
-        th = ground(domain)
+        th, ref, sources = drawn(domain)
         names = list(domain.signature.actions)
         acts = frozenset(Atom(a, ()) for a in names if rng.random() < 0.7)
-        src = random_state(rng, th.n_fluents)
-        guided = successor_states(th, src, acts)
-        brute = brute_force_successors(th, src, acts)
-        assert guided == brute  # the same targets in the same order
+        if not sources:
+            continue
+        src = rng.choice(sources)
+        # the same targets, in the kernel's order
+        assert successor_states(th, src, acts) == reference_successors(th, ref, src, acts)
+        checked += 1
+    assert checked > 150
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(0, 255))
-def test_guided_matches_brute_force_property(seed, state_bits):
-    rng = random.Random(seed)
-    domain = random_theory(rng)
-    th = ground(domain)
-    src = frozenset(i for i in range(th.n_fluents) if state_bits >> i & 1)
+def test_guided_matches_brute_force_property(seed, pick):
+    domain = random_theory(random.Random(seed))
+    th, ref, sources = drawn(domain)
+    assume(sources)
+    src = sources[pick % len(sources)]
     acts = frozenset(Atom(a, ()) for a in domain.signature.actions)
-    assert successor_states(th, src, acts) == brute_force_successors(th, src, acts)
-
-
-def consistent_states(th):
-    return [frozenset(v - 1 for v in model) for model in th.constraints.models()]
+    assert successor_states(th, src, acts) == reference_successors(th, ref, src, acts)
 
 
 def test_consistent_source_path_matches_brute_force_on_seeded_theories():
-    # the Evaluator's sources satisfy the constraints, and it says so
+    # the Evaluator's step, through its cache
     rng = random.Random(17)
     checked = 0
     for _ in range(200):
         domain = random_theory(rng)
-        th = ground(domain)
+        th, ref, sources = drawn(domain)
         acts = frozenset(Atom(a, ()) for a in domain.signature.actions if rng.random() < 0.7)
-        sources = consistent_states(th)
         if not sources:
             continue
         src = rng.choice(sources)
-        assert list(Evaluator(th).successors(src, acts)) == brute_force_successors(th, src, acts)
+        assert list(Evaluator(th).successors(src, acts)) == reference_successors(th, ref, src, acts)
         checked += 1
     assert checked > 150
 
@@ -336,18 +304,17 @@ def test_consistent_source_path_matches_brute_force_on_seeded_theories():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(0, 255))
 def test_consistent_source_path_matches_brute_force_property(seed, pick):
-    rng = random.Random(seed)
-    domain = random_theory(rng)
-    th = ground(domain)
-    sources = consistent_states(th)
+    domain = random_theory(random.Random(seed))
+    th, ref, sources = drawn(domain)
     assume(sources)
     src = sources[pick % len(sources)]
     acts = frozenset(Atom(a, ()) for a in domain.signature.actions)
-    assert list(Evaluator(th).successors(src, acts)) == brute_force_successors(th, src, acts)
+    assert list(Evaluator(th).successors(src, acts)) == reference_successors(th, ref, src, acts)
 
 
-def failed_rule(th, source, applied, candidates, target):
+def failed_rule(th, source, candidates, target):
     """The first of rules a, b, c and e that ``target`` breaks, or None."""
+    applied = frozenset(c for c in candidates if th.holds(target, c))
     changed = ramification_closure(th, applied, target)
     if changed is None:
         return "a"
@@ -364,15 +331,14 @@ def count_leaves(monkeypatch):
     """Leaves the step search verifies, by the rule they fail ("ok" when
     they pass)."""
     counts = {}
-    verify = elang.transition._verify_target
 
-    def counted(th, source, applied, candidates, target):
-        ok = verify(th, source, applied, candidates, target)
-        rule = "ok" if ok else failed_rule(th, source, applied, candidates, target)
+    def counted(th, source, candidates, target):
+        ok = step_holds(th, source, candidates, target)
+        rule = "ok" if ok else failed_rule(th, source, candidates, target)
         counts[rule] = counts.get(rule, 0) + 1
         return ok
 
-    monkeypatch.setattr(elang.transition, "_verify_target", counted)
+    monkeypatch.setattr(elang.transition, "step_holds", counted)
     return counts
 
 
@@ -450,7 +416,6 @@ def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     )
     counts = count_leaves(monkeypatch)
     leaves = count_step_leaves(monkeypatch)
-    checks = count_calls(monkeypatch, GroundTheory, "state_consistent")
     steps = count_calls(monkeypatch, elang.query, "successor_states")
     targets = []
     search = elang.query.successor_states
@@ -476,7 +441,7 @@ def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     # all its candidates and passes without the re-check.
     assert counts == {}
     assert len(leaves) == len(targets) > 0
-    assert len(checks) <= len(initial) < len(steps)
+    assert len(initial) < len(steps)
 
 
 def test_walk_steps_pass_the_kernel_no_auxiliary(monkeypatch, tmp_path):
@@ -521,7 +486,8 @@ def test_self_supported_change_beside_applied_candidates_is_rejected():
     assert th.first_cycle is not None
     source, actions = frozenset(), th.occurrences[0]
     only = [atoms(th, "k")]
-    assert list(Evaluator(th).successors(source, actions)) == brute_force_successors(th, source, actions) == only
+    found = list(Evaluator(th).successors(source, actions))
+    assert found == reference_successors(th, reference(SUPPORT_CYCLE, 1), source, actions) == only
     query = parse_query("credulous { f holds-at 1 } horizon 1")
     assert answer_theory(th, query).answer == "false"
 
@@ -539,15 +505,10 @@ def test_successors_match_brute_force_on_planted_steps():
             continue
         source = frozenset(c - 1 for c in th.observations[0] if c > 0)
         actions = th.occurrences[0]
-        brute = brute_force_successors(th, source, actions)
+        brute = reference_successors(th, NaiveTheory(domain, 1), source, actions)
         assert list(Evaluator(th).successors(source, actions)) == brute
         draws += 1
         overrides += override_at_source(th, source, actions)
         splits += len(brute) > 1
     assert overrides >= 400 and splits >= 400, (overrides, splits)
 
-
-def test_brute_force_bound():
-    th = ground(load_domain("corpus:zoo_direct.e"), 1)
-    with pytest.raises(ValueError):
-        brute_force_successors(th, frozenset(), frozenset(), bound=8)
