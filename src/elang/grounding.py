@@ -66,7 +66,9 @@ them (``dump_ground``).
 The rules are the state constraints: ``constraint_clauses`` reads their
 clauses off the rows in the kernel's normal form (``clauses.py``), and
 ``triggers`` lists the rules with a head by body literal, for the step
-search, the clausal compiler and the cycle search (``first_cycle``).
+search, the clausal compiler and the cycle search (``first_cycle``),
+which also ranks the atoms of an acyclic graph (``rank``) for the
+unbranched steps; ``heads`` holds the statements' heads.
 These indexes, an action's preconditions as one test
 (``precondition_test``) and the step plans (``transition.step_plan``)
 are made the first time they are read, so a caller that needs few of
@@ -196,17 +198,36 @@ class GroundTheory:
         return triggers
 
     @cached_property
+    def heads(self) -> frozenset[Lit]:
+        """The heads of the statements that have one."""
+        return frozenset([head for head, _ in self.rules if head is not None])
+
+    @cached_property
     def first_cycle(self) -> tuple[int, ...] | None:
         """The first cycle in the ramification graph (body atom to head
         atom, over the statements with a head) that a depth-first search
         meets, roots and successors taken in ascending order, as the path
         from the repeated atom back to it; None when the graph is acyclic."""
+        return self._ramification_search[0]
+
+    @cached_property
+    def rank(self) -> dict[int, int]:
+        """Each atom of an acyclic ramification graph by its place in a
+        topological order: a body atom's rank is below its heads'.  Empty
+        when the graph has a cycle."""
+        return self._ramification_search[1]
+
+    @cached_property
+    def _ramification_search(self) -> tuple[tuple[int, ...] | None, dict[int, int]]:
+        """``first_cycle`` and ``rank`` from one depth-first search, without
+        recursion: an atom finishes after every atom it reaches, so the
+        finishing order, reversed, is topological."""
         graph: dict[int, set[int]] = {}
         for c, rules in self.triggers.items():
             graph.setdefault(abs(c) - 1, set()).update(abs(self.rules[ri][0]) - 1 for ri in rules)
-        done: set[int] = set()
+        rank: dict[int, int] = {}  # the finished atoms
         for root in sorted(graph):
-            if root in done:
+            if root in rank:
                 continue
             path = [root]
             on_path = {root}
@@ -214,8 +235,8 @@ class GroundTheory:
             while pending:
                 for b in pending[-1]:
                     if b in on_path:
-                        return tuple(path[path.index(b) :]) + (b,)
-                    if b not in done:
+                        return tuple(path[path.index(b) :]) + (b,), {}
+                    if b not in rank:
                         path.append(b)
                         on_path.add(b)
                         pending.append(iter(sorted(graph.get(b, ()))))
@@ -224,8 +245,8 @@ class GroundTheory:
                     pending.pop()
                     a = path.pop()
                     on_path.discard(a)
-                    done.add(a)
-        return None
+                    rank[a] = -len(rank)
+        return None, rank
 
     @cached_property
     def actions(self) -> tuple[Atom, ...]:

@@ -88,7 +88,7 @@ once, on the first solve, and every solve starts from that root (see
 ``clauses.py``); its ``propagations`` count the root's on every solve,
 so the stats are those of a fresh theory.  The literals a set of effects
 can produce come from the theory's step plans (``transition.step_plan``,
-kept on ``theory.plans``), the memo the engine's step search fills, so
+kept on ``theory.plans``), the memo the engine's searched steps fill, so
 the compiler keeps none of its own.
 """
 

@@ -28,9 +28,23 @@ successors.
 
 For a given target only one subset can qualify: the candidates that hold
 in ``t``.  Rule b puts every applied candidate in ``t``, and rule e puts
-the complement of every other candidate in ``t``.  So ``successor_states``
-runs one search per step rather than one per subset, and hands rules c, d
-and e to the clause kernel (``clauses.py``) as clauses:
+the complement of every other candidate in ``t``.  A step takes one of
+two paths, chosen by ``unbranched`` from the theory and the candidates:
+
+* An unbranched step is computed.  When the ramification graph is
+  acyclic (``GroundTheory.first_cycle``) and no candidate's complement
+  is a candidate or a statement's head (``GroundTheory.heads``), nothing
+  can override a candidate, so rule e makes ``applied`` the whole set,
+  and each atom's value then depends only on atoms of lower rank
+  (``GroundTheory.rank``): the step has at most one target.  ``_closed``
+  applies the candidates, fires the statements the changes trigger atom
+  by atom in rank order, a literal re-asserted at its source value
+  triggering too, and checks rule d only on the clauses where an atom
+  that changed value has its source literal, and on the units
+  (``docs/semantics.md``, "A step that cannot branch").
+* Every other step is searched: ``_searched`` runs one kernel search
+  rather than one per subset, and hands rules c, d and e to the clause
+  kernel (``clauses.py``) as clauses:
 
 * Only producible literals can enter ``changed``: the candidates, closed
   under the statements with a body literal already producible, as the
@@ -56,7 +70,7 @@ and e to the clause kernel (``clauses.py``) as clauses:
   none applied, ``changed`` is empty and rule e fails.  It is left out
   when the candidates hold both values of an atom.
 
-What a step needs of the theory besides its source, the producible
+What a searched step needs of the theory besides its source, the producible
 literals, their atoms (the reach) and the bodies that can support each
 reach atom, depends on the candidates only.  ``step_plan`` works it
 out once per theory and candidate set and keeps it on ``theory.plans``;
@@ -83,14 +97,18 @@ states are models of the constraints and every successor meets rule d.
 The kernel therefore fixes the frozen values from the reach and the
 source's true atoms, never propagating them, so a step costs its reach,
 its source and the occurrences of its reach atoms, whatever the size of
-the theory, and a step without candidates returns its source.
+the theory, and a step without candidates returns its source.  The
+closure relies on it too: only an atom that changed value can break a
+clause.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .grounding import GroundTheory, Lit, State
+from .grounding import GroundTheory, Lit, Rule, State
 from .model import Atom
 
 
@@ -251,6 +269,17 @@ def step_holds(theory: GroundTheory, source: State, candidates: frozenset[Lit], 
     return all(-c in changed for c in candidates - applied)
 
 
+def unbranched(theory: GroundTheory, candidates: frozenset[Lit]) -> bool:
+    """Whether a step with the direct effects ``candidates`` has at most one
+    target, the closure of them all (see the module docstring): the
+    ramification graph is acyclic, and no candidate's complement is a
+    candidate or a statement's head, so no candidate can be left out."""
+    if theory.first_cycle is not None:
+        return False
+    heads = theory.heads
+    return not any(-c in candidates or -c in heads for c in candidates)
+
+
 def successor_states(theory: GroundTheory, source: State, actions: frozenset[Atom]) -> list[State]:
     """All successor states of ``source`` under the simultaneous
     ``actions``, in the kernel's order.  ``source`` satisfies the state
@@ -258,6 +287,86 @@ def successor_states(theory: GroundTheory, source: State, actions: frozenset[Ato
     candidates = direct_candidates(theory, source, actions)
     if not candidates:
         return [source]
+    if unbranched(theory, candidates):
+        return _closed(theory, source, candidates)
+    return _searched(theory, source, candidates)
+
+
+def _closed(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -> list[State]:
+    """The one target of an unbranched step, if it has one: every candidate
+    applied, then the triggered statements fired atom by atom in rank
+    order, then rule d on the clauses a changed value can break."""
+    rules, triggers, rank = theory.rules, theory.triggers, theory.rank
+    target = set(source)
+    changed = set(candidates)
+    pending: dict[int, list[Rule]] = {}  # by rank, a head atom's triggered statements
+    heap: list[int] = []  # the ranks of pending
+    for c in candidates:
+        if c > 0:
+            target.add(c - 1)
+        else:
+            target.discard(-c - 1)
+    new: Iterable[Lit] = candidates
+    while True:
+        # A literal entering ``changed`` triggers its statements, at its
+        # source value too (rule a).  Every head ranks above its body, so
+        # an atom's statements are all triggered before it is visited.
+        for lit in new:
+            for ri in triggers.get(lit, ()):
+                rule = rules[ri]
+                r = rank[abs(rule[0]) - 1]
+                waiting = pending.get(r)
+                if waiting is None:
+                    pending[r] = [rule]
+                    heappush(heap, r)
+                else:
+                    waiting.append(rule)
+        if not heap:
+            break
+        fired = set()
+        for head, body in pending[heappop(heap)]:
+            for b in body:
+                if (b > 0) != (abs(b) - 1 in target):
+                    break
+            else:
+                fired.add(head)
+        new = ()
+        if fired:
+            if len(fired) > 1:
+                return []  # both values of the atom
+            [head] = fired
+            if head not in changed:
+                changed.add(head)
+                new = (head,)
+                if head > 0:
+                    target.add(head - 1)
+                else:
+                    target.discard(-head - 1)
+    # Rule d: the source satisfies every clause, so only a clause with the
+    # source literal of an atom that changed value can be broken; and a
+    # unit, which has no occurrences.
+    constraints = theory.constraints
+    occurs = constraints.occurs
+    for a in target.symmetric_difference(source):
+        for entry in occurs[a + 1 if a in source else -a - 1]:
+            if entry.__class__ is int:  # a binary clause's other literal
+                if (entry > 0) != (abs(entry) - 1 in target):
+                    return []
+            else:
+                for l in entry:
+                    if (l > 0) == (abs(l) - 1 in target):
+                        break
+                else:
+                    return []
+    for unit in constraints.units:
+        if (unit > 0) != (abs(unit) - 1 in target):
+            return []
+    return [frozenset(target)]
+
+
+def _searched(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -> list[State]:
+    """The targets of a step with the direct effects ``candidates``, not
+    empty, found by the kernel search, in the kernel's order."""
     plan = step_plan(theory, candidates)
 
     # Rules c and e as support clauses (see the module docstring).  Each

@@ -14,7 +14,15 @@ from elang.grounding import ground
 from elang.model import Atom
 from elang.parser import parse_domain, parse_query
 from elang.query import Evaluator, answer_theory, required_horizon
-from elang.transition import direct_candidates, legal_occurrence, ramification_closure, step_holds, successor_states
+from elang.transition import (
+    _searched,
+    direct_candidates,
+    legal_occurrence,
+    ramification_closure,
+    step_holds,
+    successor_states,
+    unbranched,
+)
 
 from oracles import (
     NaiveTheory,
@@ -257,9 +265,16 @@ def drawn(domain):
     return th, ref, numbered(th, ref.states())
 
 
+def searched(th, src, acts):
+    """The kernel search's targets for a step, whichever path
+    ``successor_states`` takes."""
+    candidates = direct_candidates(th, src, acts)
+    return _searched(th, src, candidates) if candidates else [src]
+
+
 def test_guided_matches_brute_force_on_seeded_theories():
     rng = random.Random(7)
-    checked = 0
+    checked = closed = 0
     for _ in range(200):
         domain = random_theory(rng)
         th, ref, sources = drawn(domain)
@@ -271,7 +286,9 @@ def test_guided_matches_brute_force_on_seeded_theories():
         # the same targets, in the kernel's order
         assert successor_states(th, src, acts) == reference_successors(th, ref, src, acts)
         checked += 1
-    assert checked > 150
+        candidates = direct_candidates(th, src, acts)
+        closed += bool(candidates) and unbranched(th, candidates)
+    assert checked > 150 and closed >= 30, (checked, closed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,9 +303,9 @@ def test_guided_matches_brute_force_property(seed, pick):
 
 
 def test_consistent_source_path_matches_brute_force_on_seeded_theories():
-    # the Evaluator's step, through its cache
+    # the kernel search, on the unbranched steps too
     rng = random.Random(17)
-    checked = 0
+    checked = closed = 0
     for _ in range(200):
         domain = random_theory(rng)
         th, ref, sources = drawn(domain)
@@ -296,9 +313,11 @@ def test_consistent_source_path_matches_brute_force_on_seeded_theories():
         if not sources:
             continue
         src = rng.choice(sources)
-        assert list(Evaluator(th).successors(src, acts)) == reference_successors(th, ref, src, acts)
+        assert searched(th, src, acts) == reference_successors(th, ref, src, acts)
         checked += 1
-    assert checked > 150
+        candidates = direct_candidates(th, src, acts)
+        closed += bool(candidates) and unbranched(th, candidates)
+    assert checked > 150 and closed >= 40, (checked, closed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,7 +328,61 @@ def test_consistent_source_path_matches_brute_force_property(seed, pick):
     assume(sources)
     src = sources[pick % len(sources)]
     acts = frozenset(Atom(a, ()) for a in domain.signature.actions)
-    assert list(Evaluator(th).successors(src, acts)) == reference_successors(th, ref, src, acts)
+    assert searched(th, src, acts) == reference_successors(th, ref, src, acts)
+
+
+# Unbranched steps the closure could get wrong, each a domain and the
+# named targets of its step from the observed source at 0.
+CLOSURE_CASES = {
+    # b is re-asserted at its source value and still triggers c's rule
+    "reasserted": (
+        "fluent a. fluent b. fluent c. action go. go initiates a. go initiates b.\n"
+        "c whenever { a, b }.\n"
+        "neg a holds-at 0. b holds-at 0. neg c holds-at 0. go happens-at 0.",
+        [{"a", "b", "c"}],
+    ),
+    # a fires both values of h
+    "clash": (
+        "fluent a. fluent h. fluent k. action go. go initiates a.\n"
+        "h whenever { a, k }. neg h whenever { a }.\n"
+        "neg a holds-at 0. neg h holds-at 0. k holds-at 0. go happens-at 0.",
+        [],
+    ),
+    # the denial is broken only through the derived d
+    "denial": (
+        "fluent a. fluent d. fluent e. action go. go initiates a.\n"
+        "d whenever { a }. false whenever { d, e }.\n"
+        "neg a holds-at 0. neg d holds-at 0. e holds-at 0. go happens-at 0.",
+        [],
+    ),
+    # h's rule has a body of true constants: a unit that the change to
+    # neg h breaks
+    "unit": (
+        "constant fluent k. fluent a. fluent h. action go. go initiates a.\n"
+        "h whenever { k }. neg h whenever { a }.\n"
+        "k holds-at 0. neg a holds-at 0. h holds-at 0. go happens-at 0.",
+        [],
+    ),
+    # c's body mixes the candidate a with b, derived at a higher rank;
+    # c's rule comes first, so it is triggered first
+    "rank": (
+        "fluent a. fluent b. fluent c. action go. go initiates a.\n"
+        "c whenever { a, b }. b whenever { a }.\n"
+        "neg a holds-at 0. neg b holds-at 0. neg c holds-at 0. go happens-at 0.",
+        [{"a", "b", "c"}],
+    ),
+}
+
+
+def test_closure_edge_cases_match_the_reference_and_the_kernel():
+    for name, (text, expected) in CLOSURE_CASES.items():
+        th, ref = g(text, 1), reference(text, 1)
+        source = frozenset(c - 1 for c in th.observations[0] if c > 0)
+        actions = th.occurrences[0]
+        assert unbranched(th, direct_candidates(th, source, actions)), name
+        found = successor_states(th, source, actions)
+        assert [named(th, s) for s in found] == expected, name
+        assert found == reference_successors(th, ref, source, actions) == searched(th, source, actions), name
 
 
 def failed_rule(th, source, candidates, target):
@@ -404,11 +477,32 @@ def count_step_leaves(monkeypatch):
     return leaves
 
 
-def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
+def walk_steps(monkeypatch):
+    """The walk's theory, and every step (theory, source, actions) its
+    queries take, with the targets found."""
+    scenario_steps = []
+    search = elang.query.successor_states
+
+    def recorded(*args):
+        found = search(*args)
+        scenario_steps.append((args, found))
+        return found
+
+    monkeypatch.setattr(elang.query, "successor_states", recorded)
+    return scenario_steps
+
+
+def walk_theory(tmp_path):
     scenario = tmp_path / "walk.e"
     scenario.write_text(walk_narrative())
+    return ground(load_domain("gen:direct:6:feed", str(scenario)), len(WALK_MOVES))
+
+
+def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
+    # Every walk step is unbranched: the closure computes its one target,
+    # with no kernel search and no re-check.
+    th = walk_theory(tmp_path)
     horizon = len(WALK_MOVES)
-    th = ground(load_domain("gen:direct:6:feed", str(scenario)), horizon)
     assert th.first_cycle is None
     query = parse_query(
         "skeptical { animal_pos(john, p1) holds-at %d, neg hungry(john) holds-at %d } horizon %d"
@@ -416,16 +510,7 @@ def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     )
     counts = count_leaves(monkeypatch)
     leaves = count_step_leaves(monkeypatch)
-    steps = count_calls(monkeypatch, elang.query, "successor_states")
-    targets = []
-    search = elang.query.successor_states
-
-    def counted_targets(*args, **kwargs):
-        found = search(*args, **kwargs)
-        targets.extend(found)
-        return found
-
-    monkeypatch.setattr(elang.query, "successor_states", counted_targets)
+    steps = walk_steps(monkeypatch)
     initial = []
     first_states = Evaluator._initial_states
 
@@ -437,20 +522,23 @@ def test_walk_steps_skip_whole_theory_checks(monkeypatch, tmp_path):
     monkeypatch.setattr(Evaluator, "_initial_states", counted_initial)
     for use_slice in (False, True):
         assert answer_theory(th, query, use_slice=use_slice).answer == "true"
-    # The walk is acyclic and every source consistent, so every leaf holds
-    # all its candidates and passes without the re-check.
-    assert counts == {}
-    assert len(leaves) == len(targets) > 0
+    assert counts == {} and leaves == []
+    assert all(len(found) == 1 for _, found in steps)
+    closed = [args for args, _ in steps if direct_candidates(*args)]
+    assert closed and all(unbranched(args[0], direct_candidates(*args)) for args in closed)
     assert len(initial) < len(steps)
 
 
 def test_walk_steps_pass_the_kernel_no_auxiliary(monkeypatch, tmp_path):
-    # Every rule body of the generated zoo is one literal, which enters a
-    # support clause as itself: no overlay clause reaches past the atoms.
-    scenario = tmp_path / "walk.e"
-    scenario.write_text(walk_narrative())
+    # The kernel search, called on the walk's steps, finds the closure's
+    # targets.  Every rule body of the generated zoo is one literal, which
+    # enters a support clause as itself: no overlay clause reaches past
+    # the atoms.
+    th = walk_theory(tmp_path)
     horizon = len(WALK_MOVES)
-    th = ground(load_domain("gen:direct:6:feed", str(scenario)), horizon)
+    steps = walk_steps(monkeypatch)
+    query = parse_query("credulous { animal_pos(john, p1) holds-at %d } horizon %d" % (horizon, horizon))
+    assert answer_theory(th, query).answer == "true"
     overlays = []
     models = ClauseSet.models
 
@@ -459,8 +547,13 @@ def test_walk_steps_pass_the_kernel_no_auxiliary(monkeypatch, tmp_path):
         return models(self, *args, **kwargs)
 
     monkeypatch.setattr(ClauseSet, "models", spied)
-    query = parse_query("credulous { animal_pos(john, p1) holds-at %d } horizon %d" % (horizon, horizon))
-    assert answer_theory(th, query).answer == "true"
+    searched = 0
+    for (theory, source, actions), found in steps:
+        candidates = direct_candidates(theory, source, actions)
+        if candidates:
+            assert _searched(theory, source, candidates) == found
+            searched += 1
+    assert searched == len(overlays) > 0
     clauses = [c for extra in overlays for c in extra]
     assert len(clauses) > 50
     assert max(abs(l) for c in clauses for l in c) <= th.n_fluents
