@@ -5,8 +5,9 @@ Experiment specs are stanza files (see specfiles).  Four families:
 * ``completeness``: answer the same queries on a narrative as written and
   again after adding observations that were already necessary conclusions,
   to show how extra information narrows the search.
-* ``irrelevance``: answer with relevance slicing on, before and after
-  injecting occurrences of actions disconnected from the goals.
+* ``irrelevance``: answer before and after injecting occurrences of
+  actions disconnected from the goals; the engine searches their atoms
+  apart from the goals' components, once per answer.
 * ``representation``: run one suite across the direct, indirect and dual
   zoo representations and compare times; an ``agree`` column marks where a
   variant's answer matches the first listed one, since the representations
@@ -19,8 +20,9 @@ Experiment specs are stanza files (see specfiles).  Four families:
   one query's time per size on the chosen backend.
 
 Timing is the median of ``repeats`` runs after one discarded warmup run,
-covering the answer phase only (grounding and slicing are timed
-separately where they matter).  On the SAT backend the compilation
+covering the answer phase only (grounding is timed separately where it
+matters).  Each row also records the answer's counters (``stats``),
+which every run must repeat.  On the SAT backend the compilation
 happens once per ground theory, in the warmup run, so ``median_ms``
 covers the solves (and their decoded-step checks) only.  Results go to
 TSV and JSONL, the latter with an environment fingerprint record first.
@@ -48,7 +50,7 @@ from .specfiles import SpecError, Stanza, parse_stanza_file, to_int
 FAMILIES = ("completeness", "irrelevance", "representation", "scaling")
 # every key a spec may set; any other is a typo, rejected by name
 SPEC_KEYS = frozenset(
-    "name family domain scenario query repeats budget backend slice enrich variant inject sizes horizon".split()
+    "name family domain scenario query repeats budget backend enrich variant inject sizes horizon".split()
 )
 
 # reference instance count for the largest configuration, from the written
@@ -66,7 +68,6 @@ class ExperimentSpec:
     repeats: int = 5
     budget: int | None = None
     backend: str = "engine"
-    slice: bool = False
     inject: list[int] = field(default_factory=lambda: [0, 3])
     enrich: list[str] = field(default_factory=list)
     sizes: list[int] = field(default_factory=list)
@@ -86,9 +87,6 @@ def parse_spec(text: str, name_hint: str = "experiment") -> ExperimentSpec:
     if family not in FAMILIES:
         raise SpecError("unknown family %r, expected one of %s" % (family, FAMILIES))
     budget_raw = st.one("budget", "none")
-    slice_raw = st.one("slice", "off")
-    if slice_raw not in ("on", "off"):
-        raise SpecError("slice must be on or off, got %r" % slice_raw)
     spec = ExperimentSpec(
         name=st.one("name", name_hint),
         family=family,
@@ -98,7 +96,6 @@ def parse_spec(text: str, name_hint: str = "experiment") -> ExperimentSpec:
         repeats=st.one_int("repeats", 5),
         budget=None if budget_raw == "none" else to_int("budget", budget_raw),
         backend=st.one("backend", "engine"),
-        slice=slice_raw == "on",
         enrich=st.many("enrich"),
         variant=st.one("variant", "direct"),
     )
@@ -112,8 +109,6 @@ def parse_spec(text: str, name_hint: str = "experiment") -> ExperimentSpec:
     spec.horizon = None if horizon_raw == "none" else to_int("horizon", horizon_raw)
     if spec.backend not in ("engine", "sat"):
         raise SpecError("backend must be engine or sat, got %r" % spec.backend)
-    if spec.backend == "sat" and spec.slice:
-        raise SpecError("slice applies to the engine backend only")
     if family != "scaling" and not spec.domains:
         raise SpecError("family %s needs a domain" % family)
     return spec
@@ -143,6 +138,7 @@ def domain_label(ref: str) -> str:
 @dataclass
 class TimedAnswer:
     answer: str
+    stats: dict  # the answer's counters, ``stats.as_dict()``
     median_s: float
     runs: list[float]
 
@@ -159,23 +155,22 @@ def time_answer(
     repeats: int,
     budget: int | None,
     backend: str,
-    use_slice: bool,
 ) -> TimedAnswer:
     from .cli import answer_on  # deferred: the CLI imports this module
 
     query = parse_query(query_text, domain.signature)
-    answers = []
+    outcomes = []
     runs = []
     for i in range(repeats + 1):  # first run is warmup
         start = time.perf_counter()
-        result = answer_on(theory, query, backend, budget=budget, use_slice=use_slice)
+        result = answer_on(theory, query, backend, budget=budget)
         elapsed = time.perf_counter() - start
-        answers.append(result.answer)
+        outcomes.append((result.answer, result.stats.as_dict()))
         if i > 0:
             runs.append(elapsed)
-    if len(set(answers)) != 1:
-        raise RuntimeError("non-deterministic answers for %r: %s" % (query_text, answers))
-    return TimedAnswer(answers[0], statistics.median(runs), runs)
+    if any(outcome != outcomes[0] for outcome in outcomes):
+        raise RuntimeError("non-deterministic answers for %r: %s" % (query_text, outcomes))
+    return TimedAnswer(*outcomes[0], statistics.median(runs), runs)
 
 
 def ground_for(spec: ExperimentSpec, domain: DomainDescription) -> GroundTheory:
@@ -268,6 +263,8 @@ class ResultTable:
 def _cell(value) -> str:
     if value is None:
         return "-"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
     if isinstance(value, float):
         return "%.6f" % value
     if isinstance(value, bool):
@@ -285,7 +282,6 @@ def _meta(spec: ExperimentSpec) -> dict:
         "package_version": __version__,
         "repeats": spec.repeats,
         "backend": spec.backend,
-        "slice": spec.slice,
     }
 
 
@@ -303,13 +299,14 @@ def _run_completeness(spec: ExperimentSpec) -> ResultTable:
         for q in spec.queries:
             timed = time_answer(
                 th, q, dom, repeats=spec.repeats, budget=spec.budget,
-                backend=spec.backend, use_slice=spec.slice,
+                backend=spec.backend,
             )
             rows.append({
                 "level": level, "added_observations": added if level == "enriched" else 0,
                 "query": q, "answer": timed.answer, "median_ms": timed.median_ms,
+                "stats": timed.stats,
             })
-    cols = ["level", "added_observations", "query", "answer", "median_ms"]
+    cols = ["level", "added_observations", "query", "answer", "median_ms", "stats"]
     return ResultTable(spec.name, cols, rows, _meta(spec))
 
 
@@ -324,16 +321,16 @@ def _run_irrelevance(spec: ExperimentSpec) -> ResultTable:
         for q in spec.queries:
             timed = time_answer(
                 th, q, dom, repeats=spec.repeats, budget=spec.budget,
-                backend=spec.backend, use_slice=spec.slice,
+                backend=spec.backend,
             )
             if count == spec.inject[0]:
                 baseline[q] = timed.answer
             rows.append({
                 "injected": count, "query": q, "answer": timed.answer,
                 "agree": timed.answer == baseline.get(q, timed.answer),
-                "median_ms": timed.median_ms,
+                "median_ms": timed.median_ms, "stats": timed.stats,
             })
-    cols = ["injected", "query", "answer", "agree", "median_ms"]
+    cols = ["injected", "query", "answer", "agree", "median_ms", "stats"]
     return ResultTable(spec.name, cols, rows, _meta(spec))
 
 
@@ -347,7 +344,7 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
         for q in spec.queries:
             timed = time_answer(
                 th, q, dom, repeats=spec.repeats, budget=spec.budget,
-                backend=spec.backend, use_slice=spec.slice,
+                backend=spec.backend,
             )
             if ref == spec.domains[0]:
                 baseline[q] = timed.answer
@@ -355,9 +352,9 @@ def _run_representation(spec: ExperimentSpec) -> ResultTable:
                 "domain": domain_label(ref), "fragment": fragment, "query": q,
                 "answer": timed.answer,
                 "agree": timed.answer == baseline[q],
-                "median_ms": timed.median_ms,
+                "median_ms": timed.median_ms, "stats": timed.stats,
             })
-    cols = ["domain", "fragment", "query", "answer", "agree", "median_ms"]
+    cols = ["domain", "fragment", "query", "answer", "agree", "median_ms", "stats"]
     return ResultTable(spec.name, cols, rows, _meta(spec))
 
 
@@ -384,17 +381,18 @@ def _run_scaling(spec: ExperimentSpec) -> ResultTable:
         for i, q in enumerate(spec.queries):
             timed = time_answer(
                 th, q, dom, repeats=spec.repeats, budget=spec.budget,
-                backend=spec.backend, use_slice=spec.slice,
+                backend=spec.backend,
             )
             row["answer_q%d" % i] = timed.answer
             row["median_ms_q%d" % i] = timed.median_ms
+            row["stats_q%d" % i] = timed.stats
         rows.append(row)
     cols = [
         "positions", "atoms", "horizon", "cprop_instances", "rprop_instances",
         "pprop_instances", "total_instances", "ground_ms", "reference_instances",
     ]
     for i in range(len(spec.queries)):
-        cols += ["answer_q%d" % i, "median_ms_q%d" % i]
+        cols += ["answer_q%d" % i, "median_ms_q%d" % i, "stats_q%d" % i]
     return ResultTable(spec.name, cols, rows, _meta(spec))
 
 

@@ -85,7 +85,6 @@ def answer_on(
     backend: str,
     *,
     budget: int | None = None,
-    use_slice: bool = False,
 ) -> EntailmentResult:
     """Answer ``query`` on the ``engine`` or ``sat`` backend: the one
     dispatch ``elang query`` and the bench families share.  It calls the
@@ -93,7 +92,7 @@ def answer_on(
     ``perfbench/tracing.py`` wraps."""
     if backend == "sat":
         return answer_sat(theory, query, budget=budget)
-    return answer_theory(theory, query, budget=budget, use_slice=use_slice)
+    return answer_theory(theory, query, budget=budget)
 
 
 def cmd_query(args) -> int:
@@ -101,8 +100,6 @@ def cmd_query(args) -> int:
         return _fail("--query FILE excludes --goal and --mode", EXIT_USAGE)
     if not args.query and not (args.goal and args.mode):
         return _fail("--goal requires --mode (or use --query FILE)", EXIT_USAGE)
-    if args.backend == "sat" and args.slice == "on":
-        return _fail("--slice applies to the engine backend only", EXIT_USAGE)
     domain = load_domain(*args.files)
     if args.query:
         qtext = Path(args.query).read_text()
@@ -121,7 +118,7 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     theory = ground(domain, horizon)
-    result = answer_on(theory, query, args.backend, budget=args.budget, use_slice=args.slice == "on")
+    result = answer_on(theory, query, args.backend, budget=args.budget)
     if args.json:
         print(json.dumps(result.to_record(), sort_keys=True))
     else:
@@ -222,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["credulous", "skeptical"])
     p.add_argument("--horizon", type=int)
     p.add_argument("--backend", choices=["engine", "sat"], default="engine")
+    # accepted and without effect: every engine answer decomposes exactly
     p.add_argument("--slice", choices=["on", "off"], default="off")
     p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")

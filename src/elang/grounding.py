@@ -46,7 +46,7 @@ that change are numbered; ``constant_values`` reads a constant atom's
 value off the true ones.
 
 Every instance is a row in the numeric form the step search, the
-relevance slice and the clausal compiler read, much as gringo hands its
+component views and the clausal compiler read, much as gringo hands its
 solver ground rules, not term objects, and instantiates only what is
 relevant (Gebser et al., LPNMR 2007); rows are read off a statement's
 bindings a column at a time.  Grounding builds each ramification and
@@ -72,7 +72,7 @@ unbranched steps; ``heads`` holds the statements' heads.
 These indexes, an action's preconditions as one test
 (``precondition_test``) and the step plans (``transition.step_plan``)
 are made the first time they are read, so a caller that needs few of
-them, such as a relevance slice, pays for no others.
+them, such as a view on some components, pays for no others.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class GroundTheory:
     plans: dict[frozenset[Lit], object] = field(default_factory=dict, repr=False, compare=False)
 
     # Derived indexes over the statement lists, each built the first time
-    # it is read: a sliced query indexes only the slice.  The clausal
+    # it is read: a decomposed answer indexes only its views.  The clausal
     # backend reads ``constraints`` at every time point.  The lists are
     # not changed after grounding, so an index once built stays valid.
 

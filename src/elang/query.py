@@ -17,7 +17,8 @@ longer than it has to.
 Enumeration order is fixed: the initial states and each step's targets
 come in the order the clause kernel (``clauses.py``) yields them, so
 witnesses, countermodels and budget exhaustion are reproducible, and the
-first model is the least trajectory that ``sat.py`` returns too.  The
+first model is the least trajectory that ``sat.py`` returns too, also
+when an answer searches its components apart (``answer_theory``).  The
 trajectory search keeps its own stack, so neither a long horizon nor a
 wide state runs into Python's recursion limit.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .clauses import BudgetExceeded
-from .grounding import GroundingStats, GroundTheory, Lit, State, ground
+from .grounding import GroundTheory, Lit, State, ground
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
 
@@ -244,18 +245,32 @@ def answer_theory(
     budget: int | None = None,
     use_slice: bool = False,
 ) -> EntailmentResult:
-    """Answer a query against an already ground theory.  A slice keeps the
-    theory's atom numbering, so the goals and ``atoms_total`` carry over."""
+    """Answer a query against an already ground theory.  With a goal on a
+    dynamic fluent, the goals' components are searched in their view as
+    often as ``decide`` asks, and the other atoms, the rest, once for
+    their first trajectory, under the same budget and counters; each
+    model is the two joined, the least full trajectory (docs/semantics.md,
+    "Answers by decomposition").  ``use_slice`` has no effect."""
     dynamic_goals, constants_ok = split_goals(theory, query)
+    if not dynamic_goals:
+        ev = Evaluator(theory, budget)
+        return decide(theory, query, dynamic_goals, constants_ok, ev.first_model, "engine", ev.stats)
 
-    atoms_sliced = None
-    if use_slice and dynamic_goals:
-        theory, kept = slice_for_goals(theory, {abs(c) - 1 for c, _ in dynamic_goals})
-        atoms_sliced = len(kept)
+    view, kept = slice_for_goals(theory, {abs(c) - 1 for c, _ in dynamic_goals})
+    ev = Evaluator(view, budget)
+    ev.stats.atoms_sliced = len(kept)
+    find_model = ev.first_model
+    if len(kept) < theory.n_fluents:
+        mine = set(kept)
+        rest = Evaluator(restrict(theory, [a not in mine for a in range(theory.n_fluents)]), budget)
+        rest.stats = ev.stats
+        first = rest.first_model()  # no rest trajectory, no model
 
-    ev = Evaluator(theory, budget)
-    ev.stats.atoms_sliced = atoms_sliced
-    return decide(theory, query, dynamic_goals, constants_ok, ev.first_model, "engine", ev.stats)
+        def find_model(forced: Iterable[tuple[Lit, int]]) -> Trajectory | None:
+            model = first and ev.first_model(forced)
+            return model and Trajectory(tuple(map(frozenset.union, model.states, first.states)), model.actions)
+
+    return decide(theory, query, dynamic_goals, constants_ok, find_model, "engine", ev.stats)
 
 
 def decide(
@@ -305,53 +320,30 @@ def answer(
     query: Query,
     *,
     budget: int | None = None,
-    use_slice: bool = False,
 ) -> EntailmentResult:
     """Ground a domain at the horizon the query needs and answer it."""
     theory = ground(domain, required_horizon(domain, query))
-    return answer_theory(theory, query, budget=budget, use_slice=use_slice)
+    return answer_theory(theory, query, budget=budget)
 
 
 # ---------------------------------------------------------------------------
-# Relevance slicing
+# Components
 
 
 def slice_for_goals(
     theory: GroundTheory, goal_atoms: set[int]
 ) -> tuple[GroundTheory, tuple[int, ...]]:
-    """Restrict a theory to the fluent atoms connected to the goals.
-
-    Two atoms are connected when some ramification statement, or some
-    effect instance of an action the theory schedules, mentions both (head
-    and body included).  An effect or precondition of an action that never
-    occurs never applies, so it links or restricts nothing and is left
-    out; only the scheduled actions' effect and precondition rows are
-    read, and so ground.  The kept atoms then never share a live statement
-    with a dropped one, and the transition relation factorizes.  Answers
-    over the slice match the full theory whenever the full theory is
-    consistent; an inconsistency caused purely by dropped atoms is
-    invisible to the slice.
-
-    The slice is a view in the theory's own atom numbering, not a copy.
-    It shares the theory's signature, fluents, index, constant values and
-    occurrences.  A kept row is the theory's own tuple, in the theory's
-    own list when all are kept: one pass with the kept-atom mask filters
-    the rules, so the view's rules are the kept part of the theory's, in
-    its order.  An
-    action's rows keep their positions; precondition rows and observations
-    lose their dropped atoms, and only a row with one is rebuilt.
-    Each dropped atom is then observed false at time 0: nothing in the
-    view can change it, so neither the initial states nor the steps branch
-    on it, and a witness, which lists true atoms, reads as over the kept
-    atoms alone.  ``stats`` count the kept atoms and statements and the
-    narrative's own kept observations.  The view's indexes are its own,
-    built when first read.  Returns the view and the kept atom numbers,
-    ascending.
-    """
+    """The view of a theory on the components of the goal atoms, and the
+    atoms it keeps, ascending.  Two atoms are connected when some
+    ramification statement, or some effect row of an action the theory
+    schedules, mentions both (head and body included); an action that
+    never occurs links nothing, and only the scheduled actions' rows are
+    read, and so ground.  The complement of the kept atoms shares no live
+    statement with them, so this one union-find pass labels the rest's
+    view too (``restrict``)."""
     n = theory.n_fluents
-    occurring = set().union(*theory.occurrences.values())
     # Union the atoms of every linking statement: the goals' components
-    # are the kept atoms, and a statement is kept with its atoms.
+    # are the kept atoms.
     root = list(range(n))
 
     def find(a: int) -> int:
@@ -370,20 +362,33 @@ def slice_for_goals(
             if r != first:
                 root[r] = first
 
-    for action in occurring:
+    for action in set().union(*theory.occurrences.values()):
         for _, effect, true, false in theory.effects_of(action):
             link(effect, true, 0)
             if false:
                 link(effect, false, 0)
-    rules = theory.rules
-    for head, body in rules:
+    for head, body in theory.rules:
         if head or body:
             link(head or body[0], body, 1)
     roots = {find(a) for a in goal_atoms}
     inside = [find(a) in roots for a in range(n)]
-    kept = tuple(compress(range(n), inside))
-    mine = frozenset(kept)
+    return restrict(theory, inside), tuple(compress(range(n), inside))
 
+
+def restrict(theory: GroundTheory, inside: list[bool]) -> GroundTheory:
+    """The view of a theory on the atoms ``inside`` marks, a union of
+    components, in the theory's own atom numbering.  It shares the
+    theory's signature, fluents, index, constant values, occurrences and
+    grounding stats, and each kept row is the theory's own tuple, in the
+    theory's own list when all are kept; a groundless denial is kept in
+    every view.  Precondition rows and observations lose their atoms
+    outside, and only a row with one is rebuilt.  Each atom outside is
+    observed false at time 0: nothing in the view can change it, so the
+    search never branches on it, and a model of the view joins a model of
+    the complement's view by union.  The view's indexes are its own."""
+    n = theory.n_fluents
+    mine = frozenset(compress(range(n), inside))
+    occurring = set().union(*theory.occurrences.values())
     effects = {}
     for action in occurring:
         rows = theory.effects_of(action)
@@ -391,7 +396,7 @@ def slice_for_goals(
         if kept_rows:
             effects[action] = rows if len(kept_rows) == len(rows) else kept_rows
 
-    # a rule is kept with its atoms, and so is a groundless denial
+    rules = theory.rules
     keep = [inside[abs(head or body[0]) - 1] if head or body else True for head, body in rules]
     if not all(keep):
         rules = list(compress(rules, keep))
@@ -409,22 +414,10 @@ def slice_for_goals(
             preconditions[action] = tuple(kept_rows)
     observed = {t: frozenset([c for c in obs if inside[abs(c) - 1]]) for t, obs in theory.observations.items()}
     observations = {t: obs for t, obs in observed.items() if obs}
-    denials = [head for head, _ in rules].count(None)
-    stats = GroundingStats(
-        fluent_atoms=len(kept),
-        constant_atoms=len(theory.constant_values),
-        cprops=sum(map(len, effects.values())),
-        rprops=len(rules) - denials,
-        denials=denials,
-        pprops=sum(map(len, preconditions.values())),
-        occurrences=sum(len(v) for v in theory.occurrences.values()),
-        observations=sum(len(v) for v in observations.values()),
-        horizon=theory.horizon,
-    )
     pins = frozenset(-(a + 1) for a in range(n) if not inside[a])
     if pins:
         observations[0] = observations.get(0, frozenset()) | pins
-    view = GroundTheory(
+    return GroundTheory(
         fluents=theory.fluents,
         index=theory.index,
         constant_values=theory.constant_values,
@@ -439,6 +432,5 @@ def slice_for_goals(
         occurrences=theory.occurrences,
         observations=observations,
         horizon=theory.horizon,
-        stats=stats,
+        stats=theory.stats,
     )
-    return view, kept

@@ -45,13 +45,12 @@ def spec_text(**overrides):
 
 
 def test_parse_spec_fields():
-    spec = parse_spec(spec_text(inject=["0", "2"], sizes="3 5", budget="100", slice="on"))
+    spec = parse_spec(spec_text(inject=["0", "2"], sizes="3 5", budget="100"))
     assert spec.family == "representation"
     assert spec.domains == ["corpus:zoo_direct.e"]
     assert spec.inject == [0, 2]
     assert spec.sizes == [3, 5]
     assert spec.budget == 100
-    assert spec.slice is True
     assert spec.repeats == 1
 
 
@@ -59,11 +58,10 @@ def test_parse_spec_rejects_bad_values():
     with pytest.raises(SpecError):
         parse_spec(spec_text(family="nonsense"))
     with pytest.raises(SpecError):
-        parse_spec(spec_text(slice="maybe"))
-    with pytest.raises(SpecError):
         parse_spec(spec_text(backend="z3"))
-    with pytest.raises(SpecError):
-        parse_spec(spec_text(backend="sat", slice="on"))
+    # every engine answer decomposes, so there is no slice to choose
+    with pytest.raises(SpecError, match="unknown key 'slice'"):
+        parse_spec(spec_text(slice="on"))
     with pytest.raises(SpecError):
         parse_spec(spec_text() + "\n[extra]\nname = x\n")
     with pytest.raises(SpecError, match="unknown key 'backnd'"):
@@ -146,9 +144,9 @@ def test_time_answer_median_and_determinism():
         repeats=3,
         budget=None,
         backend="engine",
-        use_slice=False,
     )
     assert timed.answer == "true"
+    assert timed.stats["atoms_sliced"] == 2 and timed.stats["nodes"] > 0
     assert len(timed.runs) == 3
     assert timed.median_s == sorted(timed.runs)[1]
 
@@ -235,7 +233,6 @@ def test_irrelevance_family_small():
         family="irrelevance",
         domain="gen:dual:3:feed",
         scenario="corpus:chain_scenario.e",
-        slice="on",
         inject=["0", "1"],
         horizon="4",
         query="skeptical { animal_pos(dumpo,p3) holds-at 3 } horizon 4",
@@ -243,6 +240,11 @@ def test_irrelevance_family_small():
     table = run_experiment(parse_spec(text))
     assert [r["injected"] for r in table.rows] == [0, 1]
     assert all(row["agree"] is True for row in table.rows)
+    # the fed animals' atoms are the rest, searched apart from the goal's
+    # components: the injected occurrence costs the search no node
+    before, after = (row["stats"] for row in table.rows)
+    assert before["nodes"] == after["nodes"] and before["atoms_sliced"] < before["atoms_total"]
+    assert json.loads(table.to_tsv().splitlines()[2].split("\t")[-1]) == before
 
 
 def test_completeness_family_small():

@@ -175,11 +175,31 @@ def test_query_many_atoms_answers(wide_file, capsys):
 
 
 def test_query_many_atoms_hits_budget(wide_file, capsys):
-    # proving f(c5) in every model would visit all 2**2000 initial states
+    # g links every f(X) to the goal's component, so proving f(c5) in
+    # every model would visit all 2**2000 of its initial states
+    with open(wide_file, "a") as fh:
+        fh.write("fluent g.\ng whenever { f(X) }.\n")
     argv = ["query", wide_file, "--mode", "skeptical", "--goal", "f(c5) holds-at 1",
             "--budget", "200"]
     assert main(argv) == 4
     assert "budget of 200" in capsys.readouterr().err
+
+
+def test_query_charges_the_rest_search_to_the_budget(tmp_path, capsys):
+    # go's precondition is on atoms no goal reaches: the rest, searched
+    # apart, meets its one legal initial state after 1,023 others
+    hs = ", ".join("h(c%d)" % i for i in range(10))
+    path = tmp_path / "rest.e"
+    path.write_text(
+        "sort num: %s.\nfluent f.\nfluent h(num).\naction go.\n" % hs.replace("h(", "").replace(")", "")
+        + "go initiates f.\ngo needs { %s }.\ngo happens-at 0.\n" % hs
+    )
+    argv = ["query", str(path), "--mode", "skeptical", "--goal", "f holds-at 1"]
+    assert main(argv + ["--budget", "200"]) == 4
+    assert capsys.readouterr().err == "error: search budget of 200 nodes exceeded\n"
+    assert main(argv + ["--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["atoms_sliced"] == 1 and stats["nodes"] > 1024
 
 
 @pytest.fixture()
@@ -215,13 +235,15 @@ def query_records(capsys, tmp_path, files, queries, *flags) -> str:
 
 
 # sha256 of query_records over the golden cases, in file order, and over
-# WALK_QUERIES on a seeded walk with --slice on, taken before an action's
-# effects and preconditions were ground as rows; a change that moves a
+# WALK_QUERIES on a seeded walk with --slice on, which has no effect; the
+# engine and walk records were retaken when every engine answer began to
+# decompose by component (``atoms_sliced`` on every answer with a dynamic
+# goal, and the walk's exact answers and witnesses); a change that moves a
 # counter or a witness retakes them and says so
 ANSWER_RECORDS_SHA256 = {
-    "engine": "1a5576111bffc6db473e85531dfd457e7dbeade439bdcf671453fee9f3751b42",
+    "engine": "dda7382a88728e01c69dcd8f0c54d18d861c328931fabbf275bbc2f0fa40e2f5",
     "sat": "c12f9bc4d58ee594ea83735be87173b3949248314d4363b95ab3b45154c394e6",
-    "walk": "dbcf04de099ae85af55b03e1807650c1bff5f864bf06bde394a10b2f17be77de",
+    "walk": "fcddce729235aba0a5ab45019f62af67d4586809352ccb964f69ba734fa9e3f5",
 }
 WALK_QUERIES = (
     "credulous { hungry(john) holds-at 20 }",
@@ -266,11 +288,15 @@ def test_query_takes_corpus_and_generator_refs():
     assert main(argv) == 0
 
 
-def test_query_rejects_slice_on_sat(bulb_file, capsys):
-    argv = ["query", bulb_file, "--mode", "credulous", "--goal", "light holds-at 3",
-            "--backend", "sat", "--slice", "on"]
-    assert main(argv) == 3
-    assert "--slice" in capsys.readouterr().err
+@pytest.mark.parametrize("backend", ["engine", "sat"])
+def test_query_slice_flag_has_no_effect(noinit_file, backend, capsys):
+    argv = ["query", noinit_file, "--mode", "skeptical", "--goal", "light holds-at 3",
+            "--horizon", "4", "--json", "--backend", backend]
+    outputs = []
+    for flags in ([], ["--slice", "on"], ["--slice", "off"]):
+        assert main(argv + flags) == 1
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_query_file_excludes_goal_and_mode(bulb_file, tmp_path, capsys):

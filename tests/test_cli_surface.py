@@ -50,7 +50,6 @@ CALLS = [
     [*QUERY, "--mode", "credulous"],
     [*QUERY, "--query", "goal.q", "--goal", "light holds-at 3"],
     [*QUERY, "--query", "goal.q", "--mode", "skeptical"],
-    [*QUERY, *GOAL, "--backend", "sat", "--slice", "on"],
     ["corpus", "show"],
     ["corpus", "generate"],
 ]

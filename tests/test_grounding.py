@@ -285,9 +285,9 @@ def test_indexes_are_built_on_first_read():
     scheduled = set().union(*th.occurrences.values())
     assert not set(INDEXES) & set(vars(th))
     assert not th.preconditions
-    # a sliced answer indexes only the slice, and grounds only the
-    # scheduled actions' effects and preconditions
-    answer_theory(th, query, use_slice=True)
+    # an answer indexes only its views of the theory, and grounds only
+    # the scheduled actions' effects and preconditions
+    answer_theory(th, query)
     assert not set(INDEXES) & set(vars(th))
     assert set(th.effects) == scheduled
     assert set(th.preconditions) == scheduled

@@ -1,4 +1,4 @@
-"""Query answering: model counts, modes, budgets, relevance slicing."""
+"""Query answering: model counts, modes, budgets, answers by component."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from elang.corpus import corpus_path, load_domain, load_golden
 from elang.grounding import ground
-from elang.model import Atom
+from elang.model import Atom, Condition, FluentDecl, FluentLiteral, HProp, PProp, RProp, TProp
 from elang.parser import parse_domain, parse_query
 from elang.query import (
     BudgetExceeded,
@@ -177,40 +177,9 @@ def test_slice_drops_disconnected_atoms():
     goal_atom = next(i for i, a in enumerate(th.fluents) if str(a) == "animal_pos(john,p3)")
     sliced, kept = slice_for_goals(th, {goal_atom})
     names = {str(th.fluents[i]) for i in kept}
-    assert sliced.stats.fluent_atoms == len(kept) < th.n_fluents
+    assert sliced.stats is th.stats and len(kept) < th.n_fluents
     assert not any(n.startswith("hungry") for n in names)
     assert "animal_pos(john,p3)" in names
-
-
-def test_sliced_answers_match_unsliced_on_corpus():
-    th = ground(load_domain("corpus:zoo_dual.e", "corpus:chain_scenario.e"), 4)
-    for text in (
-        "skeptical { animal_pos(john,p3) holds-at 3 } horizon 4",
-        "credulous { animal_pos(john,p1) holds-at 2 } horizon 4",
-        "skeptical { neg rides(john,elly) holds-at 2 } horizon 4",
-    ):
-        goal = q(text)
-        plain = answer_theory(th, goal)
-        sliced = answer_theory(th, goal, use_slice=True)
-        assert plain.answer == sliced.answer, text
-
-
-def test_sliced_answers_match_on_random_theories():
-    rng = random.Random(23)
-    done = 0
-    while done < 80:
-        domain = random_theory(rng)
-        th = ground(domain)
-        if not check_consistency(th)[0]:
-            continue
-        name = rng.choice(list(domain.signature.fluents))
-        sign = "" if rng.random() < 0.5 else "neg "
-        mode = rng.choice(["credulous", "skeptical"])
-        goal = q("%s { %s%s holds-at %d }" % (mode, sign, name, rng.randint(0, th.horizon)))
-        plain = answer_theory(th, goal)
-        sliced = answer_theory(th, goal, use_slice=True)
-        assert plain.answer == sliced.answer
-        done += 1
 
 
 # A node or decision budget no draw of ``random_theory`` comes near.
@@ -221,8 +190,7 @@ def test_backends_match_the_trajectory_reference():
     # Each query asked of the reference, of the engine unsliced, of the SAT
     # backend, and of both again under a budget that never binds: one
     # answer, and every witness a model of the reference that meets the
-    # goals (credulous) or breaks one (a skeptical countermodel).  The
-    # sliced engine waits for ROADMAP item 1, the strict xfails below.
+    # goals (credulous) or breaks one (a skeptical countermodel).
     rng = random.Random(909)
     inconsistent = cyclic = 0
     for _ in range(200):
@@ -255,15 +223,76 @@ def test_backends_match_the_trajectory_reference():
     assert inconsistent >= 30 and cyclic >= 30, (inconsistent, cyclic)
 
 
-# An inconsistency on atoms the slice drops: b is observed true and denied.
+def plant(rng: random.Random, domain):
+    """``domain`` with a fresh fluent, p, and one statement planted on it:
+    a denial, an observation or a precondition of a scheduled action,
+    each with an observation that breaks it half the time.  Nothing links
+    p to the other atoms.  Returns the new description and the planted
+    kind."""
+    sig = domain.signature.copy()
+    sig.fluents["p"] = FluentDecl("p", ())
+    props = list(domain.propositions)
+    lit = FluentLiteral(Atom("p", ()), rng.random() < 0.5)
+    other = FluentLiteral(lit.atom, not lit.positive)
+    clash = rng.random() < 0.5
+    kind = rng.choice(("denial", "observation", "precondition"))
+    if kind == "denial":
+        props.append(RProp(None, Condition.of(lit), ()))
+        observed = lit if clash else other
+    elif kind == "observation":
+        props.append(TProp(lit, rng.randint(0, domain.max_time())))
+        observed = other if clash else lit
+    else:
+        scheduled = [p.action for p in props if isinstance(p, HProp)]
+        if not scheduled:
+            scheduled = [Atom(rng.choice(sorted(sig.actions)), ())]
+            props.append(HProp(scheduled[0], 0))
+        props.append(PProp(rng.choice(scheduled), Condition.of(lit), ()))
+        observed = other if clash else lit
+    props.append(TProp(observed, rng.randint(0, domain.max_time())))
+    return type(domain)(sig, props), kind
+
+
+def test_planted_components_match_the_trajectory_reference():
+    # Random theories with a planted component that no goal reaches, in
+    # the shapes of DROPPED_INCONSISTENCY and DROPPED_PRECONDITION below:
+    # every answer is the reference's, every witness a model of the
+    # reference and the SAT backend's witness, the least trajectory.
+    rng = random.Random(1717)
+    rest_only = {"denial": 0, "observation": 0, "precondition": 0}
+    for _ in range(120):
+        domain, kind = plant(rng, random_theory(rng))
+        th = ground(domain)
+        ref = NaiveTheory(domain, th.horizon)
+        fluents = [name for name in domain.signature.fluents if name != "p"]
+        for _ in range(2):
+            goals = ", ".join(
+                "%s%s holds-at %d" % (rng.choice(("", "neg ")), rng.choice(fluents), rng.randint(0, th.horizon))
+                for _ in range(rng.randint(1, 2))
+            )
+            query = q("%s { %s }" % (rng.choice(("credulous", "skeptical")), goals))
+            expected = ref.answer(query.mode, query.goals)
+            result = answer_theory(th, query)
+            assert result.answer == expected, (query, kind)
+            assert result.witness == answer_sat(th, query).witness, (query, kind)
+            if result.witness is not None:
+                assert ref.accepts(result.witness), (query, kind)
+            view, _ = slice_for_goals(th, {th.index[lit.atom] for lit, _ in query.goals})
+            rest_only[kind] += expected == "domain-inconsistent" and check_consistency(view)[0]
+    # the draws reach answers the goals' view alone would get wrong
+    assert all(count >= 15 for count in rest_only.values()), rest_only
+
+
+# An inconsistency on atoms the goals' view drops: b is observed true and
+# denied.
 DROPPED_INCONSISTENCY = (
     "fluent a. fluent b. false whenever { b }. b holds-at 0.",
     "credulous { neg a holds-at 1 } horizon 2",
 )
 
 
-# The slice drops b, and with it the only literal of go's precondition, so
-# go becomes legal in every state.
+# The goals' view drops b, and with it the only literal of go's
+# precondition, so go is legal in every state of the view.
 DROPPED_PRECONDITION = (
     "fluent a. fluent b. action go. go initiates a. go needs { b }. neg b holds-at 0. go happens-at 0.",
     "credulous { a holds-at 1 } horizon 2",
@@ -277,12 +306,16 @@ def test_unsliced_answers_see_an_inconsistency_on_other_atoms():
         assert answer_sat(th, q(query)).answer == "domain-inconsistent"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the slice answers over the goal's atoms only")
 @pytest.mark.parametrize("case", [DROPPED_INCONSISTENCY, DROPPED_PRECONDITION], ids=["denial", "precondition"])
 def test_sliced_answer_sees_an_inconsistency_on_dropped_atoms(case):
-    th = ground(parse_domain(case[0]).domain, 2)
+    # the goals' view alone has models; the rest, searched apart, has none
+    domain = parse_domain(case[0]).domain
+    th = ground(domain, 2)
     query = q(case[1])
-    assert answer_theory(th, query, use_slice=True).answer == answer_theory(th, query).answer
+    view, kept = slice_for_goals(th, {th.index[lit.atom] for lit, _ in query.goals})
+    assert kept == (th.index[Atom("a")],) and check_consistency(view)[0]
+    expected = NaiveTheory(domain, 2).answer(query.mode, query.goals)
+    assert answer_theory(th, query).answer == expected == "domain-inconsistent"
 
 
 def test_slice_keeps_the_oracle_atoms_on_corpus():
@@ -336,8 +369,8 @@ def test_slice_drops_atoms_linked_only_by_unscheduled_effects():
     th = ground(dom(UNSCHEDULED_LINK), 2)
     sliced, kept = slice_for_goals(th, {th.index[Atom("f")]})
     assert [str(th.fluents[i]) for i in kept] == ["f"]
-    assert sliced.stats.fluent_atoms == 1
     assert [str(action) for action, _, _ in effect_instances(sliced)] == ["a"]
+    ref = NaiveTheory(dom(UNSCHEDULED_LINK), 2)
     for text in (
         "skeptical { f holds-at 1 }",
         "credulous { neg f holds-at 1 }",
@@ -345,10 +378,9 @@ def test_slice_drops_atoms_linked_only_by_unscheduled_effects():
         "credulous { f holds-at 2, g holds-at 2 }",
     ):
         goal = q(text)
-        plain = answer_theory(th, goal)
-        sliced = answer_theory(th, goal, use_slice=True)
-        assert plain.answer == sliced.answer, text
-        assert (plain.witness is None) == (sliced.witness is None), text
+        result = answer_theory(th, goal)
+        assert result.answer == ref.answer(goal.mode, goal.goals), text
+        assert result.witness is None or ref.accepts(result.witness), text
 
 
 FREE_NEIGHBOUR = """
@@ -417,11 +449,11 @@ def test_slice_shares_the_theory_objects():
     # read as instances, the view's rows are the theory's without h
     assert [condition for _, condition, _ in precondition_instances(sliced)] == [{-(f + 1)}, {-(f + 1)}]
     assert [condition for _, condition, _ in precondition_instances(th)] == [{-(f + 1)}, {-(f + 1), -(h + 1)}]
-    # h, k and z are pinned false at 0; the stats count f's observation only
+    # h, k and z are pinned false at 0, next to f's own observation; the
+    # view shares the theory's grounding stats
     pins = {-(th.index[Atom(name)] + 1) for name in "hkz"}
     assert sliced.observations[0] == {-(f + 1)} | pins
-    assert sliced.stats.observations == 1
-    assert sliced.stats.fluent_atoms == 2 and sliced.stats.rprops == 1
+    assert sliced.stats is th.stats
     # every rule kept, z dropped: the view holds the theory's own list
     sliced, kept = slice_for_goals(th, {f, h})
     assert len(kept) == 4
@@ -436,7 +468,7 @@ def test_atoms_sliced_counts_the_kept_atoms():
         "credulous { neg rides(john,elly) holds-at 2 } horizon 6",
     ):
         goal = q(text)
-        result = answer_theory(th, goal, use_slice=True)
+        result = answer_theory(th, goal)
         _, kept = slice_for_goals(th, {th.index[lit.atom] for lit, _ in goal.goals})
         assert result.stats.atoms_sliced == len(kept) < th.n_fluents
         assert result.stats.atoms_total == th.n_fluents

@@ -289,7 +289,7 @@ def test_sat_on_a_slice_answers_as_on_the_theory():
         assert len(kept) < th.n_fluents
         on_view = answer_sat(sliced, query)
         assert on_view.answer == answer_sat(th, query).answer, text
-        assert on_view.answer == answer_theory(th, query, use_slice=True).answer, text
+        assert on_view.answer == answer_theory(th, query).answer, text
 
 
 def test_bulb_agreement_with_engine():
