@@ -1,9 +1,11 @@
 """The clause kernel: unit propagation with chronological backtracking.
 
-Every clause elang enforces goes through :meth:`ClauseSet.models`: the
-state constraints in the initial-state enumeration and in the single-step
-search, and the compiled theory of the propositional backend.  Variables
-are 1..n; literals are nonzero integers, negative for false.
+Every clause elang enforces goes through a ``ClauseSet``: the state
+constraints in the initial-state enumeration, the single-step search and
+the step closure's check, and the compiled theory of the propositional
+backend.  Only this module reads how a clause is indexed.  A search,
+:meth:`ClauseSet.models`, takes its values one way, as assumptions.
+Variables are 1..n; literals are nonzero integers, negative for false.
 
 The search branches on the lowest unassigned variable and tries false
 first, so models come out with the lowest variable most significant and
@@ -47,29 +49,25 @@ any order, so the models, their order, the decisions and where a budget
 runs out are those of propagating units and assumptions together.  A
 conflict at the root makes every call yield nothing.
 
-A call may also fix every variable but some open ones and add ``extra``
-clauses, as the single-step search does on the state constraints.  The
-``fixed`` assignment names the open variables and the true fixed ones;
-the rest are false.  The call builds its values as one list, every
-variable false, clears the open variables, applies the root over them
-and puts the true fixed variables on the trail, so it costs its open and
-true variables and the root, not a step per variable.  A root literal
-the fixed values make false leaves no model.  The fixed values are never
-propagated, so the search reads the occurrences of its open variables
-only; the caller guarantees that they agree with some model of the
-clauses, so a clause over root and fixed variables alone already holds.
-A clause the fixed values leave unit waits for its open literal, which
-may cost decisions but no model.  The extra clauses, the overlay, may
-use auxiliaries numbered after ``num_vars``, which are open.  They are
-indexed into per-call copies of the occurrence lists, so propagation
-runs one loop, and first checked once against the root and the fixed
-values, which were never propagated through them.  The SAT backend and
-the initial-state enumeration pass neither.
+A call may also add ``extra`` clauses, as the single-step search does on
+the state constraints.  Its assumptions hold every atom the step cannot
+move at its source value, as incremental solvers take every fixed value
+(Een and Sorensson, SAT 2003).  The extra clauses, the overlay, may use
+auxiliaries numbered after ``num_vars``.  They are indexed into
+per-call copies of the occurrence lists, so propagation runs one loop,
+and first checked once against the root, which was never propagated
+through them.  The SAT backend and the initial-state enumeration pass
+none.
+
+``satisfied_after`` checks, without a search, an assignment that differs
+from a model of the clauses in a few variables, as the step closure
+checks its target: only the clauses with a literal that turned false
+are read, through the same occurrence lists, and the units.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 
@@ -146,24 +144,43 @@ class ClauseSet:
         # stored by the first models() call and read-only after it.
         self._root: tuple[bool, list[int], list[int], int] | None = None
 
+    def satisfied_after(self, flipped: Iterable[int], true: Container[int]) -> bool:
+        """Whether the assignment whose true variables are ``true``
+        satisfies the clauses, given that it differs from an assignment
+        that does only in the literals ``flipped``, true there and false
+        here.  Only a clause with a flipped literal can be broken, so only
+        the entries of those literals are read, and the units.  The set
+        has no rows."""
+        if self.empty:
+            return False
+        occurs = self.occurs
+        for lit in flipped:
+            for entry in occurs[lit]:
+                if entry.__class__ is int:  # a binary clause's other literal
+                    if (entry > 0) != (abs(entry) in true):
+                        return False
+                else:
+                    for l in entry:
+                        if (l > 0) == (abs(l) in true):
+                            break
+                    else:
+                        return False
+        return all((u > 0) == (abs(u) in true) for u in self.units)
+
     def models(
         self,
         assumptions: Iterable[int] = (),
         stats=None,
         budget: int | None = None,
-        fixed: tuple[Collection[int], Collection[int]] | None = None,
         extra: Sequence[Sequence[int]] = (),
     ) -> Iterator[frozenset[int]]:
         """Yield every total assignment satisfying the clauses, the
-        ``extra`` clauses and the ``assumptions``, and agreeing with the
-        ``fixed`` assignment ``(open, true)`` when one is given: every
-        variable of 1..num_vars but the ``open`` ones fixed, true when in
-        ``true`` and false otherwise (see the module docstring).  Each
-        model is the frozenset of its true variables, in the order the
-        module docstring gives.  ``stats``, any object with integer
-        ``decisions`` and ``propagations``, accumulates the work, the
-        root's propagations included on every call; more than ``budget``
-        decisions on it raise BudgetExceeded."""
+        ``extra`` clauses and the ``assumptions``.  Each model is the
+        frozenset of its true variables, in the order the module docstring
+        gives.  ``stats``, any object with integer ``decisions`` and
+        ``propagations``, accumulates the work, the root's propagations
+        included on every call; more than ``budget`` decisions on it raise
+        BudgetExceeded."""
         if self.empty:
             return
         n = self.num_vars
@@ -254,28 +271,8 @@ class ClauseSet:
             self._root = (ok, value[:], trail[:], qhead)
         else:
             tally.propagations += self._root[3]
-        ok, root_value, root_trail, qhead = self._root
-        if fixed is None or not ok:
-            value, trail = root_value[:], root_trail[:]
-        else:
-            # Every variable false, the open ones cleared and the true ones
-            # set, then the root over them: a root literal the fixed values
-            # make false leaves no model.  The true fixed variables join
-            # the trail unpropagated.
-            open_vars, true_vars = fixed
-            value = [0] + [-1] * n + [1] * n
-            for v in open_vars:
-                value[v] = value[-v] = 0
-            for v in true_vars:
-                value[v] = 1
-                value[-v] = -1
-            for lit in root_trail:
-                if value[lit] < 0:
-                    ok = False
-                value[lit] = 1
-                value[-lit] = -1
-            trail = root_trail + [v for v in true_vars if not root_value[v]]
-            qhead = len(trail)
+        ok, value, trail, qhead = self._root
+        value, trail = value[:], trail[:]
         if extra:
             # A per-call copy of the occurrence lists; with auxiliaries, it
             # and the call's values are widened by their slots between the
@@ -295,8 +292,7 @@ class ClauseSet:
                 elif len(clause) > 2:
                     for l in clause:
                         occurs[l] = occurs[l] + [clause]
-                # Neither the root nor the fixed values were propagated
-                # through it.
+                # The root was not propagated through it.
                 free = [l for l in clause if value[l] >= 0]
                 if not free:
                     ok = False

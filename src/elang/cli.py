@@ -143,7 +143,7 @@ def cmd_ground(args) -> int:
         if not report.accepted:
             raise FragmentError(report)
         inst = compile_theory(theory)
-        Path(args.dimacs).write_text(to_dimacs(inst, include_names=True))
+        Path(args.dimacs).write_text(to_dimacs(inst))
         print("wrote %s (%d vars, %d clauses)" % (args.dimacs, inst.num_vars, inst.num_clauses))
     if args.stats:
         print(report_stats(theory))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .clauses import BudgetExceeded
-from .grounding import GroundTheory, Lit, State, ground
+from .grounding import _NONE, GroundTheory, Lit, State, ground
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
 
@@ -145,7 +145,7 @@ class Evaluator:
         """Successors of ``state`` at step ``t`` that agree with ``want``;
         none when the step's actions are illegal in ``state``."""
         theory = self.theory
-        actions = theory.occurrences.get(t, frozenset())
+        actions = theory.occurrences.get(t, _NONE)
         if actions and not legal_occurrence(theory, state, actions):
             return ()
         self._tick()
@@ -171,7 +171,7 @@ class Evaluator:
         for lits in frozen.values():
             if any(-l in lits for l in lits):
                 return
-        acts = tuple(theory.occurrences.get(t, frozenset()) for t in range(horizon))
+        acts = None  # the actions of every step, built for the first model
 
         for s0 in self._initial_states(frozen.get(0, frozenset())):
             states = [s0]
@@ -180,6 +180,8 @@ class Evaluator:
                 t = len(states) - 1
                 if t == horizon:
                     self.stats.models += 1
+                    if acts is None:
+                        acts = tuple(theory.occurrences.get(t, _NONE) for t in range(horizon))
                     yield Trajectory(tuple(states), acts)
                     states.pop()
                 else:

@@ -99,7 +99,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .clauses import ClauseSet
-from .grounding import GroundTheory, Lit, State, condition_codes
+from .grounding import _NONE, GroundTheory, Lit, State, condition_codes
 from .model import Atom
 from .query import EntailmentResult, Query, Trajectory, decide, split_goals
 from .transition import direct_candidates, step_holds, step_plan
@@ -297,11 +297,10 @@ def compile_theory(theory: GroundTheory, *, labels: bool = True) -> CnfInstance:
     return inst
 
 
-def to_dimacs(inst: CnfInstance, include_names: bool = False) -> str:
-    lines = []
-    if include_names:
-        for v in sorted(inst.names):
-            lines.append("c var %d %s" % (v, inst.names[v]))
+def to_dimacs(inst: CnfInstance) -> str:
+    """The instance in DIMACS CNF, after a ``c var`` comment for each name
+    it carries (``compile_theory(labels=False)`` carries none)."""
+    lines = ["c var %d %s" % (v, inst.names[v]) for v in sorted(inst.names)]
     lines.append("p cnf %d %d" % (inst.num_vars, inst.num_clauses))
     for clause in inst.all_clauses():
         lines.append(" ".join(str(l) for l in clause) + " 0")
@@ -387,9 +386,7 @@ def decode_model(theory: GroundTheory, model: frozenset[int]) -> Trajectory:
             t, i = divmod(v - 1, n)
             rows[t].append(i)
     states: tuple[State, ...] = tuple(map(frozenset, rows))
-    actions = tuple(
-        theory.occurrences.get(t, frozenset()) for t in range(horizon)
-    )
+    actions = tuple(theory.occurrences.get(t, _NONE) for t in range(horizon))
     return Trajectory(states, actions)
 
 

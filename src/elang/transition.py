@@ -41,21 +41,22 @@ two paths, chosen by ``unbranched`` from the theory and the candidates:
   by atom in rank order, a literal re-asserted at its source value
   triggering too, and checks rule d only on the clauses where an atom
   that changed value has its source literal, and on the units
-  (``docs/semantics.md``, "A step that cannot branch").
+  (``ClauseSet.satisfied_after``; ``docs/semantics.md``, "A step that
+  cannot branch").
 * Every other step is searched: ``_searched`` runs one kernel search
   rather than one per subset, and hands rules c, d and e to the clause
   kernel (``clauses.py``) as clauses:
 
 * Only producible literals can enter ``changed``: the candidates, closed
   under the statements with a body literal already producible, as the
-  theory's ``triggers`` list them by body literal.  The search runs over
-  their atoms, the reach; persistence freezes every other atom at its
-  source value.
+  theory's ``triggers`` list them by body literal.  Only their atoms may
+  move; persistence freezes every other atom at its source value, an
+  assumption of the kernel search.
 * Rule d: the theory's own ``constraints``, the statements' clauses as
-  read off the rule rows, searched with the frozen atoms fixed.  Every
+  read off the rule rows, searched under those assumptions.  Every
   kernel model satisfies them, so the targets are not checked again.
 * Rules c and e as support clauses, the kernel's overlay for this step.
-  A reach atom whose value in ``t`` is no candidate needs a statement
+  A moving atom whose value in ``t`` is no candidate needs a statement
   with that head whose body holds in ``t`` and has a producible literal:
   its change literal by rule c, its source literal by rule e when the
   change is a candidate left out.  A body of one literal enters the
@@ -71,8 +72,8 @@ two paths, chosen by ``unbranched`` from the theory and the candidates:
   when the candidates hold both values of an atom.
 
 What a searched step needs of the theory besides its source, the producible
-literals, their atoms (the reach) and the bodies that can support each
-reach atom, depends on the candidates only.  ``step_plan`` works it
+literals, their atoms (the moving atoms) and the bodies that can support
+each of them, depends on the candidates only.  ``step_plan`` works it
 out once per theory and candidate set and keeps it on ``theory.plans``;
 the clausal compiler reads the producible literals from the same memo.
 Statements are read as rows: a rule as its head and body, lowest atom
@@ -94,12 +95,10 @@ target has one model, so the targets come in the kernel's order.
 The contract of ``successor_states``: its source satisfies the state
 constraints.  Every state of a trajectory does, since the initial
 states are models of the constraints and every successor meets rule d.
-The kernel therefore fixes the frozen values from the reach and the
-source's true atoms, never propagating them, so a step costs its reach,
-its source and the occurrences of its reach atoms, whatever the size of
-the theory, and a step without candidates returns its source.  The
-closure relies on it too: only an atom that changed value can break a
-clause.
+The closure relies on it: only an atom that changed value can break a
+clause.  The search propagates the frozen values as it does any
+assumption, so it costs the occurrences of every atom, and a step
+without candidates returns its source.
 """
 
 from __future__ import annotations
@@ -181,13 +180,12 @@ class StepPlan(NamedTuple):
     its source (see ``step_plan``)."""
 
     produced: frozenset[Lit]  # the producible literals
-    reach: frozenset[int]  # their atoms, as positive codes
-    # The reach atoms no body can change, as positive codes: they keep
-    # their source values.
-    kept: tuple[Lit, ...]
+    # The atoms that may move, as positive codes: those of the producible
+    # literals.  Every other atom keeps its source value.
+    moving: frozenset[int]
     # The candidates no body can override: they hold.
     forced: tuple[Lit, ...]
-    # The other reach atoms, ascending, but those whose two values are both
+    # The other moving atoms, ascending, but those whose two values are both
     # candidates, each with its support for either source value (false,
     # true).
     supported: tuple[tuple[int, Support, Support], ...]
@@ -219,11 +217,10 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
     bodies_for: dict[Lit, list[tuple[Lit, ...]]] = {}
     for head, body in map(rules.__getitem__, sorted(firing)):
         bodies_for.setdefault(head, []).append(body)
-    reach = frozenset(map(abs, produced))
-    kept: list[Lit] = []
+    moving = frozenset(map(abs, produced))
     forced: list[Lit] = []
     supported = []
-    for pos in sorted(reach):
+    for pos in sorted(moving):
         a, neg = pos - 1, -pos
         making = bodies_for.get(pos, ())
         breaking = bodies_for.get(neg, ())
@@ -237,14 +234,12 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
                 supported.append((a, entry, entry))
             else:
                 forced.append(value)
-        elif making or breaking:
-            supported.append((a, _support(pos, making), _support(neg, breaking)))
         else:
-            kept.append(pos)
+            # no candidate's atom, so a head some firing statement gives
+            supported.append((a, _support(pos, making), _support(neg, breaking)))
     plan = theory.plans[candidates] = StepPlan(
         frozenset(produced),
-        reach,
-        tuple(kept),
+        moving,
         tuple(forced),
         tuple(supported),
         # a tautology when the candidates hold both values of an atom
@@ -343,24 +338,10 @@ def _closed(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -> 
                 else:
                     target.discard(-head - 1)
     # Rule d: the source satisfies every clause, so only a clause with the
-    # source literal of an atom that changed value can be broken; and a
-    # unit, which has no occurrences.
-    constraints = theory.constraints
-    occurs = constraints.occurs
-    for a in target.symmetric_difference(source):
-        for entry in occurs[a + 1 if a in source else -a - 1]:
-            if entry.__class__ is int:  # a binary clause's other literal
-                if (entry > 0) != (abs(entry) - 1 in target):
-                    return []
-            else:
-                for l in entry:
-                    if (l > 0) == (abs(l) - 1 in target):
-                        break
-                else:
-                    return []
-    for unit in constraints.units:
-        if (unit > 0) != (abs(unit) - 1 in target):
-            return []
+    # source literal of an atom that changed value can be broken.
+    flipped = [a + 1 if a in source else -a - 1 for a in target.symmetric_difference(source)]
+    if not theory.constraints.satisfied_after(flipped, {a + 1 for a in target}):
+        return []
     return [frozenset(target)]
 
 
@@ -369,13 +350,16 @@ def _searched(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -
     empty, found by the kernel search, in the kernel's order."""
     plan = step_plan(theory, candidates)
 
-    # Rules c and e as support clauses (see the module docstring).  Each
-    # longer supporting body is an auxiliary variable s <-> body, numbered
-    # after the atoms so that the atoms fix it.  A support clause of one
-    # literal is a unit, which goes with the assumptions.
+    # Persistence: every atom that cannot move keeps its source value, an
+    # assumption.  Rules c and e as support clauses (see the module
+    # docstring).  Each longer supporting body is an auxiliary variable
+    # s <-> body, numbered after the atoms so that the atoms fix it.  A
+    # support clause of one literal is a unit, which goes with the
+    # assumptions.
     n = theory.n_fluents
+    moving = plan.moving
     overlay: list[list[Lit] | tuple[Lit, ...]] = []
-    units = [v if v - 1 in source else -v for v in plan.kept]
+    units = [v if v - 1 in source else -v for v in range(1, n + 1) if v not in moving]
     units += plan.forced
     aux = n
     for a, if_false, if_true in plan.supported:
@@ -399,18 +383,14 @@ def _searched(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -
     if plan.clause is not None:
         overlay.append(plan.clause)
 
-    # Rule d: the theory's own constraints.  Persistence freezes every atom
-    # outside the reach at its source value, and the kernel fixes those
-    # values, the reach open: the source satisfies the constraints, so they
-    # need no propagating.  A model in which every candidate holds passes
+    # Rule d: the theory's own constraints, searched under those
+    # assumptions.  A model in which every candidate holds passes
     # ``step_holds`` unchecked when the ramification graph is acyclic (see
     # the module docstring).
-    reach = plan.reach
-    fixed = (reach, [a + 1 for a in source if a + 1 not in reach])
     trusted = theory.first_cycle is None
     true, false = plan.true, plan.false
     found: list[State] = []
-    for model in theory.constraints.models(units, fixed=fixed, extra=overlay):
+    for model in theory.constraints.models(units, extra=overlay):
         target = frozenset(v - 1 for v in model if v <= n)
         if (trusted and target.issuperset(true) and target.isdisjoint(false)) or step_holds(
             theory, source, candidates, target

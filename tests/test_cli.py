@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -200,6 +201,21 @@ def test_query_charges_the_rest_search_to_the_budget(tmp_path, capsys):
     assert main(argv + ["--json"]) == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["atoms_sliced"] == 1 and stats["nodes"] > 1024
+
+
+def test_query_long_horizon_hits_budget_before_it_allocates(capsys):
+    # a million quiet steps: the search runs out of nodes long before it
+    # reaches a model, so nothing as long as the horizon is built
+    argv = ["query", "corpus:bulb.e", "--goal", "light holds-at 1000000", "--mode", "credulous",
+            "--budget", "1000"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == "error: search budget of 1000 nodes exceeded\n"
+    assert peak < 10 * 2**20, peak
 
 
 @pytest.fixture()

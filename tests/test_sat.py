@@ -315,7 +315,7 @@ def test_sat_witness_decodes_to_valid_trajectory():
 
 def test_compile_shape_and_dimacs():
     th = ground(load_domain("corpus:bulb.e"), 4)
-    inst = compile_theory(th)
+    inst = compile_theory(th, labels=False)
     assert inst.num_vars >= (th.horizon + 1) * th.n_fluents
     assert inst.fluent_var(0, 0) == 1
     text = to_dimacs(inst)
@@ -326,8 +326,9 @@ def test_compile_shape_and_dimacs():
     assert int(header[3]) == inst.num_clauses == len(th.constraint_clauses) * 5 + len(inst.clauses)
     assert len(text.splitlines()) == 1 + inst.num_clauses
     assert all(line.endswith(" 0") for line in text.splitlines()[1:] if line)
-    named = to_dimacs(inst, include_names=True)
+    named = to_dimacs(compile_theory(th))
     assert "c var 1 light@0" in named
+    assert named.endswith(text)
 
 
 def test_answers_compile_without_export_labels(monkeypatch):

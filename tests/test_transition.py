@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import elang.query
 import elang.transition
 from elang.clauses import ClauseSet
-from elang.corpus import load_domain, load_golden
+from elang.corpus import corpus_path, load_domain, load_golden
 from elang.grounding import ground
 from elang.model import Atom
 from elang.parser import parse_domain, parse_query
@@ -556,6 +556,47 @@ def test_walk_steps_pass_the_kernel_no_auxiliary(monkeypatch, tmp_path):
     clauses = [c for extra in overlays for c in extra]
     assert len(clauses) > 50
     assert max(abs(l) for c in clauses for l in c) <= th.n_fluents
+
+
+def padding(width):
+    """``width`` atoms ``pad(ci)``, observed at time 0 true and false in
+    turn, with a denial on each neighbouring pair: no action moves them."""
+    pads = ["pad(c%d)" % i for i in range(width)]
+    lines = ["sort num: %s." % ", ".join("c%d" % i for i in range(width)), "fluent pad(num)."]
+    lines += ["%s%s holds-at 0." % ("neg " * (i % 2), p) for i, p in enumerate(pads)]
+    lines += ["false whenever { %s, %s }." % pair for pair in zip(pads, pads[1:])]
+    return "\n".join(lines) + "\n"
+
+
+def test_wide_searched_steps_match_the_narrow_ones(tmp_path):
+    # The bulb narrative padded with 2,000 atoms: every switch_on step is
+    # searched, since neg light is a statement head, with the padding held
+    # at its source values; projected onto the bulb's atoms, its targets
+    # are the bulb's own, in order.
+    path = tmp_path / "wide.e"
+    path.write_text(corpus_path("bulb.e").read_text() + padding(2000))
+    bulb = ground(load_domain("corpus:bulb.e"), 4)
+    wide = ground(load_domain(str(path)), 4)
+    to_wide = [wide.index[a] for a in bulb.fluents]
+    to_bulb = {w: a for a, w in enumerate(to_wide)}
+    pads = frozenset(c - 1 for c in wide.observations[0] if c > 0 and c - 1 not in to_bulb)
+    assert wide.n_fluents == bulb.n_fluents + 2000 and len(pads) == 1000
+    states = [frozenset(v - 1 for v in m) for m in bulb.constraints.models(bulb.observations[0])]
+    searched = 0
+    for t in range(bulb.horizon):
+        actions = bulb.occurrences.get(t, frozenset())
+        following = []
+        for source in states:
+            own = successor_states(bulb, source, actions)
+            wide_source = frozenset(to_wide[a] for a in source) | pads
+            got = successor_states(wide, wide_source, actions)
+            assert [frozenset(to_bulb[a] for a in s if a in to_bulb) for s in got] == own
+            assert all(s - set(to_wide) == pads for s in got)
+            candidates = direct_candidates(wide, wide_source, actions)
+            searched += bool(candidates) and not unbranched(wide, candidates)
+            following += [s for s in own if s not in following]
+        states = following
+    assert searched == 2
 
 
 # A ramification cycle next to an effect that fires: a's effect sets k,
