@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import parser
-from ..grounding import GroundTheory, ground
+from ..grounding import ground
 from ..model import DomainDescription
 from ..parser import parse_query
 from ..query import EntailmentResult, Query, answer_theory, required_horizon
@@ -366,8 +366,3 @@ def load_corpus() -> list[tuple[DomainDescription, list[GoldenCase]]]:
         merged = _load_bundled("zoo_dual.e", scen)
         ground(merged, 6)
     return out
-
-
-def ground_corpus_domain(name: str, horizon: int | None = None) -> GroundTheory:
-    domain = _load_bundled(name)
-    return ground(domain, horizon or CORPUS_HORIZONS.get(name))

@@ -54,11 +54,12 @@ denial instance as a row of ``rules``: (head, or None for a denial; the
 body's literal codes, lowest atom first, none repeated).  An effect
 statement only counts the bindings it keeps, and a needs statement the
 ones its disequalities keep, without listing them, so ``stats`` is
-exact; ``effects_of(action)`` and ``preconditions_of`` ground one
-action's rows when first asked for (``PerAction``): an
-effect is (position, effect literal, atoms the condition needs true,
-atoms it needs false), a precondition (position, atoms needed true,
-atoms needed false, whether it can never hold).  A position numbers an
+exact; ``effects_of(action)`` and ``preconditions_of``, memoized
+functions (``functools.cache``), ground one action's rows when first
+asked for (``PerAction``): an effect is (position, effect literal, atoms
+the condition needs true, atoms it needs false), a precondition
+(position, atoms needed true, atoms needed false, whether it can never
+hold).  A position numbers an
 instance among all of its kind, in statement and binding order; the rows
 are the only form of the instances, and ``elang ground --dump`` renders
 them (``dump_ground``).
@@ -142,24 +143,24 @@ class GroundTheory:
     index: dict[Atom, int]
     constant_values: Mapping[Atom, bool]
     signature: Signature
-    ground_effects: Callable[[Atom], Effects]  # one action's, on first read
-    ground_preconditions: Callable[[Atom], Preconditions]  # one action's, on first read
+    # An action's effect rows, and its precondition rows, each in position
+    # order and ground the first time they are asked for.
+    effects_of: Callable[[Atom], Effects]
+    preconditions_of: Callable[[Atom], Preconditions]
     rules: list[Rule]  # every ramification and denial instance, in statement and binding order
     occurrences: dict[int, frozenset[Atom]]  # time -> simultaneous actions
     observations: dict[int, frozenset[Lit]]  # time -> observed literals
     horizon: int
     stats: GroundingStats
-    # Filled by the clausal backend on first use (sat.answer_sat): the
-    # compiled clauses, indexed.
-    sat_memo: object = field(default=None, repr=False, compare=False)
-    # The effect instances ground so far, by action.
-    effects: dict[Atom, Effects] = field(default_factory=dict, repr=False, compare=False)
-    # The preconditions ground so far, by action.
-    preconditions: dict[Atom, Preconditions] = field(default_factory=dict, repr=False, compare=False)
+    # Memos, which ``dataclasses.replace`` does not copy: a view
+    # (``query.restrict``) starts with them empty.  ``sat_memo`` is filled
+    # by the clausal backend on first use (sat.answer_sat): the compiled
+    # clauses, indexed.
+    sat_memo: object = field(default=None, init=False, repr=False, compare=False)
     # The precondition tests made so far, by action (``precondition_test``).
-    needs: dict[Atom, PreconditionTest] = field(default_factory=dict, repr=False, compare=False)
+    needs: dict[Atom, PreconditionTest] = field(default_factory=dict, init=False, repr=False, compare=False)
     # The step plans made so far, by candidate set (``transition.step_plan``).
-    plans: dict[frozenset[Lit], object] = field(default_factory=dict, repr=False, compare=False)
+    plans: dict[frozenset[Lit], object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # Derived indexes over the statement lists, each built the first time
     # it is read: a decomposed answer indexes only its views.  The clausal
@@ -258,22 +259,6 @@ class GroundTheory:
             for args in itertools.product(*(sig.sorts[s] for s in decl.arg_sorts))
         )
 
-    def effects_of(self, action: Atom) -> Effects:
-        """The effect rows of ``action``, in position order, ground the
-        first time they are asked for."""
-        found = self.effects.get(action)
-        if found is None:
-            found = self.effects[action] = self.ground_effects(action)
-        return found
-
-    def preconditions_of(self, action: Atom) -> Preconditions:
-        """The precondition rows of ``action``, in position order, ground
-        the first time they are asked for."""
-        found = self.preconditions.get(action)
-        if found is None:
-            found = self.preconditions[action] = self.ground_preconditions(action)
-        return found
-
     def precondition_test(self, action: Atom) -> PreconditionTest:
         """The preconditions of ``action`` as one test, the union of its
         rows: whether one of them can never hold, and the atoms they need
@@ -305,9 +290,6 @@ class GroundTheory:
 
     def satisfies(self, state: State, condition: Iterable[Lit]) -> bool:
         return all(self.holds(state, c) for c in condition)
-
-    def state_str(self, state: State) -> str:
-        return "{%s}" % ", ".join(str(self.fluents[i]) for i in sorted(state))
 
 
 _NONE: frozenset[int] = frozenset()
@@ -653,9 +635,11 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
             n_needs += statement.kept
 
     def rows_of(statements: dict[str, list[PerAction]]) -> Callable[[Atom], tuple]:
-        return lambda action: tuple(
-            itertools.chain.from_iterable([s.rows(action) for s in statements.get(action.name, ())])
-        )
+        @functools.cache
+        def rows(action: Atom) -> tuple:
+            return tuple(itertools.chain.from_iterable([s.rows(action) for s in statements.get(action.name, ())]))
+
+        return rows
 
     stats.cprops = n_effects
     stats.denials = [head for head, _ in rule_rows].count(None)
@@ -669,8 +653,8 @@ def ground(domain: DomainDescription, horizon: int | None = None) -> GroundTheor
         index=index,
         constant_values=constant_values,
         signature=sig,
-        ground_effects=rows_of(effects_by_action),
-        ground_preconditions=rows_of(needs_by_action),
+        effects_of=rows_of(effects_by_action),
+        preconditions_of=rows_of(needs_by_action),
         rules=rule_rows,
         occurrences={t: frozenset(v) for t, v in sorted(occurrences.items())},
         observations={t: frozenset(v) for t, v in sorted(observations.items())},

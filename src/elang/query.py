@@ -25,12 +25,13 @@ wide state runs into Python's recursion limit.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 
 from .clauses import BudgetExceeded
-from .grounding import _NONE, GroundTheory, Lit, State, ground
+from .grounding import _NONE, Effects, GroundTheory, Lit, Preconditions, State, ground
 from .model import Atom, DomainDescription, FluentLiteral
 from .transition import legal_occurrence, successor_states
 
@@ -102,8 +103,9 @@ class EntailmentResult:
 
 
 def render_trajectory(theory: GroundTheory, traj: Trajectory) -> dict:
+    names = [str(a) for a in theory.fluents]
     return {
-        "states": [sorted(str(theory.fluents[i]) for i in st) for st in traj.states],
+        "states": [sorted([names[i] for i in st]) for st in traj.states],
         "actions": [sorted(str(a) for a in acts) for acts in traj.actions],
     }
 
@@ -379,31 +381,28 @@ def slice_for_goals(
 
 def restrict(theory: GroundTheory, inside: list[bool]) -> GroundTheory:
     """The view of a theory on the atoms ``inside`` marks, a union of
-    components, in the theory's own atom numbering.  It shares the
-    theory's signature, fluents, index, constant values, occurrences and
-    grounding stats, and each kept row is the theory's own tuple, in the
-    theory's own list when all are kept; a groundless denial is kept in
-    every view.  Precondition rows and observations lose their atoms
-    outside, and only a row with one is rebuilt.  Each atom outside is
-    observed false at time 0: nothing in the view can change it, so the
-    search never branches on it, and a model of the view joins a model of
-    the complement's view by union.  The view's indexes are its own."""
+    components, in the theory's own atom numbering: the theory with its
+    row accessors, rules and observations replaced, so it shares every
+    other field and starts with empty memos and indexes of its own.  Its
+    accessors narrow an action's rows the first time they are read; each
+    kept row is the theory's own tuple, in the theory's own list when all
+    are kept; a groundless denial is kept in every view.  Precondition
+    rows and observations lose their atoms outside, and only a row with
+    one is rebuilt.  Each atom outside is observed false at time 0:
+    nothing in the view can change it, so the search never branches on
+    it, and a model of the view joins a model of the complement's view by
+    union."""
     n = theory.n_fluents
     mine = frozenset(compress(range(n), inside))
-    occurring = set().union(*theory.occurrences.values())
-    effects = {}
-    for action in occurring:
+
+    @functools.cache
+    def effects_of(action: Atom) -> Effects:
         rows = theory.effects_of(action)
         kept_rows = tuple(row for row in rows if inside[abs(row[1]) - 1])
-        if kept_rows:
-            effects[action] = rows if len(kept_rows) == len(rows) else kept_rows
+        return rows if len(kept_rows) == len(rows) else kept_rows
 
-    rules = theory.rules
-    keep = [inside[abs(head or body[0]) - 1] if head or body else True for head, body in rules]
-    if not all(keep):
-        rules = list(compress(rules, keep))
-    preconditions = {}
-    for action in occurring:
+    @functools.cache
+    def preconditions_of(action: Atom) -> Preconditions:
         kept_rows = []
         for row in theory.preconditions_of(action):
             position, true, false, impossible = row
@@ -412,27 +411,17 @@ def restrict(theory: GroundTheory, inside: list[bool]) -> GroundTheory:
                 row = (position, true, false, impossible)
             if true or false or impossible:
                 kept_rows.append(row)
-        if kept_rows:
-            preconditions[action] = tuple(kept_rows)
+        return tuple(kept_rows)
+
+    rules = theory.rules
+    keep = [inside[abs(head or body[0]) - 1] if head or body else True for head, body in rules]
+    if not all(keep):
+        rules = list(compress(rules, keep))
     observed = {t: frozenset([c for c in obs if inside[abs(c) - 1]]) for t, obs in theory.observations.items()}
     observations = {t: obs for t, obs in observed.items() if obs}
     pins = frozenset(-(a + 1) for a in range(n) if not inside[a])
     if pins:
         observations[0] = observations.get(0, frozenset()) | pins
-    return GroundTheory(
-        fluents=theory.fluents,
-        index=theory.index,
-        constant_values=theory.constant_values,
-        signature=theory.signature,
-        # every scheduled action's kept effects are known already
-        effects=effects,
-        ground_effects=lambda action: (),
-        # and their kept preconditions
-        preconditions=preconditions,
-        ground_preconditions=lambda action: (),
-        rules=rules,
-        occurrences=theory.occurrences,
-        observations=observations,
-        horizon=theory.horizon,
-        stats=theory.stats,
+    return replace(
+        theory, effects_of=effects_of, preconditions_of=preconditions_of, rules=rules, observations=observations
     )

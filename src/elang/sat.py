@@ -44,9 +44,9 @@ as the least closure.  The converse holds when the ramification graph is
 acyclic, since the completion then has the least closure as its only
 solution.  Around a cycle, changes may support each other.  So on a
 theory with a cycle (``GroundTheory.first_cycle``, the one cycle search,
-whose verdict the engine's step search reads too), ``answer_sat`` checks
-each model's decoded steps with ``transition.step_holds``, the check the
-engine's step search runs on its targets, and ``Solver.solve``
+whose verdict ``transition.unbranched`` reads too), ``answer_sat``
+checks each model's decoded steps with ``transition.step_holds``, the
+check the engine's step search runs on every target, and ``Solver.solve``
 enumerates past any model that fails it; ASSAT checks each model of a
 completion in the same lazy way (Lin and Zhao, AAAI 2002).  The check
 depends only on the fluent variables and every trajectory passes it, so
@@ -143,9 +143,6 @@ class CnfInstance:
     n_fluents: int
     horizon: int
     names: dict[int, str] = field(default_factory=dict)
-
-    def fluent_var(self, atom_index: int, time: int) -> int:
-        return time * self.n_fluents + atom_index + 1
 
     @property
     def num_clauses(self) -> int:

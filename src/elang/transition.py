@@ -83,14 +83,10 @@ occurrence against its preconditions' union (``precondition_test``).
 
 These clauses are necessary, not sufficient: a body may hold in ``t``
 with none of its literals in ``changed``, and cyclic statements may
-support each other.  So ``step_holds`` checks a model against
-conditions a, b, c and e, with ``applied`` the candidates true in it,
-except where it cannot fail: when the ramification graph is acyclic
-(``GroundTheory.first_cycle``) and every candidate holds in the model.
-Rule e is then vacuous, and every change has a support chain back to an
-applied candidate, so the least closure explains it
-(``docs/semantics.md``, "When the re-check can be skipped").  Each
-target has one model, so the targets come in the kernel's order.
+support each other.  So ``step_holds`` checks every model against
+conditions a, b, c and e, with ``applied`` the candidates true in it
+(``docs/semantics.md``, "Every searched model is checked").  Each target
+has one model, so the targets come in the kernel's order.
 
 The contract of ``successor_states``: its source satisfies the state
 constraints.  Every state of a trajectory does, since the initial
@@ -183,15 +179,11 @@ class StepPlan(NamedTuple):
     # The atoms that may move, as positive codes: those of the producible
     # literals.  Every other atom keeps its source value.
     moving: frozenset[int]
-    # The candidates no body can override: they hold.
-    forced: tuple[Lit, ...]
-    # The other moving atoms, ascending, but those whose two values are both
+    # The moving atoms, ascending, but those whose two values are both
     # candidates, each with its support for either source value (false,
-    # true).
+    # true).  A candidate no body can override is its own support.
     supported: tuple[tuple[int, Support, Support], ...]
     clause: list[Lit] | None  # some candidate holds, unless a tautology
-    true: frozenset[int]  # the atoms the candidates need true
-    false: frozenset[int]  # and false
 
 
 def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
@@ -218,7 +210,6 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
     for head, body in map(rules.__getitem__, sorted(firing)):
         bodies_for.setdefault(head, []).append(body)
     moving = frozenset(map(abs, produced))
-    forced: list[Lit] = []
     supported = []
     for pos in sorted(moving):
         a, neg = pos - 1, -pos
@@ -229,23 +220,17 @@ def step_plan(theory: GroundTheory, candidates: frozenset[Lit]) -> StepPlan:
         if pos in candidates or neg in candidates:
             # the candidate's value, unless a body gives the other one
             value, bodies = (pos, breaking) if pos in candidates else (neg, making)
-            if bodies:
-                entry = _support(-value, bodies)
-                supported.append((a, entry, entry))
-            else:
-                forced.append(value)
+            entry = _support(-value, bodies)
+            supported.append((a, entry, entry))
         else:
             # no candidate's atom, so a head some firing statement gives
             supported.append((a, _support(pos, making), _support(neg, breaking)))
     plan = theory.plans[candidates] = StepPlan(
         frozenset(produced),
         moving,
-        tuple(forced),
         tuple(supported),
         # a tautology when the candidates hold both values of an atom
         None if any(-c in candidates for c in candidates) else list(candidates),
-        frozenset([c - 1 for c in candidates if c > 0]),
-        frozenset([-c - 1 for c in candidates if c < 0]),
     )
     return plan
 
@@ -360,7 +345,6 @@ def _searched(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -
     moving = plan.moving
     overlay: list[list[Lit] | tuple[Lit, ...]] = []
     units = [v if v - 1 in source else -v for v in range(1, n + 1) if v not in moving]
-    units += plan.forced
     aux = n
     for a, if_false, if_true in plan.supported:
         clause, bodies = if_true if a in source else if_false
@@ -384,17 +368,7 @@ def _searched(theory: GroundTheory, source: State, candidates: frozenset[Lit]) -
         overlay.append(plan.clause)
 
     # Rule d: the theory's own constraints, searched under those
-    # assumptions.  A model in which every candidate holds passes
-    # ``step_holds`` unchecked when the ramification graph is acyclic (see
-    # the module docstring).
-    trusted = theory.first_cycle is None
-    true, false = plan.true, plan.false
-    found: list[State] = []
-    for model in theory.constraints.models(units, extra=overlay):
-        target = frozenset(v - 1 for v in model if v <= n)
-        if (trusted and target.issuperset(true) and target.isdisjoint(false)) or step_holds(
-            theory, source, candidates, target
-        ):
-            found.append(target)
-    return found
-
+    # assumptions, and rules a, b, c and e checked on every model.
+    models = theory.constraints.models(units, extra=overlay)
+    targets = (frozenset(v - 1 for v in model if v <= n) for model in models)
+    return [target for target in targets if step_holds(theory, source, candidates, target)]

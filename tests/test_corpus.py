@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from elang import corpus
 from elang.corpus import (
     CORPUS_HORIZONS,
     VARIANTS,
@@ -76,7 +75,7 @@ def test_scenarios_merge_with_every_variant():
 
 
 def test_landscape_grounds():
-    th = corpus.ground_corpus_domain("zoo_landscape.e")
+    th = ground(load_domain("corpus:zoo_landscape.e"), CORPUS_HORIZONS["zoo_landscape.e"])
     assert th.horizon == 1
     assert any(a.name == "animal_is_large" for a in th.constant_values)
 
@@ -122,7 +121,7 @@ def test_mount_without_position_constraint_dies_by_denial():
     # mounting from apart is not blocked by a precondition; those branches
     # are removed by the state constraints instead, so the occurrence at 3
     # forces john onto dumpo in every surviving model
-    th = corpus.ground_corpus_domain("zoo_dual.e")
+    th = ground(load_domain("corpus:zoo_dual.e"), CORPUS_HORIZONS["zoo_dual.e"])
     mounts = [a for acts in th.occurrences.values() for a in acts if a.name == "mount_animal"]
     assert not any(
         action == m for m in mounts for action, _, _ in precondition_instances(th)

@@ -273,6 +273,17 @@ INDEXES = (
 )
 
 
+def ground_exactly(rows_of, actions):
+    """Whether the row accessor ``rows_of`` has ground the rows of every
+    one of ``actions`` and of no other action: reading theirs grounds
+    nothing new, and it holds no more."""
+    misses = rows_of.cache_info().misses
+    for action in actions:
+        rows_of(action)
+    info = rows_of.cache_info()
+    return info.misses == misses and info.currsize == len(actions)
+
+
 def test_indexes_are_built_on_first_read():
     from elang.corpus import load_domain
     from elang.parser import parse_query
@@ -284,13 +295,13 @@ def test_indexes_are_built_on_first_read():
     th = ground(domain, 4)
     scheduled = set().union(*th.occurrences.values())
     assert not set(INDEXES) & set(vars(th))
-    assert not th.preconditions
+    assert ground_exactly(th.preconditions_of, ())
     # an answer indexes only its views of the theory, and grounds only
     # the scheduled actions' effects and preconditions
     answer_theory(th, query)
     assert not set(INDEXES) & set(vars(th))
-    assert set(th.effects) == scheduled
-    assert set(th.preconditions) == scheduled
+    assert ground_exactly(th.effects_of, scheduled)
+    assert ground_exactly(th.preconditions_of, scheduled)
     assert not th.needs
     # the clausal backend builds the engine's clause set, which its own
     # reads at every time point, but not the full effect or precondition
@@ -300,8 +311,8 @@ def test_indexes_are_built_on_first_read():
     assert th.sat_memo.row_occurs[1] is th.constraints.occurs[1]
     answer_theory(th, query)
     assert set(INDEXES) <= set(vars(th))
-    assert set(th.effects) == scheduled
-    assert set(th.preconditions) == scheduled
+    assert ground_exactly(th.effects_of, scheduled)
+    assert ground_exactly(th.preconditions_of, scheduled)
     assert set(th.needs) <= scheduled
     # the theory has preconditions of actions it never schedules
     assert {action for action, _, _ in precondition_instances(th)} - scheduled
@@ -519,7 +530,7 @@ def _check_lazy_preconditions(domain, horizon, rng):
     must match the naive grounder's count."""
     lazy = ground(domain, horizon)
     assert lazy.stats.pprops == len(naive_ground_strings(domain, horizon)["pprops"])
-    assert not lazy.preconditions
+    assert ground_exactly(lazy.preconditions_of, ())
     actions = _ground_actions(domain)
     rng.shuffle(actions)
     per_action = {a: lazy.preconditions_of(a) for a in actions}

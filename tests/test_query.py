@@ -318,6 +318,22 @@ def test_sliced_answer_sees_an_inconsistency_on_dropped_atoms(case):
     assert answer_theory(th, query).answer == expected == "domain-inconsistent"
 
 
+def test_a_view_starts_with_empty_memos():
+    # Both backends fill the theory's own memos: the clausal one by an
+    # answer, the engine by a search of the whole theory (its answers
+    # search views).  A view shares the theory's read-only fields and
+    # none of its memos.
+    th = ground(load_domain("corpus:bulb.e"), 4)
+    assert answer_sat(th, q("credulous { light holds-at 4 }")).answer == "true"
+    assert check_consistency(th)[0]
+    assert th.sat_memo is not None and th.plans and th.needs
+    view, kept = slice_for_goals(th, {th.index[Atom("light")]})
+    assert view is not th and kept
+    assert view.sat_memo is None and not view.plans and not view.needs
+    for name in ("stats", "fluents", "index", "constant_values", "occurrences"):
+        assert getattr(view, name) is getattr(th, name), name
+
+
 def test_slice_keeps_the_oracle_atoms_on_corpus():
     # each distinct theory once: the goals of its cases and a few atoms alone
     rng = random.Random(17)

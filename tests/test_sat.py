@@ -317,7 +317,7 @@ def test_compile_shape_and_dimacs():
     th = ground(load_domain("corpus:bulb.e"), 4)
     inst = compile_theory(th, labels=False)
     assert inst.num_vars >= (th.horizon + 1) * th.n_fluents
-    assert inst.fluent_var(0, 0) == 1
+    assert decode_model(th, frozenset({1})).states[0] == frozenset({0})
     text = to_dimacs(inst)
     header = text.splitlines()[0].split()
     assert header[:2] == ["p", "cnf"]
@@ -784,7 +784,7 @@ def test_decode_model_matches_its_per_atom_definition(refs):
         # the true variables, auxiliary ones included
         model = frozenset(v for v in range(1, inst.num_vars + 1) if rng.random() < 0.5)
         states = tuple(
-            frozenset(i for i in range(th.n_fluents) if inst.fluent_var(i, t) in model)
+            frozenset(i for i in range(th.n_fluents) if t * inst.n_fluents + i + 1 in model)
             for t in range(th.horizon + 1)
         )
         assert decode_model(th, model).states == states

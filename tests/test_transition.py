@@ -169,7 +169,7 @@ def test_nondeterminism_from_mutually_exclusive_rules():
     """
     th = g(text)
     succs = successor_states(th, frozenset(), actions_of(th, "a"))
-    shown = {th.state_str(s) for s in succs}
+    shown = {"{%s}" % ", ".join(str(th.fluents[i]) for i in sorted(s)) for s in succs}
     assert shown == {"{f, g}", "{f, h}"}
 
 
@@ -303,9 +303,10 @@ def test_guided_matches_brute_force_property(seed, pick):
 
 
 def test_consistent_source_path_matches_brute_force_on_seeded_theories():
-    # the kernel search, on the unbranched steps too
+    # the kernel search, on the unbranched steps too, and on the acyclic
+    # steps that branch, where every model is checked as around a cycle
     rng = random.Random(17)
-    checked = closed = 0
+    checked = closed = acyclic_searched = 0
     for _ in range(200):
         domain = random_theory(rng)
         th, ref, sources = drawn(domain)
@@ -317,7 +318,8 @@ def test_consistent_source_path_matches_brute_force_on_seeded_theories():
         checked += 1
         candidates = direct_candidates(th, src, acts)
         closed += bool(candidates) and unbranched(th, candidates)
-    assert checked > 150 and closed >= 40, (checked, closed)
+        acyclic_searched += bool(candidates) and th.first_cycle is None and not unbranched(th, candidates)
+    assert checked > 150 and closed >= 40 and acyclic_searched >= 5, (checked, closed, acyclic_searched)
 
 
 @settings(max_examples=60, deadline=None)
